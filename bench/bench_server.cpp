@@ -57,6 +57,7 @@
 #include "graph/generators.hpp"
 #include "net/client.hpp"
 #include "platform/generators.hpp"
+#include "service/persistence.hpp"
 #include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -143,6 +144,14 @@ struct ServerHandle {
   }
 };
 
+/// Removes the snapshot and every rotated generation the server wrote
+/// next to it, so a rerun in the same directory starts cold.
+void remove_snapshots(const std::string& base) {
+  for (const SnapshotGeneration& gen : list_snapshot_generations(base)) {
+    ::unlink(gen.path.c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,7 +177,7 @@ int main(int argc, char** argv) {
     std::cerr << "need --dags >= 1 and --procs >= 4\n";
     return 2;
   }
-  ::unlink(snapshot_path.c_str());  // measure a genuinely cold first run
+  remove_snapshots(snapshot_path);  // measure a genuinely cold first run
 
   bench::BenchJson doc("server");
   doc.meta()
@@ -435,7 +444,7 @@ int main(int argc, char** argv) {
     (void)client.shutdown();
     handle.thread.join();
   }
-  ::unlink(snapshot_path.c_str());
+  remove_snapshots(snapshot_path);
 
   doc.write(json_path);
   std::cout << "(wrote " << json_path << ")\n";

@@ -54,7 +54,9 @@ EdgeId Dag::add_edge(TaskId src, TaskId dst, double volume) {
   SS_REQUIRE(src != dst, "self loops are not allowed");
   SS_REQUIRE(volume >= 0.0, "edge volume must be non-negative");
   SS_REQUIRE(!has_edge(src, dst), "duplicate edge");
-  SS_REQUIRE(!reachable(*this, dst, src), "edge would create a cycle");
+  // A cycle needs a path from dst back to src; a dst without out-edges
+  // has none, so only the other edges pay for the reachability walk.
+  SS_REQUIRE(out_[dst].empty() || !reachable(*this, dst, src), "edge would create a cycle");
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{src, dst, volume});
   out_[src].push_back(id);

@@ -1,8 +1,8 @@
 #include "net/wire.hpp"
 
+#include <array>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 
 #include "util/assert.hpp"
 
@@ -14,37 +14,87 @@ namespace {
   throw WireError(WireCode::kBadRequest, message);
 }
 
-/// Splits on a single character; keeps empty items (the caller decides).
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
+/// Walks the `sep`-separated items of a view without copying. Empty items
+/// are kept (the caller decides): "a,,b" yields "a", "", "b" and "" yields
+/// one empty item.
+class Items {
+ public:
+  Items(std::string_view text, char sep) : rest_(text), sep_(sep) {}
+
+  /// Next item; false once every item has been handed out.
+  bool next(std::string_view& item) {
+    if (done_) return false;
+    const std::size_t at = rest_.find(sep_);
+    item = rest_.substr(0, at);
+    if (at == std::string_view::npos) {
+      done_ = true;
+    } else {
+      rest_.remove_prefix(at + 1);
     }
+    return true;
   }
-  return out;
+
+  /// The text not yet handed out, separators included ("" once done).
+  [[nodiscard]] std::string_view rest() const { return done_ ? std::string_view() : rest_; }
+
+ private:
+  std::string_view rest_;
+  char sep_;
+  bool done_ = false;
+};
+
+/// Splits `text` into exactly N items; false on any other count.
+template <std::size_t N>
+bool split_exact(std::string_view text, char sep, std::array<std::string_view, N>& out) {
+  Items items(text, sep);
+  std::size_t n = 0;
+  for (std::string_view item; items.next(item); ++n) {
+    if (n == N) return false;
+    out[n] = item;
+  }
+  return n == N;
 }
 
-std::uint64_t parse_u64(const std::string& token, const std::string& what) {
-  if (token.empty()) bad("empty " + what);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size() || token[0] == '-') {
-    bad("malformed " + what + " '" + token + "'");
-  }
-  return static_cast<std::uint64_t>(v);
+/// Whole-token number parse with std::from_chars: no leading whitespace
+/// or '+', no hex, nothing trailing, and out-of-range magnitudes fail
+/// instead of saturating.
+template <typename T>
+bool read_number(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
-double parse_double(const std::string& token, const std::string& what) {
-  if (token.empty()) bad("empty " + what);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) bad("malformed " + what + " '" + token + "'");
-  return v;
+[[noreturn]] void bad_number(const char* what, std::string_view token) {
+  if (token.empty()) bad(std::string("empty ") + what);
+  bad(std::string("malformed ") + what + " '" + std::string(token) + "'");
+}
+
+template <typename T>
+T parse_number(std::string_view token, const char* what) {
+  T value{};
+  if (!read_number(token, value)) bad_number(what, token);
+  return value;
+}
+
+/// Numeric response accessor; the label is only built on failure.
+template <typename T>
+T response_number(const Response& resp, const std::string& key) {
+  if (!resp.has_field(key)) bad("response lacks field '" + key + "'");
+  T value{};
+  if (!read_number(resp.field(key), value)) {
+    bad_number(("response field " + key).c_str(), resp.field(key));
+  }
+  return value;
+}
+
+/// Splits a `key=value` token at its first '='; the key must be non-empty.
+std::pair<std::string_view, std::string_view> split_field(std::string_view token) {
+  const std::size_t eq = token.find('=');
+  if (eq == std::string_view::npos || eq == 0) {
+    bad("expected key=value, got '" + std::string(token) + "'");
+  }
+  return {token.substr(0, eq), token.substr(eq + 1)};
 }
 
 }  // namespace
@@ -55,7 +105,7 @@ std::string wire_double(double value) {
   return buf;
 }
 
-double parse_wire_double(const std::string& token) { return parse_double(token, "number"); }
+double parse_wire_double(std::string_view token) { return parse_number<double>(token, "number"); }
 
 const char* wire_code_name(WireCode code) {
   switch (code) {
@@ -70,13 +120,13 @@ const char* wire_code_name(WireCode code) {
   return "?";
 }
 
-WireCode parse_wire_code(const std::string& name) {
+WireCode parse_wire_code(std::string_view name) {
   for (WireCode code : {WireCode::kOk, WireCode::kBadRequest, WireCode::kBusy,
                         WireCode::kInfeasible, WireCode::kDegraded, WireCode::kShuttingDown,
                         WireCode::kInternal}) {
     if (name == wire_code_name(code)) return code;
   }
-  bad("unknown wire code '" + name + "'");
+  bad("unknown wire code '" + std::string(name) + "'");
 }
 
 // ----------------------------------------------------------------- DagWire --
@@ -97,39 +147,48 @@ std::string format_dag_wire(const Dag& dag) {
   return out;
 }
 
-Dag parse_dag_wire(const std::string& wire) {
-  const std::vector<std::string> sections = split(wire, ';');
-  if (sections.size() != 3 || sections[0].empty() || sections[0][0] != 'n' ||
-      sections[1].empty() || sections[1][0] != 'w' || sections[2].empty() ||
-      sections[2][0] != 'e') {
-    bad("DagWire needs 'n<tasks>;w...;e...' sections, got '" + wire + "'");
+Dag parse_dag_wire(std::string_view wire) {
+  std::array<std::string_view, 3> sections;
+  if (!split_exact(wire, ';', sections) || !sections[0].starts_with('n') ||
+      !sections[1].starts_with('w') || !sections[2].starts_with('e')) {
+    bad("DagWire needs 'n<tasks>;w...;e...' sections, got '" + std::string(wire) + "'");
   }
-  const std::uint64_t tasks = parse_u64(sections[0].substr(1), "DagWire task count");
+  const auto tasks = parse_number<std::uint64_t>(sections[0].substr(1), "DagWire task count");
   Dag dag;
-  const std::string works = sections[1].substr(1);
+  const std::string_view works = sections[1].substr(1);
   std::uint64_t listed = 0;
   if (!works.empty()) {
-    for (const std::string& w : split(works, ',')) {
-      dag.add_task(parse_double(w, "DagWire work"));
+    Items items(works, ',');
+    for (std::string_view w; items.next(w);) {
+      const auto work = parse_number<double>(w, "DagWire work");
+      try {
+        dag.add_task(work);
+      } catch (const std::exception& e) {
+        bad(std::string("DagWire work rejected: ") + e.what());
+      }
       ++listed;
     }
   }
   if (listed != tasks) {
     bad("DagWire lists " + std::to_string(listed) + " works for n" + std::to_string(tasks));
   }
-  const std::string edges = sections[2].substr(1);
+  const std::string_view edges = sections[2].substr(1);
   if (!edges.empty()) {
-    for (const std::string& item : split(edges, ',')) {
+    Items items(edges, ',');
+    for (std::string_view item; items.next(item);) {
       const std::size_t dash = item.find('-');
-      const std::size_t colon = item.find(':', dash == std::string::npos ? 0 : dash + 1);
-      if (dash == std::string::npos || colon == std::string::npos) {
-        bad("DagWire edge needs '<src>-<dst>:<volume>', got '" + item + "'");
+      const std::size_t colon =
+          item.find(':', dash == std::string_view::npos ? 0 : dash + 1);
+      if (dash == std::string_view::npos || colon == std::string_view::npos) {
+        bad("DagWire edge needs '<src>-<dst>:<volume>', got '" + std::string(item) + "'");
       }
-      const std::uint64_t src = parse_u64(item.substr(0, dash), "DagWire edge src");
-      const std::uint64_t dst = parse_u64(item.substr(dash + 1, colon - dash - 1),
-                                          "DagWire edge dst");
-      if (src >= tasks || dst >= tasks) bad("DagWire edge endpoint out of range: " + item);
-      const double volume = parse_double(item.substr(colon + 1), "DagWire edge volume");
+      const auto src = parse_number<std::uint64_t>(item.substr(0, dash), "DagWire edge src");
+      const auto dst = parse_number<std::uint64_t>(item.substr(dash + 1, colon - dash - 1),
+                                                   "DagWire edge dst");
+      if (src >= tasks || dst >= tasks) {
+        bad("DagWire edge endpoint out of range: " + std::string(item));
+      }
+      const auto volume = parse_number<double>(item.substr(colon + 1), "DagWire edge volume");
       try {
         dag.add_edge(static_cast<TaskId>(src), static_cast<TaskId>(dst), volume);
       } catch (const std::exception& e) {
@@ -170,16 +229,15 @@ std::string format_schedule_wire(const Schedule& schedule) {
   return out;
 }
 
-Schedule parse_schedule_wire(const std::string& wire, const Dag& dag,
-                             const Platform& platform) {
-  const std::vector<std::string> sections = split(wire, ';');
-  if (sections.size() != 4 || sections[0].rfind("eps", 0) != 0 || sections[1].empty() ||
-      sections[1][0] != 'p' || sections[2].empty() || sections[2][0] != 'r' ||
-      sections[3].empty() || sections[3][0] != 'c') {
+Schedule parse_schedule_wire(std::string_view wire, const Dag& dag, const Platform& platform) {
+  std::array<std::string_view, 4> sections;
+  if (!split_exact(wire, ';', sections) || !sections[0].starts_with("eps") ||
+      !sections[1].starts_with('p') || !sections[2].starts_with('r') ||
+      !sections[3].starts_with('c')) {
     bad("ScheduleWire needs 'eps<e>;p<period>;r...;c...' sections");
   }
-  const std::uint64_t eps = parse_u64(sections[0].substr(3), "ScheduleWire eps");
-  const double period = parse_double(sections[1].substr(1), "ScheduleWire period");
+  const auto eps = parse_number<std::uint64_t>(sections[0].substr(3), "ScheduleWire eps");
+  const auto period = parse_number<double>(sections[1].substr(1), "ScheduleWire period");
   // Validate the header before constructing: the Schedule constructor
   // enforces the same bounds with SS_REQUIRE, but untrusted wire input
   // must surface as WireError, not as an assertion escape. The eps bound
@@ -190,22 +248,26 @@ Schedule parse_schedule_wire(const std::string& wire, const Dag& dag,
   }
   if (!(period > 0.0)) bad("ScheduleWire period must be positive");
   Schedule schedule(dag, platform, static_cast<CopyId>(eps), period);
-  const std::string replicas = sections[2].substr(1);
+  const std::string_view replicas = sections[2].substr(1);
   if (!replicas.empty()) {
-    for (const std::string& item : split(replicas, ',')) {
-      const std::vector<std::string> f = split(item, ':');
-      if (f.size() != 6) bad("ScheduleWire replica needs 6 fields, got '" + item + "'");
-      const std::uint64_t task = parse_u64(f[0], "replica task");
-      const std::uint64_t copy = parse_u64(f[1], "replica copy");
-      const std::uint64_t proc = parse_u64(f[2], "replica proc");
+    Items items(replicas, ',');
+    for (std::string_view item; items.next(item);) {
+      std::array<std::string_view, 6> f;
+      if (!split_exact(item, ':', f)) {
+        bad("ScheduleWire replica needs 6 fields, got '" + std::string(item) + "'");
+      }
+      const auto task = parse_number<std::uint64_t>(f[0], "replica task");
+      const auto copy = parse_number<std::uint64_t>(f[1], "replica copy");
+      const auto proc = parse_number<std::uint64_t>(f[2], "replica proc");
       if (task >= dag.num_tasks() || copy > eps || proc >= platform.num_procs()) {
-        bad("ScheduleWire replica out of range: '" + item + "'");
+        bad("ScheduleWire replica out of range: '" + std::string(item) + "'");
       }
       try {
+        const auto start = parse_number<double>(f[3], "replica start");
+        const auto finish = parse_number<double>(f[4], "replica finish");
+        const auto stage = parse_number<std::uint32_t>(f[5], "replica stage");
         schedule.place(ReplicaRef{static_cast<TaskId>(task), static_cast<CopyId>(copy)},
-                       static_cast<ProcId>(proc), parse_double(f[3], "replica start"),
-                       parse_double(f[4], "replica finish"),
-                       static_cast<std::uint32_t>(parse_u64(f[5], "replica stage")));
+                       static_cast<ProcId>(proc), start, finish, stage);
       } catch (const std::exception& e) {
         // Duplicate replica, finish < start, zero stage, ...: the
         // schedule's own invariants, reported as a parse rejection.
@@ -213,21 +275,26 @@ Schedule parse_schedule_wire(const std::string& wire, const Dag& dag,
       }
     }
   }
-  const std::string comms = sections[3].substr(1);
+  const std::string_view comms = sections[3].substr(1);
   if (!comms.empty()) {
-    for (const std::string& item : split(comms, ',')) {
-      const std::vector<std::string> f = split(item, ':');
-      if (f.size() != 8) bad("ScheduleWire comm needs 8 fields, got '" + item + "'");
+    Items items(comms, ',');
+    for (std::string_view item; items.next(item);) {
+      std::array<std::string_view, 8> f;
+      if (!split_exact(item, ':', f)) {
+        bad("ScheduleWire comm needs 8 fields, got '" + std::string(item) + "'");
+      }
       CommRecord comm;
-      const std::uint64_t edge = parse_u64(f[0], "comm edge");
-      if (edge >= dag.num_edges()) bad("ScheduleWire comm edge out of range: '" + item + "'");
+      const auto edge = parse_number<std::uint64_t>(f[0], "comm edge");
+      if (edge >= dag.num_edges()) {
+        bad("ScheduleWire comm edge out of range: '" + std::string(item) + "'");
+      }
       comm.edge = static_cast<EdgeId>(edge);
-      comm.src = ReplicaRef{static_cast<TaskId>(parse_u64(f[1], "comm src task")),
-                            static_cast<CopyId>(parse_u64(f[2], "comm src copy"))};
-      comm.dst = ReplicaRef{static_cast<TaskId>(parse_u64(f[3], "comm dst task")),
-                            static_cast<CopyId>(parse_u64(f[4], "comm dst copy"))};
-      comm.start = parse_double(f[5], "comm start");
-      comm.finish = parse_double(f[6], "comm finish");
+      comm.src = ReplicaRef{parse_number<TaskId>(f[1], "comm src task"),
+                            parse_number<CopyId>(f[2], "comm src copy")};
+      comm.dst = ReplicaRef{parse_number<TaskId>(f[3], "comm dst task"),
+                            parse_number<CopyId>(f[4], "comm dst copy")};
+      comm.start = parse_number<double>(f[5], "comm start");
+      comm.finish = parse_number<double>(f[6], "comm finish");
       if (f[7] != "0" && f[7] != "1") bad("ScheduleWire comm repair flag must be 0/1");
       comm.repair = f[7] == "1";
       try {
@@ -246,85 +313,70 @@ const char* qos_class_name(QosClass qos) {
   return qos == QosClass::kInteractive ? "interactive" : "batch";
 }
 
-QosClass parse_qos_class(const std::string& name) {
+QosClass parse_qos_class(std::string_view name) {
   if (name == "interactive") return QosClass::kInteractive;
   if (name == "batch") return QosClass::kBatch;
-  bad("unknown QoS class '" + name + "' (expected interactive|batch)");
+  bad("unknown QoS class '" + std::string(name) + "' (expected interactive|batch)");
 }
 
 // ---------------------------------------------------------------- requests --
 
-namespace {
-
-/// key=value tokens after the verb; keys must be unique and known.
-std::vector<std::pair<std::string, std::string>> parse_fields(
-    const std::vector<std::string>& tokens, std::size_t first) {
-  std::vector<std::pair<std::string, std::string>> fields;
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    if (tokens[i].empty()) continue;  // tolerate doubled spaces
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) bad("expected key=value, got '" + tokens[i] + "'");
-    fields.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
-  }
-  return fields;
-}
-
-}  // namespace
-
-Request parse_request(const std::string& line) {
-  const std::vector<std::string> tokens = split(line, ' ');
-  if (tokens.empty() || tokens[0].empty()) bad("empty request");
+Request parse_request(std::string_view line) {
+  Items tokens(line, ' ');
+  std::string_view verb;
+  (void)tokens.next(verb);  // a line always has a first item
+  if (verb.empty()) bad("empty request");
   Request request;
-  const std::string& verb = tokens[0];
   if (verb == "STATS" || verb == "HEALTH" || verb == "SHUTDOWN") {
-    if (tokens.size() > 1) bad(verb + " takes no fields");
+    if (std::string_view extra; tokens.next(extra)) bad(std::string(verb) + " takes no fields");
     request.verb = verb == "STATS"    ? Verb::kStats
                    : verb == "HEALTH" ? Verb::kHealth
                                       : Verb::kShutdown;
     return request;
   }
-  const auto fields = parse_fields(tokens, 1);
   if (verb == "SUBMIT") {
     request.verb = Verb::kSubmit;
     SubmitFrame& f = request.submit;
     bool have_dag = false;
-    for (const auto& [key, value] : fields) {
+    for (std::string_view token; tokens.next(token);) {
+      if (token.empty()) continue;  // tolerate doubled spaces
+      const auto [key, value] = split_field(token);
       if (key == "qos") {
         f.qos = parse_qos_class(value);
       } else if (key == "tag") {
         f.tag = value;
       } else if (key == "algo") {
+        f.variant_spec = value;
         try {
-          (void)AlgoVariant::parse(value);  // validate against the registry
+          (void)AlgoVariant::parse(f.variant_spec);  // validate against the registry
         } catch (const std::exception& e) {
           bad(std::string("bad algo: ") + e.what());
         }
-        f.variant_spec = value;
       } else if (key == "model") {
         try {
-          f.model = FaultModel::parse(value);
+          f.model = FaultModel::parse(std::string(value));
         } catch (const std::exception& e) {
           bad(std::string("bad model: ") + e.what());
         }
       } else if (key == "period") {
-        f.period = parse_double(value, "period");
+        f.period = parse_number<double>(value, "period");
       } else if (key == "headroom") {
-        f.headroom = parse_double(value, "headroom");
+        f.headroom = parse_number<double>(value, "headroom");
       } else if (key == "comm_share") {
-        f.comm_share = parse_double(value, "comm_share");
+        f.comm_share = parse_number<double>(value, "comm_share");
       } else if (key == "degraded_ok") {
         if (value == "1") {
           f.degraded_ok = true;
         } else if (value == "0") {
           f.degraded_ok = false;
         } else {
-          bad("degraded_ok must be 0|1, got '" + value + "'");
+          bad("degraded_ok must be 0|1, got '" + std::string(value) + "'");
         }
       } else if (key == "dag") {
         f.dag = parse_dag_wire(value);
         have_dag = true;
       } else {
-        bad("unknown SUBMIT field '" + key + "'");
+        bad("unknown SUBMIT field '" + std::string(key) + "'");
       }
     }
     if (!have_dag) bad("SUBMIT needs a dag= field");
@@ -335,29 +387,31 @@ Request parse_request(const std::string& line) {
     EventFrame& f = request.event;
     bool have_kind = false;
     bool have_proc = false;
-    for (const auto& [key, value] : fields) {
+    for (std::string_view token; tokens.next(token);) {
+      if (token.empty()) continue;
+      const auto [key, value] = split_field(token);
       if (key == "kind") {
         if (value == "fail") {
           f.failure = true;
         } else if (value == "recover") {
           f.failure = false;
         } else {
-          bad("EVENT kind must be fail|recover, got '" + value + "'");
+          bad("EVENT kind must be fail|recover, got '" + std::string(value) + "'");
         }
         have_kind = true;
       } else if (key == "proc") {
-        f.proc = static_cast<ProcId>(parse_u64(value, "EVENT proc"));
+        f.proc = parse_number<ProcId>(value, "EVENT proc");
         have_proc = true;
       } else if (key == "tag") {
         f.tag = value;
       } else {
-        bad("unknown EVENT field '" + key + "'");
+        bad("unknown EVENT field '" + std::string(key) + "'");
       }
     }
     if (!have_kind || !have_proc) bad("EVENT needs kind= and proc=");
     return request;
   }
-  bad("unknown verb '" + verb + "'");
+  bad("unknown verb '" + std::string(verb) + "'");
 }
 
 std::string format_submit(const SubmitFrame& frame) {
@@ -411,13 +465,11 @@ bool Response::has_field(const std::string& key) const {
 }
 
 double Response::field_double(const std::string& key) const {
-  if (!has_field(key)) bad("response lacks field '" + key + "'");
-  return parse_double(field(key), "response field " + key);
+  return response_number<double>(*this, key);
 }
 
 std::uint64_t Response::field_u64(const std::string& key) const {
-  if (!has_field(key)) bad("response lacks field '" + key + "'");
-  return parse_u64(field(key), "response field " + key);
+  return response_number<std::uint64_t>(*this, key);
 }
 
 OkBuilder& OkBuilder::add(const std::string& key, const std::string& value) {
@@ -449,38 +501,42 @@ std::string format_error(WireCode code, const std::string& message, const std::s
   return out;
 }
 
-Response parse_response(const std::string& line) {
-  const std::vector<std::string> tokens = split(line, ' ');
-  if (tokens.empty() || tokens[0].empty()) bad("empty response");
+Response parse_response(std::string_view line) {
+  Items tokens(line, ' ');
+  std::string_view head;
+  (void)tokens.next(head);  // a line always has a first item
+  if (head.empty()) bad("empty response");
   Response resp;
-  if (tokens[0] == "OK") {
+  if (head == "OK") {
     resp.ok = true;
     resp.code = WireCode::kOk;
-    for (const auto& [key, value] : parse_fields(tokens, 1)) {
+    for (std::string_view token; tokens.next(token);) {
+      if (token.empty()) continue;  // tolerate doubled spaces
+      const auto [key, value] = split_field(token);
       resp.fields.emplace_back(key, value);
     }
     return resp;
   }
-  if (tokens[0] == "ERR") {
-    if (tokens.size() < 2) bad("ERR response lacks a code");
+  if (head == "ERR") {
+    std::string_view code;
+    if (!tokens.next(code)) bad("ERR response lacks a code");
     resp.ok = false;
-    resp.code = parse_wire_code(tokens[1]);
-    std::size_t first_message = 2;
-    if (tokens.size() > first_message && tokens[first_message].rfind("tag=", 0) == 0) {
-      resp.fields.emplace_back("tag", tokens[first_message].substr(4));
-      ++first_message;
+    resp.code = parse_wire_code(code);
+    // Optional leading tag= then retry_ms= tokens; the rest of the line,
+    // spaces and all, is the message.
+    using namespace std::string_view_literals;
+    for (const std::string_view prefix : {"tag="sv, "retry_ms="sv}) {
+      Items peek = tokens;
+      std::string_view token;
+      if (peek.next(token) && token.starts_with(prefix)) {
+        resp.fields.emplace_back(prefix.substr(0, prefix.size() - 1), token.substr(prefix.size()));
+        tokens = peek;
+      }
     }
-    if (tokens.size() > first_message && tokens[first_message].rfind("retry_ms=", 0) == 0) {
-      resp.fields.emplace_back("retry_ms", tokens[first_message].substr(9));
-      ++first_message;
-    }
-    for (std::size_t i = first_message; i < tokens.size(); ++i) {
-      if (i > first_message) resp.message += ' ';
-      resp.message += tokens[i];
-    }
+    resp.message = tokens.rest();
     return resp;
   }
-  bad("response must start with OK or ERR, got '" + tokens[0] + "'");
+  bad("response must start with OK or ERR, got '" + std::string(head) + "'");
 }
 
 }  // namespace streamsched::net

@@ -30,11 +30,19 @@
 // snapshot (service/persistence.hpp) able to serve restored placements
 // indistinguishable from the originals. Doubles are formatted with 17
 // significant digits — exact double→text→double round-trip.
+//
+// Every parser works on views of the caller's bytes: tokens are sliced,
+// not copied, and numbers are read with std::from_chars. Numbers follow
+// its grammar, applied to the whole token: an optional '-', decimal
+// digits with an optional fraction and exponent, or inf/infinity/nan;
+// unsigned integers are decimal digits only. A leading '+', whitespace,
+// hex and magnitudes that overflow or underflow to zero are rejected.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,9 +61,9 @@ namespace streamsched::net {
 /// "-inf", "nan").
 [[nodiscard]] std::string wire_double(double value);
 
-/// Strict parse of a full token. Throws WireError (kBadRequest) on
-/// anything trailing or empty.
-[[nodiscard]] double parse_wire_double(const std::string& token);
+/// Strict parse of a full token (grammar above). Throws WireError
+/// (kBadRequest) on anything trailing, empty or out of range.
+[[nodiscard]] double parse_wire_double(std::string_view token);
 
 /// Error codes carried by `ERR` responses.
 enum class WireCode {
@@ -71,7 +79,7 @@ enum class WireCode {
 
 [[nodiscard]] const char* wire_code_name(WireCode code);
 /// kOk for "OK"; throws WireError on an unknown name.
-[[nodiscard]] WireCode parse_wire_code(const std::string& name);
+[[nodiscard]] WireCode parse_wire_code(std::string_view name);
 
 /// Thrown by every parse_* function on malformed input; the server turns
 /// it into an `ERR <code> <what>` response.
@@ -93,7 +101,7 @@ class WireError : public std::runtime_error {
 
 /// Parses DagWire. Edges are re-added in serialized order, so edge ids —
 /// and therefore the DAG fingerprint — are preserved. Throws WireError.
-[[nodiscard]] Dag parse_dag_wire(const std::string& wire);
+[[nodiscard]] Dag parse_dag_wire(std::string_view wire);
 
 // ------------------------------------------------------------ ScheduleWire --
 
@@ -106,7 +114,7 @@ class WireError : public std::runtime_error {
 /// Rebuilds the schedule against `dag`/`platform` (which must outlive it,
 /// as with every Schedule). Bit-identical round trip: every place() and
 /// add_comm() replays the serialized values exactly. Throws WireError.
-[[nodiscard]] Schedule parse_schedule_wire(const std::string& wire, const Dag& dag,
+[[nodiscard]] Schedule parse_schedule_wire(std::string_view wire, const Dag& dag,
                                            const Platform& platform);
 
 // ------------------------------------------------------------- QoS classes --
@@ -119,7 +127,7 @@ enum class QosClass { kInteractive, kBatch };
 inline constexpr std::size_t kNumQosClasses = 2;
 
 [[nodiscard]] const char* qos_class_name(QosClass qos);
-[[nodiscard]] QosClass parse_qos_class(const std::string& name);  ///< throws WireError
+[[nodiscard]] QosClass parse_qos_class(std::string_view name);  ///< throws WireError
 
 // ---------------------------------------------------------------- requests --
 
@@ -155,7 +163,7 @@ struct Request {
 /// is validated against the registry, the model against the fault-model
 /// grammar, the DAG against DagWire. Unknown verbs and fields throw
 /// WireError (kBadRequest) so client typos fail loudly.
-[[nodiscard]] Request parse_request(const std::string& line);
+[[nodiscard]] Request parse_request(std::string_view line);
 
 /// Client-side formatters (no trailing '\n').
 [[nodiscard]] std::string format_submit(const SubmitFrame& frame);
@@ -206,6 +214,6 @@ class OkBuilder {
 
 /// Parses one response line. Throws WireError (kBadRequest) on anything
 /// that is neither `OK ...` nor `ERR <CODE> ...`.
-[[nodiscard]] Response parse_response(const std::string& line);
+[[nodiscard]] Response parse_response(std::string_view line);
 
 }  // namespace streamsched::net

@@ -5,6 +5,7 @@
 #include "core/fingerprint.hpp"
 #include "exp/sweep.hpp"
 #include "exp/workload.hpp"
+#include "schedule/metrics.hpp"
 #include "schedule/survival.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -20,6 +21,15 @@ namespace {
 void certify(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
   placement.eps_have = achieved_tolerance(placement.oracle, failed, placement.eps_want, scratch);
   placement.degraded = placement.eps_have < placement.eps_want;
+}
+
+/// Fills the response facts of a placement whose schedule is final. Every
+/// publish of a new or changed schedule calls it; copies that only
+/// re-certify keep the values they copied.
+void seal(CachedPlacement& placement) {
+  placement.schedule_fp = schedule_fingerprint(placement.schedule);
+  placement.stages = num_stages(placement.schedule);
+  placement.latency_bound = latency_upper_bound(placement.schedule);
 }
 
 std::string degraded_error(const CachedPlacement& placement) {
@@ -143,6 +153,7 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request) {
         ++rebuilds;
       }
     }
+    seal(*placement);  // outside the lock; a retry re-seals the re-repaired copy
     const std::lock_guard<std::mutex> lock(mutex_);
     if (epoch_ == snapshot_epoch) {
       placement->epoch = epoch_;
@@ -201,6 +212,7 @@ bool PlacementDaemon::restore(const std::shared_ptr<CachedPlacement>& placement)
   const CacheKey base{dag_fingerprint(*placement->dag),
                       Fnv64().str(placement->variant).value(),
                       fault_model_fingerprint(placement->model), 0};
+  seal(*placement);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (failed_.count() > 0 && !placement->oracle.survives(failed_, survive_scratch_)) {
     return false;
@@ -278,6 +290,7 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
       }
       if (verified) {
         if (patched->degraded) certify(*patched, failed_, batch_scratch_);
+        seal(*patched);
         ++stats_.event_repairs;
         return patched;
       }
@@ -364,6 +377,7 @@ std::shared_ptr<CachedPlacement> PlacementDaemon::rebuild_degraded(const CachedP
   fresh->epoch = stale.epoch;  // callers publish under the epoch they hold
   fresh->eps_want = want;
   certify(*fresh, failed, scratch);
+  seal(*fresh);
   return fresh;
 }
 

@@ -91,6 +91,14 @@ struct CachedPlacement {
   /// with its reliability deficit, until background re-heal promotes a
   /// full-guarantee replacement.
   bool degraded = false;
+
+  /// Facts every response reports about `schedule`, computed once when
+  /// the daemon publishes the placement (schedule_fingerprint, num_stages,
+  /// latency_upper_bound) so cache hits do not recompute them. Derived
+  /// state: never persisted, refilled whenever the schedule changes.
+  std::uint64_t schedule_fp = 0;
+  std::uint32_t stages = 0;
+  double latency_bound = 0.0;
 };
 
 struct PlacementResponse {

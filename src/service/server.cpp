@@ -13,15 +13,14 @@
 #include <cstdio>
 #include <deque>
 #include <mutex>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/fingerprint.hpp"
 #include "net/socket.hpp"
-#include "schedule/metrics.hpp"
 #include "service/persistence.hpp"
 #include "util/assert.hpp"
 #include "util/async_log.hpp"
@@ -188,11 +187,11 @@ struct Server::Impl {
       if (!frame.tag.empty()) ok.add("tag", frame.tag);
       ok.add("src", src)
           .add("epoch", resp.epoch)
-          .add("fp", hex16(schedule_fingerprint(p.schedule)))
+          .add("fp", hex16(p.schedule_fp))
           .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
-          .add("stages", static_cast<std::uint64_t>(num_stages(p.schedule)))
+          .add("stages", static_cast<std::uint64_t>(p.stages))
           .add("period", p.schedule.period())
-          .add("latency", latency_upper_bound(p.schedule))
+          .add("latency", p.latency_bound)
           .add("rel", p.reliability)
           .add("factor", p.period_factor)
           .add("repair_comms",
@@ -211,7 +210,7 @@ struct Server::Impl {
   /// Handles one request line on the poll thread; appends any synchronous
   /// response to `conn.out` (SUBMITs that are accepted respond later via
   /// the completion queue).
-  void process_line(std::uint64_t conn_id, Connection& conn, const std::string& line) {
+  void process_line(std::uint64_t conn_id, Connection& conn, std::string_view line) {
     if (line.empty()) return;  // blank lines are keep-alive no-ops
     Request request;
     try {
@@ -417,7 +416,9 @@ struct Server::Impl {
         reject_oversized(conn);
         return open;
       }
-      process_line(conn_id, conn, conn.in.substr(start, nl - start));
+      // The frame is parsed where it lies: process_line only appends to
+      // conn.out, so the view into conn.in stays valid throughout.
+      process_line(conn_id, conn, std::string_view(conn.in).substr(start, nl - start));
       start = nl + 1;
     }
     conn.in.erase(0, start);

@@ -1,0 +1,108 @@
+// Fixtures shared by the service-tier suites (test_service, test_server,
+// test_chaos): per-process file names, a cleanup guard that knows about
+// snapshot generations, a server running on its own thread, and the
+// check that every served placement carries fresh response facts.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <system_error>
+#include <thread>
+#include <vector>
+
+#include "core/fingerprint.hpp"
+#include "schedule/metrics.hpp"
+#include "service/daemon.hpp"
+#include "service/server.hpp"
+
+namespace streamsched::test {
+
+/// Tests may run concurrently (one ctest entry per TEST), so every socket
+/// and snapshot file gets a per-process, per-test unique relative path.
+inline std::string unique_path(const std::string& stem, const std::string& ext) {
+  return stem + "_" + std::to_string(::getpid()) + ext;
+}
+
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+inline void write_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Removes a test's file before and after the test, together with every
+/// sibling the snapshot writer derives from it: rotated generations
+/// (`<path>.g<seq>`), their temporaries (`<path>.g<seq>.tmp`) and
+/// `<path>.tmp`. A repeated run therefore never reloads the previous
+/// run's cache, whatever sequence numbers it reached.
+struct FileGuard {
+  std::string path;
+  explicit FileGuard(std::string p) : path(std::move(p)) { clean(); }
+  ~FileGuard() { clean(); }
+  FileGuard(const FileGuard&) = delete;
+  FileGuard& operator=(const FileGuard&) = delete;
+
+  void clean() const {
+    namespace fs = std::filesystem;
+    const fs::path base(path);
+    const std::string name = base.filename().string();
+    const fs::path dir = base.has_parent_path() ? base.parent_path() : fs::path(".");
+    std::vector<fs::path> doomed;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
+      const std::string entry = it->path().filename().string();
+      if (entry == name || entry == name + ".tmp" || entry.starts_with(name + ".g")) {
+        doomed.push_back(it->path());
+      }
+    }
+    for (const fs::path& p : doomed) fs::remove(p, ec);
+  }
+};
+
+/// A running server on its own thread; the destructor drains and joins.
+struct ServerHandle {
+  net::Server server;
+  std::thread thread;
+
+  ServerHandle(Platform platform, net::ServerConfig config)
+      : server(std::move(platform), std::move(config)),
+        thread([this] { server.run(); }) {}
+
+  ~ServerHandle() {
+    if (thread.joinable()) {
+      server.shutdown();
+      thread.join();
+    }
+  }
+  ServerHandle(const ServerHandle&) = delete;
+  ServerHandle& operator=(const ServerHandle&) = delete;
+
+  void join() { thread.join(); }
+};
+
+/// The daemon fills schedule_fp/stages/latency_bound when it publishes a
+/// placement; every cached entry must match a fresh computation, whichever
+/// path (cold admit, restore, event repair, rebuild, re-certify, re-heal)
+/// published it.
+inline void expect_sealed_entries(const PlacementDaemon& daemon) {
+  for (const auto& p : daemon.snapshot_entries()) {
+    EXPECT_EQ(p->schedule_fp, schedule_fingerprint(p->schedule));
+    EXPECT_EQ(p->stages, num_stages(p->schedule));
+    EXPECT_EQ(p->latency_bound, latency_upper_bound(p->schedule));
+  }
+}
+
+}  // namespace streamsched::test

@@ -12,9 +12,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +26,7 @@
 #include "service/daemon.hpp"
 #include "service/persistence.hpp"
 #include "service/server.hpp"
+#include "service_fixtures.hpp"
 #include "util/fault_inject.hpp"
 #include "util/rng.hpp"
 
@@ -45,62 +43,11 @@ Platform small_platform(std::uint64_t seed = 5, std::size_t m = 8) {
   return make_reliability_heterogeneous(rng, m, 0.02, 0.08);
 }
 
-std::string unique_path(const std::string& stem, const std::string& ext) {
-  return stem + "_" + std::to_string(::getpid()) + ext;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-struct FileGuard {
-  std::string path;
-  explicit FileGuard(std::string p) : path(std::move(p)) { std::remove(path.c_str()); }
-  ~FileGuard() { std::remove(path.c_str()); }
-};
-
-/// Removes every generation (and stale tmp) of a snapshot base path.
-struct GenerationGuard {
-  std::string base;
-  explicit GenerationGuard(std::string b) : base(std::move(b)) { clean(); }
-  ~GenerationGuard() { clean(); }
-  void clean() const {
-    std::remove(base.c_str());
-    std::remove((base + ".tmp").c_str());
-    for (std::uint64_t seq = 0; seq <= 16; ++seq) {
-      std::remove((base + ".g" + std::to_string(seq)).c_str());
-      std::remove((base + ".g" + std::to_string(seq) + ".tmp").c_str());
-    }
-  }
-};
-
-struct ServerHandle {
-  net::Server server;
-  std::thread thread;
-
-  ServerHandle(Platform platform, net::ServerConfig config)
-      : server(std::move(platform), std::move(config)),
-        thread([this] { server.run(); }) {}
-
-  ~ServerHandle() {
-    if (thread.joinable()) {
-      server.shutdown();
-      thread.join();
-    }
-  }
-
-  void join() { thread.join(); }
-};
+using test::FileGuard;
+using test::read_file;
+using test::ServerHandle;
+using test::unique_path;
+using test::write_file;
 
 net::SubmitFrame frame_for(std::uint64_t seed, const std::string& tag,
                            std::size_t tasks = 10) {
@@ -368,7 +315,7 @@ TEST(TornIo, SnapshotLoadRejectsEveryTruncationOffset) {
 // ------------------------------------------------------ snapshot generations --
 
 TEST(SnapshotGenerations, RotatesAndPrunesOldestBeyondKeep) {
-  const GenerationGuard base(unique_path("gen_rotate", ".snapshot"));
+  const FileGuard base(unique_path("gen_rotate", ".snapshot"));
   PlacementDaemon daemon(small_platform(), DaemonConfig{});
   PlacementRequest request;
   request.dag = small_dag(404);
@@ -376,23 +323,23 @@ TEST(SnapshotGenerations, RotatesAndPrunesOldestBeyondKeep) {
   request.model = FaultModel::count(1);
   ASSERT_TRUE(daemon.admit(std::move(request)).ok);
 
-  for (int i = 0; i < 6; ++i) (void)save_cache_generation(daemon, base.base, 3);
-  const auto generations = list_snapshot_generations(base.base);
+  for (int i = 0; i < 6; ++i) (void)save_cache_generation(daemon, base.path, 3);
+  const auto generations = list_snapshot_generations(base.path);
   ASSERT_EQ(generations.size(), 3u);
   EXPECT_EQ(generations[0].seq, 6u);  // newest first
   EXPECT_EQ(generations[1].seq, 5u);
   EXPECT_EQ(generations[2].seq, 4u);
 
   PlacementDaemon restored(small_platform(), DaemonConfig{});
-  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.base);
+  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.path);
   EXPECT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.path, base.base + ".g6");
+  EXPECT_EQ(loaded.path, base.path + ".g6");
   EXPECT_EQ(loaded.rejected, 0u);
   EXPECT_EQ(loaded.stats.restored, 1u);
 }
 
 TEST(SnapshotGenerations, LoadFallsBackPastCorruptAndTruncatedGenerations) {
-  const GenerationGuard base(unique_path("gen_fallback", ".snapshot"));
+  const FileGuard base(unique_path("gen_fallback", ".snapshot"));
   PlacementDaemon daemon(small_platform(), DaemonConfig{});
   PlacementRequest request;
   request.dag = small_dag(405);
@@ -402,46 +349,46 @@ TEST(SnapshotGenerations, LoadFallsBackPastCorruptAndTruncatedGenerations) {
   const std::uint64_t fp =
       schedule_fingerprint(daemon.snapshot_entries().front()->schedule);
 
-  (void)save_cache_generation(daemon, base.base, 8);  // g1: intact
-  const std::string intact = read_file(base.base + ".g1");
+  (void)save_cache_generation(daemon, base.path, 8);  // g1: intact
+  const std::string intact = read_file(base.path + ".g1");
   // g2: truncated mid-file (kill -9 after a non-atomic copy); g3: garbage.
-  write_file(base.base + ".g2", intact.substr(0, intact.size() / 2));
-  write_file(base.base + ".g3", "not a snapshot at all\n");
+  write_file(base.path + ".g2", intact.substr(0, intact.size() / 2));
+  write_file(base.path + ".g3", "not a snapshot at all\n");
   // A stale .tmp from a crash mid-rename must be ignored entirely.
-  write_file(base.base + ".g4.tmp", intact.substr(0, 10));
+  write_file(base.path + ".g4.tmp", intact.substr(0, 10));
 
   PlacementDaemon restored(small_platform(), DaemonConfig{});
-  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.base);
+  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.path);
   ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.path, base.base + ".g1");
+  EXPECT_EQ(loaded.path, base.path + ".g1");
   EXPECT_EQ(loaded.rejected, 2u);
   ASSERT_EQ(restored.cache_size(), 1u);
   EXPECT_EQ(schedule_fingerprint(restored.snapshot_entries().front()->schedule), fp);
 }
 
 TEST(SnapshotGenerations, LegacyBareSnapshotFileStillLoads) {
-  const GenerationGuard base(unique_path("gen_legacy", ".snapshot"));
+  const FileGuard base(unique_path("gen_legacy", ".snapshot"));
   PlacementDaemon daemon(small_platform(), DaemonConfig{});
   PlacementRequest request;
   request.dag = small_dag(406);
   request.variant = AlgoVariant("rltf");
   request.model = FaultModel::count(1);
   ASSERT_TRUE(daemon.admit(std::move(request)).ok);
-  (void)save_cache_snapshot(daemon, base.base);  // pre-rotation layout
+  (void)save_cache_snapshot(daemon, base.path);  // pre-rotation layout
 
   PlacementDaemon restored(small_platform(), DaemonConfig{});
-  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.base);
+  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.path);
   EXPECT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.path, base.base);
+  EXPECT_EQ(loaded.path, base.path);
   EXPECT_EQ(loaded.stats.restored, 1u);
 }
 
 TEST(SnapshotGenerations, ServerKilledMidSnapshotRestartsWarmFromNewestIntactGeneration) {
   const FileGuard sock(unique_path("gen_kill", ".sock"));
-  const GenerationGuard base(unique_path("gen_kill", ".snapshot"));
+  const FileGuard base(unique_path("gen_kill", ".snapshot"));
   net::ServerConfig config;
   config.unix_path = sock.path;
-  config.snapshot_path = base.base;
+  config.snapshot_path = base.path;
 
   std::vector<std::string> fps;
   {
@@ -455,13 +402,13 @@ TEST(SnapshotGenerations, ServerKilledMidSnapshotRestartsWarmFromNewestIntactGen
     (void)client.shutdown();
     handle.join();  // clean shutdown saves generation g1
   }
-  const std::string intact = read_file(base.base + ".g1");
+  const std::string intact = read_file(base.path + ".g1");
 
   // Simulate kill -9 mid-snapshot of the *next* generation: a torn g2
   // (prefix of a valid file) plus a stale tmp from an interrupted atomic
   // write. Restart must fall back to g1 and serve bit-identically.
-  write_file(base.base + ".g2", intact.substr(0, intact.size() - intact.size() / 3));
-  write_file(base.base + ".tmp", "interrupted");
+  write_file(base.path + ".g2", intact.substr(0, intact.size() - intact.size() / 3));
+  write_file(base.path + ".tmp", "interrupted");
 
   ServerHandle handle(small_platform(), config);
   net::Client client = net::Client::connect_unix_path(sock.path);
@@ -480,10 +427,10 @@ TEST(SnapshotGenerations, ServerKilledMidSnapshotRestartsWarmFromNewestIntactGen
 
 TEST(SnapshotGenerations, PollLoopWritesPeriodicGenerations) {
   const FileGuard sock(unique_path("gen_periodic", ".sock"));
-  const GenerationGuard base(unique_path("gen_periodic", ".snapshot"));
+  const FileGuard base(unique_path("gen_periodic", ".snapshot"));
   net::ServerConfig config;
   config.unix_path = sock.path;
-  config.snapshot_path = base.base;
+  config.snapshot_path = base.path;
   config.snapshot_interval_ms = 40;
   config.snapshot_keep = 2;
 
@@ -496,7 +443,7 @@ TEST(SnapshotGenerations, PollLoopWritesPeriodicGenerations) {
   bool seen = false;
   for (int i = 0; i < 100 && !seen; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    seen = !list_snapshot_generations(base.base).empty();
+    seen = !list_snapshot_generations(base.path).empty();
   }
   EXPECT_TRUE(seen) << "no periodic snapshot generation within 1s";
 }

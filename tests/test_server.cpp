@@ -8,16 +8,16 @@
 // placement bit-identically without touching the cold path.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include <condition_variable>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fingerprint.hpp"
+#include "core/registry.hpp"
 #include "graph/generators.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
@@ -26,6 +26,7 @@
 #include "service/daemon.hpp"
 #include "service/persistence.hpp"
 #include "service/server.hpp"
+#include "service_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace streamsched {
@@ -49,33 +50,12 @@ PlacementRequest request_for(std::uint64_t seed, const FaultModel& model) {
   return request;
 }
 
-/// Tests may run concurrently (one ctest entry per TEST), so every socket
-/// and snapshot file gets a per-process, per-test unique relative path.
-std::string unique_path(const std::string& stem, const std::string& ext) {
-  return stem + "_" + std::to_string(::getpid()) + ext;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-/// Removes the file in the destructor so failing tests don't leak state
-/// into reruns.
-struct FileGuard {
-  std::string path;
-  explicit FileGuard(std::string p) : path(std::move(p)) { std::remove(path.c_str()); }
-  ~FileGuard() { std::remove(path.c_str()); }
-};
+using test::expect_sealed_entries;
+using test::FileGuard;
+using test::read_file;
+using test::ServerHandle;
+using test::unique_path;
+using test::write_file;
 
 // ------------------------------------------------------------- persistence --
 
@@ -113,7 +93,10 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
     EXPECT_TRUE(after[i]->from_snapshot);
     EXPECT_EQ(after[i]->variant, before[i]->variant);
     EXPECT_EQ(after[i]->period_factor, before[i]->period_factor);
+    // The response facts are not persisted; the restore recomputes them.
+    EXPECT_EQ(after[i]->schedule_fp, before[i]->schedule_fp);
   }
+  expect_sealed_entries(restored);
 
   // Serving the original requests hits the restored entries — never the
   // cold path.
@@ -251,6 +234,7 @@ TEST(CachePersistence, DegradedEntriesRoundTripWithoutLaundering) {
   EXPECT_EQ(loaded.entries, 1u);
   EXPECT_EQ(loaded.restored, 1u);
   EXPECT_EQ(target.degraded_count(), 1u);
+  expect_sealed_entries(target);
 
   const PlacementResponse refused = target.admit(request_for(61, FaultModel::count(2)));
   EXPECT_FALSE(refused.ok);
@@ -336,28 +320,10 @@ TEST(CachePersistence, V1SnapshotsWithoutDeficitFieldsStillLoad) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_FALSE(entries[0]->degraded);
   EXPECT_EQ(entries[0]->eps_have, entries[0]->eps_want);
+  expect_sealed_entries(target);
 }
 
 // ------------------------------------------------------------- wire server --
-
-/// A running server on its own thread; the destructor drains and joins.
-struct ServerHandle {
-  net::Server server;
-  std::thread thread;
-
-  ServerHandle(Platform platform, net::ServerConfig config)
-      : server(std::move(platform), std::move(config)),
-        thread([this] { server.run(); }) {}
-
-  ~ServerHandle() {
-    if (thread.joinable()) {
-      server.shutdown();
-      thread.join();
-    }
-  }
-
-  void join() { thread.join(); }
-};
 
 net::SubmitFrame frame_for(std::uint64_t seed, const std::string& tag,
                            net::QosClass qos = net::QosClass::kInteractive,
@@ -548,6 +514,62 @@ TEST(WireServer, InfeasibleAndDegradedRefusalsAreDistinct) {
   EXPECT_EQ(served.field_u64("eps_want"), 1u);
 }
 
+/// Lane tests decide acceptance by state, not by timing: "gated_rltf" is
+/// R-LTF behind a gate the test holds closed, so an admission using it
+/// parks its lane worker mid-schedule for as long as the test needs.
+struct SchedulerGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = true;
+
+  void set(bool value) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      open = value;
+    }
+    cv.notify_all();
+  }
+  void pass() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [this] { return open; });
+  }
+};
+
+SchedulerGate& scheduler_gate() {
+  static SchedulerGate gate;
+  return gate;
+}
+
+/// Registers the gated scheduler once per process; returns its name.
+std::string gated_algo() {
+  static const bool registered = [] {
+    Scheduler gated = find_scheduler("rltf");
+    gated.name = "gated_rltf";
+    gated.label = "gated R-LTF";
+    gated.summary = "R-LTF that waits for a test-held gate";
+    gated.fn = [base = gated.fn](const Dag& dag, const Platform& platform,
+                                 const SchedulerOptions& options) {
+      scheduler_gate().pass();
+      return base(dag, platform, options);
+    };
+    SchedulerRegistry::instance().add(std::move(gated));
+    return true;
+  }();
+  (void)registered;
+  return "gated_rltf";
+}
+
+/// Holds the gate closed for its lifetime. Declare it after the
+/// ServerHandle: it must open before the server's destructor joins the
+/// parked worker, on every exit path.
+struct GateHold {
+  GateHold() { scheduler_gate().set(false); }
+  ~GateHold() { release(); }
+  GateHold(const GateHold&) = delete;
+  GateHold& operator=(const GateHold&) = delete;
+  void release() { scheduler_gate().set(true); }
+};
+
 TEST(WireServer, SaturatedBatchLaneShedsWhileInteractiveLands) {
   const FileGuard sock(unique_path("srv_shed", ".sock"));
   net::ServerConfig config;
@@ -555,40 +577,47 @@ TEST(WireServer, SaturatedBatchLaneShedsWhileInteractiveLands) {
   auto& batch = config.lanes[static_cast<std::size_t>(net::QosClass::kBatch)];
   batch.workers = 1;
   batch.bound = 1;
+  const std::string algo = gated_algo();
   ServerHandle handle(small_platform(), config);
+  GateHold hold;
 
-  // Three heavyweight batch SUBMITs in ONE write: the poll thread frames
-  // all three from the same read, so the first fills the lane (bound 1)
-  // microseconds before the second and third arrive — they must shed with
-  // BUSY while the first is still scheduling cold.
+  // Three batch SUBMITs in one write. The head fills the lane (bound 1)
+  // and parks behind the gate, so however the poll thread frames the
+  // rest, b1 and b2 find the lane full and shed with BUSY, in order.
   net::Client blocker = net::Client::connect_unix_path(sock.path);
-  std::string burst = net::format_submit(frame_for(221, "b0", net::QosClass::kBatch, 40));
-  burst += "\n" + net::format_submit(frame_for(222, "b1", net::QosClass::kBatch, 40));
-  burst += "\n" + net::format_submit(frame_for(223, "b2", net::QosClass::kBatch, 40));
+  std::string burst;
+  for (const auto& [seed, tag] : {std::pair<std::uint64_t, const char*>{221, "b0"},
+                                  {222, "b1"},
+                                  {223, "b2"}}) {
+    net::SubmitFrame frame = frame_for(seed, tag, net::QosClass::kBatch, 40);
+    frame.variant_spec = algo;
+    if (!burst.empty()) burst += '\n';
+    burst += net::format_submit(frame);
+  }
   blocker.send_line(burst);
+  for (const char* tag : {"b1", "b2"}) {
+    const net::Response resp = blocker.read_response();
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, net::WireCode::kBusy);
+    EXPECT_EQ(resp.field("tag"), tag);
+  }
 
-  // Interactive rides its own lane: admitted and served while batch is
-  // saturated.
+  // Interactive rides its own lane: admitted and served while the batch
+  // lane is saturated.
   net::Client probe = net::Client::connect_unix_path(sock.path);
   const net::Response interactive = probe.submit(frame_for(231, "fg"));
   ASSERT_TRUE(interactive.ok) << interactive.message;
   EXPECT_EQ(interactive.field("src"), "cold");
+  const net::Response health = probe.health();
+  ASSERT_TRUE(health.ok);
+  EXPECT_EQ(health.field_u64("batch_inflight"), 1u);
 
-  std::size_t ok_count = 0;
-  std::size_t busy_count = 0;
-  for (int i = 0; i < 3; ++i) {
-    const net::Response resp = blocker.read_response();
-    if (resp.ok) {
-      ++ok_count;
-      EXPECT_EQ(resp.field("tag"), "b0");  // the accepted head of the burst
-    } else {
-      ++busy_count;
-      EXPECT_EQ(resp.code, net::WireCode::kBusy);
-      EXPECT_TRUE(resp.field("tag") == "b1" || resp.field("tag") == "b2") << resp.field("tag");
-    }
-  }
-  EXPECT_EQ(ok_count, 1u);
-  EXPECT_EQ(busy_count, 2u);
+  // Opening the gate lets the accepted head finish.
+  hold.release();
+  const net::Response head = blocker.read_response();
+  ASSERT_TRUE(head.ok) << head.message;
+  EXPECT_EQ(head.field("tag"), "b0");
+  EXPECT_EQ(head.field("src"), "cold");
 
   const net::Response stats = probe.stats();
   ASSERT_TRUE(stats.ok);

@@ -24,10 +24,13 @@
 #include "service/daemon.hpp"
 #include "service/event_bus.hpp"
 #include "service/schedule_cache.hpp"
+#include "service_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace streamsched {
 namespace {
+
+using test::expect_sealed_entries;
 
 Dag small_dag(std::uint64_t seed, std::size_t tasks = 14) {
   Rng rng(seed);
@@ -269,6 +272,7 @@ TEST(PlacementDaemon, ColdAdmissionThenAllocationFreeHit) {
   EXPECT_EQ(stats.admissions, 3u);
   EXPECT_EQ(stats.cold_schedules, 2u);
   EXPECT_EQ(daemon.cache_stats().hits, 1u);
+  expect_sealed_entries(daemon);  // cold publish
 }
 
 TEST(PlacementDaemon, AdmittedPlacementHoldsTheModelGuarantee) {
@@ -356,6 +360,7 @@ TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
   EXPECT_EQ(daemon.failed_procs(), 2u);
   // The failure set was chosen repairable, so nothing may be dropped.
   EXPECT_EQ(daemon.cache_size(), 3u);
+  expect_sealed_entries(daemon);  // event-repair copies
 
   // Every cached placement survives the live failure set — on a FRESH
   // oracle, not the patched one (independent feasibility check).
@@ -484,6 +489,7 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   EXPECT_EQ(daemon.cache_size(), 1u);  // kept serving, not dropped
   EXPECT_EQ(daemon.degraded_count(), 1u);
   EXPECT_GE(daemon.stats().rebuilds, 1u);
+  expect_sealed_entries(daemon);  // degraded rebuild
 
   // Without the brownout flag the deficit refuses; with it, it serves.
   const PlacementResponse refused = daemon.admit(request_for(61, 2));
@@ -511,9 +517,11 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   // Recovery restores capacity; an explicit re-heal pass must promote the
   // entry back to full-guarantee serving.
   bus.publish(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
+  expect_sealed_entries(daemon);  // re-certified copy, schedule unchanged
   daemon.reheal_now();
   EXPECT_EQ(daemon.degraded_count(), 0u);
   EXPECT_GE(daemon.stats().reheals, 1u);
+  expect_sealed_entries(daemon);  // re-heal promotion
   const PlacementResponse healed = daemon.admit(request_for(61, 2));
   ASSERT_TRUE(healed.ok) << healed.error;
   EXPECT_TRUE(healed.cache_hit);
@@ -681,7 +689,9 @@ TEST(ChurnTrace, DaemonSurvivesAFullTraceAndHealsByTheEnd) {
 
   for (const auto& step : trace.steps) {
     for (const ClusterEvent& event : step) bus.publish(event);
+    expect_sealed_entries(daemon);
     daemon.reheal_now();
+    expect_sealed_entries(daemon);
     for (std::uint64_t seed : {61u, 62u}) {
       PlacementRequest probe = request_for(seed, 2);
       probe.degraded_ok = true;

@@ -26,12 +26,14 @@ Dag layered_dag(std::uint64_t seed, std::size_t tasks = 16) {
 // ----------------------------------------------------------------- doubles --
 
 TEST(WireDouble, ExactRoundTripIncludingAwkwardValues) {
-  for (double v : {1.0 / 3.0, 0.1, 1e-300, 1e300, -2.5, 0.0,
-                   std::numeric_limits<double>::denorm_min(),
-                   std::numeric_limits<double>::max(),
-                   std::nextafter(1.0, 2.0)}) {
+  using Lim = std::numeric_limits<double>;
+  for (double v : {1.0 / 3.0, 0.1, 1e-300, 1e300, -2.5, 0.0, -0.0, Lim::denorm_min(),
+                   -Lim::denorm_min(), Lim::min(), Lim::max(), Lim::lowest(),
+                   std::nextafter(1.0, 2.0), Lim::infinity(), -Lim::infinity(),
+                   Lim::quiet_NaN(), -Lim::quiet_NaN()}) {
     const double back = parse_wire_double(wire_double(v));
-    // Bit-for-bit, not merely approximately equal.
+    // Bit-for-bit, not merely approximately equal (sign of zero and of
+    // NaN included).
     EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << wire_double(v);
   }
 }
@@ -40,6 +42,41 @@ TEST(WireDouble, StrictParseRejectsTrailingAndEmpty) {
   EXPECT_THROW((void)parse_wire_double(""), WireError);
   EXPECT_THROW((void)parse_wire_double("1.5x"), WireError);
   EXPECT_THROW((void)parse_wire_double("1.5 "), WireError);
+}
+
+TEST(WireNumbers, FromCharsGrammarRejectsWhatStrtodTook) {
+  // Spellings strtod accepted and the whole-token from_chars grammar
+  // refuses: an explicit '+', leading whitespace, hex floats, and
+  // magnitudes that overflow to infinity or underflow to zero.
+  for (const char* token : {"+1", "\t1", " 1", "0x1p4", "1e400", "-1e400", "1e-400"}) {
+    EXPECT_THROW((void)parse_wire_double(token), WireError) << token;
+    EXPECT_THROW((void)parse_dag_wire(std::string("n1;w") + token + ";e"), WireError) << token;
+  }
+  // The same rule on the request path: BAD_REQUEST, not a silent clamp.
+  const std::string dag = format_dag_wire(layered_dag(3, 4));
+  EXPECT_THROW((void)parse_request("SUBMIT period=+2 dag=" + dag), WireError);
+  EXPECT_THROW((void)parse_request("SUBMIT headroom=1e400 dag=" + dag), WireError);
+  // What the formatters print keeps parsing: exponents carry their sign,
+  // and the special values are spelled the way %.17g spells them.
+  EXPECT_EQ(parse_wire_double("1.7976931348623157e+308"), std::numeric_limits<double>::max());
+  EXPECT_TRUE(std::isinf(parse_wire_double("-inf")));
+  EXPECT_TRUE(std::isnan(parse_wire_double("nan")));
+}
+
+TEST(WireNumbers, UnsignedFieldsRejectSignsAndOverflow) {
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  const Response ok = parse_response(OkBuilder().add("n", max).str());
+  EXPECT_EQ(ok.field_u64("n"), max);  // std::to_string output round-trips
+  for (const char* value : {"-1", "+1", "18446744073709551616", "1.0", "\t1"}) {
+    const Response resp = parse_response(std::string("OK n=") + value);
+    EXPECT_THROW((void)resp.field_u64("n"), WireError) << value;
+  }
+  EXPECT_THROW((void)parse_dag_wire("n18446744073709551616;w;e"), WireError);
+  EXPECT_THROW((void)parse_dag_wire("n-1;w;e"), WireError);
+  // Ids parse into their own width: a processor id past ProcId is
+  // rejected instead of wrapping onto a real processor.
+  EXPECT_THROW((void)parse_request("EVENT kind=fail proc=4294967296"), WireError);
+  EXPECT_EQ(parse_request("EVENT kind=fail proc=4294967295").event.proc, 4294967295u);
 }
 
 TEST(WireCodeNames, RoundTripAndRejectUnknown) {
@@ -79,6 +116,23 @@ TEST(DagWire, StrictRejects) {
   EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0:1"), WireError);    // malformed edge
   EXPECT_THROW((void)parse_dag_wire("n2;w1,oops;e"), WireError);    // malformed work
   EXPECT_THROW((void)parse_dag_wire("n2;w1,2"), WireError);         // missing edge section
+  // The DAG's own invariants surface as WireError too, never as a raw
+  // precondition exception.
+  EXPECT_THROW((void)parse_dag_wire("n1;w-1;e"), WireError);        // negative work
+  EXPECT_THROW((void)parse_dag_wire("n1;wnan;e"), WireError);       // NaN work
+  EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0-1:-1"), WireError);  // negative volume
+  EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0-1:1,0-1:1"), WireError);  // duplicate edge
+  EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0-1:1,1-0:1"), WireError);  // cycle
+  EXPECT_THROW((void)parse_dag_wire("n1;w1;e0-0:1"), WireError);    // self loop
+}
+
+TEST(DagWire, EdgesIntoSinksStillCloseCyclesElsewhere) {
+  // add_edge skips the reachability walk when dst has no out-edges yet;
+  // a back edge into a task that already has successors is still caught,
+  // however long the path it closes.
+  EXPECT_NO_THROW((void)parse_dag_wire("n4;w1,1,1,1;e0-1:1,1-2:1,2-3:1,0-3:1"));
+  EXPECT_THROW((void)parse_dag_wire("n4;w1,1,1,1;e0-1:1,1-2:1,2-3:1,3-0:1"), WireError);
+  EXPECT_THROW((void)parse_dag_wire("n3;w1,1,1;e1-2:1,2-0:1,0-1:1"), WireError);
 }
 
 // ------------------------------------------------------------ ScheduleWire --
