@@ -3,97 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "schedule/survival.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace streamsched {
 
-std::vector<std::vector<bool>> computable_replicas(const Schedule& schedule,
-                                                   const std::vector<bool>& failed) {
-  const Dag& dag = schedule.dag();
-  SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
-             "failure vector must have one entry per processor");
-  std::vector<std::vector<bool>> computable(
-      dag.num_tasks(), std::vector<bool>(schedule.copies(), false));
-  for (TaskId t : dag.topological_order()) {
-    const auto preds = dag.predecessors(t);
-    for (CopyId c = 0; c < schedule.copies(); ++c) {
-      const ReplicaRef r{t, c};
-      if (!schedule.is_placed(r)) continue;
-      if (failed[schedule.placed(r).proc]) continue;
-      bool ok = true;
-      for (TaskId pred : preds) {
-        bool fed = false;
-        for (std::uint32_t idx : schedule.in_comms(r)) {
-          const CommRecord& comm = schedule.comms()[idx];
-          if (comm.src.task != pred) continue;
-          if (computable[pred][comm.src.copy]) {
-            fed = true;
-            break;
-          }
-        }
-        if (!fed) {
-          ok = false;
-          break;
-        }
-      }
-      computable[t][c] = ok;
-    }
-  }
-  return computable;
-}
-
-bool survives_failures(const Schedule& schedule, const std::vector<bool>& failed) {
-  const auto computable = computable_replicas(schedule, failed);
-  for (TaskId t = 0; t < schedule.dag().num_tasks(); ++t) {
-    if (std::none_of(computable[t].begin(), computable[t].end(), [](bool b) { return b; })) {
-      return false;
-    }
-  }
-  return true;
-}
-
 namespace {
-
-// Legacy enumerator kept verbatim for the kLegacy estimator path (the
-// baseline bench_survival_kernel measures against): calls visit(failed)
-// for every subset of {0..m-1} of size k, refilling `failed` O(m) per
-// combination; stops early when visit returns false. The oracle path uses
-// the incremental ProcSet enumerator in schedule/survival.hpp instead.
-template <typename Visit>
-std::uint64_t for_each_failure_set_legacy(std::size_t m, std::uint32_t k, Visit&& visit) {
-  std::vector<ProcId> subset(k);
-  std::vector<bool> failed(m, false);
-  std::uint64_t visited = 0;
-  if (k == 0) {
-    ++visited;
-    visit(failed, std::vector<ProcId>{});
-    return visited;
-  }
-  // Iterative combination enumeration in lexicographic order.
-  for (std::uint32_t i = 0; i < k; ++i) subset[i] = i;
-  for (;;) {
-    std::fill(failed.begin(), failed.end(), false);
-    for (ProcId p : subset) failed[p] = true;
-    ++visited;
-    if (!visit(failed, subset)) return visited;
-    // Advance to the next combination.
-    std::int64_t i = static_cast<std::int64_t>(k) - 1;
-    while (i >= 0 && subset[static_cast<std::size_t>(i)] ==
-                         static_cast<ProcId>(m - k + static_cast<std::size_t>(i))) {
-      --i;
-    }
-    if (i < 0) return visited;
-    ++subset[static_cast<std::size_t>(i)];
-    for (auto j = static_cast<std::size_t>(i) + 1; j < k; ++j) {
-      subset[j] = subset[j - 1] + 1;
-    }
-  }
-}
 
 // Advances a size-k lexicographic combination over {0..m-1} in place;
 // false once the last combination has been consumed.
@@ -442,12 +359,11 @@ void record_killing_set(std::vector<KillingSet>* kills, ReliabilityEstimate& est
   kills->push_back(KillingSet{set, prob});
 }
 
-// Per-processor failure weights shared by both kernels: base = prod (1-p_u)
-// and odds_u = p_u / (1-p_u), so a set's probability is base * prod odds.
+// Per-processor failure weights: base = prod (1-p_u) and
+// odds_u = p_u / (1-p_u), so a set's probability is base * prod odds.
 // Also the exact-enumeration truncation point k_max (smallest size whose
 // Poisson-binomial tail mass is within tolerance) and the resulting
-// enumeration size. Identical arithmetic for both kernels keeps the
-// exact-mode sums bit-identical.
+// enumeration size.
 struct FailureWeights {
   std::vector<double> p;
   std::vector<double> odds;
@@ -482,141 +398,29 @@ FailureWeights failure_weights(const Schedule& schedule, const ReliabilityOption
   return fw;
 }
 
-// The pre-oracle estimator, kept verbatim as the measured baseline
-// (options.kernel == kLegacy): per-set vector<bool> + survives_failures.
-ReliabilityEstimate estimate_reliability_legacy(const Schedule& schedule,
-                                                const ReliabilityOptions& options,
-                                                std::vector<KillingSet>* kills) {
-  const std::size_t m = schedule.platform().num_procs();
-  const FailureWeights fw = failure_weights(schedule, options);
-  ReliabilityEstimate est;
-  est.k_max = fw.k_max;
-
-  if (fw.total_sets <= static_cast<double>(options.max_sets)) {
-    // Exact truncated enumeration, sizes ascending (mass mostly up front).
-    double reliable_mass = 0.0;
-    for (std::size_t k = 0; k <= fw.k_max; ++k) {
-      est.sets_checked += for_each_failure_set_legacy(
-          m, static_cast<std::uint32_t>(k),
-          [&](const std::vector<bool>& failed, const std::vector<ProcId>& set) {
-            double w = fw.base;
-            for (ProcId u : set) w *= fw.odds[u];
-            if (w <= 0.0) return true;  // contains a never-failing processor
-            if (survives_failures(schedule, failed)) {
-              reliable_mass += w;
-            } else {
-              record_killing_set(kills, est, set, w);
-            }
-            return true;
-          });
-    }
-    est.reliability = reliable_mass;
-    est.exact = true;
-    return est;
-  }
-
-  // Importance-sampled Monte Carlo: propose failures with inflated
-  // probabilities q_u so killing sets are actually drawn, reweight by the
-  // true/proposal likelihood ratio. Unbiased for the failure mass.
-  Rng rng(options.seed);
-  std::vector<double> q(m);
-  for (std::size_t u = 0; u < m; ++u) {
-    q[u] = fw.p[u] == 0.0 ? 0.0 : std::max(fw.p[u], options.mc_proposal_floor);
-  }
-  std::vector<bool> failed(m, false);
-  std::vector<ProcId> set;
-  double failure_mass = 0.0;
-  for (std::uint64_t i = 0; i < options.mc_samples; ++i) {
-    set.clear();
-    double weight = 1.0;
-    for (std::size_t u = 0; u < m; ++u) {
-      failed[u] = rng.bernoulli(q[u]);
-      if (failed[u]) {
-        weight *= fw.p[u] / q[u];
-        set.push_back(static_cast<ProcId>(u));
-      } else {
-        weight *= (1.0 - fw.p[u]) / (1.0 - q[u]);
-      }
-    }
-    ++est.sets_checked;
-    if (!survives_failures(schedule, failed)) {
-      failure_mass += weight;
-      double prob = fw.base;
-      for (ProcId u : set) prob *= fw.odds[u];
-      record_killing_set(kills, est, set, prob);
-    }
-  }
-  est.reliability =
-      std::clamp(1.0 - failure_mass / static_cast<double>(options.mc_samples), 0.0, 1.0);
-  est.exact = false;
-  return est;
-}
-
-// Resolves the worker count conventions shared by the fan-outs below
-// (0 = hardware concurrency, never less than one).
-std::size_t resolve_workers(std::size_t requested) {
-  return requested == 0 ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                        : requested;
-}
-
-// Per-set fan-out of pure survival checks over a flat array of failure-set
-// word rows (the kOracle baseline): workers take 1024-row chunks in a
-// strided static partition, each with ONE reusable scratch buffer for its
-// whole share (not one per chunk), results as bytes so workers never share
-// a word. The partition never influences anything observable — results
-// land in fixed slots.
-void parallel_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set_words,
-                             std::size_t n, std::size_t words, std::size_t workers,
-                             std::vector<unsigned char>& killed) {
-  killed.assign(n, 0);
-  constexpr std::size_t kChunk = 1024;
-  const std::size_t n_chunks = (n + kChunk - 1) / kChunk;
-  const std::size_t use = std::min(resolve_workers(workers), std::max<std::size_t>(1, n_chunks));
-  parallel_for_indices(use, use, [&](std::size_t worker) {
-    std::vector<std::uint64_t> scratch;  // per-worker, reused across chunks
-    for (std::size_t chunk = worker; chunk < n_chunks; chunk += use) {
-      const std::size_t end = std::min(n, (chunk + 1) * kChunk);
-      for (std::size_t i = chunk * kChunk; i < end; ++i) {
-        killed[i] = oracle.survives_words(set_words + i * words, scratch) ? 0 : 1;
-      }
-    }
-  });
-}
-
-// Bit-sliced fan-out (the kBatch path): blocks of 64 rows feed one
-// `survives_batch` pass each; workers take blocks in a strided static
-// partition with one reusable BatchScratch per worker. Lane booleans equal
-// the per-set kernel's, and the bytes land in row order, so every
-// downstream reduction is bit-identical to the per-set path.
+// Survival verdicts for a flat array of failure-set word rows: blocks of
+// 64 rows feed one bit-sliced `survives_batch` pass each, and the bytes
+// land in row order, so the reductions below sum in enumeration (or
+// sample) order.
 void batch_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set_words,
-                          std::size_t n, std::size_t words, std::size_t workers,
-                          std::vector<unsigned char>& killed) {
+                          std::size_t n, std::size_t words, std::vector<unsigned char>& killed) {
   killed.assign(n, 0);
-  if (n == 0) return;
-  constexpr std::size_t kBlock = 64;
-  const std::size_t n_blocks = (n + kBlock - 1) / kBlock;
-  const std::size_t use = std::min(resolve_workers(workers), n_blocks);
-  parallel_for_indices(use, use, [&](std::size_t worker) {
-    BatchScratch scratch;  // per-worker, reused across blocks
-    for (std::size_t block = worker; block < n_blocks; block += use) {
-      const std::size_t begin = block * kBlock;
-      const std::size_t count = std::min(kBlock, n - begin);
-      const std::uint64_t survived =
-          oracle.survives_batch(set_words + begin * words, count, scratch);
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        killed[begin + lane] = ((survived >> lane) & 1) != 0 ? 0 : 1;
-      }
+  BatchScratch scratch;
+  for (std::size_t begin = 0; begin < n; begin += 64) {
+    const std::size_t count = std::min<std::size_t>(64, n - begin);
+    const std::uint64_t survived = oracle.survives_batch(set_words + begin * words, count, scratch);
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      killed[begin + lane] = ((survived >> lane) & 1) != 0 ? 0 : 1;
     }
-  });
+  }
 }
 
 // The truncated exact enumeration, materialized: every positive-weight
 // failure set of size <= k_max as bitset word rows in enumeration order,
-// with its probability weight (ascending-id multiply order, as the serial
-// kernels). Zero-weight sets (a never-failing processor) contribute
-// nothing and are skipped before the survival check by every kernel; they
-// still count in `enumerated`. Memory: one word-row per set, bounded by
-// options.max_sets.
+// with its probability weight (multiplied in ascending processor id
+// order). Zero-weight sets (a never-failing processor) contribute nothing
+// and are skipped before the survival check; they still count in
+// `enumerated`. Memory: one word-row per set, bounded by options.max_sets.
 struct ExactSets {
   std::size_t m = 0;
   std::size_t words = 0;
@@ -636,8 +440,8 @@ ExactSets materialize_exact_sets(const FailureWeights& fw, std::size_t m) {
   ProcSet failed(m);
   // Weights via prefix products over the combination: prefix[i] is
   // base * odds[set[0]] * ... * odds[set[i-1]], rebuilt only from the
-  // first changed position — the SAME left-to-right multiply chain as the
-  // serial kernels' per-set loop, so every weight is bit-identical.
+  // first changed position — the same left-to-right multiply chain as a
+  // per-set product, so every weight equals that product bit for bit.
   std::vector<double> prefix;
   for (std::size_t k = 0; k <= fw.k_max; ++k) {
     prefix.assign(k + 1, 0.0);
@@ -663,9 +467,9 @@ ExactSets materialize_exact_sets(const FailureWeights& fw, std::size_t m) {
   return sets;
 }
 
-// Ordered reduction over materialized rows: mass summed in enumeration
-// order — the serial kernels' arithmetic — and killing sets recorded in
-// enumeration order. Only killed rows decode their processor set.
+// Ordered reduction over materialized rows: mass summed and killing sets
+// recorded in enumeration order. Only killed rows decode their processor
+// set.
 void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& killed,
                        ReliabilityEstimate& est, std::vector<KillingSet>* kills) {
   double reliable_mass = 0.0;
@@ -692,77 +496,30 @@ void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& 
   est.exact = true;
 }
 
-// Oracle-kernel estimator (kBatch and kOracle). Exact mode reuses the
-// legacy enumeration order and summation order, swapping only the survival
-// check — the reliability is bit-identical whether the checks run one set
-// at a time (kOracle), 64 per bit-sliced pass (kBatch), serial or fanned
-// out over exact_threads. Monte-Carlo mode pre-draws every sample from the
-// options.seed stream exactly as the legacy sampler does (same draws, same
-// weights), evaluates survival over the stored bitsets — per set or per
-// 64-set block, over mc_threads workers when requested — and reduces in
-// sample order, so the estimate is identical to the legacy kernel's for
-// every kernel and thread count.
-ReliabilityEstimate estimate_reliability_oracle(const Schedule& schedule,
-                                                const SurvivalOracle& oracle,
-                                                const ReliabilityOptions& options,
-                                                std::vector<KillingSet>* kills) {
+// The estimator. Exact mode materializes the truncated enumeration,
+// resolves it 64 sets per bit-sliced pass and reduces in enumeration
+// order. Monte-Carlo mode pre-draws every sample from the options.seed
+// stream (per sample, one Bernoulli draw per processor in id order),
+// resolves the stored bitsets the same way and reduces in sample order.
+ReliabilityEstimate estimate_reliability(const Schedule& schedule, const SurvivalOracle& oracle,
+                                         const ReliabilityOptions& options,
+                                         std::vector<KillingSet>* kills) {
   const std::size_t m = schedule.platform().num_procs();
   const FailureWeights fw = failure_weights(schedule, options);
   ReliabilityEstimate est;
   est.k_max = fw.k_max;
-  std::vector<std::uint64_t> scratch;
 
   if (fw.total_sets <= static_cast<double>(options.max_sets)) {
-    const std::size_t exact_workers = resolve_workers(options.exact_threads);
-    if (options.kernel == SurvivalKernel::kBatch) {
-      // Bit-sliced path: materialize the enumeration, resolve 64 sets per
-      // pass (fanned out above the thread floor; the floor depends only on
-      // the enumeration size, so results never depend on exact_threads),
-      // reduce in enumeration order.
-      const ExactSets sets = materialize_exact_sets(fw, m);
-      std::vector<unsigned char> killed;
-      batch_survival_check(oracle, sets.rows.data(), sets.size(), sets.words,
-                           sets.size() >= 4096 ? exact_workers : 1, killed);
-      reduce_exact_sets(sets, killed, est, kills);
-      return est;
-    }
-    // Per-set oracle path (the measured baseline for the batch kernel).
-    // Size floor: materialization + fan-out only pay off on enumerations
-    // of at least a few chunks. The floor depends only on the enumeration
-    // size — never on the thread count — so results stay bit-identical
-    // for every exact_threads value either way.
-    if (exact_workers > 1 && fw.total_sets >= 4096.0) {
-      const ExactSets sets = materialize_exact_sets(fw, m);
-      std::vector<unsigned char> killed;
-      parallel_survival_check(oracle, sets.rows.data(), sets.size(), sets.words, exact_workers,
-                              killed);
-      reduce_exact_sets(sets, killed, est, kills);
-      return est;
-    }
-    double reliable_mass = 0.0;
-    ProcSet failed(m);
-    for (std::size_t k = 0; k <= fw.k_max; ++k) {
-      est.sets_checked += for_each_failure_set(
-          m, static_cast<std::uint32_t>(k), failed,
-          [&](const ProcSet& f, const std::vector<ProcId>& set) {
-            double w = fw.base;
-            for (ProcId u : set) w *= fw.odds[u];
-            if (w <= 0.0) return true;  // contains a never-failing processor
-            if (oracle.survives(f, scratch)) {
-              reliable_mass += w;
-            } else {
-              record_killing_set(kills, est, set, w);
-            }
-            return true;
-          });
-    }
-    est.reliability = reliable_mass;
-    est.exact = true;
+    const ExactSets sets = materialize_exact_sets(fw, m);
+    std::vector<unsigned char> killed;
+    batch_survival_check(oracle, sets.rows.data(), sets.size(), sets.words, killed);
+    reduce_exact_sets(sets, killed, est, kills);
     return est;
   }
 
-  // Monte Carlo. Generation pass: one sequential stream, bit-identical
-  // draws and weight products to the legacy sampler.
+  // Monte Carlo. Generation pass: one sequential stream.
+  SS_REQUIRE(options.mc_samples > 0,
+             "the failure-set enumeration exceeds max_sets and mc_samples is 0");
   Rng rng(options.seed);
   std::vector<double> q(m);
   for (std::size_t u = 0; u < m; ++u) {
@@ -785,26 +542,10 @@ ReliabilityEstimate estimate_reliability_oracle(const Schedule& schedule,
     }
     sample_weight[i] = weight;
   }
-
-  // Evaluation pass: the only stochastic-free, embarrassingly parallel
-  // part (shared with the exact fan-outs). kBatch resolves the samples 64
-  // per bit-sliced pass; kOracle one at a time. Either way the booleans
-  // land in sample order, so the reduction below is kernel-independent.
   std::vector<unsigned char> killed;
-  if (options.kernel == SurvivalKernel::kBatch) {
-    batch_survival_check(oracle, sample_words.data(), n, words, options.mc_threads, killed);
-  } else if (options.mc_threads == 1) {
-    killed.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      killed[i] = oracle.survives_words(sample_words.data() + i * words, scratch) ? 0 : 1;
-    }
-  } else {
-    parallel_survival_check(oracle, sample_words.data(), n, words, options.mc_threads,
-                            killed);
-  }
+  batch_survival_check(oracle, sample_words.data(), n, words, killed);
 
-  // Reduction in sample order: same summation order and killing-set
-  // recording order as the sequential legacy loop.
+  // Reduction in sample order.
   double failure_mass = 0.0;
   std::vector<ProcId> set;
   for (std::size_t i = 0; i < n; ++i) {
@@ -826,25 +567,12 @@ ReliabilityEstimate estimate_reliability_oracle(const Schedule& schedule,
   return est;
 }
 
-// Kernel dispatch; `oracle` may be null (compiled on demand). The oracle's
-// replica masks are multi-word, so kLegacy is chosen only when asked for —
-// never forced by the replication degree.
-ReliabilityEstimate estimate_reliability(const Schedule& schedule, const SurvivalOracle* oracle,
-                                         const ReliabilityOptions& options,
-                                         std::vector<KillingSet>* kills) {
-  if (options.kernel == SurvivalKernel::kLegacy) {
-    return estimate_reliability_legacy(schedule, options, kills);
-  }
-  if (oracle != nullptr) return estimate_reliability_oracle(schedule, *oracle, options, kills);
-  const SurvivalOracle local(schedule);
-  return estimate_reliability_oracle(schedule, local, options, kills);
-}
-
 }  // namespace
 
 ReliabilityEstimate schedule_reliability(const Schedule& schedule,
                                          const ReliabilityOptions& options) {
-  return estimate_reliability(schedule, nullptr, options, nullptr);
+  const SurvivalOracle oracle(schedule);
+  return estimate_reliability(schedule, oracle, options, nullptr);
 }
 
 RepairStats repair_to_reliability(Schedule& schedule, double target_reliability,
@@ -869,10 +597,9 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   ReliabilityEstimate est;
   bool est_current = false;
 
-  // Every estimate draws a fresh Monte-Carlo stream: re-sampling the same
+  // Every Monte-Carlo estimate draws a fresh stream: re-sampling the same
   // sets after wiring exactly those sets would overfit the estimate to the
-  // sample and declare success optimistically. (Exact mode ignores the
-  // seed.)
+  // sample and declare success optimistically.
   std::uint64_t estimates = 0;
   const auto fresh_options = [&options, &estimates]() {
     ReliabilityOptions o = options;
@@ -880,14 +607,13 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
     return o;
   };
 
-  // The repair loop's survival checks always run on the oracle (patched as
-  // channels are wired); only the estimates dispatch on options.kernel.
-  // The failure set and computability buffers are hoisted and reused
-  // across every killing set and round.
+  // The repair loop's survival checks run on the oracle, patched as
+  // channels are wired. The failure set and computability buffers are
+  // hoisted and reused across every killing set and round.
   ProcSet failed(m);
   std::vector<std::uint64_t> alive;
 
-  // Incremental killing-set verification (kBatch exact mode). Repair only
+  // Incremental killing-set verification (exact mode). Repair only
   // ADDS supply channels, and survival is monotone in the channel set, so
   // a set verified surviving stays surviving forever — across rounds the
   // cached enumeration only needs its still-killed rows re-verified. And a
@@ -899,8 +625,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   // estimate (reliability, sets_checked, killing sets, worst failure) is
   // bit-identical to a from-scratch re-enumeration.
   const FailureWeights fw = failure_weights(schedule, options);
-  const bool incremental = options.kernel == SurvivalKernel::kBatch &&
-                           fw.total_sets <= static_cast<double>(options.max_sets);
+  const bool incremental = fw.total_sets <= static_cast<double>(options.max_sets);
   ExactSets cache;
   std::vector<unsigned char> killed;
   std::vector<std::pair<ProcId, ProcId>> patched;  // channel endpoints wired since last verify
@@ -913,8 +638,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
     if (incremental) {
       if (stats.rounds == 0) {
         cache = materialize_exact_sets(fw, m);
-        batch_survival_check(oracle, cache.rows.data(), cache.size(), cache.words,
-                             cache.size() >= 4096 ? options.exact_threads : 1, killed);
+        batch_survival_check(oracle, cache.rows.data(), cache.size(), cache.words, killed);
       } else if (!patched.empty()) {
         recheck.clear();
         for (std::size_t i = 0; i < cache.size(); ++i) {
@@ -935,7 +659,6 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
             std::copy(row, row + cache.words, recheck_rows.data() + j * cache.words);
           }
           batch_survival_check(oracle, recheck_rows.data(), recheck.size(), cache.words,
-                               recheck.size() >= 4096 ? options.exact_threads : 1,
                                recheck_killed);
           for (std::size_t j = 0; j < recheck.size(); ++j) {
             killed[recheck[j]] = recheck_killed[j];
@@ -947,7 +670,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
       est.k_max = fw.k_max;
       reduce_exact_sets(cache, killed, est, &kills);
     } else {
-      est = estimate_reliability(schedule, &oracle, fresh_options(), &kills);
+      est = estimate_reliability(schedule, oracle, fresh_options(), &kills);
     }
     est_current = true;
     if (est.reliability >= target_reliability) {
@@ -977,8 +700,8 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
 
   record_period_excess(schedule, stats);
   if (achieved != nullptr) {
-    *achieved = est_current ? est
-                            : estimate_reliability(schedule, &oracle, fresh_options(), nullptr);
+    *achieved =
+        est_current ? est : estimate_reliability(schedule, oracle, fresh_options(), nullptr);
   }
   return stats;
 }

@@ -32,15 +32,6 @@ namespace streamsched {
 class SurvivalOracle;  // schedule/survival.hpp
 class ProcSet;
 
-/// Computability of every replica under the given failure set
-/// (failed[u] == true means processor u is down), indexed [task][copy].
-[[nodiscard]] std::vector<std::vector<bool>> computable_replicas(
-    const Schedule& schedule, const std::vector<bool>& failed);
-
-/// True when every task keeps at least one computable replica under F.
-[[nodiscard]] bool survives_failures(const Schedule& schedule,
-                                     const std::vector<bool>& failed);
-
 struct FtCheckResult {
   bool valid = true;
   /// A failure set that kills the schedule (empty when valid).
@@ -104,19 +95,6 @@ RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
 // events; the schedule reliability is the probability that every task keeps
 // a computable replica.
 
-/// Which survival kernel drives the estimator. kBatch (the default)
-/// resolves failure sets 64 at a time through the bit-sliced
-/// `SurvivalOracle::survives_batch` pass; kOracle evaluates them one at a
-/// time on the same compiled oracle; kLegacy re-walks the comm records per
-/// set via `survives_failures`. All three are boolean-identical (pinned by
-/// the parity suite), so exact-mode reliabilities are bit-identical and
-/// Monte-Carlo estimates identical at a fixed seed; kOracle and kLegacy
-/// exist as the measured baselines for bench_survival_kernel and the
-/// parity tests. The oracle's replica masks are multi-word, so no entry
-/// point requires a legacy fallback for schedules with more than 64
-/// replicas per task anymore.
-enum class SurvivalKernel { kBatch, kOracle, kLegacy };
-
 struct ReliabilityOptions {
   /// Probability mass of unenumerated failure sets at which the exact
   /// enumeration truncates. Truncated mass counts as failure, so the exact
@@ -125,27 +103,14 @@ struct ReliabilityOptions {
   /// Enumeration budget (failure sets); beyond it the estimator switches
   /// to importance-sampled Monte Carlo.
   std::uint64_t max_sets = 1u << 18;
-  /// Monte-Carlo sample count (only used above the enumeration budget).
+  /// Monte-Carlo sample count (only used above the enumeration budget;
+  /// must then be positive).
   std::uint64_t mc_samples = 20000;
   /// Per-processor proposal floor for the importance sampler: failures are
   /// drawn with q_u = max(p_u, mc_proposal_floor) and reweighted, so rare
   /// failure events are actually observed.
   double mc_proposal_floor = 0.2;
   std::uint64_t seed = 0x5eedULL;
-  SurvivalKernel kernel = SurvivalKernel::kBatch;
-  /// Worker threads for the Monte-Carlo survival evaluation (1 = inline,
-  /// 0 = hardware concurrency). The estimate is the same for every value:
-  /// all failure sets are pre-drawn from `seed`'s single sequential stream
-  /// (bit-identical to the legacy sampler), only the survival checks fan
-  /// out, and the reduction runs in sample order.
-  std::size_t mc_threads = 1;
-  /// Worker threads for the EXACT enumeration (1 = inline, 0 = hardware
-  /// concurrency; kBatch/kOracle only — kLegacy stays serial). The
-  /// enumeration is partitioned into contiguous lexicographic ranges whose
-  /// survival checks fan out; the weighted reduction then walks the sets
-  /// in enumeration order, so the reliability is bit-identical for every
-  /// thread count and to the serial kernel.
-  std::size_t exact_threads = 1;
 };
 
 struct ReliabilityEstimate {
@@ -165,7 +130,12 @@ struct ReliabilityEstimate {
 /// Estimates the schedule reliability under the platform's failure
 /// probabilities: exact (truncated) enumeration of failure sets in order
 /// of size while the enumeration budget lasts, importance-sampled
-/// Monte Carlo above it.
+/// Monte Carlo above it. Either way the sets are resolved 64 at a time by
+/// `SurvivalOracle::survives_batch` and reduced in enumeration (or
+/// sample) order, so the result is a deterministic function of the
+/// schedule and the options; the parity goldens in tests/golden/ pin it.
+/// Throws std::invalid_argument when Monte Carlo is needed and
+/// `mc_samples` is 0.
 [[nodiscard]] ReliabilityEstimate schedule_reliability(const Schedule& schedule,
                                                        const ReliabilityOptions& options = {});
 

@@ -2,17 +2,15 @@
 //
 // `schedule_reliability()` and the repair passes evaluate the same question
 // — "does the schedule survive failure set F?" — for up to 2^18 enumerated
-// sets plus tens of thousands of Monte-Carlo samples per call. The legacy
-// kernel (`survives_failures` in fault_tolerance.hpp) re-allocates a
-// vector<vector<bool>> computability matrix and re-walks every CommRecord
-// per set. `SurvivalOracle` compiles the schedule ONCE into flat arrays —
-// per-replica processor ids, per-task placed-replica masks, and
-// per-(replica, predecessor) supplier-copy masks, each ceil(copies/64)
-// words wide so arbitrary replication degrees compile — after which one
-// failure set costs a single allocation-free topological pass over
-// bitmasks: alive[t] starts as the placed copies on alive processors and
-// each predecessor slot clears the copies whose supplier mask misses
-// alive[pred].
+// sets plus tens of thousands of Monte-Carlo samples per call. Rather than
+// re-walking every CommRecord per set, `SurvivalOracle` compiles the
+// schedule ONCE into flat arrays — per-replica processor ids, per-task
+// placed-replica masks, and per-(replica, predecessor) supplier-copy
+// masks, each ceil(copies/64) words wide so arbitrary replication degrees
+// compile — after which one failure set costs a single allocation-free
+// topological pass over bitmasks: alive[t] starts as the placed copies on
+// alive processors and each predecessor slot clears the copies whose
+// supplier mask misses alive[pred].
 //
 // The workload rarely asks about ONE failure set: exact enumeration walks
 // up to 2^18 related sets, the Monte-Carlo estimator tens of thousands of
@@ -27,10 +25,9 @@
 //
 // The oracle is a pure function of the schedule's placements and comms; it
 // must be re-created (or patched via `add_comm`) when the repair pass adds
-// supply channels. Its booleans are identical to the legacy kernel's —
-// pinned by the randomized parity suite in tests/test_survival.cpp — which
-// is what lets the exact reliability estimator keep bit-identical sums
-// while only swapping the survival check.
+// supply channels. Its booleans are checked against an independent
+// brute-force computability predicate (tests/reference_survival.hpp) on
+// every subset of small platforms and on sampled sets of large ones.
 //
 // `ProcSet` is the reusable dynamic bitset of failed processors shared by
 // the enumerator, the Monte-Carlo sampler, the fault-tolerance checkers
@@ -130,8 +127,7 @@ class SurvivalOracle {
   [[nodiscard]] CopyId copies() const { return copies_; }
   /// Words per replica-mask row: ceil(copies/64). Rows of the
   /// `computable` output (and the internal placed/supplier masks) are this
-  /// wide, so replication degrees beyond 64 compile instead of falling
-  /// back to the legacy kernel.
+  /// wide, so any replication degree compiles.
   [[nodiscard]] std::size_t mask_words() const { return mask_words_; }
 
   /// Incorporates a supply comm added after compilation (the repair pass
@@ -169,8 +165,7 @@ class SurvivalOracle {
 
   /// Full computability masks under `failed`: row t (mask_words() words at
   /// alive[t * mask_words()]) has bit c set iff replica (t, c) is
-  /// computable — the bitmask equivalent of the legacy
-  /// `computable_replicas`. No early exit (dead tasks store 0).
+  /// computable. No early exit (dead tasks store 0).
   void computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const;
 
  private:
@@ -215,15 +210,14 @@ class SurvivalOracle {
 [[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
                                         CopyId want, BatchScratch& scratch);
 
-/// Calls visit(failed, subset) — or visit(failed, subset, changed), where
-/// `changed` is the first subset position that differs from the previous
-/// combination (0 on the first) so visitors can maintain prefix state
-/// incrementally — for every size-k subset of {0..m-1} in lexicographic
-/// order (identical to the legacy enumeration); stops early when visit
-/// returns false. Returns the number of subsets visited. `failed` must be
-/// sized to m; it is maintained incrementally — advancing to the next
-/// combination toggles only the suffix of positions that changed — and is
-/// left cleared when the enumeration runs to completion.
+/// Calls visit(failed, subset, changed) for every size-k subset of
+/// {0..m-1} in lexicographic order, where `changed` is the first subset
+/// position that differs from the previous combination (0 on the first),
+/// so visitors can maintain prefix state incrementally; stops early when
+/// visit returns false. Returns the number of subsets visited. `failed`
+/// must be sized to m; it is maintained incrementally — advancing to the
+/// next combination toggles only the suffix of positions that changed —
+/// and is left cleared when the enumeration runs to completion.
 template <typename Visit>
 std::uint64_t for_each_failure_set(std::size_t m, std::uint32_t k, ProcSet& failed,
                                    Visit&& visit) {
@@ -231,19 +225,11 @@ std::uint64_t for_each_failure_set(std::size_t m, std::uint32_t k, ProcSet& fail
   SS_REQUIRE(k <= m, "cannot fail more processors than exist");
   failed.clear();
   std::vector<ProcId> subset(k);
-  const auto call = [&visit](const ProcSet& f, const std::vector<ProcId>& s,
-                             std::size_t changed) -> bool {
-    if constexpr (std::is_invocable_v<Visit&, const ProcSet&, const std::vector<ProcId>&,
-                                      std::size_t>) {
-      return visit(f, s, changed);
-    } else {
-      return visit(f, s);
-    }
-  };
+  const ProcSet& view = failed;
   std::uint64_t visited = 0;
   if (k == 0) {
     ++visited;
-    call(static_cast<const ProcSet&>(failed), subset, 0);
+    visit(view, subset, std::size_t{0});
     return visited;
   }
   for (std::uint32_t i = 0; i < k; ++i) {
@@ -253,7 +239,7 @@ std::uint64_t for_each_failure_set(std::size_t m, std::uint32_t k, ProcSet& fail
   std::size_t changed = 0;
   for (;;) {
     ++visited;
-    if (!call(static_cast<const ProcSet&>(failed), subset, changed)) return visited;
+    if (!visit(view, subset, changed)) return visited;
     // Rightmost position that can still advance.
     std::int64_t i = static_cast<std::int64_t>(k) - 1;
     while (i >= 0 && subset[static_cast<std::size_t>(i)] ==

@@ -1,468 +1,20 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <queue>
+#include <utility>
 
 #include "schedule/survival.hpp"
 #include "sim/program.hpp"
-#include "util/assert.hpp"
 
 namespace streamsched {
 
 namespace {
 
-// kExecFinish must drain before same-timestamp gates/arrivals: a finish
-// frees its processor, and a readiness event processed first would observe
-// a stale busy_until and double-book it.
-enum class EventKind : std::uint8_t { kExecFinish = 0, kRelease = 1, kGate = 2, kArrival = 3 };
-
-struct Event {
-  double time;
-  EventKind kind;
-  std::uint64_t seq;       // creation order: deterministic tie-break
-  std::uint64_t payload;   // instance id (arrival/finish) or item (release)
-
-  // Min-heap ordering: earliest time first; ties by kind then seq.
-  bool operator>(const Event& other) const {
-    if (time != other.time) return time > other.time;
-    if (kind != other.kind) return kind > other.kind;
-    return seq > other.seq;
-  }
-};
-
-// Static description of one replica.
-struct ReplicaInfo {
-  ProcId proc = kInvalidProc;
-  bool alive = true;
-  double exec_time = 0.0;
-  bool is_entry = false;
-  std::uint32_t stage = 1;
-  std::uint32_t topo_index = 0;  // priority for deterministic queue pops
-  // Supplier slot index by predecessor: slot of comm.src.task for this
-  // replica's readiness bookkeeping.
-  std::vector<TaskId> pred_tasks;          // slot -> predecessor task id
-  // Outgoing deliveries: (consumer replica id, slot in consumer, duration,
-  // consumer proc).
-  struct Delivery {
-    std::uint32_t dst_rid;
-    std::uint32_t dst_slot;
-    double duration;
-    ProcId dst_proc;
-  };
-  std::vector<Delivery> deliveries;
-};
-
-class Engine {
- public:
-  Engine(const Schedule& schedule, const SimOptions& opt)
-      : s_(schedule), opt_(opt), copies_(schedule.copies()) {
-    SS_REQUIRE(schedule.complete(), "cannot simulate an incomplete schedule");
-    SS_REQUIRE(opt.num_items > 0, "need at least one data item");
-    SS_REQUIRE(opt.warmup_items < opt.num_items, "warmup must leave items to measure");
-    period_ = opt.period > 0.0 ? opt.period : schedule.period();
-    SS_REQUIRE(std::isfinite(period_) && period_ > 0.0,
-               "simulation needs a finite positive period");
-    build_static_info();
-  }
-
-  SimResult run() {
-    seed_releases();
-    const std::size_t m = s_.platform().num_procs();
-    proc_busy_until_.assign(m, 0.0);
-    send_free_.assign(m, 0.0);
-    recv_free_.assign(m, 0.0);
-    link_free_.assign(m * m, 0.0);
-    result_.proc_busy.assign(m, 0.0);
-    result_.send_busy.assign(m, 0.0);
-    result_.recv_busy.assign(m, 0.0);
-    run_queues_.assign(m, {});
-
-    while (!events_.empty()) {
-      const Event ev = events_.top();
-      events_.pop();
-      now_ = ev.time;
-      result_.makespan = std::max(result_.makespan, now_);
-      switch (ev.kind) {
-        case EventKind::kRelease: handle_release(ev.payload); break;
-        case EventKind::kGate: handle_gate(ev.payload); break;
-        case EventKind::kArrival: handle_arrival(ev.payload); break;
-        case EventKind::kExecFinish: handle_exec_finish(ev.payload); break;
-      }
-    }
-    finalize();
-    return std::move(result_);
-  }
-
- private:
-  // ---- static structure -------------------------------------------------
-
-  [[nodiscard]] std::uint32_t rid_of(ReplicaRef r) const {
-    return static_cast<std::uint32_t>(r.task) * copies_ + r.copy;
-  }
-  [[nodiscard]] ReplicaRef ref_of(std::uint32_t rid) const {
-    return ReplicaRef{rid / copies_, rid % copies_};
-  }
-  [[nodiscard]] std::uint64_t instance_of(std::uint32_t rid, std::size_t item) const {
-    return static_cast<std::uint64_t>(rid) * opt_.num_items + item;
-  }
-
-  void build_static_info() {
-    const Dag& dag = s_.dag();
-    const std::size_t m = s_.platform().num_procs();
-    std::vector<bool> failed(m, false);
-    for (ProcId p : opt_.failed) {
-      SS_REQUIRE(p < m, "failed processor id out of range");
-      failed[p] = true;
-    }
-    fail_time_.assign(m, std::numeric_limits<double>::infinity());
-    for (const SimOptions::TimedFailure& f : opt_.failures_at) {
-      SS_REQUIRE(f.proc < m, "failed processor id out of range");
-      SS_REQUIRE(f.time >= 0.0, "failure time must be non-negative");
-      fail_time_[f.proc] = std::min(fail_time_[f.proc], f.time);
-      if (f.time <= 0.0) failed[f.proc] = true;
-    }
-
-    const auto topo = dag.topological_order();
-    std::vector<std::uint32_t> topo_index(dag.num_tasks());
-    for (std::uint32_t i = 0; i < topo.size(); ++i) topo_index[topo[i]] = i;
-
-    replicas_.resize(dag.num_tasks() * copies_);
-    for (TaskId t = 0; t < dag.num_tasks(); ++t) {
-      const auto preds = dag.predecessors(t);
-      for (CopyId c = 0; c < copies_; ++c) {
-        const ReplicaRef r{t, c};
-        ReplicaInfo& info = replicas_[rid_of(r)];
-        info.proc = s_.placed(r).proc;
-        info.alive = !failed[info.proc];
-        info.exec_time = s_.platform().exec_time(dag.work(t), info.proc);
-        info.is_entry = preds.empty();
-        info.stage = s_.placed(r).stage;
-        info.topo_index = topo_index[t];
-        info.pred_tasks = preds;
-      }
-    }
-
-    // Wire deliveries from the recorded communications.
-    for (const CommRecord& comm : s_.comms()) {
-      const std::uint32_t src = rid_of(comm.src);
-      const std::uint32_t dst = rid_of(comm.dst);
-      if (!replicas_[src].alive || !replicas_[dst].alive) continue;
-      const auto& preds = replicas_[dst].pred_tasks;
-      std::uint32_t slot = 0;
-      while (slot < preds.size() && preds[slot] != comm.src.task) ++slot;
-      SS_CHECK(slot < preds.size(), "comm source is not a predecessor of its destination");
-      const double duration = s_.platform().comm_time(
-          s_.dag().edge(comm.edge).volume, replicas_[src].proc, replicas_[dst].proc);
-      replicas_[src].deliveries.push_back(
-          {dst, slot, duration, replicas_[dst].proc});
-    }
-
-    // Per-instance dynamic state.
-    const std::size_t n_inst = replicas_.size() * opt_.num_items;
-    remaining_.assign(n_inst, 0);
-    slot_satisfied_.assign(n_inst, 0);  // bitmask over pred slots (<= 64 preds)
-    for (std::uint32_t rid = 0; rid < replicas_.size(); ++rid) {
-      const ReplicaInfo& info = replicas_[rid];
-      SS_REQUIRE(info.pred_tasks.size() <= 64, "more than 64 predecessors unsupported");
-      for (std::size_t item = 0; item < opt_.num_items; ++item) {
-        std::uint32_t need = static_cast<std::uint32_t>(info.pred_tasks.size());
-        if (item > 0) ++need;  // FIFO: previous instance must finish
-        // Synchronous pipeline: every instance waits for its stage window;
-        // self-timed: only entry replicas are gated, by the item release.
-        if (synchronous() || info.is_entry) ++need;
-        remaining_[instance_of(rid, item)] = need;
-      }
-    }
-
-    exit_tasks_ = dag.exits();
-    exit_done_.assign(opt_.num_items * exit_tasks_.size(),
-                      std::numeric_limits<double>::infinity());
-    exit_slot_of_task_.assign(dag.num_tasks(), kInvalidTask);
-    for (std::uint32_t i = 0; i < exit_tasks_.size(); ++i) {
-      exit_slot_of_task_[exit_tasks_[i]] = i;
-    }
-  }
-
-  [[nodiscard]] bool synchronous() const {
-    return opt_.discipline == SimDiscipline::kSynchronousPipeline;
-  }
-
-  /// Start of the compute window of stage `stage`, item `item`.
-  [[nodiscard]] double compute_gate(std::uint32_t stage, std::size_t item) const {
-    return (static_cast<double>(item) + 2.0 * (stage - 1)) * period_;
-  }
-
-  /// Start of the transfer window following stage `stage`, item `item`.
-  [[nodiscard]] double transfer_gate(std::uint32_t stage, std::size_t item) const {
-    return (static_cast<double>(item) + 2.0 * stage - 1.0) * period_;
-  }
-
-  void seed_releases() {
-    if (synchronous()) {
-      for (std::uint32_t rid = 0; rid < replicas_.size(); ++rid) {
-        const ReplicaInfo& info = replicas_[rid];
-        if (!info.alive) continue;
-        for (std::size_t item = 0; item < opt_.num_items; ++item) {
-          push_event(compute_gate(info.stage, item), EventKind::kGate,
-                     instance_of(rid, item));
-        }
-      }
-      return;
-    }
-    for (std::size_t item = 0; item < opt_.num_items; ++item) {
-      push_event(static_cast<double>(item) * period_, EventKind::kRelease, item);
-    }
-  }
-
-  // ---- event plumbing ---------------------------------------------------
-
-  void push_event(double time, EventKind kind, std::uint64_t payload) {
-    events_.push(Event{time, kind, next_seq_++, payload});
-  }
-
-  void decrement(std::uint32_t rid, std::size_t item) {
-    const std::uint64_t inst = instance_of(rid, item);
-    SS_CHECK(remaining_[inst] > 0, "readiness counter underflow");
-    if (--remaining_[inst] == 0) make_ready(rid, item);
-  }
-
-  void satisfy_slot(std::uint32_t rid, std::size_t item, std::uint32_t slot) {
-    const std::uint64_t inst = instance_of(rid, item);
-    const std::uint64_t bit = 1ULL << slot;
-    if (slot_satisfied_[inst] & bit) return;  // later replica of the same pred: ignore
-    slot_satisfied_[inst] |= bit;
-    decrement(rid, item);
-  }
-
-  // ---- processor compute handling ----------------------------------------
-
-  struct RunKey {
-    std::size_t item;
-    std::uint32_t topo_index;
-    std::uint32_t rid;
-
-    bool operator>(const RunKey& other) const {
-      if (item != other.item) return item > other.item;
-      if (topo_index != other.topo_index) return topo_index > other.topo_index;
-      return rid > other.rid;
-    }
-  };
-  using RunQueue = std::priority_queue<RunKey, std::vector<RunKey>, std::greater<RunKey>>;
-
-  // Readiness only ever enqueues; try_dispatch is the single place that
-  // starts executions. This keeps single occupancy even when an exec-finish
-  // handler makes colocated consumers ready before releasing its processor.
-  void make_ready(std::uint32_t rid, std::size_t item) {
-    const ReplicaInfo& info = replicas_[rid];
-    SS_CHECK(info.alive, "dead replica became ready");
-    run_queues_[info.proc].push(RunKey{item, info.topo_index, rid});
-    try_dispatch(info.proc);
-  }
-
-  void try_dispatch(ProcId proc) {
-    RunQueue& queue = run_queues_[proc];
-    if (queue.empty() || now_ < proc_busy_until_[proc]) return;
-    const RunKey next = queue.top();
-    queue.pop();
-    start_exec(next.rid, next.item);
-  }
-
-  void start_exec(std::uint32_t rid, std::size_t item) {
-    const ReplicaInfo& info = replicas_[rid];
-    SS_CHECK(now_ >= proc_busy_until_[info.proc] - 1e-12,
-             "processor double-booked: event ordering violated");
-    const double finish = now_ + info.exec_time;
-    proc_busy_until_[info.proc] = finish;
-    result_.proc_busy[info.proc] += info.exec_time;
-    if (opt_.collect_trace) {
-      TraceRecord rec;
-      rec.kind = TraceKind::kExec;
-      rec.start = now_;
-      rec.finish = finish;
-      rec.replica = ref_of(rid);
-      rec.proc = info.proc;
-      rec.item = item;
-      result_.trace.records.push_back(rec);
-    }
-    push_event(finish, EventKind::kExecFinish, instance_of(rid, item));
-  }
-
-  // ---- event handlers ----------------------------------------------------
-
-  void handle_gate(std::uint64_t inst) {
-    const auto rid = static_cast<std::uint32_t>(inst / opt_.num_items);
-    const std::size_t item = inst % opt_.num_items;
-    decrement(rid, item);
-  }
-
-  void handle_release(std::uint64_t item) {
-    for (std::uint32_t rid = 0; rid < replicas_.size(); ++rid) {
-      const ReplicaInfo& info = replicas_[rid];
-      if (info.is_entry && info.alive) decrement(rid, item);
-    }
-  }
-
-  void handle_arrival(std::uint64_t payload) {
-    // payload encodes (consumer instance, slot): slot in the top bits.
-    const std::uint64_t inst = payload & ((1ULL << 48) - 1);
-    const auto slot = static_cast<std::uint32_t>(payload >> 48);
-    const auto rid = static_cast<std::uint32_t>(inst / opt_.num_items);
-    const std::size_t item = inst % opt_.num_items;
-    satisfy_slot(rid, item, slot);
-  }
-
-  void handle_exec_finish(std::uint64_t inst) {
-    const auto rid = static_cast<std::uint32_t>(inst / opt_.num_items);
-    const std::size_t item = inst % opt_.num_items;
-    const ReplicaInfo& info = replicas_[rid];
-    const ReplicaRef r = ref_of(rid);
-
-    // Fail-stop at a timed crash: work finishing after the failure is
-    // lost — no result, no deliveries, no FIFO token, and the processor
-    // never dispatches again.
-    if (now_ > fail_time_[info.proc]) return;
-
-    // Record exit completions (earliest replica wins).
-    if (exit_slot_of_task_[r.task] != kInvalidTask) {
-      double& slot = exit_done_[item * exit_tasks_.size() + exit_slot_of_task_[r.task]];
-      slot = std::min(slot, now_);
-    }
-
-    // FIFO token for the next item of this replica.
-    if (item + 1 < opt_.num_items) decrement(rid, item + 1);
-
-    // Deliveries to consumers.
-    for (const ReplicaInfo::Delivery& d : info.deliveries) {
-      if (d.duration <= 0.0) {
-        satisfy_slot(d.dst_rid, item, d.dst_slot);
-        continue;
-      }
-      const ProcId from = info.proc;
-      const ProcId to = d.dst_proc;
-      // Synchronous pipeline: transfers are gated into their window and
-      // serialized per directional link l_{from,to} — the one-port rule is
-      // enforced as the per-period port budgets C^I/C^O <= Δ, exactly as
-      // in the paper's model, so data always lands within its window and
-      // the (2S-1)Δ bound holds. Self-timed: true dynamic rendezvous of
-      // the send and receive ports.
-      double start;
-      if (synchronous()) {
-        double& link = link_free_[from * s_.platform().num_procs() + to];
-        start = std::max({transfer_gate(info.stage, item), now_, link});
-        link = start + d.duration;
-      } else {
-        start = std::max({now_, send_free_[from], recv_free_[to]});
-        send_free_[from] = start + d.duration;
-        recv_free_[to] = start + d.duration;
-      }
-      const double finish = start + d.duration;
-      result_.send_busy[from] += d.duration;
-      result_.recv_busy[to] += d.duration;
-      if (opt_.collect_trace) {
-        TraceRecord rec;
-        rec.kind = TraceKind::kTransfer;
-        rec.start = start;
-        rec.finish = finish;
-        rec.replica = r;
-        rec.dst_replica = ref_of(d.dst_rid);
-        rec.proc = from;
-        rec.dst_proc = to;
-        rec.item = item;
-        result_.trace.records.push_back(rec);
-      }
-      const std::uint64_t inst_dst = instance_of(d.dst_rid, item);
-      SS_CHECK(inst_dst < (1ULL << 48), "instance id overflows arrival payload");
-      push_event(finish, EventKind::kArrival,
-                 inst_dst | (static_cast<std::uint64_t>(d.dst_slot) << 48));
-    }
-
-    // Release the processor to the next queued instance, if any.
-    try_dispatch(info.proc);
-  }
-
-  // ---- wrap-up -----------------------------------------------------------
-
-  void finalize() {
-    std::vector<double> completions;
-    completions.reserve(opt_.num_items - opt_.warmup_items);
-    for (std::size_t item = opt_.warmup_items; item < opt_.num_items; ++item) {
-      double completion = 0.0;
-      bool starved = false;
-      for (std::uint32_t i = 0; i < exit_tasks_.size(); ++i) {
-        const double done = exit_done_[item * exit_tasks_.size() + i];
-        if (!std::isfinite(done)) {
-          starved = true;
-          break;
-        }
-        completion = std::max(completion, done);
-      }
-      if (starved) {
-        ++result_.starved_items;
-        result_.complete = false;
-        continue;
-      }
-      const double release = static_cast<double>(item) * period_;
-      result_.item_latencies.push_back(completion - release);
-      completions.push_back(completion);
-    }
-
-    if (!result_.item_latencies.empty()) {
-      double sum = 0.0;
-      result_.min_latency = std::numeric_limits<double>::infinity();
-      for (double latency : result_.item_latencies) {
-        sum += latency;
-        result_.max_latency = std::max(result_.max_latency, latency);
-        result_.min_latency = std::min(result_.min_latency, latency);
-      }
-      result_.mean_latency = sum / static_cast<double>(result_.item_latencies.size());
-    } else {
-      result_.min_latency = 0.0;
-    }
-
-    if (completions.size() >= 2) {
-      std::sort(completions.begin(), completions.end());
-      result_.achieved_period = (completions.back() - completions.front()) /
-                                static_cast<double>(completions.size() - 1);
-      for (std::size_t i = 1; i < completions.size(); ++i) {
-        result_.max_completion_gap =
-            std::max(result_.max_completion_gap, completions[i] - completions[i - 1]);
-      }
-    }
-  }
-
-  const Schedule& s_;
-  const SimOptions& opt_;
-  CopyId copies_;
-  double period_ = 0.0;
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-
-  std::vector<ReplicaInfo> replicas_;
-  std::vector<std::uint32_t> remaining_;
-  std::vector<std::uint64_t> slot_satisfied_;
-
-  std::vector<TaskId> exit_tasks_;
-  std::vector<double> exit_done_;
-  std::vector<TaskId> exit_slot_of_task_;
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  std::vector<double> fail_time_;
-  std::vector<double> proc_busy_until_;
-  std::vector<double> send_free_;
-  std::vector<double> recv_free_;
-  std::vector<double> link_free_;  // m*m, synchronous discipline only
-  std::vector<RunQueue> run_queues_;
-
-  SimResult result_;
-};
-
 // Summary of a trial whose sampled crash set kills the schedule: some task
 // keeps no computable replica, so every measured item starves on that
 // task's downstream exits — the outcome is known without running the event
-// simulation. Busy vectors are sized like the engine's (all zero), so
-// per-processor reads stay in bounds.
+// simulation. Busy vectors are sized like a simulated run's (all zero),
+// so per-processor reads stay in bounds.
 SimResult killed_trial_result(std::size_t num_procs, const SimOptions& options) {
   SimResult result;
   result.complete = false;
@@ -480,11 +32,6 @@ SimResult simulate(const Schedule& schedule, const SimOptions& options) {
   const SimProgram program(schedule, options);
   SimState state;
   return program.run(options, state);
-}
-
-SimResult simulate_legacy(const Schedule& schedule, const SimOptions& options) {
-  Engine engine(schedule, options);
-  return engine.run();
 }
 
 SimResult simulate_with_sampled_failures(const Schedule& schedule, const FaultModel& model,

@@ -22,11 +22,12 @@
 // reservation rule the schedule builders use.
 //
 // The paper's "with c crash" latency series (Figs. 3(b), 4(b)) and the
-// "with 0 crash" series are produced by this engine. Two implementations
-// share these semantics bit-for-bit: the compiled `SimProgram`
-// (sim/program.hpp), which `simulate()` routes through, and the original
-// per-call engine preserved as `simulate_legacy` — the measured baseline
-// of bench_sim_engine and the reference of the parity suite.
+// "with 0 crash" series are produced by this engine, implemented by the
+// compiled `SimProgram` (sim/program.hpp) that `simulate()` routes
+// through. Events are processed in (time, kind, seq) order — see
+// sim_detail::Event — and the frozen digests in
+// tests/golden/legacy_parity.hpp pin every result field and trace record
+// that order produces.
 #pragma once
 
 #include <vector>
@@ -107,18 +108,11 @@ struct SimResult {
 
 /// Simulates `schedule` and returns steady-state metrics. The schedule
 /// must be complete (every replica placed). Routed through the compiled
-/// engine (sim/program.hpp): compile once, run once — bit-identical to
-/// `simulate_legacy`. Callers running many trials on one schedule should
-/// compile a `SimProgram` themselves (or use `simulate_crash_trials`) so
-/// the compilation is paid once, not per trial.
+/// engine (sim/program.hpp): compile once, run once. Callers running many
+/// trials on one schedule should compile a `SimProgram` themselves (or use
+/// `simulate_crash_trials`) so the compilation is paid once, not per
+/// trial.
 [[nodiscard]] SimResult simulate(const Schedule& schedule, const SimOptions& options = {});
-
-/// The pre-compilation engine, kept verbatim as the measured baseline for
-/// bench_sim_engine and the parity suite (tests/test_sim_program.cpp): it
-/// re-derives the full static replica/transfer structure from the schedule
-/// on every call.
-[[nodiscard]] SimResult simulate_legacy(const Schedule& schedule,
-                                        const SimOptions& options = {});
 
 class SurvivalOracle;
 class SimProgram;

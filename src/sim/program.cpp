@@ -86,8 +86,8 @@ SimProgram::SimProgram(const Schedule& schedule, const SimOptions& options)
   }
 
   // Deliveries: counting sort of the comm records by source replica keeps
-  // each source's deliveries in original comm order, matching the legacy
-  // engine's per-replica push_back wiring. All pairs are compiled — dead
+  // each source's deliveries in original comm order, which fixes the seq
+  // order of the transfers a finish issues. All pairs are compiled — dead
   // endpoints are skipped per trial at run time.
   delivery_offset_.assign(num_replicas_ + 1, 0);
   for (const CommRecord& comm : schedule.comms()) {
@@ -121,11 +121,10 @@ SimProgram::SimProgram(const Schedule& schedule, const SimOptions& options)
   }
 
   if (synchronous()) {
-    // Stage-window gates in legacy seeding order (rid, item), stable-sorted
-    // by firing time. Equal times come only from equal integer window keys
-    // (item + 2(stage-1)), computed with the legacy formula, so the sorted
-    // cursor walk pops gates exactly as the legacy heap did: time first,
-    // seeding order on ties.
+    // Stage-window gates in creation order (rid, item), stable-sorted by
+    // firing time. Equal times come only from equal integer window keys
+    // (item + 2(stage-1)), so the sorted cursor walk pops gates in
+    // (time, kind, seq) order: time first, creation order on ties.
     gates_.reserve(static_cast<std::size_t>(num_replicas_) * opt_.num_items);
     for (std::uint32_t rid = 0; rid < num_replicas_; ++rid) {
       for (std::size_t item = 0; item < opt_.num_items; ++item) {
@@ -293,8 +292,8 @@ SimResult SimProgram::run(const SimOptions& options, SimState& state) const {
     const std::uint32_t d_end = delivery_offset_[rid + 1];
     for (std::uint32_t di = d_begin; di < d_end; ++di) {
       const Delivery& d = deliveries_[di];
-      // Senders skip dead destinations (the legacy engine never wired
-      // them), freeing the ports the transfer would have reserved.
+      // Senders skip dead destinations (transfers to a dead peer are never
+      // issued), freeing the ports the transfer would have reserved.
       if (state.alive[d.dst_rid] == 0) continue;
       if (d.duration <= 0.0) {
         satisfy_slot(d.dst_rid, item, d.dst_slot);
@@ -347,7 +346,7 @@ SimResult SimProgram::run(const SimOptions& options, SimState& state) const {
       // make every later one a no-op whose only observable effect is the
       // clock it would have advanced, which the order-free max fold
       // reproduces exactly. The stale heap entry a decrease leaves behind
-      // pops as the same no-op the legacy engine processed.
+      // pops as a no-op.
       const std::size_t pend = item * num_slots + d.dst_slot_inst;
       if ((state.inst[index_of(d.dst_rid, item)].slot_satisfied >> d.dst_slot) & 1) {
         makespan_fold = std::max(makespan_fold, finish);
@@ -366,10 +365,10 @@ SimResult SimProgram::run(const SimOptions& options, SimState& state) const {
     try_dispatch(here);
   };
 
-  // Merge the three per-kind queues under the legacy (time, kind, seq)
-  // rule: on equal times, exec finishes (kind 0) beat gates/releases
-  // (kind 2/1), which beat arrivals (kind 3); within a queue the kind is
-  // constant and entries already order by (time, seq).
+  // Merge the three per-kind queues under the (time, kind, seq) rule: on
+  // equal times, exec finishes (kind 0) beat gates/releases (kind 2/1),
+  // which beat arrivals (kind 3); within a queue the kind is constant and
+  // entries already order by (time, seq).
   for (;;) {
     const double t_static =
         cursor < num_static
@@ -390,8 +389,8 @@ SimResult SimProgram::run(const SimOptions& options, SimState& state) const {
         // Gate handling may start executions — t_exec is re-read per gate.
         do {
           const StaticGate& gate = gates_[cursor++];
-          // Gates of dead replicas were never seeded by the legacy
-          // engine: skip without touching the clock.
+          // Gates of dead replicas are not events: skip without touching
+          // the clock.
           if (state.alive[gate.rid] != 0) {
             now = gate.time;
             decrement(gate.rid, gate.item);
@@ -416,10 +415,10 @@ SimResult SimProgram::run(const SimOptions& options, SimState& state) const {
     }
   }
   // Events pop in nondecreasing time order, so the final clock plus the
-  // coalesced no-op arrivals IS the legacy per-event running maximum.
+  // coalesced no-op arrivals IS the per-event running maximum.
   result.makespan = std::max(now, makespan_fold);
 
-  // Finalize — identical arithmetic and ordering to the legacy engine.
+  // Finalize: fixed arithmetic order over items and processors.
   state.completions.reserve(opt_.num_items - opt_.warmup_items);
   for (std::size_t item = opt_.warmup_items; item < opt_.num_items; ++item) {
     double completion = 0.0;

@@ -1,16 +1,10 @@
 // Compiled simulation program for the discrete-event engine.
 //
 // The paper's "with c crashes" series re-runs the simulator once per crash
-// trial, and after the survival-oracle precheck (schedule/survival.hpp)
-// removed the killed trials, the event engine itself became the dominant
-// cost of every sweep point: `simulate()` re-derives the complete static
-// replica/transfer structure from the `Schedule` — topological order,
-// per-replica predecessor lists, delivery wiring, readiness counters — on
-// every invocation, and seeds one heap event per (replica, item) stage
-// window up front, so the event heap carries the whole static gate
-// schedule for the entire run.
-//
-// `SimProgram` compiles a `Schedule` once into flat arrays:
+// trial, so the static replica/transfer structure of the `Schedule` —
+// topological order, per-replica predecessor lists, delivery wiring,
+// readiness counters, the stage-window gate schedule — is derived once,
+// not per trial. `SimProgram` compiles a `Schedule` into flat arrays:
 //   - replica instances in topological order (processor, execution time,
 //     stage, entry flag, deterministic queue priority),
 //   - per-replica delivery descriptors with pre-resolved consumer slots
@@ -25,15 +19,14 @@
 // accumulators); `run()` resets it in place, so repeated trials on one
 // program are allocation-free apart from the returned SimResult.
 //
-// Equivalence contract: `run()` is BIT-IDENTICAL to the legacy engine
-// (`simulate_legacy` in sim/engine.hpp) for both disciplines, fail-silent
-// `failed` sets and timed `failures_at` events — same event-processing
-// order (the static cursor merges with the heap under the legacy
-// (time, kind, seq) tie-breaking; static and dynamic event kinds are
-// disjoint, so dropping the gates from the heap cannot reorder anything),
-// hence the same floating-point accumulation order for every metric and
-// the same trace. Pinned by tests/test_sim_program.cpp; the golden sweep
-// smoke test stays byte-identical with `simulate()` routed through here.
+// Event-order contract: `run()` processes events in (time, kind, seq)
+// order (see sim_detail::Event) for both disciplines, fail-silent `failed`
+// sets and timed `failures_at` events — the static cursor merges with the
+// dynamic queues under that rule, and static and dynamic event kinds are
+// disjoint, so keeping the gates out of the heaps cannot reorder anything.
+// The order fixes the floating-point accumulation order of every metric
+// and the trace; the digests in tests/golden/legacy_parity.hpp and the
+// golden sweep smoke test pin it bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -47,21 +40,20 @@ namespace streamsched {
 
 namespace sim_detail {
 
-// The legacy engine orders events by (time, kind, seq) with kinds
+// Events are processed in (time, kind, seq) order with kinds
 // kExecFinish(0) < kRelease(1) < kGate(2) < kArrival(3), so a finish
 // drains before same-timestamp gates/arrivals (it frees its processor; a
 // readiness event processed first would observe a stale busy_until and
 // double-book it). seq is the per-run creation index, unique per event, so
-// the order is a strict TOTAL order — which is what licenses replacing the
-// legacy single heap: with a total order every conforming priority
-// structure yields the identical pop sequence, so the event-processing
-// order (and with it every floating-point accumulation) cannot depend on
-// the queue implementation. The compiled engine keeps one queue PER KIND —
-// the presorted gate/release cursor, a tiny exec-finish heap (a processor
-// has at most one outstanding execution, so it holds <= m entries), and
-// the arrival heap —
-// and resolves same-time ties by the fixed kind priority when merging;
-// within a queue the kind is constant, so the seq alone is the tie-break.
+// the order is a strict TOTAL order: every conforming priority structure
+// yields the identical pop sequence, so the event-processing order (and
+// with it every floating-point accumulation) cannot depend on the queue
+// implementation. The engine keeps one queue PER KIND — the presorted
+// gate/release cursor, a tiny exec-finish heap (a processor has at most
+// one outstanding execution, so it holds <= m entries), and the arrival
+// heap — and resolves same-time ties by the fixed kind priority when
+// merging; within a queue the kind is constant, so the seq alone is the
+// tie-break.
 struct Event {
   double time;
   std::uint64_t seq;      // creation order (shared counter across queues)
@@ -74,7 +66,7 @@ struct Event {
 };
 
 /// Allocation-free 4-ary min-heap (clear() keeps capacity). The shallower
-/// tree and packed keys make push/pop measurably cheaper than the legacy
+/// tree and packed keys make push/pop measurably cheaper than a
 /// std::priority_queue of 32-byte events — the hot path of every trial.
 template <typename T, typename Less>
 class ReusableHeap {
@@ -126,8 +118,8 @@ struct KeyLess {
 };
 
 using EventHeap = ReusableHeap<Event, EventBefore>;
-// Ready-queue entries pack the legacy RunKey (item, topo_index, rid) into
-// one integer — same lexicographic order, one compare. Field widths are
+// Ready-queue entries pack the run key (item, topo_index, rid) into one
+// integer — lexicographic order, one compare. Field widths are
 // asserted at compile time (item < 2^24, topo/rid < 2^20); (rid, item)
 // pairs are unique in a queue, so this order is total as well.
 using RunQueue = ReusableHeap<std::uint64_t, KeyLess>;
@@ -182,8 +174,7 @@ class SimProgram {
 
   /// One trial under `options`, whose static fields (discipline, item
   /// counts, resolved period) must match the compiled ones; the failure
-  /// fields and `collect_trace` are free per trial. Bit-identical to
-  /// `simulate_legacy(schedule, options)`.
+  /// fields and `collect_trace` are free per trial.
   [[nodiscard]] SimResult run(const SimOptions& options, SimState& state) const;
 
   /// Failure-free trial under the compiled options.
@@ -199,8 +190,8 @@ class SimProgram {
   };
 
   // One synchronous stage-window gate; the table is presorted by firing
-  // time with the legacy seeding order (rid, item) as tie-break, so a
-  // cursor walk reproduces the legacy heap's pop order exactly.
+  // time with the creation order (rid, item) as tie-break, so a cursor
+  // walk pops gates in exactly their (time, kind, seq) order.
   struct StaticGate {
     double time;
     std::uint32_t rid;

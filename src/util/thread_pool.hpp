@@ -1,6 +1,5 @@
 // Fixed-size worker pool used to parallelize experiment sweeps across
-// random graph instances, the survival-kernel fan-outs, and the placement
-// daemon's request queue.
+// random graph instances and the placement daemon's request queue.
 //
 // Work items are indexed, and `parallel_for` partitions [0, n) dynamically
 // (atomic counter) so stragglers balance out. Results are written into
@@ -8,9 +7,9 @@
 // of the number of workers — a requirement for reproducible figures.
 //
 // One process-wide pool (`global_thread_pool`, lazily built at first use)
-// is shared by every parallel layer — exact reliability enumeration,
-// Monte-Carlo estimation, the sweep, and the placement daemon — instead of
-// spinning a transient pool per call. Sharing is safe for determinism
+// is shared by every parallel layer — the sweep, the benches' instance
+// fan-outs and the placement daemon — instead of spinning a transient pool
+// per call. Sharing is safe for determinism
 // because every consumer assigns work to fixed slots; it is safe for
 // liveness because a `parallel_for` issued from inside another
 // `parallel_for` body (or any pool worker already draining one) runs its
@@ -71,9 +70,9 @@ class ThreadPool {
 };
 
 /// The process-wide shared pool, built on first use with one thread per
-/// hardware core. Every layer that fans indexed work out (sweep, exact
-/// enumeration, MC estimation, the placement daemon) shares it, so a
-/// process never stacks transient pools.
+/// hardware core. Every layer that fans work out (sweep, benches, the
+/// placement daemon) shares it, so a process never stacks transient
+/// pools.
 [[nodiscard]] ThreadPool& global_thread_pool();
 
 /// Convenience: parallel_for over the shared global pool, capped at

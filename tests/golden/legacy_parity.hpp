@@ -1,0 +1,98 @@
+// Frozen parity values for the event simulator and the reliability
+// estimator (tests/test_sim_program.cpp, tests/test_survival.cpp).
+//
+// Captured at commit f2b5308, the last one that still had the
+// pre-compilation event engine (`simulate_legacy`) and the per-set
+// reliability kernels (`SurvivalKernel::kLegacy` / `kOracle`), by running
+// those paths on exactly the inputs the parity tests build. At capture,
+// the compiled `SimProgram::run`, `simulate()` and the bit-sliced batch
+// estimator (serial and threaded) produced the same values bit for bit,
+// and every repaired schedule's `achieved` estimate equalled a
+// from-scratch `schedule_reliability` of it. The tests now hold the
+// surviving paths to these values instead of to the deleted code.
+//
+// Simulator entries are `test::sim_digest` values (every SimResult field
+// and trace record). Estimates are {reliability, sets_checked, k_max,
+// worst_failure, worst_failure_prob}; reliabilities are hex-float
+// literals, so comparisons are bit-exact. Repairs are {success,
+// added_comms, rounds, comms_digest of the appended comms, achieved}.
+#pragma once
+
+#include <cstdint>
+
+#include "parity_digest.hpp"
+
+namespace streamsched::golden {
+
+// SimProgram.RandomizedParityWithLegacyEngine: seeds 11, 23, 37; per seed
+// the eight `parity_scenarios` (two disciplines x clean, fail-silent set,
+// timed failure, failure at t = 0).
+inline constexpr std::uint64_t kSimRandomized[3][8] = {
+    {
+        0xa28053b3d0b63e9eULL, 0x2bd19c868d8d5ebdULL, 0x53669934ad5f0983ULL, 0xee7bd1f6708915c2ULL,
+        0xf176295146118af6ULL, 0x22d1256377af690eULL, 0xa5505c0a806b9fc7ULL, 0xda37b2d9cb69f9e8ULL
+    },
+    {
+        0xcb0a175e0be038b7ULL, 0xea9f3bbbd3d024acULL, 0x15779f1ad2018379ULL, 0xb453992c78ac9d7cULL,
+        0xb262562987d8cd64ULL, 0xaf665b9a677ba37cULL, 0xe02ccff2a20e978aULL, 0x3be17c613058c67cULL
+    },
+    {
+        0x6b1bcb61cd9edfe6ULL, 0xa06926a10e450e2bULL, 0xc0fe575de2c09e31ULL, 0x44f622923ceed815ULL,
+        0x3628808fbd5ef360ULL, 0x05d0c5783303e14cULL, 0x284435e7a6ebdbafULL, 0xc66e5fc63584f3bfULL
+    },
+};
+
+// SimProgram.ParityOnLargerEpsAndPlatform (m = 12, eps = 3, seed 5).
+inline constexpr std::uint64_t kSimLargerEps[8] = {
+    0x202448fd3c6d77f8ULL, 0xe65403d9f756d561ULL, 0x0c035632441225c3ULL, 0xf44df3e3e597d69aULL,
+    0x9a62c89c92d11ca5ULL, 0xb312c7a89dde66e6ULL, 0x9c09917540854bcdULL, 0x89042c8635942abcULL
+};
+
+// SimProgram.ParityAfterRepairAddsChannels (seed 7, repaired for eps = 2).
+inline constexpr std::uint64_t kSimAfterRepair[8] = {
+    0x92527db1d72ad609ULL, 0xff65475c11f472dbULL, 0x93b5dcad6f3c7162ULL, 0x14f192d0b8852667ULL,
+    0x8e1265b6a38a1264ULL, 0xa63731e451d3fc02ULL, 0xd76025dfd461d0d6ULL, 0xb4b6e11343141270ULL
+};
+
+// SimProgram.StateSharableAcrossPrograms: schedule b (seed 19), then a
+// (seed 17).
+inline constexpr std::uint64_t kSimStateShared[2] = {0x3c0e13458204d7f3ULL, 0x3a72f97c2cbc53fbULL};
+
+// SimProgram.CompiledOptionsAreStaticOnly: the clean run.
+inline constexpr std::uint64_t kSimStaticOnlyClean = 0x36ebde5ed9b49bb6ULL;
+
+// Survival.ExactReliabilityBitIdenticalAcrossKernels: seeds 3, 5, 8.
+inline const test::EstimateGolden kExactAcrossKernels[3] = {
+    {0x1.f97c5c5118084p-1, 64, 6, {1, 3, 4}, 0x1.7d4962c626c36p-10},
+    {0x1.a7651ca131ea8p-1, 64, 6, {0, 4}, 0x1.03006bd8bc5a1p-6},
+    {0x1.f03089524c3eap-1, 64, 6, {2, 3}, 0x1.ab946fde4b56ap-8},
+};
+
+// Survival.ExactReliabilityMatchesGoldenAtSixteenProcs (seed 23, m = 16).
+inline const test::EstimateGolden kExactSixteenProcs =
+    {0x1.c9fd1117630f2p-2, 65399, 13, {13}, 0x1.a26691c9b9a51p-6};
+
+// Survival.MonteCarloIdenticalToLegacyAtOneThread (seed 13, 3000 samples).
+inline const test::EstimateGolden kMonteCarloSeed13 =
+    {0x1.d645722180484p-2, 3000, 10, {8}, 0x1.1e88e9417b84cp-4};
+
+// Survival.MultiWordMasksAboveSixtyFourCopies (tail_tolerance 1e-2).
+inline const test::EstimateGolden kExactSixtyFiveCopies =
+    {0x1.fdbed49f427a5p-1, 47972, 3, {}, 0x0p+0};
+
+// Survival.RepairToReliabilityParityAcrossKernels: seeds 4, 9, target
+// 0.995 (legacy kernel).
+inline const test::RepairGolden kRepairAcrossKernels[2] = {
+    {false, 0, 0, 0x47fe0d7eaf8e51e3ULL,
+     {0x1.f9b0c4a4c330ap-1, 64, 6, {0, 1}, 0x1.fd286dc4fa716p-8}},
+    {false, 18, 1, 0xf6aca5c2af622478ULL,
+     {0x1.dfd7fb77633ddp-1, 64, 6, {3, 4}, 0x1.31a97c647f918p-6}},
+};
+
+// Survival.IncrementalRepairMatchesFullReverification: crossed chains,
+// target 0.8 (per-set kernel, full re-verification every round).
+inline const test::RepairGolden kRepairCrossedChains =
+    {true, 2, 1, 0xfeba36a18221f6e0ULL,
+     {0x1.a7fcb923a29c7p-1, 16, 4, {0, 2}, 0x1.694467381d7dbp-5}};
+
+}  // namespace streamsched::golden

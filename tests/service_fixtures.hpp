@@ -1,15 +1,18 @@
 // Fixtures shared by the service-tier suites (test_service, test_server,
 // test_chaos): per-process file names, a cleanup guard that knows about
-// snapshot generations, a server running on its own thread, and the
-// check that every served placement carries fresh response facts.
+// snapshot generations, a server running on its own thread, the check
+// that every served placement carries fresh response facts, and a gated
+// scheduler that parks a lane worker until the test releases it.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "core/fingerprint.hpp"
+#include "core/registry.hpp"
 #include "schedule/metrics.hpp"
 #include "service/daemon.hpp"
 #include "service/server.hpp"
@@ -104,5 +108,61 @@ inline void expect_sealed_entries(const PlacementDaemon& daemon) {
     EXPECT_EQ(p->latency_bound, latency_upper_bound(p->schedule));
   }
 }
+
+/// Lane tests decide acceptance by state, not by timing: "gated_rltf" is
+/// R-LTF behind a gate the test holds closed, so an admission using it
+/// parks its lane worker mid-schedule for as long as the test needs.
+struct SchedulerGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = true;
+
+  void set(bool value) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      open = value;
+    }
+    cv.notify_all();
+  }
+  void pass() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [this] { return open; });
+  }
+};
+
+inline SchedulerGate& scheduler_gate() {
+  static SchedulerGate gate;
+  return gate;
+}
+
+/// Registers the gated scheduler once per process; returns its name.
+inline std::string gated_algo() {
+  static const bool registered = [] {
+    Scheduler gated = find_scheduler("rltf");
+    gated.name = "gated_rltf";
+    gated.label = "gated R-LTF";
+    gated.summary = "R-LTF that waits for a test-held gate";
+    gated.fn = [base = gated.fn](const Dag& dag, const Platform& platform,
+                                 const SchedulerOptions& options) {
+      scheduler_gate().pass();
+      return base(dag, platform, options);
+    };
+    SchedulerRegistry::instance().add(std::move(gated));
+    return true;
+  }();
+  (void)registered;
+  return "gated_rltf";
+}
+
+/// Holds the gate closed for its lifetime. Declare it after the
+/// ServerHandle: it must open before the server's destructor joins the
+/// parked worker, on every exit path.
+struct GateHold {
+  GateHold() { scheduler_gate().set(false); }
+  ~GateHold() { release(); }
+  GateHold(const GateHold&) = delete;
+  GateHold& operator=(const GateHold&) = delete;
+  void release() { scheduler_gate().set(true); }
+};
 
 }  // namespace streamsched::test

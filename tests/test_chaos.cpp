@@ -440,6 +440,7 @@ TEST(SnapshotGenerations, PollLoopWritesPeriodicGenerations) {
 
   // The cache changed, so a generation must appear within a few intervals
   // — well before shutdown.
+  // Margin: up to 1 s (100 polls of 10 ms) for a 40 ms snapshot interval.
   bool seen = false;
   for (int i = 0; i < 100 && !seen; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -579,6 +580,7 @@ TEST(ResilientClient, ThrowsDeadlineExceededWhenBudgetRunsOut) {
   EXPECT_THROW((void)client.roundtrip(net::format_stats()), net::DeadlineExceeded);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // The backoff was clipped to the deadline, not slept in full.
+  // Margin: under 1 s for an 80 ms deadline (the hint alone would park 1 s).
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1000);
 }
 
@@ -625,6 +627,7 @@ TEST(ResilientClient, RetryAfterAmbiguousDropNeverDoubleAdmits) {
     net::send_all(fd.get(), framed.data(), framed.size());
   }
   // Wait until the dropped request's admission actually completed.
+  // Margin: a 5 ms x 500 poll (2.5 s) for one cold schedule of a small DAG.
   net::ResilientClient client("unix:" + sock.path, fast_policy());
   for (int i = 0; i < 500; ++i) {
     const net::Response stats = client.stats();
@@ -694,23 +697,26 @@ TEST(ServerRobustness, BusyShedCarriesRetryHintScaledByLaneDepth) {
   interactive.workers = 1;
   interactive.bound = 1;
   config.busy_retry_hint_ms = 30;
+  const std::string algo = test::gated_algo();
   ServerHandle handle(small_platform(), config);
+  test::GateHold hold;
   net::Client client = net::Client::connect_unix_path(sock.path);
 
-  // Two pipelined SUBMITs: the first (a 40-task cold schedule) fills the
-  // lane (bound 1) for far longer than parsing the second takes, so the
-  // second is deterministically shed.
-  client.send_line(net::format_submit(frame_for(601, "one", 40)));
+  // Two pipelined SUBMITs: the first fills the lane (bound 1) and parks
+  // behind the gate, so the second is shed by state, not by timing.
+  net::SubmitFrame head = frame_for(601, "one", 40);
+  head.variant_spec = algo;
+  client.send_line(net::format_submit(head));
   client.send_line(net::format_submit(frame_for(602, "two")));
-  net::Response first = client.read_response();
-  net::Response second = client.read_response();
-  // The BUSY response is written synchronously from the poll thread, so
-  // it always arrives before the accepted admission's response.
+  const net::Response first = client.read_response();
   ASSERT_FALSE(first.ok);
   EXPECT_EQ(first.code, net::WireCode::kBusy);
   EXPECT_EQ(first.field("tag"), "two");
   EXPECT_GE(first.field_u64("retry_ms"), config.busy_retry_hint_ms);
   EXPECT_LE(first.field_u64("retry_ms"), 2000u);
+
+  hold.release();
+  const net::Response second = client.read_response();
   ASSERT_TRUE(second.ok) << second.message;
   EXPECT_EQ(second.field("tag"), "one");
 }

@@ -8,6 +8,7 @@
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/metrics.hpp"
+#include "schedule/survival.hpp"
 #include "util/rng.hpp"
 
 namespace streamsched {
@@ -42,6 +43,24 @@ Schedule crossed_chains(const Dag& dag, const Platform& platform) {
   return s;
 }
 
+// Computability of replica (t, c) under the failure set `failed`, read from
+// the compiled oracle's masks.
+bool computable(const Schedule& s, const std::vector<ProcId>& failed, TaskId t, CopyId c) {
+  const SurvivalOracle oracle(s);
+  ProcSet set(s.platform().num_procs());
+  set.assign(failed);
+  std::vector<std::uint64_t> alive;
+  oracle.computable(set, alive);
+  return replica_mask_test(alive.data() + t * oracle.mask_words(), c);
+}
+
+bool survives(const Schedule& s, const std::vector<ProcId>& failed) {
+  SurvivalOracle oracle(s);
+  ProcSet set(s.platform().num_procs());
+  set.assign(failed);
+  return oracle.survives(set);
+}
+
 struct FtFixture : ::testing::Test {
   Dag dag = make_chain(2, 4.0, 2.0);
   Platform platform = Platform::uniform(4, 1.0, 0.5);
@@ -49,22 +68,18 @@ struct FtFixture : ::testing::Test {
 
 TEST_F(FtFixture, AllAliveMeansAllComputable) {
   const Schedule s = disjoint_chains(dag, platform);
-  const auto comp = computable_replicas(s, std::vector<bool>(4, false));
   for (TaskId t = 0; t < 2; ++t) {
-    for (CopyId c = 0; c < 2; ++c) EXPECT_TRUE(comp[t][c]);
+    for (CopyId c = 0; c < 2; ++c) EXPECT_TRUE(computable(s, {}, t, c));
   }
 }
 
 TEST_F(FtFixture, DeadProcessorKillsItsReplica) {
   const Schedule s = disjoint_chains(dag, platform);
-  std::vector<bool> failed(4, false);
-  failed[0] = true;
-  const auto comp = computable_replicas(s, failed);
-  EXPECT_FALSE(comp[0][0]);  // on P0
-  EXPECT_TRUE(comp[0][1]);
-  EXPECT_FALSE(comp[1][0]);  // fed only by the dead copy
-  EXPECT_TRUE(comp[1][1]);
-  EXPECT_TRUE(survives_failures(s, failed));
+  EXPECT_FALSE(computable(s, {0}, 0, 0));  // on P0
+  EXPECT_TRUE(computable(s, {0}, 0, 1));
+  EXPECT_FALSE(computable(s, {0}, 1, 0));  // fed only by the dead copy
+  EXPECT_TRUE(computable(s, {0}, 1, 1));
+  EXPECT_TRUE(survives(s, {0}));
 }
 
 TEST_F(FtFixture, ExhaustiveCheckPassesDisjointChains) {
@@ -134,11 +149,7 @@ TEST_F(FtFixture, MonotonicityCheckingMaxSizeCoversSmaller) {
   wire(s, 0, 2, 1, 2);
   EXPECT_TRUE(check_fault_tolerance(s, 2).valid);
   EXPECT_TRUE(check_fault_tolerance(s, 1).valid);
-  for (ProcId p1 = 0; p1 < 6; ++p1) {
-    std::vector<bool> failed(6, false);
-    failed[p1] = true;
-    EXPECT_TRUE(survives_failures(s, failed));
-  }
+  for (ProcId p1 = 0; p1 < 6; ++p1) EXPECT_TRUE(survives(s, {p1}));
 }
 
 TEST_F(FtFixture, CheckerCountsAllSubsets) {

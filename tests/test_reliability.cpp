@@ -106,6 +106,29 @@ TEST(Reliability, MonteCarloAgreesWithExactEnumeration) {
   EXPECT_NEAR(sampled.reliability, exact.reliability, 0.02);
 }
 
+TEST(Reliability, ZeroMonteCarloSamplesAreRejected) {
+  // Above the enumeration budget the estimator samples; with no samples
+  // it would divide 0 by 0 and report NaN.
+  Dag d;
+  d.add_task("a", 1.0);
+  Platform p = Platform::uniform(2, 1.0, 1.0);
+  p.set_failure_prob(0, 0.1);
+  p.set_failure_prob(1, 0.2);
+  Schedule s(d, p, 1, kInf);
+  test::place_at(s, {0, 0}, 0, 0.0);
+  test::place_at(s, {0, 1}, 1, 0.0);
+  ReliabilityOptions options;
+  options.max_sets = 0;
+  options.mc_samples = 0;
+  EXPECT_THROW((void)schedule_reliability(s, options), std::invalid_argument);
+  EXPECT_THROW((void)repair_to_reliability(s, 0.99, options), std::invalid_argument);
+  EXPECT_EQ(s.comms().size(), 0u);  // rejected before any channel is wired
+
+  // Within the enumeration budget the sample count is unused.
+  options.max_sets = 1u << 18;
+  EXPECT_TRUE(schedule_reliability(s, options).exact);
+}
+
 TEST(Reliability, RepairForModelDispatch) {
   Rng rng(5);
   const Dag d = make_random_layered(rng, 12, 3, 0.4, WeightRanges{});

@@ -8,16 +8,13 @@
 // placement bit-identically without touching the cold path.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/fingerprint.hpp"
-#include "core/registry.hpp"
 #include "graph/generators.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
@@ -52,6 +49,8 @@ PlacementRequest request_for(std::uint64_t seed, const FaultModel& model) {
 
 using test::expect_sealed_entries;
 using test::FileGuard;
+using test::gated_algo;
+using test::GateHold;
 using test::read_file;
 using test::ServerHandle;
 using test::unique_path;
@@ -513,62 +512,6 @@ TEST(WireServer, InfeasibleAndDegradedRefusalsAreDistinct) {
   EXPECT_EQ(served.field_u64("eps_have"), 0u);
   EXPECT_EQ(served.field_u64("eps_want"), 1u);
 }
-
-/// Lane tests decide acceptance by state, not by timing: "gated_rltf" is
-/// R-LTF behind a gate the test holds closed, so an admission using it
-/// parks its lane worker mid-schedule for as long as the test needs.
-struct SchedulerGate {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool open = true;
-
-  void set(bool value) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      open = value;
-    }
-    cv.notify_all();
-  }
-  void pass() {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return open; });
-  }
-};
-
-SchedulerGate& scheduler_gate() {
-  static SchedulerGate gate;
-  return gate;
-}
-
-/// Registers the gated scheduler once per process; returns its name.
-std::string gated_algo() {
-  static const bool registered = [] {
-    Scheduler gated = find_scheduler("rltf");
-    gated.name = "gated_rltf";
-    gated.label = "gated R-LTF";
-    gated.summary = "R-LTF that waits for a test-held gate";
-    gated.fn = [base = gated.fn](const Dag& dag, const Platform& platform,
-                                 const SchedulerOptions& options) {
-      scheduler_gate().pass();
-      return base(dag, platform, options);
-    };
-    SchedulerRegistry::instance().add(std::move(gated));
-    return true;
-  }();
-  (void)registered;
-  return "gated_rltf";
-}
-
-/// Holds the gate closed for its lifetime. Declare it after the
-/// ServerHandle: it must open before the server's destructor joins the
-/// parked worker, on every exit path.
-struct GateHold {
-  GateHold() { scheduler_gate().set(false); }
-  ~GateHold() { release(); }
-  GateHold(const GateHold&) = delete;
-  GateHold& operator=(const GateHold&) = delete;
-  void release() { scheduler_gate().set(true); }
-};
 
 TEST(WireServer, SaturatedBatchLaneShedsWhileInteractiveLands) {
   const FileGuard sock(unique_path("srv_shed", ".sock"));

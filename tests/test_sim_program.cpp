@@ -1,11 +1,13 @@
 // Parity suite for the compiled simulation engine (sim/program.hpp): the
-// compiled program must reproduce the legacy engine BIT-FOR-BIT — every
-// SimResult metric, every busy vector and the full trace — on random
-// schedules, across both disciplines and every failure shape (clean runs,
-// fail-silent `failed` sets, timed `failures_at` events incl. t = 0, and
-// post-repair schedules), plus arena semantics (reset-reuse == fresh
-// state) and the batched crash-trial runner (same draws, same results,
-// same short-circuited starved summaries as the per-trial loop).
+// compiled program and `simulate()` must reproduce the frozen digests of
+// the single-heap engine they replaced (tests/golden/legacy_parity.hpp)
+// BIT-FOR-BIT — every SimResult metric, every busy vector and the full
+// trace — on random schedules, across both disciplines and every failure
+// shape (clean runs, fail-silent `failed` sets, timed `failures_at` events
+// incl. t = 0, and post-repair schedules), plus arena semantics
+// (reset-reuse == fresh state) and the batched crash-trial runner (same
+// draws, same results, same short-circuited starved summaries as the
+// per-trial loop).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -13,7 +15,9 @@
 
 #include "core/rltf.hpp"
 #include "exp/workload.hpp"
+#include "golden/legacy_parity.hpp"
 #include "graph/generators.hpp"
+#include "parity_digest.hpp"
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
@@ -45,26 +49,26 @@ Schedule random_schedule(std::uint64_t seed, std::size_t m, std::size_t tasks, C
   return std::move(*r.schedule);
 }
 
-void expect_bit_identical(const SimResult& legacy, const SimResult& compiled) {
-  EXPECT_EQ(legacy.complete, compiled.complete);
-  EXPECT_EQ(legacy.starved_items, compiled.starved_items);
-  ASSERT_EQ(legacy.item_latencies.size(), compiled.item_latencies.size());
-  for (std::size_t i = 0; i < legacy.item_latencies.size(); ++i) {
-    EXPECT_EQ(legacy.item_latencies[i], compiled.item_latencies[i]) << "item " << i;
+void expect_bit_identical(const SimResult& expected, const SimResult& actual) {
+  EXPECT_EQ(expected.complete, actual.complete);
+  EXPECT_EQ(expected.starved_items, actual.starved_items);
+  ASSERT_EQ(expected.item_latencies.size(), actual.item_latencies.size());
+  for (std::size_t i = 0; i < expected.item_latencies.size(); ++i) {
+    EXPECT_EQ(expected.item_latencies[i], actual.item_latencies[i]) << "item " << i;
   }
-  EXPECT_EQ(legacy.mean_latency, compiled.mean_latency);
-  EXPECT_EQ(legacy.max_latency, compiled.max_latency);
-  EXPECT_EQ(legacy.min_latency, compiled.min_latency);
-  EXPECT_EQ(legacy.achieved_period, compiled.achieved_period);
-  EXPECT_EQ(legacy.max_completion_gap, compiled.max_completion_gap);
-  EXPECT_EQ(legacy.makespan, compiled.makespan);
-  EXPECT_EQ(legacy.proc_busy, compiled.proc_busy);
-  EXPECT_EQ(legacy.send_busy, compiled.send_busy);
-  EXPECT_EQ(legacy.recv_busy, compiled.recv_busy);
-  ASSERT_EQ(legacy.trace.records.size(), compiled.trace.records.size());
-  for (std::size_t i = 0; i < legacy.trace.records.size(); ++i) {
-    const TraceRecord& a = legacy.trace.records[i];
-    const TraceRecord& b = compiled.trace.records[i];
+  EXPECT_EQ(expected.mean_latency, actual.mean_latency);
+  EXPECT_EQ(expected.max_latency, actual.max_latency);
+  EXPECT_EQ(expected.min_latency, actual.min_latency);
+  EXPECT_EQ(expected.achieved_period, actual.achieved_period);
+  EXPECT_EQ(expected.max_completion_gap, actual.max_completion_gap);
+  EXPECT_EQ(expected.makespan, actual.makespan);
+  EXPECT_EQ(expected.proc_busy, actual.proc_busy);
+  EXPECT_EQ(expected.send_busy, actual.send_busy);
+  EXPECT_EQ(expected.recv_busy, actual.recv_busy);
+  ASSERT_EQ(expected.trace.records.size(), actual.trace.records.size());
+  for (std::size_t i = 0; i < expected.trace.records.size(); ++i) {
+    const TraceRecord& a = expected.trace.records[i];
+    const TraceRecord& b = actual.trace.records[i];
     EXPECT_EQ(a.kind, b.kind) << "record " << i;
     EXPECT_EQ(a.start, b.start) << "record " << i;
     EXPECT_EQ(a.finish, b.finish) << "record " << i;
@@ -77,10 +81,13 @@ void expect_bit_identical(const SimResult& legacy, const SimResult& compiled) {
   }
 }
 
-// Every (discipline, failure shape) combination on one schedule.
-void expect_parity_all_scenarios(const Schedule& schedule, std::uint64_t seed) {
+// Every (discipline, failure shape) combination on one schedule, in the
+// order the goldens list them: per discipline clean, fail-silent set,
+// timed failure, failure at t = 0.
+std::vector<SimOptions> parity_scenarios(const Schedule& schedule, std::uint64_t seed) {
   const auto m = static_cast<std::uint32_t>(schedule.platform().num_procs());
   Rng rng(seed);
+  std::vector<SimOptions> scenarios;
   for (const SimDiscipline discipline :
        {SimDiscipline::kSynchronousPipeline, SimDiscipline::kSelfTimed}) {
     SimOptions base;
@@ -89,7 +96,6 @@ void expect_parity_all_scenarios(const Schedule& schedule, std::uint64_t seed) {
     base.warmup_items = 4;
     base.collect_trace = true;
 
-    std::vector<SimOptions> scenarios;
     scenarios.push_back(base);  // clean
     {
       SimOptions o = base;  // fail-silent set
@@ -108,23 +114,36 @@ void expect_parity_all_scenarios(const Schedule& schedule, std::uint64_t seed) {
       o.failures_at.push_back({static_cast<ProcId>(rng.uniform_int(0, m - 1)), 0.0});
       scenarios.push_back(o);
     }
+  }
+  return scenarios;
+}
 
-    const SimProgram program(schedule, base);
+// Every scenario through the public `simulate()` wrapper and through ONE
+// program per discipline, compiled from the clean scenario and reused with
+// one SimState, so the per-trial `failed` sets and `failures_at` events
+// must be honoured at run time. All checked against the frozen digests.
+void expect_parity_all_scenarios(const Schedule& schedule, std::uint64_t seed,
+                                 const std::uint64_t (&golden)[8]) {
+  const std::vector<SimOptions> scenarios = parity_scenarios(schedule, seed);
+  ASSERT_EQ(scenarios.size(), 8u);
+  for (std::size_t first = 0; first < scenarios.size(); first += 4) {
+    const SimProgram program(schedule, scenarios[first]);
     SimState state;
-    for (const SimOptions& o : scenarios) {
-      expect_bit_identical(simulate_legacy(schedule, o), program.run(o, state));
-      // The public wrapper routes through the compiled engine too.
-      expect_bit_identical(simulate_legacy(schedule, o), simulate(schedule, o));
+    for (std::size_t i = first; i < first + 4; ++i) {
+      const SimOptions& o = scenarios[i];
+      EXPECT_EQ(test::sim_digest(program.run(o, state)), golden[i]) << "scenario " << i;
+      EXPECT_EQ(test::sim_digest(simulate(schedule, o)), golden[i]) << "scenario " << i;
     }
   }
 }
 
 TEST(SimProgram, RandomizedParityWithLegacyEngine) {
-  for (std::uint64_t seed : {11u, 23u, 37u}) {
+  const std::uint64_t seeds[] = {11, 23, 37};
+  for (std::size_t i = 0; i < 3; ++i) {
     Dag dag;
     Platform platform;
-    const Schedule schedule = random_schedule(seed, 8, 18, 2, dag, platform);
-    expect_parity_all_scenarios(schedule, seed * 101);
+    const Schedule schedule = random_schedule(seeds[i], 8, 18, 2, dag, platform);
+    expect_parity_all_scenarios(schedule, seeds[i] * 101, golden::kSimRandomized[i]);
   }
 }
 
@@ -132,18 +151,18 @@ TEST(SimProgram, ParityOnLargerEpsAndPlatform) {
   Dag dag;
   Platform platform;
   const Schedule schedule = random_schedule(5, 12, 26, 3, dag, platform);
-  expect_parity_all_scenarios(schedule, 512);
+  expect_parity_all_scenarios(schedule, 512, golden::kSimLargerEps);
 }
 
 TEST(SimProgram, ParityAfterRepairAddsChannels) {
   // Repair channels are extra suppliers; the compiled delivery table and
-  // ANY-of coalescing must handle them exactly like the legacy engine.
+  // ANY-of coalescing must handle them like any recorded supplier.
   Dag dag;
   Platform platform;
   Schedule schedule = random_schedule(7, 8, 20, 2, dag, platform, /*repair=*/false);
   const RepairStats stats = repair_fault_tolerance(schedule, 2);
   EXPECT_TRUE(stats.success);
-  expect_parity_all_scenarios(schedule, 777);
+  expect_parity_all_scenarios(schedule, 777, golden::kSimAfterRepair);
 }
 
 TEST(SimProgram, ResetReuseMatchesFreshState) {
@@ -179,8 +198,8 @@ TEST(SimProgram, StateSharableAcrossPrograms) {
   const SimProgram pb(b, o);
   SimState shared;
   (void)pa.run(o, shared);
-  expect_bit_identical(simulate_legacy(b, o), pb.run(o, shared));
-  expect_bit_identical(simulate_legacy(a, o), pa.run(o, shared));
+  EXPECT_EQ(test::sim_digest(pb.run(o, shared)), golden::kSimStateShared[0]);
+  EXPECT_EQ(test::sim_digest(pa.run(o, shared)), golden::kSimStateShared[1]);
 }
 
 TEST(SimProgram, RejectsMismatchedTrialOptions) {
@@ -285,10 +304,7 @@ TEST(SimProgram, CompiledOptionsAreStaticOnly) {
   EXPECT_FALSE(program.options().collect_trace);
   // The failure-free run() overload simulates the clean system.
   SimState state;
-  SimOptions clean = o;
-  clean.failed.clear();
-  clean.collect_trace = false;
-  expect_bit_identical(simulate_legacy(schedule, clean), program.run(state));
+  EXPECT_EQ(test::sim_digest(program.run(state)), golden::kSimStaticOnlyClean);
 }
 
 }  // namespace

@@ -1,24 +1,28 @@
-// Parity and determinism suite for the compiled survival kernel
-// (schedule/survival.hpp): the oracle — per-set AND bit-sliced batch, in
-// full and ragged blocks, on single- and multi-word replica masks, before
-// and after repair patches — must agree boolean-for-boolean with the
-// legacy `survives_failures` / `computable_replicas` walk (all failure
-// sets for small m, sampled sets for large m), the incremental enumerator
-// must reproduce the legacy lexicographic order, exact-mode reliabilities
-// must be bit-identical across all three kernels, Monte-Carlo estimates
-// identical to the legacy stream at one thread and across thread counts
-// 1/2/4, and the incremental repair cache equivalent to full per-round
-// re-verification.
+// Parity suite for the compiled survival kernel (schedule/survival.hpp):
+// the oracle — per-set AND bit-sliced batch, in full and ragged blocks, on
+// single- and multi-word replica masks, before and after repair patches —
+// must agree boolean-for-boolean with the brute-force reference predicate
+// (tests/reference_survival.hpp; all failure sets for small m, sampled
+// sets for large m), the incremental enumerator must walk lexicographic
+// order, and exact and Monte-Carlo estimates and repairs must reproduce
+// the values frozen from the retired per-set and legacy kernels
+// (tests/golden/legacy_parity.hpp) bit for bit, with every repair's
+// `achieved` estimate equal to a from-scratch estimate of the repaired
+// schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <vector>
 
 #include "core/rltf.hpp"
+#include "golden/legacy_parity.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
+#include "parity_digest.hpp"
 #include "platform/generators.hpp"
+#include "reference_survival.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
 #include "sim/engine.hpp"
@@ -47,30 +51,57 @@ Schedule random_schedule(std::uint64_t seed, std::size_t m, std::size_t tasks, C
 }
 
 // Compares the oracle (per-set, single-lane batch, and computability
-// masks) against the legacy kernel under one failure set.
+// masks) against the reference predicate under one failure set.
 void expect_parity(const Schedule& schedule, SurvivalOracle& oracle,
                    const std::vector<ProcId>& set) {
   const std::size_t m = schedule.platform().num_procs();
-  std::vector<bool> failed_legacy(m, false);
-  for (ProcId p : set) failed_legacy[p] = true;
+  std::vector<bool> failed_ref(m, false);
+  for (ProcId p : set) failed_ref[p] = true;
   ProcSet failed(m);
   failed.assign(set);
 
-  const bool legacy_survives = survives_failures(schedule, failed_legacy);
-  EXPECT_EQ(oracle.survives(failed), legacy_survives);
+  const bool ref_survives = test::survives_failures(schedule, failed_ref);
+  EXPECT_EQ(oracle.survives(failed), ref_survives);
   BatchScratch batch;
-  EXPECT_EQ(oracle.survives_batch(failed.words(), 1, batch), legacy_survives ? 1u : 0u);
+  EXPECT_EQ(oracle.survives_batch(failed.words(), 1, batch), ref_survives ? 1u : 0u);
 
-  const auto legacy = computable_replicas(schedule, failed_legacy);
+  const auto ref = test::computable_replicas(schedule, failed_ref);
   std::vector<std::uint64_t> alive;
   oracle.computable(failed, alive);
   const std::size_t words = oracle.mask_words();
   for (TaskId t = 0; t < schedule.dag().num_tasks(); ++t) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
-      EXPECT_EQ(replica_mask_test(alive.data() + t * words, c), legacy[t][c])
+      EXPECT_EQ(replica_mask_test(alive.data() + t * words, c), ref[t][c])
           << "task " << t << " copy " << c;
     }
   }
+}
+
+void expect_golden(const ReliabilityEstimate& est, const test::EstimateGolden& golden) {
+  EXPECT_EQ(est.reliability, golden.reliability);  // bit-identical, not just near
+  EXPECT_EQ(est.sets_checked, golden.sets_checked);
+  EXPECT_EQ(est.k_max, golden.k_max);
+  EXPECT_EQ(est.worst_failure, golden.worst_failure);
+  EXPECT_EQ(est.worst_failure_prob, golden.worst_failure_prob);
+}
+
+// Repairs a copy of `proto` towards `target` and holds the stats, the
+// appended comms and the achieved estimate to `golden`; the achieved
+// estimate must also equal a from-scratch estimate of the repaired
+// schedule (the incremental killing-set cache may not drift from a full
+// re-enumeration).
+void expect_repair_golden(const Schedule& proto, double target,
+                          const test::RepairGolden& golden) {
+  Schedule repaired = proto;
+  ReliabilityEstimate achieved;
+  const RepairStats stats = repair_to_reliability(repaired, target, {}, &achieved);
+  EXPECT_EQ(stats.success, golden.success);
+  EXPECT_EQ(stats.added_comms, golden.added_comms);
+  EXPECT_EQ(stats.rounds, golden.rounds);
+  EXPECT_EQ(repaired.comms().size(), proto.comms().size() + golden.added_comms);
+  EXPECT_EQ(test::comms_digest(repaired, proto.comms().size()), golden.comms_digest);
+  expect_golden(achieved, golden.achieved);
+  expect_golden(schedule_reliability(repaired), golden.achieved);
 }
 
 TEST(ProcSet, BasicsAcrossWordBoundaries) {
@@ -111,8 +142,17 @@ TEST(Survival, EnumeratorMatchesLegacyOrder) {
 
   ProcSet failed(7);
   std::vector<std::vector<ProcId>> seen;
-  const std::uint64_t visited =
-      for_each_failure_set(7, 3, failed, [&](const ProcSet& f, const std::vector<ProcId>& set) {
+  const std::uint64_t visited = for_each_failure_set(
+      7, 3, failed,
+      [&](const ProcSet& f, const std::vector<ProcId>& set, std::size_t changed) {
+        // `changed` is the first position that differs from the previous
+        // combination (0 on the first).
+        const std::size_t expect_changed =
+            seen.empty() ? 0
+                         : static_cast<std::size_t>(
+                               std::mismatch(set.begin(), set.end(), seen.back().begin()).first -
+                               set.begin());
+        EXPECT_EQ(changed, expect_changed);
         seen.push_back(set);
         // The incrementally maintained bits must mirror the subset exactly.
         std::size_t bits = 0;
@@ -127,18 +167,21 @@ TEST(Survival, EnumeratorMatchesLegacyOrder) {
 
   // Early stop reports the number of sets actually visited.
   std::uint64_t stopped = for_each_failure_set(
-      7, 3, failed, [&](const ProcSet&, const std::vector<ProcId>&) { return false; });
+      7, 3, failed,
+      [&](const ProcSet&, const std::vector<ProcId>&, std::size_t) { return false; });
   EXPECT_EQ(stopped, 1u);
 
   // k = 0 visits exactly the empty set.
   std::uint64_t empty_visits = 0;
-  EXPECT_EQ(for_each_failure_set(7, 0, failed,
-                                 [&](const ProcSet& f, const std::vector<ProcId>& set) {
-                                   ++empty_visits;
-                                   EXPECT_TRUE(set.empty());
-                                   EXPECT_EQ(f.count(), 0u);
-                                   return true;
-                                 }),
+  EXPECT_EQ(for_each_failure_set(
+                7, 0, failed,
+                [&](const ProcSet& f, const std::vector<ProcId>& set, std::size_t changed) {
+                  ++empty_visits;
+                  EXPECT_TRUE(set.empty());
+                  EXPECT_EQ(f.count(), 0u);
+                  EXPECT_EQ(changed, 0u);
+                  return true;
+                }),
             1u);
   EXPECT_EQ(empty_visits, 1u);
 }
@@ -163,8 +206,8 @@ TEST(Survival, OracleMatchesLegacyOnRandomSchedulesAndAfterRepair) {
     for (const auto& set : subsets) expect_parity(schedule, oracle, set);
 
     // Repair rewires supply channels; the patched oracle (add_comm per new
-    // channel) must keep parity with the legacy kernel AND with an oracle
-    // recompiled from scratch.
+    // channel) must keep parity with the reference predicate AND with an
+    // oracle recompiled from scratch.
     const std::size_t before = schedule.comms().size();
     (void)repair_to_reliability(schedule, 0.999);
     for (std::size_t i = before; i < schedule.comms().size(); ++i) {
@@ -260,146 +303,52 @@ TEST(Survival, BatchMatchesPerSetOnPatchedOracleAfterRepair) {
 }
 
 TEST(Survival, ExactReliabilityBitIdenticalAcrossKernels) {
-  for (std::uint64_t seed : {3u, 5u, 8u}) {
+  const std::uint64_t seeds[] = {3, 5, 8};
+  for (std::size_t i = 0; i < 3; ++i) {
     Dag dag;
     Platform platform;
-    const Schedule schedule = random_schedule(seed, 6, 14, 2, dag, platform);
-    ReliabilityOptions batch_opts;  // defaults: kBatch, exact for m = 6
-    ReliabilityOptions oracle_opts;
-    oracle_opts.kernel = SurvivalKernel::kOracle;
-    ReliabilityOptions legacy_opts;
-    legacy_opts.kernel = SurvivalKernel::kLegacy;
-    const ReliabilityEstimate a = schedule_reliability(schedule, batch_opts);
-    const ReliabilityEstimate o = schedule_reliability(schedule, oracle_opts);
-    const ReliabilityEstimate b = schedule_reliability(schedule, legacy_opts);
-    ASSERT_TRUE(a.exact);
-    ASSERT_TRUE(o.exact);
-    ASSERT_TRUE(b.exact);
-    EXPECT_EQ(a.reliability, b.reliability);  // bit-identical, not just near
-    EXPECT_EQ(a.sets_checked, b.sets_checked);
-    EXPECT_EQ(a.worst_failure, b.worst_failure);
-    EXPECT_EQ(a.worst_failure_prob, b.worst_failure_prob);
-    EXPECT_EQ(o.reliability, b.reliability);
-    EXPECT_EQ(o.sets_checked, b.sets_checked);
-    EXPECT_EQ(o.worst_failure, b.worst_failure);
-    EXPECT_EQ(o.worst_failure_prob, b.worst_failure_prob);
+    const Schedule schedule = random_schedule(seeds[i], 6, 14, 2, dag, platform);
+    const ReliabilityEstimate est = schedule_reliability(schedule);  // exact for m = 6
+    ASSERT_TRUE(est.exact);
+    expect_golden(est, golden::kExactAcrossKernels[i]);
   }
 }
 
-TEST(Survival, ExactReliabilityDeterministicAcrossThreadCounts) {
-  // Large enough that the parallel exact path engages (the size floor is
-  // 4096 enumerated sets): the partitioned survival fan-out plus ordered
-  // reduction must be bit-identical for every exact_threads value AND to
-  // the serial kernels (oracle and legacy walk the same arithmetic).
+TEST(Survival, ExactReliabilityMatchesGoldenAtSixteenProcs) {
+  // A 65k-set enumeration: many full 64-set blocks plus a ragged tail.
   Dag dag;
   Platform platform;
   const Schedule schedule = random_schedule(23, 16, 30, 2, dag, platform);
-  ReliabilityOptions serial;  // exact_threads = 1
-  const ReliabilityEstimate reference = schedule_reliability(schedule, serial);
-  ASSERT_TRUE(reference.exact);
-  ASSERT_GT(reference.sets_checked, 4096u) << "scenario too small to engage the fan-out";
-  ReliabilityOptions legacy;
-  legacy.kernel = SurvivalKernel::kLegacy;
-  const ReliabilityEstimate legacy_est = schedule_reliability(schedule, legacy);
-  EXPECT_EQ(reference.reliability, legacy_est.reliability);
-  for (const std::size_t threads : {2u, 4u}) {
-    ReliabilityOptions options;
-    options.exact_threads = threads;
-    const ReliabilityEstimate est = schedule_reliability(schedule, options);
-    ASSERT_TRUE(est.exact);
-    EXPECT_EQ(est.reliability, reference.reliability) << "threads=" << threads;
-    EXPECT_EQ(est.sets_checked, reference.sets_checked) << "threads=" << threads;
-    EXPECT_EQ(est.k_max, reference.k_max) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure, reference.worst_failure) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure_prob, reference.worst_failure_prob)
-        << "threads=" << threads;
-  }
+  const ReliabilityEstimate est = schedule_reliability(schedule);
+  ASSERT_TRUE(est.exact);
+  ASSERT_GT(est.sets_checked, 4096u);
+  expect_golden(est, golden::kExactSixteenProcs);
 }
 
 TEST(Survival, MonteCarloIdenticalToLegacyAtOneThread) {
   Dag dag;
   Platform platform;
   const Schedule schedule = random_schedule(13, 10, 24, 1, dag, platform);
-  ReliabilityOptions base;
-  base.max_sets = 0;  // force the Monte-Carlo path
-  base.mc_samples = 3000;
-  ReliabilityOptions per_set = base;
-  per_set.kernel = SurvivalKernel::kOracle;
-  ReliabilityOptions legacy = base;
-  legacy.kernel = SurvivalKernel::kLegacy;
-  const ReliabilityEstimate a = schedule_reliability(schedule, base);
-  const ReliabilityEstimate o = schedule_reliability(schedule, per_set);
-  const ReliabilityEstimate b = schedule_reliability(schedule, legacy);
-  ASSERT_FALSE(a.exact);
-  ASSERT_FALSE(o.exact);
-  ASSERT_FALSE(b.exact);
-  EXPECT_EQ(a.reliability, b.reliability);  // same stream, same reduction order
-  EXPECT_EQ(a.sets_checked, b.sets_checked);
-  EXPECT_EQ(a.worst_failure, b.worst_failure);
-  EXPECT_EQ(a.worst_failure_prob, b.worst_failure_prob);
-  EXPECT_EQ(o.reliability, b.reliability);
-  EXPECT_EQ(o.worst_failure, b.worst_failure);
-}
-
-TEST(Survival, MonteCarloDeterministicAcrossThreadCounts) {
-  Dag dag;
-  Platform platform;
-  const Schedule schedule = random_schedule(17, 10, 24, 1, dag, platform);
-  ReliabilityOptions base;
-  base.max_sets = 0;
-  base.mc_samples = 4000;
-  ReliabilityEstimate reference;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ReliabilityOptions options = base;
-    options.mc_threads = threads;
-    const ReliabilityEstimate est = schedule_reliability(schedule, options);
-    if (threads == 1) {
-      reference = est;
-      continue;
-    }
-    EXPECT_EQ(est.reliability, reference.reliability) << "threads=" << threads;
-    EXPECT_EQ(est.sets_checked, reference.sets_checked) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure, reference.worst_failure) << "threads=" << threads;
-    EXPECT_EQ(est.worst_failure_prob, reference.worst_failure_prob) << "threads=" << threads;
-  }
+  ReliabilityOptions options;
+  options.max_sets = 0;  // force the Monte-Carlo path
+  options.mc_samples = 3000;
+  const ReliabilityEstimate est = schedule_reliability(schedule, options);
+  ASSERT_FALSE(est.exact);
+  expect_golden(est, golden::kMonteCarloSeed13);  // same stream, same reduction order
 }
 
 TEST(Survival, RepairToReliabilityParityAcrossKernels) {
-  for (std::uint64_t seed : {4u, 9u}) {
+  const std::uint64_t seeds[] = {4, 9};
+  for (std::size_t i = 0; i < 2; ++i) {
     Dag dag;
     Platform platform;
-    Schedule with_batch = random_schedule(seed, 6, 14, 1, dag, platform);
-    Schedule with_oracle = with_batch;
-    Schedule with_legacy = with_batch;
-    ReliabilityOptions batch_opts;  // kBatch: incremental killing-set cache
-    ReliabilityOptions oracle_opts;  // kOracle: full re-enumeration per round
-    oracle_opts.kernel = SurvivalKernel::kOracle;
-    ReliabilityOptions legacy_opts;
-    legacy_opts.kernel = SurvivalKernel::kLegacy;
-    ReliabilityEstimate achieved_batch;
-    ReliabilityEstimate achieved_oracle;
-    ReliabilityEstimate achieved_legacy;
-    const RepairStats a =
-        repair_to_reliability(with_batch, 0.995, batch_opts, &achieved_batch);
-    const RepairStats o =
-        repair_to_reliability(with_oracle, 0.995, oracle_opts, &achieved_oracle);
-    const RepairStats b =
-        repair_to_reliability(with_legacy, 0.995, legacy_opts, &achieved_legacy);
-    EXPECT_EQ(a.success, b.success);
-    EXPECT_EQ(a.added_comms, b.added_comms);
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(achieved_batch.reliability, achieved_legacy.reliability);
-    EXPECT_EQ(with_batch.comms().size(), with_legacy.comms().size());
-    EXPECT_EQ(o.success, b.success);
-    EXPECT_EQ(o.added_comms, b.added_comms);
-    EXPECT_EQ(o.rounds, b.rounds);
-    EXPECT_EQ(achieved_oracle.reliability, achieved_legacy.reliability);
-    EXPECT_EQ(with_oracle.comms().size(), with_legacy.comms().size());
+    const Schedule schedule = random_schedule(seeds[i], 6, 14, 1, dag, platform);
+    expect_repair_golden(schedule, 0.995, golden::kRepairAcrossKernels[i]);
   }
 }
 
-// The incremental killing-set cache (kBatch exact repair) must reproduce
-// the full per-round re-verification exactly on a schedule that is
+// The incremental killing-set cache (exact repair) must reproduce the
+// full per-round re-verification exactly on a schedule that is
 // guaranteed to need repair: both copies of task b feed from a's copy on
 // P0, so killing sets exist, channels get wired, and later rounds
 // re-verify cached killed sets against the patched channels.
@@ -414,36 +363,14 @@ TEST(Survival, IncrementalRepairMatchesFullReverification) {
   proto.place({1, 1}, 3, 10.0, 14.0, 2);
   test::wire(proto, 0, 0, 1, 0);
   test::wire(proto, 0, 0, 1, 1);
-
-  Schedule incremental = proto;
-  Schedule full = proto;
-  ReliabilityOptions batch_opts;  // kBatch: cached rows, killed-only re-verify
-  ReliabilityOptions oracle_opts;  // kOracle: from-scratch enumeration per round
-  oracle_opts.kernel = SurvivalKernel::kOracle;
-  ReliabilityEstimate achieved_inc;
-  ReliabilityEstimate achieved_full;
-  const RepairStats a = repair_to_reliability(incremental, 0.8, batch_opts, &achieved_inc);
-  const RepairStats b = repair_to_reliability(full, 0.8, oracle_opts, &achieved_full);
-  EXPECT_GT(a.added_comms, 0u) << "scenario must actually exercise repair";
-  EXPECT_EQ(a.success, b.success);
-  EXPECT_EQ(a.added_comms, b.added_comms);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(achieved_inc.reliability, achieved_full.reliability);
-  EXPECT_EQ(achieved_inc.sets_checked, achieved_full.sets_checked);
-  EXPECT_EQ(achieved_inc.worst_failure, achieved_full.worst_failure);
-  ASSERT_EQ(incremental.comms().size(), full.comms().size());
-  for (std::size_t i = 0; i < incremental.comms().size(); ++i) {
-    EXPECT_EQ(incremental.comms()[i].src.task, full.comms()[i].src.task) << "comm " << i;
-    EXPECT_EQ(incremental.comms()[i].src.copy, full.comms()[i].src.copy) << "comm " << i;
-    EXPECT_EQ(incremental.comms()[i].dst.task, full.comms()[i].dst.task) << "comm " << i;
-    EXPECT_EQ(incremental.comms()[i].dst.copy, full.comms()[i].dst.copy) << "comm " << i;
-  }
+  ASSERT_GT(golden::kRepairCrossedChains.added_comms, 0u)
+      << "scenario must actually exercise repair";
+  expect_repair_golden(proto, 0.8, golden::kRepairCrossedChains);
 }
 
 // Replication degrees beyond one 64-bit mask word run natively on the
-// multi-word oracle (no legacy fallback required anymore): checkers,
-// batch queries, exact reliability and repair all work and stay
-// kernel-identical.
+// multi-word oracle: checkers, batch queries, exact reliability and repair
+// all work, and the exact estimate matches its golden.
 TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   const std::size_t m = 66;
   Dag dag;
@@ -468,7 +395,7 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   Rng rng(3);
   EXPECT_TRUE(check_fault_tolerance_sampled(s, 2, 32, rng).valid);
 
-  // Per-set vs single-lane batch vs legacy over sampled failure sets.
+  // Per-set vs single-lane batch vs reference over sampled failure sets.
   Rng sample_rng(17);
   for (int trial = 0; trial < 60; ++trial) {
     const auto k = static_cast<std::uint32_t>(sample_rng.uniform_int(0, 4));
@@ -477,20 +404,12 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   }
 
   // Exact reliability (truncation loose enough to fit the set budget at
-  // m = 66) must be bit-identical across all three kernels.
+  // m = 66) must match its golden bit for bit.
   ReliabilityOptions exact_opts;
   exact_opts.tail_tolerance = 1e-2;
-  ReliabilityOptions exact_oracle = exact_opts;
-  exact_oracle.kernel = SurvivalKernel::kOracle;
-  ReliabilityOptions exact_legacy = exact_opts;
-  exact_legacy.kernel = SurvivalKernel::kLegacy;
   const ReliabilityEstimate ea = schedule_reliability(s, exact_opts);
-  const ReliabilityEstimate eo = schedule_reliability(s, exact_oracle);
-  const ReliabilityEstimate el = schedule_reliability(s, exact_legacy);
   ASSERT_TRUE(ea.exact) << "truncated enumeration must fit the default budget";
-  EXPECT_EQ(ea.reliability, el.reliability);
-  EXPECT_EQ(ea.sets_checked, el.sets_checked);
-  EXPECT_EQ(eo.reliability, el.reliability);
+  expect_golden(ea, golden::kExactSixtyFiveCopies);
 
   EXPECT_EQ(repair_fault_tolerance(s, 1).success, true);
   ReliabilityOptions options;
@@ -543,9 +462,9 @@ TEST(Survival, SimulationPrecheckMatchesFullSimulation) {
 }
 
 TEST(Survival, SharedGlobalPoolPinsBitIdenticalEstimates) {
-  // Every parallel consumer (exact enumeration, MC estimation, the sweep,
-  // the placement daemon) now shares ONE lazily-built process pool instead
-  // of spinning a transient pool per call.
+  // The parallel consumers (the sweep, the placement daemon) share ONE
+  // lazily-built process pool instead of spinning a transient pool per
+  // call.
   ThreadPool& pool = global_thread_pool();
   EXPECT_EQ(&pool, &global_thread_pool());
   EXPECT_GT(pool.size(), 0u);
@@ -559,31 +478,27 @@ TEST(Survival, SharedGlobalPoolPinsBitIdenticalEstimates) {
   });
   EXPECT_EQ(covered.load(), 32);
 
-  // Routing the exact and Monte-Carlo fan-outs through the shared pool
-  // must keep estimates bit-identical to the serial kernels (fixed result
-  // slots, ordered reductions — same guarantee the per-call pools gave).
+  // Estimates computed on pool workers (where the placement daemon runs
+  // its cold path) must be bit-identical to the caller's: the estimator
+  // keeps no shared state.
   Dag dag;
   Platform platform;
   const Schedule schedule = random_schedule(29, 12, 22, 2, dag, platform);
-  ReliabilityOptions serial;
-  const ReliabilityEstimate exact_ref = schedule_reliability(schedule, serial);
-  ReliabilityOptions exact_par;
-  exact_par.exact_threads = 0;  // hardware concurrency via the shared pool
-  const ReliabilityEstimate exact_est = schedule_reliability(schedule, exact_par);
-  EXPECT_EQ(exact_est.reliability, exact_ref.reliability);
-  EXPECT_EQ(exact_est.sets_checked, exact_ref.sets_checked);
-  EXPECT_EQ(exact_est.worst_failure, exact_ref.worst_failure);
-
-  ReliabilityOptions mc_serial;
-  mc_serial.max_sets = 0;
-  mc_serial.mc_samples = 2000;
-  const ReliabilityEstimate mc_ref = schedule_reliability(schedule, mc_serial);
-  ReliabilityOptions mc_par = mc_serial;
-  mc_par.mc_threads = 0;
-  const ReliabilityEstimate mc_est = schedule_reliability(schedule, mc_par);
-  EXPECT_EQ(mc_est.reliability, mc_ref.reliability);
-  EXPECT_EQ(mc_est.sets_checked, mc_ref.sets_checked);
-  EXPECT_EQ(mc_est.worst_failure, mc_ref.worst_failure);
+  ReliabilityOptions mc;
+  mc.max_sets = 0;
+  mc.mc_samples = 2000;
+  const ReliabilityEstimate exact_ref = schedule_reliability(schedule);
+  const ReliabilityEstimate mc_ref = schedule_reliability(schedule, mc);
+  std::vector<ReliabilityEstimate> on_pool(4);
+  pool.parallel_for(on_pool.size(), [&](std::size_t i) {
+    on_pool[i] = schedule_reliability(schedule, i % 2 == 0 ? ReliabilityOptions{} : mc);
+  });
+  for (std::size_t i = 0; i < on_pool.size(); ++i) {
+    const ReliabilityEstimate& ref = i % 2 == 0 ? exact_ref : mc_ref;
+    EXPECT_EQ(on_pool[i].reliability, ref.reliability) << "worker " << i;
+    EXPECT_EQ(on_pool[i].sets_checked, ref.sets_checked) << "worker " << i;
+    EXPECT_EQ(on_pool[i].worst_failure, ref.worst_failure) << "worker " << i;
+  }
 }
 
 }  // namespace
