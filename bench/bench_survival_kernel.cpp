@@ -7,8 +7,10 @@
 //   - Monte-Carlo mode (enumeration budget forced to 0): the
 //     importance-sampled path, sampled sets/sec;
 //   - repair mode: end-to-end `repair_to_reliability` on an unrepaired
-//     schedule (exact estimates, truncation loosened so m = 32 stays
-//     enumerable), including the incremental killing-set cache.
+//     schedule with exact estimates, including the incremental
+//     killing-set cache, in two labelled shapes: `low_p` (m ∈ {16, 32},
+//     truncation loosened so m = 32 stays enumerable) and `cold_prob`
+//     (the service's `prob:R=0.999` admission at m = 16).
 //
 // Results are printed and written to `--json` (default BENCH_survival.json)
 // via bench/emit_bench_json.hpp. CI compares the fresh m = 16 exact
@@ -127,42 +129,61 @@ int main(int argc, char** argv) {
   // --- repair loop ------------------------------------------------------
   // End-to-end `repair_to_reliability` on an UNREPAIRED schedule, so the
   // killing-set verification loop actually wires channels over several
-  // rounds. Failure probabilities and truncation are chosen so the exact
-  // estimator stays enumerable at m = 32 (k_max ~ 5): later rounds
-  // re-verify only the cached killed sets.
-  for (const std::size_t m : {16, 32}) {
-    Rng rng(seed + 0xb5297a4d3ac2f1ULL * m);
-    const Platform platform = make_reliability_heterogeneous(rng, m, 0.002, 0.008);
-    const Dag dag = make_random_layered(rng, 2 * m + 8, 5, 0.3, WeightRanges{});
+  // rounds.
+  const auto bench_repair = [&](const char* shape, std::size_t m, const Dag& dag,
+                                const Platform& platform, CopyId shape_eps,
+                                const ReliabilityOptions& ropts, double target) {
     SchedulerOptions options;
-    options.eps = eps;
+    options.eps = shape_eps;
     options.period = std::numeric_limits<double>::infinity();
     options.repair = false;  // leave killing sets for repair_to_reliability
     const ScheduleResult r = rltf_schedule(dag, platform, options);
     if (!r.ok()) {
-      std::cerr << "repair m=" << m << ": scheduling failed (" << r.error << "), skipping\n";
-      continue;
+      std::cerr << "repair " << shape << " m=" << m << ": scheduling failed (" << r.error
+                << "), skipping\n";
+      return;
     }
-    ReliabilityOptions ropts;
-    ropts.tail_tolerance = 1e-6;
-    const double target = 0.999999;
     RepairStats stats;
     ReliabilityEstimate achieved;
     const double t = best_seconds(reps, [&] {
       Schedule clone = *r.schedule;
       stats = repair_to_reliability(clone, target, ropts, &achieved);
     });
-    std::cout << "repair m=" << m << "  rounds=" << stats.rounds
+    std::cout << "repair " << shape << " m=" << m << "  rounds=" << stats.rounds
               << "  added=" << stats.added_comms << "  exact=" << (achieved.exact ? "yes" : "no")
               << "  " << t * 1e3 << "ms\n";
     doc.add_result()
         .add("m", static_cast<std::uint64_t>(m))
         .add("mode", "repair")
+        .add("shape", shape)
         .add("rounds", static_cast<std::uint64_t>(stats.rounds))
         .add("added_comms", static_cast<std::uint64_t>(stats.added_comms))
         .add("exact", achieved.exact)
         .add("achieved", achieved.reliability)
         .add("seconds", t);
+  };
+
+  // `low_p`: failure probabilities and truncation chosen so the exact
+  // estimator stays enumerable at m = 32 (k_max ~ 5); the m = 32 repair
+  // runs for tens of rounds, re-verifying only the cached killed sets.
+  for (const std::size_t m : {16, 32}) {
+    Rng rng(seed + 0xb5297a4d3ac2f1ULL * m);
+    const Platform platform = make_reliability_heterogeneous(rng, m, 0.002, 0.008);
+    const Dag dag = make_random_layered(rng, 2 * m + 8, 5, 0.3, WeightRanges{});
+    ReliabilityOptions ropts;
+    ropts.tail_tolerance = 1e-6;
+    bench_repair("low_p", m, dag, platform, eps, ropts, 0.999999);
+  }
+
+  // `cold_prob`: the shape of the service benchmark's cold `prob:R=0.999`
+  // admissions — R-LTF at eps 3 on 16 processors with p in [0.02, 0.08],
+  // 26 tasks, default options (k_max 10, 58,651 sets) — whose repair
+  // dominates the admission.
+  {
+    Rng rng(seed + 0xc01dULL);
+    const Platform platform = make_reliability_heterogeneous(rng, 16, 0.02, 0.08);
+    const Dag dag = make_random_layered(rng, 26, 4, 0.4, WeightRanges{});
+    bench_repair("cold_prob", 16, dag, platform, 3, ReliabilityOptions{}, 0.999);
   }
 
   doc.write(json_path);

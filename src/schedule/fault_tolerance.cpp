@@ -1,8 +1,12 @@
 #include "schedule/fault_tolerance.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "schedule/survival.hpp"
@@ -468,8 +472,12 @@ ExactSets materialize_exact_sets(const FailureWeights& fw, std::size_t m) {
 }
 
 // Ordered reduction over materialized rows: mass summed and killing sets
-// recorded in enumeration order. Only killed rows decode their processor
-// set.
+// recorded in enumeration order. A killed row decodes its processor set
+// only when the record can observe it: while the kills list has room (the
+// rows are distinct, so each one listed is appended), or when its weight
+// improves the worst-failure tracking — the strict `prob > worst`
+// predicate record_killing_set applies, evaluated in the same row order.
+// Every other killed row only leaves the reliable mass.
 void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& killed,
                        ReliabilityEstimate& est, std::vector<KillingSet>* kills) {
   double reliable_mass = 0.0;
@@ -479,11 +487,8 @@ void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& 
       reliable_mass += sets.weight[i];
       continue;
     }
-    // Decode the processor ids only when the record can observe them:
-    // without a kills list, record_killing_set reads the set solely when
-    // this row improves the worst-failure tracking — the same strict
-    // `prob > worst` predicate, evaluated in the same row order.
-    if (kills == nullptr && sets.weight[i] <= est.worst_failure_prob) continue;
+    const bool listed = kills != nullptr && kills->size() < kMaxKillingSets;
+    if (!listed && sets.weight[i] <= est.worst_failure_prob) continue;
     const std::uint64_t* row = sets.rows.data() + i * sets.words;
     set.clear();
     for (std::size_t u = 0; u < sets.m; ++u) {
@@ -567,6 +572,100 @@ ReliabilityEstimate estimate_reliability(const Schedule& schedule, const Surviva
   return est;
 }
 
+constexpr std::uint32_t kNoParent = std::numeric_limits<std::uint32_t>::max();
+
+// The exact repair's verification state, kept across rounds. The rows come
+// in size order, one level per set size. Each row is linked to its parent,
+// the row minus its highest processor. The parent's weight is the child's
+// prefix product without its last factor, so it is positive and was
+// materialized one level down; rows of one level are in lexicographic
+// order and so are their parents, so one forward cursor per level finds
+// every link. (The one-shot estimator builds neither: it resolves every
+// row anyway.)
+//
+// `verify` resolves rows parent-first, in enumeration order. Survival is
+// monotone in the failure set, so a row whose parent is killed is killed
+// too, without a kernel pass; the other rows are batch-checked 64 at a
+// time, and the pending block is flushed at every size boundary so that
+// each parent resolves before its children. Repair only adds supply
+// channels and survival is monotone in the channel set, so a row verified
+// surviving survives for good: each pass walks only the rows killed at the
+// last one (at the first pass, every row).
+struct ExactRepairCheck {
+  explicit ExactRepairCheck(ExactSets materialized)
+      : sets(std::move(materialized)),
+        parent(sets.size(), kNoParent),
+        killed(sets.size(), 1),
+        suspects(sets.size()),
+        block(64 * sets.words) {
+    SS_CHECK(sets.size() < kNoParent, "exact enumeration exceeds 32-bit row links");
+    std::iota(suspects.begin(), suspects.end(), 0u);
+    const std::size_t words = sets.words;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      std::size_t size = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        size += static_cast<std::size_t>(std::popcount(sets.rows[i * words + w]));
+      }
+      while (level_begin.size() <= size) level_begin.push_back(i);
+    }
+    level_begin.push_back(sets.size());
+
+    std::vector<std::uint64_t> up(words);
+    for (std::size_t k = 1; k + 1 < level_begin.size(); ++k) {
+      const std::size_t parents_end = level_begin[k];
+      std::size_t cursor = level_begin[k - 1];
+      for (std::size_t i = parents_end; i < level_begin[k + 1]; ++i) {
+        std::copy_n(sets.rows.data() + i * words, words, up.begin());
+        std::size_t w = words - 1;
+        while (up[w] == 0) --w;
+        up[w] ^= std::bit_floor(up[w]);  // drop the highest processor
+        while (cursor < parents_end &&
+               !std::equal(up.begin(), up.end(), sets.rows.data() + cursor * words)) {
+          ++cursor;
+        }
+        SS_CHECK(cursor < parents_end, "a positive-weight failure set lost its parent");
+        parent[i] = static_cast<std::uint32_t>(cursor);
+      }
+    }
+  }
+
+  void verify(const SurvivalOracle& oracle) {
+    const std::size_t words = sets.words;
+    std::array<std::uint32_t, 64> lane_row{};
+    std::size_t lanes = 0;
+    const auto flush = [&] {
+      if (lanes == 0) return;
+      const std::uint64_t survived = oracle.survives_batch(block.data(), lanes, scratch);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        killed[lane_row[lane]] = ((survived >> lane) & 1) != 0 ? 0 : 1;
+      }
+      lanes = 0;
+    };
+    std::size_t level_end = 0;
+    for (const std::uint32_t i : suspects) {
+      if (i >= level_end) {
+        flush();
+        level_end = *std::upper_bound(level_begin.begin(), level_begin.end(), std::size_t{i});
+      }
+      const std::uint32_t up = parent[i];
+      if (up != kNoParent && killed[up] != 0) continue;
+      std::copy_n(sets.rows.data() + std::size_t{i} * words, words, block.data() + lanes * words);
+      lane_row[lanes++] = i;
+      if (lanes == 64) flush();
+    }
+    flush();
+    std::erase_if(suspects, [this](std::uint32_t i) { return killed[i] == 0; });
+  }
+
+  ExactSets sets;
+  std::vector<std::size_t> level_begin;  // size-k rows: [level_begin[k], level_begin[k + 1])
+  std::vector<std::uint32_t> parent;     // per row; kNoParent for the empty set
+  std::vector<unsigned char> killed;     // per row: the latest verdict
+  std::vector<std::uint32_t> suspects;   // rows killed at the last pass, ascending
+  std::vector<std::uint64_t> block;      // pending rows of the next kernel pass
+  BatchScratch scratch;
+};
+
 }  // namespace
 
 ReliabilityEstimate schedule_reliability(const Schedule& schedule,
@@ -613,62 +712,29 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   ProcSet failed(m);
   std::vector<std::uint64_t> alive;
 
-  // Incremental killing-set verification (exact mode). Repair only
-  // ADDS supply channels, and survival is monotone in the channel set, so
-  // a set verified surviving stays surviving forever — across rounds the
-  // cached enumeration only needs its still-killed rows re-verified. And a
-  // killed set F can only flip if some channel wired since its last
-  // verification is usable under F, which requires BOTH endpoint
-  // processors alive under F; rows where every patch has an endpoint in F
-  // are provably still killed and skip the check entirely. The reduction
-  // re-walks the cached rows in enumeration order every round, so the
-  // estimate (reliability, sets_checked, killing sets, worst failure) is
-  // bit-identical to a from-scratch re-enumeration.
+  // Incremental killing-set verification (exact mode): the enumeration is
+  // materialized once and each round re-verifies it parent-first (see
+  // ExactRepairCheck). A set verified surviving stays surviving and a set
+  // whose parent is still killed stays killed, so a round runs the kernel
+  // only on still-killed sets whose parent survives. A round after the
+  // first starts only when the previous one wired a channel, so no pass
+  // re-verifies an unchanged schedule. The reduction re-walks the cached
+  // rows in enumeration order every round, so the estimate (reliability,
+  // sets_checked, killing sets, worst failure) is bit-identical to a
+  // from-scratch re-enumeration.
   const FailureWeights fw = failure_weights(schedule, options);
-  const bool incremental = fw.total_sets <= static_cast<double>(options.max_sets);
-  ExactSets cache;
-  std::vector<unsigned char> killed;
-  std::vector<std::pair<ProcId, ProcId>> patched;  // channel endpoints wired since last verify
-  std::vector<std::size_t> recheck;
-  std::vector<std::uint64_t> recheck_rows;
-  std::vector<unsigned char> recheck_killed;
+  std::optional<ExactRepairCheck> exact;
+  if (fw.total_sets <= static_cast<double>(options.max_sets)) {
+    exact.emplace(materialize_exact_sets(fw, m));
+  }
 
   for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
     std::vector<KillingSet> kills;
-    if (incremental) {
-      if (stats.rounds == 0) {
-        cache = materialize_exact_sets(fw, m);
-        batch_survival_check(oracle, cache.rows.data(), cache.size(), cache.words, killed);
-      } else if (!patched.empty()) {
-        recheck.clear();
-        for (std::size_t i = 0; i < cache.size(); ++i) {
-          if (killed[i] == 0) continue;
-          const std::uint64_t* row = cache.rows.data() + i * cache.words;
-          for (const auto& [src, dst] : patched) {
-            if (((row[src >> 6] >> (src & 63)) & 1) == 0 &&
-                ((row[dst >> 6] >> (dst & 63)) & 1) == 0) {
-              recheck.push_back(i);
-              break;
-            }
-          }
-        }
-        if (!recheck.empty()) {
-          recheck_rows.resize(recheck.size() * cache.words);
-          for (std::size_t j = 0; j < recheck.size(); ++j) {
-            const std::uint64_t* row = cache.rows.data() + recheck[j] * cache.words;
-            std::copy(row, row + cache.words, recheck_rows.data() + j * cache.words);
-          }
-          batch_survival_check(oracle, recheck_rows.data(), recheck.size(), cache.words,
-                               recheck_killed);
-          for (std::size_t j = 0; j < recheck.size(); ++j) {
-            killed[recheck[j]] = recheck_killed[j];
-          }
-        }
-      }
-      patched.clear();
+    if (exact) {
+      exact->verify(oracle);
       est = ReliabilityEstimate{};
       est.k_max = fw.k_max;
-      reduce_exact_sets(cache, killed, est, &kills);
+      reduce_exact_sets(exact->sets, exact->killed, est, &kills);
     } else {
       est = estimate_reliability(schedule, oracle, fresh_options(), &kills);
     }
@@ -684,14 +750,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
       // (e.g. every replica of some task sits on the failed processors).
       for (std::uint32_t guard = 0; guard < max_rounds; ++guard) {
         if (oracle.survives(failed)) break;
-        const std::size_t comms_before = schedule.comms().size();
         if (!repair_step_patched(schedule, oracle, failed, alive, stats)) break;
-        if (incremental) {
-          for (std::size_t ci = comms_before; ci < schedule.comms().size(); ++ci) {
-            const CommRecord& comm = schedule.comms()[ci];
-            patched.emplace_back(schedule.placed(comm.src).proc, schedule.placed(comm.dst).proc);
-          }
-        }
         est_current = false;
       }
     }

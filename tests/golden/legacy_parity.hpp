@@ -1,10 +1,11 @@
 // Frozen parity values for the event simulator and the reliability
 // estimator (tests/test_sim_program.cpp, tests/test_survival.cpp).
 //
-// Captured at commit f2b5308, the last one that still had the
-// pre-compilation event engine (`simulate_legacy`) and the per-set
-// reliability kernels (`SurvivalKernel::kLegacy` / `kOracle`), by running
-// those paths on exactly the inputs the parity tests build. At capture,
+// The entries up to kRepairCrossedChains were captured at commit f2b5308,
+// the last one that still had the pre-compilation event engine
+// (`simulate_legacy`) and the per-set reliability kernels
+// (`SurvivalKernel::kLegacy` / `kOracle`), by running those paths on
+// exactly the inputs the parity tests build. At capture,
 // the compiled `SimProgram::run`, `simulate()` and the bit-sliced batch
 // estimator (serial and threaded) produced the same values bit for bit,
 // and every repaired schedule's `achieved` estimate equalled a
@@ -94,5 +95,28 @@ inline const test::RepairGolden kRepairAcrossKernels[2] = {
 inline const test::RepairGolden kRepairCrossedChains =
     {true, 2, 1, 0xfeba36a18221f6e0ULL,
      {0x1.a7fcb923a29c7p-1, 16, 4, {0, 2}, 0x1.694467381d7dbp-5}};
+
+// Multi-round exact repairs, captured at commit c45183b by running
+// `repair_to_reliability` on exactly the inputs the tests below build. The
+// repair goldens above all finish in one round at m <= 6; these two pin the
+// later rounds, which re-verify only the still-killed failure sets, over
+// both one-word (m = 16) and two-word (m = 66) failure-set rows. At
+// capture, each `achieved` estimate equalled a from-scratch
+// `schedule_reliability` of the repaired schedule.
+
+// Survival.RepairMatchesGoldenOnColdProbShape: seed 4, m = 16, 26 tasks,
+// eps 3, no scheduler repair, target 0.999, default options (k_max 10,
+// 58,651 sets, six rounds).
+inline const test::RepairGolden kRepairColdProbShape =
+    {true, 279, 6, 0xd6f354b1964a6669ULL,
+     {0x1.ffb8352ba52aap-1, 58651, 10, {8, 11, 14, 15}, 0x1.0dfe5a6c1b14ap-17}};
+
+// Survival.RepairMatchesGoldenOnTwoWordRows: m = 66, crossed chain on
+// processors 63, 64, 65 and 2, tail_tolerance 1e-2, target 0.999 (out of
+// reach: the repair stops after two rounds once only unrepairable killing
+// sets remain).
+inline const test::RepairGolden kRepairTwoWordRows =
+    {false, 2, 2, 0x83165e39c6af6920ULL,
+     {0x1.fda8252e8d503p-1, 47972, 3, {2, 65}, 0x1.b8e6fc7a45e3fp-15}};
 
 }  // namespace streamsched::golden

@@ -3,10 +3,11 @@
 // single- and multi-word replica masks, before and after repair patches —
 // must agree boolean-for-boolean with the brute-force reference predicate
 // (tests/reference_survival.hpp; all failure sets for small m, sampled
-// sets for large m), the incremental enumerator must walk lexicographic
-// order, and exact and Monte-Carlo estimates and repairs must reproduce
-// the values frozen from the retired per-set and legacy kernels
-// (tests/golden/legacy_parity.hpp) bit for bit, with every repair's
+// sets for large m), a killed failure set must stay killed under every
+// superset (the rule exact repair prunes with), the incremental
+// enumerator must walk lexicographic order, and exact and Monte-Carlo
+// estimates and repairs must reproduce the values frozen in
+// tests/golden/legacy_parity.hpp bit for bit, with every repair's
 // `achieved` estimate equal to a from-scratch estimate of the repaired
 // schedule.
 #include <gtest/gtest.h>
@@ -91,17 +92,18 @@ void expect_golden(const ReliabilityEstimate& est, const test::EstimateGolden& g
 // schedule (the incremental killing-set cache may not drift from a full
 // re-enumeration).
 void expect_repair_golden(const Schedule& proto, double target,
-                          const test::RepairGolden& golden) {
+                          const test::RepairGolden& golden,
+                          const ReliabilityOptions& options = {}) {
   Schedule repaired = proto;
   ReliabilityEstimate achieved;
-  const RepairStats stats = repair_to_reliability(repaired, target, {}, &achieved);
+  const RepairStats stats = repair_to_reliability(repaired, target, options, &achieved);
   EXPECT_EQ(stats.success, golden.success);
   EXPECT_EQ(stats.added_comms, golden.added_comms);
   EXPECT_EQ(stats.rounds, golden.rounds);
   EXPECT_EQ(repaired.comms().size(), proto.comms().size() + golden.added_comms);
   EXPECT_EQ(test::comms_digest(repaired, proto.comms().size()), golden.comms_digest);
   expect_golden(achieved, golden.achieved);
-  expect_golden(schedule_reliability(repaired), golden.achieved);
+  expect_golden(schedule_reliability(repaired, options), golden.achieved);
 }
 
 TEST(ProcSet, BasicsAcrossWordBoundaries) {
@@ -366,6 +368,85 @@ TEST(Survival, IncrementalRepairMatchesFullReverification) {
   ASSERT_GT(golden::kRepairCrossedChains.added_comms, 0u)
       << "scenario must actually exercise repair";
   expect_repair_golden(proto, 0.8, golden::kRepairCrossedChains);
+}
+
+// The shape of a service `prob:R=0.999` admission: R-LTF at eps 3 on 16
+// processors without the scheduler's own repair, so the exact repair runs
+// six rounds over the 58,651-set enumeration and wires 279 channels.
+TEST(Survival, RepairMatchesGoldenOnColdProbShape) {
+  Dag dag;
+  Platform platform;
+  const Schedule schedule = random_schedule(4, 16, 26, 3, dag, platform, 0.02, 0.08);
+  expect_repair_golden(schedule, 0.999, golden::kRepairColdProbShape);
+}
+
+// Exact repair over two-word failure-set rows (m = 66): the crossed chain
+// of IncrementalRepairMatchesFullReverification with its replicas on both
+// sides of the word boundary. Round 0 wires one channel, for {63};
+// {63, 65} only enters the 64-entry killing-set list in round 1, which
+// wires the second.
+TEST(Survival, RepairMatchesGoldenOnTwoWordRows) {
+  const std::size_t m = 66;
+  Dag dag = make_chain(2, 1.0, 1.0);
+  Platform platform = Platform::uniform(m, 1.0, 0.5);
+  for (ProcId u = 0; u < m; ++u) platform.set_failure_prob(u, 0.01);
+  Schedule proto(dag, platform, 1, kInf);
+  test::place_at(proto, {0, 0}, 63, 0.0);
+  test::place_at(proto, {0, 1}, 64, 0.0);
+  test::place_at(proto, {1, 0}, 65, 2.0, 2);
+  test::place_at(proto, {1, 1}, 2, 2.0, 2);
+  test::wire(proto, 0, 0, 1, 0);
+  test::wire(proto, 0, 0, 1, 1);
+  ReliabilityOptions options;
+  options.tail_tolerance = 1e-2;
+  expect_repair_golden(proto, 0.999, golden::kRepairTwoWordRows, options);
+}
+
+// The rule exact repair prunes with: survival is monotone in the failure
+// set, so when F kills the schedule, so does every F ∪ {u}. Checked over
+// all 256 failure sets of m = 8 on the batch kernel, against the
+// reference predicate, on a fresh oracle and again on an oracle that the
+// warm-oracle repair patched in place.
+TEST(Survival, KilledSetsStayKilledUnderSupersets) {
+  constexpr std::size_t m = 8;
+  constexpr std::size_t kSets = std::size_t{1} << m;
+  std::vector<std::uint64_t> rows(kSets);
+  for (std::uint64_t mask = 0; mask < kSets; ++mask) rows[mask] = mask;
+
+  const auto check = [&](const Schedule& schedule, const SurvivalOracle& oracle) {
+    BatchScratch batch;
+    std::vector<bool> killed(kSets);
+    for (std::size_t begin = 0; begin < kSets; begin += 64) {
+      const std::uint64_t survived = oracle.survives_batch(rows.data() + begin, 64, batch);
+      for (std::size_t lane = 0; lane < 64; ++lane) {
+        killed[begin + lane] = ((survived >> lane) & 1) == 0;
+      }
+    }
+    std::size_t kills = 0;
+    for (std::size_t mask = 0; mask < kSets; ++mask) {
+      std::vector<bool> failed(m);
+      for (std::size_t u = 0; u < m; ++u) failed[u] = ((mask >> u) & 1) != 0;
+      EXPECT_EQ(!killed[mask], test::survives_failures(schedule, failed)) << "set " << mask;
+      if (!killed[mask]) continue;
+      ++kills;
+      for (std::size_t u = 0; u < m; ++u) {
+        EXPECT_TRUE(killed[mask | (std::size_t{1} << u)]) << "set " << mask << " + P" << u;
+      }
+    }
+    return kills;
+  };
+
+  for (std::uint64_t seed : {5u, 6u, 7u, 8u}) {
+    Dag dag;
+    Platform platform;
+    Schedule schedule = random_schedule(seed, m, 18, seed % 2 == 0 ? 1 : 2, dag, platform);
+    SurvivalOracle oracle(schedule);
+    const std::size_t kills_before = check(schedule, oracle);
+    EXPECT_GT(kills_before, 0u) << "seed " << seed;
+    const RepairStats stats = repair_to_reliability(schedule, oracle, 0.999);
+    EXPECT_GT(stats.added_comms, 0u) << "seed " << seed;
+    EXPECT_LT(check(schedule, oracle), kills_before) << "seed " << seed;
+  }
 }
 
 // Replication degrees beyond one 64-bit mask word run natively on the
