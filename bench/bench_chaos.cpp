@@ -130,7 +130,9 @@ int main(int argc, char** argv) {
     frame.dag = make_random_layered(rng, tasks, 4, 0.4, WeightRanges{});
     frame.model = FaultModel::count(2);
     frame.qos = net::QosClass::kInteractive;
-    frame.tag = "d" + std::to_string(d);
+    std::string tag = "d";
+    tag += std::to_string(d);
+    frame.tag = std::move(tag);
     lines[d] = net::format_submit(frame);
   }
 

@@ -17,12 +17,6 @@
 //                   bench's scalar-ε default (env STREAMSCHED_FAULT_MODEL)
 //   --fail-prob-lo/hi      per-processor failure probability range of the
 //                   generated platforms (probabilistic models; default 0)
-//   --shard i/N     run only the instances with flat index ≡ i (mod N) and
-//                   write their raw records to <csv prefix><stem>_records_
-//                   i_of_N.csv instead of rendering figures (requires
-//                   --csv); merge the N files with the sweep_merge tool to
-//                   get byte-identical unsharded output
-//                   (env STREAMSCHED_SHARD)
 #pragma once
 
 #include <algorithm>
@@ -36,7 +30,6 @@
 #include "core/registry.hpp"
 #include "core/variant.hpp"
 #include "exp/figures.hpp"
-#include "exp/shard.hpp"
 #include "exp/sweep.hpp"
 #include "schedule/fault_model.hpp"
 #include "util/cli.hpp"
@@ -58,8 +51,6 @@ struct CommonFlags {
   /// Failure probability range applied to generated platforms.
   double fail_prob_lo = 0.0;
   double fail_prob_hi = 0.0;
-  /// Instance slice this process runs (`--shard i/N`; default: everything).
-  ShardSpec shard;
   /// `--algo=help` was given: the listing (including each algorithm's
   /// declared parameter space) is printed, the caller exits successfully.
   bool help = false;
@@ -83,10 +74,6 @@ inline CommonFlags parse_common(Cli& cli, const std::string& algo_fallback = "lt
   flags.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(flags.seed), "STREAMSCHED_SEED"));
   flags.csv_prefix = cli.get_string("csv", "", "STREAMSCHED_CSV_PREFIX");
-  if (const std::string shard = cli.get_string("shard", "", "STREAMSCHED_SHARD");
-      !shard.empty()) {
-    flags.shard = parse_shard(shard);
-  }
   if (!algo_fallback.empty()) {
     AlgoSelection selection = schedulers_from_cli(cli, algo_fallback);
     flags.algos = std::move(selection.variants);
@@ -128,7 +115,6 @@ inline SweepConfig sweep_config(const CommonFlags& flags, CopyId eps, std::uint3
   config.graphs_per_point = flags.graphs;
   config.seed = flags.seed;
   config.threads = flags.threads;
-  config.shard = flags.shard;
   return config;
 }
 
@@ -140,25 +126,6 @@ inline void maybe_write_csv(const CommonFlags& flags, const std::string& name,
   std::cout << "(wrote " << path << ")\n";
 }
 
-/// The CSV tail of run_and_render_sweep, shared with the shard-merge tool
-/// so merged output goes through the byte-identical rendering path.
-inline void write_sweep_csvs(const CommonFlags& flags, const std::vector<PointStats>& points,
-                             std::uint32_t crashes, const std::string& csv_stem) {
-  maybe_write_csv(flags, csv_stem + "_bounds", figure_latency_bounds(points));
-  maybe_write_csv(flags, csv_stem + "_crash", figure_latency_crash(points, crashes));
-  maybe_write_csv(flags, csv_stem + "_overhead", figure_overhead(points, crashes));
-  if (!points.empty() && points.front().series.size() > 1) {
-    maybe_write_csv(flags, csv_stem + "_tournament", figure_tournament(points));
-    maybe_write_csv(flags, csv_stem + "_winloss", tournament_matrix(points));
-  }
-  if (!flags.csv_prefix.empty()) {
-    for (const std::string& path :
-         write_series_csvs(points, flags.csv_prefix + csv_stem + "_")) {
-      std::cout << "(wrote " << path << ")\n";
-    }
-  }
-}
-
 /// Runs the sweep, prints all figure panels and writes the per-panel and
 /// per-series CSVs — the whole body of a Figure 3/4-style driver. Also
 /// reports the crash-trial throughput of the batched compiled-engine path
@@ -166,23 +133,6 @@ inline void write_sweep_csvs(const CommonFlags& flags, const std::vector<PointSt
 /// simulations share it).
 inline void run_and_render_sweep(const CommonFlags& flags, const SweepConfig& config,
                                  const std::string& title, const std::string& csv_stem) {
-  if (config.shard.active()) {
-    // Sharded invocation: measure this slice and dump raw records; the
-    // sweep_merge tool renders figures from the merged shards.
-    if (flags.csv_prefix.empty()) {
-      throw std::invalid_argument("--shard requires --csv (records need somewhere to go)");
-    }
-    const SweepRecords records = run_sweep_records(config);
-    const std::string path = flags.csv_prefix + csv_stem + "_records_" +
-                             std::to_string(config.shard.index) + "_of_" +
-                             std::to_string(config.shard.count) + ".csv";
-    write_sweep_records_file(path, records);
-    std::size_t measured = 0;
-    for (char p : records.present) measured += p != 0 ? 1 : 0;
-    std::cout << "shard " << shard_to_string(config.shard) << ": measured " << measured
-              << "/" << records.total() << " instances\n(wrote " << path << ")\n";
-    return;
-  }
   const auto wall_start = std::chrono::steady_clock::now();
   const auto points = run_granularity_sweep(config);
   const double wall =
@@ -201,7 +151,19 @@ inline void run_and_render_sweep(const CommonFlags& flags, const SweepConfig& co
               << " crash trials via the compiled engine — " << trials / wall
               << " trials/sec incl. scheduling+repair)\n";
   }
-  write_sweep_csvs(flags, points, config.crashes, csv_stem);
+  maybe_write_csv(flags, csv_stem + "_bounds", figure_latency_bounds(points));
+  maybe_write_csv(flags, csv_stem + "_crash", figure_latency_crash(points, config.crashes));
+  maybe_write_csv(flags, csv_stem + "_overhead", figure_overhead(points, config.crashes));
+  if (!points.empty() && points.front().series.size() > 1) {
+    maybe_write_csv(flags, csv_stem + "_tournament", figure_tournament(points));
+    maybe_write_csv(flags, csv_stem + "_winloss", tournament_matrix(points));
+  }
+  if (!flags.csv_prefix.empty()) {
+    for (const std::string& path :
+         write_series_csvs(points, flags.csv_prefix + csv_stem + "_")) {
+      std::cout << "(wrote " << path << ")\n";
+    }
+  }
 }
 
 }  // namespace streamsched::bench

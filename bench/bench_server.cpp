@@ -210,7 +210,9 @@ int main(int argc, char** argv) {
     frame.dag = make_random_layered(rng, tasks, 4, 0.4, WeightRanges{});
     frame.model = model;
     frame.qos = qos;
-    frame.tag = "d" + std::to_string(d);
+    std::string tag = "d";
+    tag += std::to_string(d);
+    frame.tag = std::move(tag);
     return frame;
   };
   // Pre-serialized request lines: the timed loops measure the service, not

@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
     }
     cold_times.push_back(seconds_since(cold_t0));
 
-    // Recover the second failure; the daemon re-keys copy-free.
+    // Recover the second failure; the daemon keeps its entries copy-free.
     daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, q});
     live_failed.reset(q);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/rltf.hpp"
 #include "schedule/metrics.hpp"
@@ -151,6 +152,65 @@ struct SeriesAccum {
   std::size_t failures = 0;
 };
 
+// Averages one granularity point over its instance records, in record
+// order (the order fixes the floating-point sums the figure CSVs print).
+PointStats aggregate_point(double granularity, std::span<const InstanceRecord> records,
+                           const std::vector<SeriesSpec>& series) {
+  PointStats ps;
+  ps.granularity = granularity;
+  RunningStats ff;
+  std::vector<SeriesAccum> accum(series.size());
+
+  for (const InstanceRecord& rec : records) {
+    if (!rec.usable) continue;
+    ++ps.instances;
+    ff.add(rec.ff_sim0);
+
+    for (std::size_t a = 0; a < series.size(); ++a) {
+      const AlgoOutcome& out = rec.outcomes[a];
+      SeriesAccum& acc = accum[a];
+      if (!out.scheduled) {
+        ++acc.failures;
+        continue;
+      }
+      acc.ub.add(out.ub);
+      acc.sim0.add(out.sim0);
+      if (out.has_crash_series()) acc.simc.add(out.simc);
+      acc.stages.add(out.stages);
+      acc.comms.add(static_cast<double>(out.remote_comms));
+      acc.repairs.add(out.repair_added);
+      acc.period_factor.add(out.period_factor);
+      if (out.reliability >= 0.0) acc.reliability.add(out.reliability);
+      if (rec.ff_sim0 > 0.0) {
+        acc.oh0.add(100.0 * (out.sim0 - rec.ff_sim0) / rec.ff_sim0);
+        if (out.has_crash_series()) acc.ohc.add(100.0 * (out.simc - rec.ff_sim0) / rec.ff_sim0);
+      }
+      if (out.starved) ++ps.starved;
+    }
+  }
+
+  ps.ff_sim0 = ff.mean();
+  ps.series.resize(series.size());
+  for (std::size_t a = 0; a < series.size(); ++a) {
+    AlgoSeries& s = ps.series[a];
+    const SeriesAccum& acc = accum[a];
+    s.name = series[a].name;
+    s.label = series[a].label;
+    s.ub = acc.ub.mean();
+    s.sim0 = acc.sim0.mean();
+    s.simc = acc.simc.mean();
+    s.overhead0 = acc.oh0.mean();
+    s.overheadc = acc.ohc.mean();
+    s.stages = acc.stages.mean();
+    s.comms = acc.comms.mean();
+    s.repairs = acc.repairs.mean();
+    s.period_factor = acc.period_factor.mean();
+    s.reliability = acc.reliability.mean();
+    s.failures = acc.failures;
+  }
+  return ps;
+}
+
 }  // namespace
 
 std::uint64_t series_stream_tag(const std::string& name) {
@@ -296,140 +356,46 @@ InstanceRecord run_instance(const SweepConfig& config, double granularity,
   return record;
 }
 
-bool SweepRecords::complete() const {
-  for (char p : present) {
-    if (p == 0) return false;
-  }
-  return true;
-}
-
-SweepRecords run_sweep_records(const SweepConfig& config) {
+std::vector<PointStats> run_granularity_sweep(const SweepConfig& config) {
   SS_REQUIRE(config.g_min > 0.0 && config.g_step > 0.0 && config.g_max >= config.g_min,
              "invalid granularity range");
   SS_REQUIRE(!config.algos.empty(), "sweep needs at least one algorithm");
-  SS_REQUIRE(config.shard.count >= 1 && config.shard.index < config.shard.count,
-             "shard index out of range");
   // Build the series grid up front so duplicate series keys fail before
   // any work is spent, and check the crash count against each series'
   // *effective* model (a variant may override the axis model via eps/R).
-  const std::vector<SeriesSpec> series_specs = build_series(config);
-  for (const SeriesSpec& spec : series_specs) {
+  const std::vector<SeriesSpec> series = build_series(config);
+  for (const SeriesSpec& spec : series) {
     if (spec.effective.is_count()) {
       SS_REQUIRE(config.crashes <= spec.effective.eps(),
                  "cannot crash more processors than eps");
     }
   }
 
-  SweepRecords out;
+  std::vector<double> granularities;
   for (double g = config.g_min; g <= config.g_max + 1e-9; g += config.g_step) {
-    out.granularities.push_back(g);
+    granularities.push_back(g);
   }
-  out.graphs_per_point = config.graphs_per_point;
-  out.seed = config.seed;
-  out.crashes = config.crashes;
-  out.shard = config.shard;
-  out.series.reserve(series_specs.size());
-  for (const SeriesSpec& spec : series_specs) out.series.emplace_back(spec.name, spec.label);
+  const std::size_t per_point = config.graphs_per_point;
+  const std::size_t total = granularities.size() * per_point;
 
-  const std::size_t total = out.granularities.size() * config.graphs_per_point;
-  out.records.resize(total);
-  out.present.assign(total, 0);
-
-  // The full seed table is derived on every shard: record i's seed never
-  // depends on the split, so each measured record is bit-identical to the
-  // unsharded run's.
+  // The seed table is drawn in grid order before any instance runs, so a
+  // record never depends on which worker measured it.
   Rng seeder(config.seed);
   std::vector<std::uint64_t> seeds(total);
   for (auto& s : seeds) s = seeder();
 
-  std::vector<std::size_t> owned;
-  owned.reserve(total / config.shard.count + 1);
-  for (std::size_t i = 0; i < total; ++i) {
-    if (i % config.shard.count == config.shard.index) {
-      owned.push_back(i);
-      out.present[i] = 1;
-    }
-  }
+  std::vector<InstanceRecord> records(total);
+  parallel_for_indices(total, config.threads, [&](std::size_t i) {
+    records[i] = run_instance(config, granularities[i / per_point], seeds[i]);
+  });
 
-  parallel_for_indices(owned.size(), config.threads == 0 ? 0 : config.threads,
-                       [&](std::size_t k) {
-                         const std::size_t i = owned[k];
-                         const std::size_t point = i / config.graphs_per_point;
-                         out.records[i] =
-                             run_instance(config, out.granularities[point], seeds[i]);
-                       });
-  return out;
-}
-
-std::vector<PointStats> aggregate_sweep_records(const SweepRecords& records) {
-  SS_REQUIRE(records.complete(),
-             "cannot aggregate a partial record set; merge all shards first");
-  SS_REQUIRE(records.records.size() ==
-                 records.granularities.size() * records.graphs_per_point,
-             "record count does not match the granularity grid");
-
-  std::vector<PointStats> stats(records.granularities.size());
-  for (std::size_t point = 0; point < records.granularities.size(); ++point) {
-    PointStats& ps = stats[point];
-    ps.granularity = records.granularities[point];
-
-    RunningStats ff;
-    std::vector<SeriesAccum> accum(records.series.size());
-
-    for (std::size_t j = 0; j < records.graphs_per_point; ++j) {
-      const InstanceRecord& rec = records.records[point * records.graphs_per_point + j];
-      if (!rec.usable) continue;
-      ++ps.instances;
-      ff.add(rec.ff_sim0);
-
-      for (std::size_t a = 0; a < records.series.size(); ++a) {
-        const AlgoOutcome& out = rec.outcomes[a];
-        SeriesAccum& acc = accum[a];
-        if (!out.scheduled) {
-          ++acc.failures;
-          continue;
-        }
-        acc.ub.add(out.ub);
-        acc.sim0.add(out.sim0);
-        if (out.has_crash_series()) acc.simc.add(out.simc);
-        acc.stages.add(out.stages);
-        acc.comms.add(static_cast<double>(out.remote_comms));
-        acc.repairs.add(out.repair_added);
-        acc.period_factor.add(out.period_factor);
-        if (out.reliability >= 0.0) acc.reliability.add(out.reliability);
-        if (rec.ff_sim0 > 0.0) {
-          acc.oh0.add(100.0 * (out.sim0 - rec.ff_sim0) / rec.ff_sim0);
-          if (out.has_crash_series()) acc.ohc.add(100.0 * (out.simc - rec.ff_sim0) / rec.ff_sim0);
-        }
-        if (out.starved) ++ps.starved;
-      }
-    }
-
-    ps.ff_sim0 = ff.mean();
-    ps.series.resize(records.series.size());
-    for (std::size_t a = 0; a < records.series.size(); ++a) {
-      AlgoSeries& s = ps.series[a];
-      const SeriesAccum& acc = accum[a];
-      s.name = records.series[a].first;
-      s.label = records.series[a].second;
-      s.ub = acc.ub.mean();
-      s.sim0 = acc.sim0.mean();
-      s.simc = acc.simc.mean();
-      s.overhead0 = acc.oh0.mean();
-      s.overheadc = acc.ohc.mean();
-      s.stages = acc.stages.mean();
-      s.comms = acc.comms.mean();
-      s.repairs = acc.repairs.mean();
-      s.period_factor = acc.period_factor.mean();
-      s.reliability = acc.reliability.mean();
-      s.failures = acc.failures;
-    }
+  std::vector<PointStats> stats;
+  stats.reserve(granularities.size());
+  for (std::size_t point = 0; point < granularities.size(); ++point) {
+    stats.push_back(aggregate_point(
+        granularities[point], std::span(records).subspan(point * per_point, per_point), series));
   }
   return stats;
-}
-
-std::vector<PointStats> run_granularity_sweep(const SweepConfig& config) {
-  return aggregate_sweep_records(run_sweep_records(config));
 }
 
 }  // namespace streamsched

@@ -16,20 +16,6 @@
 
 namespace streamsched {
 
-/// Deterministic partition of a sweep's instances across N independent
-/// processes (CLI `--shard i/N`): shard i runs exactly the instances whose
-/// flat index ≡ i (mod N). Every shard derives the full per-instance seed
-/// table from the master seed, so the records a shard produces are
-/// bit-identical to the same records of the unsharded run — merging all
-/// shards (exp/shard.hpp) then aggregates to byte-identical output.
-struct ShardSpec {
-  std::size_t index = 0;
-  std::size_t count = 1;  ///< 1 = unsharded
-
-  [[nodiscard]] bool active() const { return count > 1; }
-  friend bool operator==(const ShardSpec&, const ShardSpec&) = default;
-};
-
 struct SweepConfig {
   WorkloadParams workload;
   /// Algorithm variants to sweep, in series order. Plain registry names
@@ -61,8 +47,6 @@ struct SweepConfig {
   std::size_t threads = 0;
   std::size_t sim_items = 40;
   std::size_t sim_warmup = 10;
-  /// Which slice of the instance grid this process runs (see ShardSpec).
-  ShardSpec shard;
 };
 
 /// Results for a single (algorithm, instance) pair. Latencies are
@@ -197,47 +181,12 @@ struct PointStats {
 [[nodiscard]] InstanceRecord run_instance(const SweepConfig& config, double granularity,
                                           std::uint64_t instance_seed);
 
-/// The sweep's raw measurement phase: every per-instance record of (the
-/// configured shard of) the grid, plus the header needed to aggregate or
-/// merge them without the originating config. Flat record index i maps to
-/// granularity point i / graphs_per_point, repetition i % graphs_per_point.
-struct SweepRecords {
-  std::vector<double> granularities;  ///< point grid, in sweep order
-  std::size_t graphs_per_point = 0;
-  std::uint64_t seed = 0;
-  std::uint32_t crashes = 0;
-  ShardSpec shard;
-  /// (series key, display label) in config order — what aggregation needs
-  /// of the variant/model grid.
-  std::vector<std::pair<std::string, std::string>> series;
-  /// present[i] != 0 iff records[i] was measured (by this shard).
-  std::vector<char> present;
-  std::vector<InstanceRecord> records;  ///< full grid size; absent = default
-
-  [[nodiscard]] std::size_t total() const { return records.size(); }
-  [[nodiscard]] bool complete() const;
-};
-
-/// Measurement phase only: runs the instances owned by `config.shard`
-/// (all of them when unsharded), parallelized; deterministic in the seed
-/// regardless of thread count AND shard split — each record is
-/// bit-identical to the unsharded run's. Validation as in
-/// run_granularity_sweep.
-[[nodiscard]] SweepRecords run_sweep_records(const SweepConfig& config);
-
-/// Aggregation phase: per-point means over a COMPLETE record set (throws
-/// on missing records — merge shards first, exp/shard.hpp). Iterates in
-/// grid order, so aggregating merged shards is bit-identical to the
-/// unsharded sweep.
-[[nodiscard]] std::vector<PointStats> aggregate_sweep_records(const SweepRecords& records);
-
-/// Runs the full sweep (measure + aggregate), parallelized over instances;
-/// deterministic in the seed regardless of thread count. Throws
-/// std::invalid_argument on an invalid granularity/crash/shard
+/// Runs the full sweep, parallelized over instances: every instance is
+/// measured first, then each granularity point is averaged in grid order,
+/// so the result is deterministic in the seed regardless of thread count.
+/// Throws std::invalid_argument on an invalid granularity/crash
 /// configuration or duplicate series keys (unknown algorithms/parameters
-/// already threw when the AlgoVariant specs were constructed). A sharded
-/// config throws in the aggregation phase: partial sweeps cannot be
-/// averaged.
+/// already threw when the AlgoVariant specs were constructed).
 [[nodiscard]] std::vector<PointStats> run_granularity_sweep(const SweepConfig& config);
 
 }  // namespace streamsched

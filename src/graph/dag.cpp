@@ -22,7 +22,9 @@ TaskId Dag::add_task(std::string name, double work) {
 }
 
 TaskId Dag::add_task(double work) {
-  return add_task("t" + std::to_string(works_.size()), work);
+  std::string name = "t";
+  name += std::to_string(works_.size());
+  return add_task(std::move(name), work);
 }
 
 namespace {

@@ -180,8 +180,11 @@ Dag make_wavefront(std::size_t rows, std::size_t cols, double work, double volum
   std::vector<TaskId> ids(rows * cols);
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t j = 0; j < cols; ++j) {
-      ids[i * cols + j] =
-          d.add_task("c" + std::to_string(i) + "_" + std::to_string(j), work);
+      std::string name = "c";
+      name += std::to_string(i);
+      name += '_';
+      name += std::to_string(j);
+      ids[i * cols + j] = d.add_task(std::move(name), work);
     }
   }
   for (std::size_t i = 0; i < rows; ++i) {
@@ -199,11 +202,17 @@ Dag make_butterfly(std::size_t log2_width, double work, double volume) {
   Dag d;
   std::vector<TaskId> prev(width), next(width);
   for (std::size_t k = 0; k < width; ++k) {
-    prev[k] = d.add_task("b0_" + std::to_string(k), work);
+    std::string name = "b0_";
+    name += std::to_string(k);
+    prev[k] = d.add_task(std::move(name), work);
   }
   for (std::size_t level = 0; level < log2_width; ++level) {
     for (std::size_t k = 0; k < width; ++k) {
-      next[k] = d.add_task("b" + std::to_string(level + 1) + "_" + std::to_string(k), work);
+      std::string name = "b";
+      name += std::to_string(level + 1);
+      name += '_';
+      name += std::to_string(k);
+      next[k] = d.add_task(std::move(name), work);
     }
     const std::size_t stride = std::size_t{1} << level;
     for (std::size_t k = 0; k < width; ++k) {

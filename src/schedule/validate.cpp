@@ -117,22 +117,21 @@ class Validator {
       cout[from] += duration;
       cin[to] += duration;
     }
+    const auto overload = [&](ViolationCode code, ProcId u, const char* what, double load) {
+      std::string detail = "P";
+      detail += std::to_string(u);
+      detail += ": ";
+      detail += what;
+      detail += '=';
+      detail += std::to_string(load);
+      detail += " > period=";
+      detail += std::to_string(period);
+      add(code, std::move(detail));
+    };
     for (ProcId u = 0; u < m; ++u) {
-      if (s_.sigma(u) > limit) {
-        add(ViolationCode::kComputeOverload,
-            "P" + std::to_string(u) + ": sigma=" + std::to_string(s_.sigma(u)) +
-                " > period=" + std::to_string(period));
-      }
-      if (cin[u] > limit) {
-        add(ViolationCode::kInputPortOverload,
-            "P" + std::to_string(u) + ": cin=" + std::to_string(cin[u]) +
-                " > period=" + std::to_string(period));
-      }
-      if (cout[u] > limit) {
-        add(ViolationCode::kOutputPortOverload,
-            "P" + std::to_string(u) + ": cout=" + std::to_string(cout[u]) +
-                " > period=" + std::to_string(period));
-      }
+      if (s_.sigma(u) > limit) overload(ViolationCode::kComputeOverload, u, "sigma", s_.sigma(u));
+      if (cin[u] > limit) overload(ViolationCode::kInputPortOverload, u, "cin", cin[u]);
+      if (cout[u] > limit) overload(ViolationCode::kOutputPortOverload, u, "cout", cout[u]);
     }
   }
 

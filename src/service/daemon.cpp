@@ -65,15 +65,14 @@ void PlacementDaemon::drain() {
 
 PlacementResponse PlacementDaemon::admit(PlacementRequest request) {
   PlacementResponse resp;
-  CacheKey key{dag_fingerprint(request.dag), variant_fingerprint(request.variant),
-               fault_model_fingerprint(request.model), 0};
+  const CacheKey key{dag_fingerprint(request.dag), variant_fingerprint(request.variant),
+                     fault_model_fingerprint(request.model)};
 
   std::uint64_t snapshot_epoch = 0;
   ProcSet failed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.admissions;
-    key.epoch = epoch_;
     if (auto hit = cache_.find(key)) {
       resp.cache_hit = true;
       resp.epoch = epoch_;
@@ -157,7 +156,6 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (epoch_ == snapshot_epoch) {
       placement->epoch = epoch_;
-      key.epoch = epoch_;
       std::shared_ptr<const CachedPlacement> published = std::move(placement);
       cache_.insert(key, published);
       ++stats_.cold_schedules;
@@ -209,9 +207,8 @@ std::vector<std::shared_ptr<const CachedPlacement>> PlacementDaemon::snapshot_en
 
 bool PlacementDaemon::restore(const std::shared_ptr<CachedPlacement>& placement) {
   SS_REQUIRE(placement != nullptr, "cannot restore a null placement");
-  const CacheKey base{dag_fingerprint(*placement->dag),
-                      Fnv64().str(placement->variant).value(),
-                      fault_model_fingerprint(placement->model), 0};
+  const CacheKey key{dag_fingerprint(*placement->dag), Fnv64().str(placement->variant).value(),
+                     fault_model_fingerprint(placement->model)};
   seal(*placement);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (failed_.count() > 0 && !placement->oracle.survives(failed_, survive_scratch_)) {
@@ -219,8 +216,6 @@ bool PlacementDaemon::restore(const std::shared_ptr<CachedPlacement>& placement)
   }
   placement->epoch = epoch_;
   placement->from_snapshot = true;
-  CacheKey key = base;
-  key.epoch = epoch_;
   cache_.insert(key, placement);
   ++stats_.restored;
   return true;
@@ -236,12 +231,12 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
     failed_.reset(event.proc);
     // Survival is monotone in the failure set: every cached placement
     // survived the pre-recovery set, so it survives the smaller one —
-    // full-guarantee entries re-key copy-free. Degraded entries
+    // full-guarantee entries stay as they are. Degraded entries
     // re-certify against the shrunken set (the recovered processor may
     // raise their residual tolerance) and, when still short of the
     // guarantee, get a re-heal scan.
-    cache_.update_all(epoch_, [this](const std::shared_ptr<const CachedPlacement>& p)
-                                  -> std::shared_ptr<const CachedPlacement> {
+    cache_.update_all([this](const std::shared_ptr<const CachedPlacement>& p)
+                          -> std::shared_ptr<const CachedPlacement> {
       if (!p->degraded) return p;
       auto copy = std::make_shared<CachedPlacement>(*p);
       certify(*copy, failed_, batch_scratch_);
@@ -249,17 +244,17 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
       if (!copy->degraded) ++stats_.reheals;
       return copy;
     });
-    if (config_.auto_reheal && degraded_count_locked() > 0) schedule_reheal_scan();
+    if (config_.auto_reheal && cache_.degraded_count() > 0) schedule_reheal_scan();
     return;
   }
   failed_.set(event.proc);
   const std::uint64_t repairs_before = stats_.event_repairs;
   const std::uint64_t rebuilds_before = stats_.rebuilds;
   const std::uint64_t drops_before = stats_.repair_failures;
-  cache_.update_all(epoch_, [this](const std::shared_ptr<const CachedPlacement>& p)
-                                -> std::shared_ptr<const CachedPlacement> {
+  cache_.update_all([this](const std::shared_ptr<const CachedPlacement>& p)
+                        -> std::shared_ptr<const CachedPlacement> {
     if (p->oracle.survives(failed_, survive_scratch_)) {
-      if (!p->degraded) return p;  // copy-free re-key
+      if (!p->degraded) return p;  // copy-free
       // Degraded entries track their residual tolerance exactly; the new
       // failure may have shrunk it.
       auto copy = std::make_shared<CachedPlacement>(*p);
@@ -275,25 +270,19 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
     if (live.success) {
       patched->event_repair_comms += live.added_comms;
       patched->epoch = epoch_;
-      bool verified = true;
-      if (config_.verify_repairs) {
-        // Independent check: a fresh oracle compiled from the repaired
-        // schedule must agree, through the bit-sliced batch kernel, that
-        // the live failure set is survivable.
-        ++stats_.verifications;
-        const SurvivalOracle fresh(patched->schedule);
-        BatchScratch scratch;
-        if ((fresh.survives_batch(failed_.words(), 1, scratch) & 1ULL) == 0) {
-          ++stats_.verify_failures;
-          verified = false;
-        }
-      }
-      if (verified) {
+      // Independent check: a fresh oracle compiled from the repaired
+      // schedule must agree, through the bit-sliced batch kernel, that the
+      // live failure set is survivable.
+      ++stats_.verifications;
+      const SurvivalOracle fresh(patched->schedule);
+      BatchScratch scratch;
+      if ((fresh.survives_batch(failed_.words(), 1, scratch) & 1ULL) != 0) {
         if (patched->degraded) certify(*patched, failed_, batch_scratch_);
         seal(*patched);
         ++stats_.event_repairs;
         return patched;
       }
+      ++stats_.verify_failures;
     }
     // Degradation ladder: beyond incremental repair no longer drops —
     // rebuild on the alive sub-platform (capped ε) and keep serving with
@@ -307,12 +296,13 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
     rebuilt->epoch = epoch_;
     return rebuilt;
   });
-  if (config_.auto_reheal && degraded_count_locked() > 0) schedule_reheal_scan();
+  const std::size_t degraded = cache_.degraded_count();
+  if (config_.auto_reheal && degraded > 0) schedule_reheal_scan();
   log_info() << "failure event: proc=" << event.proc << " epoch=" << epoch_
              << " repaired=" << (stats_.event_repairs - repairs_before)
              << " rebuilt=" << (stats_.rebuilds - rebuilds_before)
              << " dropped=" << (stats_.repair_failures - drops_before)
-             << " degraded=" << degraded_count_locked() << " cached=" << cache_.size();
+             << " degraded=" << degraded << " cached=" << cache_.size();
 }
 
 std::shared_ptr<CachedPlacement> PlacementDaemon::rebuild_degraded(const CachedPlacement& stale,
@@ -400,8 +390,7 @@ void PlacementDaemon::reheal_now() { reheal_pass(); }
 void PlacementDaemon::reheal_pass() {
   // Snapshot the degraded keys once; each entry gets one reschedule
   // attempt per pass (events that degrade more entries schedule another
-  // pass). The epoch component of a captured key goes stale the moment an
-  // event lands, so re-lookups match on the stable fingerprints only.
+  // pass).
   std::vector<CacheKey> targets;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -418,13 +407,7 @@ void PlacementDaemon::reheal_pass() {
       ProcSet failed;
       {
         const std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto& [key, p] : cache_.entries_lru()) {
-          if (key.dag == target.dag && key.variant == target.variant &&
-              key.model == target.model) {
-            stale = p;
-            break;
-          }
-        }
+        stale = cache_.peek(target);
         if (stale == nullptr || !stale->degraded) break;  // evicted or healed meanwhile
         snapshot_epoch = epoch_;
         failed = failed_;
@@ -435,42 +418,25 @@ void PlacementDaemon::reheal_pass() {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (epoch_ != snapshot_epoch) continue;  // cluster moved: retry with fresh state
       if (rebuilt == nullptr) break;           // cannot improve under the current set
-      bool current = false;
-      for (const auto& [key, p] : cache_.entries_lru()) {
-        if (p == stale) {
-          current = true;
-          break;
-        }
-      }
-      if (!current) break;  // replaced at the same epoch (another pass): leave it
+      // Replaced at the same epoch (another pass), or evicted: leave it.
+      if (cache_.peek(target) != stale) break;
       // Publish only strict improvements; promotions to the full
       // guarantee are what `reheals` counts.
       if (rebuilt->degraded && rebuilt->eps_have <= stale->eps_have) break;
       rebuilt->epoch = epoch_;
-      CacheKey key = target;
-      key.epoch = epoch_;
       if (!rebuilt->degraded) ++stats_.reheals;
       log_info() << "re-heal: eps_have " << stale->eps_have << " -> " << rebuilt->eps_have
                  << "/" << rebuilt->eps_want << (rebuilt->degraded ? " (still degraded)" : "")
                  << " epoch=" << epoch_;
-      cache_.insert(key, std::shared_ptr<const CachedPlacement>(std::move(rebuilt)));
+      cache_.insert(target, std::shared_ptr<const CachedPlacement>(std::move(rebuilt)));
       break;
     }
   }
 }
 
-std::size_t PlacementDaemon::degraded_count_locked() const {
-  std::size_t n = 0;
-  for (const auto& [key, p] : cache_.entries_lru()) {
-    (void)key;
-    if (p->degraded) ++n;
-  }
-  return n;
-}
-
 std::size_t PlacementDaemon::degraded_count() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return degraded_count_locked();
+  return cache_.degraded_count();
 }
 
 std::uint64_t PlacementDaemon::epoch() const {
@@ -496,7 +462,7 @@ ScheduleCache::Stats PlacementDaemon::cache_stats() const {
 DaemonStats PlacementDaemon::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   DaemonStats out = stats_;
-  out.degraded = degraded_count_locked();  // gauge, not a counter
+  out.degraded = cache_.degraded_count();  // gauge, not a counter
   return out;
 }
 

@@ -4,8 +4,8 @@
 // schedule cache (service/schedule_cache.hpp) and a platform *epoch* — a
 // counter bumped on every failure/recovery event. The serving contract:
 //
-//   admit()    Fingerprint the request, look up (dag, variant, model,
-//              epoch). A hit is allocation-free and returns the shared
+//   admit()    Fingerprint the request, look up (dag, variant, model).
+//              A hit is allocation-free and returns the shared
 //              placement. A miss runs the cold path — calibrate the
 //              period if the request didn't fix one, schedule with the
 //              period-escalation ladder and model repair, compile the
@@ -19,15 +19,19 @@
 //   on_event() The event-bus handler (subscribe the daemon, or call it
 //              directly). Bumps the epoch, updates the live failure set,
 //              and walks the cache: placements that survive the new
-//              failure set are re-keyed to the new epoch copy-free;
-//              placements that don't are *incrementally repaired* — a
-//              copy's schedule gets supply channels via
-//              repair_for_failure_set, which patches the warm
-//              SurvivalOracle through add_comm instead of recompiling —
-//              and the repaired copy replaces the entry. Repaired copies
-//              are re-verified against the live failure set on a freshly
-//              compiled oracle through the bit-sliced batch kernel when
-//              `verify_repairs` is set.
+//              failure set stay in place copy-free; placements that
+//              don't are *incrementally repaired* — a copy's schedule
+//              gets supply channels via repair_for_failure_set, which
+//              patches the warm SurvivalOracle through add_comm instead
+//              of recompiling — and the repaired copy replaces the entry
+//              under the same key. Every repaired copy is re-verified
+//              against the live failure set on a freshly compiled oracle
+//              through the bit-sliced batch kernel before it is
+//              published.
+//
+// The cache key holds no epoch: while mutex_ is free, every cached entry
+// is current for the live failure set, and each placement records the
+// epoch it was published at (CachedPlacement::epoch).
 //
 // Degradation ladder (placements are never dropped while servable):
 // after every failure the batch survival kernel re-certifies each entry's
@@ -68,11 +72,6 @@ namespace streamsched {
 
 struct DaemonConfig {
   std::size_t cache_capacity = 256;
-  /// Re-verify every event-repaired placement against the live failure
-  /// set on a freshly compiled oracle (batch survival kernel) before
-  /// republishing it. Catches any divergence between the patched warm
-  /// oracle and the schedule it claims to describe.
-  bool verify_repairs = true;
   /// Schedule background re-heal passes (global thread pool) whenever an
   /// event or admission leaves degraded entries behind. Disable for
   /// single-threaded determinism (benches/tests drive reheal_now()).
@@ -115,7 +114,7 @@ class PlacementDaemon {
 
   /// Failure/recovery notification (also the bus subscription target).
   /// Bumps the epoch; failures repair / degrade / rebuild affected cached
-  /// placements (see the degradation ladder above). Recoveries re-key
+  /// placements (see the degradation ladder above). Recoveries keep
   /// full-guarantee entries copy-free (survival is monotone in the failure
   /// set: whatever survived the larger set survives the smaller one) and
   /// re-certify degraded ones — plus schedule a re-heal scan for any that
@@ -143,8 +142,8 @@ class PlacementDaemon {
   [[nodiscard]] std::vector<std::shared_ptr<const CachedPlacement>> snapshot_entries() const;
 
   /// Re-publishes one restored placement (warm start): keys it from the
-  /// placement's own dag/variant/model under the current epoch and inserts
-  /// it at MRU. Returns false — without inserting — when the placement
+  /// placement's own dag/variant/model, stamps the current epoch and
+  /// inserts it at MRU. Returns false — without inserting — when the placement
   /// does not survive the daemon's live failure set. The caller
   /// (persistence load) is responsible for verification; the daemon only
   /// re-checks liveness. Restored entries count in stats().restored and
@@ -183,9 +182,6 @@ class PlacementDaemon {
 
   /// One re-heal pass body (see reheal_now()).
   void reheal_pass();
-
-  /// Degraded-entry count with mutex_ held.
-  [[nodiscard]] std::size_t degraded_count_locked() const;
 
   mutable std::mutex mutex_;
   ScheduleCache cache_;

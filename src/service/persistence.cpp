@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,12 +63,9 @@ std::uint32_t parse_u32_field(const std::string& value, const std::string& key) 
   return static_cast<std::uint32_t>(parsed);
 }
 
-// v2 appends degraded=/eps_have=/eps_want= to entry lines so a warm
-// restart never launders a degraded placement into a full-guarantee one.
-// v1 snapshots still load: their entries default to non-degraded with
-// eps_have == eps_want == the schedule's replication degree.
+// v2 entry lines carry degraded=/eps_have=/eps_want= so a warm restart
+// never launders a degraded placement into a full-guarantee one.
 constexpr char kMagic[] = "#streamsched-cache v2";
-constexpr char kMagicV1[] = "#streamsched-cache v1";
 
 /// One parsed (not yet verified) snapshot entry.
 struct SnapshotEntry {
@@ -80,7 +76,6 @@ struct SnapshotEntry {
   std::uint32_t repair_comms = 0;
   std::uint32_t event_comms = 0;
   bool degraded = false;
-  bool have_deficit = false;  ///< v2 entry carrying eps_have/eps_want
   std::uint32_t eps_have = 0;
   std::uint32_t eps_want = 0;
   std::string dag_wire;
@@ -91,6 +86,9 @@ SnapshotEntry parse_entry_line(const std::string& line) {
   SnapshotEntry entry;
   bool have_variant = false;
   bool have_model = false;
+  bool have_degraded = false;
+  bool have_eps_have = false;
+  bool have_eps_want = false;
   std::istringstream tokens(line);
   std::string token;
   tokens >> token;  // consume "entry"
@@ -124,18 +122,24 @@ SnapshotEntry parse_entry_line(const std::string& line) {
         throw SnapshotError("snapshot entry field degraded must be 0 or 1: " + value);
       }
       entry.degraded = value == "1";
+      have_degraded = true;
     } else if (key == "eps_have") {
       entry.eps_have = parse_u32_field(value, key);
-      entry.have_deficit = true;
+      have_eps_have = true;
     } else if (key == "eps_want") {
       entry.eps_want = parse_u32_field(value, key);
-      entry.have_deficit = true;
+      have_eps_want = true;
     } else {
       throw SnapshotError("snapshot entry has unknown field: " + key);
     }
   }
   if (!have_variant || !have_model) {
     throw SnapshotError("snapshot entry missing variant= or model=");
+  }
+  // Without the deficit fields a degraded entry would restore at the full
+  // guarantee, so a missing one rejects the file like a contradiction.
+  if (!have_degraded || !have_eps_have || !have_eps_want) {
+    throw SnapshotError("snapshot entry missing degraded=, eps_have= or eps_want=");
   }
   return entry;
 }
@@ -147,20 +151,14 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
   auto dag = std::make_shared<const Dag>(net::parse_dag_wire(entry.dag_wire));
   Schedule schedule = net::parse_schedule_wire(entry.sched_wire, *dag, daemon.platform());
 
-  // v1 entries carry no deficit fields: they predate degradation, so they
-  // claim the full guarantee their schedule was built for.
-  const std::uint32_t eps_want =
-      entry.have_deficit ? entry.eps_want : static_cast<std::uint32_t>(schedule.eps());
-  const std::uint32_t eps_have =
-      entry.have_deficit ? entry.eps_have : static_cast<std::uint32_t>(schedule.eps());
   // The flag and the deficit must agree — a snapshot claiming degraded=0
   // with eps_have < eps_want (or vice versa) is internally inconsistent,
   // which means format skew or tampering, not bit rot: reject the file.
-  if (entry.degraded != (eps_have < eps_want)) {
+  if (entry.degraded != (entry.eps_have < entry.eps_want)) {
     throw SnapshotError("snapshot entry degraded flag contradicts its deficit: degraded=" +
                         std::string(entry.degraded ? "1" : "0") +
-                        " eps_have=" + std::to_string(eps_have) +
-                        " eps_want=" + std::to_string(eps_want));
+                        " eps_have=" + std::to_string(entry.eps_have) +
+                        " eps_want=" + std::to_string(entry.eps_want));
   }
 
   // Re-check the entry's reliability claim from scratch — a fresh oracle
@@ -170,11 +168,11 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
   // that a plain count-tolerance claim), so it is re-proved exhaustively
   // at eps_have instead of the model's full guarantee.
   if (entry.degraded) {
-    const FtCheckResult check = check_fault_tolerance(schedule, eps_have);
+    const FtCheckResult check = check_fault_tolerance(schedule, entry.eps_have);
     if (!check.valid) {
       log_warn() << "snapshot entry dropped: variant=" << entry.variant
                  << " model=" << entry.model.to_string() << " claims degraded eps_have="
-                 << eps_have << " but fails the exhaustive check";
+                 << entry.eps_have << " but fails the exhaustive check";
       return nullptr;
     }
   } else if (entry.model.is_count()) {
@@ -209,8 +207,8 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
   placement->repair.reliability = entry.reliability;
   placement->event_repair_comms = entry.event_comms;
   placement->degraded = entry.degraded;
-  placement->eps_have = eps_have;
-  placement->eps_want = eps_want;
+  placement->eps_have = entry.eps_have;
+  placement->eps_want = entry.eps_want;
   return placement;
 }
 
@@ -324,7 +322,7 @@ SnapshotLoadStats load_cache_snapshot_text(PlacementDaemon& daemon, const std::s
     start = end + 1;
   }
 
-  if (lines.size() < 3 || (lines[0].second != kMagic && lines[0].second != kMagicV1)) {
+  if (lines.size() < 3 || lines[0].second != kMagic) {
     throw SnapshotError("not a streamsched cache snapshot (bad header): " + path);
   }
 
@@ -427,12 +425,6 @@ std::vector<SnapshotGeneration> list_snapshot_generations(const std::string& bas
             [](const SnapshotGeneration& a, const SnapshotGeneration& b) {
               return a.seq > b.seq;
             });
-
-  // A bare legacy file under the base name loads last, as generation 0.
-  struct stat st{};
-  if (::stat(base.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
-    generations.push_back({0, base});
-  }
   return generations;
 }
 
@@ -447,9 +439,7 @@ SnapshotSaveStats save_cache_generation(const PlacementDaemon& daemon, const std
   const SnapshotSaveStats stats =
       save_cache_snapshot(daemon, base + ".g" + std::to_string(seq));
 
-  // Prune beyond `keep`, oldest first, counting the one just written. The
-  // legacy bare file (seq 0, no ".g" suffix) is pruned like any other once
-  // enough rotated generations exist.
+  // Prune beyond `keep`, oldest first, counting the one just written.
   std::size_t kept = 1;
   for (const auto& gen : existing) {
     if (kept < keep) {

@@ -28,8 +28,8 @@
 // placement into a full-guarantee one. An entry whose degraded flag
 // contradicts its deficit (degraded=1 with eps_have == eps_want, or
 // degraded=0 with a deficit) rejects the whole file: that is format skew
-// or tampering, not bit rot. v1 snapshots still load; their entries
-// default to non-degraded with eps_have == eps_want.
+// or tampering, not bit rot, and so does an entry missing any of the
+// three fields.
 //
 // Trust model: the snapshot is a cache, never an oracle. Load rejects the
 // whole file loudly (SnapshotError) when the header, platform
@@ -111,7 +111,7 @@ struct SnapshotGeneration {
 };
 
 /// Existing generations of `base`, newest (highest seq) first. A bare
-/// legacy `base` file (pre-rotation format) is listed last as seq 0.
+/// `base` file is not a generation: it is never listed, loaded or pruned.
 [[nodiscard]] std::vector<SnapshotGeneration> list_snapshot_generations(
     const std::string& base);
 

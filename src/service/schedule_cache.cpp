@@ -55,6 +55,11 @@ std::shared_ptr<const CachedPlacement> ScheduleCache::find(const CacheKey& key) 
   return nodes_[i].placement;
 }
 
+std::shared_ptr<const CachedPlacement> ScheduleCache::peek(const CacheKey& key) const {
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : nodes_[it->second].placement;
+}
+
 void ScheduleCache::insert(const CacheKey& key,
                            std::shared_ptr<const CachedPlacement> placement) {
   SS_REQUIRE(placement != nullptr, "cannot cache a null placement");
@@ -91,35 +96,16 @@ void ScheduleCache::insert(const CacheKey& key,
   ++stats_.insertions;
 }
 
-bool ScheduleCache::erase(const CacheKey& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  const std::size_t i = it->second;
-  index_.erase(it);
-  unlink(i);
-  free_node(i);
-  return true;
-}
-
 void ScheduleCache::update_all(
-    std::uint64_t new_epoch,
     const std::function<std::shared_ptr<const CachedPlacement>(
         const std::shared_ptr<const CachedPlacement>&)>& update) {
-  index_.clear();
   std::size_t i = head_;
   while (i != kNil) {
     const std::size_t next = nodes_[i].next;
-    std::shared_ptr<const CachedPlacement> kept = update(nodes_[i].placement);
-    bool keep = kept != nullptr;
-    if (keep) {
+    if (std::shared_ptr<const CachedPlacement> kept = update(nodes_[i].placement)) {
       nodes_[i].placement = std::move(kept);
-      nodes_[i].key.epoch = new_epoch;
-      // Duplicate keys cannot arise in the daemon (every entry is re-keyed
-      // to the shared current epoch on each event), but if two entries ever
-      // collapse onto one key, keep the more recent (already indexed) one.
-      keep = index_.emplace(nodes_[i].key, i).second;
-    }
-    if (!keep) {
+    } else {
+      index_.erase(nodes_[i].key);
       unlink(i);
       free_node(i);
       ++stats_.evictions;
@@ -128,16 +114,12 @@ void ScheduleCache::update_all(
   }
 }
 
-void ScheduleCache::clear() {
-  index_.clear();
-  std::size_t i = head_;
-  while (i != kNil) {
-    const std::size_t next = nodes_[i].next;
-    nodes_[i].prev = nodes_[i].next = kNil;
-    free_node(i);
-    i = next;
+std::size_t ScheduleCache::degraded_count() const {
+  std::size_t n = 0;
+  for (std::size_t i = head_; i != kNil; i = nodes_[i].next) {
+    if (nodes_[i].placement->degraded) ++n;
   }
-  head_ = tail_ = kNil;
+  return n;
 }
 
 std::vector<std::pair<CacheKey, std::shared_ptr<const CachedPlacement>>>

@@ -1,11 +1,11 @@
 // LRU cache of admitted placements, the hot path of the placement daemon.
 //
-// Keys are the four fingerprints that determine a placement: DAG
-// structure, algorithm variant, fault model, and the daemon's platform
-// epoch (a counter bumped on every failure/recovery event, so stale
-// placements can never be served for the current cluster state — the
-// daemon *re-keys* surviving entries to the new epoch after repairing
-// them, see PlacementDaemon::on_event).
+// Keys are the three content fingerprints that determine a placement: DAG
+// structure, algorithm variant and fault model. The cluster's failure
+// state is not part of the key: the daemon keeps every cached entry
+// current for the live failure set, replacing the entries an event breaks
+// in place (update_all) and recording the epoch each placement was
+// published at in CachedPlacement::epoch.
 //
 // The cache is a fixed slab: a vector of nodes carrying an intrusive
 // MRU→LRU list plus a hash index over it. A hit is allocation-free — one
@@ -30,15 +30,13 @@
 
 namespace streamsched {
 
-/// What determines an admitted placement. `epoch` is the daemon's platform
-/// epoch; the other three are stable content fingerprints
-/// (core/fingerprint.hpp). The platform itself needs no component: a
-/// daemon serves exactly one platform, and epoch covers its failure state.
+/// What determines an admitted placement: stable content fingerprints
+/// (core/fingerprint.hpp). The platform needs no component: a daemon
+/// serves exactly one platform and keeps its entries current for it.
 struct CacheKey {
   std::uint64_t dag = 0;
   std::uint64_t variant = 0;
   std::uint64_t model = 0;
-  std::uint64_t epoch = 0;
 
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };
@@ -56,7 +54,6 @@ struct CacheKeyHash {
     };
     mix(k.variant);
     mix(k.model);
-    mix(k.epoch);
     return static_cast<std::size_t>(h);
   }
 };
@@ -76,23 +73,24 @@ class ScheduleCache {
   /// hit or a miss. Allocation-free.
   [[nodiscard]] std::shared_ptr<const CachedPlacement> find(const CacheKey& key);
 
+  /// The cached placement for `key`, or nullptr, without touching recency
+  /// or stats — for the daemon's own bookkeeping, not for serving.
+  [[nodiscard]] std::shared_ptr<const CachedPlacement> peek(const CacheKey& key) const;
+
   /// Inserts (or replaces) the placement for `key` at MRU, evicting the
   /// LRU tail beyond capacity.
   void insert(const CacheKey& key, std::shared_ptr<const CachedPlacement> placement);
 
-  /// Removes `key`; false when absent.
-  bool erase(const CacheKey& key);
-
-  /// Epoch transition: walks every entry MRU→LRU, calls `update` on it,
-  /// and re-keys the survivors to `new_epoch`. `update` returns the
-  /// placement to keep (the same pointer — copy-free — or a repaired copy)
-  /// or nullptr to drop the entry (beyond repair). Recency order is
+  /// Event transition: walks every entry MRU→LRU and calls `update` on
+  /// it. `update` returns the placement to keep under the same key (the
+  /// same pointer — copy-free — or a repaired copy) or nullptr to drop the
+  /// entry (beyond repair; counted as an eviction). Recency order is
   /// preserved.
-  void update_all(std::uint64_t new_epoch,
-                  const std::function<std::shared_ptr<const CachedPlacement>(
+  void update_all(const std::function<std::shared_ptr<const CachedPlacement>(
                       const std::shared_ptr<const CachedPlacement>&)>& update);
 
-  void clear();
+  /// Number of cached placements serving degraded (a walk, no copies).
+  [[nodiscard]] std::size_t degraded_count() const;
 
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

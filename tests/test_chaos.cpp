@@ -322,6 +322,10 @@ TEST(SnapshotGenerations, RotatesAndPrunesOldestBeyondKeep) {
   request.variant = AlgoVariant("rltf");
   request.model = FaultModel::count(1);
   ASSERT_TRUE(daemon.admit(std::move(request)).ok);
+  // A bare <base> file is not a generation: it is never listed, pruned or
+  // loaded, even when it holds an intact snapshot.
+  (void)save_cache_snapshot(daemon, base.path);
+  const std::string bare = read_file(base.path);
 
   for (int i = 0; i < 6; ++i) (void)save_cache_generation(daemon, base.path, 3);
   const auto generations = list_snapshot_generations(base.path);
@@ -329,6 +333,7 @@ TEST(SnapshotGenerations, RotatesAndPrunesOldestBeyondKeep) {
   EXPECT_EQ(generations[0].seq, 6u);  // newest first
   EXPECT_EQ(generations[1].seq, 5u);
   EXPECT_EQ(generations[2].seq, 4u);
+  EXPECT_EQ(read_file(base.path), bare);
 
   PlacementDaemon restored(small_platform(), DaemonConfig{});
   const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.path);
@@ -336,6 +341,13 @@ TEST(SnapshotGenerations, RotatesAndPrunesOldestBeyondKeep) {
   EXPECT_EQ(loaded.path, base.path + ".g6");
   EXPECT_EQ(loaded.rejected, 0u);
   EXPECT_EQ(loaded.stats.restored, 1u);
+
+  for (const SnapshotGeneration& gen : generations) write_file(gen.path, "torn\n");
+  PlacementDaemon cold(small_platform(), DaemonConfig{});
+  const GenerationLoadResult none = load_newest_cache_generation(cold, base.path);
+  EXPECT_FALSE(none.loaded);
+  EXPECT_EQ(none.rejected, 3u);
+  EXPECT_EQ(cold.cache_size(), 0u);
 }
 
 TEST(SnapshotGenerations, LoadFallsBackPastCorruptAndTruncatedGenerations) {
@@ -364,23 +376,6 @@ TEST(SnapshotGenerations, LoadFallsBackPastCorruptAndTruncatedGenerations) {
   EXPECT_EQ(loaded.rejected, 2u);
   ASSERT_EQ(restored.cache_size(), 1u);
   EXPECT_EQ(schedule_fingerprint(restored.snapshot_entries().front()->schedule), fp);
-}
-
-TEST(SnapshotGenerations, LegacyBareSnapshotFileStillLoads) {
-  const FileGuard base(unique_path("gen_legacy", ".snapshot"));
-  PlacementDaemon daemon(small_platform(), DaemonConfig{});
-  PlacementRequest request;
-  request.dag = small_dag(406);
-  request.variant = AlgoVariant("rltf");
-  request.model = FaultModel::count(1);
-  ASSERT_TRUE(daemon.admit(std::move(request)).ok);
-  (void)save_cache_snapshot(daemon, base.path);  // pre-rotation layout
-
-  PlacementDaemon restored(small_platform(), DaemonConfig{});
-  const GenerationLoadResult loaded = load_newest_cache_generation(restored, base.path);
-  EXPECT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.path, base.path);
-  EXPECT_EQ(loaded.stats.restored, 1u);
 }
 
 TEST(SnapshotGenerations, ServerKilledMidSnapshotRestartsWarmFromNewestIntactGeneration) {
@@ -809,23 +804,29 @@ std::string chaos_run(std::uint64_t seed, const std::string& sock_path) {
   constexpr std::uint64_t kWorkloads = 6;
   std::string digest;
   for (std::uint64_t i = 0; i < kWorkloads; ++i) {
-    const net::Response resp =
-        client.submit(frame_for(700 + i, "c" + std::to_string(i)));
+    std::string tag = "c";
+    tag += std::to_string(i);
+    const net::Response resp = client.submit(frame_for(700 + i, tag));
     EXPECT_TRUE(resp.ok) << resp.message;  // 100% eventual admission success
-    digest += "c" + std::to_string(i) + ":" + resp.field("fp") + ";";
+    digest += tag;
+    digest += ':';
+    digest += resp.field("fp");
+    digest += ';';
   }
   // Resubmitting every workload hits the cache: no fingerprint is ever
   // cold-scheduled twice, no matter how many retries the chaos forced.
   for (std::uint64_t i = 0; i < kWorkloads; ++i) {
-    const net::Response resp =
-        client.submit(frame_for(700 + i, "r" + std::to_string(i)));
+    std::string tag = "r";
+    tag += std::to_string(i);
+    const net::Response resp = client.submit(frame_for(700 + i, tag));
     EXPECT_TRUE(resp.ok) << resp.message;
     EXPECT_EQ(resp.field("src"), "hit");
   }
   const net::Response stats = client.stats();
   EXPECT_TRUE(stats.ok);
   EXPECT_EQ(stats.field_u64("cold"), kWorkloads);  // zero duplicate admissions
-  digest += "cold=" + stats.field("cold");
+  digest += "cold=";
+  digest += stats.field("cold");
   // The chaos was real: the plan injected faults the client had to absorb.
   EXPECT_GT(plan.counters().injected(), 0u);
   return digest;

@@ -56,6 +56,18 @@ using test::ServerHandle;
 using test::unique_path;
 using test::write_file;
 
+/// Replaces the checksum line of an edited snapshot with a valid one, so
+/// only the edit itself can make the load fail.
+std::string reseal(std::string content) {
+  const std::size_t checksum_pos = content.rfind("checksum ");
+  EXPECT_NE(checksum_pos, std::string::npos);
+  content.erase(checksum_pos);
+  char sealed[32];
+  std::snprintf(sealed, sizeof sealed, "checksum %016llx\n",
+                static_cast<unsigned long long>(Fnv64().str(content).value()));
+  return content + sealed;
+}
+
 // ------------------------------------------------------------- persistence --
 
 TEST(CachePersistence, RoundTripIsBitIdentical) {
@@ -134,6 +146,20 @@ TEST(CachePersistence, RejectsCorruptedTruncatedAndForeignSnapshots) {
   write_file(mangled.path, "#some-other-format v9\n" + original);
   EXPECT_THROW((void)load_cache_snapshot(target, mangled.path), SnapshotError);
 
+  // Only v2 loads: the v1 magic is rejected even under a valid checksum.
+  const std::string v2_magic = "#streamsched-cache v2";
+  ASSERT_EQ(original.rfind(v2_magic, 0), 0u);
+  write_file(mangled.path, reseal("#streamsched-cache v1" + original.substr(v2_magic.size())));
+  EXPECT_THROW((void)load_cache_snapshot(target, mangled.path), SnapshotError);
+
+  // An entry without eps_have= cannot state its deficit: the file goes.
+  std::string no_have = original;
+  const std::size_t have_pos = no_have.find(" eps_have=");
+  ASSERT_NE(have_pos, std::string::npos);
+  no_have.erase(have_pos, no_have.find(' ', have_pos + 1) - have_pos);
+  write_file(mangled.path, reseal(no_have));
+  EXPECT_THROW((void)load_cache_snapshot(target, mangled.path), SnapshotError);
+
   // A snapshot taken against a different cluster must not seed the cache.
   PlacementDaemon other(small_platform(6), DaemonConfig{});
   EXPECT_THROW((void)load_cache_snapshot(other, snap.path), SnapshotError);
@@ -163,13 +189,7 @@ TEST(CachePersistence, TamperedReliabilityClaimDropsTheEntryOnly) {
   const std::size_t value_end = content.find(' ', rel_pos + 1);
   ASSERT_NE(value_end, std::string::npos);
   content.replace(rel_pos, value_end - rel_pos, " rel=0.99999999999");
-  const std::size_t checksum_pos = content.rfind("checksum ");
-  ASSERT_NE(checksum_pos, std::string::npos);
-  content.erase(checksum_pos);
-  char sealed[32];
-  std::snprintf(sealed, sizeof sealed, "checksum %016llx\n",
-                static_cast<unsigned long long>(Fnv64().str(content).value()));
-  write_file(snap.path, content + sealed);
+  write_file(snap.path, reseal(content));
 
   PlacementDaemon target(small_platform(), DaemonConfig{});
   const SnapshotLoadStats loaded = load_cache_snapshot(target, snap.path);
@@ -269,57 +289,11 @@ TEST(CachePersistence, LaunderedDegradedFlagRejectsTheWholeSnapshot) {
   const std::size_t flag_pos = content.find(" degraded=1");
   ASSERT_NE(flag_pos, std::string::npos) << "expected a degraded entry in the snapshot";
   content.replace(flag_pos, std::string(" degraded=1").size(), " degraded=0");
-  const std::size_t checksum_pos = content.rfind("checksum ");
-  ASSERT_NE(checksum_pos, std::string::npos);
-  content.erase(checksum_pos);
-  char sealed[32];
-  std::snprintf(sealed, sizeof sealed, "checksum %016llx\n",
-                static_cast<unsigned long long>(Fnv64().str(content).value()));
-  write_file(snap.path, content + sealed);
+  write_file(snap.path, reseal(content));
 
   PlacementDaemon target(small_platform(5, 5), dcfg);
   EXPECT_THROW((void)load_cache_snapshot(target, snap.path), SnapshotError);
   EXPECT_EQ(target.cache_size(), 0u);
-}
-
-TEST(CachePersistence, V1SnapshotsWithoutDeficitFieldsStillLoad) {
-  const FileGuard snap(unique_path("snap_v1", ".snapshot"));
-  PlacementDaemon source(small_platform(), DaemonConfig{});
-  ASSERT_TRUE(source.admit(request_for(161, FaultModel::count(1))).ok);
-  (void)save_cache_snapshot(source, snap.path);
-
-  // Rewrite the v2 file as the v1 format it supersedes: old magic, no
-  // degraded=/eps_have=/eps_want= entry fields, fresh checksum. Pre-ladder
-  // snapshots carried no deficits, so the loader must default their
-  // entries to the full guarantee.
-  std::string content = read_file(snap.path);
-  const std::size_t magic_pos = content.find("#streamsched-cache v2");
-  ASSERT_EQ(magic_pos, 0u) << "snapshot header is not the v2 magic";
-  content.replace(magic_pos, std::string("#streamsched-cache v2").size(),
-                  "#streamsched-cache v1");
-  const std::size_t deficit_pos = content.find(" degraded=");
-  ASSERT_NE(deficit_pos, std::string::npos);
-  const std::size_t line_end = content.find('\n', deficit_pos);
-  ASSERT_NE(line_end, std::string::npos);
-  content.erase(deficit_pos, line_end - deficit_pos);
-  ASSERT_EQ(content.find(" eps_have="), std::string::npos);
-  const std::size_t checksum_pos = content.rfind("checksum ");
-  ASSERT_NE(checksum_pos, std::string::npos);
-  content.erase(checksum_pos);
-  char sealed[32];
-  std::snprintf(sealed, sizeof sealed, "checksum %016llx\n",
-                static_cast<unsigned long long>(Fnv64().str(content).value()));
-  write_file(snap.path, content + sealed);
-
-  PlacementDaemon target(small_platform(), DaemonConfig{});
-  const SnapshotLoadStats loaded = load_cache_snapshot(target, snap.path);
-  EXPECT_EQ(loaded.entries, 1u);
-  EXPECT_EQ(loaded.restored, 1u);
-  const auto entries = target.snapshot_entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_FALSE(entries[0]->degraded);
-  EXPECT_EQ(entries[0]->eps_have, entries[0]->eps_want);
-  expect_sealed_entries(target);
 }
 
 // ------------------------------------------------------------- wire server --

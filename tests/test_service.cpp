@@ -1,8 +1,8 @@
 // Placement-service suite: stable fingerprints (core/fingerprint.hpp),
-// the LRU schedule cache (hit/miss/eviction/epoch invalidation/collision
-// handling), the event bus, and the daemon's serving contract — cache hits
-// after a cold admission, epoch bumps with copy-free re-keying on
-// recovery, incremental event repair whose result matches a fresh
+// the LRU schedule cache (hit/miss/eviction/collision handling, peek and
+// the degraded count), the event bus, and the daemon's serving contract —
+// cache hits after a cold admission, epoch bumps that keep entries
+// copy-free on recovery, incremental event repair whose result matches a fresh
 // reschedule on feasibility (both survive the live failure set, both keep
 // the model guarantee), and the async submit path on the shared pool.
 #include <gtest/gtest.h>
@@ -111,9 +111,9 @@ TEST(ScheduleCache, HitMissAndLruEviction) {
   const auto p1 = make_placement(1);
   const auto p2 = make_placement(2);
   const auto p3 = make_placement(3);
-  const CacheKey k1{1, 0, 0, 0};
-  const CacheKey k2{2, 0, 0, 0};
-  const CacheKey k3{3, 0, 0, 0};
+  const CacheKey k1{1, 0, 0};
+  const CacheKey k2{2, 0, 0};
+  const CacheKey k3{3, 0, 0};
 
   EXPECT_EQ(cache.find(k1), nullptr);
   cache.insert(k1, p1);
@@ -138,14 +138,13 @@ TEST(ScheduleCache, HitMissAndLruEviction) {
 TEST(ScheduleCache, EpochInvalidatesAndCollisionsCompareFullKeys) {
   ScheduleCache cache(4);
   const auto p = make_placement(1);
-  cache.insert(CacheKey{7, 8, 9, 0}, p);
-  // Same fingerprints at another epoch: a different key entirely.
-  EXPECT_EQ(cache.find(CacheKey{7, 8, 9, 1}), nullptr);
+  cache.insert(CacheKey{7, 8, 9}, p);
   // Keys differing in a single component never alias (full equality is
   // checked behind the hash).
-  EXPECT_EQ(cache.find(CacheKey{7, 8, 10, 0}), nullptr);
-  EXPECT_EQ(cache.find(CacheKey{6, 8, 9, 0}), nullptr);
-  EXPECT_NE(cache.find(CacheKey{7, 8, 9, 0}), nullptr);
+  EXPECT_EQ(cache.find(CacheKey{7, 8, 10}), nullptr);
+  EXPECT_EQ(cache.find(CacheKey{7, 9, 9}), nullptr);
+  EXPECT_EQ(cache.find(CacheKey{6, 8, 9}), nullptr);
+  EXPECT_NE(cache.find(CacheKey{7, 8, 9}), nullptr);
 }
 
 TEST(ScheduleCache, UpdateAllRekeysDropsAndPreservesRecency) {
@@ -153,13 +152,13 @@ TEST(ScheduleCache, UpdateAllRekeysDropsAndPreservesRecency) {
   const auto p1 = make_placement(1);
   const auto p2 = make_placement(2);
   const auto p3 = make_placement(3);
-  cache.insert(CacheKey{1, 0, 0, 0}, p1);
-  cache.insert(CacheKey{2, 0, 0, 0}, p2);
-  cache.insert(CacheKey{3, 0, 0, 0}, p3);
+  cache.insert(CacheKey{1, 0, 0}, p1);
+  cache.insert(CacheKey{2, 0, 0}, p2);
+  cache.insert(CacheKey{3, 0, 0}, p3);
 
   // Keep 1 and 3 (same pointers), drop 2.
-  cache.update_all(5, [&](const std::shared_ptr<const CachedPlacement>& cur)
-                          -> std::shared_ptr<const CachedPlacement> {
+  cache.update_all([&](const std::shared_ptr<const CachedPlacement>& cur)
+                       -> std::shared_ptr<const CachedPlacement> {
     if (cur.get() == p2.get()) return nullptr;
     return cur;
   });
@@ -167,11 +166,65 @@ TEST(ScheduleCache, UpdateAllRekeysDropsAndPreservesRecency) {
   EXPECT_EQ(cache.stats().evictions, 1u);
   const std::vector<CacheKey> keys = cache.keys_mru();
   ASSERT_EQ(keys.size(), 2u);
-  // MRU order preserved: 3 (most recent insert) then 1; both at epoch 5.
-  EXPECT_EQ(keys[0], (CacheKey{3, 0, 0, 5}));
-  EXPECT_EQ(keys[1], (CacheKey{1, 0, 0, 5}));
-  EXPECT_EQ(cache.find(CacheKey{1, 0, 0, 5}).get(), p1.get());
-  EXPECT_EQ(cache.find(CacheKey{2, 0, 0, 5}), nullptr);
+  // MRU order preserved: 3 (most recent insert) then 1.
+  EXPECT_EQ(keys[0], (CacheKey{3, 0, 0}));
+  EXPECT_EQ(keys[1], (CacheKey{1, 0, 0}));
+  EXPECT_EQ(cache.find(CacheKey{1, 0, 0}).get(), p1.get());
+  EXPECT_EQ(cache.find(CacheKey{2, 0, 0}), nullptr);
+}
+
+TEST(ScheduleCache, DegradedCountAndPeekMatchABruteForceWalk) {
+  ScheduleCache cache(3);
+  const auto healthy = make_placement(1);
+  auto copy = std::make_shared<CachedPlacement>(*healthy);
+  copy->degraded = true;
+  const std::shared_ptr<const CachedPlacement> degraded = std::move(copy);
+  const CacheKey k1{1, 0, 0};
+  const CacheKey k2{2, 0, 0};
+  const CacheKey k3{3, 0, 0};
+  const CacheKey k4{4, 0, 0};
+
+  // Recounts through entries_lru() and checks degraded_count() and peek()
+  // against it; peek must neither count nor bump recency.
+  const auto expect_walk = [&](std::size_t degraded_entries) {
+    const auto entries = cache.entries_lru();
+    std::size_t walked = 0;
+    for (const auto& entry : entries) walked += entry.second->degraded ? 1 : 0;
+    EXPECT_EQ(walked, degraded_entries);
+    EXPECT_EQ(cache.degraded_count(), walked);
+    const ScheduleCache::Stats before = cache.stats();
+    const std::vector<CacheKey> order = cache.keys_mru();
+    for (const CacheKey& key : {k1, k2, k3, k4}) {
+      std::shared_ptr<const CachedPlacement> found;
+      for (const auto& entry : entries) {
+        if (entry.first == key) found = entry.second;
+      }
+      EXPECT_EQ(cache.peek(key), found);
+    }
+    EXPECT_EQ(cache.stats().hits, before.hits);
+    EXPECT_EQ(cache.stats().misses, before.misses);
+    EXPECT_EQ(cache.keys_mru(), order);
+  };
+
+  cache.insert(k1, degraded);
+  cache.insert(k2, healthy);
+  cache.insert(k3, degraded);
+  expect_walk(2);
+  cache.insert(k2, degraded);  // replace: MRU k2, k3, k1
+  expect_walk(3);
+  cache.insert(k1, healthy);  // replace: MRU k1, k2, k3
+  expect_walk(2);
+  cache.insert(k4, healthy);  // evicts the LRU k3
+  EXPECT_EQ(cache.peek(k3), nullptr);
+  expect_walk(1);
+  cache.update_all([&](const std::shared_ptr<const CachedPlacement>& cur)
+                       -> std::shared_ptr<const CachedPlacement> {
+    return cur == degraded ? nullptr : cur;  // drops k2
+  });
+  EXPECT_EQ(cache.size(), 2u);
+  expect_walk(0);
+  cache.update_all([&](const std::shared_ptr<const CachedPlacement>&) { return degraded; });
+  expect_walk(2);
 }
 
 // ------------------------------------------------------------- event bus --
@@ -308,9 +361,7 @@ bool kills_a_task(const Schedule& s, ProcId a, ProcId b) {
 
 TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
   EventBus bus;
-  DaemonConfig config;
-  config.verify_repairs = true;
-  PlacementDaemon daemon(small_platform(), config, &bus);
+  PlacementDaemon daemon(small_platform(), DaemonConfig{}, &bus);
 
   std::vector<PlacementResponse> admitted;
   for (std::uint64_t seed : {21u, 22u, 23u}) {
@@ -441,8 +492,8 @@ TEST(PlacementDaemon, RecoveryRekeysCopyFree) {
   const PlacementResponse after_recovery = daemon.admit(request_for(41));
   ASSERT_TRUE(after_recovery.ok);
   EXPECT_TRUE(after_recovery.cache_hit);
-  // Recovery re-keys without copying: the post-failure placement object
-  // survives verbatim.
+  // Recovery keeps the entry without copying: the post-failure placement
+  // object survives verbatim.
   EXPECT_EQ(after_recovery.placement.get(), after_fail.placement.get());
 }
 
