@@ -10,11 +10,14 @@
 //     schedule with exact estimates, including the incremental
 //     killing-set cache, in two labelled shapes: `low_p` (m ∈ {16, 32},
 //     truncation loosened so m = 32 stays enumerable) and `cold_prob`
-//     (the service's `prob:R=0.999` admission at m = 16).
+//     (the service's `prob:R=0.999` admission at m = 16); plus the count
+//     repair `repair_fault_tolerance` in shape `cold_count` (the service's
+//     `count:eps=2` admission at m = 16), in repair rounds/sec.
 //
 // Results are printed and written to `--json` (default BENCH_survival.json)
 // via bench/emit_bench_json.hpp. CI compares the fresh m = 16 exact
-// sets/sec against the committed file with scripts/check_bench_floor.py.
+// sets/sec and the `cold_count` repair rounds/sec against the committed
+// file with scripts/check_bench_floor.py.
 //
 // Flags: --mc-samples N (default 20000), --reps N (timing repetitions,
 // best-of; default 3), --seed S, --eps E (replication degree of the
@@ -25,6 +28,7 @@
 
 #include "core/rltf.hpp"
 #include "emit_bench_json.hpp"
+#include "exp/workload.hpp"
 #include "graph/generators.hpp"
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
@@ -184,6 +188,45 @@ int main(int argc, char** argv) {
     const Platform platform = make_reliability_heterogeneous(rng, 16, 0.02, 0.08);
     const Dag dag = make_random_layered(rng, 26, 4, 0.4, WeightRanges{});
     bench_repair("cold_prob", 16, dag, platform, 3, ReliabilityOptions{}, 0.999);
+  }
+
+  // `cold_count`: the shape of the service benchmark's cold `count:eps=2`
+  // admissions — R-LTF on a fresh 52-task DAG at m = 16, the period
+  // calibrated at headroom 4 — without the scheduler's own repair, so
+  // `repair_fault_tolerance` runs the few hundred count-repair rounds an
+  // R-LTF admission pays.
+  {
+    Rng rng(seed + 0xc0c0ULL);
+    const Platform platform = make_reliability_heterogeneous(rng, 16, 0.02, 0.08);
+    const Dag dag = make_random_layered(rng, 52, 4, 0.4, WeightRanges{});
+    constexpr CopyId kCountEps = 2;
+    SchedulerOptions options;
+    options.eps = kCountEps;
+    options.period = calibrate_period(dag, platform, kCountEps, 4.0, 1.0);
+    options.repair = false;  // leave the counterexamples for repair_fault_tolerance
+    const ScheduleResult r = rltf_schedule(dag, platform, options);
+    if (!r.ok()) {
+      std::cerr << "repair cold_count m=16: scheduling failed (" << r.error << "), skipping\n";
+    } else {
+      RepairStats stats;
+      const double t = best_seconds(reps, [&] {
+        Schedule clone = *r.schedule;
+        stats = repair_fault_tolerance(clone, kCountEps);
+      });
+      const double rate = static_cast<double>(stats.rounds) / t;
+      std::cout << "repair cold_count m=16  rounds=" << stats.rounds
+                << "  added=" << stats.added_comms << "  " << t * 1e3 << "ms  " << rate / 1e3
+                << "k rounds/s\n";
+      doc.add_result()
+          .add("m", static_cast<std::uint64_t>(16))
+          .add("mode", "repair")
+          .add("shape", "cold_count")
+          .add("rounds", static_cast<std::uint64_t>(stats.rounds))
+          .add("added_comms", static_cast<std::uint64_t>(stats.added_comms))
+          .add("success", stats.success)
+          .add("seconds", t)
+          .add("rounds_per_sec", rate);
+    }
   }
 
   doc.write(json_path);

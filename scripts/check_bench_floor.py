@@ -5,12 +5,13 @@
 
 FRESH is the JSON a bench run just wrote; COMMITTED is the checked-in
 file of the same bench (BENCH_survival.json or BENCH_sim.json). The
-compared value is the m = 16 row:
+compared rows:
 
-  * survival_kernel: exact-mode `sets_per_sec`;
-  * sim_engine: `trials_per_sec` of the crash-trial loop.
+  * survival_kernel: the m = 16 exact-mode `sets_per_sec`, and the
+    `cold_count` count-repair `rounds_per_sec`;
+  * sim_engine: the m = 16 `trials_per_sec` of the crash-trial loop.
 
-Fails (exit 1) when the fresh value is below a quarter of the committed
+Fails (exit 1) when any fresh value is below a quarter of the committed
 one. A quarter sits below the run-to-run spread of shared runners and
 still catches a slide back toward per-set or per-call speeds, which are
 one to two orders of magnitude slower.
@@ -20,38 +21,50 @@ import sys
 
 FLOOR = 0.25
 
-# bench name -> (mode of the compared m = 16 row, compared field)
+# bench name -> compared rows: (label, fields a row must match, compared field)
 ROWS = {
-    "survival_kernel": ("exact", "sets_per_sec"),
-    "sim_engine": ("trials", "trials_per_sec"),
+    "survival_kernel": [
+        ("m=16 exact", {"m": 16, "mode": "exact"}, "sets_per_sec"),
+        ("cold_count repair", {"mode": "repair", "shape": "cold_count"}, "rounds_per_sec"),
+    ],
+    "sim_engine": [
+        ("m=16 trials", {"m": 16, "mode": "trials"}, "trials_per_sec"),
+    ],
 }
 
 
-def m16_value(path):
+def compared_values(path):
+    """Returns (bench, [(label, field, value), ...]) for the rows ROWS names."""
     with open(path) as f:
         doc = json.load(f)
     bench = doc.get("bench")
     if bench not in ROWS:
         sys.exit(f"{path}: unknown bench {bench!r}")
-    mode, field = ROWS[bench]
-    rows = [r for r in doc.get("results", []) if r.get("m") == 16 and r.get("mode") == mode]
-    if len(rows) != 1 or not isinstance(rows[0].get(field), (int, float)):
-        sys.exit(f"{path}: expected one m=16 row with a numeric {field}")
-    return bench, field, float(rows[0][field])
+    values = []
+    for label, match, field in ROWS[bench]:
+        rows = [r for r in doc.get("results", [])
+                if all(r.get(k) == v for k, v in match.items())]
+        if len(rows) != 1 or not isinstance(rows[0].get(field), (int, float)):
+            sys.exit(f"{path}: expected one {label} row with a numeric {field}")
+        values.append((label, field, float(rows[0][field])))
+    return bench, values
 
 
 def main(argv):
     if len(argv) != 3:
         sys.exit("usage: scripts/check_bench_floor.py FRESH COMMITTED")
-    fresh_bench, field, fresh = m16_value(argv[1])
-    committed_bench, _, committed = m16_value(argv[2])
+    fresh_bench, fresh_values = compared_values(argv[1])
+    committed_bench, committed_values = compared_values(argv[2])
     if fresh_bench != committed_bench:
         sys.exit(f"bench mismatch: {fresh_bench} vs {committed_bench}")
-    floor = FLOOR * committed
-    verdict = "ok" if fresh >= floor else "BELOW FLOOR"
-    print(f"{fresh_bench} m=16 {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
-          f"floor {floor:.6g} ({FLOOR:g}x) -> {verdict}")
-    return 0 if fresh >= floor else 1
+    ok = True
+    for (label, field, fresh), (_, _, committed) in zip(fresh_values, committed_values):
+        floor = FLOOR * committed
+        verdict = "ok" if fresh >= floor else "BELOW FLOOR"
+        ok = ok and fresh >= floor
+        print(f"{fresh_bench} {label} {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
+              f"floor {floor:.6g} ({FLOOR:g}x) -> {verdict}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 #include "core/build_state.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/assert.hpp"
@@ -14,119 +13,104 @@ BuildState::BuildState(const Dag& dag, const Platform& platform, CopyId eps, dou
       schedule_(dag, platform, eps, period),
       proc_free_(platform.num_procs(), 0.0),
       send_free_(platform.num_procs(), 0.0),
-      recv_free_(platform.num_procs(), 0.0) {}
+      recv_free_(platform.num_procs(), 0.0),
+      added_cout_(platform.num_procs(), 0.0) {}
 
 double BuildState::arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const {
   const PlacedReplica& p = schedule_.placed(src);
   return p.finish + platform_->comm_time(dag_->edge(edge).volume, p.proc, dst);
 }
 
-BuildState::Candidate BuildState::evaluate(
-    TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers) const {
-  const auto preds = dag_->predecessors(task);
-  SS_REQUIRE(suppliers.size() == preds.size(),
+void BuildState::evaluate(TaskId task, ProcId u,
+                          const std::vector<std::vector<ReplicaRef>>& suppliers,
+                          Candidate& out) const {
+  const auto in = dag_->in_edges(task);
+  SS_REQUIRE(suppliers.size() == in.size(),
              "need one supplier set per predecessor, in predecessor order");
-
-  Candidate cand;
-  cand.proc = u;
+  out.proc = u;
+  out.suppliers.clear();
 
   const double period = schedule_.period();
   const double exec = platform_->exec_time(dag_->work(task), u);
 
-  // Compute-load part of condition (1).
-  bool loads_ok = schedule_.sigma(u) + exec <= period;
-
-  // Plan every supplier communication under greedy FCFS port reservation,
-  // using scratch copies of the cursors (commit re-runs this plan).
-  struct Planned {
-    std::size_t pred_index;
-    SupplierUse use;
-    std::uint32_t src_stage;
-  };
-  std::vector<Planned> planned;
-  double recv_cursor = recv_free_[u];
-  std::vector<double> send_cursor = send_free_;  // m is small; copying is fine
-  double added_cin = 0.0;
-  std::vector<double> added_cout(platform_->num_procs(), 0.0);
-
-  // Reserve ports in increasing source-finish order (FCFS by data-ready
-  // time), deterministic tie-break by replica identity.
-  std::vector<std::pair<std::size_t, ReplicaRef>> order;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
+  // Copy every supplier's placement once, in the order the ports are
+  // reserved: increasing source finish (FCFS by data-ready time),
+  // deterministic tie-break by replica identity.
+  sources_.clear();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const TaskId pred = dag_->edge(in[i]).src;
     SS_REQUIRE(!suppliers[i].empty(), "empty supplier set for a predecessor");
     for (ReplicaRef src : suppliers[i]) {
-      SS_REQUIRE(src.task == preds[i], "supplier does not belong to the right predecessor");
-      order.emplace_back(i, src);
+      SS_REQUIRE(src.task == pred, "supplier does not belong to the right predecessor");
+      const PlacedReplica& p = schedule_.placed(src);
+      sources_.push_back(
+          Source{p.finish, src, p.proc, p.stage, static_cast<std::uint32_t>(i), in[i], 0.0});
     }
   }
-  std::sort(order.begin(), order.end(),
-            [&](const auto& a, const auto& b) {
-              const double fa = schedule_.placed(a.second).finish;
-              const double fb = schedule_.placed(b.second).finish;
-              if (fa != fb) return fa < fb;
-              return a.second < b.second;
-            });
+  std::sort(sources_.begin(), sources_.end(), [](const Source& a, const Source& b) {
+    if (a.finish != b.finish) return a.finish < b.finish;
+    return a.src < b.src;
+  });
 
-  for (const auto& [pred_index, src] : order) {
-    const PlacedReplica& sp = schedule_.placed(src);
-    Planned item;
-    item.pred_index = pred_index;
-    item.use.src = src;
-    item.use.edge = dag_->find_edge(preds[pred_index], task);
-    item.src_stage = sp.stage;
-    if (sp.proc == u) {
-      item.use.remote = false;
-      item.use.comm_start = sp.finish;
-      item.use.arrival = sp.finish;
-    } else {
-      const double duration =
-          platform_->comm_time(dag_->edge(item.use.edge).volume, sp.proc, u);
-      const double start = std::max({sp.finish, send_cursor[sp.proc], recv_cursor});
-      item.use.remote = true;
-      item.use.comm_start = start;
-      item.use.arrival = start + duration;
-      send_cursor[sp.proc] = item.use.arrival;
-      recv_cursor = item.use.arrival;
-      added_cin += duration;
-      added_cout[sp.proc] += duration;
-    }
-    planned.push_back(item);
+  // Condition (1): the compute load, then the port loads of the remote
+  // supplier communications, summed in reservation order. A candidate
+  // that fails it is rejected before any port time is planned.
+  bool loads_ok = schedule_.sigma(u) + exec <= period;
+  double added_cin = 0.0;
+  for (Source& src : sources_) {
+    if (src.proc == u) continue;
+    src.duration = platform_->comm_time(dag_->edge(src.edge).volume, src.proc, u);
+    added_cin += src.duration;
+    added_cout_[src.proc] += src.duration;
   }
-
-  // Port-load parts of condition (1).
   if (schedule_.cin(u) + added_cin > period) loads_ok = false;
-  for (ProcId h = 0; h < platform_->num_procs(); ++h) {
-    if (added_cout[h] > 0.0 && schedule_.cout(h) + added_cout[h] > period) loads_ok = false;
+  for (const Source& src : sources_) {
+    if (src.proc == u) continue;
+    double& added = added_cout_[src.proc];
+    if (added > 0.0 && schedule_.cout(src.proc) + added > period) loads_ok = false;
+    added = 0.0;  // checked once per supplier processor; zero for the next call
+  }
+  out.valid = loads_ok;
+  if (!loads_ok) return;
+
+  // Plan every supplier communication under greedy FCFS port reservation,
+  // on scratch copies of the cursors (commit re-runs this plan).
+  send_cursor_.assign(send_free_.begin(), send_free_.end());
+  double recv_cursor = recv_free_[u];
+  earliest_.assign(in.size(), std::numeric_limits<double>::infinity());
+  // Paper stage rule: max over communicating suppliers of stage + η.
+  std::uint32_t stage = 1;
+  for (const Source& src : sources_) {
+    SupplierUse use;
+    use.src = src.src;
+    use.edge = src.edge;
+    if (src.proc == u) {
+      use.comm_start = src.finish;
+      use.arrival = src.finish;
+    } else {
+      use.remote = true;
+      use.comm_start = std::max({src.finish, send_cursor_[src.proc], recv_cursor});
+      use.arrival = use.comm_start + src.duration;
+      send_cursor_[src.proc] = use.arrival;
+      recv_cursor = use.arrival;
+    }
+    earliest_[src.pred_index] = std::min(earliest_[src.pred_index], use.arrival);
+    stage = std::max(stage, src.stage + (use.remote ? 1u : 0u));
+    out.suppliers.push_back(use);
   }
 
   // Readiness: earliest arrival per predecessor (ANY-of), latest over
   // predecessors overall.
   double ready = 0.0;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    double earliest = std::numeric_limits<double>::infinity();
-    for (const Planned& item : planned) {
-      if (item.pred_index == i) earliest = std::min(earliest, item.use.arrival);
-    }
-    ready = std::max(ready, earliest);
-  }
-
-  cand.start = std::max(ready, proc_free_[u]);
-  cand.finish = cand.start + exec;
-
-  // Paper stage rule: max over communicating suppliers of stage + η.
-  cand.stage = 1;
-  for (const Planned& item : planned) {
-    cand.stage = std::max(cand.stage, item.src_stage + (item.use.remote ? 1u : 0u));
-  }
-
-  cand.suppliers.reserve(planned.size());
-  for (const Planned& item : planned) cand.suppliers.push_back(item.use);
-  cand.valid = loads_ok;
-  return cand;
+  for (const double earliest : earliest_) ready = std::max(ready, earliest);
+  out.start = std::max(ready, proc_free_[u]);
+  out.finish = out.start + exec;
+  out.stage = stage;
 }
 
 void BuildState::commit(TaskId task, CopyId copy, const Candidate& candidate) {
   SS_REQUIRE(candidate.proc != kInvalidProc, "cannot commit an empty candidate");
+  SS_REQUIRE(candidate.valid, "cannot commit a candidate that violates condition (1)");
   const ProcId u = candidate.proc;
   schedule_.place(ReplicaRef{task, copy}, u, candidate.start, candidate.finish,
                   candidate.stage);

@@ -15,6 +15,7 @@
 // the per-task locked processor sets.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
@@ -37,7 +38,9 @@ class BuildState {
     bool remote = false;
   };
 
-  /// A fully planned placement of one replica on one processor.
+  /// A fully planned placement of one replica on one processor. An invalid
+  /// candidate (condition (1) fails) carries only `valid` and `proc`: its
+  /// times, stage and suppliers are unspecified, and commit refuses it.
   struct Candidate {
     bool valid = false;  ///< loads satisfy condition (1)
     ProcId proc = kInvalidProc;
@@ -52,9 +55,28 @@ class BuildState {
   /// predecessor, in dag.predecessors(task) order). ANY-of semantics: the
   /// replica may start at the earliest arrival per predecessor; every
   /// listed communication is reserved on the ports and counted against the
-  /// period budget.
+  /// period budget. Writes the plan into `out`, reusing its supplier
+  /// buffer, so a caller that keeps its candidates across evaluations
+  /// plans without allocating. Uses per-instance scratch: one BuildState
+  /// must not evaluate on two threads at once.
+  void evaluate(TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers,
+                Candidate& out) const;
+
+  /// Convenience form of the above returning a fresh candidate.
   [[nodiscard]] Candidate evaluate(TaskId task, ProcId u,
-                                   const std::vector<std::vector<ReplicaRef>>& suppliers) const;
+                                   const std::vector<std::vector<ReplicaRef>>& suppliers) const {
+    Candidate out;
+    evaluate(task, u, suppliers, out);
+    return out;
+  }
+
+  /// Min-finish selection over evaluated candidates: makes `cand` the
+  /// `best` when it is valid and finishes strictly earlier (ties keep the
+  /// earlier evaluation). Swaps instead of copying, so both supplier
+  /// buffers stay in use.
+  static void keep_earlier(Candidate& best, Candidate& cand) {
+    if (cand.valid && (!best.valid || cand.finish < best.finish)) std::swap(best, cand);
+  }
 
   /// Applies a valid candidate: places (task, copy), records the supplier
   /// communications and advances the timeline cursors and load counters.
@@ -76,12 +98,30 @@ class BuildState {
   [[nodiscard]] double arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const;
 
  private:
+  /// One supplier of the candidate under evaluation, copied out of the
+  /// schedule once and kept in port-reservation order.
+  struct Source {
+    double finish = 0.0;
+    ReplicaRef src;
+    ProcId proc = kInvalidProc;
+    std::uint32_t stage = 1;
+    std::uint32_t pred_index = 0;
+    EdgeId edge = kInvalidEdge;
+    double duration = 0.0;  ///< transfer time to the candidate processor
+  };
+
   const Dag* dag_;
   const Platform* platform_;
   Schedule schedule_;
   std::vector<double> proc_free_;
   std::vector<double> send_free_;
   std::vector<double> recv_free_;
+
+  // evaluate()'s scratch, reused across calls (hence mutable).
+  mutable std::vector<Source> sources_;
+  mutable std::vector<double> added_cout_;   // [proc], all zero between calls
+  mutable std::vector<double> send_cursor_;  // [proc]
+  mutable std::vector<double> earliest_;     // [predecessor index]
 };
 
 }  // namespace streamsched

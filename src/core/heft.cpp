@@ -30,6 +30,8 @@ ScheduleResult heft_schedule(const Dag& dag, const Platform& platform,
     return a < b;
   });
 
+  BuildState::Candidate best;
+  BuildState::Candidate cand;
   for (TaskId t : order) {
     const auto preds = dag.predecessors(t);
     std::vector<std::vector<ReplicaRef>> suppliers(preds.size());
@@ -37,12 +39,11 @@ ScheduleResult heft_schedule(const Dag& dag, const Platform& platform,
       for (CopyId c = 0; c < copies; ++c) suppliers[i].push_back({preds[i], c});
     }
     for (CopyId n = 0; n < copies; ++n) {
-      BuildState::Candidate best;
+      best.valid = false;
       for (ProcId u = 0; u < platform.num_procs(); ++u) {
         if (state.hosts_copy_of(t, u)) continue;
-        const BuildState::Candidate cand = state.evaluate(t, u, suppliers);
-        if (!cand.valid) continue;
-        if (!best.valid || cand.finish < best.finish) best = cand;
+        state.evaluate(t, u, suppliers, cand);
+        BuildState::keep_earlier(best, cand);
       }
       if (!best.valid) {
         return ScheduleResult::failure("HEFT: no processor can host task '" + dag.name(t) +

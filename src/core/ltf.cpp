@@ -26,20 +26,20 @@ struct ReadyEntry {
 };
 using ReadyList = std::priority_queue<ReadyEntry>;
 
-// Minimum-finish-time placement over feasible processors; `allowed`
-// filters candidate processors. Returns an invalid candidate if none fits.
-BuildState::Candidate best_feasible(const BuildState& state, TaskId task,
-                                    const std::vector<std::vector<ReplicaRef>>& suppliers,
-                                    const std::vector<bool>& allowed) {
-  BuildState::Candidate best;
+// Minimum-finish-time placement over feasible processors into `best`
+// (invalid if none fits); `locked` filters candidate processors unless
+// `respect_locks` is off. `cand` is the evaluation buffer.
+void best_feasible(const BuildState& state, TaskId task,
+                   const std::vector<std::vector<ReplicaRef>>& suppliers,
+                   const std::vector<bool>& locked, bool respect_locks,
+                   BuildState::Candidate& best, BuildState::Candidate& cand) {
+  best.valid = false;
   for (ProcId u = 0; u < state.num_procs(); ++u) {
-    if (!allowed[u]) continue;
+    if (respect_locks && locked[u]) continue;
     if (state.hosts_copy_of(task, u)) continue;
-    const BuildState::Candidate cand = state.evaluate(task, u, suppliers);
-    if (!cand.valid) continue;
-    if (!best.valid || cand.finish < best.finish) best = cand;
+    state.evaluate(task, u, suppliers, cand);
+    BuildState::keep_earlier(best, cand);
   }
-  return best;
 }
 
 }  // namespace
@@ -64,6 +64,12 @@ ScheduleResult ltf_schedule(const Dag& dag, const Platform& platform,
     waiting[t] = dag.in_degree(t);
     if (waiting[t] == 0) ready.push(ReadyEntry{prio[t], t});
   }
+
+  // Per-candidate buffers, reused for every placement.
+  OneToOneScratch one_to_one;
+  std::vector<std::vector<ReplicaRef>> suppliers;
+  BuildState::Candidate best;
+  BuildState::Candidate cand;
 
   std::size_t scheduled = 0;
   while (scheduled < dag.num_tasks()) {
@@ -91,7 +97,8 @@ ScheduleResult ltf_schedule(const Dag& dag, const Platform& platform,
         bool placed = false;
 
         if (contexts[k].available()) {
-          if (auto choice = plan_one_to_one(state, t, contexts[k], locked[k])) {
+          if (const OneToOneChoice* choice =
+                  plan_one_to_one(state, t, contexts[k], locked[k], one_to_one)) {
             state.commit(t, n, choice->candidate);
             locked[k][choice->candidate.proc] = true;
             for (ReplicaRef head : choice->heads) {
@@ -108,20 +115,18 @@ ScheduleResult ltf_schedule(const Dag& dag, const Platform& platform,
 
         if (!placed) {
           // Fallback: receive from all replicas of every predecessor.
-          const auto preds = dag.predecessors(t);
-          std::vector<std::vector<ReplicaRef>> suppliers(preds.size());
-          for (std::size_t i = 0; i < preds.size(); ++i) {
-            for (CopyId c = 0; c < copies; ++c) suppliers[i].push_back({preds[i], c});
+          const auto in = dag.in_edges(t);
+          suppliers.resize(in.size());
+          for (std::size_t i = 0; i < in.size(); ++i) {
+            suppliers[i].clear();
+            for (CopyId c = 0; c < copies; ++c) suppliers[i].push_back({dag.edge(in[i]).src, c});
           }
 
-          std::vector<bool> allowed(m);
-          for (ProcId u = 0; u < m; ++u) allowed[u] = !locked[k][u];
-          BuildState::Candidate best = best_feasible(state, t, suppliers, allowed);
+          best_feasible(state, t, suppliers, locked[k], true, best, cand);
           if (!best.valid) {
             // Relax the lock constraint ("use other processors"), never the
             // throughput constraint.
-            std::fill(allowed.begin(), allowed.end(), true);
-            best = best_feasible(state, t, suppliers, allowed);
+            best_feasible(state, t, suppliers, locked[k], false, best, cand);
           }
           if (!best.valid) {
             return ScheduleResult::failure(

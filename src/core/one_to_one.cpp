@@ -45,49 +45,51 @@ OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task) {
   return ctx;
 }
 
-std::optional<OneToOneChoice> plan_one_to_one(const BuildState& state, TaskId task,
-                                              const OneToOneContext& context,
-                                              const std::vector<bool>& locked) {
+const OneToOneChoice* plan_one_to_one(const BuildState& state, TaskId task,
+                                      const OneToOneContext& context,
+                                      const std::vector<bool>& locked, OneToOneScratch& scratch) {
   const Dag& dag = state.dag();
-  const auto preds = dag.predecessors(task);
+  const auto in = dag.in_edges(task);
+  OneToOneChoice& best = scratch.best;
+  OneToOneChoice& work = scratch.work;
+  best.candidate.valid = false;
+  scratch.suppliers.resize(in.size());
 
-  std::optional<OneToOneChoice> best;
   for (ProcId u = 0; u < state.num_procs(); ++u) {
     if (locked[u]) continue;
     if (state.hosts_copy_of(task, u)) continue;
 
     // Head per predecessor: the remaining replica whose data can reach u
     // the earliest (paper: sort B(t_i) by communication finish times).
-    std::vector<std::vector<ReplicaRef>> suppliers(preds.size());
-    std::vector<ReplicaRef> heads(preds.size());
+    // (work holds a former best after a swap, so size it per processor.)
+    work.heads.resize(in.size());
     bool feasible = true;
-    for (std::size_t i = 0; i < preds.size(); ++i) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
       if (context.remaining[i].empty()) {
         feasible = false;
         break;
       }
-      const EdgeId edge = dag.find_edge(preds[i], task);
       ReplicaRef head = context.remaining[i].front();
-      double best_arrival = state.arrival_estimate(head, edge, u);
+      double best_arrival = state.arrival_estimate(head, in[i], u);
       for (ReplicaRef cand : context.remaining[i]) {
-        const double arrival = state.arrival_estimate(cand, edge, u);
+        const double arrival = state.arrival_estimate(cand, in[i], u);
         if (arrival < best_arrival || (arrival == best_arrival && cand < head)) {
           best_arrival = arrival;
           head = cand;
         }
       }
-      heads[i] = head;
-      suppliers[i] = {head};
+      work.heads[i] = head;
+      scratch.suppliers[i].assign(1, head);
     }
     if (!feasible) break;
 
-    const BuildState::Candidate cand = state.evaluate(task, u, suppliers);
-    if (!cand.valid) continue;
-    if (!best || cand.finish < best->candidate.finish) {
-      best = OneToOneChoice{cand, heads};
+    state.evaluate(task, u, scratch.suppliers, work.candidate);
+    if (!work.candidate.valid) continue;
+    if (!best.candidate.valid || work.candidate.finish < best.candidate.finish) {
+      std::swap(best, work);  // reuses both buffers; work is rewritten next
     }
   }
-  return best;
+  return best.candidate.valid ? &best : nullptr;
 }
 
 void consume_heads(OneToOneContext& context, const std::vector<ReplicaRef>& heads) {

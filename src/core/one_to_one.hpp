@@ -10,7 +10,6 @@
 // the e(ε+1) lower bound instead of (ε+1)²e.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/build_state.hpp"
@@ -38,14 +37,24 @@ struct OneToOneChoice {
   std::vector<ReplicaRef> heads;
 };
 
+/// Reusable buffers of plan_one_to_one: a caller that keeps one across
+/// placements plans without allocating per candidate processor.
+struct OneToOneScratch {
+  OneToOneChoice best;
+  OneToOneChoice work;
+  std::vector<std::vector<ReplicaRef>> suppliers;
+};
+
 /// Plans one one-to-one placement: for every unlocked feasible processor,
 /// picks per predecessor the remaining replica with the earliest estimated
 /// communication finish, and keeps the (processor, heads) pair with the
-/// earliest task finish time. Returns nullopt when no processor satisfies
-/// condition (1).
-[[nodiscard]] std::optional<OneToOneChoice> plan_one_to_one(
-    const BuildState& state, TaskId task, const OneToOneContext& context,
-    const std::vector<bool>& locked);
+/// earliest task finish time. Returns the choice (held in scratch.best,
+/// valid until the next call with the same scratch), or nullptr when no
+/// processor satisfies condition (1).
+[[nodiscard]] const OneToOneChoice* plan_one_to_one(const BuildState& state, TaskId task,
+                                                    const OneToOneContext& context,
+                                                    const std::vector<bool>& locked,
+                                                    OneToOneScratch& scratch);
 
 /// Removes the used heads from the remaining lists and increments Z.
 void consume_heads(OneToOneContext& context, const std::vector<ReplicaRef>& heads);

@@ -30,12 +30,16 @@ struct ReadyEntry {
 struct Coverage {
   std::vector<std::vector<bool>> uncovered;
 
-  [[nodiscard]] std::vector<CopyId> uncovered_copies(std::size_t pred_index) const {
-    std::vector<CopyId> out;
-    for (CopyId c = 0; c < uncovered[pred_index].size(); ++c) {
-      if (uncovered[pred_index][c]) out.push_back(c);
-    }
-    return out;
+  [[nodiscard]] bool any_uncovered(std::size_t pred_index) const {
+    const auto& row = uncovered[pred_index];
+    return std::find(row.begin(), row.end(), true) != row.end();
+  }
+
+  /// Copy c is in the candidate pool of predecessor i: the uncovered
+  /// copies while any remain, otherwise every copy. `any` is
+  /// any_uncovered(pred_index).
+  [[nodiscard]] bool in_pool(std::size_t pred_index, CopyId c, bool any) const {
+    return !any || uncovered[pred_index][c];
   }
 };
 
@@ -98,41 +102,45 @@ class RltfPass {
   [[nodiscard]] Schedule take() && { return std::move(state_).take(); }
 
  private:
-  // Supplier selection for one replica of `task` targeting processor u.
-  // Chained (Rule-2 style) selection: one supplier per predecessor,
-  // uncovered copies first; the last replica picks up all still-uncovered
-  // copies so every successor replica ends with a supplier. `stage_aware`
-  // minimizes the stage contribution first (used for Rule-1 attempts).
-  std::vector<std::vector<ReplicaRef>> choose_suppliers(TaskId task, ProcId u, bool last,
-                                                        const Coverage& coverage,
-                                                        bool stage_aware) const {
-    const auto preds = rdag_.predecessors(task);
-    std::vector<std::vector<ReplicaRef>> suppliers(preds.size());
-    for (std::size_t i = 0; i < preds.size(); ++i) {
+  // Supplier selection for one replica of `task` targeting processor u,
+  // into suppliers_ (reused across candidates). Chained (Rule-2 style)
+  // selection: one supplier per predecessor, uncovered copies first; the
+  // last replica picks up all still-uncovered copies so every successor
+  // replica ends with a supplier. `stage_aware` minimizes the stage
+  // contribution first (used for Rule-1 attempts).
+  void choose_suppliers(TaskId task, ProcId u, bool last, const Coverage& coverage,
+                        bool stage_aware) {
+    const auto in = rdag_.in_edges(task);
+    suppliers_.resize(in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const TaskId pred = rdag_.edge(in[i]).src;
+      std::vector<ReplicaRef>& group = suppliers_[i];
+      group.clear();
       if (!options_.use_one_to_one) {
-        for (CopyId c = 0; c < copies_; ++c) suppliers[i].push_back({preds[i], c});
+        for (CopyId c = 0; c < copies_; ++c) group.push_back({pred, c});
         continue;
       }
-      const auto uncovered = coverage.uncovered_copies(i);
-      if (last && !uncovered.empty()) {
-        for (CopyId c : uncovered) suppliers[i].push_back({preds[i], c});
+      const bool any = coverage.any_uncovered(i);
+      if (last && any) {
+        for (CopyId c = 0; c < copies_; ++c) {
+          if (coverage.uncovered[i][c]) group.push_back({pred, c});
+        }
         continue;
       }
-      // Candidate pool: uncovered copies if any remain, otherwise all.
-      std::vector<CopyId> pool = uncovered;
-      if (pool.empty()) {
-        for (CopyId c = 0; c < copies_; ++c) pool.push_back(c);
-      }
-      const EdgeId edge = rdag_.find_edge(preds[i], task);
-      ReplicaRef best{preds[i], pool.front()};
-      double best_arrival = state_.arrival_estimate(best, edge, u);
-      std::uint32_t best_contrib = contribution(best, u);
-      for (CopyId c : pool) {
-        const ReplicaRef cand{preds[i], c};
-        const double arrival = state_.arrival_estimate(cand, edge, u);
+      // Candidate pool: uncovered copies if any remain, otherwise all; the
+      // first pool copy seeds the best.
+      ReplicaRef best{kInvalidTask, 0};
+      double best_arrival = 0.0;
+      std::uint32_t best_contrib = 0;
+      for (CopyId c = 0; c < copies_; ++c) {
+        if (!coverage.in_pool(i, c, any)) continue;
+        const ReplicaRef cand{pred, c};
+        const double arrival = state_.arrival_estimate(cand, in[i], u);
         const std::uint32_t contrib = contribution(cand, u);
         bool better;
-        if (stage_aware) {
+        if (best.task == kInvalidTask) {
+          better = true;
+        } else if (stage_aware) {
           better = contrib < best_contrib ||
                    (contrib == best_contrib && arrival < best_arrival) ||
                    (contrib == best_contrib && arrival == best_arrival && cand < best);
@@ -145,9 +153,8 @@ class RltfPass {
           best_contrib = contrib;
         }
       }
-      suppliers[i] = {best};
+      group.push_back(best);
     }
-    return suppliers;
   }
 
   // Stage contribution of wiring supplier `src` from processor u's view.
@@ -173,64 +180,59 @@ class RltfPass {
                    Coverage& coverage, std::vector<bool>& locked) {
     state_.commit(task, n, cand);
     locked[cand.proc] = true;
-    // Map supplier tasks back to predecessor slots for coverage updates,
+    // Map supplier edges back to predecessor slots for coverage updates,
     // and lock supplier processors (one-to-one locking discipline).
-    const auto preds = rdag_.predecessors(task);
+    const auto in = rdag_.in_edges(task);
     for (const BuildState::SupplierUse& use : cand.suppliers) {
       locked[state_.schedule().placed(use.src).proc] = true;
-      for (std::size_t i = 0; i < preds.size(); ++i) {
-        if (preds[i] == use.src.task) {
-          coverage.uncovered[i][use.src.copy] = false;
-          break;
-        }
-      }
+      const auto slot = std::find(in.begin(), in.end(), use.edge);
+      SS_CHECK(slot != in.end(), "supplier edge does not enter the task");
+      coverage.uncovered[static_cast<std::size_t>(slot - in.begin())][use.src.copy] = false;
     }
   }
 
   std::string place_copy(TaskId task, CopyId n, Coverage& coverage,
                          std::vector<bool>& locked) {
     const bool last = (n + 1 == copies_);
-    const auto preds = rdag_.predecessors(task);
+    const auto in = rdag_.in_edges(task);
 
     // ---- Rule 1: stage-preserving merge --------------------------------
-    if (options_.use_rule1 && !preds.empty()) {
-      std::vector<bool> tried(m_, false);
-      BuildState::Candidate best;
-      for (std::size_t i = 0; i < preds.size(); ++i) {
-        std::vector<CopyId> pool = coverage.uncovered_copies(i);
-        if (pool.empty()) {
-          for (CopyId c = 0; c < copies_; ++c) pool.push_back(c);
-        }
-        for (CopyId c : pool) {
-          const ProcId u = state_.schedule().placed(ReplicaRef{preds[i], c}).proc;
-          if (tried[u] || locked[u] || state_.hosts_copy_of(task, u)) continue;
-          tried[u] = true;
-          const auto suppliers = choose_suppliers(task, u, last, coverage, true);
-          const BuildState::Candidate cand = state_.evaluate(task, u, suppliers);
-          if (!cand.valid) continue;
-          if (cand.stage > supplier_stage_max(suppliers)) continue;  // stage grew
-          if (!best.valid || cand.finish < best.finish) best = cand;
+    if (options_.use_rule1 && !in.empty()) {
+      tried_.assign(m_, false);
+      best_.valid = false;
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        const TaskId pred = rdag_.edge(in[i]).src;
+        const bool any = coverage.any_uncovered(i);
+        for (CopyId c = 0; c < copies_; ++c) {
+          if (!coverage.in_pool(i, c, any)) continue;
+          const ProcId u = state_.schedule().placed(ReplicaRef{pred, c}).proc;
+          if (tried_[u] || locked[u] || state_.hosts_copy_of(task, u)) continue;
+          tried_[u] = true;
+          choose_suppliers(task, u, last, coverage, true);
+          state_.evaluate(task, u, suppliers_, cand_);
+          if (!cand_.valid) continue;
+          if (cand_.stage > supplier_stage_max(suppliers_)) continue;  // stage grew
+          BuildState::keep_earlier(best_, cand_);
         }
       }
-      if (best.valid) {
-        commit_copy(task, n, best, coverage, locked);
+      if (best_.valid) {
+        commit_copy(task, n, best_, coverage, locked);
         return {};
       }
     }
 
     // ---- Rule 2 / general spread placement ------------------------------
     for (const bool respect_locks : {true, false}) {
-      BuildState::Candidate best;
+      best_.valid = false;
       for (ProcId u = 0; u < m_; ++u) {
         if (respect_locks && locked[u]) continue;
         if (state_.hosts_copy_of(task, u)) continue;
-        const auto suppliers = choose_suppliers(task, u, last, coverage, false);
-        const BuildState::Candidate cand = state_.evaluate(task, u, suppliers);
-        if (!cand.valid) continue;
-        if (!best.valid || cand.finish < best.finish) best = cand;
+        choose_suppliers(task, u, last, coverage, false);
+        state_.evaluate(task, u, suppliers_, cand_);
+        BuildState::keep_earlier(best_, cand_);
       }
-      if (best.valid) {
-        commit_copy(task, n, best, coverage, locked);
+      if (best_.valid) {
+        commit_copy(task, n, best_, coverage, locked);
         return {};
       }
     }
@@ -243,6 +245,12 @@ class RltfPass {
   CopyId copies_;
   std::size_t m_;
   BuildState state_;
+
+  // Per-candidate buffers, reused for every placement of the pass.
+  std::vector<std::vector<ReplicaRef>> suppliers_;
+  BuildState::Candidate best_;
+  BuildState::Candidate cand_;
+  std::vector<bool> tried_;
 };
 
 }  // namespace

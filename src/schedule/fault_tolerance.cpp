@@ -31,11 +31,11 @@ bool next_combination(std::vector<ProcId>& subset, std::size_t m) {
   return true;
 }
 
-// Exhaustive size-k check state that persists ACROSS repair rounds. Repair
-// only ever adds supply channels and survival is monotone in the channel
-// set, so every combination verified surviving stays surviving: instead of
-// re-enumerating the full C(m, k) space per round (the `check_with_oracle`
-// re-enumeration that dominated repair at m >= 32), the next round resumes
+// Exhaustive size-k check state that persists ACROSS repairs. Repair only
+// ever adds supply channels and survival is monotone in the channel set,
+// so every combination verified surviving stays surviving: instead of
+// re-enumerating the full C(m, k) space after every repair (the
+// re-enumeration that dominated repair at m >= 32), the next check resumes
 // at the previous counterexample and re-walks only the unverified tail.
 struct ResumableCheck {
   ResumableCheck(std::size_t num_procs, std::uint32_t max_failures)
@@ -121,19 +121,28 @@ FtCheckResult check_fault_tolerance_sampled(const Schedule& schedule,
 
 namespace {
 
-// Picks the cheapest computable supplier replica of `pred` to feed `r`:
-// colocated first, then minimal added port load. `alive` holds the
-// oracle's computability masks under the current failure set (rows of
-// `mask_words` words, one per task).
-ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, TaskId pred,
-                                const std::vector<std::uint64_t>& alive,
-                                std::size_t mask_words) {
+// True when replica r records a supply comm along `edge` from a computable
+// replica (`pred_alive` is the edge source's row of the oracle's
+// computability masks).
+bool fed_by_alive(const Schedule& schedule, ReplicaRef r, EdgeId edge,
+                  const std::uint64_t* pred_alive) {
+  for (const std::uint32_t idx : schedule.in_comms(r)) {
+    const CommRecord& comm = schedule.comms()[idx];
+    if (comm.edge == edge && replica_mask_test(pred_alive, comm.src.copy)) return true;
+  }
+  return false;
+}
+
+// Picks the cheapest computable supplier replica to feed `r` over `edge`:
+// colocated first, then minimal added port load.
+ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId edge,
+                                const std::uint64_t* pred_alive) {
+  const Dag::Edge& e = schedule.dag().edge(edge);
   const ProcId here = schedule.placed(r).proc;
-  const std::uint64_t* pred_alive = alive.data() + pred * mask_words;
   ReplicaRef best{kInvalidTask, 0};
   double best_cost = std::numeric_limits<double>::infinity();
   for (CopyId c = 0; c < schedule.copies(); ++c) {
-    const ReplicaRef cand{pred, c};
+    const ReplicaRef cand{e.src, c};
     if (!replica_mask_test(pred_alive, c)) continue;
     if (schedule.has_supplier(r, cand)) continue;  // already wired, didn't help
     const ProcId from = schedule.placed(cand).proc;
@@ -142,8 +151,7 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, TaskId p
       cost = 0.0;
     } else {
       // Prefer suppliers whose ports are least loaded after the addition.
-      const EdgeId e = schedule.dag().find_edge(pred, r.task);
-      const double dur = schedule.platform().comm_time(schedule.dag().edge(e).volume, from, here);
+      const double dur = schedule.platform().comm_time(e.volume, from, here);
       cost = dur + std::max(schedule.cout(from), schedule.cin(here));
     }
     if (cost < best_cost) {
@@ -154,86 +162,95 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, TaskId p
   return best;
 }
 
-// Wires supply channels fixing the topologically first task that has no
-// computable replica under `failed` (one task per call, mirroring the
-// original repair rounds: fixing it may fix everything downstream).
-// `alive` is the oracle's computability under `failed` (stale after this
-// call: the caller patches the oracle with the comms added here and
-// recomputes). Returns false when the set is beyond repair — no alive
-// replica of the dead task, or a starving predecessor with no computable
-// replica to wire.
-bool repair_step(Schedule& schedule, const ProcSet& failed,
-                 const std::vector<std::uint64_t>& alive, std::size_t mask_words,
-                 RepairStats& stats) {
+// Wires supply channels to task t, which has no computable replica under
+// `failed` (`alive` is the oracle's computability under `failed`):
+// the alive replica with the fewest starving predecessors gets one channel
+// per starving predecessor. Returns false when the set is beyond repair —
+// no alive replica of t, or a starving predecessor with no computable
+// replica to wire (channels wired before that stay).
+bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
+                    const std::vector<std::uint64_t>& alive, std::size_t mask_words,
+                    RepairStats& stats) {
   const Dag& dag = schedule.dag();
+  const auto in = dag.in_edges(t);
+  const auto pred_alive = [&](EdgeId e) { return alive.data() + dag.edge(e).src * mask_words; };
 
-  for (TaskId t : dag.topological_order()) {
-    const std::uint64_t* task_alive = alive.data() + t * mask_words;
-    bool dead = true;
-    for (std::size_t w = 0; w < mask_words && dead; ++w) dead = task_alive[w] == 0;
-    if (!dead) continue;  // some replica is computable
-
-    // Choose the alive replica with the fewest starving predecessors.
-    ReplicaRef target{kInvalidTask, 0};
-    std::size_t best_missing = std::numeric_limits<std::size_t>::max();
-    for (CopyId c = 0; c < schedule.copies(); ++c) {
-      const ReplicaRef r{t, c};
-      if (failed.test(schedule.placed(r).proc)) continue;
-      std::size_t missing = 0;
-      for (TaskId pred : dag.predecessors(t)) {
-        bool fed = false;
-        for (ReplicaRef sup : schedule.suppliers(r, pred)) {
-          if (replica_mask_test(alive.data() + pred * mask_words, sup.copy)) {
-            fed = true;
-            break;
-          }
-        }
-        if (!fed) ++missing;
-      }
-      if (missing < best_missing) {
-        best_missing = missing;
-        target = r;
-      }
+  ReplicaRef target{kInvalidTask, 0};
+  std::size_t best_missing = std::numeric_limits<std::size_t>::max();
+  for (CopyId c = 0; c < schedule.copies(); ++c) {
+    const ReplicaRef r{t, c};
+    if (failed.test(schedule.placed(r).proc)) continue;
+    std::size_t missing = 0;
+    for (const EdgeId e : in) {
+      if (!fed_by_alive(schedule, r, e, pred_alive(e))) ++missing;
     }
-    if (target.task == kInvalidTask) return false;
-
-    for (TaskId pred : dag.predecessors(t)) {
-      bool fed = false;
-      for (ReplicaRef sup : schedule.suppliers(target, pred)) {
-        if (replica_mask_test(alive.data() + pred * mask_words, sup.copy)) {
-          fed = true;
-          break;
-        }
-      }
-      if (fed) continue;
-      const ReplicaRef sup = pick_repair_supplier(schedule, target, pred, alive, mask_words);
-      if (sup.task == kInvalidTask) return false;
-      const EdgeId e = dag.find_edge(pred, t);
-      CommRecord comm;
-      comm.edge = e;
-      comm.src = sup;
-      comm.dst = target;
-      comm.start = comm.finish = schedule.placed(sup).finish;
-      comm.repair = true;
-      schedule.add_comm(comm);
-      ++stats.added_comms;
+    if (missing < best_missing) {
+      best_missing = missing;
+      target = r;
     }
-    return true;
   }
-  return true;  // nothing dead: the schedule already survives this set
+  if (target.task == kInvalidTask) return false;
+
+  for (const EdgeId e : in) {
+    if (fed_by_alive(schedule, target, e, pred_alive(e))) continue;
+    const ReplicaRef sup = pick_repair_supplier(schedule, target, e, pred_alive(e));
+    if (sup.task == kInvalidTask) return false;
+    CommRecord comm;
+    comm.edge = e;
+    comm.src = sup;
+    comm.dst = target;
+    comm.start = comm.finish = schedule.placed(sup).finish;
+    comm.repair = true;
+    schedule.add_comm(comm);
+    ++stats.added_comms;
+  }
+  return true;
 }
 
-// Runs one repair step under `failed` and patches `oracle` with the added
-// supply channels, so the oracle stays current without a recompile.
-bool repair_step_patched(Schedule& schedule, SurvivalOracle& oracle, const ProcSet& failed,
-                         std::vector<std::uint64_t>& alive, RepairStats& stats) {
-  oracle.computable(failed, alive);
-  std::size_t wired = schedule.comms().size();
-  const bool repaired = repair_step(schedule, failed, alive, oracle.mask_words(), stats);
-  for (; wired < schedule.comms().size(); ++wired) {
-    oracle.add_comm(schedule.comms()[wired]);
+enum class SetRepair { kSurvives, kBeyondRepair, kCapped };
+
+// The one repair-to-survival loop of the count, probabilistic and event
+// repairs: wires channels until the schedule survives `failed`. Each step
+// makes one computability pass under `failed`; it alone decides survival
+// (no task without a computable replica, walking the oracle's compiled
+// topological order). Otherwise the step wires the topologically first
+// dead task (fixing it may fix everything downstream), patches the oracle
+// with the new channels and counts one in `steps`. No step starts once
+// `steps` reaches `max_steps`.
+//
+// Round accounting: a round is one step that wired. The pass's verdict is
+// exactly `SurvivalOracle::survives(failed)` (a task is dead iff its row is
+// zero), and a capped call stops without a verdict, so this loop wires and
+// counts what "check `failed`, then step" repeated up to the cap would.
+// Count repair passes its round counter as `steps` and resumes its
+// lexicographic batch check at the counterexample only once it survives:
+// the next killed set is then the one a re-check after every single step
+// would have found, so each round wires the same channels in the same
+// order as re-checking every round.
+SetRepair repair_until_survives(Schedule& schedule, SurvivalOracle& oracle,
+                                const ProcSet& failed, std::uint32_t max_steps,
+                                std::uint32_t& steps, std::vector<std::uint64_t>& alive,
+                                RepairStats& stats) {
+  const std::size_t words = oracle.mask_words();
+  for (;; ++steps) {
+    if (steps >= max_steps) return SetRepair::kCapped;
+    oracle.computable(failed, alive);
+    TaskId dead = kInvalidTask;
+    for (const TaskId t : oracle.topological_order()) {
+      const std::uint64_t* row = alive.data() + static_cast<std::size_t>(t) * words;
+      if (std::all_of(row, row + words, [](std::uint64_t w) { return w == 0; })) {
+        dead = t;
+        break;
+      }
+    }
+    if (dead == kInvalidTask) return SetRepair::kSurvives;
+    std::size_t wired = schedule.comms().size();
+    const bool repaired = wire_dead_task(schedule, dead, failed, alive, words, stats);
+    for (; wired < schedule.comms().size(); ++wired) {
+      oracle.add_comm(schedule.comms()[wired]);
+    }
+    if (!repaired) return SetRepair::kBeyondRepair;
   }
-  return repaired;
 }
 
 // Channel-capacity bound on repair iterations: each productive step adds at
@@ -271,21 +288,24 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
   RepairStats stats;
   const std::uint32_t max_rounds = max_repair_rounds(schedule);
 
-  // The check state persists across rounds: repair only adds channels, so
-  // the combinations verified surviving in earlier rounds never need
-  // re-checking — each round resumes at the last counterexample.
+  // The check state persists across counterexamples: repair only adds
+  // channels, so the combinations verified surviving before never need
+  // re-checking — the check resumes at the last counterexample once it has
+  // been repaired to survival.
   ResumableCheck state(schedule.platform().num_procs(), max_failures);
   ProcSet failed(schedule.platform().num_procs());
   std::vector<std::uint64_t> alive;
-  for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
+  for (;;) {
     const FtCheckResult check = check_with_oracle(oracle, state);
     if (check.valid) {
       stats.success = true;
       break;
     }
     failed.assign(check.counterexample);
-    const bool repaired = repair_step_patched(schedule, oracle, failed, alive, stats);
-    SS_CHECK(repaired,
+    const SetRepair outcome =
+        repair_until_survives(schedule, oracle, failed, max_rounds, stats.rounds, alive, stats);
+    if (outcome == SetRepair::kCapped) break;
+    SS_CHECK(outcome == SetRepair::kSurvives,
              "failure set of size <= eps is beyond repair although replicas sit on "
              "distinct processors");
   }
@@ -302,15 +322,9 @@ RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
   SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
              "failure set size != processor count");
   RepairStats stats;
-  const std::uint32_t max_rounds = max_repair_rounds(schedule);
   std::vector<std::uint64_t> alive;
-  for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
-    if (oracle.survives(failed)) {
-      stats.success = true;
-      break;
-    }
-    if (!repair_step_patched(schedule, oracle, failed, alive, stats)) break;  // beyond repair
-  }
+  stats.success = repair_until_survives(schedule, oracle, failed, max_repair_rounds(schedule),
+                                        stats.rounds, alive, stats) == SetRepair::kSurvives;
   record_period_excess(schedule, stats);
   return stats;
 }
@@ -748,11 +762,9 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
       failed.assign(kill.procs);
       // Wire until this set survives or turns out to be beyond repair
       // (e.g. every replica of some task sits on the failed processors).
-      for (std::uint32_t guard = 0; guard < max_rounds; ++guard) {
-        if (oracle.survives(failed)) break;
-        if (!repair_step_patched(schedule, oracle, failed, alive, stats)) break;
-        est_current = false;
-      }
+      std::uint32_t steps = 0;
+      repair_until_survives(schedule, oracle, failed, max_rounds, steps, alive, stats);
+      if (steps > 0) est_current = false;
     }
     if (stats.added_comms == before) break;  // nothing repairable remains
   }

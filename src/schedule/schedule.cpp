@@ -11,40 +11,22 @@ Schedule::Schedule(const Dag& dag, const Platform& platform, CopyId eps, double 
   SS_REQUIRE(period > 0.0, "period must be positive (or infinity)");
   SS_REQUIRE(eps < platform.num_procs(),
              "cannot tolerate eps failures with <= eps processors");
-  const std::size_t v = dag.num_tasks();
-  placed_.assign(v, std::vector<PlacedReplica>(copies()));
-  placed_flag_.assign(v, std::vector<bool>(copies(), false));
-  in_.assign(v, std::vector<std::vector<std::uint32_t>>(copies()));
-  out_.assign(v, std::vector<std::vector<std::uint32_t>>(copies()));
+  const std::size_t replicas = dag.num_tasks() * copies();
+  placed_.assign(replicas, PlacedReplica{});
+  in_.assign(replicas, {});
+  out_.assign(replicas, {});
   sigma_.assign(platform.num_procs(), 0.0);
   cin_.assign(platform.num_procs(), 0.0);
   cout_.assign(platform.num_procs(), 0.0);
 }
 
-void Schedule::check_replica(ReplicaRef r) const {
-  SS_REQUIRE(r.task < dag_->num_tasks(), "replica task id out of range");
-  SS_REQUIRE(r.copy < copies(), "replica copy index out of range");
-}
-
-bool Schedule::is_placed(ReplicaRef r) const {
-  check_replica(r);
-  return placed_flag_[r.task][r.copy];
-}
-
-const PlacedReplica& Schedule::placed(ReplicaRef r) const {
-  SS_REQUIRE(is_placed(r), "replica not placed");
-  return placed_[r.task][r.copy];
-}
-
 void Schedule::place(ReplicaRef r, ProcId proc, double start, double finish,
                      std::uint32_t stage) {
-  check_replica(r);
-  SS_REQUIRE(!placed_flag_[r.task][r.copy], "replica already placed");
-  SS_REQUIRE(proc < platform_->num_procs(), "processor id out of range");
+  SS_REQUIRE(!is_placed(r), "replica already placed");
+  check_proc(proc);
   SS_REQUIRE(finish >= start, "finish before start");
   SS_REQUIRE(stage >= 1, "stages are 1-based");
-  placed_[r.task][r.copy] = PlacedReplica{proc, start, finish, stage};
-  placed_flag_[r.task][r.copy] = true;
+  placed_[slot(r)] = PlacedReplica{proc, start, finish, stage};
   ++num_placed_;
   sigma_[proc] += platform_->exec_time(dag_->work(r.task), proc);
 }
@@ -52,7 +34,7 @@ void Schedule::place(ReplicaRef r, ProcId proc, double start, double finish,
 void Schedule::set_stage(ReplicaRef r, std::uint32_t stage) {
   SS_REQUIRE(is_placed(r), "replica not placed");
   SS_REQUIRE(stage >= 1, "stages are 1-based");
-  placed_[r.task][r.copy].stage = stage;
+  placed_[slot(r)].stage = stage;
 }
 
 std::uint32_t Schedule::add_comm(const CommRecord& comm) {
@@ -64,10 +46,10 @@ std::uint32_t Schedule::add_comm(const CommRecord& comm) {
   SS_REQUIRE(!has_supplier(comm.dst, comm.src), "duplicate supply comm");
   const auto idx = static_cast<std::uint32_t>(comms_.size());
   comms_.push_back(comm);
-  out_[comm.src.task][comm.src.copy].push_back(idx);
-  in_[comm.dst.task][comm.dst.copy].push_back(idx);
-  const ProcId from = placed_[comm.src.task][comm.src.copy].proc;
-  const ProcId to = placed_[comm.dst.task][comm.dst.copy].proc;
+  out_[slot(comm.src)].push_back(idx);
+  in_[slot(comm.dst)].push_back(idx);
+  const ProcId from = placed_[slot(comm.src)].proc;
+  const ProcId to = placed_[slot(comm.dst)].proc;
   if (from != to) {
     const double duration = platform_->comm_time(edge.volume, from, to);
     cout_[from] += duration;
@@ -76,54 +58,27 @@ std::uint32_t Schedule::add_comm(const CommRecord& comm) {
   return idx;
 }
 
-std::span<const std::uint32_t> Schedule::in_comms(ReplicaRef r) const {
-  check_replica(r);
-  return in_[r.task][r.copy];
-}
-
-std::span<const std::uint32_t> Schedule::out_comms(ReplicaRef r) const {
-  check_replica(r);
-  return out_[r.task][r.copy];
-}
-
 std::vector<ReplicaRef> Schedule::suppliers(ReplicaRef r, TaskId pred) const {
-  check_replica(r);
   std::vector<ReplicaRef> result;
-  for (std::uint32_t idx : in_[r.task][r.copy]) {
+  for (std::uint32_t idx : in_comms(r)) {
     if (comms_[idx].src.task == pred) result.push_back(comms_[idx].src);
   }
   return result;
 }
 
 bool Schedule::has_supplier(ReplicaRef r, ReplicaRef src) const {
-  check_replica(r);
-  for (std::uint32_t idx : in_[r.task][r.copy]) {
+  for (std::uint32_t idx : in_comms(r)) {
     if (comms_[idx].src == src) return true;
   }
   return false;
 }
 
-double Schedule::sigma(ProcId u) const {
-  SS_REQUIRE(u < platform_->num_procs(), "processor id out of range");
-  return sigma_[u];
-}
-
-double Schedule::cin(ProcId u) const {
-  SS_REQUIRE(u < platform_->num_procs(), "processor id out of range");
-  return cin_[u];
-}
-
-double Schedule::cout(ProcId u) const {
-  SS_REQUIRE(u < platform_->num_procs(), "processor id out of range");
-  return cout_[u];
-}
-
 std::vector<ReplicaRef> Schedule::replicas_on(ProcId u) const {
-  SS_REQUIRE(u < platform_->num_procs(), "processor id out of range");
+  check_proc(u);
   std::vector<ReplicaRef> result;
   for (TaskId t = 0; t < dag_->num_tasks(); ++t) {
     for (CopyId c = 0; c < copies(); ++c) {
-      if (placed_flag_[t][c] && placed_[t][c].proc == u) result.push_back({t, c});
+      if (placed_[slot({t, c})].proc == u) result.push_back({t, c});
     }
   }
   return result;
@@ -131,10 +86,8 @@ std::vector<ReplicaRef> Schedule::replicas_on(ProcId u) const {
 
 double Schedule::makespan() const {
   double best = 0.0;
-  for (TaskId t = 0; t < dag_->num_tasks(); ++t) {
-    for (CopyId c = 0; c < copies(); ++c) {
-      if (placed_flag_[t][c]) best = std::max(best, placed_[t][c].finish);
-    }
+  for (const PlacedReplica& p : placed_) {
+    if (p.proc != kInvalidProc) best = std::max(best, p.finish);
   }
   return best;
 }

@@ -19,6 +19,7 @@
 
 #include "graph/dag.hpp"
 #include "platform/platform.hpp"
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace streamsched {
@@ -56,8 +57,16 @@ class Schedule {
   [[nodiscard]] CopyId copies() const { return eps_ + 1; }
   [[nodiscard]] double period() const { return period_; }
 
-  [[nodiscard]] bool is_placed(ReplicaRef r) const;
-  [[nodiscard]] const PlacedReplica& placed(ReplicaRef r) const;
+  // The checked accessors below sit on the schedulers' innermost loops;
+  // they are defined here so their checks inline rather than cost a call.
+  [[nodiscard]] bool is_placed(ReplicaRef r) const {
+    check_replica(r);
+    return placed_[slot(r)].proc != kInvalidProc;
+  }
+  [[nodiscard]] const PlacedReplica& placed(ReplicaRef r) const {
+    SS_REQUIRE(is_placed(r), "replica not placed");
+    return placed_[slot(r)];
+  }
 
   /// Places replica r; each (task, copy) may be placed exactly once.
   void place(ReplicaRef r, ProcId proc, double start, double finish, std::uint32_t stage);
@@ -69,8 +78,14 @@ class Schedule {
   std::uint32_t add_comm(const CommRecord& comm);
 
   [[nodiscard]] const std::vector<CommRecord>& comms() const { return comms_; }
-  [[nodiscard]] std::span<const std::uint32_t> in_comms(ReplicaRef r) const;
-  [[nodiscard]] std::span<const std::uint32_t> out_comms(ReplicaRef r) const;
+  [[nodiscard]] std::span<const std::uint32_t> in_comms(ReplicaRef r) const {
+    check_replica(r);
+    return in_[slot(r)];
+  }
+  [[nodiscard]] std::span<const std::uint32_t> out_comms(ReplicaRef r) const {
+    check_replica(r);
+    return out_[slot(r)];
+  }
 
   /// Replicas of `pred` recorded as suppliers of r (pred must be an
   /// immediate predecessor task of r.task).
@@ -81,9 +96,18 @@ class Schedule {
 
   /// Per-processor loads per data item: compute load Σ_u, input port load
   /// C^I_u and output port load C^O_u (remote communications only).
-  [[nodiscard]] double sigma(ProcId u) const;
-  [[nodiscard]] double cin(ProcId u) const;
-  [[nodiscard]] double cout(ProcId u) const;
+  [[nodiscard]] double sigma(ProcId u) const {
+    check_proc(u);
+    return sigma_[u];
+  }
+  [[nodiscard]] double cin(ProcId u) const {
+    check_proc(u);
+    return cin_[u];
+  }
+  [[nodiscard]] double cout(ProcId u) const {
+    check_proc(u);
+    return cout_[u];
+  }
 
   /// All replicas currently placed on processor u.
   [[nodiscard]] std::vector<ReplicaRef> replicas_on(ProcId u) const;
@@ -96,7 +120,17 @@ class Schedule {
   [[nodiscard]] bool complete() const;
 
  private:
-  void check_replica(ReplicaRef r) const;
+  void check_replica(ReplicaRef r) const {
+    SS_REQUIRE(r.task < dag_->num_tasks(), "replica task id out of range");
+    SS_REQUIRE(r.copy < copies(), "replica copy index out of range");
+  }
+  void check_proc(ProcId u) const {
+    SS_REQUIRE(u < platform_->num_procs(), "processor id out of range");
+  }
+  /// Index of a (checked) replica in the per-replica arrays.
+  [[nodiscard]] std::size_t slot(ReplicaRef r) const {
+    return static_cast<std::size_t>(r.task) * copies() + r.copy;
+  }
 
   const Dag* dag_;
   const Platform* platform_;
@@ -104,11 +138,12 @@ class Schedule {
   double period_;
   std::size_t num_placed_ = 0;
 
-  std::vector<std::vector<PlacedReplica>> placed_;       // [task][copy]
-  std::vector<std::vector<bool>> placed_flag_;           // [task][copy]
+  // Per replica, indexed by slot(): the placement (proc == kInvalidProc
+  // while unplaced) and the indices of its inbound / outbound comms.
+  std::vector<PlacedReplica> placed_;
   std::vector<CommRecord> comms_;
-  std::vector<std::vector<std::vector<std::uint32_t>>> in_;   // [task][copy]
-  std::vector<std::vector<std::vector<std::uint32_t>>> out_;  // [task][copy]
+  std::vector<std::vector<std::uint32_t>> in_;
+  std::vector<std::vector<std::uint32_t>> out_;
   std::vector<double> sigma_, cin_, cout_;
 };
 

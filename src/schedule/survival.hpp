@@ -129,6 +129,9 @@ class SurvivalOracle {
   /// `computable` output (and the internal placed/supplier masks) are this
   /// wide, so any replication degree compiles.
   [[nodiscard]] std::size_t mask_words() const { return mask_words_; }
+  /// The task evaluation order compiled from the schedule's DAG
+  /// (Dag::topological_order).
+  [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
 
   /// Incorporates a supply comm added after compilation (the repair pass
   /// patches the oracle instead of recompiling per added channel).

@@ -33,6 +33,10 @@ TEST(BuildState, ConditionOneRejectsOverload) {
   // Second task of work 4 on the same processor: 8 > 7 = period.
   const auto crowded = state.evaluate(1, 0, {{{0, 0}}});
   EXPECT_FALSE(crowded.valid);
+  // An invalid candidate carries no supplier plan: committing it would
+  // place a replica above the period with no inbound comms.
+  EXPECT_THROW(state.commit(1, 0, crowded), std::invalid_argument);
+  EXPECT_EQ(state.schedule().num_placed(), 1u);
   const auto other = state.evaluate(1, 1, {{{0, 0}}});
   EXPECT_TRUE(other.valid);
 }

@@ -65,8 +65,9 @@ TEST(OneToOne, PlanPrefersEarliestFinish) {
   state.commit(0, 0, state.evaluate(0, 0, {}));
   const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(3, false);
-  const auto choice = plan_one_to_one(state, 1, ctx, locked);
-  ASSERT_TRUE(choice.has_value());
+  OneToOneScratch scratch;
+  const OneToOneChoice* choice = plan_one_to_one(state, 1, ctx, locked, scratch);
+  ASSERT_NE(choice, nullptr);
   // Colocated on P0: start 2, exec 2 => 4. On P2: arrival 3, exec 1 => 4.
   // Tie broken by processor order: P0.
   EXPECT_EQ(choice->candidate.proc, 0u);
@@ -83,8 +84,9 @@ TEST(OneToOne, LockedProcessorsAreSkipped) {
   const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(3, false);
   locked[0] = true;  // forbid colocation
-  const auto choice = plan_one_to_one(state, 1, ctx, locked);
-  ASSERT_TRUE(choice.has_value());
+  OneToOneScratch scratch;
+  const OneToOneChoice* choice = plan_one_to_one(state, 1, ctx, locked, scratch);
+  ASSERT_NE(choice, nullptr);
   EXPECT_NE(choice->candidate.proc, 0u);
   EXPECT_EQ(choice->candidate.stage, 2u);
 }
@@ -97,8 +99,9 @@ TEST(OneToOne, ReturnsNulloptWhenNothingFeasible) {
   const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(2, false);
   locked[1] = true;  // P0 would exceed the period (20 > 12), P1 locked
-  const auto choice = plan_one_to_one(state, 1, ctx, locked);
-  EXPECT_FALSE(choice.has_value());
+  OneToOneScratch scratch;
+  const OneToOneChoice* choice = plan_one_to_one(state, 1, ctx, locked, scratch);
+  EXPECT_EQ(choice, nullptr);
 }
 
 TEST(OneToOne, ConsumeHeadsRemovesAndCounts) {
@@ -130,8 +133,9 @@ TEST(OneToOne, HeadChoiceMinimizesArrival) {
   const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(4, false);
   locked[0] = locked[1] = true;  // force a remote placement
-  const auto choice = plan_one_to_one(state, 1, ctx, locked);
-  ASSERT_TRUE(choice.has_value());
+  OneToOneScratch scratch;
+  const OneToOneChoice* choice = plan_one_to_one(state, 1, ctx, locked, scratch);
+  ASSERT_NE(choice, nullptr);
   EXPECT_EQ(choice->heads[0], (ReplicaRef{0, 0}));
 }
 
