@@ -199,6 +199,18 @@ Dag parse_dag_wire(std::string_view wire) {
   return dag;
 }
 
+std::optional<std::uint64_t> DagMemo::find(std::string_view wire) const {
+  const auto it = fps_.find(wire);
+  if (it == fps_.end()) return std::nullopt;
+  return it->second;
+}
+
+void DagMemo::insert(std::string_view wire, std::uint64_t dag_fp) {
+  if (capacity_ == 0) return;
+  if (fps_.size() >= capacity_ && fps_.find(wire) == fps_.end()) fps_.erase(fps_.begin());
+  fps_.insert_or_assign(std::string(wire), dag_fp);
+}
+
 // ------------------------------------------------------------ ScheduleWire --
 
 std::string format_schedule_wire(const Schedule& schedule) {
@@ -321,7 +333,9 @@ QosClass parse_qos_class(std::string_view name) {
 
 // ---------------------------------------------------------------- requests --
 
-Request parse_request(std::string_view line) {
+namespace {
+
+Request parse_request_with(std::string_view line, const DagMemo* memo) {
   Items tokens(line, ' ');
   std::string_view verb;
   (void)tokens.next(verb);  // a line always has a first item
@@ -373,7 +387,13 @@ Request parse_request(std::string_view line) {
           bad("degraded_ok must be 0|1, got '" + std::string(value) + "'");
         }
       } else if (key == "dag") {
-        f.dag = parse_dag_wire(value);
+        // A later dag= replaces an earlier one, memoised or not.
+        f.dag_fp.reset();
+        if (memo != nullptr) {
+          f.dag_wire = value;
+          f.dag_fp = memo->find(value);
+        }
+        f.dag = f.dag_fp ? Dag() : parse_dag_wire(value);
         have_dag = true;
       } else {
         bad("unknown SUBMIT field '" + std::string(key) + "'");
@@ -412,6 +432,14 @@ Request parse_request(std::string_view line) {
     return request;
   }
   bad("unknown verb '" + std::string(verb) + "'");
+}
+
+}  // namespace
+
+Request parse_request(std::string_view line) { return parse_request_with(line, nullptr); }
+
+Request parse_request(std::string_view line, const DagMemo& memo) {
+  return parse_request_with(line, &memo);
 }
 
 std::string format_submit(const SubmitFrame& frame) {

@@ -40,9 +40,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -103,6 +106,32 @@ class WireError : public std::runtime_error {
 /// and therefore the DAG fingerprint — are preserved. Throws WireError.
 [[nodiscard]] Dag parse_dag_wire(std::string_view wire);
 
+/// Exact DagWire bytes → the dag_fingerprint of the DAG they parse to, so
+/// that parse_request(line, memo) can key a resent body without building
+/// its Dag. Keys compare byte for byte, so a hash collision never maps one
+/// body to another body's fingerprint. Holds at most `capacity` bodies
+/// (0 holds none): inserting into a full memo first drops an arbitrary
+/// entry. Not synchronized.
+class DagMemo {
+ public:
+  explicit DagMemo(std::size_t capacity = 0) : capacity_(capacity) {}
+
+  [[nodiscard]] std::optional<std::uint64_t> find(std::string_view wire) const;
+  void insert(std::string_view wire, std::uint64_t dag_fp);
+  [[nodiscard]] std::size_t size() const { return fps_.size(); }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::size_t capacity_;
+  std::unordered_map<std::string, std::uint64_t, Hash, std::equal_to<>> fps_;
+};
+
 // ------------------------------------------------------------ ScheduleWire --
 
 /// `eps<e>;p<period>;r<task>:<copy>:<proc>:<start>:<finish>:<stage>,...;
@@ -145,6 +174,13 @@ struct SubmitFrame {
   /// eps_have/eps_want deficit) instead of an `ERR DEGRADED` refusal.
   bool degraded_ok = false;
   Dag dag;
+  /// Set only by parse_request(line, memo): the dag= bytes, a view into
+  /// `line` that is valid only as long as the line is.
+  std::string_view dag_wire;
+  /// Set only by parse_request(line, memo) when `dag_wire` was in the
+  /// memo: the dag_fingerprint of the DAG those bytes parse to. `dag` is
+  /// then left empty; parse it from `dag_wire` when it is needed.
+  std::optional<std::uint64_t> dag_fp;
 };
 
 struct EventFrame {
@@ -164,6 +200,12 @@ struct Request {
 /// grammar, the DAG against DagWire. Unknown verbs and fields throw
 /// WireError (kBadRequest) so client typos fail loudly.
 [[nodiscard]] Request parse_request(std::string_view line);
+
+/// parse_request() that also records the SUBMIT's dag= bytes and, when the
+/// memo holds them, their fingerprint instead of parsing them (see
+/// SubmitFrame::dag_wire and dag_fp). Every other field is parsed and
+/// validated exactly as without a memo, so each rejection is the same.
+[[nodiscard]] Request parse_request(std::string_view line, const DagMemo& memo);
 
 /// Client-side formatters (no trailing '\n').
 [[nodiscard]] std::string format_submit(const SubmitFrame& frame);

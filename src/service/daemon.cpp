@@ -63,30 +63,51 @@ void PlacementDaemon::drain() {
   pending_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-PlacementResponse PlacementDaemon::admit(PlacementRequest request) {
-  PlacementResponse resp;
-  const CacheKey key{dag_fingerprint(request.dag), variant_fingerprint(request.variant),
-                     fault_model_fingerprint(request.model)};
+CacheKey admission_key(std::uint64_t dag_fp, const AlgoVariant& variant,
+                       const FaultModel& model) {
+  return CacheKey{dag_fp, variant_fingerprint(variant), fault_model_fingerprint(model)};
+}
 
+PlacementResponse PlacementDaemon::answer_hit(std::shared_ptr<const CachedPlacement> hit,
+                                              bool degraded_ok) {
+  ++stats_.admissions;
+  PlacementResponse resp;
+  resp.cache_hit = true;
+  resp.epoch = epoch_;
+  resp.placement = std::move(hit);
+  if (resp.placement->degraded && !degraded_ok) {
+    // Brownout refusal: the caller learns the deficit and may retry with
+    // degraded_ok instead of being shed.
+    resp.degraded_refused = true;
+    resp.error = degraded_error(*resp.placement);
+  } else {
+    resp.ok = true;
+  }
+  return resp;
+}
+
+std::optional<PlacementResponse> PlacementDaemon::admit_hit(const CacheKey& key,
+                                                            bool degraded_ok) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto hit = cache_.find_hit(key);
+  if (hit == nullptr) return std::nullopt;
+  return answer_hit(std::move(hit), degraded_ok);
+}
+
+PlacementResponse PlacementDaemon::admit(PlacementRequest request) {
+  const CacheKey key =
+      admission_key(dag_fingerprint(request.dag), request.variant, request.model);
+  return admit(std::move(request), key);
+}
+
+PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKey& key) {
+  PlacementResponse resp;
   std::uint64_t snapshot_epoch = 0;
   ProcSet failed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    if (auto hit = cache_.find(key)) return answer_hit(std::move(hit), request.degraded_ok);
     ++stats_.admissions;
-    if (auto hit = cache_.find(key)) {
-      resp.cache_hit = true;
-      resp.epoch = epoch_;
-      resp.placement = std::move(hit);
-      if (resp.placement->degraded && !request.degraded_ok) {
-        // Brownout refusal: the caller learns the deficit and may retry
-        // with degraded_ok instead of being shed.
-        resp.degraded_refused = true;
-        resp.error = degraded_error(*resp.placement);
-      } else {
-        resp.ok = true;
-      }
-      return resp;
-    }
     snapshot_epoch = epoch_;
     failed = failed_;
   }
@@ -462,7 +483,11 @@ ScheduleCache::Stats PlacementDaemon::cache_stats() const {
 DaemonStats PlacementDaemon::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   DaemonStats out = stats_;
-  out.degraded = cache_.degraded_count();  // gauge, not a counter
+  out.epoch = epoch_;
+  out.failed_procs = failed_.count();
+  out.cache_size = cache_.size();
+  out.cache = cache_.stats();
+  out.degraded = cache_.degraded_count();
   return out;
 }
 

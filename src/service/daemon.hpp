@@ -12,6 +12,13 @@
 //              survival oracle, reconcile with the live failure set —
 //              then publishes the placement into the cache.
 //
+//   admit_hit()
+//              The hit half of admit() on its own, for a caller that
+//              holds the request's key but not yet its Dag: the network
+//              server answers cache hits on its poll thread this way. A
+//              hit counts exactly as in admit(); a miss counts nothing
+//              and the caller admit()s the request with the same key.
+//
 //   submit()   admit() as a fire-and-forget job on the shared global
 //              thread pool (util/thread_pool.hpp): the daemon's request
 //              queue. Returns a future.
@@ -62,6 +69,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "schedule/fault_tolerance.hpp"
 #include "service/event_bus.hpp"
@@ -78,8 +86,14 @@ struct DaemonConfig {
   bool auto_reheal = true;
 };
 
+/// One consistent reading of the daemon, taken under one lock: the
+/// counters and gauges that STATS and HEALTH report.
 struct DaemonStats {
-  std::uint64_t admissions = 0;       ///< admit() calls (hits + misses)
+  std::uint64_t epoch = 0;            ///< gauge: the platform epoch
+  std::uint64_t failed_procs = 0;     ///< gauge: processors currently failed
+  std::uint64_t cache_size = 0;       ///< gauge: cached placements
+  ScheduleCache::Stats cache;         ///< the cache's hit/miss/eviction counters
+  std::uint64_t admissions = 0;       ///< admissions served (hits + misses)
   std::uint64_t cold_schedules = 0;   ///< misses that scheduled cold
   std::uint64_t events = 0;           ///< failure/recovery events handled
   std::uint64_t recovery_events = 0;  ///< the recovery subset of `events`
@@ -92,6 +106,11 @@ struct DaemonStats {
   std::uint64_t rebuilds = 0;         ///< degraded rebuilds on the alive sub-platform
   std::uint64_t reheals = 0;          ///< degraded entries promoted to full guarantee
 };
+
+/// The cache key admit() serves a request under, where `dag_fp` is
+/// dag_fingerprint(request.dag).
+[[nodiscard]] CacheKey admission_key(std::uint64_t dag_fp, const AlgoVariant& variant,
+                                     const FaultModel& model);
 
 class PlacementDaemon {
  public:
@@ -107,6 +126,14 @@ class PlacementDaemon {
 
   /// Serves one request synchronously: cache hit or cold schedule.
   [[nodiscard]] PlacementResponse admit(PlacementRequest request);
+  /// admit() with the request's admission_key() already computed.
+  [[nodiscard]] PlacementResponse admit(PlacementRequest request, const CacheKey& key);
+
+  /// admit()'s answer when `key` is cached — counted as an admission and
+  /// a hit, the entry bumped to MRU, a degraded entry refused unless
+  /// `degraded_ok` — or std::nullopt on a miss, which counts nothing.
+  [[nodiscard]] std::optional<PlacementResponse> admit_hit(const CacheKey& key,
+                                                           bool degraded_ok);
 
   /// Queues the request on the shared global thread pool. The destructor
   /// drains queued requests before returning.
@@ -158,6 +185,7 @@ class PlacementDaemon {
   [[nodiscard]] std::size_t failed_procs() const;
   [[nodiscard]] std::size_t cache_size() const;
   [[nodiscard]] ScheduleCache::Stats cache_stats() const;
+  /// Every counter and gauge above, read together under one lock.
   [[nodiscard]] DaemonStats stats() const;
 
  private:
@@ -175,6 +203,11 @@ class PlacementDaemon {
   std::shared_ptr<CachedPlacement> rebuild_degraded(const CachedPlacement& stale,
                                                     const ProcSet& failed,
                                                     BatchScratch& scratch) const;
+
+  /// The hit half of admit() (mutex_ held): counts the admission and
+  /// answers from the cached `hit` at the current epoch.
+  [[nodiscard]] PlacementResponse answer_hit(std::shared_ptr<const CachedPlacement> hit,
+                                             bool degraded_ok);
 
   /// Posts a background re-heal pass unless one is already queued
   /// (mutex_ held).

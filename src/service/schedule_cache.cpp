@@ -35,17 +35,28 @@ void ScheduleCache::link_front(std::size_t i) {
 }
 
 void ScheduleCache::free_node(std::size_t i) {
-  nodes_[i].placement.reset();
+  set_placement(i, nullptr);
   nodes_[i].next = free_;
   free_ = i;
 }
 
+void ScheduleCache::set_placement(std::size_t i,
+                                  std::shared_ptr<const CachedPlacement> placement) {
+  std::shared_ptr<const CachedPlacement>& slot = nodes_[i].placement;
+  if (slot != nullptr && slot->degraded) --degraded_;
+  if (placement != nullptr && placement->degraded) ++degraded_;
+  slot = std::move(placement);
+}
+
 std::shared_ptr<const CachedPlacement> ScheduleCache::find(const CacheKey& key) {
+  std::shared_ptr<const CachedPlacement> hit = find_hit(key);
+  if (hit == nullptr) ++stats_.misses;
+  return hit;
+}
+
+std::shared_ptr<const CachedPlacement> ScheduleCache::find_hit(const CacheKey& key) {
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (it == index_.end()) return nullptr;
   ++stats_.hits;
   const std::size_t i = it->second;
   if (i != head_) {
@@ -65,7 +76,7 @@ void ScheduleCache::insert(const CacheKey& key,
   SS_REQUIRE(placement != nullptr, "cannot cache a null placement");
   if (const auto it = index_.find(key); it != index_.end()) {
     const std::size_t i = it->second;
-    nodes_[i].placement = std::move(placement);
+    set_placement(i, std::move(placement));
     if (i != head_) {
       unlink(i);
       link_front(i);
@@ -90,7 +101,7 @@ void ScheduleCache::insert(const CacheKey& key,
     nodes_.emplace_back();
   }
   nodes_[i].key = key;
-  nodes_[i].placement = std::move(placement);
+  set_placement(i, std::move(placement));
   link_front(i);
   index_.emplace(key, i);
   ++stats_.insertions;
@@ -103,7 +114,7 @@ void ScheduleCache::update_all(
   while (i != kNil) {
     const std::size_t next = nodes_[i].next;
     if (std::shared_ptr<const CachedPlacement> kept = update(nodes_[i].placement)) {
-      nodes_[i].placement = std::move(kept);
+      set_placement(i, std::move(kept));
     } else {
       index_.erase(nodes_[i].key);
       unlink(i);
@@ -112,14 +123,6 @@ void ScheduleCache::update_all(
     }
     i = next;
   }
-}
-
-std::size_t ScheduleCache::degraded_count() const {
-  std::size_t n = 0;
-  for (std::size_t i = head_; i != kNil; i = nodes_[i].next) {
-    if (nodes_[i].placement->degraded) ++n;
-  }
-  return n;
 }
 
 std::vector<std::pair<CacheKey, std::shared_ptr<const CachedPlacement>>>

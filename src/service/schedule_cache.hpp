@@ -73,6 +73,10 @@ class ScheduleCache {
   /// hit or a miss. Allocation-free.
   [[nodiscard]] std::shared_ptr<const CachedPlacement> find(const CacheKey& key);
 
+  /// find() whose miss counts nothing: for a lookup whose miss is retried
+  /// by a later find(), so each request still counts one hit or one miss.
+  [[nodiscard]] std::shared_ptr<const CachedPlacement> find_hit(const CacheKey& key);
+
   /// The cached placement for `key`, or nullptr, without touching recency
   /// or stats — for the daemon's own bookkeeping, not for serving.
   [[nodiscard]] std::shared_ptr<const CachedPlacement> peek(const CacheKey& key) const;
@@ -89,8 +93,9 @@ class ScheduleCache {
   void update_all(const std::function<std::shared_ptr<const CachedPlacement>(
                       const std::shared_ptr<const CachedPlacement>&)>& update);
 
-  /// Number of cached placements serving degraded (a walk, no copies).
-  [[nodiscard]] std::size_t degraded_count() const;
+  /// Number of cached placements serving degraded (a counter kept by
+  /// insert, eviction and update_all; no walk).
+  [[nodiscard]] std::size_t degraded_count() const { return degraded_; }
 
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -118,6 +123,8 @@ class ScheduleCache {
   void unlink(std::size_t i);
   void link_front(std::size_t i);
   void free_node(std::size_t i);
+  /// Stores `placement` in node i, keeping degraded_ current.
+  void set_placement(std::size_t i, std::shared_ptr<const CachedPlacement> placement);
 
   std::size_t capacity_;
   std::vector<Node> nodes_;
@@ -126,6 +133,7 @@ class ScheduleCache {
   std::size_t free_ = kNil;  ///< free-slot chain through Node::next
   std::unordered_map<CacheKey, std::size_t, CacheKeyHash> index_;
   Stats stats_;
+  std::size_t degraded_ = 0;  ///< nodes whose placement is degraded
 };
 
 }  // namespace streamsched

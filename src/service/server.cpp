@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fingerprint.hpp"
 #include "net/socket.hpp"
 #include "service/persistence.hpp"
 #include "util/assert.hpp"
@@ -35,6 +36,45 @@ std::string hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
   return std::string(buf);
+}
+
+/// The response line of one admission, whether a lane worker ran it or the
+/// poll thread answered it from the cache.
+std::string format_admission(const PlacementResponse& resp, const std::string& tag) {
+  if (!resp.ok) {
+    if (resp.degraded_refused) {
+      return format_error(WireCode::kDegraded,
+                          resp.error.empty() ? "placement degraded" : resp.error, tag);
+    }
+    return format_error(WireCode::kInfeasible,
+                        resp.error.empty() ? "no feasible placement" : resp.error, tag);
+  }
+  const CachedPlacement& p = *resp.placement;
+  // Degraded provenance overrides cold/hit/warm: a caller that opted into
+  // brownout serving must see the weaker contract first.
+  const char* src = p.degraded       ? "degraded"
+                    : !resp.cache_hit ? "cold"
+                    : p.from_snapshot ? "warm"
+                                      : "hit";
+  OkBuilder ok;
+  if (!tag.empty()) ok.add("tag", tag);
+  ok.add("src", src)
+      .add("epoch", resp.epoch)
+      .add("fp", hex16(p.schedule_fp))
+      .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
+      .add("stages", static_cast<std::uint64_t>(p.stages))
+      .add("period", p.schedule.period())
+      .add("latency", p.latency_bound)
+      .add("rel", p.reliability)
+      .add("factor", p.period_factor)
+      .add("repair_comms",
+           static_cast<std::uint64_t>(p.repair.added_comms + p.event_repair_comms));
+  if (p.degraded) {
+    ok.add("degraded", std::uint64_t{1})
+        .add("eps_have", static_cast<std::uint64_t>(p.eps_have))
+        .add("eps_want", static_cast<std::uint64_t>(p.eps_want));
+  }
+  return ok.str();
 }
 
 }  // namespace
@@ -54,9 +94,12 @@ struct Server::Impl {
     bool close_after_flush = false;
   };
 
+  /// A SUBMIT that missed the cache, keyed on the poll thread.
   struct Job {
     std::uint64_t conn_id = 0;
-    SubmitFrame frame;
+    std::string tag;
+    PlacementRequest request;
+    CacheKey key;
   };
 
   struct Lane {
@@ -88,6 +131,10 @@ struct Server::Impl {
 
   std::atomic<bool> draining{false};
   bool workers_stopped = false;
+
+  /// DagWire bodies that hit the cache (poll thread only; bounded by the
+  /// cache capacity, set in the constructor).
+  DagMemo memo;
 
   /// Poll-thread fault plan (ServerConfig::fault_spec); null = none.
   std::unique_ptr<FaultPlan> fault_plan_obj;
@@ -132,89 +179,45 @@ struct Server::Impl {
 
   void worker_main(Lane& ln) {
     for (;;) {
-      Job job;
+      std::unique_lock<std::mutex> lock(ln.mutex);
+      ln.cv.wait(lock, [&ln] { return ln.stop || !ln.queue.empty(); });
+      if (ln.queue.empty()) return;  // stop requested and nothing queued
+      Job job = std::move(ln.queue.front());
+      ln.queue.pop_front();
+      lock.unlock();
+      std::string line = serve_submit(job);
+      // One critical section: once the slot is free the response is queued
+      // (fully_drained relies on it) and already counted.
+      lock.lock();
+      --ln.in_flight;
+      ++ln.stats.completed;
       {
-        std::unique_lock<std::mutex> lock(ln.mutex);
-        ln.cv.wait(lock, [&ln] { return ln.stop || !ln.queue.empty(); });
-        if (ln.queue.empty()) return;  // stop requested and nothing queued
-        job = std::move(ln.queue.front());
-        ln.queue.pop_front();
-      }
-      std::string line = serve_submit(job.frame);
-      {
-        const std::lock_guard<std::mutex> lock(completion_mutex);
+        const std::lock_guard<std::mutex> done(completion_mutex);
         completions.emplace_back(job.conn_id, std::move(line));
       }
-      {
-        const std::lock_guard<std::mutex> lock(ln.mutex);
-        --ln.in_flight;
-        ++ln.stats.completed;
-      }
+      lock.unlock();
       wake();
     }
   }
 
-  /// Runs one admission and formats the response line (worker threads).
-  std::string serve_submit(SubmitFrame& frame) {
+  /// Runs one cache-missing admission and formats its response line
+  /// (worker threads).
+  std::string serve_submit(Job& job) {
     try {
-      PlacementRequest request;
-      request.dag = std::move(frame.dag);
-      request.variant = AlgoVariant::parse(frame.variant_spec);
-      request.model = frame.model;
-      request.period = frame.period;
-      request.headroom = frame.headroom;
-      request.comm_share = frame.comm_share;
-      request.degraded_ok = frame.degraded_ok;
-      const PlacementResponse resp = server->daemon_->admit(std::move(request));
-      if (!resp.ok) {
-        if (resp.degraded_refused) {
-          return format_error(WireCode::kDegraded,
-                              resp.error.empty() ? "placement degraded" : resp.error,
-                              frame.tag);
-        }
-        return format_error(WireCode::kInfeasible,
-                            resp.error.empty() ? "no feasible placement" : resp.error,
-                            frame.tag);
-      }
-      const CachedPlacement& p = *resp.placement;
-      // Degraded provenance overrides cold/hit/warm: a caller that opted
-      // into brownout serving must see the weaker contract first.
-      const char* src = p.degraded ? "degraded"
-                        : !resp.cache_hit
-                            ? "cold"
-                            : (p.from_snapshot ? "warm" : "hit");
-      OkBuilder ok;
-      if (!frame.tag.empty()) ok.add("tag", frame.tag);
-      ok.add("src", src)
-          .add("epoch", resp.epoch)
-          .add("fp", hex16(p.schedule_fp))
-          .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
-          .add("stages", static_cast<std::uint64_t>(p.stages))
-          .add("period", p.schedule.period())
-          .add("latency", p.latency_bound)
-          .add("rel", p.reliability)
-          .add("factor", p.period_factor)
-          .add("repair_comms",
-               static_cast<std::uint64_t>(p.repair.added_comms + p.event_repair_comms));
-      if (p.degraded) {
-        ok.add("degraded", std::uint64_t{1})
-            .add("eps_have", static_cast<std::uint64_t>(p.eps_have))
-            .add("eps_want", static_cast<std::uint64_t>(p.eps_want));
-      }
-      return ok.str();
+      return format_admission(server->daemon_->admit(std::move(job.request), job.key), job.tag);
     } catch (const std::exception& e) {
-      return format_error(WireCode::kInternal, e.what(), frame.tag);
+      return format_error(WireCode::kInternal, e.what(), job.tag);
     }
   }
 
   /// Handles one request line on the poll thread; appends any synchronous
-  /// response to `conn.out` (SUBMITs that are accepted respond later via
-  /// the completion queue).
+  /// response to `conn.out` (SUBMITs queued to a lane respond later via
+  /// the completion queue). Views into `line` die with this call.
   void process_line(std::uint64_t conn_id, Connection& conn, std::string_view line) {
     if (line.empty()) return;  // blank lines are keep-alive no-ops
     Request request;
     try {
-      request = parse_request(line);
+      request = parse_request(line, memo);
     } catch (const WireError& e) {
       conn.out += format_error(e.code(), e.what());
       conn.out += '\n';
@@ -222,7 +225,7 @@ struct Server::Impl {
     }
     switch (request.verb) {
       case Verb::kSubmit:
-        enqueue_submit(conn_id, conn, std::move(request.submit));
+        enqueue_submit(conn_id, conn, request.submit);
         return;
       case Verb::kEvent:
         serve_event(conn, request.event);
@@ -241,7 +244,9 @@ struct Server::Impl {
     }
   }
 
-  void enqueue_submit(std::uint64_t conn_id, Connection& conn, SubmitFrame frame) {
+  /// Admits one SUBMIT: sheds it when its lane is full, answers a cache
+  /// hit here on the poll thread, and queues a miss to the lane's workers.
+  void enqueue_submit(std::uint64_t conn_id, Connection& conn, SubmitFrame& frame) {
     if (draining.load()) {
       conn.out += format_error(WireCode::kShuttingDown, "server is draining", frame.tag);
       conn.out += '\n';
@@ -254,6 +259,7 @@ struct Server::Impl {
         ++ln.stats.shed;
         // Shed on the poll thread: BUSY costs one queue-bound check, no
         // scheduling work — cheapest exactly when the lane is saturated.
+        // It comes before the cache lookup, so a full lane sheds hits too.
         // The retry_ms hint scales with queue depth: roughly one
         // busy_retry_hint_ms per full worker-load of queued admissions,
         // capped so a deep backlog never tells clients to sleep forever.
@@ -268,9 +274,48 @@ struct Server::Impl {
         conn.out += '\n';
         return;
       }
+    }
+    // Only this thread adds to in_flight, so the lane keeps its room.
+    AlgoVariant variant;
+    CacheKey key;
+    std::string answer;  // set when the SUBMIT is answered here
+    try {
+      variant = AlgoVariant::parse(frame.variant_spec);
+      const std::uint64_t dag_fp = frame.dag_fp ? *frame.dag_fp : dag_fingerprint(frame.dag);
+      key = admission_key(dag_fp, variant, frame.model);
+      if (const auto hit = server->daemon_->admit_hit(key, frame.degraded_ok)) {
+        if (!frame.dag_fp) memo.insert(frame.dag_wire, dag_fp);
+        answer = format_admission(*hit, frame.tag);
+      } else if (frame.dag_fp) {
+        // The memoised body's placement was evicted: the cold path needs
+        // its Dag after all.
+        frame.dag = parse_dag_wire(frame.dag_wire);
+      }
+    } catch (const std::exception& e) {
+      answer = format_error(WireCode::kInternal, e.what(), frame.tag);
+    }
+    if (!answer.empty()) {
+      conn.out += answer;
+      conn.out += '\n';
+      const std::lock_guard<std::mutex> lock(ln.mutex);
+      ++ln.stats.accepted;
+      ++ln.stats.completed;
+      return;
+    }
+    Job job{conn_id, frame.tag,
+            PlacementRequest{.dag = std::move(frame.dag),
+                             .variant = std::move(variant),
+                             .model = frame.model,
+                             .period = frame.period,
+                             .headroom = frame.headroom,
+                             .comm_share = frame.comm_share,
+                             .degraded_ok = frame.degraded_ok},
+            key};
+    {
+      const std::lock_guard<std::mutex> lock(ln.mutex);
       ++ln.in_flight;
       ++ln.stats.accepted;
-      ln.queue.push_back(Job{conn_id, std::move(frame)});
+      ln.queue.push_back(std::move(job));
     }
     ln.cv.notify_one();
   }
@@ -299,16 +344,15 @@ struct Server::Impl {
 
   void serve_stats(Connection& conn) {
     const DaemonStats ds = server->daemon_->stats();
-    const ScheduleCache::Stats cs = server->daemon_->cache_stats();
     OkBuilder ok;
-    ok.add("epoch", server->daemon_->epoch())
-        .add("failed", static_cast<std::uint64_t>(server->daemon_->failed_procs()))
-        .add("cache_size", static_cast<std::uint64_t>(server->daemon_->cache_size()))
+    ok.add("epoch", ds.epoch)
+        .add("failed", ds.failed_procs)
+        .add("cache_size", ds.cache_size)
         .add("admissions", ds.admissions)
         .add("cold", ds.cold_schedules)
-        .add("hits", cs.hits)
-        .add("misses", cs.misses)
-        .add("evictions", cs.evictions)
+        .add("hits", ds.cache.hits)
+        .add("misses", ds.cache.misses)
+        .add("evictions", ds.cache.evictions)
         .add("events", ds.events)
         .add("recovery_events", ds.recovery_events)
         .add("event_repairs", ds.event_repairs)
@@ -335,17 +379,18 @@ struct Server::Impl {
     conn.out += '\n';
   }
 
-  /// Liveness probe: cheap field copies plus the bounded degraded-entry
-  /// walk (<= cache capacity pointer reads) so monitors can poll it hard.
-  /// `degraded=` is the router/backpressure signal: a cluster serving
-  /// below guarantee advertises it here before any SUBMIT is refused.
+  /// Liveness probe: field copies from one daemon reading (no cache walk)
+  /// so monitors can poll it hard. `degraded=` is the router/backpressure
+  /// signal: a cluster serving below guarantee advertises it here before
+  /// any SUBMIT is refused.
   void serve_health(Connection& conn) {
+    const DaemonStats ds = server->daemon_->stats();
     OkBuilder ok;
     ok.add("status", draining.load() ? "draining" : "serving")
-        .add("epoch", server->daemon_->epoch())
-        .add("failed", static_cast<std::uint64_t>(server->daemon_->failed_procs()))
-        .add("cache_size", static_cast<std::uint64_t>(server->daemon_->cache_size()))
-        .add("degraded", static_cast<std::uint64_t>(server->daemon_->degraded_count()));
+        .add("epoch", ds.epoch)
+        .add("failed", ds.failed_procs)
+        .add("cache_size", ds.cache_size)
+        .add("degraded", ds.degraded);
     for (std::size_t qi = 0; qi < kNumQosClasses; ++qi) {
       const std::string name = qos_class_name(static_cast<QosClass>(qi));
       std::size_t in_flight;
@@ -633,6 +678,7 @@ Server::Server(Platform platform, ServerConfig config)
       impl_(std::make_unique<Impl>()) {
   impl_->server = this;
   impl_->config = std::move(config);
+  impl_->memo = DagMemo(impl_->config.daemon.cache_capacity);
   for (std::size_t qi = 0; qi < kNumQosClasses; ++qi) {
     SS_REQUIRE(impl_->config.lanes[qi].workers > 0, "QoS lane needs at least one worker");
     SS_REQUIRE(impl_->config.lanes[qi].bound > 0, "QoS lane needs a bound >= 1");

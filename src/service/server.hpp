@@ -5,28 +5,39 @@
 // line-delimited protocol over unix-domain and/or TCP listeners from a
 // single poll(2) loop. Frames are dispatched by cost:
 //
-//   EVENT / STATS / SHUTDOWN   answered synchronously on the poll thread
-//                              (an event is a cache repair walk — fast and
-//                              latency-critical; stats are a field copy).
+//   EVENT / STATS / HEALTH /   answered synchronously on the poll thread
+//   SHUTDOWN                   (an event is a cache repair walk — fast and
+//                              latency-critical; stats and health are one
+//                              locked read of the daemon's counters).
 //
-//   SUBMIT                     routed to the request's QoS class lane: a
-//                              bounded in-flight queue drained by the
-//                              lane's own worker threads. When a lane's
-//                              in-flight count (queued + running) is at
-//                              its bound, the request is shed immediately
-//                              with `ERR BUSY` — written from the poll
-//                              thread, so shedding stays cheap precisely
-//                              when the server is saturated. Interactive
+//   SUBMIT                     checked against its QoS class lane first:
+//                              when the lane's in-flight count (queued +
+//                              running) is at its bound, the request is
+//                              shed immediately with `ERR BUSY`, hit or
+//                              not — so shedding stays cheap precisely
+//                              when the server is saturated. Otherwise
+//                              the poll thread keys it and asks the
+//                              daemon for a cache hit (admit_hit); a hit
+//                              is answered right there. A miss goes to
+//                              the lane: a bounded in-flight queue
+//                              drained by the lane's own worker threads,
+//                              which run the cold admission. Interactive
 //                              and batch lanes are fully independent:
 //                              saturating batch never delays interactive
 //                              admissions (bench_server's shed phase
 //                              measures both properties).
 //
+// A resent SUBMIT never builds its Dag: the poll thread keeps a DagMemo
+// (net/wire.hpp) from the exact dag= bytes of bodies that hit the cache
+// to their DAG fingerprint, bounded by the cache capacity, and parses
+// through it. Only the poll thread touches it.
+//
 // Workers push finished responses onto a completion queue and wake the
 // poll loop through a self-pipe; the poll thread owns all connection
 // state, so no socket is ever written from two threads. Because lanes run
-// concurrently, responses on one connection may be reordered relative to
-// submission order — clients match them by their `tag=` echo.
+// concurrently, and hits are answered before earlier misses finish,
+// responses on one connection may be reordered relative to submission
+// order — clients match them by their `tag=` echo.
 //
 // Warm start: when `config.snapshot_path` is set, the constructor loads
 // the newest intact snapshot generation (verified entry by entry, see
@@ -105,9 +116,13 @@ struct ServerConfig {
 
 /// Per-lane admission counters (monotonic since construction).
 struct LaneStats {
-  std::uint64_t accepted = 0;   ///< SUBMITs queued to the lane
-  std::uint64_t shed = 0;       ///< SUBMITs answered `ERR BUSY`
-  std::uint64_t completed = 0;  ///< responses produced by lane workers
+  /// SUBMITs that passed the lane's bound: cache hits answered on the poll
+  /// thread plus misses queued to the lane's workers.
+  std::uint64_t accepted = 0;
+  std::uint64_t shed = 0;  ///< SUBMITs answered `ERR BUSY`
+  /// Accepted SUBMITs answered: hits on the poll thread, misses by the
+  /// lane's workers.
+  std::uint64_t completed = 0;
 };
 
 class Server {

@@ -2,13 +2,15 @@
 // test_chaos): per-process file names, a cleanup guard that knows about
 // snapshot generations, a server running on its own thread, the check
 // that every served placement carries fresh response facts, and a gated
-// scheduler that parks a lane worker until the test releases it.
+// scheduler that parks a lane worker until the test (or a watchdog's
+// deadline) releases it.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -163,6 +165,44 @@ struct GateHold {
   GateHold(const GateHold&) = delete;
   GateHold& operator=(const GateHold&) = delete;
   void release() { scheduler_gate().set(true); }
+};
+
+/// Opens the gate once `deadline` passes, so a test that waits for a
+/// response the parked admission would block fails instead of hanging.
+/// Declare it after the GateHold; the destructor stops and joins it.
+class GateWatchdog {
+ public:
+  explicit GateWatchdog(std::chrono::milliseconds deadline)
+      : thread_([this, deadline] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (cv_.wait_for(lock, deadline, [this] { return stop_; })) return;
+          fired_ = true;
+          lock.unlock();
+          scheduler_gate().set(true);
+        }) {}
+  ~GateWatchdog() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  GateWatchdog(const GateWatchdog&) = delete;
+  GateWatchdog& operator=(const GateWatchdog&) = delete;
+
+  /// True once the deadline opened the gate.
+  [[nodiscard]] bool fired() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return fired_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  bool fired_ = false;
+  std::thread thread_;  // last: starts after the state it reads
 };
 
 }  // namespace streamsched::test

@@ -2,12 +2,16 @@
 // round trip, loud rejection of corrupted / truncated / foreign-platform
 // snapshots, per-entry drops for tampered claims and stale placements) and
 // the wire server end to end over a unix-domain socket — cold admission,
-// cache hits, failure events driving incremental repair, QoS shedding
+// cache hits (answered on the poll thread, ahead of a parked cold
+// admission, with STATS counters that always agree), failure events
+// driving incremental repair, QoS shedding (before any cache lookup)
 // under a saturated batch lane while interactive admissions keep landing,
 // drain-on-shutdown semantics, and a warm restart that serves every
 // placement bit-identically without touching the cold path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -529,6 +533,22 @@ TEST(WireServer, SaturatedBatchLaneShedsWhileInteractiveLands) {
   ASSERT_TRUE(health.ok);
   EXPECT_EQ(health.field_u64("batch_inflight"), 1u);
 
+  // The shed check comes before the cache lookup: a batch SUBMIT of the
+  // DAG just cached is shed all the same, once with a body the server has
+  // not memoised and, after an interactive hit memoises it, once with one
+  // it has.
+  const auto expect_batch_shed = [&](const char* tag) {
+    const net::Response resp = probe.submit(frame_for(231, tag, net::QosClass::kBatch));
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, net::WireCode::kBusy);
+    EXPECT_EQ(resp.field("tag"), tag);
+  };
+  expect_batch_shed("cached");
+  const net::Response hit = probe.submit(frame_for(231, "fg2"));
+  ASSERT_TRUE(hit.ok) << hit.message;
+  EXPECT_EQ(hit.field("src"), "hit");
+  expect_batch_shed("memoised");
+
   // Opening the gate lets the accepted head finish.
   hold.release();
   const net::Response head = blocker.read_response();
@@ -539,10 +559,101 @@ TEST(WireServer, SaturatedBatchLaneShedsWhileInteractiveLands) {
   const net::Response stats = probe.stats();
   ASSERT_TRUE(stats.ok);
   EXPECT_EQ(stats.field_u64("batch_accepted"), 1u);
-  EXPECT_EQ(stats.field_u64("batch_shed"), 2u);
-  EXPECT_EQ(stats.field_u64("interactive_accepted"), 1u);
+  EXPECT_EQ(stats.field_u64("batch_shed"), 4u);
+  EXPECT_EQ(stats.field_u64("interactive_accepted"), 2u);
   EXPECT_EQ(stats.field_u64("interactive_shed"), 0u);
-  EXPECT_EQ(handle.server.lane_stats(net::QosClass::kBatch).shed, 2u);
+  EXPECT_EQ(handle.server.lane_stats(net::QosClass::kBatch).shed, 4u);
+  // A shed SUBMIT never reaches the daemon: two cold, one hit.
+  EXPECT_EQ(stats.field_u64("admissions"), 3u);
+  EXPECT_EQ(stats.field_u64("hits"), 1u);
+}
+
+TEST(WireServer, HitOvertakesAParkedColdAdmissionOnItsOwnLane) {
+  const FileGuard sock(unique_path("srv_overtake", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  auto& interactive = config.lanes[static_cast<std::size_t>(net::QosClass::kInteractive)];
+  interactive.workers = 1;
+  interactive.bound = 4;
+  const std::string algo = gated_algo();
+  ServerHandle handle(small_platform(), config);
+  net::Client client = net::Client::connect_unix_path(sock.path);
+  const net::Response cold = client.submit(frame_for(251, "a0"));
+  ASSERT_TRUE(cold.ok) << cold.message;
+  EXPECT_EQ(cold.field("src"), "cold");
+
+  // B parks the lane's only worker; A, pipelined behind it on the same
+  // connection and lane, is a hit and must not wait for B.
+  GateHold hold;
+  test::GateWatchdog watchdog(std::chrono::seconds(10));
+  net::SubmitFrame parked = frame_for(252, "b");
+  parked.variant_spec = algo;
+  client.send_line(net::format_submit(parked) + "\n" + net::format_submit(frame_for(251, "a1")));
+  const net::Response hit = client.read_response();
+  EXPECT_FALSE(watchdog.fired()) << "the hit waited for the parked admission";
+  ASSERT_TRUE(hit.ok) << hit.message;
+  EXPECT_EQ(hit.field("tag"), "a1");
+  EXPECT_EQ(hit.field("src"), "hit");
+  EXPECT_EQ(hit.field("fp"), cold.field("fp"));
+
+  hold.release();
+  const net::Response late = client.read_response();
+  ASSERT_TRUE(late.ok) << late.message;
+  EXPECT_EQ(late.field("tag"), "b");
+  EXPECT_EQ(late.field("src"), "cold");
+
+  // The inline hit counts like any admission, on the daemon and the lane.
+  const net::Response stats = client.stats();
+  ASSERT_TRUE(stats.ok);
+  EXPECT_EQ(stats.field_u64("admissions"), 3u);
+  EXPECT_EQ(stats.field_u64("hits"), 1u);
+  EXPECT_EQ(stats.field_u64("misses"), 2u);
+  EXPECT_EQ(stats.field_u64("cold"), 2u);
+  EXPECT_EQ(stats.field_u64("interactive_accepted"), 3u);
+  EXPECT_EQ(stats.field_u64("interactive_completed"), 3u);
+}
+
+TEST(WireServer, StatsCountersAgreeUnderConcurrentColdTraffic) {
+  const FileGuard sock(unique_path("srv_statsrace", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  config.lanes[static_cast<std::size_t>(net::QosClass::kInteractive)].workers = 2;
+  ServerHandle handle(small_platform(), config);
+
+  // Two clients admit fresh DAGs (each then re-sent once, a hit) on both
+  // lanes while a third reads STATS: every reading must be one consistent
+  // cut of the daemon, in which each admission is one hit or one miss.
+  constexpr std::uint64_t kPerClient = 12;
+  std::atomic<int> running{2};
+  std::vector<std::thread> clients;
+  for (const net::QosClass qos : {net::QosClass::kInteractive, net::QosClass::kBatch}) {
+    clients.emplace_back([&, qos] {
+      net::Client client = net::Client::connect_unix_path(sock.path);
+      const std::uint64_t base = qos == net::QosClass::kBatch ? 700 : 800;
+      for (std::uint64_t i = 0; i < kPerClient; ++i) {
+        for (const char* tag : {"cold", "again"}) {
+          const net::Response resp = client.submit(frame_for(base + i, tag, qos, 8));
+          EXPECT_TRUE(resp.ok) << resp.message;
+        }
+      }
+      --running;
+    });
+  }
+  net::Client reader = net::Client::connect_unix_path(sock.path);
+  std::size_t readings = 0;
+  for (bool last = false; !last; ++readings) {
+    last = running.load() == 0;
+    const net::Response stats = reader.stats();
+    ASSERT_TRUE(stats.ok);
+    EXPECT_EQ(stats.field_u64("hits") + stats.field_u64("misses"),
+              stats.field_u64("admissions"));
+  }
+  for (std::thread& t : clients) t.join();
+  const net::Response stats = reader.stats();
+  EXPECT_EQ(stats.field_u64("admissions"), 4 * kPerClient);
+  EXPECT_EQ(stats.field_u64("hits"), 2 * kPerClient);
+  EXPECT_EQ(stats.field_u64("cold"), 2 * kPerClient);
+  EXPECT_GT(readings, 1u);
 }
 
 TEST(WireServer, WarmRestartServesBitIdenticalWithoutColdPath) {

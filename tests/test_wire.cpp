@@ -1,12 +1,15 @@
 // Wire-protocol suite (net/wire.hpp): exact double round trips, DagWire /
 // ScheduleWire serialization that preserves fingerprints bit-identically,
-// strict request parsing (unknown verbs/fields/values fail loudly), and
-// response formatting/parsing including the tag echo on errors.
+// strict request parsing (unknown verbs/fields/values fail loudly) that
+// gives the same result through a DagMemo as without one, and response
+// formatting/parsing including the tag echo on errors.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "core/fingerprint.hpp"
 #include "core/rltf.hpp"
@@ -254,6 +257,87 @@ TEST(RequestWire, StrictRejects) {
   EXPECT_THROW((void)parse_request("EVENT kind=fail proc=-1"), WireError);
   EXPECT_THROW((void)parse_request("STATS now"), WireError);            // takes no fields
   EXPECT_THROW((void)parse_request("SHUTDOWN please"), WireError);
+}
+
+TEST(RequestWire, MemoParsesLikeNoMemo) {
+  const std::string dag = format_dag_wire(layered_dag(3, 12));
+  const std::string other = format_dag_wire(layered_dag(4, 12));
+  const std::string good =
+      "SUBMIT tag=t7 qos=batch algo=ltf model=count:eps=2 period=7.5 degraded_ok=1 dag=" + dag;
+  DagMemo memo(4);
+  const Request primed = parse_request(good, memo);
+  ASSERT_FALSE(primed.submit.dag_fp.has_value());
+  ASSERT_EQ(primed.submit.dag_wire, dag);
+  memo.insert(primed.submit.dag_wire, dag_fingerprint(primed.submit.dag));
+
+  struct Case {
+    std::string line;
+    bool memoised;  ///< an accepted line whose last dag= is in the memo
+  };
+  for (const Case& c : {Case{good, true},
+                        Case{"SUBMIT dag=" + dag + " model=count:eps=x", false},
+                        Case{"SUBMIT dag=n2;w1 model=count:eps=x", false},
+                        Case{"SUBMIT dag=" + dag + " colour=red", false},
+                        Case{"SUBMIT tag=t8 dag=" + dag + " dag=" + other, false}}) {
+    SCOPED_TRACE(c.line.substr(0, 48));
+    std::optional<Request> plain;
+    std::optional<Request> memoised;
+    std::string plain_error;
+    std::string memo_error;
+    WireCode plain_code = WireCode::kOk;
+    WireCode memo_code = WireCode::kOk;
+    try {
+      plain = parse_request(c.line);
+    } catch (const WireError& e) {
+      plain_code = e.code();
+      plain_error = e.what();
+    }
+    try {
+      memoised = parse_request(c.line, memo);
+    } catch (const WireError& e) {
+      memo_code = e.code();
+      memo_error = e.what();
+    }
+    ASSERT_EQ(plain.has_value(), memoised.has_value());
+    if (!plain) {
+      EXPECT_EQ(memo_code, plain_code);
+      EXPECT_EQ(memo_error, plain_error);
+      continue;
+    }
+    const SubmitFrame& a = plain->submit;
+    const SubmitFrame& b = memoised->submit;
+    EXPECT_EQ(memoised->verb, plain->verb);
+    EXPECT_EQ(b.qos, a.qos);
+    EXPECT_EQ(b.tag, a.tag);
+    EXPECT_EQ(b.variant_spec, a.variant_spec);
+    EXPECT_EQ(b.model.to_string(), a.model.to_string());
+    EXPECT_EQ(b.period, a.period);
+    EXPECT_EQ(b.headroom, a.headroom);
+    EXPECT_EQ(b.comm_share, a.comm_share);
+    EXPECT_EQ(b.degraded_ok, a.degraded_ok);
+    EXPECT_EQ(b.dag_fp.has_value(), c.memoised);
+    EXPECT_EQ(b.dag_fp.value_or(dag_fingerprint(b.dag)), dag_fingerprint(a.dag));
+    if (c.memoised) {
+      EXPECT_EQ(b.dag.num_tasks(), 0u);  // never built
+    }
+  }
+}
+
+TEST(DagWire, MemoHoldsAtMostItsCapacity) {
+  DagMemo memo(2);
+  memo.insert("n1;w1;e", 11);
+  memo.insert("n1;w2;e", 12);
+  memo.insert("n1;w2;e", 13);  // replaces, evicts nothing
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.find("n1;w2;e"), std::optional<std::uint64_t>(13));
+  memo.insert("n1;w3;e", 14);  // full: one older body goes
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.find("n1;w3;e"), std::optional<std::uint64_t>(14));
+  EXPECT_FALSE(memo.find("n1;w3"));  // whole bodies only
+
+  DagMemo none;  // capacity 0 keeps nothing
+  none.insert("n1;w1;e", 11);
+  EXPECT_EQ(none.size(), 0u);
 }
 
 // --------------------------------------------------------------- responses --
