@@ -3,28 +3,37 @@
 //
 //   - exact mode: end-to-end `schedule_reliability` latency and enumerated
 //     sets/sec under the default truncation budget (reported only for the
-//     m whose enumeration fits the budget — larger platforms fall to MC);
+//     m whose enumeration fits the budget — larger platforms fall to MC).
+//     The timed calls find the platform's failure-set tree in the
+//     process-wide memo, built by the untimed first call;
 //   - Monte-Carlo mode (enumeration budget forced to 0): the
 //     importance-sampled path, sampled sets/sec;
 //   - repair mode: end-to-end `repair_to_reliability` on an unrepaired
 //     schedule with exact estimates, including the incremental
 //     killing-set cache, in two labelled shapes: `low_p` (m ∈ {16, 32},
 //     truncation loosened so m = 32 stays enumerable) and `cold_prob`
-//     (the service's `prob:R=0.999` admission at m = 16); plus the count
-//     repair `repair_fault_tolerance` in shape `cold_count` (the service's
-//     `count:eps=2` admission at m = 16), in repair rounds/sec.
+//     (the service's `prob:R=0.999` admission at m = 16), in repairs/sec;
+//     plus the count repair `repair_fault_tolerance` in shape `cold_count`
+//     (the service's `count:eps=2` admission at m = 16), in repair
+//     rounds/sec;
+//   - first call: the `cold_prob` estimate and repair on platforms the
+//     process has not seen, so each call pays the one-time failure-set tree
+//     build, medians over 40 fresh m = 16 platforms.
 //
 // Results are printed and written to `--json` (default BENCH_survival.json)
 // via bench/emit_bench_json.hpp. CI compares the fresh m = 16 exact
-// sets/sec and the `cold_count` repair rounds/sec against the committed
-// file with scripts/check_bench_floor.py.
+// sets/sec, the `cold_prob` repairs/sec, the `cold_count` repair
+// rounds/sec and the first-call estimates/sec and repairs/sec against the
+// committed file with scripts/check_bench_floor.py.
 //
 // Flags: --mc-samples N (default 20000), --reps N (timing repetitions,
 // best-of; default 3), --seed S, --eps E (replication degree of the
 // benched schedules, default 2), --json PATH.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <limits>
+#include <vector>
 
 #include "core/rltf.hpp"
 #include "emit_bench_json.hpp"
@@ -39,17 +48,26 @@ namespace {
 
 using namespace streamsched;
 
+/// Wall time of one fn() call in seconds.
+template <typename Fn>
+double seconds_of(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 /// Best-of-`reps` wall time of fn() in seconds.
 template <typename Fn>
 double best_seconds(std::int64_t reps, Fn&& fn) {
   double best = std::numeric_limits<double>::infinity();
-  for (std::int64_t rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
+  for (std::int64_t rep = 0; rep < reps; ++rep) best = std::min(best, seconds_of(fn));
   return best;
+}
+
+double median(std::vector<double> values) {
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
 }
 
 }  // namespace
@@ -164,7 +182,8 @@ int main(int argc, char** argv) {
         .add("added_comms", static_cast<std::uint64_t>(stats.added_comms))
         .add("exact", achieved.exact)
         .add("achieved", achieved.reliability)
-        .add("seconds", t);
+        .add("seconds", t)
+        .add("repairs_per_sec", 1.0 / t);
   };
 
   // `low_p`: failure probabilities and truncation chosen so the exact
@@ -226,6 +245,55 @@ int main(int argc, char** argv) {
           .add("success", stats.success)
           .add("seconds", t)
           .add("rounds_per_sec", rate);
+    }
+  }
+
+  // `first_call`: the `cold_prob` estimate and repair on platforms the
+  // process has not seen. The rows above time memo-warm calls; here every
+  // call pays the one-time failure-set tree build. Each of 2 x 40 fresh
+  // m = 16 platforms gets its own schedule and one timed call — an
+  // estimate on the even ones, a repair on the odd ones, so neither finds
+  // the other's tree — and the row reports the medians.
+  {
+    constexpr std::size_t kFreshPlatforms = 40;
+    SchedulerOptions options;
+    options.eps = 3;
+    options.period = std::numeric_limits<double>::infinity();
+    options.repair = false;  // leave killing sets for repair_to_reliability
+    std::vector<double> estimate_s;
+    std::vector<double> repair_s;
+    for (std::size_t i = 0; i < 2 * kFreshPlatforms; ++i) {
+      Rng rng(seed + 0xf125ULL * (i + 1));
+      const Platform platform = make_reliability_heterogeneous(rng, 16, 0.02, 0.08);
+      const Dag dag = make_random_layered(rng, 26, 4, 0.4, WeightRanges{});
+      const ScheduleResult r = rltf_schedule(dag, platform, options);
+      if (!r.ok()) {
+        std::cerr << "first_call platform " << i << ": scheduling failed (" << r.error
+                  << "), skipping\n";
+        continue;
+      }
+      if (i % 2 == 0) {
+        estimate_s.push_back(seconds_of([&] { (void)schedule_reliability(*r.schedule); }));
+      } else {
+        Schedule clone = *r.schedule;
+        repair_s.push_back(seconds_of([&] { (void)repair_to_reliability(clone, 0.999); }));
+      }
+    }
+    if (!estimate_s.empty() && !repair_s.empty()) {
+      const double estimate_t = median(estimate_s);
+      const double repair_t = median(repair_s);
+      std::cout << "first_call cold_prob m=16  platforms=" << estimate_s.size() << "+"
+                << repair_s.size() << "  estimate " << estimate_t * 1e3 << "ms  repair "
+                << repair_t * 1e3 << "ms (medians)\n";
+      doc.add_result()
+          .add("m", static_cast<std::uint64_t>(16))
+          .add("mode", "first_call")
+          .add("shape", "cold_prob")
+          .add("platforms", static_cast<std::uint64_t>(estimate_s.size() + repair_s.size()))
+          .add("estimate_seconds", estimate_t)
+          .add("repair_seconds", repair_t)
+          .add("estimates_per_sec", 1.0 / estimate_t)
+          .add("repairs_per_sec", 1.0 / repair_t);
     }
   }
 

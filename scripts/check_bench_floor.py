@@ -7,8 +7,11 @@ FRESH is the JSON a bench run just wrote; COMMITTED is the checked-in
 file of the same bench (BENCH_survival.json or BENCH_sim.json). The
 compared rows:
 
-  * survival_kernel: the m = 16 exact-mode `sets_per_sec`, and the
-    `cold_count` count-repair `rounds_per_sec`;
+  * survival_kernel: the m = 16 exact-mode `sets_per_sec`, the
+    `cold_prob` probabilistic-repair `repairs_per_sec`, the `cold_count`
+    count-repair `rounds_per_sec`, and the `first_call` estimate and
+    repair rates on platforms the process has not seen (which pay the
+    one-time failure-set tree build the memo-warm rows skip);
   * sim_engine: the m = 16 `trials_per_sec` of the crash-trial loop.
 
 Fails (exit 1) when any fresh value is below a quarter of the committed
@@ -25,7 +28,10 @@ FLOOR = 0.25
 ROWS = {
     "survival_kernel": [
         ("m=16 exact", {"m": 16, "mode": "exact"}, "sets_per_sec"),
+        ("cold_prob repair", {"mode": "repair", "shape": "cold_prob"}, "repairs_per_sec"),
         ("cold_count repair", {"mode": "repair", "shape": "cold_count"}, "rounds_per_sec"),
+        ("first_call estimate", {"mode": "first_call"}, "estimates_per_sec"),
+        ("first_call repair", {"mode": "first_call"}, "repairs_per_sec"),
     ],
     "sim_engine": [
         ("m=16 trials", {"m": 16, "mode": "trials"}, "trials_per_sec"),

@@ -5,7 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -416,10 +417,10 @@ FailureWeights failure_weights(const Schedule& schedule, const ReliabilityOption
   return fw;
 }
 
-// Survival verdicts for a flat array of failure-set word rows: blocks of
-// 64 rows feed one bit-sliced `survives_batch` pass each, and the bytes
-// land in row order, so the reductions below sum in enumeration (or
-// sample) order.
+// Survival verdicts for a flat array of failure-set word rows (the
+// Monte-Carlo samples): blocks of 64 rows feed one bit-sliced
+// `survives_batch` pass each, and the bytes land in row order, so the
+// reduction below sums in sample order.
 void batch_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set_words,
                           std::size_t n, std::size_t words, std::vector<unsigned char>& killed) {
   killed.assign(n, 0);
@@ -433,93 +434,263 @@ void batch_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set
   }
 }
 
-// The truncated exact enumeration, materialized: every positive-weight
-// failure set of size <= k_max as bitset word rows in enumeration order,
-// with its probability weight (multiplied in ascending processor id
-// order). Zero-weight sets (a never-failing processor) contribute nothing
-// and are skipped before the survival check; they still count in
-// `enumerated`. Memory: one word-row per set, bounded by options.max_sets.
-struct ExactSets {
-  std::size_t m = 0;
+// C(n, k) for every k <= k_max by Pascal's rule: additions only, so each
+// count is exact whenever it fits.
+std::vector<std::uint64_t> binomial_row(std::size_t n, std::size_t k_max) {
+  std::vector<std::uint64_t> c(k_max + 1, 0);
+  c[0] = 1;
+  for (std::size_t i = 1; i <= n; ++i) {
+    for (std::size_t k = std::min(i, k_max); k > 0; --k) c[k] += c[k - 1];
+  }
+  return c;
+}
+
+// The truncated exact enumeration as an immutable prefix tree: every subset
+// of size <= k_max of the processors that can fail (p > 0), as bitset word
+// rows in enumeration order — by size, lexicographic within a size — with
+// its probability weight (base times the odds, multiplied in ascending
+// processor id order). A set holding a never-failing processor has weight 0
+// and stays out. A set whose positive probability underflows to 0.0 stays
+// in: it adds +0.0 to the mass, which leaves the sum's bits unchanged, and
+// is never listed as a killing set. `enumerated` still counts every set of
+// size <= k_max over all m processors.
+//
+// A row's parent is the row minus its highest processor; its children are
+// the row plus one processor above its highest. Children are contiguous one
+// level up, and the children blocks of one level's rows tile the next level
+// in row order, so row r's children are [child_begin[r], child_begin[r + 1])
+// — a running sum over the rows, complete because every subset is present.
+struct FailureTree {
+  std::vector<double> p;        // key: the failure probabilities, bit for bit
+  double tail_tolerance = 0.0;  // key
   std::size_t words = 0;
-  std::uint64_t enumerated = 0;      // sets visited, including zero-weight ones
-  std::vector<std::uint64_t> rows;   // [i * words ..): ProcSet word layout
-  std::vector<double> weight;        // parallel to rows
+  std::size_t levels = 0;       // set sizes 0 .. levels - 1
+  std::uint64_t enumerated = 0;
+  std::vector<std::uint64_t> rows;         // [r * words ..): ProcSet word layout
+  std::vector<double> weight;              // per row
+  std::vector<std::uint32_t> child_begin;  // per row, plus the end
+
   [[nodiscard]] std::size_t size() const { return weight.size(); }
+
+  [[nodiscard]] std::vector<ProcId> procs(std::size_t r) const {
+    std::vector<ProcId> set;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = rows[r * words + w]; bits != 0; bits &= bits - 1) {
+        set.push_back(static_cast<ProcId>(64 * w + static_cast<unsigned>(std::countr_zero(bits))));
+      }
+    }
+    return set;
+  }
 };
 
-ExactSets materialize_exact_sets(const FailureWeights& fw, std::size_t m) {
-  ExactSets sets;
-  sets.m = m;
-  sets.words = (m + 63) / 64;
-  const auto expected = static_cast<std::size_t>(fw.total_sets);
-  sets.rows.reserve(expected * sets.words);
-  sets.weight.reserve(expected);
-  ProcSet failed(m);
-  // Weights via prefix products over the combination: prefix[i] is
-  // base * odds[set[0]] * ... * odds[set[i-1]], rebuilt only from the
-  // first changed position — the same left-to-right multiply chain as a
-  // per-set product, so every weight equals that product bit for bit.
-  std::vector<double> prefix;
-  for (std::size_t k = 0; k <= fw.k_max; ++k) {
-    prefix.assign(k + 1, 0.0);
-    prefix[0] = fw.base;
-    sets.enumerated += for_each_failure_set(
-        m, static_cast<std::uint32_t>(k), failed,
-        [&](const ProcSet& f, const std::vector<ProcId>& set, std::size_t changed) {
-          for (std::size_t i = changed; i < set.size(); ++i) {
-            prefix[i + 1] = prefix[i] * fw.odds[set[i]];
-          }
-          const double w = prefix[set.size()];
-          if (w > 0.0) {
-            if (sets.words == 1) {
-              sets.rows.push_back(f.words()[0]);
-            } else {
-              sets.rows.insert(sets.rows.end(), f.words(), f.words() + sets.words);
-            }
-            sets.weight.push_back(w);
-          }
-          return true;
-        });
+// Builds the tree level by level from its own rows: row r's children are r
+// plus each processor label above r's highest, appended in label order, so
+// they come out in enumeration order, and each child's weight is its
+// parent's times the added processor's odds — the left-to-right multiply
+// chain of a per-set product, so every weight equals that product bit for
+// bit.
+FailureTree build_failure_tree(const FailureWeights& fw, double tail_tolerance) {
+  const std::size_t m = fw.p.size();
+  FailureTree tree;
+  tree.p = fw.p;
+  tree.tail_tolerance = tail_tolerance;
+  tree.words = (m + 63) / 64;
+  std::vector<ProcId> label;  // label -> processor, for the processors that can fail
+  std::vector<std::size_t> label_of(m, 0);
+  for (ProcId u = 0; u < m; ++u) {
+    if (fw.p[u] > 0.0) {
+      label_of[u] = label.size();
+      label.push_back(u);
+    }
   }
-  return sets;
+  const std::size_t n = label.size();
+  tree.levels = std::min(fw.k_max, n) + 1;
+  for (const std::uint64_t c : binomial_row(m, fw.k_max)) tree.enumerated += c;
+  std::uint64_t expected = 0;
+  for (const std::uint64_t c : binomial_row(n, fw.k_max)) expected += c;
+  SS_CHECK(expected < std::numeric_limits<std::uint32_t>::max(),
+           "failure-set tree exceeds 32-bit row ids");
+  tree.rows.assign(expected * tree.words, 0);  // row 0: the empty set
+  tree.weight.assign(expected, fw.base);
+  tree.child_begin.assign(expected + 1, 0);
+
+  std::size_t next = 1;  // the next row to fill
+  std::size_t level_begin = 0;
+  for (std::size_t k = 0; k + 1 < tree.levels; ++k) {
+    const std::size_t level_end = next;
+    for (std::size_t r = level_begin; r < level_end; ++r) {
+      const std::uint64_t* row = tree.rows.data() + r * tree.words;
+      std::size_t first = 0;
+      if (k > 0) {
+        std::size_t w = tree.words - 1;
+        while (row[w] == 0) --w;
+        first = label_of[64 * w + 63 - static_cast<std::size_t>(std::countl_zero(row[w]))] + 1;
+      }
+      SS_CHECK(next + (n - first) <= expected, "failure-set tree is not a complete prefix tree");
+      tree.child_begin[r] = static_cast<std::uint32_t>(next);
+      const double weight = tree.weight[r];
+      for (std::size_t j = first; j < n; ++j, ++next) {
+        const ProcId u = label[j];
+        std::uint64_t* child = tree.rows.data() + next * tree.words;
+        std::copy_n(row, tree.words, child);
+        child[u >> 6] |= 1ULL << (u & 63);
+        tree.weight[next] = weight * fw.odds[u];
+      }
+    }
+    level_begin = level_end;
+  }
+  // The last level has no children.
+  std::fill(tree.child_begin.begin() + static_cast<std::ptrdiff_t>(level_begin),
+            tree.child_begin.end(), static_cast<std::uint32_t>(next));
+  SS_CHECK(next == expected, "failure-set tree is not a complete prefix tree");
+  return tree;
 }
 
-// Ordered reduction over materialized rows: mass summed and killing sets
-// recorded in enumeration order. A killed row decodes its processor set
-// only when the record can observe it: while the kills list has room (the
-// rows are distinct, so each one listed is appended), or when its weight
-// improves the worst-failure tracking — the strict `prob > worst`
-// predicate record_killing_set applies, evaluated in the same row order.
-// Every other killed row only leaves the reliable mass.
-void reduce_exact_sets(const ExactSets& sets, const std::vector<unsigned char>& killed,
-                       ReliabilityEstimate& est, std::vector<KillingSet>* kills) {
-  double reliable_mass = 0.0;
-  std::vector<ProcId> set;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    if (killed[i] == 0) {
-      reliable_mass += sets.weight[i];
-      continue;
-    }
-    const bool listed = kills != nullptr && kills->size() < kMaxKillingSets;
-    if (!listed && sets.weight[i] <= est.worst_failure_prob) continue;
-    const std::uint64_t* row = sets.rows.data() + i * sets.words;
-    set.clear();
-    for (std::size_t u = 0; u < sets.m; ++u) {
-      if ((row[u >> 6] >> (u & 63)) & 1) set.push_back(static_cast<ProcId>(u));
-    }
-    record_killing_set(kills, est, set, sets.weight[i]);
-  }
-  est.sets_checked = sets.enumerated;
-  est.reliability = reliable_mass;
-  est.exact = true;
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-// The estimator. Exact mode materializes the truncated enumeration,
-// resolves it 64 sets per bit-sliced pass and reduces in enumeration
-// order. Monte-Carlo mode pre-draws every sample from the options.seed
-// stream (per sample, one Bernoulli draw per processor in id order),
-// resolves the stored bitsets the same way and reduces in sample order.
+// The memo of failure-set trees, shared by every exact estimate and repair
+// in the process: the kTreeMemoSize most recently used trees, most recent
+// first, keyed by the exact bits of the failure probabilities and
+// tail_tolerance (max_sets only decides whether exact mode runs). A tree is
+// built outside the lock and never changes once published.
+constexpr std::size_t kTreeMemoSize = 4;
+
+struct TreeMemo {
+  std::mutex mutex;
+  std::vector<std::shared_ptr<const FailureTree>> recent;  // guarded by mutex
+
+  // The tree for the key, moved to the front; null when absent.
+  std::shared_ptr<const FailureTree> find(const std::vector<double>& p, double tail_tolerance) {
+    const auto it = std::find_if(recent.begin(), recent.end(), [&](const auto& tree) {
+      return same_bits(tree->tail_tolerance, tail_tolerance) &&
+             std::equal(tree->p.begin(), tree->p.end(), p.begin(), p.end(), same_bits);
+    });
+    if (it == recent.end()) return nullptr;
+    std::rotate(recent.begin(), it, it + 1);
+    return recent.front();
+  }
+};
+
+std::shared_ptr<const FailureTree> shared_failure_tree(const FailureWeights& fw,
+                                                       double tail_tolerance) {
+  // Never destroyed: pool workers may still estimate during static
+  // destruction.
+  static TreeMemo& memo = *new TreeMemo;
+  {
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    if (auto hit = memo.find(fw.p, tail_tolerance)) return hit;
+  }
+  auto built = std::make_shared<const FailureTree>(build_failure_tree(fw, tail_tolerance));
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  if (auto raced = memo.find(fw.p, tail_tolerance)) return raced;  // built meanwhile
+  memo.recent.insert(memo.recent.begin(), built);
+  if (memo.recent.size() > kTreeMemoSize) memo.recent.pop_back();
+  return built;
+}
+
+// Exact verification over a shared failure-set tree, kept across repair
+// rounds. Survival is monotone in the failure set, so a row under a killed
+// parent is killed too; and repair only adds supply channels, while
+// survival is monotone in the channel set, so a row verified surviving
+// survives for good. A pass therefore checks only the frontier — killed
+// rows whose parent survives — level by level, 64 rows per kernel pass; a
+// row that turns surviving puts its children on the next level's frontier
+// in the same pass. Rows under a killed parent are never visited. The
+// first pass starts from the empty set, so it also serves as the one-shot
+// estimator, and every pass leaves exactly the rows that survive the
+// current schedule marked surviving.
+struct FrontierCheck {
+  explicit FrontierCheck(std::shared_ptr<const FailureTree> shared)
+      : tree(std::move(shared)),
+        killed(tree->size(), 1),
+        frontier(tree->levels),
+        block(64 * tree->words) {
+    frontier[0].push_back(0);  // the empty set has no parent
+  }
+
+  void verify(const SurvivalOracle& oracle) {
+    const FailureTree& t = *tree;
+    const std::size_t first_new = survivors.size();
+    std::array<std::uint32_t, 64> lane_row{};
+    for (std::size_t k = 0; k < t.levels; ++k) {
+      std::vector<std::uint32_t>& level = frontier[k];
+      std::size_t kept = 0;
+      for (std::size_t begin = 0; begin < level.size(); begin += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, level.size() - begin);
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          lane_row[lane] = level[begin + lane];
+          std::copy_n(t.rows.data() + std::size_t{lane_row[lane]} * t.words, t.words,
+                      block.data() + lane * t.words);
+        }
+        const std::uint64_t survived = oracle.survives_batch(block.data(), lanes, scratch);
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          const std::uint32_t r = lane_row[lane];
+          if (((survived >> lane) & 1) == 0) {
+            level[kept++] = r;
+            continue;
+          }
+          killed[r] = 0;
+          survivors.push_back(r);
+          for (std::uint32_t c = t.child_begin[r]; c < t.child_begin[r + 1]; ++c) {
+            frontier[k + 1].push_back(c);
+          }
+        }
+      }
+      level.resize(kept);
+    }
+    const auto merged = survivors.begin() + static_cast<std::ptrdiff_t>(first_new);
+    std::sort(merged, survivors.end());
+    std::inplace_merge(survivors.begin(), merged, survivors.end());
+  }
+
+  // The estimate of the last pass, except its worst failure: the mass of
+  // the surviving rows summed in ascending row order (the additions, in
+  // the same order, of a walk over every row that skips the killed ones),
+  // and the first kMaxKillingSets killed rows of positive weight.
+  void reduce(ReliabilityEstimate& est, std::vector<KillingSet>* kills) const {
+    const FailureTree& t = *tree;
+    double reliable_mass = 0.0;
+    for (const std::uint32_t r : survivors) reliable_mass += t.weight[r];
+    est.reliability = reliable_mass;
+    est.sets_checked = t.enumerated;
+    est.exact = true;
+    if (kills == nullptr) return;
+    for (std::size_t r = 0; r < t.size() && kills->size() < kMaxKillingSets; ++r) {
+      if (killed[r] != 0 && t.weight[r] > 0.0) {
+        kills->push_back(KillingSet{t.procs(r), t.weight[r]});
+      }
+    }
+  }
+
+  // The most probable killed set; the strict `>` keeps the first one in
+  // enumeration order on a tie, as record_killing_set does.
+  void find_worst_failure(ReliabilityEstimate& est) const {
+    const FailureTree& t = *tree;
+    std::size_t worst = t.size();
+    for (std::size_t r = 0; r < t.size(); ++r) {
+      if (killed[r] != 0 && t.weight[r] > est.worst_failure_prob) {
+        est.worst_failure_prob = t.weight[r];
+        worst = r;
+      }
+    }
+    if (worst < t.size()) est.worst_failure = t.procs(worst);
+  }
+
+  std::shared_ptr<const FailureTree> tree;
+  std::vector<unsigned char> killed;                 // per row: the latest verdict
+  std::vector<std::vector<std::uint32_t>> frontier;  // per level: killed rows, parent surviving
+  std::vector<std::uint32_t> survivors;              // surviving rows, ascending
+  std::vector<std::uint64_t> block;                  // rows of the next kernel pass
+  BatchScratch scratch;
+};
+
+// The estimator. Exact mode runs one frontier pass over the platform's
+// shared failure-set tree. Monte-Carlo mode pre-draws every sample from
+// the options.seed stream (per sample, one Bernoulli draw per processor in
+// id order), resolves the stored bitsets 64 per kernel pass and reduces in
+// sample order.
 ReliabilityEstimate estimate_reliability(const Schedule& schedule, const SurvivalOracle& oracle,
                                          const ReliabilityOptions& options,
                                          std::vector<KillingSet>* kills) {
@@ -529,10 +700,10 @@ ReliabilityEstimate estimate_reliability(const Schedule& schedule, const Surviva
   est.k_max = fw.k_max;
 
   if (fw.total_sets <= static_cast<double>(options.max_sets)) {
-    const ExactSets sets = materialize_exact_sets(fw, m);
-    std::vector<unsigned char> killed;
-    batch_survival_check(oracle, sets.rows.data(), sets.size(), sets.words, killed);
-    reduce_exact_sets(sets, killed, est, kills);
+    FrontierCheck check(shared_failure_tree(fw, options.tail_tolerance));
+    check.verify(oracle);
+    check.reduce(est, kills);
+    check.find_worst_failure(est);
     return est;
   }
 
@@ -586,100 +757,6 @@ ReliabilityEstimate estimate_reliability(const Schedule& schedule, const Surviva
   return est;
 }
 
-constexpr std::uint32_t kNoParent = std::numeric_limits<std::uint32_t>::max();
-
-// The exact repair's verification state, kept across rounds. The rows come
-// in size order, one level per set size. Each row is linked to its parent,
-// the row minus its highest processor. The parent's weight is the child's
-// prefix product without its last factor, so it is positive and was
-// materialized one level down; rows of one level are in lexicographic
-// order and so are their parents, so one forward cursor per level finds
-// every link. (The one-shot estimator builds neither: it resolves every
-// row anyway.)
-//
-// `verify` resolves rows parent-first, in enumeration order. Survival is
-// monotone in the failure set, so a row whose parent is killed is killed
-// too, without a kernel pass; the other rows are batch-checked 64 at a
-// time, and the pending block is flushed at every size boundary so that
-// each parent resolves before its children. Repair only adds supply
-// channels and survival is monotone in the channel set, so a row verified
-// surviving survives for good: each pass walks only the rows killed at the
-// last one (at the first pass, every row).
-struct ExactRepairCheck {
-  explicit ExactRepairCheck(ExactSets materialized)
-      : sets(std::move(materialized)),
-        parent(sets.size(), kNoParent),
-        killed(sets.size(), 1),
-        suspects(sets.size()),
-        block(64 * sets.words) {
-    SS_CHECK(sets.size() < kNoParent, "exact enumeration exceeds 32-bit row links");
-    std::iota(suspects.begin(), suspects.end(), 0u);
-    const std::size_t words = sets.words;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      std::size_t size = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        size += static_cast<std::size_t>(std::popcount(sets.rows[i * words + w]));
-      }
-      while (level_begin.size() <= size) level_begin.push_back(i);
-    }
-    level_begin.push_back(sets.size());
-
-    std::vector<std::uint64_t> up(words);
-    for (std::size_t k = 1; k + 1 < level_begin.size(); ++k) {
-      const std::size_t parents_end = level_begin[k];
-      std::size_t cursor = level_begin[k - 1];
-      for (std::size_t i = parents_end; i < level_begin[k + 1]; ++i) {
-        std::copy_n(sets.rows.data() + i * words, words, up.begin());
-        std::size_t w = words - 1;
-        while (up[w] == 0) --w;
-        up[w] ^= std::bit_floor(up[w]);  // drop the highest processor
-        while (cursor < parents_end &&
-               !std::equal(up.begin(), up.end(), sets.rows.data() + cursor * words)) {
-          ++cursor;
-        }
-        SS_CHECK(cursor < parents_end, "a positive-weight failure set lost its parent");
-        parent[i] = static_cast<std::uint32_t>(cursor);
-      }
-    }
-  }
-
-  void verify(const SurvivalOracle& oracle) {
-    const std::size_t words = sets.words;
-    std::array<std::uint32_t, 64> lane_row{};
-    std::size_t lanes = 0;
-    const auto flush = [&] {
-      if (lanes == 0) return;
-      const std::uint64_t survived = oracle.survives_batch(block.data(), lanes, scratch);
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        killed[lane_row[lane]] = ((survived >> lane) & 1) != 0 ? 0 : 1;
-      }
-      lanes = 0;
-    };
-    std::size_t level_end = 0;
-    for (const std::uint32_t i : suspects) {
-      if (i >= level_end) {
-        flush();
-        level_end = *std::upper_bound(level_begin.begin(), level_begin.end(), std::size_t{i});
-      }
-      const std::uint32_t up = parent[i];
-      if (up != kNoParent && killed[up] != 0) continue;
-      std::copy_n(sets.rows.data() + std::size_t{i} * words, words, block.data() + lanes * words);
-      lane_row[lanes++] = i;
-      if (lanes == 64) flush();
-    }
-    flush();
-    std::erase_if(suspects, [this](std::uint32_t i) { return killed[i] == 0; });
-  }
-
-  ExactSets sets;
-  std::vector<std::size_t> level_begin;  // size-k rows: [level_begin[k], level_begin[k + 1])
-  std::vector<std::uint32_t> parent;     // per row; kNoParent for the empty set
-  std::vector<unsigned char> killed;     // per row: the latest verdict
-  std::vector<std::uint32_t> suspects;   // rows killed at the last pass, ascending
-  std::vector<std::uint64_t> block;      // pending rows of the next kernel pass
-  BatchScratch scratch;
-};
-
 }  // namespace
 
 ReliabilityEstimate schedule_reliability(const Schedule& schedule,
@@ -726,20 +803,17 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   ProcSet failed(m);
   std::vector<std::uint64_t> alive;
 
-  // Incremental killing-set verification (exact mode): the enumeration is
-  // materialized once and each round re-verifies it parent-first (see
-  // ExactRepairCheck). A set verified surviving stays surviving and a set
-  // whose parent is still killed stays killed, so a round runs the kernel
-  // only on still-killed sets whose parent survives. A round after the
-  // first starts only when the previous one wired a channel, so no pass
-  // re-verifies an unchanged schedule. The reduction re-walks the cached
-  // rows in enumeration order every round, so the estimate (reliability,
-  // sets_checked, killing sets, worst failure) is bit-identical to a
-  // from-scratch re-enumeration.
+  // Incremental killing-set verification (exact mode): the platform's
+  // failure-set tree is shared and each round re-verifies only its
+  // frontier (see FrontierCheck). A round after the first starts only when
+  // the previous one wired a channel, so no pass re-verifies an unchanged
+  // schedule. Each round's estimate (reliability, sets_checked, killing
+  // sets) and the worst failure, found once when the estimate is handed
+  // out, are bit-identical to a from-scratch re-enumeration.
   const FailureWeights fw = failure_weights(schedule, options);
-  std::optional<ExactRepairCheck> exact;
+  std::optional<FrontierCheck> exact;
   if (fw.total_sets <= static_cast<double>(options.max_sets)) {
-    exact.emplace(materialize_exact_sets(fw, m));
+    exact.emplace(shared_failure_tree(fw, options.tail_tolerance));
   }
 
   for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
@@ -748,7 +822,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
       exact->verify(oracle);
       est = ReliabilityEstimate{};
       est.k_max = fw.k_max;
-      reduce_exact_sets(exact->sets, exact->killed, est, &kills);
+      exact->reduce(est, &kills);
     } else {
       est = estimate_reliability(schedule, oracle, fresh_options(), &kills);
     }
@@ -771,6 +845,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
 
   record_period_excess(schedule, stats);
   if (achieved != nullptr) {
+    if (est_current && exact) exact->find_worst_failure(est);
     *achieved =
         est_current ? est : estimate_reliability(schedule, oracle, fresh_options(), nullptr);
   }

@@ -98,10 +98,13 @@ RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
 struct ReliabilityOptions {
   /// Probability mass of unenumerated failure sets at which the exact
   /// enumeration truncates. Truncated mass counts as failure, so the exact
-  /// estimate is a certified lower bound.
+  /// estimate is a certified lower bound. Together with the platform's
+  /// failure probabilities it keys the memoised failure-set tree that
+  /// exact mode shares (see schedule_reliability).
   double tail_tolerance = 1e-10;
   /// Enumeration budget (failure sets); beyond it the estimator switches
-  /// to importance-sampled Monte Carlo.
+  /// to importance-sampled Monte Carlo. It only decides whether exact mode
+  /// runs, so it is no part of the memo key.
   std::uint64_t max_sets = 1u << 18;
   /// Monte-Carlo sample count (only used above the enumeration budget;
   /// must then be positive).
@@ -130,10 +133,21 @@ struct ReliabilityEstimate {
 /// Estimates the schedule reliability under the platform's failure
 /// probabilities: exact (truncated) enumeration of failure sets in order
 /// of size while the enumeration budget lasts, importance-sampled
-/// Monte Carlo above it. Either way the sets are resolved 64 at a time by
-/// `SurvivalOracle::survives_batch` and reduced in enumeration (or
+/// Monte Carlo above it.
+///
+/// Exact mode enumerates the sets of size <= k_max of the processors that
+/// can fail once per (failure probabilities, tail_tolerance), as an
+/// immutable prefix tree — a set's parent is the set minus its highest
+/// processor — memoised process-wide for the four most recently used
+/// keys, so every estimate and repair on one platform shares it. Survival
+/// is monotone in the failure set, so only the frontier is checked: a set
+/// is resolved only once its parent survives, and a set under a killed
+/// parent is killed without a kernel pass. Monte-Carlo mode draws its
+/// samples from `seed`. Either way the sets go 64 at a time through
+/// `SurvivalOracle::survives_batch` and are reduced in enumeration (or
 /// sample) order, so the result is a deterministic function of the
 /// schedule and the options; the parity goldens in tests/golden/ pin it.
+/// Safe to call concurrently: calls share only the immutable trees.
 /// Throws std::invalid_argument when Monte Carlo is needed and
 /// `mc_samples` is 0.
 [[nodiscard]] ReliabilityEstimate schedule_reliability(const Schedule& schedule,
@@ -142,7 +156,12 @@ struct ReliabilityEstimate {
 /// Adds supply channels until the schedule reliability reaches
 /// `target_reliability` (or no repairable killing set remains — e.g. when
 /// every replica of a task sits on the failed processors, no channel can
-/// help). `achieved` (optional) receives the final estimate.
+/// help). `achieved` (optional) receives the final estimate. Exact mode
+/// keeps its verification over the shared failure-set tree across rounds:
+/// repair only adds channels, so a set verified surviving survives for
+/// good, and each round re-checks only the killed sets whose parent
+/// survives. Every round's estimate is bit-identical to a from-scratch
+/// one.
 RepairStats repair_to_reliability(Schedule& schedule, double target_reliability,
                                   const ReliabilityOptions& options = {},
                                   ReliabilityEstimate* achieved = nullptr);

@@ -1,8 +1,9 @@
 // Compiled survival kernel for fault-tolerance analysis.
 //
 // `schedule_reliability()` and the repair passes evaluate the same question
-// — "does the schedule survive failure set F?" — for up to 2^18 enumerated
-// sets plus tens of thousands of Monte-Carlo samples per call. Rather than
+// — "does the schedule survive failure set F?" — for up to 2^18 sets of a
+// memoised failure-set tree plus tens of thousands of Monte-Carlo samples
+// per call. Rather than
 // re-walking every CommRecord per set, `SurvivalOracle` compiles the
 // schedule ONCE into flat arrays — per-replica processor ids, per-task
 // placed-replica masks, and per-(replica, predecessor) supplier-copy
@@ -12,9 +13,11 @@
 // alive processors and each predecessor slot clears the copies whose
 // supplier mask misses alive[pred].
 //
-// The workload rarely asks about ONE failure set: exact enumeration walks
-// up to 2^18 related sets, the Monte-Carlo estimator tens of thousands of
-// samples, the sweep precheck one set per crash trial. `survives_batch`
+// The workload rarely asks about ONE failure set: exact mode checks the
+// frontier of a tree of up to 2^18 related sets (those whose parent, the
+// set minus its highest processor, survives), the Monte-Carlo estimator
+// tens of thousands of samples, the sweep precheck one set per crash
+// trial. `survives_batch`
 // transposes the kernel into bit-sliced form — up to 64 failure sets per
 // call, one machine word per (replica, lane) — and resolves all of them in
 // a single topological pass: per replica, the lanes where its processor is
@@ -30,11 +33,8 @@
 // every subset of small platforms and on sampled sets of large ones.
 //
 // `ProcSet` is the reusable dynamic bitset of failed processors shared by
-// the enumerator, the Monte-Carlo sampler, the fault-tolerance checkers
-// and the repair loops; `for_each_failure_set` enumerates fixed-size
-// failure sets in lexicographic order, toggling only the combination
-// suffix that changes between consecutive sets instead of refilling the
-// whole set O(m) per combination.
+// the Monte-Carlo sampler, the fault-tolerance checkers and the repair
+// loops.
 #pragma once
 
 #include <bit>
@@ -212,56 +212,5 @@ class SurvivalOracle {
 /// `survives(failed)` check.
 [[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
                                         CopyId want, BatchScratch& scratch);
-
-/// Calls visit(failed, subset, changed) for every size-k subset of
-/// {0..m-1} in lexicographic order, where `changed` is the first subset
-/// position that differs from the previous combination (0 on the first),
-/// so visitors can maintain prefix state incrementally; stops early when
-/// visit returns false. Returns the number of subsets visited. `failed`
-/// must be sized to m; it is maintained incrementally — advancing to the
-/// next combination toggles only the suffix of positions that changed —
-/// and is left cleared when the enumeration runs to completion.
-template <typename Visit>
-std::uint64_t for_each_failure_set(std::size_t m, std::uint32_t k, ProcSet& failed,
-                                   Visit&& visit) {
-  SS_REQUIRE(failed.size() == m, "failure set size != processor count");
-  SS_REQUIRE(k <= m, "cannot fail more processors than exist");
-  failed.clear();
-  std::vector<ProcId> subset(k);
-  const ProcSet& view = failed;
-  std::uint64_t visited = 0;
-  if (k == 0) {
-    ++visited;
-    visit(view, subset, std::size_t{0});
-    return visited;
-  }
-  for (std::uint32_t i = 0; i < k; ++i) {
-    subset[i] = i;
-    failed.set(i);
-  }
-  std::size_t changed = 0;
-  for (;;) {
-    ++visited;
-    if (!visit(view, subset, changed)) return visited;
-    // Rightmost position that can still advance.
-    std::int64_t i = static_cast<std::int64_t>(k) - 1;
-    while (i >= 0 && subset[static_cast<std::size_t>(i)] ==
-                         static_cast<ProcId>(m - k + static_cast<std::size_t>(i))) {
-      --i;
-    }
-    if (i < 0) {
-      for (ProcId p : subset) failed.reset(p);
-      return visited;
-    }
-    // Toggle only the changing suffix [i, k).
-    changed = static_cast<std::size_t>(i);
-    for (auto j = static_cast<std::size_t>(i); j < k; ++j) failed.reset(subset[j]);
-    ++subset[static_cast<std::size_t>(i)];
-    for (auto j = static_cast<std::size_t>(i) + 1; j < k; ++j) {
-      subset[j] = subset[j - 1] + 1;
-    }
-    for (auto j = static_cast<std::size_t>(i); j < k; ++j) failed.set(subset[j]);
-  }
-}
 
 }  // namespace streamsched

@@ -126,4 +126,52 @@ inline const ColdAdmission kColdAdmissions[4][16] = {
     },
 };
 
+// Probabilistic cold admissions, captured at commit 1314bc7, before the
+// failure-set tree was memoised and verified by its frontier, by running
+// exactly the admissions ColdPath.ProbAdmissionsMatchGolden builds: each
+// through `PlacementDaemon::admit` on the server's default platform
+// (16 processors, seed 42), with a fresh 26-task layered DAG from `seed`,
+// the period calibrated at the request's default headroom. The same rule
+// holds: never regenerate these values.
+//
+// One admission: its inputs, then the served schedule's fingerprint, the
+// admission repair's statistics and the served reliability.
+struct ProbAdmission {
+  std::uint64_t seed;
+  const char* variant;
+  const char* model;
+  std::uint64_t fingerprint;
+  bool success;
+  std::uint32_t rounds;
+  std::uint32_t added_comms;
+  double reliability;
+};
+
+inline const ProbAdmission kProbAdmissions[24] = {
+    {301, "rltf", "prob:R=0.999", 0xb3011252441b59d8ULL, true, 3, 181, 0x1.ff99357991f09p-1},
+    {302, "rltf", "prob:R=0.999", 0xa38a434e45851a1cULL, true, 4, 198, 0x1.ff8d048280eeep-1},
+    {303, "rltf", "prob:R=0.999", 0x6f0ca788c6f30ba0ULL, true, 5, 153, 0x1.ffbf19e434d91p-1},
+    {304, "ltf", "prob:R=0.999", 0x3faaa93eeaec1addULL, true, 2, 34, 0x1.ffe2bce8d015fp-1},
+    {305, "rltf", "prob:R=0.999", 0x5cbd717d094fe3e6ULL, true, 4, 129, 0x1.ff9bf76a1a1b9p-1},
+    {306, "rltf", "prob:R=0.99", 0xc97d3849c187aaeaULL, true, 2, 121, 0x1.fb57a780b3255p-1},
+    {307, "rltf", "prob:R=0.999", 0x7b72d4cceecfb20bULL, true, 5, 173, 0x1.ff86aeab464a8p-1},
+    {308, "rltf", "prob:R=0.999", 0x3e495977b69439b8ULL, true, 7, 334, 0x1.ffc687c2c642fp-1},
+    {309, "rltf", "prob:R=0.999", 0x869142e5fc21622dULL, true, 4, 212, 0x1.ff807f2e86b8ep-1},
+    {310, "rltf", "prob:R=0.999", 0xa6e89261e37cec17ULL, true, 3, 124, 0x1.ff9870debc555p-1},
+    {311, "ltf", "prob:R=0.999", 0xd57d05f6a2335b67ULL, true, 1, 35, 0x1.ff9726bf029a9p-1},
+    {312, "rltf", "prob:R=0.999", 0xfafda2ed15fe6e64ULL, true, 4, 145, 0x1.ffac1ace8984fp-1},
+    {313, "rltf", "prob:R=0.99", 0xade5b2d9c9709ee3ULL, true, 2, 123, 0x1.fbf1608643ed3p-1},
+    {314, "rltf", "prob:R=0.999", 0xb8f4aa85e51f1e0bULL, true, 5, 215, 0x1.ff9e21c40e233p-1},
+    {315, "rltf", "prob:R=0.999", 0x088b2460d70640f5ULL, true, 5, 156, 0x1.ff8918930af0fp-1},
+    {316, "rltf", "prob:R=0.999", 0xff0462c77f13ea38ULL, true, 5, 200, 0x1.ffb9cbcbe1692p-1},
+    {317, "rltf", "prob:R=0.999", 0xa17039c72aaff95eULL, true, 4, 181, 0x1.ffb96c676f359p-1},
+    {318, "ltf", "prob:R=0.999", 0xae9a56451b1e297aULL, true, 1, 18, 0x1.ffcd31e42c721p-1},
+    {319, "rltf", "prob:R=0.999", 0x5c7206308b2c01d5ULL, true, 4, 196, 0x1.ff8703d0ddb83p-1},
+    {320, "rltf", "prob:R=0.99", 0xdf6679bf7f920597ULL, true, 3, 166, 0x1.fcbff2a9aeb22p-1},
+    {321, "rltf", "prob:R=0.999", 0x1383d6eb399675d4ULL, true, 6, 261, 0x1.ffbc9bc76242cp-1},
+    {322, "rltf", "prob:R=0.999", 0x2683cb60c415f6f1ULL, true, 4, 265, 0x1.ffaa76951059cp-1},
+    {323, "rltf", "prob:R=0.999", 0x866dc8d9601a9196ULL, true, 5, 228, 0x1.ff99f0d1f30bap-1},
+    {324, "rltf", "prob:R=0.999", 0x780b0f5f44c820bdULL, true, 7, 369, 0x1.ffa310d790564p-1},
+};
+
 }  // namespace streamsched::golden

@@ -119,4 +119,26 @@ inline const test::RepairGolden kRepairTwoWordRows =
     {false, 2, 2, 0x83165e39c6af6920ULL,
      {0x1.fda8252e8d503p-1, 47972, 3, {2, 65}, 0x1.b8e6fc7a45e3fp-15}};
 
+// Failure-set tree edge cases, captured at commit 1314bc7, before the
+// truncated enumeration became one memoised prefix tree per platform, by
+// running `schedule_reliability` and `repair_to_reliability` (target
+// 0.999) on exactly the inputs Survival.TreeEdgeCasesMatchGolden builds:
+// the schedule of RepairMatchesGoldenOnColdProbShape with its platform's
+// failure probabilities overwritten. At capture, each `achieved` estimate
+// equalled a from-scratch `schedule_reliability` of the repaired schedule.
+//   [0] p = 0 on processors 1, 6 and 12 (a mix of p = 0 and p > 0);
+//   [1] p = 1e-300 on processors 4 and 9, so every set holding both has a
+//       positive probability whose weight underflows to 0.0;
+//   [2] every p = 0 (k_max 0: only the empty set).
+inline const test::EstimateGolden kTreeEdgeEstimates[3] = {
+    {0x1.755724525e4f4p-1, 50643, 9, {3}, 0x1.139996764c82bp-5},
+    {0x1.72bee22a9f726p-1, 50643, 9, {3}, 0x1.084332e47deaep-5},
+    {0x1p+0, 1, 0, {}, 0x0p+0},
+};
+inline const test::RepairGolden kTreeEdgeRepairs[3] = {
+    {true, 189, 3, 0xbbf75971a90f8491ULL, {0x1.ffbd04e915187p-1, 50643, 9, {2, 8, 9, 15}, 0x1.f843efedf4f84p-17}},
+    {true, 250, 5, 0x7c45e60ced78cd39ULL, {0x1.ffac46334fe59p-1, 50643, 9, {8, 11, 14, 15}, 0x1.29f00088415p-17}},
+    {true, 0, 0, 0x47fe0d7eaf8e51e3ULL, {0x1p+0, 1, 0, {}, 0x0p+0}},
+};
+
 }  // namespace streamsched::golden

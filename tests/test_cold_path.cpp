@@ -8,6 +8,11 @@
 // channels) and the repair statistics bit for bit. The event path shares
 // the repair step, so each schedule is also repaired for one fixed
 // three-processor failure set, one failure beyond what it was built for.
+//
+// The probabilistic cold path is pinned the same way, one level up: 24
+// `prob:R` admissions through `PlacementDaemon::admit` on the server's
+// default platform must reproduce the served schedule fingerprint, the
+// admission repair's rounds and channels, and the served reliability.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,6 +28,7 @@
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
+#include "service/daemon.hpp"
 #include "util/rng.hpp"
 
 namespace streamsched {
@@ -87,6 +93,35 @@ void expect_golden(const golden::ColdAdmission& got, const golden::ColdAdmission
   EXPECT_EQ(got.event_fingerprint, want.event_fingerprint);
 }
 
+std::string to_initializer(const golden::ProbAdmission& g) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "{%llu, \"%s\", \"%s\", 0x%016llxULL, %s, %u, %u, %a}",
+                static_cast<unsigned long long>(g.seed), g.variant, g.model,
+                static_cast<unsigned long long>(g.fingerprint), g.success ? "true" : "false",
+                g.rounds, g.added_comms, g.reliability);
+  return buf;
+}
+
+golden::ProbAdmission admit_prob(PlacementDaemon& daemon, const golden::ProbAdmission& in) {
+  Rng rng(in.seed);
+  PlacementRequest request;
+  request.dag = make_random_layered(rng, 26, 4, 0.4, WeightRanges{});
+  request.variant = AlgoVariant::parse(in.variant);
+  request.model = FaultModel::parse(in.model);
+  const PlacementResponse resp = daemon.admit(std::move(request));
+  EXPECT_TRUE(resp.ok) << resp.error;
+  EXPECT_FALSE(resp.cache_hit);
+  golden::ProbAdmission out{in.seed, in.variant, in.model, 0, false, 0, 0, 0.0};
+  if (!resp.ok) return out;
+  const CachedPlacement& placement = *resp.placement;
+  out.fingerprint = placement.schedule_fp;
+  out.success = placement.repair.success;
+  out.rounds = placement.repair.rounds;
+  out.added_comms = placement.repair.added_comms;
+  out.reliability = placement.reliability;
+  return out;
+}
+
 TEST(ColdPath, CountAdmissionsMatchGolden) {
   Rng platform_rng(42);
   const Platform platform = make_reliability_heterogeneous(platform_rng, 16, 0.02, 0.08);
@@ -97,6 +132,23 @@ TEST(ColdPath, CountAdmissionsMatchGolden) {
       expect_golden(admit_cold(seed, variant, platform), golden::kColdAdmissions[v][s],
                     std::string(golden::kColdVariants[v]) + " seed " + std::to_string(seed));
     }
+  }
+}
+
+TEST(ColdPath, ProbAdmissionsMatchGolden) {
+  Rng platform_rng(42);
+  DaemonConfig config;
+  config.auto_reheal = false;
+  PlacementDaemon daemon(make_reliability_heterogeneous(platform_rng, 16, 0.02, 0.08), config);
+  for (const golden::ProbAdmission& want : golden::kProbAdmissions) {
+    const golden::ProbAdmission got = admit_prob(daemon, want);
+    SCOPED_TRACE(std::string(want.variant) + " " + want.model + " seed " +
+                 std::to_string(want.seed) + " actual " + to_initializer(got));
+    EXPECT_EQ(got.fingerprint, want.fingerprint);
+    EXPECT_EQ(got.success, want.success);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.added_comms, want.added_comms);
+    EXPECT_EQ(got.reliability, want.reliability);  // bit-identical, not just near
   }
 }
 

@@ -4,17 +4,19 @@
 // must agree boolean-for-boolean with the brute-force reference predicate
 // (tests/reference_survival.hpp; all failure sets for small m, sampled
 // sets for large m), a killed failure set must stay killed under every
-// superset (the rule exact repair prunes with), the incremental
-// enumerator must walk lexicographic order, and exact and Monte-Carlo
+// superset (the rule exact repair prunes with), and exact and Monte-Carlo
 // estimates and repairs must reproduce the values frozen in
 // tests/golden/legacy_parity.hpp bit for bit, with every repair's
 // `achieved` estimate equal to a from-scratch estimate of the repaired
-// schedule.
+// schedule. The memoised failure-set trees exact mode shares must never
+// cross keys, and must give every pool worker its serial result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/rltf.hpp"
@@ -131,61 +133,6 @@ TEST(ProcSet, BasicsAcrossWordBoundaries) {
   EXPECT_EQ(set.count(), 2u);
   EXPECT_TRUE(set.test(2));
   EXPECT_TRUE(set.test(65));
-}
-
-TEST(Survival, EnumeratorMatchesLegacyOrder) {
-  // Reference lexicographic combinations of {0..6} choose 3.
-  std::vector<std::vector<ProcId>> expected;
-  for (ProcId a = 0; a < 7; ++a) {
-    for (ProcId b = a + 1; b < 7; ++b) {
-      for (ProcId c = b + 1; c < 7; ++c) expected.push_back({a, b, c});
-    }
-  }
-
-  ProcSet failed(7);
-  std::vector<std::vector<ProcId>> seen;
-  const std::uint64_t visited = for_each_failure_set(
-      7, 3, failed,
-      [&](const ProcSet& f, const std::vector<ProcId>& set, std::size_t changed) {
-        // `changed` is the first position that differs from the previous
-        // combination (0 on the first).
-        const std::size_t expect_changed =
-            seen.empty() ? 0
-                         : static_cast<std::size_t>(
-                               std::mismatch(set.begin(), set.end(), seen.back().begin()).first -
-                               set.begin());
-        EXPECT_EQ(changed, expect_changed);
-        seen.push_back(set);
-        // The incrementally maintained bits must mirror the subset exactly.
-        std::size_t bits = 0;
-        for (std::size_t p = 0; p < 7; ++p) bits += f.test(p) ? 1 : 0;
-        EXPECT_EQ(bits, set.size());
-        for (ProcId p : set) EXPECT_TRUE(f.test(p));
-        return true;
-      });
-  EXPECT_EQ(visited, expected.size());
-  EXPECT_EQ(seen, expected);
-  EXPECT_EQ(failed.count(), 0u);  // left cleared after a full enumeration
-
-  // Early stop reports the number of sets actually visited.
-  std::uint64_t stopped = for_each_failure_set(
-      7, 3, failed,
-      [&](const ProcSet&, const std::vector<ProcId>&, std::size_t) { return false; });
-  EXPECT_EQ(stopped, 1u);
-
-  // k = 0 visits exactly the empty set.
-  std::uint64_t empty_visits = 0;
-  EXPECT_EQ(for_each_failure_set(
-                7, 0, failed,
-                [&](const ProcSet& f, const std::vector<ProcId>& set, std::size_t changed) {
-                  ++empty_visits;
-                  EXPECT_TRUE(set.empty());
-                  EXPECT_EQ(f.count(), 0u);
-                  EXPECT_EQ(changed, 0u);
-                  return true;
-                }),
-            1u);
-  EXPECT_EQ(empty_visits, 1u);
 }
 
 TEST(Survival, OracleMatchesLegacyOnRandomSchedulesAndAfterRepair) {
@@ -402,6 +349,170 @@ TEST(Survival, RepairMatchesGoldenOnTwoWordRows) {
   expect_repair_golden(proto, 0.999, golden::kRepairTwoWordRows, options);
 }
 
+// The failure-set tree's edge cases, each pinned bit for bit: processors
+// that never fail stay out of the tree, a set whose positive probability
+// underflows to weight 0.0 stays in it without adding mass or being
+// listed, and an all-reliable platform enumerates only the empty set.
+TEST(Survival, TreeEdgeCasesMatchGolden) {
+  for (std::size_t edge = 0; edge < 3; ++edge) {
+    SCOPED_TRACE("edge case " + std::to_string(edge));
+    Dag dag;
+    Platform platform;
+    const Schedule schedule = random_schedule(4, 16, 26, 3, dag, platform, 0.02, 0.08);
+    if (edge == 0) {
+      for (const ProcId u : {1, 6, 12}) platform.set_failure_prob(u, 0.0);
+    } else if (edge == 1) {
+      for (const ProcId u : {4, 9}) platform.set_failure_prob(u, 1e-300);
+    } else {
+      for (ProcId u = 0; u < platform.num_procs(); ++u) platform.set_failure_prob(u, 0.0);
+    }
+    expect_golden(schedule_reliability(schedule), golden::kTreeEdgeEstimates[edge]);
+    expect_repair_golden(schedule, 0.999, golden::kTreeEdgeRepairs[edge]);
+  }
+}
+
+void expect_same_estimate(const ReliabilityEstimate& got, const ReliabilityEstimate& want) {
+  EXPECT_EQ(got.reliability, want.reliability);  // bit-identical, not just near
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(got.sets_checked, want.sets_checked);
+  EXPECT_EQ(got.k_max, want.k_max);
+  EXPECT_EQ(got.worst_failure, want.worst_failure);
+  EXPECT_EQ(got.worst_failure_prob, want.worst_failure_prob);
+}
+
+// Exact repair keeps its verification state across rounds; the estimate
+// it hands out must still equal a from-scratch estimate of the repaired
+// schedule in every field, on one-word rows (m = 6, 16) and two-word rows
+// (m = 66), over 20 seeds each.
+TEST(Survival, RepairedEstimateEqualsFreshEstimateAcrossSeeds) {
+  struct Shape {
+    std::size_t m;
+    std::size_t tasks;
+    CopyId eps;
+    double fail_lo;
+    double fail_hi;
+    double tail_tolerance;
+    double target;
+  };
+  const Shape shapes[] = {
+      {6, 12, 2, 0.05, 0.2, 1e-10, 0.99},
+      {16, 26, 3, 0.02, 0.08, 1e-10, 0.999},
+      {66, 20, 2, 0.005, 0.01, 1e-2, 0.999},
+  };
+  for (const Shape& shape : shapes) {
+    ReliabilityOptions options;
+    options.tail_tolerance = shape.tail_tolerance;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("m " + std::to_string(shape.m) + " seed " + std::to_string(seed));
+      Dag dag;
+      Platform platform;
+      Schedule schedule = random_schedule(1000 * shape.m + seed, shape.m, shape.tasks,
+                                          shape.eps, dag, platform, shape.fail_lo,
+                                          shape.fail_hi);
+      ReliabilityEstimate achieved;
+      (void)repair_to_reliability(schedule, shape.target, options, &achieved);
+      ASSERT_TRUE(achieved.exact);
+      expect_same_estimate(achieved, schedule_reliability(schedule, options));
+    }
+  }
+}
+
+// One estimate and one repair (target 0.999) of a schedule, for comparing
+// runs of the same inputs.
+struct ReliabilityRun {
+  ReliabilityEstimate estimate;
+  RepairStats repair;
+  std::uint64_t comms = 0;
+  ReliabilityEstimate achieved;
+};
+
+ReliabilityRun run_reliability(const Schedule& schedule, const ReliabilityOptions& options) {
+  ReliabilityRun run;
+  run.estimate = schedule_reliability(schedule, options);
+  Schedule repaired = schedule;
+  run.repair = repair_to_reliability(repaired, 0.999, options, &run.achieved);
+  run.comms = test::comms_digest(repaired, schedule.comms().size());
+  return run;
+}
+
+void expect_same_run(const ReliabilityRun& got, const ReliabilityRun& want) {
+  expect_same_estimate(got.estimate, want.estimate);
+  EXPECT_EQ(got.repair.success, want.repair.success);
+  EXPECT_EQ(got.repair.rounds, want.repair.rounds);
+  EXPECT_EQ(got.repair.added_comms, want.repair.added_comms);
+  EXPECT_EQ(got.comms, want.comms);
+  expect_same_estimate(got.achieved, want.achieved);
+}
+
+// The failure-set trees are memoised process-wide, keyed by the exact
+// failure probabilities and tail_tolerance. Interleaving keys must never
+// hand one key's tree to another: two platforms one ulp apart in one
+// processor's probability, times three truncations with distinct k_max —
+// six keys, more than the memo keeps, so trees are also evicted and
+// rebuilt. Every estimate and repair must equal its own first computation.
+TEST(Survival, MemoisedTreesNeverCrossKeys) {
+  Dag dag;
+  Platform platform_a;
+  const Schedule a = random_schedule(61, 16, 26, 3, dag, platform_a, 0.02, 0.08);
+  Platform platform_b = platform_a;
+  platform_b.set_failure_prob(1, std::nextafter(platform_a.failure_prob(1), 0.0));
+  SchedulerOptions scheduler;
+  scheduler.eps = 3;
+  scheduler.period = kInf;
+  ScheduleResult on_b = rltf_schedule(dag, platform_b, scheduler);
+  ASSERT_TRUE(on_b.ok()) << on_b.error;
+  const Schedule b = std::move(*on_b.schedule);
+
+  std::vector<ReliabilityOptions> truncations(3);
+  truncations[0].tail_tolerance = 1e-10;
+  truncations[1].tail_tolerance = 1e-6;
+  truncations[2].tail_tolerance = 1e-4;
+  std::vector<ReliabilityRun> first;
+  for (int pass = 0; pass < 3; ++pass) {
+    std::size_t key = 0;
+    for (const ReliabilityOptions& options : truncations) {
+      for (const Schedule* schedule : {&a, &b}) {
+        SCOPED_TRACE("pass " + std::to_string(pass) + " key " + std::to_string(key));
+        const ReliabilityRun run = run_reliability(*schedule, options);
+        if (pass == 0) {
+          first.push_back(run);
+        } else {
+          expect_same_run(run, first[key]);
+        }
+        ++key;
+      }
+    }
+  }
+  // The keys are told apart by what they compute: distinct truncation
+  // points, and bits that differ between the two platforms.
+  EXPECT_NE(first[0].estimate.k_max, first[2].estimate.k_max);
+  EXPECT_NE(first[2].estimate.k_max, first[4].estimate.k_max);
+  EXPECT_NE(first[0].estimate.reliability, first[1].estimate.reliability);
+  EXPECT_NE(first[0].achieved.reliability, first[1].achieved.reliability);
+}
+
+// Four pool workers repair at once — copies of one schedule, and one
+// schedule on a second platform — so trees are built and looked up from
+// several threads together. Each result must equal the serial one.
+TEST(Survival, ConcurrentRepairsShareMemoisedTrees) {
+  Dag dag_a;
+  Dag dag_b;
+  Platform platform_a;
+  Platform platform_b;
+  const Schedule a = random_schedule(67, 16, 26, 3, dag_a, platform_a, 0.02, 0.08);
+  const Schedule b = random_schedule(71, 16, 26, 3, dag_b, platform_b, 0.02, 0.08);
+  std::vector<ReliabilityRun> concurrent(4);
+  global_thread_pool().parallel_for(concurrent.size(), [&](std::size_t i) {
+    concurrent[i] = run_reliability(i == 3 ? b : a, ReliabilityOptions{});
+  });
+  const ReliabilityRun serial_a = run_reliability(a, ReliabilityOptions{});
+  const ReliabilityRun serial_b = run_reliability(b, ReliabilityOptions{});
+  for (std::size_t i = 0; i < concurrent.size(); ++i) {
+    SCOPED_TRACE("worker " + std::to_string(i));
+    expect_same_run(concurrent[i], i == 3 ? serial_b : serial_a);
+  }
+}
+
 // The rule exact repair prunes with: survival is monotone in the failure
 // set, so when F kills the schedule, so does every F ∪ {u}. Checked over
 // all 256 failure sets of m = 8 on the batch kernel, against the
@@ -561,7 +672,7 @@ TEST(Survival, SharedGlobalPoolPinsBitIdenticalEstimates) {
 
   // Estimates computed on pool workers (where the placement daemon runs
   // its cold path) must be bit-identical to the caller's: the estimator
-  // keeps no shared state.
+  // shares only immutable, memoised failure-set trees.
   Dag dag;
   Platform platform;
   const Schedule schedule = random_schedule(29, 12, 22, 2, dag, platform);
