@@ -1,6 +1,6 @@
 // Churn bench for the graceful-degradation ladder (service/daemon.hpp +
-// service/churn.hpp): an in-process PlacementDaemon on an EventBus,
-// replaying a seeded churn trace while every admitted DAG is probed every
+// service/churn.hpp): an in-process PlacementDaemon replaying a seeded
+// churn trace through on_event() while every admitted DAG is probed every
 // step with `degraded_ok` set. Background re-heal is disabled
 // (auto_reheal=false) and `reheal_now()` runs once per step instead, so
 // the whole replay is single-threaded-deterministic: the same seed must
@@ -46,7 +46,6 @@
 #include "schedule/survival.hpp"
 #include "service/churn.hpp"
 #include "service/daemon.hpp"
-#include "service/event_bus.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -96,10 +95,9 @@ ReplayOutcome replay(const ChurnBenchConfig& cfg) {
   trace_cfg.min_alive = cfg.min_alive;
   const ChurnTrace trace = generate_churn_trace(churn_model, platform, cfg.seed, trace_cfg);
 
-  EventBus bus;
   DaemonConfig dcfg;
   dcfg.auto_reheal = false;  // reheal_now() below keeps the replay deterministic
-  PlacementDaemon daemon(std::move(platform), dcfg, &bus);
+  PlacementDaemon daemon(std::move(platform), dcfg);
 
   // Admit every DAG cold on the healthy cluster.
   std::vector<PlacementRequest> requests(cfg.dags);
@@ -130,7 +128,7 @@ ReplayOutcome replay(const ChurnBenchConfig& cfg) {
         failed.reset(event.proc);
         ++out.recoveries;
       }
-      bus.publish(event);
+      daemon.on_event(event);
       digest.str("step=" + std::to_string(step) +
                  (is_failure ? " fail=" : " recover=") + std::to_string(event.proc));
     }
@@ -179,8 +177,8 @@ ReplayOutcome replay(const ChurnBenchConfig& cfg) {
   // The trace force-recovered everything on its last step; after one more
   // re-heal pass every placement must be back at its full guarantee.
   daemon.reheal_now();
-  if (daemon.degraded_count() != 0) {
-    std::cerr << "gate: " << daemon.degraded_count()
+  if (const std::uint64_t degraded = daemon.stats().degraded; degraded != 0) {
+    std::cerr << "gate: " << degraded
               << " entries still degraded after the trace's force-recovery tail\n";
     return out;
   }

@@ -58,7 +58,6 @@
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
 #include "service/daemon.hpp"
-#include "service/event_bus.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -197,8 +196,7 @@ int main(int argc, char** argv) {
 
   // Cached: replay the same requests against a warm daemon. Every response
   // must be a hit serving the shared placement.
-  EventBus bus;
-  PlacementDaemon daemon(platform, DaemonConfig{}, &bus);
+  PlacementDaemon daemon(platform, DaemonConfig{});
   for (std::size_t d = 0; d < dags; ++d) {
     const PlacementResponse resp = daemon.admit(request_for(d));
     if (!resp.ok) {
@@ -278,6 +276,7 @@ int main(int argc, char** argv) {
   daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, resident});
   ProcSet live_failed(procs);
   live_failed.set(resident);
+  std::vector<std::uint64_t> survive_scratch;
 
   for (std::size_t e = 0; e < events; ++e) {
     // Rotate the resident failure periodically so fresh pairs keep
@@ -317,7 +316,7 @@ int main(int argc, char** argv) {
     // Cold baseline: reschedule every placement the failure broke.
     const auto cold_t0 = Clock::now();
     for (ColdEntry& entry : baseline) {
-      if (entry.oracle.survives(live_failed)) continue;
+      if (entry.oracle.survives(live_failed, survive_scratch)) continue;
       auto [result, factor] = schedule_with_period_escalation(
           variant, *entry.dag, platform, entry.period, cold_options);
       (void)factor;

@@ -20,8 +20,6 @@ std::string kind_name(ParamKind kind) {
       return "int";
     case ParamKind::kReal:
       return "real";
-    case ParamKind::kEnum:
-      return "enum";
   }
   return "?";
 }
@@ -61,8 +59,6 @@ std::string param_value_text(const ParamValue& value) {
       return std::to_string(std::get<std::int64_t>(value));
     case ParamKind::kReal:
       return number_text(std::get<double>(value));
-    case ParamKind::kEnum:
-      return std::get<std::string>(value);
   }
   return "?";
 }
@@ -75,10 +71,6 @@ std::string ParamDesc::signature() const {
   } else if (kind == ParamKind::kReal) {
     os << " in [" << number_text(real_min) << ", " << number_text(real_max)
        << (real_hi_exclusive ? ")" : "]");
-  } else if (kind == ParamKind::kEnum) {
-    os << " {";
-    for (std::size_t i = 0; i < choices.size(); ++i) os << (i ? ", " : "") << choices[i];
-    os << "}";
   }
   return os.str();
 }
@@ -131,27 +123,6 @@ ParamSpace& ParamSpace::add_real(std::string name, double def, double min, doubl
   desc.real_max = max;
   desc.real_hi_exclusive = hi_exclusive;
   desc.apply = std::move(apply);
-  return add(std::move(desc));
-}
-
-ParamSpace& ParamSpace::add_enum(std::string name, std::string def,
-                                 std::vector<std::string> choices, std::string doc,
-                                 ParamDesc::Setter apply) {
-  if (choices.empty()) {
-    throw std::invalid_argument("enum parameter '" + name + "' needs choices");
-  }
-  ParamDesc desc;
-  desc.name = std::move(name);
-  desc.kind = ParamKind::kEnum;
-  desc.doc = std::move(doc);
-  desc.def = std::move(def);
-  desc.choices = std::move(choices);
-  desc.apply = std::move(apply);
-  if (std::find(desc.choices.begin(), desc.choices.end(), std::get<std::string>(desc.def)) ==
-      desc.choices.end()) {
-    throw std::invalid_argument("enum parameter '" + desc.name +
-                                "' default is not one of its choices");
-  }
   return add(std::move(desc));
 }
 
@@ -212,12 +183,6 @@ ParamValue ParamSpace::parse_value(const ParamDesc& desc, const std::string& tex
       if (ec != std::errc() || ptr != text.data() + text.size()) return bad("");
       return check_value(desc, value, context);
     }
-    case ParamKind::kEnum: {
-      if (std::find(desc.choices.begin(), desc.choices.end(), text) == desc.choices.end()) {
-        return bad("");
-      }
-      return text;
-    }
   }
   return bad("unhandled kind");
 }
@@ -244,11 +209,6 @@ ParamValue ParamSpace::check_value(const ParamDesc& desc, ParamValue value,
     const double v = std::get<double>(value);
     const bool below_hi = desc.real_hi_exclusive ? v < desc.real_max : v <= desc.real_max;
     if (!(v >= desc.real_min && below_hi)) out_of_range();
-  } else if (desc.kind == ParamKind::kEnum) {
-    const std::string& v = std::get<std::string>(value);
-    if (std::find(desc.choices.begin(), desc.choices.end(), v) == desc.choices.end()) {
-      out_of_range();
-    }
   }
   return value;
 }
@@ -388,20 +348,6 @@ ParamAxis int_axis(std::string name, std::vector<std::int64_t> values) {
   ParamAxis axis{std::move(name), {}};
   axis.values.reserve(values.size());
   for (std::int64_t v : values) axis.values.emplace_back(v);
-  return axis;
-}
-
-ParamAxis real_axis(std::string name, std::vector<double> values) {
-  ParamAxis axis{std::move(name), {}};
-  axis.values.reserve(values.size());
-  for (double v : values) axis.values.emplace_back(v);
-  return axis;
-}
-
-ParamAxis enum_axis(std::string name, std::vector<std::string> values) {
-  ParamAxis axis{std::move(name), {}};
-  axis.values.reserve(values.size());
-  for (std::string& v : values) axis.values.emplace_back(std::move(v));
   return axis;
 }
 

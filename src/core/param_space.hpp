@@ -1,5 +1,5 @@
 // Typed parameter spaces: every scheduler tunable is *declared* — name,
-// kind, default, range/choices, doc string — instead of living as an
+// kind, default, range, doc string — instead of living as an
 // ad-hoc field each experiment pokes by hand.
 //
 // A `ParamSpace` is the declaration (owned by a registry `Scheduler`
@@ -22,12 +22,12 @@ namespace streamsched {
 
 struct SchedulerOptions;
 
-enum class ParamKind { kBool, kInt, kReal, kEnum };
+enum class ParamKind { kBool, kInt, kReal };
 
 /// Value of one bound parameter. The alternative index matches ParamKind.
-using ParamValue = std::variant<bool, std::int64_t, double, std::string>;
+using ParamValue = std::variant<bool, std::int64_t, double>;
 
-/// Kind of a bound value (bool/int/real/enum by alternative).
+/// Kind of a bound value (bool/int/real by alternative).
 [[nodiscard]] ParamKind param_kind(const ParamValue& value);
 
 /// Strips surrounding spaces/tabs — the whitespace rule shared by the
@@ -35,7 +35,7 @@ using ParamValue = std::variant<bool, std::int64_t, double, std::string>;
 [[nodiscard]] std::string trim_spec(const std::string& text);
 
 /// Canonical text of a value: `on`/`off` for bools, shortest round-trip
-/// decimal for ints/reals, the choice itself for enums.
+/// decimal for ints/reals.
 [[nodiscard]] std::string param_value_text(const ParamValue& value);
 
 /// Declaration of one tunable: what it is called, what values it admits,
@@ -53,10 +53,9 @@ struct ParamDesc {
   /// limit value is not admissible (e.g. target reliability R < 1) so the
   /// grammar rejects it at bind time instead of failing at apply time.
   bool real_hi_exclusive = false;
-  std::vector<std::string> choices;  ///< kEnum: admissible values
   Setter apply;  ///< writes the value into SchedulerOptions
 
-  /// "bool", "int in [0, 4096]", "enum {a, b}" — for listings/diagnostics.
+  /// "bool", "int in [0, 4096]", "real in [0, 1)" — for listings/diagnostics.
   [[nodiscard]] std::string signature() const;
 };
 
@@ -71,8 +70,6 @@ class ParamSpace {
   /// `hi_exclusive` admits [min, max) instead of [min, max].
   ParamSpace& add_real(std::string name, double def, double min, double max, std::string doc,
                        ParamDesc::Setter apply, bool hi_exclusive = false);
-  ParamSpace& add_enum(std::string name, std::string def, std::vector<std::string> choices,
-                       std::string doc, ParamDesc::Setter apply);
 
   /// Appends every declaration of `other` (duplicate names throw) — how
   /// algorithm spaces pull in the shared base tunables.
@@ -191,8 +188,6 @@ struct ParamAxis {
 /// Axis builders (values are validated later, in `enumerate`).
 [[nodiscard]] ParamAxis bool_axis(std::string name);  ///< {on, off}
 [[nodiscard]] ParamAxis int_axis(std::string name, std::vector<std::int64_t> values);
-[[nodiscard]] ParamAxis real_axis(std::string name, std::vector<double> values);
-[[nodiscard]] ParamAxis enum_axis(std::string name, std::vector<std::string> values);
 
 /// Cartesian grid over the axes, validated against the space: one ParamSet
 /// per combination, the last axis varying fastest. No axes yields the

@@ -264,18 +264,6 @@ std::pair<ScheduleResult, double> schedule_with_period_escalation(
                                          std::move(options));
 }
 
-std::pair<ScheduleResult, double> schedule_with_period_escalation(
-    const Scheduler& scheduler, const Dag& dag, const Platform& platform, double period,
-    SchedulerOptions options) {
-  return schedule_with_period_escalation(AlgoVariant(scheduler), dag, platform, period,
-                                         std::move(options));
-}
-
-std::pair<ScheduleResult, double> schedule_with_period_escalation(
-    const Scheduler& scheduler, const Instance& inst, SchedulerOptions options) {
-  return schedule_with_period_escalation(AlgoVariant(scheduler), inst, std::move(options));
-}
-
 bool sweep_has_probabilistic_series(const SweepConfig& config) {
   for (const SeriesSpec& spec : build_series(config)) {
     if (spec.effective.is_probabilistic()) return true;

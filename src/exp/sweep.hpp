@@ -162,14 +162,6 @@ struct PointStats {
 [[nodiscard]] std::pair<ScheduleResult, double> schedule_with_period_escalation(
     const AlgoVariant& variant, const Instance& inst, SchedulerOptions options);
 
-/// Plain-scheduler overloads (a registry entry is the no-parameter
-/// variant of itself).
-[[nodiscard]] std::pair<ScheduleResult, double> schedule_with_period_escalation(
-    const Scheduler& scheduler, const Dag& dag, const Platform& platform, double period,
-    SchedulerOptions options);
-[[nodiscard]] std::pair<ScheduleResult, double> schedule_with_period_escalation(
-    const Scheduler& scheduler, const Instance& inst, SchedulerOptions options);
-
 /// True when any (variant, fault model) series of the config is measured
 /// under a probabilistic model — including variants that override the
 /// model by binding the base parameter `R`. Benches use this to default

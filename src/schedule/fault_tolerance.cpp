@@ -12,6 +12,7 @@
 
 #include "schedule/survival.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace streamsched {
 
@@ -97,27 +98,6 @@ FtCheckResult check_fault_tolerance(const Schedule& schedule, std::uint32_t max_
   SurvivalOracle oracle(schedule);
   ResumableCheck state(schedule.platform().num_procs(), max_failures);
   return check_with_oracle(oracle, state);
-}
-
-FtCheckResult check_fault_tolerance_sampled(const Schedule& schedule,
-                                            std::uint32_t max_failures, std::uint64_t samples,
-                                            Rng& rng) {
-  const std::size_t m = schedule.platform().num_procs();
-  SS_REQUIRE(max_failures < m, "cannot fail all processors");
-  FtCheckResult result;
-  SurvivalOracle oracle(schedule);
-  ProcSet failed(m);
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    const auto set = rng.sample_without_replacement(static_cast<std::uint32_t>(m), max_failures);
-    failed.assign(set);
-    ++result.sets_checked;
-    if (!oracle.survives(failed)) {
-      result.valid = false;
-      result.counterexample.assign(set.begin(), set.end());
-      return result;
-    }
-  }
-  return result;
 }
 
 namespace {

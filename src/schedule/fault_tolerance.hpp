@@ -25,7 +25,6 @@
 
 #include "schedule/fault_model.hpp"
 #include "schedule/schedule.hpp"
-#include "util/rng.hpp"
 
 namespace streamsched {
 
@@ -43,11 +42,6 @@ struct FtCheckResult {
 /// `max_failures` (feasible for experiment sizes: C(20,3) = 1140).
 [[nodiscard]] FtCheckResult check_fault_tolerance(const Schedule& schedule,
                                                   std::uint32_t max_failures);
-
-/// Monte-Carlo variant for large platforms: samples `samples` failure sets.
-[[nodiscard]] FtCheckResult check_fault_tolerance_sampled(const Schedule& schedule,
-                                                          std::uint32_t max_failures,
-                                                          std::uint64_t samples, Rng& rng);
 
 struct RepairStats {
   bool success = false;

@@ -115,9 +115,10 @@ struct BatchScratch {
   return ((row[c >> 6] >> (c & 63)) & 1) != 0;
 }
 
-/// A schedule compiled for fast survival queries. Immutable flat arrays +
-/// a scratch buffer; `survives(failed)` is allocation-free. Thread-safe
-/// when every thread brings its own scratch (the const overloads).
+/// A schedule compiled for fast survival queries: flat arrays that only
+/// add_comm() changes. Queries are const and take the caller's scratch
+/// (allocation-free once it is sized), so concurrent queries are safe
+/// when every thread brings its own.
 class SurvivalOracle {
  public:
   explicit SurvivalOracle(const Schedule& schedule);
@@ -138,14 +139,8 @@ class SurvivalOracle {
   void add_comm(const CommRecord& comm);
 
   /// True when every task keeps at least one computable replica under
-  /// `failed`. Uses the member scratch buffer (not thread-safe).
-  [[nodiscard]] bool survives(const ProcSet& failed) {
-    SS_REQUIRE(failed.size() == num_procs_, "failure set size != processor count");
-    return survives_words(failed.words(), scratch_);
-  }
-
-  /// Thread-safe variant: the caller owns the scratch buffer (resized on
-  /// first use, then reused allocation-free).
+  /// `failed`. `scratch` is resized on first use, then reused
+  /// allocation-free.
   [[nodiscard]] bool survives(const ProcSet& failed, std::vector<std::uint64_t>& scratch) const {
     SS_REQUIRE(failed.size() == num_procs_, "failure set size != processor count");
     return survives_words(failed.words(), scratch);
@@ -194,7 +189,6 @@ class SurvivalOracle {
   std::vector<TaskId> pred_task_;         // flattened predecessor lists
   std::vector<std::uint64_t> sup_mask_;   // [(pred slot * copies + c) * mask_words + w]:
                                           // bits of pred copies supplying (task, c)
-  std::vector<std::uint64_t> scratch_;    // alive masks for the member-scratch path
 };
 
 /// Best achievable residual tolerance of a schedule that is already coping

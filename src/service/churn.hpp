@@ -2,7 +2,8 @@
 //
 // A ChurnTrace turns a churn FaultModel (time-varying per-processor
 // failure rates + first-class recovery, see schedule/fault_model.hpp)
-// into a concrete, replayable sequence of ClusterEvents: step by step,
+// into a concrete, replayable sequence of ClusterEvents
+// (service/request.hpp) for PlacementDaemon::on_event: step by step,
 // alive processors fail with `failure_prob_at(platform, u, step)` and
 // failed processors recover with `churn_recover()`. Everything is drawn
 // from one seeded Rng in a fixed order (processors ascending, failures
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "schedule/fault_model.hpp"
-#include "service/event_bus.hpp"
+#include "service/request.hpp"
 
 namespace streamsched {
 
@@ -37,7 +38,7 @@ struct ChurnTraceConfig {
 };
 
 /// One generated trace: `steps[i]` holds the events of epoch i, in the
-/// order they must be published.
+/// order they must reach the daemon.
 struct ChurnTrace {
   std::vector<std::vector<ClusterEvent>> steps;
 

@@ -40,22 +40,15 @@ std::string degraded_error(const CachedPlacement& placement) {
 
 }  // namespace
 
-PlacementDaemon::PlacementDaemon(Platform platform, DaemonConfig config, EventBus* bus)
+PlacementDaemon::PlacementDaemon(Platform platform, DaemonConfig config)
     : platform_(std::make_shared<const Platform>(std::move(platform))),
       config_(config),
-      bus_(bus),
       cache_(config.cache_capacity),
-      failed_(platform_->num_procs()) {
-  if (bus_ != nullptr) {
-    subscription_ = bus_->subscribe([this](const ClusterEvent& event) { on_event(event); });
-  }
-}
+      failed_(platform_->num_procs()) {}
 
 PlacementDaemon::~PlacementDaemon() {
-  // Drain queued submits and re-heal passes first: they may still touch
-  // the cache.
+  // Drain queued re-heal passes first: they may still touch the cache.
   drain();
-  if (bus_ != nullptr) bus_->unsubscribe(subscription_);
 }
 
 void PlacementDaemon::drain() {
@@ -199,22 +192,6 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
   }
 }
 
-std::future<PlacementResponse> PlacementDaemon::submit(PlacementRequest request) {
-  auto task = std::make_shared<std::packaged_task<PlacementResponse()>>(
-      [this, req = std::move(request)]() mutable { return admit(std::move(req)); });
-  std::future<PlacementResponse> future = task->get_future();
-  {
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    ++pending_;
-  }
-  global_thread_pool().post([this, task] {
-    (*task)();
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    if (--pending_ == 0) pending_cv_.notify_all();
-  });
-  return future;
-}
-
 std::vector<std::shared_ptr<const CachedPlacement>> PlacementDaemon::snapshot_entries()
     const {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -242,7 +219,7 @@ bool PlacementDaemon::restore(const std::shared_ptr<CachedPlacement>& placement)
   return true;
 }
 
-void PlacementDaemon::on_event(const ClusterEvent& event) {
+std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
   const std::lock_guard<std::mutex> lock(mutex_);
   SS_REQUIRE(event.proc < platform_->num_procs(), "event names an unknown processor");
   ++epoch_;
@@ -266,7 +243,7 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
       return copy;
     });
     if (config_.auto_reheal && cache_.degraded_count() > 0) schedule_reheal_scan();
-    return;
+    return epoch_;
   }
   failed_.set(event.proc);
   const std::uint64_t repairs_before = stats_.event_repairs;
@@ -324,6 +301,7 @@ void PlacementDaemon::on_event(const ClusterEvent& event) {
              << " rebuilt=" << (stats_.rebuilds - rebuilds_before)
              << " dropped=" << (stats_.repair_failures - drops_before)
              << " degraded=" << degraded << " cached=" << cache_.size();
+  return epoch_;
 }
 
 std::shared_ptr<CachedPlacement> PlacementDaemon::rebuild_degraded(const CachedPlacement& stale,
@@ -453,26 +431,6 @@ void PlacementDaemon::reheal_pass() {
       break;
     }
   }
-}
-
-std::size_t PlacementDaemon::degraded_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.degraded_count();
-}
-
-std::uint64_t PlacementDaemon::epoch() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return epoch_;
-}
-
-std::size_t PlacementDaemon::failed_procs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return failed_.count();
-}
-
-std::size_t PlacementDaemon::cache_size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.size();
 }
 
 ScheduleCache::Stats PlacementDaemon::cache_stats() const {

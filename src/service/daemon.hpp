@@ -19,12 +19,10 @@
 //              hit counts exactly as in admit(); a miss counts nothing
 //              and the caller admit()s the request with the same key.
 //
-//   submit()   admit() as a fire-and-forget job on the shared global
-//              thread pool (util/thread_pool.hpp): the daemon's request
-//              queue. Returns a future.
-//
-//   on_event() The event-bus handler (subscribe the daemon, or call it
-//              directly). Bumps the epoch, updates the live failure set,
+//   on_event() One failure/recovery event (service/request.hpp's
+//              ClusterEvent), called directly by whoever observes it: the
+//              network server's EVENT frames, churn replays, in-process
+//              monitors. Bumps the epoch, updates the live failure set,
 //              and walks the cache: placements that survive the new
 //              failure set stay in place copy-free; placements that
 //              don't are *incrementally repaired* — a copy's schedule
@@ -34,7 +32,8 @@
 //              under the same key. Every repaired copy is re-verified
 //              against the live failure set on a freshly compiled oracle
 //              through the bit-sliced batch kernel before it is
-//              published.
+//              published. Concurrent calls serialize on the daemon mutex,
+//              which gives the events one total order.
 //
 // The cache key holds no epoch: while mutex_ is free, every cached entry
 // is current for the live failure set, and each placement records the
@@ -66,13 +65,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 
 #include "schedule/fault_tolerance.hpp"
-#include "service/event_bus.hpp"
 #include "service/request.hpp"
 #include "service/schedule_cache.hpp"
 
@@ -114,11 +111,9 @@ struct DaemonStats {
 
 class PlacementDaemon {
  public:
-  /// Takes ownership of the platform. When `bus` is given, subscribes
-  /// on_event() to it (and unsubscribes in the destructor); the bus must
-  /// outlive the daemon.
-  explicit PlacementDaemon(Platform platform, DaemonConfig config = {},
-                           EventBus* bus = nullptr);
+  /// Takes ownership of the platform.
+  explicit PlacementDaemon(Platform platform, DaemonConfig config = {});
+  /// Waits for queued background re-heal passes (drain()).
   ~PlacementDaemon();
 
   PlacementDaemon(const PlacementDaemon&) = delete;
@@ -135,18 +130,14 @@ class PlacementDaemon {
   [[nodiscard]] std::optional<PlacementResponse> admit_hit(const CacheKey& key,
                                                            bool degraded_ok);
 
-  /// Queues the request on the shared global thread pool. The destructor
-  /// drains queued requests before returning.
-  [[nodiscard]] std::future<PlacementResponse> submit(PlacementRequest request);
-
-  /// Failure/recovery notification (also the bus subscription target).
-  /// Bumps the epoch; failures repair / degrade / rebuild affected cached
+  /// Failure/recovery notification. Bumps the epoch and returns the new
+  /// value; failures repair / degrade / rebuild affected cached
   /// placements (see the degradation ladder above). Recoveries keep
   /// full-guarantee entries copy-free (survival is monotone in the failure
   /// set: whatever survived the larger set survives the smaller one) and
   /// re-certify degraded ones — plus schedule a re-heal scan for any that
   /// stay degraded.
-  void on_event(const ClusterEvent& event);
+  std::uint64_t on_event(const ClusterEvent& event);
 
   /// Runs one full re-heal pass synchronously: while degraded entries
   /// remain (and the epoch holds still long enough), reschedule each and
@@ -156,12 +147,8 @@ class PlacementDaemon {
   /// on the global thread pool.
   void reheal_now();
 
-  /// Blocks until every queued submit()/background re-heal job finished.
+  /// Blocks until every queued background re-heal pass finished.
   void drain();
-
-  /// Number of cached entries currently serving degraded (also the
-  /// stats().degraded gauge and HEALTH's backpressure signal).
-  [[nodiscard]] std::size_t degraded_count() const;
 
   /// Cached placements in LRU→MRU order, without touching recency or hit
   /// stats — the warm-start snapshot walk (service/persistence.hpp saves
@@ -180,19 +167,13 @@ class PlacementDaemon {
   [[nodiscard]] const Platform& platform() const { return *platform_; }
   /// Shared ownership of the platform — restored placements reference it.
   [[nodiscard]] std::shared_ptr<const Platform> platform_ptr() const { return platform_; }
-  [[nodiscard]] std::uint64_t epoch() const;
-  /// Number of processors currently failed.
-  [[nodiscard]] std::size_t failed_procs() const;
-  [[nodiscard]] std::size_t cache_size() const;
   [[nodiscard]] ScheduleCache::Stats cache_stats() const;
-  /// Every counter and gauge above, read together under one lock.
+  /// Every counter and gauge of the daemon, read together under one lock.
   [[nodiscard]] DaemonStats stats() const;
 
  private:
   std::shared_ptr<const Platform> platform_;
   DaemonConfig config_;
-  EventBus* bus_ = nullptr;
-  EventBus::SubscriptionId subscription_ = 0;
 
   /// Reschedules `stale`'s DAG on the alive sub-platform (ε capped at
   /// what the alive processors can carry), remaps the result onto the

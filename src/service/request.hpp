@@ -1,5 +1,10 @@
 // Request/response structs of the placement daemon (service/daemon.hpp).
 //
+// A ClusterEvent is one monitoring notification — processor u failed or
+// recovered — handed straight to PlacementDaemon::on_event by the wire
+// server's EVENT frames, churn traces (service/churn.hpp) and in-process
+// monitors.
+//
 // A PlacementRequest is one DAG + QoS ask against the daemon's shared
 // cluster: which algorithm variant to place with, which fault model to
 // guarantee, and the throughput constraint (or 0 to calibrate one from the
@@ -25,6 +30,12 @@
 #include "schedule/survival.hpp"
 
 namespace streamsched {
+
+struct ClusterEvent {
+  enum class Kind { kFailure, kRecovery };
+  Kind kind = Kind::kFailure;
+  ProcId proc = 0;
+};
 
 struct PlacementRequest {
   /// The streaming application to place (owned by the request; admitted

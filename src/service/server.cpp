@@ -326,18 +326,16 @@ struct Server::Impl {
       conn.out += '\n';
       return;
     }
-    ClusterEvent cluster;
-    cluster.kind = event.failure ? ClusterEvent::Kind::kFailure : ClusterEvent::Kind::kRecovery;
-    cluster.proc = event.proc;
-    // Published through the bus, so in-process subscribers (tests, logs)
-    // observe wire events exactly like direct publishes; the daemon's
-    // repair walk runs synchronously before the response is written.
-    server->bus_.publish(cluster);
+    // The daemon's repair walk runs synchronously before the response is
+    // written.
+    const std::uint64_t epoch = server->daemon_->on_event(ClusterEvent{
+        event.failure ? ClusterEvent::Kind::kFailure : ClusterEvent::Kind::kRecovery,
+        event.proc});
     OkBuilder ok;
     if (!event.tag.empty()) ok.add("tag", event.tag);
     ok.add("kind", event.failure ? "fail" : "recover")
         .add("proc", static_cast<std::uint64_t>(event.proc))
-        .add("epoch", server->daemon_->epoch());
+        .add("epoch", epoch);
     conn.out += ok.str();
     conn.out += '\n';
   }
@@ -674,7 +672,7 @@ struct Server::Impl {
 };
 
 Server::Server(Platform platform, ServerConfig config)
-    : daemon_(std::make_unique<PlacementDaemon>(std::move(platform), config.daemon, &bus_)),
+    : daemon_(std::make_unique<PlacementDaemon>(std::move(platform), config.daemon)),
       impl_(std::make_unique<Impl>()) {
   impl_->server = this;
   impl_->config = std::move(config);
@@ -727,7 +725,7 @@ Server::Server(Platform platform, ServerConfig config)
   log_info() << "server up: unix="
              << (impl_->config.unix_path.empty() ? "-" : impl_->config.unix_path)
              << " tcp=" << (impl_->config.tcp ? std::to_string(tcp_port_) : std::string("-"))
-             << " cache=" << daemon_->cache_size();
+             << " cache=" << daemon_->stats().cache_size;
 }
 
 Server::~Server() {
@@ -751,8 +749,8 @@ void Server::run() {
       log_error() << "warm-start snapshot save failed: " << e.what();
     }
   }
-  log_info() << "server down: admissions=" << daemon_->stats().admissions
-             << " cache=" << daemon_->cache_size();
+  const DaemonStats stats = daemon_->stats();
+  log_info() << "server down: admissions=" << stats.admissions << " cache=" << stats.cache_size;
 }
 
 void Server::shutdown() {

@@ -1,12 +1,13 @@
 // Network front end of the placement daemon (the wire side of
 // scheduler-as-a-service; protocol in net/wire.hpp and docs/PROTOCOL.md).
 //
-// One Server owns an EventBus + PlacementDaemon and serves the
-// line-delimited protocol over unix-domain and/or TCP listeners from a
-// single poll(2) loop. Frames are dispatched by cost:
+// One Server owns a PlacementDaemon and serves the line-delimited
+// protocol over unix-domain and/or TCP listeners from a single poll(2)
+// loop. Frames are dispatched by cost:
 //
 //   EVENT / STATS / HEALTH /   answered synchronously on the poll thread
-//   SHUTDOWN                   (an event is a cache repair walk — fast and
+//   SHUTDOWN                   (an event is one PlacementDaemon::on_event
+//                              call, a cache repair walk — fast and
 //                              latency-critical; stats and health are one
 //                              locked read of the daemon's counters).
 //
@@ -69,7 +70,6 @@
 #include "net/wire.hpp"
 #include "platform/platform.hpp"
 #include "service/daemon.hpp"
-#include "service/event_bus.hpp"
 
 namespace streamsched::net {
 
@@ -149,14 +149,10 @@ class Server {
   [[nodiscard]] std::uint16_t tcp_port() const { return tcp_port_; }
 
   [[nodiscard]] const PlacementDaemon& daemon() const { return *daemon_; }
-  /// The failure/recovery bus; in-process monitors may publish directly —
-  /// wire EVENT frames and direct publishes share the same path.
-  [[nodiscard]] EventBus& bus() { return bus_; }
   [[nodiscard]] LaneStats lane_stats(QosClass qos) const;
 
  private:
   struct Impl;
-  EventBus bus_;
   std::unique_ptr<PlacementDaemon> daemon_;
   std::uint16_t tcp_port_ = 0;
   std::unique_ptr<Impl> impl_;

@@ -1,5 +1,6 @@
 // Fixed-size worker pool used to parallelize experiment sweeps across
-// random graph instances and the placement daemon's request queue.
+// random graph instances and the placement daemon's background re-heal
+// passes.
 //
 // Work items are indexed, and `parallel_for` partitions [0, n) dynamically
 // (atomic counter) so stragglers balance out. Results are written into
@@ -53,10 +54,10 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t max_workers,
                     const std::function<void(std::size_t)>& body);
 
-  /// Enqueues one fire-and-forget task (the placement daemon's request
-  /// queue). The task runs on some pool worker; ordering between posted
-  /// tasks follows the queue, but tasks posted while a parallel_for is in
-  /// flight interleave with its drain jobs.
+  /// Enqueues one fire-and-forget task (the placement daemon's background
+  /// re-heal passes). The task runs on some pool worker; ordering between
+  /// posted tasks follows the queue, but tasks posted while a parallel_for
+  /// is in flight interleave with its drain jobs.
   void post(std::function<void()> task);
 
  private:

@@ -306,7 +306,7 @@ TEST(TornIo, SnapshotLoadRejectsEveryTruncationOffset) {
                  SnapshotError)
         << "offset " << cut << " of " << content.size();
   }
-  EXPECT_EQ(target.cache_size(), 0u);
+  EXPECT_EQ(target.stats().cache_size, 0u);
   // The untruncated bytes load — the sweep rejected torn files, not the
   // format.
   EXPECT_EQ(load_cache_snapshot_text(target, content, "intact").restored, 1u);
@@ -347,7 +347,7 @@ TEST(SnapshotGenerations, RotatesAndPrunesOldestBeyondKeep) {
   const GenerationLoadResult none = load_newest_cache_generation(cold, base.path);
   EXPECT_FALSE(none.loaded);
   EXPECT_EQ(none.rejected, 3u);
-  EXPECT_EQ(cold.cache_size(), 0u);
+  EXPECT_EQ(cold.stats().cache_size, 0u);
 }
 
 TEST(SnapshotGenerations, LoadFallsBackPastCorruptAndTruncatedGenerations) {
@@ -374,7 +374,7 @@ TEST(SnapshotGenerations, LoadFallsBackPastCorruptAndTruncatedGenerations) {
   ASSERT_TRUE(loaded.loaded);
   EXPECT_EQ(loaded.path, base.path + ".g1");
   EXPECT_EQ(loaded.rejected, 2u);
-  ASSERT_EQ(restored.cache_size(), 1u);
+  ASSERT_EQ(restored.stats().cache_size, 1u);
   EXPECT_EQ(schedule_fingerprint(restored.snapshot_entries().front()->schedule), fp);
 }
 

@@ -9,7 +9,6 @@
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/metrics.hpp"
 #include "schedule/survival.hpp"
-#include "util/rng.hpp"
 
 namespace streamsched {
 namespace {
@@ -55,10 +54,11 @@ bool computable(const Schedule& s, const std::vector<ProcId>& failed, TaskId t, 
 }
 
 bool survives(const Schedule& s, const std::vector<ProcId>& failed) {
-  SurvivalOracle oracle(s);
+  const SurvivalOracle oracle(s);
   ProcSet set(s.platform().num_procs());
   set.assign(failed);
-  return oracle.survives(set);
+  std::vector<std::uint64_t> scratch;
+  return oracle.survives(set, scratch);
 }
 
 struct FtFixture : ::testing::Test {
@@ -103,13 +103,6 @@ TEST_F(FtFixture, ZeroFailuresAlwaysValidOnCompleteSchedule) {
   const auto result = check_fault_tolerance(s, 0);
   EXPECT_TRUE(result.valid);
   EXPECT_EQ(result.sets_checked, 1u);
-}
-
-TEST_F(FtFixture, SampledCheckAgreesOnInvalidSchedule) {
-  const Schedule s = crossed_chains(dag, platform);
-  Rng rng(5);
-  const auto result = check_fault_tolerance_sampled(s, 1, 64, rng);
-  EXPECT_FALSE(result.valid);  // 64 samples over 4 sets will hit P0
 }
 
 TEST_F(FtFixture, RepairFixesCrossedChains) {

@@ -29,19 +29,15 @@ ParamSpace demo_space() {
                  [](SchedulerOptions& o, const ParamValue& v) {
                    o.period = std::get<double>(v);
                  });
-  space.add_enum("mode", "fast", {"fast", "safe"}, "an enum knob",
-                 [](SchedulerOptions& o, const ParamValue& v) {
-                   o.repair = std::get<std::string>(v) == "safe";
-                 });
   return space;
 }
 
 TEST(ParamSpace, DeclaresAndDescribes) {
   const ParamSpace space = demo_space();
-  EXPECT_EQ(space.size(), 4u);
+  EXPECT_EQ(space.size(), 3u);
   ASSERT_NE(space.find("count"), nullptr);
   EXPECT_EQ(space.find("count")->signature(), "int in [1, 8]");
-  EXPECT_EQ(space.find("mode")->signature(), "enum {fast, safe}");
+  EXPECT_EQ(space.find("ratio")->signature(), "real in [0, 1]");
   EXPECT_EQ(space.find("flag")->signature(), "bool");
   const std::string listing = space.describe("  ");
   EXPECT_NE(listing.find("count: int in [1, 8], default 2 — an int knob"),
@@ -54,16 +50,14 @@ TEST(ParamSpace, RejectsBadDeclarations) {
   const auto noop = [](SchedulerOptions&, const ParamValue&) {};
   EXPECT_THROW(space.add_bool("flag", true, "dup", noop), std::invalid_argument);
   EXPECT_THROW(space.add_bool("", true, "anon", noop), std::invalid_argument);
-  EXPECT_THROW(space.add_enum("empty", "x", {}, "no choices", noop), std::invalid_argument);
-  EXPECT_THROW(space.add_enum("bad_def", "x", {"a", "b"}, "", noop), std::invalid_argument);
 }
 
 TEST(ParamSet, BindsParsesAndRoundTrips) {
   const ParamSpace space = demo_space();
-  ParamSet set = ParamSet::parse(space, "mode=safe,flag=off,count=4");
+  ParamSet set = ParamSet::parse(space, "ratio=0.25,flag=off,count=4");
   EXPECT_EQ(set.size(), 3u);
   // Canonical print order is declaration order, independent of spec order.
-  EXPECT_EQ(set.to_string(), "flag=off,count=4,mode=safe");
+  EXPECT_EQ(set.to_string(), "flag=off,count=4,ratio=0.25");
   const ParamSet reparsed = ParamSet::parse(space, set.to_string());
   EXPECT_EQ(reparsed, set);
   EXPECT_EQ(reparsed.to_string(), set.to_string());
@@ -101,7 +95,7 @@ TEST(ParamSet, DiagnosesUnknownKeysAndBadValues) {
   EXPECT_THROW((void)ParamSet::parse(space, "count=abc"), std::invalid_argument);
   EXPECT_THROW((void)ParamSet::parse(space, "count"), std::invalid_argument);
   EXPECT_THROW((void)ParamSet::parse(space, "=4"), std::invalid_argument);
-  EXPECT_THROW((void)ParamSet::parse(space, "mode=warp"), std::invalid_argument);
+  EXPECT_THROW((void)ParamSet::parse(space, "ratio=abc"), std::invalid_argument);
   EXPECT_THROW((void)ParamSet::parse(space, "ratio=1.5"), std::invalid_argument);
   EXPECT_THROW((void)ParamSet::parse(space, "flag=maybe"), std::invalid_argument);
   // Rebinding is an error, both textually and typed.
@@ -118,19 +112,18 @@ TEST(ParamSet, DiagnosesUnknownKeysAndBadValues) {
 
 TEST(ParamSet, AppliesBoundValuesInOneStep) {
   const ParamSpace space = demo_space();
-  const ParamSet set = ParamSet::parse(space, "flag=off,count=4,mode=safe,ratio=0.25");
+  const ParamSet set = ParamSet::parse(space, "flag=off,count=4,ratio=0.25");
   SchedulerOptions options;
   options.use_rule1 = true;
   set.apply(options);
   EXPECT_FALSE(options.use_rule1);
   EXPECT_EQ(options.chunk, 4u);
-  EXPECT_TRUE(options.repair);
   EXPECT_DOUBLE_EQ(options.period, 0.25);
   // Unbound parameters leave their fields untouched.
   SchedulerOptions defaults;
   ParamSet::parse(space, "count=8").apply(defaults);
   EXPECT_TRUE(defaults.use_rule1);
-  EXPECT_FALSE(defaults.repair);
+  EXPECT_EQ(defaults.period, SchedulerOptions{}.period);
   EXPECT_EQ(defaults.chunk, 8u);
 }
 
@@ -243,14 +236,13 @@ TEST(AlgoVariant, SplitsVariantListsOnTopLevelCommasOnly) {
 
 TEST(Enumerate, ExpandsDeclaredAxesIntoTheCartesianGrid) {
   const ParamSpace space = demo_space();
-  const auto grid =
-      enumerate(space, {bool_axis("flag"), enum_axis("mode", {"fast", "safe"})});
+  const auto grid = enumerate(space, {bool_axis("flag"), int_axis("count", {2, 4})});
   ASSERT_EQ(grid.size(), 4u);
   // Last axis varies fastest; bool_axis enumerates {on, off}.
-  EXPECT_EQ(grid[0].to_string(), "flag=on,mode=fast");
-  EXPECT_EQ(grid[1].to_string(), "flag=on,mode=safe");
-  EXPECT_EQ(grid[2].to_string(), "flag=off,mode=fast");
-  EXPECT_EQ(grid[3].to_string(), "flag=off,mode=safe");
+  EXPECT_EQ(grid[0].to_string(), "flag=on,count=2");
+  EXPECT_EQ(grid[1].to_string(), "flag=on,count=4");
+  EXPECT_EQ(grid[2].to_string(), "flag=off,count=2");
+  EXPECT_EQ(grid[3].to_string(), "flag=off,count=4");
 
   // No axes: the single empty set (the algorithm's defaults).
   const auto trivial = enumerate(space, {});

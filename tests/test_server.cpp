@@ -169,8 +169,8 @@ TEST(CachePersistence, RejectsCorruptedTruncatedAndForeignSnapshots) {
   EXPECT_THROW((void)load_cache_snapshot(other, snap.path), SnapshotError);
 
   // None of the rejections touched the cache.
-  EXPECT_EQ(target.cache_size(), 0u);
-  EXPECT_EQ(other.cache_size(), 0u);
+  EXPECT_EQ(target.stats().cache_size, 0u);
+  EXPECT_EQ(other.stats().cache_size, 0u);
 
   // The pristine file still loads after all that.
   EXPECT_EQ(load_cache_snapshot(target, snap.path).restored, 1u);
@@ -200,7 +200,7 @@ TEST(CachePersistence, TamperedReliabilityClaimDropsTheEntryOnly) {
   EXPECT_EQ(loaded.entries, 2u);
   EXPECT_EQ(loaded.verify_failed, 1u);  // the liar is dropped...
   EXPECT_EQ(loaded.restored, 1u);       // ...the honest entry warm-starts
-  EXPECT_EQ(target.cache_size(), 1u);
+  EXPECT_EQ(target.stats().cache_size, 1u);
 }
 
 TEST(CachePersistence, EntriesKilledByTheLiveFailureSetAreStale) {
@@ -212,35 +212,34 @@ TEST(CachePersistence, EntriesKilledByTheLiveFailureSetAreStale) {
 
   // Fail exactly the processors holding task 0's replicas: the snapshot
   // entry cannot survive the restored daemon's live failure set.
-  EventBus bus;
-  PlacementDaemon target(small_platform(), DaemonConfig{}, &bus);
+  PlacementDaemon target(small_platform(), DaemonConfig{});
   const Schedule& schedule = resp.placement->schedule;
   for (CopyId c = 0; c < schedule.copies(); ++c) {
-    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, schedule.placed(ReplicaRef{0, c}).proc});
+    target.on_event(
+        ClusterEvent{ClusterEvent::Kind::kFailure, schedule.placed(ReplicaRef{0, c}).proc});
   }
 
   const SnapshotLoadStats loaded = load_cache_snapshot(target, snap.path);
   EXPECT_EQ(loaded.entries, 1u);
   EXPECT_EQ(loaded.stale, 1u);
   EXPECT_EQ(loaded.restored, 0u);
-  EXPECT_EQ(target.cache_size(), 0u);
+  EXPECT_EQ(target.stats().cache_size, 0u);
 }
 
 TEST(CachePersistence, DegradedEntriesRoundTripWithoutLaundering) {
   const FileGuard snap(unique_path("snap_degraded", ".snapshot"));
-  EventBus bus;
   DaemonConfig dcfg;
   dcfg.auto_reheal = false;
-  PlacementDaemon source(small_platform(5, 5), dcfg, &bus);
+  PlacementDaemon source(small_platform(5, 5), dcfg);
   ASSERT_TRUE(source.admit(request_for(61, FaultModel::count(2))).ok);
 
   // Three failures on a five-processor cluster leave two survivors: an
   // ε = 2 guarantee needs three distinct processors, so the entry rides
   // the degradation ladder instead of being dropped.
   for (ProcId p : {0u, 1u, 2u}) {
-    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, p});
+    source.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, p});
   }
-  ASSERT_EQ(source.degraded_count(), 1u);
+  ASSERT_EQ(source.stats().degraded, 1u);
   PlacementRequest brownout = request_for(61, FaultModel::count(2));
   brownout.degraded_ok = true;
   const PlacementResponse served = source.admit(brownout);
@@ -256,7 +255,7 @@ TEST(CachePersistence, DegradedEntriesRoundTripWithoutLaundering) {
   const SnapshotLoadStats loaded = load_cache_snapshot(target, snap.path);
   EXPECT_EQ(loaded.entries, 1u);
   EXPECT_EQ(loaded.restored, 1u);
-  EXPECT_EQ(target.degraded_count(), 1u);
+  EXPECT_EQ(target.stats().degraded, 1u);
   expect_sealed_entries(target);
 
   const PlacementResponse refused = target.admit(request_for(61, FaultModel::count(2)));
@@ -274,15 +273,14 @@ TEST(CachePersistence, DegradedEntriesRoundTripWithoutLaundering) {
 
 TEST(CachePersistence, LaunderedDegradedFlagRejectsTheWholeSnapshot) {
   const FileGuard snap(unique_path("snap_launder", ".snapshot"));
-  EventBus bus;
   DaemonConfig dcfg;
   dcfg.auto_reheal = false;
-  PlacementDaemon source(small_platform(5, 5), dcfg, &bus);
+  PlacementDaemon source(small_platform(5, 5), dcfg);
   ASSERT_TRUE(source.admit(request_for(61, FaultModel::count(2))).ok);
   for (ProcId p : {0u, 1u, 2u}) {
-    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, p});
+    source.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, p});
   }
-  ASSERT_EQ(source.degraded_count(), 1u);
+  ASSERT_EQ(source.stats().degraded, 1u);
   (void)save_cache_snapshot(source, snap.path);
 
   // Clear the degraded flag while keeping eps_have < eps_want, then
@@ -297,7 +295,7 @@ TEST(CachePersistence, LaunderedDegradedFlagRejectsTheWholeSnapshot) {
 
   PlacementDaemon target(small_platform(5, 5), dcfg);
   EXPECT_THROW((void)load_cache_snapshot(target, snap.path), SnapshotError);
-  EXPECT_EQ(target.cache_size(), 0u);
+  EXPECT_EQ(target.stats().cache_size, 0u);
 }
 
 // ------------------------------------------------------------- wire server --
@@ -394,8 +392,8 @@ TEST(WireServer, SubmitEventRepairAndDrainOverUnixSocket) {
   ProcSet failed(m);
   failed.assign(std::vector<ProcId>{fa, fb});
   for (const auto& placement : handle.server.daemon().snapshot_entries()) {
-    SurvivalOracle fresh(placement->schedule);
-    EXPECT_TRUE(fresh.survives(failed));
+    const SurvivalOracle fresh(placement->schedule);
+    EXPECT_TRUE(fresh.survives(failed, scratch));
   }
 
   net::Response stats = client.stats();
@@ -792,7 +790,7 @@ TEST(WireServer, RejectedSnapshotStartsColdInsteadOfDying) {
   config.snapshot_path = snap.path;
   // No listener configured: construction alone exercises the load path.
   net::Server server(small_platform(), config);
-  EXPECT_EQ(server.daemon().cache_size(), 0u);
+  EXPECT_EQ(server.daemon().stats().cache_size, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Placement-service suite: stable fingerprints (core/fingerprint.hpp),
 // the LRU schedule cache (hit/miss/eviction/collision handling, peek and
-// the degraded count), the event bus, and the daemon's serving contract —
-// cache hits after a cold admission, epoch bumps that keep entries
-// copy-free on recovery, incremental event repair whose result matches a fresh
+// the degraded count), and the daemon's serving contract — cache hits
+// after a cold admission, epoch bumps that keep entries copy-free on
+// recovery, incremental event repair whose result matches a fresh
 // reschedule on feasibility (both survive the live failure set, both keep
-// the model guarantee), and the async submit path on the shared pool.
+// the model guarantee), concurrent admissions from the shared pool, and
+// the total event order concurrent on_event callers get.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -22,10 +22,10 @@
 #include "schedule/survival.hpp"
 #include "service/churn.hpp"
 #include "service/daemon.hpp"
-#include "service/event_bus.hpp"
 #include "service/schedule_cache.hpp"
 #include "service_fixtures.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace streamsched {
 namespace {
@@ -227,71 +227,6 @@ TEST(ScheduleCache, DegradedCountAndPeekMatchABruteForceWalk) {
   expect_walk(2);
 }
 
-// ------------------------------------------------------------- event bus --
-
-TEST(EventBus, DeliversInSubscriptionOrderAndUnsubscribes) {
-  EventBus bus;
-  std::vector<int> order;
-  const auto a = bus.subscribe([&](const ClusterEvent&) { order.push_back(1); });
-  const auto b = bus.subscribe([&](const ClusterEvent&) { order.push_back(2); });
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, 0});
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-
-  EXPECT_TRUE(bus.unsubscribe(a));
-  EXPECT_FALSE(bus.unsubscribe(a));
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 2}));
-  EXPECT_EQ(bus.events_published(), 2u);
-  EXPECT_TRUE(bus.unsubscribe(b));
-}
-
-TEST(EventBus, ConcurrentPublishersSerializeIntoATotalOrder) {
-  // The wire server's poll thread and in-process monitors may publish
-  // concurrently; the bus contract is a total order — the handler never
-  // runs against itself, no event is lost, and each publisher's events
-  // arrive in its own program order.
-  EventBus bus;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 64;
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  std::vector<ProcId> observed;  // handler-local: serialized by the bus
-  const auto id = bus.subscribe([&](const ClusterEvent& event) {
-    if (inside.fetch_add(1) != 0) overlapped.store(true);
-    observed.push_back(event.proc);
-    inside.fetch_sub(1);
-  });
-
-  std::vector<std::thread> publishers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    publishers.emplace_back([&bus, t] {
-      for (std::size_t s = 0; s < kPerThread; ++s) {
-        // proc encodes (publisher, sequence) so the observer can recover
-        // each publisher's program order.
-        bus.publish(ClusterEvent{s % 2 == 0 ? ClusterEvent::Kind::kFailure
-                                            : ClusterEvent::Kind::kRecovery,
-                                 static_cast<ProcId>(t * kPerThread + s)});
-      }
-    });
-  }
-  for (std::thread& thread : publishers) thread.join();
-
-  EXPECT_FALSE(overlapped.load()) << "handler ran concurrently with itself";
-  ASSERT_EQ(observed.size(), kThreads * kPerThread);
-  EXPECT_EQ(bus.events_published(), kThreads * kPerThread);
-  // No event lost or duplicated, and per-publisher order preserved.
-  std::vector<std::size_t> next_seq(kThreads, 0);
-  for (const ProcId proc : observed) {
-    const std::size_t t = proc / kPerThread;
-    const std::size_t s = proc % kPerThread;
-    ASSERT_LT(t, kThreads);
-    EXPECT_EQ(s, next_seq[t]) << "publisher " << t << " events reordered";
-    ++next_seq[t];
-  }
-  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(next_seq[t], kPerThread);
-  EXPECT_TRUE(bus.unsubscribe(id));
-}
-
 // ---------------------------------------------------------------- daemon --
 
 PlacementRequest request_for(std::uint64_t seed, CopyId eps = 1) {
@@ -360,16 +295,15 @@ bool kills_a_task(const Schedule& s, ProcId a, ProcId b) {
 }
 
 TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
-  EventBus bus;
-  PlacementDaemon daemon(small_platform(), DaemonConfig{}, &bus);
+  PlacementDaemon daemon(small_platform(), DaemonConfig{});
 
   std::vector<PlacementResponse> admitted;
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     admitted.push_back(daemon.admit(request_for(seed)));
     ASSERT_TRUE(admitted.back().ok) << admitted.back().error;
   }
-  EXPECT_EQ(daemon.cache_size(), 3u);
-  EXPECT_EQ(daemon.epoch(), 0u);
+  EXPECT_EQ(daemon.stats().cache_size, 3u);
+  EXPECT_EQ(daemon.stats().epoch, 0u);
 
   // Pick a two-processor failure set that leaves every task of every
   // cached schedule an alive replica (always repairable), preferring one
@@ -405,25 +339,27 @@ TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
   }
   ASSERT_TRUE(found_safe) << "no repairable two-failure set exists for these schedules";
 
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, fa});
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, fb});
-  EXPECT_EQ(daemon.epoch(), 2u);
-  EXPECT_EQ(daemon.failed_procs(), 2u);
+  EXPECT_EQ(daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, fa}), 1u);
+  EXPECT_EQ(daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, fb}), 2u);
+  const DaemonStats after = daemon.stats();
+  EXPECT_EQ(after.epoch, 2u);
+  EXPECT_EQ(after.failed_procs, 2u);
   // The failure set was chosen repairable, so nothing may be dropped.
-  EXPECT_EQ(daemon.cache_size(), 3u);
+  EXPECT_EQ(after.cache_size, 3u);
   expect_sealed_entries(daemon);  // event-repair copies
 
   // Every cached placement survives the live failure set — on a FRESH
   // oracle, not the patched one (independent feasibility check).
   ProcSet failed(m);
   failed.assign(std::vector<ProcId>{fa, fb});
+  std::vector<std::uint64_t> scratch;
   std::size_t still_cached = 0;
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     const PlacementResponse resp = daemon.admit(request_for(seed));
     ASSERT_TRUE(resp.ok) << resp.error;
     if (resp.cache_hit) ++still_cached;
-    SurvivalOracle fresh(resp.placement->schedule);
-    EXPECT_TRUE(fresh.survives(failed));
+    const SurvivalOracle fresh(resp.placement->schedule);
+    EXPECT_TRUE(fresh.survives(failed, scratch));
     // Event repair only ever ADDS channels: the original ε-guarantee is
     // monotone in the channel set and must still hold.
     EXPECT_TRUE(check_fault_tolerance(resp.placement->schedule, 1).valid);
@@ -446,30 +382,29 @@ TEST(PlacementDaemon, IncrementalRepairMatchesFreshRescheduleFeasibility) {
   // reschedule reconciled with the failure set). Both must produce a
   // placement that survives the live failure set and keeps the model
   // guarantee — the repair-parity contract of the event path.
-  EventBus bus_a;
-  EventBus bus_b;
-  PlacementDaemon warm(small_platform(), DaemonConfig{}, &bus_a);
-  PlacementDaemon cold(small_platform(), DaemonConfig{}, &bus_b);
+  PlacementDaemon warm(small_platform(), DaemonConfig{});
+  PlacementDaemon cold(small_platform(), DaemonConfig{});
 
   const PlacementResponse before = warm.admit(request_for(31));
   ASSERT_TRUE(before.ok) << before.error;
 
   const ClusterEvent f1{ClusterEvent::Kind::kFailure, 1};
   const ClusterEvent f2{ClusterEvent::Kind::kFailure, 4};
-  bus_a.publish(f1);
-  bus_a.publish(f2);
-  bus_b.publish(f1);
-  bus_b.publish(f2);
+  warm.on_event(f1);
+  warm.on_event(f2);
+  cold.on_event(f1);
+  cold.on_event(f2);
 
   const PlacementResponse warm_resp = warm.admit(request_for(31));
   const PlacementResponse cold_resp = cold.admit(request_for(31));
 
   ProcSet failed(warm.platform().num_procs());
   failed.assign(std::vector<ProcId>{1, 4});
+  std::vector<std::uint64_t> scratch;
   for (const PlacementResponse* resp : {&warm_resp, &cold_resp}) {
     if (!resp->ok) continue;  // both paths may legitimately fail identically
-    SurvivalOracle fresh(resp->placement->schedule);
-    EXPECT_TRUE(fresh.survives(failed));
+    const SurvivalOracle fresh(resp->placement->schedule);
+    EXPECT_TRUE(fresh.survives(failed, scratch));
     EXPECT_TRUE(check_fault_tolerance(resp->placement->schedule, 1).valid);
   }
   // The two paths agree on feasibility of the request itself.
@@ -477,18 +412,16 @@ TEST(PlacementDaemon, IncrementalRepairMatchesFreshRescheduleFeasibility) {
 }
 
 TEST(PlacementDaemon, RecoveryRekeysCopyFree) {
-  EventBus bus;
-  PlacementDaemon daemon(small_platform(), DaemonConfig{}, &bus);
+  PlacementDaemon daemon(small_platform(), DaemonConfig{});
   const PlacementResponse resp = daemon.admit(request_for(41));
   ASSERT_TRUE(resp.ok) << resp.error;
 
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, 3});
+  daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, 3});
   const PlacementResponse after_fail = daemon.admit(request_for(41));
   ASSERT_TRUE(after_fail.ok) << after_fail.error;
 
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kRecovery, 3});
-  EXPECT_EQ(daemon.epoch(), 2u);
-  EXPECT_EQ(daemon.failed_procs(), 0u);
+  EXPECT_EQ(daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, 3}), 2u);
+  EXPECT_EQ(daemon.stats().failed_procs, 0u);
   const PlacementResponse after_recovery = daemon.admit(request_for(41));
   ASSERT_TRUE(after_recovery.ok);
   EXPECT_TRUE(after_recovery.cache_hit);
@@ -498,24 +431,95 @@ TEST(PlacementDaemon, RecoveryRekeysCopyFree) {
 }
 
 TEST(PlacementDaemon, SubmitServesFromThePoolAndDrainsOnShutdown) {
-  std::vector<std::future<PlacementResponse>> futures;
+  // Concurrent admissions on the shared pool's workers: repeated DAGs race
+  // the cold path against the hit path, and every response outlives the
+  // daemon that served it.
+  const std::vector<std::uint64_t> seeds{51, 52, 51, 52, 51};
+  std::vector<PlacementResponse> responses(seeds.size());
   PlacementResponse direct;
   {
     PlacementDaemon daemon(small_platform(), DaemonConfig{});
-    for (std::uint64_t seed : {51u, 52u, 51u, 52u, 51u}) {
-      futures.push_back(daemon.submit(request_for(seed)));
-    }
+    global_thread_pool().parallel_for(seeds.size(), [&](std::size_t i) {
+      responses[i] = daemon.admit(request_for(seeds[i]));
+    });
     direct = daemon.admit(request_for(51));
-    // Destructor must block until every queued submit completed.
   }
   std::size_t ok = 0;
-  for (auto& f : futures) {
-    const PlacementResponse resp = f.get();
+  for (const PlacementResponse& resp : responses) {
     EXPECT_TRUE(resp.ok) << resp.error;
     ok += resp.ok ? 1 : 0;
   }
-  EXPECT_EQ(ok, futures.size());
+  EXPECT_EQ(ok, responses.size());
   EXPECT_TRUE(direct.ok);
+  EXPECT_TRUE(direct.cache_hit);
+}
+
+TEST(PlacementDaemon, ConcurrentEventsGetOneTotalOrder) {
+  // Four threads, each owning one processor, send alternating
+  // fail/recover events straight to on_event while pool workers admit.
+  // The daemon mutex orders the events: every epoch is handed out exactly
+  // once, and each sender sees its own epochs increase.
+  PlacementDaemon daemon(small_platform(), DaemonConfig{});
+  for (std::uint64_t seed : {51u, 52u}) ASSERT_TRUE(daemon.admit(request_for(seed)).ok);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 64;
+  std::vector<std::vector<std::uint64_t>> epochs(kThreads);
+  std::atomic<bool> go{false};
+  std::atomic<std::size_t> sending{kThreads};
+  std::vector<std::thread> senders;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&daemon, &epochs, &go, &sending, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t s = 0; s < kPerThread; ++s) {
+        const ClusterEvent event{
+            s % 2 == 0 ? ClusterEvent::Kind::kFailure : ClusterEvent::Kind::kRecovery,
+            static_cast<ProcId>(t)};
+        epochs[t].push_back(daemon.on_event(event));
+      }
+      sending.fetch_sub(1);
+    });
+  }
+  // The senders start once an admission runs, and the workers admit until
+  // every sender is done, so events land between admissions' cold paths
+  // and hits.
+  constexpr std::size_t kWorkers = 4;
+  std::atomic<std::size_t> admitted{0};
+  global_thread_pool().parallel_for(kWorkers, [&](std::size_t w) {
+    go.store(true);
+    for (std::uint64_t n = w; sending.load() > 0; ++n) {
+      PlacementRequest request = request_for(51 + n % 4);
+      request.degraded_ok = true;
+      const PlacementResponse resp = daemon.admit(std::move(request));
+      EXPECT_TRUE(resp.ok) << resp.error;
+      admitted.fetch_add(1);
+    }
+  });
+  for (std::thread& sender : senders) sender.join();
+  daemon.drain();
+  EXPECT_GT(admitted.load(), 0u);
+
+  std::vector<int> handed_out(kThreads * kPerThread + 1, 0);
+  for (const std::vector<std::uint64_t>& mine : epochs) {
+    ASSERT_EQ(mine.size(), kPerThread);
+    for (std::size_t s = 0; s < mine.size(); ++s) {
+      ASSERT_GE(mine[s], 1u);
+      ASSERT_LT(mine[s], handed_out.size());
+      ++handed_out[mine[s]];
+      if (s > 0) {
+        EXPECT_GT(mine[s], mine[s - 1]);
+      }
+    }
+  }
+  for (std::size_t e = 1; e < handed_out.size(); ++e) {
+    EXPECT_EQ(handed_out[e], 1) << "epoch " << e;
+  }
+
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.events, kThreads * kPerThread);
+  EXPECT_EQ(stats.recovery_events, kThreads * kPerThread / 2);
+  EXPECT_EQ(stats.failed_procs, 0u);
+  EXPECT_EQ(stats.verify_failures, 0u);
 }
 
 TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
@@ -524,10 +528,9 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   // restore the guarantee. The degradation ladder must keep the entry
   // serving — rebuilt on the alive sub-platform, tagged with its explicit
   // deficit — instead of dropping it.
-  EventBus bus;
   DaemonConfig config;
   config.auto_reheal = false;  // deterministic: no background pass
-  PlacementDaemon daemon(small_platform(5, 5), config, &bus);
+  PlacementDaemon daemon(small_platform(5, 5), config);
   const PlacementResponse resp = daemon.admit(request_for(61, 2));
   ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_FALSE(resp.placement->degraded);
@@ -535,10 +538,10 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   EXPECT_EQ(resp.placement->eps_have, 2u);
 
   for (ProcId p : {0u, 1u, 2u}) {
-    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, p});
+    daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, p});
   }
-  EXPECT_EQ(daemon.cache_size(), 1u);  // kept serving, not dropped
-  EXPECT_EQ(daemon.degraded_count(), 1u);
+  EXPECT_EQ(daemon.stats().cache_size, 1u);  // kept serving, not dropped
+  EXPECT_EQ(daemon.stats().degraded, 1u);
   EXPECT_GE(daemon.stats().rebuilds, 1u);
   expect_sealed_entries(daemon);  // degraded rebuild
 
@@ -567,10 +570,10 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
 
   // Recovery restores capacity; an explicit re-heal pass must promote the
   // entry back to full-guarantee serving.
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
+  daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
   expect_sealed_entries(daemon);  // re-certified copy, schedule unchanged
   daemon.reheal_now();
-  EXPECT_EQ(daemon.degraded_count(), 0u);
+  EXPECT_EQ(daemon.stats().degraded, 0u);
   EXPECT_GE(daemon.stats().reheals, 1u);
   expect_sealed_entries(daemon);  // re-heal promotion
   const PlacementResponse healed = daemon.admit(request_for(61, 2));
@@ -588,21 +591,20 @@ TEST(PlacementDaemon, BackgroundRehealPromotesDegradedEntries) {
   // reheal_now() call. Background passes abort on epoch drift by design,
   // so the test retries the deterministic driver as a fallback rather
   // than asserting on a single pass.
-  EventBus bus;
-  PlacementDaemon daemon(small_platform(5, 5), DaemonConfig{}, &bus);
+  PlacementDaemon daemon(small_platform(5, 5), DaemonConfig{});
   ASSERT_TRUE(daemon.admit(request_for(61, 2)).ok);
   for (ProcId p : {0u, 1u, 2u}) {
-    bus.publish(ClusterEvent{ClusterEvent::Kind::kFailure, p});
+    daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, p});
   }
   daemon.drain();
-  EXPECT_EQ(daemon.degraded_count(), 1u);  // two alive procs cannot carry eps=2
+  EXPECT_EQ(daemon.stats().degraded, 1u);  // two alive procs cannot carry eps=2
 
-  bus.publish(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
-  for (int attempt = 0; attempt < 10 && daemon.degraded_count() > 0; ++attempt) {
+  daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
+  for (int attempt = 0; attempt < 10 && daemon.stats().degraded > 0; ++attempt) {
     daemon.drain();
-    if (daemon.degraded_count() > 0) daemon.reheal_now();
+    if (daemon.stats().degraded > 0) daemon.reheal_now();
   }
-  EXPECT_EQ(daemon.degraded_count(), 0u);
+  EXPECT_EQ(daemon.stats().degraded, 0u);
   EXPECT_GE(daemon.stats().reheals, 1u);
   const PlacementResponse healed = daemon.admit(request_for(61, 2));
   ASSERT_TRUE(healed.ok) << healed.error;
@@ -723,10 +725,9 @@ TEST(ChurnTrace, DaemonSurvivesAFullTraceAndHealsByTheEnd) {
   // daemon with brownout probing each step; every probe must be served,
   // and the forced-recovery tail plus one re-heal pass must restore every
   // entry to its full guarantee.
-  EventBus bus;
   DaemonConfig config;
   config.auto_reheal = false;
-  PlacementDaemon daemon(small_platform(5, 5), config, &bus);
+  PlacementDaemon daemon(small_platform(5, 5), config);
   for (std::uint64_t seed : {61u, 62u}) {
     ASSERT_TRUE(daemon.admit(request_for(seed, 2)).ok);
   }
@@ -739,7 +740,7 @@ TEST(ChurnTrace, DaemonSurvivesAFullTraceAndHealsByTheEnd) {
   const ChurnTrace trace = generate_churn_trace(model, daemon.platform(), 42, cfg);
 
   for (const auto& step : trace.steps) {
-    for (const ClusterEvent& event : step) bus.publish(event);
+    for (const ClusterEvent& event : step) daemon.on_event(event);
     expect_sealed_entries(daemon);
     daemon.reheal_now();
     expect_sealed_entries(daemon);
@@ -755,8 +756,8 @@ TEST(ChurnTrace, DaemonSurvivesAFullTraceAndHealsByTheEnd) {
   }
 
   daemon.reheal_now();
-  EXPECT_EQ(daemon.degraded_count(), 0u);
-  EXPECT_EQ(daemon.failed_procs(), 0u);
+  EXPECT_EQ(daemon.stats().degraded, 0u);
+  EXPECT_EQ(daemon.stats().failed_procs, 0u);
   for (std::uint64_t seed : {61u, 62u}) {
     const PlacementResponse resp = daemon.admit(request_for(seed, 2));
     ASSERT_TRUE(resp.ok) << resp.error;

@@ -55,7 +55,7 @@ Schedule random_schedule(std::uint64_t seed, std::size_t m, std::size_t tasks, C
 
 // Compares the oracle (per-set, single-lane batch, and computability
 // masks) against the reference predicate under one failure set.
-void expect_parity(const Schedule& schedule, SurvivalOracle& oracle,
+void expect_parity(const Schedule& schedule, const SurvivalOracle& oracle,
                    const std::vector<ProcId>& set) {
   const std::size_t m = schedule.platform().num_procs();
   std::vector<bool> failed_ref(m, false);
@@ -64,7 +64,8 @@ void expect_parity(const Schedule& schedule, SurvivalOracle& oracle,
   failed.assign(set);
 
   const bool ref_survives = test::survives_failures(schedule, failed_ref);
-  EXPECT_EQ(oracle.survives(failed), ref_survives);
+  std::vector<std::uint64_t> scratch;
+  EXPECT_EQ(oracle.survives(failed, scratch), ref_survives);
   BatchScratch batch;
   EXPECT_EQ(oracle.survives_batch(failed.words(), 1, batch), ref_survives ? 1u : 0u);
 
@@ -162,12 +163,13 @@ TEST(Survival, OracleMatchesLegacyOnRandomSchedulesAndAfterRepair) {
     for (std::size_t i = before; i < schedule.comms().size(); ++i) {
       oracle.add_comm(schedule.comms()[i]);
     }
-    SurvivalOracle fresh(schedule);
+    const SurvivalOracle fresh(schedule);
     ProcSet failed(m);
+    std::vector<std::uint64_t> scratch;
     for (const auto& set : subsets) {
       expect_parity(schedule, oracle, set);
       failed.assign(set);
-      EXPECT_EQ(oracle.survives(failed), fresh.survives(failed));
+      EXPECT_EQ(oracle.survives(failed, scratch), fresh.survives(failed, scratch));
     }
   }
 }
@@ -584,8 +586,6 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   const FtCheckResult check = check_fault_tolerance(s, 1);
   EXPECT_TRUE(check.valid);
   EXPECT_EQ(check.sets_checked, m);
-  Rng rng(3);
-  EXPECT_TRUE(check_fault_tolerance_sampled(s, 2, 32, rng).valid);
 
   // Per-set vs single-lane batch vs reference over sampled failure sets.
   Rng sample_rng(17);
