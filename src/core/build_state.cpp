@@ -22,8 +22,8 @@ double BuildState::arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) con
 }
 
 void BuildState::evaluate(TaskId task, ProcId u,
-                          const std::vector<std::vector<ReplicaRef>>& suppliers,
-                          Candidate& out) const {
+                          const std::vector<std::vector<ReplicaRef>>& suppliers, Candidate& out,
+                          bool plan_rejected) const {
   const auto in = dag_->in_edges(task);
   SS_REQUIRE(suppliers.size() == in.size(),
              "need one supplier set per predecessor, in predecessor order");
@@ -35,27 +35,39 @@ void BuildState::evaluate(TaskId task, ProcId u,
 
   // Copy every supplier's placement once, in the order the ports are
   // reserved: increasing source finish (FCFS by data-ready time),
-  // deterministic tie-break by replica identity.
-  sources_.clear();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const TaskId pred = dag_->edge(in[i]).src;
-    SS_REQUIRE(!suppliers[i].empty(), "empty supplier set for a predecessor");
-    for (ReplicaRef src : suppliers[i]) {
-      SS_REQUIRE(src.task == pred, "supplier does not belong to the right predecessor");
-      const PlacedReplica& p = schedule_.placed(src);
-      sources_.push_back(
-          Source{p.finish, src, p.proc, p.stage, static_cast<std::uint32_t>(i), in[i], 0.0});
+  // deterministic tie-break by replica identity. A selection evaluates
+  // the same task and supplier sets on every candidate processor, and a
+  // committed placement never changes, so the copy of the previous call
+  // is reused when it was made for the same task and supplier sets.
+  if (!same_sources(task, suppliers)) {
+    sources_task_ = kInvalidTask;  // until the copy is complete
+    source_keys_.clear();
+    source_ends_.clear();
+    sources_.clear();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const TaskId pred = dag_->edge(in[i]).src;
+      SS_REQUIRE(!suppliers[i].empty(), "empty supplier set for a predecessor");
+      for (ReplicaRef src : suppliers[i]) {
+        SS_REQUIRE(src.task == pred, "supplier does not belong to the right predecessor");
+        const PlacedReplica& p = schedule_.placed(src);
+        source_keys_.push_back(src);
+        sources_.push_back(
+            Source{p.finish, src, p.proc, p.stage, static_cast<std::uint32_t>(i), in[i], 0.0});
+      }
+      source_ends_.push_back(source_keys_.size());
     }
+    std::sort(sources_.begin(), sources_.end(), [](const Source& a, const Source& b) {
+      if (a.finish != b.finish) return a.finish < b.finish;
+      return a.src < b.src;
+    });
+    sources_task_ = task;
   }
-  std::sort(sources_.begin(), sources_.end(), [](const Source& a, const Source& b) {
-    if (a.finish != b.finish) return a.finish < b.finish;
-    return a.src < b.src;
-  });
 
   // Condition (1): the compute load, then the port loads of the remote
-  // supplier communications, summed in reservation order. A candidate
-  // that fails it is rejected before any port time is planned.
-  bool loads_ok = schedule_.sigma(u) + exec <= period;
+  // supplier communications, summed in reservation order. Their maximum is
+  // the smallest period that admits the candidate; one that fails it is
+  // rejected before any port time is planned.
+  double needed = schedule_.sigma(u) + exec;
   double added_cin = 0.0;
   for (Source& src : sources_) {
     if (src.proc == u) continue;
@@ -63,15 +75,16 @@ void BuildState::evaluate(TaskId task, ProcId u,
     added_cin += src.duration;
     added_cout_[src.proc] += src.duration;
   }
-  if (schedule_.cin(u) + added_cin > period) loads_ok = false;
+  needed = std::max(needed, schedule_.cin(u) + added_cin);
   for (const Source& src : sources_) {
     if (src.proc == u) continue;
     double& added = added_cout_[src.proc];
-    if (added > 0.0 && schedule_.cout(src.proc) + added > period) loads_ok = false;
+    if (added > 0.0) needed = std::max(needed, schedule_.cout(src.proc) + added);
     added = 0.0;  // checked once per supplier processor; zero for the next call
   }
-  out.valid = loads_ok;
-  if (!loads_ok) return;
+  out.needed = needed;
+  out.valid = needed <= period;
+  if (!out.valid && !plan_rejected) return;
 
   // Plan every supplier communication under greedy FCFS port reservation,
   // on scratch copies of the cursors (commit re-runs this plan).
@@ -106,6 +119,19 @@ void BuildState::evaluate(TaskId task, ProcId u,
   out.start = std::max(ready, proc_free_[u]);
   out.finish = out.start + exec;
   out.stage = stage;
+}
+
+bool BuildState::same_sources(TaskId task,
+                              const std::vector<std::vector<ReplicaRef>>& suppliers) const {
+  if (task != sources_task_ || suppliers.size() != source_ends_.size()) return false;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < suppliers.size(); ++i) {
+    if (source_ends_[i] - n != suppliers[i].size()) return false;
+    for (const ReplicaRef src : suppliers[i]) {
+      if (!(source_keys_[n++] == src)) return false;
+    }
+  }
+  return true;
 }
 
 void BuildState::commit(TaskId task, CopyId copy, const Candidate& candidate) {

@@ -39,11 +39,17 @@ class BuildState {
   };
 
   /// A fully planned placement of one replica on one processor. An invalid
-  /// candidate (condition (1) fails) carries only `valid` and `proc`: its
-  /// times, stage and suppliers are unspecified, and commit refuses it.
+  /// candidate (condition (1) fails) carries only `valid`, `proc` and
+  /// `needed`: its times, stage and suppliers are unspecified, and commit
+  /// refuses it.
   struct Candidate {
-    bool valid = false;  ///< loads satisfy condition (1)
+    bool valid = false;  ///< loads satisfy condition (1): needed <= period
     ProcId proc = kInvalidProc;
+    /// The smallest period condition (1) admits the candidate at:
+    /// max(Σ_u + E(t)/s_u, C^I_u + incoming, max_h C^O_h + outgoing_h), the
+    /// same sums evaluate compares with the period. `valid` is the only
+    /// field that depends on the period.
+    double needed = 0.0;
     double start = 0.0;
     double finish = 0.0;
     std::uint32_t stage = 1;
@@ -60,9 +66,20 @@ class BuildState {
   /// plans without allocating. Uses per-instance scratch: one BuildState
   /// must not evaluate on two threads at once.
   void evaluate(TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers,
-                Candidate& out) const;
+                Candidate& out) const {
+    evaluate(task, u, suppliers, out, false);
+  }
 
-  /// Convenience form of the above returning a fresh candidate.
+  /// Like evaluate, but plans times, stage and suppliers even when
+  /// condition (1) fails (`valid` still reports it): the candidate as a
+  /// larger period, at least `needed`, would see it.
+  void plan_beyond_period(TaskId task, ProcId u,
+                          const std::vector<std::vector<ReplicaRef>>& suppliers,
+                          Candidate& out) const {
+    evaluate(task, u, suppliers, out, true);
+  }
+
+  /// Convenience form of evaluate returning a fresh candidate.
   [[nodiscard]] Candidate evaluate(TaskId task, ProcId u,
                                    const std::vector<std::vector<ReplicaRef>>& suppliers) const {
     Candidate out;
@@ -98,6 +115,12 @@ class BuildState {
   [[nodiscard]] double arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const;
 
  private:
+  void evaluate(TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers,
+                Candidate& out, bool plan_rejected) const;
+  /// True when sources_ was built for this task and these supplier sets.
+  [[nodiscard]] bool same_sources(TaskId task,
+                                  const std::vector<std::vector<ReplicaRef>>& suppliers) const;
+
   /// One supplier of the candidate under evaluation, copied out of the
   /// schedule once and kept in port-reservation order.
   struct Source {
@@ -117,11 +140,28 @@ class BuildState {
   std::vector<double> send_free_;
   std::vector<double> recv_free_;
 
-  // evaluate()'s scratch, reused across calls (hence mutable).
+  // evaluate()'s scratch, reused across calls (hence mutable). sources_
+  // holds the sorted suppliers of sources_task_; source_keys_ lists them in
+  // the caller's order, source_ends_ where each predecessor's set ends.
   mutable std::vector<Source> sources_;
+  mutable TaskId sources_task_ = kInvalidTask;
+  mutable std::vector<ReplicaRef> source_keys_;
+  mutable std::vector<std::size_t> source_ends_;
   mutable std::vector<double> added_cout_;   // [proc], all zero between calls
   mutable std::vector<double> send_cursor_;  // [proc]
   mutable std::vector<double> earliest_;     // [predecessor index]
+};
+
+/// The candidates of one selection that failed condition (1) but would
+/// pass it at a period up to `limit`, as (needed, processor) in evaluation
+/// order: what the same selection at a larger period could also admit.
+struct LoadRejections {
+  double limit = 0.0;
+  std::vector<std::pair<double, ProcId>> list;
+
+  void note(const BuildState::Candidate& c) {
+    if (!c.valid && c.needed <= limit) list.emplace_back(c.needed, c.proc);
+  }
 };
 
 }  // namespace streamsched

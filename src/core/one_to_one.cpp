@@ -45,46 +45,49 @@ OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task) {
   return ctx;
 }
 
+void one_to_one_heads(const BuildState& state, TaskId task, const OneToOneContext& context,
+                      ProcId u, OneToOneScratch& scratch) {
+  const auto in = state.dag().in_edges(task);
+  // (work holds a former best after a swap, so size it per processor.)
+  scratch.work.heads.resize(in.size());
+  scratch.suppliers.resize(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    SS_REQUIRE(!context.remaining[i].empty(), "a predecessor has no singleton replica left");
+    // Head per predecessor: the remaining replica whose data can reach u
+    // the earliest (paper: sort B(t_i) by communication finish times).
+    ReplicaRef head = context.remaining[i].front();
+    double best_arrival = state.arrival_estimate(head, in[i], u);
+    for (ReplicaRef cand : context.remaining[i]) {
+      const double arrival = state.arrival_estimate(cand, in[i], u);
+      if (arrival < best_arrival || (arrival == best_arrival && cand < head)) {
+        best_arrival = arrival;
+        head = cand;
+      }
+    }
+    scratch.work.heads[i] = head;
+    scratch.suppliers[i].assign(1, head);
+  }
+}
+
 const OneToOneChoice* plan_one_to_one(const BuildState& state, TaskId task,
                                       const OneToOneContext& context,
-                                      const std::vector<bool>& locked, OneToOneScratch& scratch) {
-  const Dag& dag = state.dag();
-  const auto in = dag.in_edges(task);
+                                      const std::vector<bool>& locked, OneToOneScratch& scratch,
+                                      LoadRejections* rejected) {
   OneToOneChoice& best = scratch.best;
   OneToOneChoice& work = scratch.work;
   best.candidate.valid = false;
-  scratch.suppliers.resize(in.size());
-
+  for (const std::vector<ReplicaRef>& list : context.remaining) {
+    if (list.empty()) return nullptr;  // a predecessor has no singleton replica left
+  }
   for (ProcId u = 0; u < state.num_procs(); ++u) {
     if (locked[u]) continue;
     if (state.hosts_copy_of(task, u)) continue;
-
-    // Head per predecessor: the remaining replica whose data can reach u
-    // the earliest (paper: sort B(t_i) by communication finish times).
-    // (work holds a former best after a swap, so size it per processor.)
-    work.heads.resize(in.size());
-    bool feasible = true;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      if (context.remaining[i].empty()) {
-        feasible = false;
-        break;
-      }
-      ReplicaRef head = context.remaining[i].front();
-      double best_arrival = state.arrival_estimate(head, in[i], u);
-      for (ReplicaRef cand : context.remaining[i]) {
-        const double arrival = state.arrival_estimate(cand, in[i], u);
-        if (arrival < best_arrival || (arrival == best_arrival && cand < head)) {
-          best_arrival = arrival;
-          head = cand;
-        }
-      }
-      work.heads[i] = head;
-      scratch.suppliers[i].assign(1, head);
-    }
-    if (!feasible) break;
-
+    one_to_one_heads(state, task, context, u, scratch);
     state.evaluate(task, u, scratch.suppliers, work.candidate);
-    if (!work.candidate.valid) continue;
+    if (!work.candidate.valid) {
+      if (rejected != nullptr) rejected->note(work.candidate);
+      continue;
+    }
     if (!best.candidate.valid || work.candidate.finish < best.candidate.finish) {
       std::swap(best, work);  // reuses both buffers; work is rewritten next
     }

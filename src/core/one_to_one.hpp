@@ -45,16 +45,24 @@ struct OneToOneScratch {
   std::vector<std::vector<ReplicaRef>> suppliers;
 };
 
+/// Picks per predecessor the remaining replica with the earliest estimated
+/// communication finish towards `u` into scratch.work.heads, and the
+/// matching one-replica supplier sets into scratch.suppliers.
+void one_to_one_heads(const BuildState& state, TaskId task, const OneToOneContext& context,
+                      ProcId u, OneToOneScratch& scratch);
+
 /// Plans one one-to-one placement: for every unlocked feasible processor,
-/// picks per predecessor the remaining replica with the earliest estimated
-/// communication finish, and keeps the (processor, heads) pair with the
-/// earliest task finish time. Returns the choice (held in scratch.best,
-/// valid until the next call with the same scratch), or nullptr when no
-/// processor satisfies condition (1).
+/// takes the heads of one_to_one_heads, and keeps the (processor, heads)
+/// pair with the earliest task finish time (the first evaluated on a tie).
+/// Returns the choice (held in scratch.best, valid until the next call with
+/// the same scratch), or nullptr when no processor satisfies condition (1).
+/// `rejected`, when given, collects the candidates condition (1) turned
+/// away.
 [[nodiscard]] const OneToOneChoice* plan_one_to_one(const BuildState& state, TaskId task,
                                                     const OneToOneContext& context,
                                                     const std::vector<bool>& locked,
-                                                    OneToOneScratch& scratch);
+                                                    OneToOneScratch& scratch,
+                                                    LoadRejections* rejected = nullptr);
 
 /// Removes the used heads from the remaining lists and increments Z.
 void consume_heads(OneToOneContext& context, const std::vector<ReplicaRef>& heads);

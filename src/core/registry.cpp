@@ -25,7 +25,7 @@ SchedulerRegistry::SchedulerRegistry() {
        ParamSpace{}});
   add({"ltf", "LTF",
        "top-down iso-level list scheduling with one-to-one replication (Algorithm 4.1)",
-       ltf_schedule, {}, ltf_param_space()});
+       ltf_schedule, {}, ltf_param_space(), ltf_schedule_ladder});
   add({"rltf", "R-LTF",
        "bottom-up LTF with stage-preserving merges and chained suppliers (paper §4.2)",
        rltf_schedule, {}, rltf_param_space()});

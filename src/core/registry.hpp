@@ -14,7 +14,9 @@
 
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
@@ -33,6 +35,13 @@ using SchedulerFn =
 /// scheduling function runs (e.g. the fault-free reference forces ε = 0).
 using SchedulerTweak = std::function<void(SchedulerOptions&)>;
 
+/// A scheduler's own period escalation (ltf_schedule_ladder): runs at
+/// options.period × each factor in turn and returns the first success and
+/// its factor, or the last failure and 0.0 — what calling the scheduling
+/// function at each period would return, for less work.
+using SchedulerLadderFn = std::function<std::pair<ScheduleResult, double>(
+    const Dag&, const Platform&, const SchedulerOptions&, std::span<const double>)>;
+
 /// Descriptor of one registered scheduling algorithm.
 struct Scheduler {
   std::string name;     ///< registry key, e.g. "rltf" (lowercase, stable)
@@ -45,6 +54,8 @@ struct Scheduler {
   /// Variant specs (`rltf[chunk=4]`), ablation enumeration and the
   /// `--algo=help` listing all validate against this space.
   ParamSpace space;
+  /// Optional escalation entry; empty means escalation calls `fn` per rung.
+  SchedulerLadderFn ladder = nullptr;
 
   /// The caller's options with this algorithm's default tweaks applied.
   [[nodiscard]] SchedulerOptions adjusted(SchedulerOptions options) const {

@@ -249,6 +249,11 @@ const std::vector<double>& period_escalation_ladder() {
 std::pair<ScheduleResult, double> schedule_with_period_escalation(
     const AlgoVariant& variant, const Dag& dag, const Platform& platform, double period,
     SchedulerOptions options) {
+  if (const SchedulerLadderFn& ladder = variant.algo().ladder) {
+    options.period = period;
+    return ladder(dag, platform, variant.adjusted(std::move(options)),
+                  period_escalation_ladder());
+  }
   ScheduleResult result;
   for (double factor : period_escalation_ladder()) {
     options.period = period * factor;

@@ -153,7 +153,12 @@ struct PointStats {
 
 /// Runs `variant` at `period` times each ladder factor until it succeeds.
 /// Returns the result and the successful factor (0.0 when every rung
-/// failed; the result then holds the last failure).
+/// failed; the result then holds the last failure). A scheduler with its
+/// own ladder entry (Scheduler::ladder; LTF's ltf_schedule_ladder resumes a
+/// failed rung where the next one first differs) runs through it, with the
+/// same result; the others are called from scratch at each rung. The
+/// daemon's cold path, its degraded rebuilds and the sweeps all escalate
+/// here.
 [[nodiscard]] std::pair<ScheduleResult, double> schedule_with_period_escalation(
     const AlgoVariant& variant, const Dag& dag, const Platform& platform, double period,
     SchedulerOptions options);

@@ -33,99 +33,84 @@ bool next_combination(std::vector<ProcId>& subset, std::size_t m) {
   return true;
 }
 
-// Exhaustive size-k check state that persists ACROSS repairs. Repair only
-// ever adds supply channels and survival is monotone in the channel set,
-// so every combination verified surviving stays surviving: instead of
-// re-enumerating the full C(m, k) space after every repair (the
-// re-enumeration that dominated repair at m >= 32), the next check resumes
-// at the previous counterexample and re-walks only the unverified tail.
-struct ResumableCheck {
-  ResumableCheck(std::size_t num_procs, std::uint32_t max_failures)
-      : m(num_procs), subset(max_failures) {
-    SS_REQUIRE(max_failures < m, "cannot fail all processors");
-    for (std::uint32_t i = 0; i < max_failures; ++i) subset[i] = i;
-  }
-
-  std::size_t m;
-  bool exhausted = false;
-  std::vector<ProcId> subset;           // next combination to verify
-  std::vector<std::uint64_t> rows;      // reusable 64-row block buffer
-  BatchScratch scratch;
-};
-
-// Verifies the remaining combinations in blocks of 64 through the
-// bit-sliced kernel. The enumeration stays lexicographic, so the reported
-// counterexample is exactly the set the per-set walk would find;
-// `sets_checked` counts the sets enumerated this call up to and including
-// the counterexample, matching the per-set walk on a fresh state. On a
-// kill the state re-positions AT the counterexample: after repair the next
-// call re-verifies it first.
-FtCheckResult check_with_oracle(SurvivalOracle& oracle, ResumableCheck& state) {
-  const std::size_t m = state.m;
+// Walks every size-k failure set of the m processors in lexicographic order,
+// 64 sets per `survives_batch` pass, and hands each killed set to
+// `on_killed(row, n)` in lane order — `row` in the ProcSet word layout, `n`
+// the number of sets enumerated up to and including it — until the handler
+// returns false. Returns the number of sets enumerated up to the stop, or all
+// of them.
+//
+// A batch's verdicts are taken once, before its killed lanes are handed out.
+// A handler may patch `oracle` between lanes (count repair does): repair only
+// adds channels and survival is monotone in the channel set, so a lane that
+// survived at the batch's start survives every later schedule. The handler
+// therefore sees every set still killed when its turn comes, in order, plus
+// sets an earlier repair has fixed meanwhile, which it must re-check.
+template <typename OnKilled>
+std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, std::uint32_t k,
+                                  OnKilled&& on_killed) {
+  const std::size_t m = oracle.num_procs();
+  SS_REQUIRE(k < m, "cannot fail all processors");
   const std::size_t words = (m + 63) / 64;
-  FtCheckResult result;
-  while (!state.exhausted) {
-    state.rows.assign(64 * words, 0);
+  std::vector<ProcId> subset(k);
+  for (std::uint32_t i = 0; i < k; ++i) subset[i] = i;
+  std::vector<std::uint64_t> rows(64 * words);
+  BatchScratch scratch;
+  std::uint64_t enumerated = 0;
+  for (bool exhausted = false; !exhausted;) {
+    std::fill(rows.begin(), rows.end(), 0);
     std::size_t lanes = 0;
-    while (lanes < 64 && !state.exhausted) {
-      std::uint64_t* row = state.rows.data() + lanes * words;
-      for (ProcId p : state.subset) row[p >> 6] |= 1ULL << (p & 63);
+    while (lanes < 64 && !exhausted) {
+      std::uint64_t* row = rows.data() + lanes * words;
+      for (const ProcId p : subset) row[p >> 6] |= 1ULL << (p & 63);
       ++lanes;
-      if (!next_combination(state.subset, m)) state.exhausted = true;
+      exhausted = !next_combination(subset, m);
     }
-    const std::uint64_t survived = oracle.survives_batch(state.rows.data(), lanes, state.scratch);
-    const std::uint64_t killed = ~survived & batch_lane_mask(lanes);
-    if (killed != 0) {
-      const auto lane = static_cast<std::size_t>(std::countr_zero(killed));
-      result.valid = false;
-      const std::uint64_t* row = state.rows.data() + lane * words;
-      for (std::size_t u = 0; u < m; ++u) {
-        if ((row[u >> 6] >> (u & 63)) & 1) result.counterexample.push_back(static_cast<ProcId>(u));
+    const std::uint64_t killed =
+        ~oracle.survives_batch(rows.data(), lanes, scratch) & batch_lane_mask(lanes);
+    for (std::uint64_t bits = killed; bits != 0; bits &= bits - 1) {
+      const auto lane = static_cast<std::size_t>(std::countr_zero(bits));
+      if (!on_killed(rows.data() + lane * words, enumerated + lane + 1)) {
+        return enumerated + lane + 1;
       }
-      result.sets_checked += lane + 1;
-      state.subset = result.counterexample;
-      state.exhausted = false;
-      return result;
     }
-    result.sets_checked += lanes;
+    enumerated += lanes;
   }
-  return result;
+  return enumerated;
 }
 
 }  // namespace
 
 FtCheckResult check_fault_tolerance(const Schedule& schedule, std::uint32_t max_failures) {
-  SurvivalOracle oracle(schedule);
-  ResumableCheck state(schedule.platform().num_procs(), max_failures);
-  return check_with_oracle(oracle, state);
+  const SurvivalOracle oracle(schedule);
+  FtCheckResult result;
+  result.sets_checked =
+      for_each_killed_set(oracle, max_failures, [&](const std::uint64_t* row, std::uint64_t) {
+        result.valid = false;
+        for (std::size_t u = 0; u < oracle.num_procs(); ++u) {
+          if ((row[u >> 6] >> (u & 63)) & 1) result.counterexample.push_back(static_cast<ProcId>(u));
+        }
+        return false;  // the first counterexample in enumeration order
+      });
+  return result;
 }
 
 namespace {
 
-// True when replica r records a supply comm along `edge` from a computable
-// replica (`pred_alive` is the edge source's row of the oracle's
-// computability masks).
-bool fed_by_alive(const Schedule& schedule, ReplicaRef r, EdgeId edge,
-                  const std::uint64_t* pred_alive) {
-  for (const std::uint32_t idx : schedule.in_comms(r)) {
-    const CommRecord& comm = schedule.comms()[idx];
-    if (comm.edge == edge && replica_mask_test(pred_alive, comm.src.copy)) return true;
-  }
-  return false;
-}
-
-// Picks the cheapest computable supplier replica to feed `r` over `edge`:
-// colocated first, then minimal added port load.
-ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId edge,
-                                const std::uint64_t* pred_alive) {
-  const Dag::Edge& e = schedule.dag().edge(edge);
+// Picks the cheapest computable supplier replica to feed `r` over its
+// `slot`-th in-edge: colocated first, then minimal added port load.
+// `pred_alive` is the edge source's row of computability masks.
+ReplicaRef pick_repair_supplier(const Schedule& schedule, const SurvivalOracle& oracle,
+                                ReplicaRef r, std::size_t slot, const std::uint64_t* pred_alive) {
+  const Dag::Edge& e = schedule.dag().edge(schedule.dag().in_edges(r.task)[slot]);
+  const std::uint64_t* wired = oracle.supplier_mask(r.task, slot, r.copy);
   const ProcId here = schedule.placed(r).proc;
   ReplicaRef best{kInvalidTask, 0};
   double best_cost = std::numeric_limits<double>::infinity();
   for (CopyId c = 0; c < schedule.copies(); ++c) {
     const ReplicaRef cand{e.src, c};
     if (!replica_mask_test(pred_alive, c)) continue;
-    if (schedule.has_supplier(r, cand)) continue;  // already wired, didn't help
+    if (replica_mask_test(wired, c)) continue;  // already wired, didn't help
     const ProcId from = schedule.placed(cand).proc;
     double cost;
     if (from == here) {
@@ -144,40 +129,54 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId e
 }
 
 // Wires supply channels to task t, which has no computable replica under
-// `failed` (`alive` is the oracle's computability under `failed`):
-// the alive replica with the fewest starving predecessors gets one channel
-// per starving predecessor. Returns false when the set is beyond repair —
-// no alive replica of t, or a starving predecessor with no computable
-// replica to wire (channels wired before that stay).
-bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
-                    const std::vector<std::uint64_t>& alive, std::size_t mask_words,
-                    RepairStats& stats) {
+// `failed` (`alive` holds the rows of t's predecessors under `failed`): the
+// alive replica with the fewest starving predecessors gets one channel per
+// starving predecessor. Returns false when the set is beyond repair — no
+// alive replica of t, or a starving predecessor with no computable replica
+// to wire (channels wired before that stay).
+//
+// Whether a replica is fed along an edge is read off the oracle's supplier
+// masks, which must be current for t. They stay current through the call
+// without patching: Dag::add_edge rejects duplicate edges, so in-edge i is
+// predecessor slot i, and the channels of one call go to distinct edges.
+bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
+                    const ProcSet& failed, const std::uint64_t* alive, RepairStats& stats) {
   const Dag& dag = schedule.dag();
   const auto in = dag.in_edges(t);
-  const auto pred_alive = [&](EdgeId e) { return alive.data() + dag.edge(e).src * mask_words; };
+  const std::size_t words = oracle.mask_words();
+  const auto pred_alive = [&](std::size_t slot) {
+    return alive + static_cast<std::size_t>(oracle.predecessor(t, slot)) * words;
+  };
+  const auto fed = [&](CopyId c, std::size_t slot) {
+    const std::uint64_t* sup = oracle.supplier_mask(t, slot, c);
+    const std::uint64_t* pred = pred_alive(slot);
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((sup[w] & pred[w]) != 0) return true;
+    }
+    return false;
+  };
 
   ReplicaRef target{kInvalidTask, 0};
   std::size_t best_missing = std::numeric_limits<std::size_t>::max();
   for (CopyId c = 0; c < schedule.copies(); ++c) {
-    const ReplicaRef r{t, c};
-    if (failed.test(schedule.placed(r).proc)) continue;
+    if (failed.test(schedule.placed({t, c}).proc)) continue;
     std::size_t missing = 0;
-    for (const EdgeId e : in) {
-      if (!fed_by_alive(schedule, r, e, pred_alive(e))) ++missing;
+    for (std::size_t slot = 0; slot < in.size(); ++slot) {
+      if (!fed(c, slot)) ++missing;
     }
     if (missing < best_missing) {
       best_missing = missing;
-      target = r;
+      target = ReplicaRef{t, c};
     }
   }
   if (target.task == kInvalidTask) return false;
 
-  for (const EdgeId e : in) {
-    if (fed_by_alive(schedule, target, e, pred_alive(e))) continue;
-    const ReplicaRef sup = pick_repair_supplier(schedule, target, e, pred_alive(e));
+  for (std::size_t slot = 0; slot < in.size(); ++slot) {
+    if (fed(target.copy, slot)) continue;
+    const ReplicaRef sup = pick_repair_supplier(schedule, oracle, target, slot, pred_alive(slot));
     if (sup.task == kInvalidTask) return false;
     CommRecord comm;
-    comm.edge = e;
+    comm.edge = in[slot];
     comm.src = sup;
     comm.dst = target;
     comm.start = comm.finish = schedule.placed(sup).finish;
@@ -190,48 +189,44 @@ bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
 
 enum class SetRepair { kSurvives, kBeyondRepair, kCapped };
 
-// The one repair-to-survival loop of the count, probabilistic and event
-// repairs: wires channels until the schedule survives `failed`. Each step
-// makes one computability pass under `failed`; it alone decides survival
-// (no task without a computable replica, walking the oracle's compiled
-// topological order). Otherwise the step wires the topologically first
-// dead task (fixing it may fix everything downstream), patches the oracle
-// with the new channels and counts one in `steps`. No step starts once
-// `steps` reaches `max_steps`.
+// The one repair-to-survival step of the count, probabilistic and event
+// repairs: wires channels until the schedule survives `failed`, in ONE
+// forward sweep over the oracle's topological order. The sweep computes
+// each task's row of `alive` from its predecessors' rows
+// (SurvivalOracle::compute_row). At a task without a computable replica it
+// wires that task (wire_dead_task), patches the oracle with the new
+// channels, recomputes the task's row — the wired replica is now computable
+// — and goes on. Reaching the end means the schedule survives `failed`.
 //
-// Round accounting: a round is one step that wired. The pass's verdict is
-// exactly `SurvivalOracle::survives(failed)` (a task is dead iff its row is
-// zero), and a capped call stops without a verdict, so this loop wires and
-// counts what "check `failed`, then step" repeated up to the cap would.
-// Count repair passes its round counter as `steps` and resumes its
-// lexicographic batch check at the counterexample only once it survives:
-// the next killed set is then the one a re-check after every single step
-// would have found, so each round wires the same channels in the same
-// order as re-checking every round.
+// Round accounting: a round is one wired task, counted in `steps`.
+// Channels wired into task t change only the rows of t and its
+// descendants, and those come later in the order. So every row the sweep
+// has computed is what a full computability pass after the wiring would
+// give, and the next dead task it meets is the topologically first dead
+// task of that pass: the sweep wires the same tasks, in the same order,
+// with the same channels as re-running a full pass after every round.
+// `max_steps` stays as a guard but cannot be reached: every round adds at
+// least one of the at most copies² · edges distinct channels, and
+// max_repair_rounds exceeds that.
 SetRepair repair_until_survives(Schedule& schedule, SurvivalOracle& oracle,
                                 const ProcSet& failed, std::uint32_t max_steps,
                                 std::uint32_t& steps, std::vector<std::uint64_t>& alive,
                                 RepairStats& stats) {
-  const std::size_t words = oracle.mask_words();
-  for (;; ++steps) {
+  alive.resize(oracle.num_tasks() * oracle.mask_words());
+  for (const TaskId t : oracle.topological_order()) {
+    if (oracle.compute_row(t, failed.words(), alive.data())) continue;
     if (steps >= max_steps) return SetRepair::kCapped;
-    oracle.computable(failed, alive);
-    TaskId dead = kInvalidTask;
-    for (const TaskId t : oracle.topological_order()) {
-      const std::uint64_t* row = alive.data() + static_cast<std::size_t>(t) * words;
-      if (std::all_of(row, row + words, [](std::uint64_t w) { return w == 0; })) {
-        dead = t;
-        break;
-      }
-    }
-    if (dead == kInvalidTask) return SetRepair::kSurvives;
     std::size_t wired = schedule.comms().size();
-    const bool repaired = wire_dead_task(schedule, dead, failed, alive, words, stats);
+    const bool repaired = wire_dead_task(schedule, oracle, t, failed, alive.data(), stats);
     for (; wired < schedule.comms().size(); ++wired) {
       oracle.add_comm(schedule.comms()[wired]);
     }
     if (!repaired) return SetRepair::kBeyondRepair;
+    ++steps;
+    const bool revived = oracle.compute_row(t, failed.words(), alive.data());
+    SS_CHECK(revived, "a wired task must keep a computable replica");
   }
+  return SetRepair::kSurvives;
 }
 
 // Channel-capacity bound on repair iterations: each productive step adds at
@@ -269,27 +264,26 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
   RepairStats stats;
   const std::uint32_t max_rounds = max_repair_rounds(schedule);
 
-  // The check state persists across counterexamples: repair only adds
-  // channels, so the combinations verified surviving before never need
-  // re-checking — the check resumes at the last counterexample once it has
-  // been repaired to survival.
-  ResumableCheck state(schedule.platform().num_procs(), max_failures);
+  // One lexicographic pass over the failure sets, repairing each killed one
+  // to survival in turn (see for_each_killed_set): a set verified
+  // surviving never needs re-checking, and a killed lane that an earlier
+  // repair already fixed wires nothing. The repaired sets are therefore
+  // exactly the counterexamples a fresh check after every repair would find,
+  // in the same order.
   ProcSet failed(schedule.platform().num_procs());
   std::vector<std::uint64_t> alive;
-  for (;;) {
-    const FtCheckResult check = check_with_oracle(oracle, state);
-    if (check.valid) {
-      stats.success = true;
-      break;
-    }
-    failed.assign(check.counterexample);
+  bool capped = false;
+  (void)for_each_killed_set(oracle, max_failures, [&](const std::uint64_t* row, std::uint64_t) {
+    failed.assign_words(row);
     const SetRepair outcome =
         repair_until_survives(schedule, oracle, failed, max_rounds, stats.rounds, alive, stats);
-    if (outcome == SetRepair::kCapped) break;
-    SS_CHECK(outcome == SetRepair::kSurvives,
+    capped = outcome == SetRepair::kCapped;
+    SS_CHECK(capped || outcome == SetRepair::kSurvives,
              "failure set of size <= eps is beyond repair although replicas sit on "
              "distinct processors");
-  }
+    return !capped;
+  });
+  stats.success = !capped;
 
   record_period_excess(schedule, stats);
   return stats;

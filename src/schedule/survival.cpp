@@ -49,17 +49,20 @@ void SurvivalOracle::add_comm(const CommRecord& comm) {
   SS_CHECK(false, "comm source is not a predecessor of its destination");
 }
 
-template <bool kEarlyExit>
-bool SurvivalOracle::propagate(const std::uint64_t* failed_words, std::uint64_t* alive) const {
-  for (const TaskId t : topo_) {
+bool SurvivalOracle::compute_row(TaskId t, const std::uint64_t* failed_words,
+                                 std::uint64_t* alive) const {
+  const ProcId* procs = proc_.data() + static_cast<std::size_t>(t) * copies_;
+  const std::uint32_t j0 = pred_offset_[t];
+  const std::uint32_t j1 = pred_offset_[t + 1];
+  if (mask_words_ == 1) {
+    // Narrow layout (copies <= 64): one word per row and per supplier mask.
     std::uint64_t a = placed_mask_[t];
-    const ProcId* procs = proc_.data() + static_cast<std::size_t>(t) * copies_;
     for (std::uint64_t bits = a; bits != 0; bits &= bits - 1) {
       const int c = std::countr_zero(bits);
       const ProcId u = procs[c];
       if ((failed_words[u >> 6] >> (u & 63)) & 1) a &= ~(1ULL << c);
     }
-    for (std::uint32_t j = pred_offset_[t]; a != 0 && j < pred_offset_[t + 1]; ++j) {
+    for (std::uint32_t j = j0; a != 0 && j < j1; ++j) {
       const std::uint64_t pred_alive = alive[pred_task_[j]];
       const std::uint64_t* sup = sup_mask_.data() + static_cast<std::size_t>(j) * copies_;
       for (std::uint64_t bits = a; bits != 0; bits &= bits - 1) {
@@ -67,61 +70,49 @@ bool SurvivalOracle::propagate(const std::uint64_t* failed_words, std::uint64_t*
         if ((pred_alive & sup[c]) == 0) a &= ~(1ULL << c);
       }
     }
-    if constexpr (kEarlyExit) {
-      if (a == 0) return false;
-    }
     alive[t] = a;  // dead tasks store 0; downstream masks then clear themselves
+    return a != 0;
   }
-  return true;
-}
-
-template <bool kEarlyExit>
-bool SurvivalOracle::propagate_wide(const std::uint64_t* failed_words,
-                                    std::uint64_t* alive) const {
   const std::size_t W = mask_words_;
-  for (const TaskId t : topo_) {
-    std::uint64_t* a = alive + static_cast<std::size_t>(t) * W;
-    const std::uint64_t* placed = placed_mask_.data() + static_cast<std::size_t>(t) * W;
-    const ProcId* procs = proc_.data() + static_cast<std::size_t>(t) * copies_;
-    std::uint64_t any = 0;
+  std::uint64_t* a = alive + static_cast<std::size_t>(t) * W;
+  const std::uint64_t* placed = placed_mask_.data() + static_cast<std::size_t>(t) * W;
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < W; ++w) {
+    std::uint64_t aw = placed[w];
+    for (std::uint64_t bits = aw; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const ProcId u = procs[w * 64 + static_cast<std::size_t>(b)];
+      if ((failed_words[u >> 6] >> (u & 63)) & 1) aw &= ~(1ULL << b);
+    }
+    a[w] = aw;
+    any |= aw;
+  }
+  for (std::uint32_t j = j0; any != 0 && j < j1; ++j) {
+    const std::uint64_t* pred_alive = alive + static_cast<std::size_t>(pred_task_[j]) * W;
+    any = 0;
     for (std::size_t w = 0; w < W; ++w) {
-      std::uint64_t aw = placed[w];
-      for (std::uint64_t bits = aw; bits != 0; bits &= bits - 1) {
+      for (std::uint64_t bits = a[w]; bits != 0; bits &= bits - 1) {
         const int b = std::countr_zero(bits);
-        const ProcId u = procs[w * 64 + static_cast<std::size_t>(b)];
-        if ((failed_words[u >> 6] >> (u & 63)) & 1) aw &= ~(1ULL << b);
+        const std::size_t c = w * 64 + static_cast<std::size_t>(b);
+        const std::uint64_t* sup =
+            sup_mask_.data() + (static_cast<std::size_t>(j) * copies_ + c) * W;
+        bool fed = false;
+        for (std::size_t sw = 0; sw < W && !fed; ++sw) fed = (pred_alive[sw] & sup[sw]) != 0;
+        if (!fed) a[w] &= ~(1ULL << b);
       }
-      a[w] = aw;
-      any |= aw;
-    }
-    for (std::uint32_t j = pred_offset_[t]; any != 0 && j < pred_offset_[t + 1]; ++j) {
-      const std::uint64_t* pred_alive = alive + static_cast<std::size_t>(pred_task_[j]) * W;
-      any = 0;
-      for (std::size_t w = 0; w < W; ++w) {
-        for (std::uint64_t bits = a[w]; bits != 0; bits &= bits - 1) {
-          const int b = std::countr_zero(bits);
-          const std::size_t c = w * 64 + static_cast<std::size_t>(b);
-          const std::uint64_t* sup =
-              sup_mask_.data() + (static_cast<std::size_t>(j) * copies_ + c) * W;
-          bool fed = false;
-          for (std::size_t sw = 0; sw < W && !fed; ++sw) fed = (pred_alive[sw] & sup[sw]) != 0;
-          if (!fed) a[w] &= ~(1ULL << b);
-        }
-        any |= a[w];
-      }
-    }
-    if constexpr (kEarlyExit) {
-      if (any == 0) return false;
+      any |= a[w];
     }
   }
-  return true;
+  return any != 0;
 }
 
 bool SurvivalOracle::survives_words(const std::uint64_t* failed_words,
                                     std::vector<std::uint64_t>& scratch) const {
   scratch.resize(num_tasks_ * mask_words_);
-  if (mask_words_ == 1) return propagate<true>(failed_words, scratch.data());
-  return propagate_wide<true>(failed_words, scratch.data());
+  for (const TaskId t : topo_) {
+    if (!compute_row(t, failed_words, scratch.data())) return false;
+  }
+  return true;
 }
 
 namespace {
@@ -253,11 +244,7 @@ std::uint64_t SurvivalOracle::survives_batch(const std::uint64_t* set_words, std
 void SurvivalOracle::computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const {
   SS_REQUIRE(failed.size() == num_procs_, "failure set size != processor count");
   alive.resize(num_tasks_ * mask_words_);
-  if (mask_words_ == 1) {
-    propagate<false>(failed.words(), alive.data());
-  } else {
-    propagate_wide<false>(failed.words(), alive.data());
-  }
+  for (const TaskId t : topo_) (void)compute_row(t, failed.words(), alive.data());
 }
 
 CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, CopyId want,

@@ -37,6 +37,7 @@
 // loops.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -85,6 +86,12 @@ class ProcSet {
                   "ProcSet::assign takes processor ids, not a boolean mask");
     clear();
     for (auto p : procs) set(static_cast<std::size_t>(p));
+  }
+
+  /// Copies num_words() words of the same layout (one row of a batch of
+  /// failure sets).
+  void assign_words(const std::uint64_t* words) {
+    std::copy_n(words, words_.size(), words_.begin());
   }
 
   [[nodiscard]] const std::uint64_t* words() const { return words_.data(); }
@@ -166,18 +173,29 @@ class SurvivalOracle {
   /// computable. No early exit (dead tasks store 0).
   void computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const;
 
+  /// The per-set kernel, one task at a time: computes task t's row of
+  /// `alive` (mask_words() words at alive[t * mask_words()]) under
+  /// `failed_words` from its predecessors' rows, which must already hold
+  /// their values under the same set. Returns whether t keeps a computable
+  /// replica. `survives_words` and `computable` are loops over it in
+  /// topological order; repair calls it directly so that it can wire a dead
+  /// task and recompute that task's row before going on.
+  bool compute_row(TaskId t, const std::uint64_t* failed_words, std::uint64_t* alive) const;
+
+  /// Task t's `slot`-th predecessor (Dag::predecessors order).
+  [[nodiscard]] TaskId predecessor(TaskId t, std::size_t slot) const {
+    return pred_task_[pred_offset_[t] + slot];
+  }
+
+  /// The mask_words() words whose bit s says copy s of task t's `slot`-th
+  /// predecessor (Dag::predecessors order, which is in_edges order)
+  /// supplies replica (t, c).
+  [[nodiscard]] const std::uint64_t* supplier_mask(TaskId t, std::size_t slot, CopyId c) const {
+    return sup_mask_.data() +
+           ((static_cast<std::size_t>(pred_offset_[t]) + slot) * copies_ + c) * mask_words_;
+  }
+
  private:
-  /// Shared alive-mask propagation over the topological order for the
-  /// single-word (copies <= 64) layout; returns false (only when
-  /// kEarlyExit) as soon as a task has no computable replica, otherwise
-  /// stores every task's mask (0 for dead tasks).
-  template <bool kEarlyExit>
-  bool propagate(const std::uint64_t* failed_words, std::uint64_t* alive) const;
-
-  /// Multi-word generalization for copies > 64 (row stride mask_words_).
-  template <bool kEarlyExit>
-  bool propagate_wide(const std::uint64_t* failed_words, std::uint64_t* alive) const;
-
   std::size_t num_procs_ = 0;
   std::size_t num_tasks_ = 0;
   CopyId copies_ = 0;

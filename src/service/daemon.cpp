@@ -32,6 +32,20 @@ void seal(CachedPlacement& placement) {
   placement.latency_bound = latency_upper_bound(placement.schedule);
 }
 
+/// Independent check of a live repair: a fresh oracle compiled from the
+/// repaired schedule must agree, through the bit-sliced batch kernel, that
+/// the live failure set is survivable. Counts one verification, plus one
+/// failure on a miss; the caller then rebuilds instead of serving.
+bool verify_live_repair(const Schedule& schedule, const ProcSet& failed,
+                        std::uint64_t& verifications, std::uint64_t& failures) {
+  ++verifications;
+  const SurvivalOracle fresh(schedule);
+  BatchScratch scratch;
+  if ((fresh.survives_batch(failed.words(), 1, scratch) & 1ULL) != 0) return true;
+  ++failures;
+  return false;
+}
+
 std::string degraded_error(const CachedPlacement& placement) {
   return "placement degraded: eps_have=" + std::to_string(placement.eps_have) +
          " eps_want=" + std::to_string(placement.eps_want) +
@@ -148,11 +162,17 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
   // on the alive sub-platform and serves with an explicit deficit.
   BatchScratch scratch;
   std::uint64_t rebuilds = 0;
+  std::uint64_t verifications = 0;
+  std::uint64_t verify_failures = 0;
   for (;;) {
     if (failed.count() > 0) {
       const RepairStats live = repair_for_failure_set(placement->schedule, placement->oracle,
                                                       failed);
-      if (live.success) {
+      // A repair that wired channels is re-checked on a fresh oracle, as
+      // on the event path.
+      if (live.success && (live.rounds == 0 || verify_live_repair(placement->schedule, failed,
+                                                                  verifications,
+                                                                  verify_failures))) {
         placement->event_repair_comms += live.added_comms;
         if (placement->degraded) certify(*placement, failed, scratch);
       } else {
@@ -174,6 +194,8 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
       cache_.insert(key, published);
       ++stats_.cold_schedules;
       stats_.rebuilds += rebuilds;
+      stats_.verifications += verifications;
+      stats_.verify_failures += verify_failures;
       resp.epoch = epoch_;
       resp.placement = published;
       if (published->degraded) {
@@ -265,22 +287,14 @@ std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
     auto patched = std::make_shared<CachedPlacement>(*p);
     const RepairStats live =
         repair_for_failure_set(patched->schedule, patched->oracle, failed_);
-    if (live.success) {
+    if (live.success && verify_live_repair(patched->schedule, failed_, stats_.verifications,
+                                           stats_.verify_failures)) {
       patched->event_repair_comms += live.added_comms;
       patched->epoch = epoch_;
-      // Independent check: a fresh oracle compiled from the repaired
-      // schedule must agree, through the bit-sliced batch kernel, that the
-      // live failure set is survivable.
-      ++stats_.verifications;
-      const SurvivalOracle fresh(patched->schedule);
-      BatchScratch scratch;
-      if ((fresh.survives_batch(failed_.words(), 1, scratch) & 1ULL) != 0) {
-        if (patched->degraded) certify(*patched, failed_, batch_scratch_);
-        seal(*patched);
-        ++stats_.event_repairs;
-        return patched;
-      }
-      ++stats_.verify_failures;
+      if (patched->degraded) certify(*patched, failed_, batch_scratch_);
+      seal(*patched);
+      ++stats_.event_repairs;
+      return patched;
     }
     // Degradation ladder: beyond incremental repair no longer drops —
     // rebuild on the alive sub-platform (capped ε) and keep serving with

@@ -96,7 +96,8 @@ struct DaemonStats {
   std::uint64_t recovery_events = 0;  ///< the recovery subset of `events`
   std::uint64_t event_repairs = 0;    ///< cached placements repaired in place
   std::uint64_t repair_failures = 0;  ///< placements dropped as beyond repair
-  std::uint64_t verifications = 0;    ///< fresh-oracle batch re-checks run
+  std::uint64_t verifications = 0;    ///< fresh-oracle re-checks of live repairs
+                                      ///< (events and cold admissions)
   std::uint64_t verify_failures = 0;  ///< re-checks that failed (must stay 0)
   std::uint64_t restored = 0;         ///< warm-start entries restored into the cache
   std::uint64_t degraded = 0;         ///< gauge: cache entries currently degraded

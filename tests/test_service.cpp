@@ -376,6 +376,48 @@ TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
   }
 }
 
+// A cold admission made while processors are down is repaired for the live
+// failure set on its warm oracle; the repaired placement must pass the same
+// fresh-oracle re-check an event repair gets before it is served.
+TEST(PlacementDaemon, ColdAdmissionRepairedForLiveFailuresIsReverified) {
+  const std::size_t m = small_platform().num_procs();
+  for (std::uint64_t seed = 21; seed < 61; ++seed) {
+    // The cold path schedules on the full platform, so a probe daemon
+    // without failures shows the placement the admission will repair.
+    PlacementDaemon probe(small_platform(), DaemonConfig{});
+    const PlacementResponse planned = probe.admit(request_for(seed));
+    ASSERT_TRUE(planned.ok) << planned.error;
+    const Schedule& schedule = planned.placement->schedule;
+    for (ProcId a = 0; a < m; ++a) {
+      for (ProcId b = a + 1; b < m; ++b) {
+        ProcSet pair(m);
+        pair.assign(std::vector<ProcId>{a, b});
+        std::vector<std::uint64_t> scratch;
+        if (kills_a_task(schedule, a, b) || planned.placement->oracle.survives(pair, scratch)) {
+          continue;
+        }
+        DaemonConfig config;
+        config.auto_reheal = false;
+        PlacementDaemon daemon(small_platform(), config);
+        (void)daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, a});
+        (void)daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, b});
+        const PlacementResponse resp = daemon.admit(request_for(seed));
+        ASSERT_TRUE(resp.ok) << resp.error;
+        EXPECT_FALSE(resp.cache_hit);
+        EXPECT_GT(resp.placement->event_repair_comms, 0u);
+        const DaemonStats stats = daemon.stats();
+        EXPECT_EQ(stats.verifications, 1u);
+        EXPECT_EQ(stats.verify_failures, 0u);
+        EXPECT_EQ(stats.rebuilds, 0u);
+        const SurvivalOracle fresh(resp.placement->schedule);
+        EXPECT_TRUE(fresh.survives(pair, scratch));
+        return;
+      }
+    }
+  }
+  FAIL() << "no seed yields a cold placement that needs live repair";
+}
+
 TEST(PlacementDaemon, IncrementalRepairMatchesFreshRescheduleFeasibility) {
   // Daemon A: admit first, then fail processors (incremental repair).
   // Daemon B: fail the same processors first, then admit cold (fresh
