@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -251,6 +252,63 @@ TEST(Survival, BatchMatchesPerSetOnPatchedOracleAfterRepair) {
           << "set mask " << mask;
     }
   }
+}
+
+// The degraded-serving certificate against its definition: under a live
+// failure set F, the largest k <= want such that the reference predicate
+// holds on F ∪ G for every k-subset G of the processors F leaves alive;
+// 0 when F itself kills the schedule, and `want` when nothing failed.
+// Half the schedules are count-repaired to eps, half are not, so both
+// full and partial tolerances occur.
+TEST(Survival, AchievedToleranceMatchesBruteForce) {
+  std::size_t killed_by_live_set = 0;
+  std::size_t tolerant = 0;
+  for (std::uint64_t seed = 1; seed <= 14; ++seed) {
+    const std::size_t m = 4 + seed % 7;
+    const auto eps = static_cast<CopyId>(1 + seed % 3);
+    Dag dag;
+    Platform platform;
+    Schedule schedule = random_schedule(seed * 101, m, 12, eps, dag, platform);
+    if (seed % 2 == 0) (void)repair_fault_tolerance(schedule, eps);
+    const SurvivalOracle oracle(schedule);
+    Rng rng(seed);
+    BatchScratch scratch;
+    for (std::size_t size = 0; size < m; ++size) {
+      const auto drawn = rng.sample_without_replacement(static_cast<std::uint32_t>(m),
+                                                        static_cast<std::uint32_t>(size));
+      std::vector<bool> live(m, false);
+      for (const auto p : drawn) live[p] = true;
+      std::vector<ProcId> alive;
+      for (ProcId u = 0; u < m; ++u) {
+        if (!live[u]) alive.push_back(u);
+      }
+      // every_subset_survives[k]: F ∪ G survives for every k-subset G.
+      std::vector<bool> every_subset_survives(alive.size() + 1, true);
+      for (std::uint32_t mask = 0; mask < (1u << alive.size()); ++mask) {
+        std::vector<bool> failed_ref = live;
+        for (std::size_t i = 0; i < alive.size(); ++i) {
+          if ((mask >> i) & 1) failed_ref[alive[i]] = true;
+        }
+        if (!test::survives_failures(schedule, failed_ref)) {
+          every_subset_survives[static_cast<std::size_t>(std::popcount(mask))] = false;
+        }
+      }
+      CopyId expected = 0;
+      for (CopyId k = 0; k <= eps && k <= alive.size(); ++k) {
+        if (every_subset_survives[k]) expected = k;
+      }
+      if (size == 0) expected = eps;  // nothing failed: the built-for guarantee stands
+      if (size > 0 && !every_subset_survives[0]) ++killed_by_live_set;
+      if (size > 0 && expected > 0) ++tolerant;
+
+      ProcSet failed(m);
+      failed.assign(drawn);
+      EXPECT_EQ(achieved_tolerance(oracle, failed, eps, scratch), expected)
+          << "seed " << seed << " m " << m << " eps " << eps << " |F| " << size;
+    }
+  }
+  EXPECT_GT(killed_by_live_set, 0u) << "no live set killed its schedule";
+  EXPECT_GT(tolerant, 0u) << "no live set left a positive tolerance";
 }
 
 TEST(Survival, ExactReliabilityBitIdenticalAcrossKernels) {
