@@ -18,7 +18,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/rltf.hpp"
+#include "core/variant.hpp"
 #include "emit_bench_json.hpp"
 #include "exp/sweep.hpp"
 #include "exp/workload.hpp"
@@ -75,12 +75,9 @@ int main(int argc, char** argv) {
     SchedulerOptions options;
     options.eps = eps;
     options.repair = true;
-    ScheduleResult r;
-    for (double factor : period_escalation_ladder()) {
-      options.period = period * factor;
-      r = rltf_schedule(dag, platform, options);
-      if (r.ok()) break;
-    }
+    const ScheduleResult r =
+        schedule_with_period_escalation(AlgoVariant("rltf"), dag, platform, period, options)
+            .first;
     if (!r.ok()) {
       std::cerr << "m=" << m << ": scheduling failed (" << r.error << "), skipping\n";
       // The row the CI floor reads must actually be measured.

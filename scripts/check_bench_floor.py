@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
-"""Throughput floor for the kernel microbenches.
+"""Throughput floors and pinned outcomes for the committed bench JSONs.
 
     scripts/check_bench_floor.py FRESH COMMITTED
 
 FRESH is the JSON a bench run just wrote; COMMITTED is the checked-in
-file of the same bench (BENCH_survival.json or BENCH_sim.json). The
-compared rows:
+file of the same bench (BENCH_survival.json, BENCH_sim.json or
+BENCH_churn.json). The compared rows:
 
   * survival_kernel: the m = 16 exact-mode `sets_per_sec`, the
     `cold_prob` probabilistic-repair `repairs_per_sec`, the `cold_count`
     count-repair `rounds_per_sec`, and the `first_call` estimate and
     repair rates on platforms the process has not seen (which pay the
     one-time failure-set tree build the memo-warm rows skip);
-  * sim_engine: the m = 16 `trials_per_sec` of the crash-trial loop.
+  * sim_engine: the m = 16 `trials_per_sec` of the crash-trial loop;
+  * churn: the outcome of the seeded churn replay, which must equal the
+    committed one exactly: its digest and its degraded-probe, rebuild,
+    re-heal, event-repair and verify-failure counts.
 
-Fails (exit 1) when any fresh value is below a quarter of the committed
-one. A quarter sits below the run-to-run spread of shared runners and
-still catches a slide back toward per-set or per-call speeds, which are
-one to two orders of magnitude slower.
+Fails (exit 1) when any fresh throughput is below a quarter of the
+committed one, or any churn outcome field differs. A quarter sits below
+the run-to-run spread of shared runners and still catches a slide back
+toward per-set or per-call speeds, which are one to two orders of
+magnitude slower. The churn replay is deterministic, so any difference
+is a changed outcome.
 """
 import json
 import sys
@@ -38,29 +43,52 @@ ROWS = {
     ],
 }
 
+# bench name -> exact rows: (label, fields a row must match, fields that must be equal)
+EXACT = {
+    "churn": [
+        ("replay", {}, ("digest", "degraded_probes", "rebuilds", "reheals", "event_repairs",
+                        "verify_failures")),
+    ],
+}
+
 
 def compared_values(path):
-    """Returns (bench, [(label, field, value), ...]) for the rows ROWS names."""
+    """Returns (bench, floored, exact): [(label, field, value), ...] for the
+    rows ROWS and EXACT name."""
     with open(path) as f:
         doc = json.load(f)
     bench = doc.get("bench")
-    if bench not in ROWS:
+    if bench not in ROWS and bench not in EXACT:
         sys.exit(f"{path}: unknown bench {bench!r}")
-    values = []
-    for label, match, field in ROWS[bench]:
+
+    def row(label, match):
         rows = [r for r in doc.get("results", [])
                 if all(r.get(k) == v for k, v in match.items())]
-        if len(rows) != 1 or not isinstance(rows[0].get(field), (int, float)):
+        if len(rows) != 1:
+            sys.exit(f"{path}: expected one {label} row")
+        return rows[0]
+
+    floored = []
+    for label, match, field in ROWS.get(bench, []):
+        value = row(label, match).get(field)
+        if not isinstance(value, (int, float)):
             sys.exit(f"{path}: expected one {label} row with a numeric {field}")
-        values.append((label, field, float(rows[0][field])))
-    return bench, values
+        floored.append((label, field, float(value)))
+    exact = []
+    for label, match, fields in EXACT.get(bench, []):
+        r = row(label, match)
+        for field in fields:
+            if field not in r:
+                sys.exit(f"{path}: expected a {field} field in the {label} row")
+            exact.append((label, field, r[field]))
+    return bench, floored, exact
 
 
 def main(argv):
     if len(argv) != 3:
         sys.exit("usage: scripts/check_bench_floor.py FRESH COMMITTED")
-    fresh_bench, fresh_values = compared_values(argv[1])
-    committed_bench, committed_values = compared_values(argv[2])
+    fresh_bench, fresh_values, fresh_exact = compared_values(argv[1])
+    committed_bench, committed_values, committed_exact = compared_values(argv[2])
     if fresh_bench != committed_bench:
         sys.exit(f"bench mismatch: {fresh_bench} vs {committed_bench}")
     ok = True
@@ -70,6 +98,10 @@ def main(argv):
         ok = ok and fresh >= floor
         print(f"{fresh_bench} {label} {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
               f"floor {floor:.6g} ({FLOOR:g}x) -> {verdict}")
+    for (label, field, fresh), (_, _, committed) in zip(fresh_exact, committed_exact):
+        verdict = "ok" if fresh == committed else "CHANGED"
+        ok = ok and fresh == committed
+        print(f"{fresh_bench} {label} {field}: fresh {fresh}, committed {committed} -> {verdict}")
     return 0 if ok else 1
 
 

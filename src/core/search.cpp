@@ -1,9 +1,7 @@
 #include "core/search.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "schedule/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace streamsched {
@@ -79,54 +77,6 @@ MinPeriodResult find_min_period(const Dag& dag, const Platform& platform,
   SchedulerOptions options = base;
   options.fault_model = model;
   return find_min_period(dag, platform, options, scheduler, rel_tol);
-}
-
-MaxFailuresResult find_max_failures(const Dag& dag, const Platform& platform, double period,
-                                    double latency_cap, const SchedulerOptions& base,
-                                    const SchedulerFn& scheduler) {
-  MaxFailuresResult result;
-  for (CopyId eps = 0; eps < platform.num_procs(); ++eps) {
-    SchedulerOptions options = base;
-    options.fault_model.reset();  // the scan owns the replication degree
-    options.eps = eps;
-    options.period = period;
-    ScheduleResult r = scheduler(dag, platform, options);
-    if (!r.ok()) break;
-    if (latency_upper_bound(*r.schedule) > latency_cap) break;
-    result.found = true;
-    result.eps = eps;
-    result.schedule = std::move(r.schedule);
-  }
-  return result;
-}
-
-MaxReliabilityResult find_max_reliability(const Dag& dag, const Platform& platform,
-                                          double period, double latency_cap,
-                                          const SchedulerOptions& base,
-                                          const SchedulerFn& scheduler,
-                                          const ReliabilityOptions& reliability_options) {
-  MaxReliabilityResult result;
-  for (CopyId eps = 0; eps < platform.num_procs(); ++eps) {
-    SchedulerOptions options = base;
-    options.fault_model.reset();  // scan explicit replication degrees
-    options.eps = eps;
-    options.period = period;
-    options.repair = true;
-    ScheduleResult r = scheduler(dag, platform, options);
-    if (!r.ok()) break;  // feasibility is monotone in eps
-    // Latency is not: repair channels can inflate one degree's bound while
-    // the next fits, so a cap violation skips the degree instead of ending
-    // the scan.
-    if (latency_upper_bound(*r.schedule) > latency_cap) continue;
-    const ReliabilityEstimate est = schedule_reliability(*r.schedule, reliability_options);
-    if (!result.found || est.reliability > result.reliability) {
-      result.found = true;
-      result.eps = eps;
-      result.reliability = est.reliability;
-      result.schedule = std::move(r.schedule);
-    }
-  }
-  return result;
 }
 
 }  // namespace streamsched

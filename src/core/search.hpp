@@ -1,10 +1,8 @@
-// Bicriteria search extensions (paper §6, "symmetric problems").
+// Minimal-period search (paper §6, "symmetric problems").
 //
-// The paper's algorithms take the period as an input; these helpers invert
-// the problem: find the minimal feasible period for a given ε (binary
-// search over Δ, exploiting that feasibility is monotone in Δ), and find
-// the maximal supported failure count for a given period and latency
-// budget (linear scan over ε, which is small).
+// The paper's algorithms take the period as an input; find_min_period
+// inverts the problem: the minimal feasible period for a given ε, by
+// binary search over Δ, exploiting that feasibility is monotone in Δ.
 #pragma once
 
 #include <optional>
@@ -47,36 +45,5 @@ struct MinPeriodResult {
                                               const SchedulerOptions& base,
                                               const SchedulerFn& scheduler,
                                               double rel_tol = 1e-3);
-
-struct MaxFailuresResult {
-  bool found = false;   ///< at least ε = 0 feasible
-  CopyId eps = 0;       ///< largest feasible ε
-  std::optional<Schedule> schedule;
-};
-
-/// Largest ε (up to m−1) for which `scheduler` succeeds at the given
-/// period with latency bound (2S−1)Δ <= latency_cap (use infinity for no
-/// latency requirement).
-[[nodiscard]] MaxFailuresResult find_max_failures(const Dag& dag, const Platform& platform,
-                                                  double period, double latency_cap,
-                                                  const SchedulerOptions& base,
-                                                  const SchedulerFn& scheduler);
-
-struct MaxReliabilityResult {
-  bool found = false;  ///< at least one replication degree was feasible
-  CopyId eps = 0;      ///< replication degree of the best schedule
-  double reliability = 0.0;  ///< its estimated schedule reliability
-  std::optional<Schedule> schedule;
-};
-
-/// Maximal schedule reliability achievable at the given period and latency
-/// budget on a platform with per-processor failure probabilities: scans
-/// replication degrees ε = 0 .. m−1 (repair enabled), estimates each
-/// schedule's reliability and keeps the most reliable one whose latency
-/// bound fits `latency_cap`.
-[[nodiscard]] MaxReliabilityResult find_max_reliability(
-    const Dag& dag, const Platform& platform, double period, double latency_cap,
-    const SchedulerOptions& base, const SchedulerFn& scheduler,
-    const ReliabilityOptions& reliability_options = {});
 
 }  // namespace streamsched

@@ -45,7 +45,6 @@
 #include "exp/figures.hpp"        // IWYU pragma: export
 #include "exp/sweep.hpp"          // IWYU pragma: export
 #include "exp/workload.hpp"       // IWYU pragma: export
-#include "graph/analysis.hpp"     // IWYU pragma: export
 #include "graph/dag.hpp"          // IWYU pragma: export
 #include "graph/dot.hpp"          // IWYU pragma: export
 #include "graph/generators.hpp"   // IWYU pragma: export
@@ -58,7 +57,6 @@
 #include "schedule/fault_tolerance.hpp"  // IWYU pragma: export
 #include "schedule/metrics.hpp"          // IWYU pragma: export
 #include "schedule/mirror.hpp"           // IWYU pragma: export
-#include "schedule/printer.hpp"          // IWYU pragma: export
 #include "schedule/schedule.hpp"         // IWYU pragma: export
 #include "schedule/validate.hpp"         // IWYU pragma: export
 #include "sim/engine.hpp"                // IWYU pragma: export

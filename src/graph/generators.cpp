@@ -174,56 +174,6 @@ Dag make_random_series_parallel(Rng& rng, std::size_t approx_tasks,
   return d;
 }
 
-Dag make_wavefront(std::size_t rows, std::size_t cols, double work, double volume) {
-  SS_REQUIRE(rows >= 1 && cols >= 1, "wavefront needs a non-empty grid");
-  Dag d;
-  std::vector<TaskId> ids(rows * cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::string name = "c";
-      name += std::to_string(i);
-      name += '_';
-      name += std::to_string(j);
-      ids[i * cols + j] = d.add_task(std::move(name), work);
-    }
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (i + 1 < rows) d.add_edge(ids[i * cols + j], ids[(i + 1) * cols + j], volume);
-      if (j + 1 < cols) d.add_edge(ids[i * cols + j], ids[i * cols + j + 1], volume);
-    }
-  }
-  return d;
-}
-
-Dag make_butterfly(std::size_t log2_width, double work, double volume) {
-  SS_REQUIRE(log2_width >= 1 && log2_width < 16, "butterfly width out of range");
-  const std::size_t width = std::size_t{1} << log2_width;
-  Dag d;
-  std::vector<TaskId> prev(width), next(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    std::string name = "b0_";
-    name += std::to_string(k);
-    prev[k] = d.add_task(std::move(name), work);
-  }
-  for (std::size_t level = 0; level < log2_width; ++level) {
-    for (std::size_t k = 0; k < width; ++k) {
-      std::string name = "b";
-      name += std::to_string(level + 1);
-      name += '_';
-      name += std::to_string(k);
-      next[k] = d.add_task(std::move(name), work);
-    }
-    const std::size_t stride = std::size_t{1} << level;
-    for (std::size_t k = 0; k < width; ++k) {
-      d.add_edge(prev[k], next[k], volume);
-      d.add_edge(prev[k], next[k ^ stride], volume);
-    }
-    prev = next;
-  }
-  return d;
-}
-
 Dag make_paper_figure1() {
   Dag d;
   const TaskId t1 = d.add_task("t1", 15.0);

@@ -53,15 +53,6 @@ struct WeightRanges {
 [[nodiscard]] Dag make_random_series_parallel(Rng& rng, std::size_t approx_tasks,
                                               const WeightRanges& ranges);
 
-/// 2D wavefront (Gauss-Seidel style sweep): rows x cols grid; cell (i, j)
-/// depends on (i-1, j) and (i, j-1). Single entry (0,0), single exit.
-[[nodiscard]] Dag make_wavefront(std::size_t rows, std::size_t cols, double work,
-                                 double volume);
-
-/// Butterfly/FFT exchange network: `stages` levels of 2^log2_width nodes;
-/// node k of level l feeds nodes k and k XOR 2^l of level l+1.
-[[nodiscard]] Dag make_butterfly(std::size_t log2_width, double work, double volume);
-
 /// Paper Figure 1(a): 4-task diamond, all works 15, all volumes 2.
 [[nodiscard]] Dag make_paper_figure1();
 

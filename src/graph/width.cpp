@@ -1,7 +1,7 @@
 #include "graph/width.hpp"
 
-#include <algorithm>
 #include <queue>
+#include <vector>
 
 namespace streamsched {
 
@@ -104,17 +104,6 @@ std::size_t graph_width(const Dag& dag) {
   HopcroftKarp hk(closure);
   // Dilworth: minimum chain cover = n − max matching = maximum antichain.
   return n - hk.solve();
-}
-
-std::size_t longest_path_tasks(const Dag& dag) {
-  if (dag.num_tasks() == 0) return 0;
-  std::vector<std::size_t> depth(dag.num_tasks(), 1);
-  for (TaskId t : dag.topological_order()) {
-    for (EdgeId e : dag.in_edges(t)) {
-      depth[t] = std::max(depth[t], depth[dag.edge(e).src] + 1);
-    }
-  }
-  return *std::max_element(depth.begin(), depth.end());
 }
 
 }  // namespace streamsched

@@ -23,8 +23,4 @@ namespace streamsched {
 /// closure graph; fine for the paper's graph sizes (v <= a few hundred).
 [[nodiscard]] std::size_t graph_width(const Dag& dag);
 
-/// Number of "levels": length (in tasks) of the longest path. Useful as a
-/// quick lower bound for the number of pipeline stages of spread mappings.
-[[nodiscard]] std::size_t longest_path_tasks(const Dag& dag);
-
 }  // namespace streamsched

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -18,13 +19,12 @@ namespace streamsched {
 
 namespace {
 
-// Advances a size-k lexicographic combination over {0..m-1} in place;
-// false once the last combination has been consumed.
-bool next_combination(std::vector<ProcId>& subset, std::size_t m) {
+// Advances a size-k lexicographic combination of positions {0..n-1} in
+// place; false once the last combination has been consumed.
+bool next_combination(std::vector<std::size_t>& subset, std::size_t n) {
   const std::size_t k = subset.size();
   std::int64_t i = static_cast<std::int64_t>(k) - 1;
-  while (i >= 0 && subset[static_cast<std::size_t>(i)] ==
-                       static_cast<ProcId>(m - k + static_cast<std::size_t>(i))) {
+  while (i >= 0 && subset[static_cast<std::size_t>(i)] == n - k + static_cast<std::size_t>(i)) {
     --i;
   }
   if (i < 0) return false;
@@ -33,12 +33,12 @@ bool next_combination(std::vector<ProcId>& subset, std::size_t m) {
   return true;
 }
 
-// Walks every size-k failure set of the m processors in lexicographic order,
-// 64 sets per `survives_batch` pass, and hands each killed set to
-// `on_killed(row, n)` in lane order — `row` in the ProcSet word layout, `n`
-// the number of sets enumerated up to and including it — until the handler
-// returns false. Returns the number of sets enumerated up to the stop, or all
-// of them.
+// Walks every failure set `base` ∪ G, for G a size-k subset of `candidates`
+// in lexicographic order of positions, 64 sets per `survives_batch` pass,
+// and hands each killed set to `on_killed(row, n)` in lane order — `row` in
+// the ProcSet word layout, `n` the number of sets enumerated up to and
+// including it — until the handler returns false. Returns the number of
+// sets enumerated up to the stop, or all of them.
 //
 // A batch's verdicts are taken once, before its killed lanes are handed out.
 // A handler may patch `oracle` between lanes (count repair does): repair only
@@ -47,24 +47,26 @@ bool next_combination(std::vector<ProcId>& subset, std::size_t m) {
 // therefore sees every set still killed when its turn comes, in order, plus
 // sets an earlier repair has fixed meanwhile, which it must re-check.
 template <typename OnKilled>
-std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, std::uint32_t k,
-                                  OnKilled&& on_killed) {
-  const std::size_t m = oracle.num_procs();
-  SS_REQUIRE(k < m, "cannot fail all processors");
-  const std::size_t words = (m + 63) / 64;
-  std::vector<ProcId> subset(k);
+std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, const ProcSet& base,
+                                  const std::vector<ProcId>& candidates, std::uint32_t k,
+                                  BatchScratch& scratch, OnKilled&& on_killed) {
+  SS_REQUIRE(k < candidates.size(), "cannot fail all processors");
+  const std::size_t words = base.num_words();
+  std::vector<std::size_t> subset(k);
   for (std::uint32_t i = 0; i < k; ++i) subset[i] = i;
   std::vector<std::uint64_t> rows(64 * words);
-  BatchScratch scratch;
   std::uint64_t enumerated = 0;
   for (bool exhausted = false; !exhausted;) {
-    std::fill(rows.begin(), rows.end(), 0);
     std::size_t lanes = 0;
     while (lanes < 64 && !exhausted) {
       std::uint64_t* row = rows.data() + lanes * words;
-      for (const ProcId p : subset) row[p >> 6] |= 1ULL << (p & 63);
+      std::copy_n(base.words(), words, row);
+      for (const std::size_t i : subset) {
+        const ProcId p = candidates[i];
+        row[p >> 6] |= 1ULL << (p & 63);
+      }
       ++lanes;
-      exhausted = !next_combination(subset, m);
+      exhausted = !next_combination(subset, candidates.size());
     }
     const std::uint64_t killed =
         ~oracle.survives_batch(rows.data(), lanes, scratch) & batch_lane_mask(lanes);
@@ -83,16 +85,48 @@ std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, std::uint32_t k,
 
 FtCheckResult check_fault_tolerance(const Schedule& schedule, std::uint32_t max_failures) {
   const SurvivalOracle oracle(schedule);
+  const std::size_t m = oracle.num_procs();
+  std::vector<ProcId> all(m);
+  std::iota(all.begin(), all.end(), ProcId{0});
+  BatchScratch scratch;
   FtCheckResult result;
-  result.sets_checked =
-      for_each_killed_set(oracle, max_failures, [&](const std::uint64_t* row, std::uint64_t) {
+  result.sets_checked = for_each_killed_set(
+      oracle, ProcSet(m), all, max_failures, scratch, [&](const std::uint64_t* row, std::uint64_t) {
         result.valid = false;
-        for (std::size_t u = 0; u < oracle.num_procs(); ++u) {
+        for (std::size_t u = 0; u < m; ++u) {
           if ((row[u >> 6] >> (u & 63)) & 1) result.counterexample.push_back(static_cast<ProcId>(u));
         }
         return false;  // the first counterexample in enumeration order
       });
   return result;
+}
+
+CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, CopyId want,
+                          BatchScratch& scratch) {
+  const std::size_t m = oracle.num_procs();
+  SS_REQUIRE(failed.size() == m, "failure set size != processor count");
+  std::vector<ProcId> alive;
+  for (ProcId u = 0; u < m; ++u) {
+    if (!failed.test(u)) alive.push_back(u);
+  }
+  if (alive.size() == m) return want;  // nothing failed: the built-for guarantee stands
+
+  // k = 0: does the schedule survive the live failures at all?
+  std::vector<std::uint64_t> set_scratch;
+  if (!oracle.survives_words(failed.words(), set_scratch)) return 0;
+
+  const CopyId cap =
+      std::min<CopyId>(want, static_cast<CopyId>(alive.empty() ? 0 : alive.size() - 1));
+  for (CopyId k = 1; k <= cap; ++k) {
+    bool killed = false;
+    (void)for_each_killed_set(oracle, failed, alive, k, scratch,
+                              [&](const std::uint64_t*, std::uint64_t) {
+                                killed = true;
+                                return false;
+                              });
+    if (killed) return k - 1;
+  }
+  return cap;
 }
 
 namespace {
@@ -270,19 +304,24 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
   // repair already fixed wires nothing. The repaired sets are therefore
   // exactly the counterexamples a fresh check after every repair would find,
   // in the same order.
-  ProcSet failed(schedule.platform().num_procs());
+  const std::size_t m = schedule.platform().num_procs();
+  std::vector<ProcId> all(m);
+  std::iota(all.begin(), all.end(), ProcId{0});
+  BatchScratch scratch;
+  ProcSet failed(m);
   std::vector<std::uint64_t> alive;
   bool capped = false;
-  (void)for_each_killed_set(oracle, max_failures, [&](const std::uint64_t* row, std::uint64_t) {
-    failed.assign_words(row);
-    const SetRepair outcome =
-        repair_until_survives(schedule, oracle, failed, max_rounds, stats.rounds, alive, stats);
-    capped = outcome == SetRepair::kCapped;
-    SS_CHECK(capped || outcome == SetRepair::kSurvives,
-             "failure set of size <= eps is beyond repair although replicas sit on "
-             "distinct processors");
-    return !capped;
-  });
+  (void)for_each_killed_set(
+      oracle, ProcSet(m), all, max_failures, scratch, [&](const std::uint64_t* row, std::uint64_t) {
+        failed.assign_words(row);
+        const SetRepair outcome = repair_until_survives(schedule, oracle, failed, max_rounds,
+                                                        stats.rounds, alive, stats);
+        capped = outcome == SetRepair::kCapped;
+        SS_CHECK(capped || outcome == SetRepair::kSurvives,
+                 "failure set of size <= eps is beyond repair although replicas sit on "
+                 "distinct processors");
+        return !capped;
+      });
   stats.success = !capped;
 
   record_period_excess(schedule, stats);

@@ -30,6 +30,7 @@ namespace streamsched {
 
 class SurvivalOracle;  // schedule/survival.hpp
 class ProcSet;
+struct BatchScratch;
 
 struct FtCheckResult {
   bool valid = true;
@@ -42,6 +43,22 @@ struct FtCheckResult {
 /// `max_failures` (feasible for experiment sizes: C(20,3) = 1140).
 [[nodiscard]] FtCheckResult check_fault_tolerance(const Schedule& schedule,
                                                   std::uint32_t max_failures);
+
+/// Best achievable residual tolerance of a schedule that is already coping
+/// with live failure set `failed`: the largest k <= `want` such that the
+/// schedule survives `failed` ∪ G for EVERY size-k subset G of the
+/// still-alive processors. Enumerated by the same k-subset walk as
+/// check_fault_tolerance (64 candidate sets per `survives_batch` pass),
+/// stopping at the first killed set. By failure-monotonicity this also
+/// certifies count-model tolerance k on the full platform (any k-subset
+/// containing a dead processor is dominated by a checked set), which is
+/// what lets snapshot verification re-check degraded claims with the plain
+/// `check_fault_tolerance(schedule, k)`. Returns `want` when `failed` is
+/// empty and 0 when the schedule does not even survive `failed` itself —
+/// callers distinguish "alive but fragile" from "dead" with a prior
+/// `survives(failed)` check.
+[[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
+                                        CopyId want, BatchScratch& scratch);
 
 struct RepairStats {
   bool success = false;

@@ -247,66 +247,4 @@ void SurvivalOracle::computable(const ProcSet& failed, std::vector<std::uint64_t
   for (const TaskId t : topo_) (void)compute_row(t, failed.words(), alive.data());
 }
 
-CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, CopyId want,
-                          BatchScratch& scratch) {
-  const std::size_t m = oracle.num_procs();
-  SS_REQUIRE(failed.size() == m, "failure set size != processor count");
-  std::vector<ProcId> alive;
-  alive.reserve(m);
-  for (ProcId u = 0; u < m; ++u) {
-    if (!failed.test(u)) alive.push_back(u);
-  }
-  if (alive.size() == m) return want;  // nothing failed: the built-for guarantee stands
-
-  const std::size_t num_words = failed.num_words();
-  std::vector<std::uint64_t> rows(64 * num_words);
-  std::vector<std::uint64_t> set_scratch;
-  // k = 0: does the schedule survive the live failures at all?
-  if (!oracle.survives_words(failed.words(), set_scratch)) return 0;
-
-  const CopyId cap =
-      std::min<CopyId>(want, static_cast<CopyId>(alive.empty() ? 0 : alive.size() - 1));
-  for (CopyId k = 1; k <= cap; ++k) {
-    // Enumerate every size-k subset of the alive processors, packed into
-    // 64-row batches of (failed ∪ G) word rows.
-    std::vector<std::size_t> idx(k);
-    for (CopyId i = 0; i < k; ++i) idx[i] = i;
-    std::size_t batched = 0;
-    const auto flush = [&]() -> bool {
-      if (batched == 0) return true;
-      const std::uint64_t mask = oracle.survives_batch(rows.data(), batched, scratch);
-      const bool all = mask == batch_lane_mask(batched);
-      batched = 0;
-      return all;
-    };
-    bool all_survive = true;
-    for (;;) {
-      std::uint64_t* row = rows.data() + batched * num_words;
-      std::copy(failed.words(), failed.words() + num_words, row);
-      for (std::size_t i : idx) {
-        const auto u = static_cast<std::size_t>(alive[i]);
-        row[u >> 6] |= 1ULL << (u & 63);
-      }
-      if (++batched == 64 && !flush()) {
-        all_survive = false;
-        break;
-      }
-      // Next combination (lexicographic over alive indices).
-      std::int64_t i = static_cast<std::int64_t>(k) - 1;
-      while (i >= 0 &&
-             idx[static_cast<std::size_t>(i)] == alive.size() - k + static_cast<std::size_t>(i)) {
-        --i;
-      }
-      if (i < 0) break;
-      ++idx[static_cast<std::size_t>(i)];
-      for (auto j = static_cast<std::size_t>(i) + 1; j < static_cast<std::size_t>(k); ++j) {
-        idx[j] = idx[j - 1] + 1;
-      }
-    }
-    if (all_survive) all_survive = flush();
-    if (!all_survive) return k - 1;
-  }
-  return cap;
-}
-
 }  // namespace streamsched

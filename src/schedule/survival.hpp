@@ -209,20 +209,4 @@ class SurvivalOracle {
                                           // bits of pred copies supplying (task, c)
 };
 
-/// Best achievable residual tolerance of a schedule that is already coping
-/// with live failure set `failed`: the largest k <= `want` such that the
-/// schedule survives `failed` ∪ G for EVERY size-k subset G of the
-/// still-alive processors. Enumerated through `survives_batch` (64
-/// candidate sets per topological pass) with early exit on the first
-/// non-surviving batch. By failure-monotonicity this also certifies
-/// count-model tolerance k on the full platform (any k-subset containing a
-/// dead processor is dominated by a checked set), which is what lets
-/// snapshot verification re-check degraded claims with the plain
-/// `check_fault_tolerance(schedule, k)`. Returns `want` when `failed` is
-/// empty and 0 when the schedule does not even survive `failed` itself —
-/// callers distinguish "alive but fragile" from "dead" with a prior
-/// `survives(failed)` check.
-[[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
-                                        CopyId want, BatchScratch& scratch);
-
 }  // namespace streamsched

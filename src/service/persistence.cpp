@@ -164,7 +164,7 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
   // Re-check the entry's reliability claim from scratch — a fresh oracle
   // compiled from the rebuilt schedule, driven through the batch kernel.
   // A degraded entry claims tolerance eps_have on the full platform (the
-  // achieved_tolerance certificate in schedule/survival.hpp is what makes
+  // achieved_tolerance certificate in schedule/fault_tolerance.hpp is what makes
   // that a plain count-tolerance claim), so it is re-proved exhaustively
   // at eps_have instead of the model's full guarantee.
   if (entry.degraded) {

@@ -23,7 +23,7 @@
 // Degradation survives restarts: v2 entries carry the degraded flag and
 // the eps_have/eps_want deficit verbatim, and load re-proves a degraded
 // entry's claim exhaustively at eps_have (sound per the achieved_tolerance
-// certificate in schedule/survival.hpp) instead of the model's full
+// certificate in schedule/fault_tolerance.hpp) instead of the model's full
 // guarantee — a warm restart can therefore never launder a degraded
 // placement into a full-guarantee one. An entry whose degraded flag
 // contradicts its deficit (degraded=1 with eps_have == eps_want, or

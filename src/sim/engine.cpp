@@ -39,14 +39,10 @@ SimResult simulate_with_sampled_failures(const Schedule& schedule, const FaultMo
                                          SimOptions options, const SurvivalOracle* precheck) {
   options.failed = model.sample_failures(schedule.platform(), count_crashes, rng);
   if (precheck != nullptr) {
-    // Per-worker buffers: this entry point runs in tight per-trial loops
-    // and from parallel sweep workers, so the failure set and oracle
-    // scratch live per thread instead of being reallocated per call.
-    thread_local ProcSet failed;
-    thread_local std::vector<std::uint64_t> scratch;
     const std::size_t m = schedule.platform().num_procs();
-    if (failed.size() != m) failed.resize(m);
+    ProcSet failed(m);
     failed.assign(options.failed);
+    std::vector<std::uint64_t> scratch;
     if (!precheck->survives(failed, scratch)) {
       return killed_trial_result(m, options);
     }

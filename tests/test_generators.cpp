@@ -3,6 +3,10 @@
 // (parameterized across seeds).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/dot.hpp"
 #include "graph/generators.hpp"
 #include "graph/width.hpp"
@@ -43,6 +47,35 @@ TEST(Generators, InTreeShape) {
   EXPECT_EQ(d.num_tasks(), 13u);
   EXPECT_EQ(d.entries().size(), 9u);
   EXPECT_EQ(d.exits().size(), 1u);
+}
+
+// Two-terminal series-parallel recognition by reduction: merge parallel
+// edges (the edge set does), contract every inner task with one in-edge
+// and one out-edge, and accept when one source -> sink edge remains.
+bool reduces_to_one_edge(const Dag& d) {
+  if (d.num_tasks() == 1) return true;
+  if (d.entries().size() != 1 || d.exits().size() != 1) return false;
+  const TaskId source = d.entries().front();
+  const TaskId sink = d.exits().front();
+  std::set<std::pair<TaskId, TaskId>> edges;
+  for (EdgeId e = 0; e < d.num_edges(); ++e) edges.insert({d.edge(e).src, d.edge(e).dst});
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (TaskId v = 0; v < d.num_tasks(); ++v) {
+      if (v == source || v == sink) continue;
+      std::vector<std::pair<TaskId, TaskId>> in, out;
+      for (const auto& edge : edges) {
+        if (edge.second == v) in.push_back(edge);
+        if (edge.first == v) out.push_back(edge);
+      }
+      if (in.size() != 1 || out.size() != 1) continue;
+      edges.erase(in.front());
+      edges.erase(out.front());
+      edges.insert({in.front().first, out.front().second});
+      changed = true;
+    }
+  }
+  return edges.size() == 1 && *edges.begin() == std::make_pair(source, sink);
 }
 
 class RandomGeneratorTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -98,6 +131,16 @@ TEST_P(RandomGeneratorTest, SeriesParallelSingleSourceSink) {
   (void)d.topological_order();
   EXPECT_EQ(d.entries().size(), 1u);
   EXPECT_EQ(d.exits().size(), 1u);
+  EXPECT_TRUE(reduces_to_one_edge(d));
+  // The recogniser itself: a 3x3 grid is two-terminal but not
+  // series-parallel.
+  Dag grid;
+  for (int i = 0; i < 9; ++i) grid.add_task(1.0);
+  for (TaskId i = 0; i < 9; ++i) {
+    if (i % 3 != 2) grid.add_edge(i, i + 1, 1.0);
+    if (i < 6) grid.add_edge(i, i + 3, 1.0);
+  }
+  EXPECT_FALSE(reduces_to_one_edge(grid));
 }
 
 TEST_P(RandomGeneratorTest, GeneratorsAreDeterministicInSeed) {

@@ -1,5 +1,4 @@
-// Tests for the bicriteria search extensions: minimal feasible period and
-// maximal supported failures.
+// Tests for the minimal-period search and its analytic lower bound.
 #include <gtest/gtest.h>
 
 #include "core/ltf.hpp"
@@ -69,44 +68,6 @@ TEST(Search, MinPeriodIsFeasibilityFrontier) {
   EXPECT_TRUE(ltf_schedule(d, p, probe).ok());
 }
 
-TEST(Search, MaxFailuresGrowsWithPeriod) {
-  Rng rng(7);
-  const Dag d = make_random_layered(rng, 16, 4, 0.4, WeightRanges{});
-  const Platform p = make_homogeneous(8);
-  SchedulerOptions base;
-  base.eps = 0;
-  const auto frontier = find_min_period(d, p, base, rltf_schedule, 1e-2);
-  ASSERT_TRUE(frontier.found);
-  const double tight = frontier.period * 1.05;
-  const double loose = frontier.period * 16.0;
-  const auto inf = std::numeric_limits<double>::infinity();
-  const auto a = find_max_failures(d, p, tight, inf, base, rltf_schedule);
-  const auto b = find_max_failures(d, p, loose, inf, base, rltf_schedule);
-  ASSERT_TRUE(a.found && b.found);
-  EXPECT_LE(a.eps, b.eps);
-  EXPECT_GE(b.eps, 1u);  // plenty of slack: at least duplication fits
-}
-
-TEST(Search, MaxFailuresRespectsLatencyCap) {
-  Rng rng(9);
-  const Dag d = make_random_layered(rng, 16, 4, 0.4, WeightRanges{});
-  const Platform p = make_homogeneous(8);
-  SchedulerOptions base;
-  base.eps = 0;
-  const auto frontier = find_min_period(d, p, base, rltf_schedule, 1e-2);
-  ASSERT_TRUE(frontier.found);
-  const double period = frontier.period * 8.0;
-  const auto unlimited = find_max_failures(
-      d, p, period, std::numeric_limits<double>::infinity(), base, rltf_schedule);
-  ASSERT_TRUE(unlimited.found);
-  // A one-period latency cap allows at most single-stage mappings.
-  const auto capped = find_max_failures(d, p, period, period, base, rltf_schedule);
-  if (capped.found) {
-    EXPECT_LE(latency_upper_bound(*capped.schedule), period * (1 + 1e-9));
-  }
-  EXPECT_LE(capped.found ? capped.eps : 0, unlimited.eps);
-}
-
 TEST(Search, MinPeriodAtFullReplication) {
   // eps = m - 1: every task runs everywhere; the load bound scales by m.
   Rng rng(11);
@@ -166,42 +127,6 @@ TEST(Search, MinPeriodNeverReevaluatesKnownInfeasiblePeriods) {
   EXPECT_FALSE(below_failed_after_failure);
 }
 
-TEST(Search, MaxFailuresLatencyCapExcludesReplication) {
-  // A latency cap tight enough to rule out every eps > 0 mapping still
-  // reports the eps = 0 solution instead of "not found". In the all-to-all
-  // supplier regime (use_one_to_one = false) any replicated consumer has a
-  // remote supplier, so replication provably costs an extra stage over the
-  // colocated eps = 0 chain.
-  Dag d;
-  d.add_task(1.0);
-  d.add_task(1.0);
-  d.add_edge(0, 1, 1.0);
-  const Platform p = make_homogeneous(4, 1.0);
-  SchedulerOptions base;
-  base.use_one_to_one = false;
-  const double period = 8.0;
-
-  SchedulerOptions probe = base;
-  probe.period = period;
-  probe.eps = 0;
-  const ScheduleResult solo = rltf_schedule(d, p, probe);
-  ASSERT_TRUE(solo.ok());
-  probe.eps = 1;
-  const ScheduleResult duo = rltf_schedule(d, p, probe);
-  ASSERT_TRUE(duo.ok());
-  const double cap = latency_upper_bound(*solo.schedule);
-  ASSERT_LT(cap, latency_upper_bound(*duo.schedule));
-
-  const auto unlimited = find_max_failures(
-      d, p, period, std::numeric_limits<double>::infinity(), base, rltf_schedule);
-  ASSERT_TRUE(unlimited.found);
-  ASSERT_GE(unlimited.eps, 1u);
-  const auto capped = find_max_failures(d, p, period, cap, base, rltf_schedule);
-  ASSERT_TRUE(capped.found);
-  EXPECT_EQ(capped.eps, 0u);
-  EXPECT_LE(latency_upper_bound(*capped.schedule), cap * (1 + 1e-9));
-}
-
 TEST(Search, CountModelParityOnFigure2) {
   // The FaultModel plumbing must not change the scalar pipeline: on the
   // paper's Figure 2 instance, scheduling through fault_model =
@@ -249,43 +174,6 @@ TEST(Search, MinPeriodUnderProbabilisticModel) {
   EXPECT_EQ(result.schedule->copies(), eps + 1);
   // The bracket was seeded with the model-derived replication degree.
   EXPECT_GE(result.period, period_lower_bound(d, p, eps) * (1.0 - 1e-9));
-}
-
-TEST(Search, MaxFailuresOwnsTheReplicationDegree) {
-  // A fault model left in `base` must not override the scan's eps: the
-  // reported eps always matches the schedule's replication degree.
-  Rng rng(29);
-  const Platform p = make_reliability_heterogeneous(rng, 6, 0.02, 0.1);
-  const Dag d = make_random_layered(rng, 10, 3, 0.4, WeightRanges{});
-  SchedulerOptions base;
-  base.fault_model = FaultModel::probabilistic(0.99);
-  const auto result = find_max_failures(d, p, 1e6, std::numeric_limits<double>::infinity(),
-                                        base, rltf_schedule);
-  ASSERT_TRUE(result.found);
-  EXPECT_GE(result.eps, 1u);
-  EXPECT_EQ(result.schedule->copies(), result.eps + 1);
-}
-
-TEST(Search, FindMaxReliabilityPrefersMoreReplicas) {
-  Rng rng(23);
-  const Platform p = make_reliability_heterogeneous(rng, 6, 0.05, 0.15);
-  const Dag d = make_random_layered(rng, 10, 3, 0.4, WeightRanges{});
-  SchedulerOptions base;
-  const double period = 1e6;  // plenty of slack: high eps feasible
-  const auto best = find_max_reliability(d, p, period,
-                                         std::numeric_limits<double>::infinity(), base,
-                                         rltf_schedule);
-  ASSERT_TRUE(best.found);
-  EXPECT_GE(best.eps, 1u);
-  ASSERT_TRUE(best.schedule.has_value());
-
-  // An eps = 0 schedule on this platform is strictly less reliable.
-  SchedulerOptions solo;
-  solo.eps = 0;
-  solo.period = period;
-  const ScheduleResult r0 = rltf_schedule(d, p, solo);
-  ASSERT_TRUE(r0.ok());
-  EXPECT_GT(best.reliability, schedule_reliability(*r0.schedule).reliability);
 }
 
 TEST(Search, InfeasibleProblemReportsNotFound) {

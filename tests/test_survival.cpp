@@ -9,7 +9,9 @@
 // tests/golden/legacy_parity.hpp bit for bit, with every repair's
 // `achieved` estimate equal to a from-scratch estimate of the repaired
 // schedule. The memoised failure-set trees exact mode shares must never
-// cross keys, and must give every pool worker its serial result.
+// cross keys, and must give every pool worker its serial result. The
+// degraded-serving certificate `achieved_tolerance` must equal its
+// definition, evaluated with the reference predicate.
 #include <gtest/gtest.h>
 
 #include <algorithm>

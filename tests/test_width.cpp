@@ -77,23 +77,5 @@ TEST(Width, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
-TEST(Width, LongestPathTasks) {
-  EXPECT_EQ(longest_path_tasks(make_chain(6, 1.0, 1.0)), 6u);
-  EXPECT_EQ(longest_path_tasks(make_diamond(1.0, 1.0)), 3u);
-  Dag d;
-  EXPECT_EQ(longest_path_tasks(d), 0u);
-  d.add_task(1.0);
-  EXPECT_EQ(longest_path_tasks(d), 1u);
-}
-
-TEST(Width, WidthTimesDepthCoversGraph) {
-  // ω * longest-path-length >= v for any DAG (Mirsky/Dilworth flavour).
-  Rng rng(123);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Dag d = make_random_layered(rng, 40, 5, 0.3, WeightRanges{});
-    EXPECT_GE(graph_width(d) * longest_path_tasks(d), d.num_tasks());
-  }
-}
-
 }  // namespace
 }  // namespace streamsched
