@@ -11,11 +11,13 @@
 // Gates (exit 1 on violation):
 //   availability   every probe of every step is served (ok=true) — the
 //                  ladder never goes dark while the cluster churns;
-//   truthfulness   every degraded response's eps_have equals the residual
-//                  tolerance recomputed from an independent fresh
+//   truthfulness   every response survives the live failure set on a
+//                  fresh oracle; every degraded response's eps_have equals
+//                  the residual tolerance recomputed from that independent
 //                  SurvivalOracle via achieved_tolerance, and every
 //                  non-degraded response claims eps_have == eps_want and
-//                  survives the live failure set on a fresh oracle;
+//                  passes the exhaustive check at eps_want on the whole
+//                  platform (check_fault_tolerance);
 //   exercise       the trace actually degrades at least one placement at
 //                  least once (otherwise the bench is vacuous);
 //   re-heal        after the trace's final force-recovery step and one
@@ -164,6 +166,11 @@ ReplayOutcome replay(const ChurnBenchConfig& cfg) {
         std::cerr << "gate: step " << step << " dag " << d
                   << " is not degraded yet claims eps_have=" << p.eps_have
                   << " != eps_want=" << p.eps_want << '\n';
+        return out;
+      } else if (!check_fault_tolerance(p.schedule, p.eps_want).valid) {
+        std::cerr << "gate: step " << step << " dag " << d
+                  << " claims the full guarantee but fails the exhaustive eps=" << p.eps_want
+                  << " check\n";
         return out;
       }
       digest.str("step=" + std::to_string(step) + " dag=" + std::to_string(d) +

@@ -109,8 +109,6 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
   for (ProcId u = 0; u < m; ++u) {
     if (!failed.test(u)) alive.push_back(u);
   }
-  if (alive.size() == m) return want;  // nothing failed: the built-for guarantee stands
-
   // k = 0: does the schedule survive the live failures at all?
   std::vector<std::uint64_t> set_scratch;
   if (!oracle.survives_words(failed.words(), set_scratch)) return 0;

@@ -49,13 +49,12 @@ struct FtCheckResult {
 /// schedule survives `failed` ∪ G for EVERY size-k subset G of the
 /// still-alive processors. Enumerated by the same k-subset walk as
 /// check_fault_tolerance (64 candidate sets per `survives_batch` pass),
-/// stopping at the first killed set. By failure-monotonicity this also
-/// certifies count-model tolerance k on the full platform (any k-subset
-/// containing a dead processor is dominated by a checked set), which is
-/// what lets snapshot verification re-check degraded claims with the plain
-/// `check_fault_tolerance(schedule, k)`. Returns `want` when `failed` is
-/// empty and 0 when the schedule does not even survive `failed` itself —
-/// callers distinguish "alive but fragile" from "dead" with a prior
+/// stopping at the first killed set. By failure-monotonicity a result k
+/// also certifies count-model tolerance k on the full platform (any
+/// k-subset containing a dead processor is dominated by a checked set);
+/// with `failed` empty the walk is exactly that whole-platform check. Returns
+/// 0 when the schedule does not even survive `failed` itself — callers
+/// distinguish "alive but fragile" from "dead" with a prior
 /// `survives(failed)` check.
 [[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
                                         CopyId want, BatchScratch& scratch);

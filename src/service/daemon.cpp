@@ -15,37 +15,6 @@ namespace streamsched {
 
 namespace {
 
-/// Recomputes the degradation flags from the batch survival kernel:
-/// eps_have = best residual tolerance under `failed`, degraded while it
-/// trails the admitted eps_want.
-void certify(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
-  placement.eps_have = achieved_tolerance(placement.oracle, failed, placement.eps_want, scratch);
-  placement.degraded = placement.eps_have < placement.eps_want;
-}
-
-/// Fills the response facts of a placement whose schedule is final. Every
-/// publish of a new or changed schedule calls it; copies that only
-/// re-certify keep the values they copied.
-void seal(CachedPlacement& placement) {
-  placement.schedule_fp = schedule_fingerprint(placement.schedule);
-  placement.stages = num_stages(placement.schedule);
-  placement.latency_bound = latency_upper_bound(placement.schedule);
-}
-
-/// Independent check of a live repair: a fresh oracle compiled from the
-/// repaired schedule must agree, through the bit-sliced batch kernel, that
-/// the live failure set is survivable. Counts one verification, plus one
-/// failure on a miss; the caller then rebuilds instead of serving.
-bool verify_live_repair(const Schedule& schedule, const ProcSet& failed,
-                        std::uint64_t& verifications, std::uint64_t& failures) {
-  ++verifications;
-  const SurvivalOracle fresh(schedule);
-  BatchScratch scratch;
-  if ((fresh.survives_batch(failed.words(), 1, scratch) & 1ULL) != 0) return true;
-  ++failures;
-  return false;
-}
-
 std::string degraded_error(const CachedPlacement& placement) {
   return "placement degraded: eps_have=" + std::to_string(placement.eps_have) +
          " eps_want=" + std::to_string(placement.eps_want) +
@@ -53,6 +22,32 @@ std::string degraded_error(const CachedPlacement& placement) {
 }
 
 }  // namespace
+
+bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
+  CachedPlacement& p = placement;
+  p.oracle = SurvivalOracle(p.schedule);
+  if ((p.oracle.survives_batch(failed.words(), 1, scratch) & 1ULL) == 0) return false;
+  // Full guarantee: a count placement survives any eps_want failures of
+  // the whole platform, whatever the live set; a probabilistic one, whose
+  // contract is its rel, carries the eps_want + 1 replicas its model asked
+  // for. Short of that, eps_have is the residual tolerance beyond the
+  // live failures.
+  const bool full =
+      p.model.is_count()
+          ? achieved_tolerance(p.oracle, ProcSet(failed.size()), p.eps_want, scratch) == p.eps_want
+          : p.schedule.eps() >= p.eps_want;
+  p.eps_have = full ? p.eps_want : achieved_tolerance(p.oracle, failed, p.eps_want, scratch);
+  p.degraded = p.eps_have < p.eps_want;
+  // A probabilistic placement keeps the rel its repair estimated; one no
+  // repair estimated is estimated here, once.
+  if (p.model.is_probabilistic() && p.reliability < 0.0) {
+    p.reliability = schedule_reliability(p.schedule).reliability;
+  }
+  p.schedule_fp = schedule_fingerprint(p.schedule);
+  p.stages = num_stages(p.schedule);
+  p.latency_bound = latency_upper_bound(p.schedule);
+  return true;
+}
 
 PlacementDaemon::PlacementDaemon(Platform platform, DaemonConfig config)
     : platform_(std::make_shared<const Platform>(std::move(platform))),
@@ -145,57 +140,33 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
   placement->period_factor = factor;
   placement->repair = result.repair;
   placement->reliability = result.repair.reliability;
-  if (request.model.is_probabilistic() && placement->reliability < 0.0) {
-    // Repair was not needed, so the model repair never estimated; compute
-    // the achieved reliability once here — responses report it forever.
-    placement->reliability = schedule_reliability(placement->schedule).reliability;
-  }
   placement->eps_want = placement->schedule.eps();
-  placement->eps_have = placement->eps_want;
   log_info() << "cold admission: variant=" << placement->variant
              << " model=" << request.model.to_string() << " period=" << period
              << " factor=" << factor << " repair_comms=" << result.repair.added_comms;
 
-  // Reconcile with the live failure set, retrying when an event moves the
-  // epoch between the repair and the publish. A live set beyond
-  // incremental repair no longer refuses: the degradation ladder rebuilds
-  // on the alive sub-platform and serves with an explicit deficit.
+  // Reconcile with the live failure set and publish, retrying when an
+  // event moves the epoch between the two. A live set beyond incremental
+  // repair no longer refuses: the degradation ladder rebuilds on the alive
+  // sub-platform and serves with an explicit deficit.
   BatchScratch scratch;
-  std::uint64_t rebuilds = 0;
-  std::uint64_t verifications = 0;
-  std::uint64_t verify_failures = 0;
+  DaemonStats counts;  // what this admission adds to stats_ once it publishes
   for (;;) {
-    if (failed.count() > 0) {
-      const RepairStats live = repair_for_failure_set(placement->schedule, placement->oracle,
-                                                      failed);
-      // A repair that wired channels is re-checked on a fresh oracle, as
-      // on the event path.
-      if (live.success && (live.rounds == 0 || verify_live_repair(placement->schedule, failed,
-                                                                  verifications,
-                                                                  verify_failures))) {
-        placement->event_repair_comms += live.added_comms;
-        if (placement->degraded) certify(*placement, failed, scratch);
-      } else {
-        auto rebuilt = rebuild_degraded(*placement, failed, scratch);
-        if (rebuilt == nullptr) {
-          resp.epoch = snapshot_epoch;
-          resp.error = "live failure set beyond repair for this request";
-          return resp;
-        }
-        placement = std::move(rebuilt);
-        ++rebuilds;
-      }
+    placement = reconcile(std::move(placement), failed, scratch, counts);
+    if (placement == nullptr) {
+      resp.epoch = snapshot_epoch;
+      resp.error = "live failure set beyond repair for this request";
+      return resp;
     }
-    seal(*placement);  // outside the lock; a retry re-seals the re-repaired copy
     const std::lock_guard<std::mutex> lock(mutex_);
     if (epoch_ == snapshot_epoch) {
       placement->epoch = epoch_;
       std::shared_ptr<const CachedPlacement> published = std::move(placement);
       cache_.insert(key, published);
       ++stats_.cold_schedules;
-      stats_.rebuilds += rebuilds;
-      stats_.verifications += verifications;
-      stats_.verify_failures += verify_failures;
+      stats_.rebuilds += counts.rebuilds;
+      stats_.verifications += counts.verifications;
+      stats_.verify_failures += counts.verify_failures;
       resp.epoch = epoch_;
       resp.placement = published;
       if (published->degraded) {
@@ -229,11 +200,8 @@ bool PlacementDaemon::restore(const std::shared_ptr<CachedPlacement>& placement)
   SS_REQUIRE(placement != nullptr, "cannot restore a null placement");
   const CacheKey key{dag_fingerprint(*placement->dag), Fnv64().str(placement->variant).value(),
                      fault_model_fingerprint(placement->model)};
-  seal(*placement);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (failed_.count() > 0 && !placement->oracle.survives(failed_, survive_scratch_)) {
-    return false;
-  }
+  if (!publish_gate(*placement, failed_, batch_scratch_)) return false;
   placement->epoch = epoch_;
   placement->from_snapshot = true;
   cache_.insert(key, placement);
@@ -246,76 +214,65 @@ std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
   SS_REQUIRE(event.proc < platform_->num_procs(), "event names an unknown processor");
   ++epoch_;
   ++stats_.events;
-  if (event.kind == ClusterEvent::Kind::kRecovery) {
+  const bool recovery = event.kind == ClusterEvent::Kind::kRecovery;
+  if (recovery) {
     ++stats_.recovery_events;
     failed_.reset(event.proc);
-    // Survival is monotone in the failure set: every cached placement
-    // survived the pre-recovery set, so it survives the smaller one —
-    // full-guarantee entries stay as they are. Degraded entries
-    // re-certify against the shrunken set (the recovered processor may
-    // raise their residual tolerance) and, when still short of the
-    // guarantee, get a re-heal scan.
-    cache_.update_all([this](const std::shared_ptr<const CachedPlacement>& p)
-                          -> std::shared_ptr<const CachedPlacement> {
-      if (!p->degraded) return p;
-      auto copy = std::make_shared<CachedPlacement>(*p);
-      certify(*copy, failed_, batch_scratch_);
-      copy->epoch = epoch_;
-      if (!copy->degraded) ++stats_.reheals;
-      return copy;
-    });
-    if (config_.auto_reheal && cache_.degraded_count() > 0) schedule_reheal_scan();
-    return epoch_;
+  } else {
+    failed_.set(event.proc);
   }
-  failed_.set(event.proc);
   const std::uint64_t repairs_before = stats_.event_repairs;
   const std::uint64_t rebuilds_before = stats_.rebuilds;
   const std::uint64_t drops_before = stats_.repair_failures;
-  cache_.update_all([this](const std::shared_ptr<const CachedPlacement>& p)
+  // A full-guarantee claim does not depend on the live failure set, so an
+  // entry that survives the new set stays in place, copy-free; survival is
+  // monotone in the failure set, so after a recovery every entry does.
+  // Degraded entries re-certify their residual tolerance (a recovery may
+  // raise it, a failure shrink it). Entries the new set kills are repaired
+  // on a copy, and holders of the old placement keep a consistent (stale)
+  // view; beyond incremental repair they are rebuilt on the alive
+  // sub-platform. Only a failed rebuild drops.
+  cache_.update_all([this, recovery](const std::shared_ptr<const CachedPlacement>& p)
                         -> std::shared_ptr<const CachedPlacement> {
-    if (p->oracle.survives(failed_, survive_scratch_)) {
-      if (!p->degraded) return p;  // copy-free
-      // Degraded entries track their residual tolerance exactly; the new
-      // failure may have shrunk it.
-      auto copy = std::make_shared<CachedPlacement>(*p);
-      certify(*copy, failed_, batch_scratch_);
-      copy->epoch = epoch_;
-      return copy;
-    }
-    // Copy-on-repair: patch a copy's schedule + warm oracle, publish the
-    // copy. Holders of the old placement keep a consistent (stale) view.
-    auto patched = std::make_shared<CachedPlacement>(*p);
-    const RepairStats live =
-        repair_for_failure_set(patched->schedule, patched->oracle, failed_);
-    if (live.success && verify_live_repair(patched->schedule, failed_, stats_.verifications,
-                                           stats_.verify_failures)) {
-      patched->event_repair_comms += live.added_comms;
-      patched->epoch = epoch_;
-      if (patched->degraded) certify(*patched, failed_, batch_scratch_);
-      seal(*patched);
-      ++stats_.event_repairs;
-      return patched;
-    }
-    // Degradation ladder: beyond incremental repair no longer drops —
-    // rebuild on the alive sub-platform (capped ε) and keep serving with
-    // the batch-kernel-certified deficit. Only a failed rebuild drops.
-    auto rebuilt = rebuild_degraded(*p, failed_, batch_scratch_);
-    if (rebuilt == nullptr) {
+    if (!p->degraded && (recovery || p->oracle.survives(failed_, survive_scratch_))) return p;
+    auto current =
+        reconcile(std::make_shared<CachedPlacement>(*p), failed_, batch_scratch_, stats_);
+    if (current == nullptr) {
       ++stats_.repair_failures;
       return nullptr;
     }
-    ++stats_.rebuilds;
-    rebuilt->epoch = epoch_;
-    return rebuilt;
+    current->epoch = epoch_;
+    return current;
   });
   const std::size_t degraded = cache_.degraded_count();
   if (config_.auto_reheal && degraded > 0) schedule_reheal_scan();
-  log_info() << "failure event: proc=" << event.proc << " epoch=" << epoch_
-             << " repaired=" << (stats_.event_repairs - repairs_before)
+  log_info() << (recovery ? "recovery" : "failure") << " event: proc=" << event.proc
+             << " epoch=" << epoch_ << " repaired=" << (stats_.event_repairs - repairs_before)
              << " rebuilt=" << (stats_.rebuilds - rebuilds_before)
              << " dropped=" << (stats_.repair_failures - drops_before)
              << " degraded=" << degraded << " cached=" << cache_.size();
   return epoch_;
+}
+
+std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
+    std::shared_ptr<CachedPlacement> placement, const ProcSet& failed, BatchScratch& scratch,
+    DaemonStats& counts) const {
+  const RepairStats live =
+      failed.count() == 0
+          ? RepairStats{.success = true}
+          : repair_for_failure_set(placement->schedule, placement->oracle, failed);
+  // The gate's fresh oracle is the independent re-check of a live repair.
+  const bool repaired = live.success && live.rounds > 0;
+  counts.verifications += repaired;
+  if (live.success && publish_gate(*placement, failed, scratch)) {
+    placement->event_repair_comms += live.added_comms;
+    counts.event_repairs += repaired;
+    return placement;
+  }
+  counts.verify_failures += repaired;
+  auto rebuilt = rebuild_degraded(*placement, failed, scratch);
+  counts.rebuilds += rebuilt != nullptr;
+  return rebuilt;
 }
 
 std::shared_ptr<CachedPlacement> PlacementDaemon::rebuild_degraded(const CachedPlacement& stale,
@@ -373,14 +330,8 @@ std::shared_ptr<CachedPlacement> PlacementDaemon::rebuild_degraded(const CachedP
   fresh->variant = stale.variant;
   fresh->period_factor = factor;
   fresh->repair = result.repair;
-  fresh->reliability = -1.0;
-  if (fresh->model.is_probabilistic()) {
-    fresh->reliability = schedule_reliability(fresh->schedule).reliability;
-  }
-  fresh->epoch = stale.epoch;  // callers publish under the epoch they hold
   fresh->eps_want = want;
-  certify(*fresh, failed, scratch);
-  seal(*fresh);
+  if (!publish_gate(*fresh, failed, scratch)) return nullptr;
   return fresh;
 }
 

@@ -29,30 +29,35 @@
 //              gets supply channels via repair_for_failure_set, which
 //              patches the warm SurvivalOracle through add_comm instead
 //              of recompiling — and the repaired copy replaces the entry
-//              under the same key. Every repaired copy is re-verified
-//              against the live failure set on a freshly compiled oracle
-//              through the bit-sliced batch kernel before it is
-//              published. Concurrent calls serialize on the daemon mutex,
-//              which gives the events one total order.
+//              under the same key. Concurrent calls serialize on the
+//              daemon mutex, which gives the events one total order.
+//
+// Every publish path — cold, event repair, rebuild, re-heal,
+// re-certification, restore — sends its placement through publish_gate
+// (below) before the cache sees it, so every claim comes from a fresh
+// oracle and a repaired copy is re-verified against the live failure set.
 //
 // The cache key holds no epoch: while mutex_ is free, every cached entry
 // is current for the live failure set, and each placement records the
 // epoch it was published at (CachedPlacement::epoch).
 //
-// Degradation ladder (placements are never dropped while servable):
-// after every failure the batch survival kernel re-certifies each entry's
-// best residual tolerance (`achieved_tolerance`); an entry that can no
-// longer meet its admitted ε keeps serving tagged `degraded` with the
-// explicit deficit (eps_have < eps_want). When incremental repair cannot
-// even restore computability, the daemon *rebuilds* the placement on the
-// alive sub-platform (capped ε, remapped onto the full cluster) rather
-// than dropping it; only a failed rebuild drops (repair_failures). A
+// Degradation ladder (placements are never dropped while servable): a
+// full-guarantee count entry survives any eps_want failures of the whole
+// platform, a claim no event changes, so entries that survive an event
+// keep serving untouched. Degraded entries re-certify their best residual
+// tolerance beyond the live failures (`achieved_tolerance`) after every
+// event and keep serving tagged `degraded` with the explicit deficit
+// (eps_have < eps_want). When incremental repair cannot even restore
+// computability, the daemon *rebuilds* the placement on the alive
+// sub-platform (capped ε, remapped onto the full cluster) rather than
+// dropping it; only a failed rebuild drops (repair_failures). A
 // background re-heal pass on the global thread pool — epoch-drift-safe
 // like the cold path — reschedules degraded entries and atomically
-// promotes them back to full-guarantee serving; recovery events both
-// re-certify in place (a recovered processor may restore the guarantee
-// outright) and trigger re-heal scans for entries that rebuilt with fewer
-// replicas.
+// promotes them back to full-guarantee serving. Recovery events
+// re-certify degraded entries in place (a recovered processor may raise
+// their residual tolerance) and trigger re-heal scans: an entry rebuilt
+// with fewer replicas than its eps_want stays degraded until a re-heal
+// rebuild promotes it.
 //
 // Published placements are immutable: event repair copies, repairs the
 // copy, then swaps the shared_ptr, so response holders can keep reading
@@ -96,9 +101,9 @@ struct DaemonStats {
   std::uint64_t recovery_events = 0;  ///< the recovery subset of `events`
   std::uint64_t event_repairs = 0;    ///< cached placements repaired in place
   std::uint64_t repair_failures = 0;  ///< placements dropped as beyond repair
-  std::uint64_t verifications = 0;    ///< fresh-oracle re-checks of live repairs
+  std::uint64_t verifications = 0;    ///< publish-gate re-checks of live repairs
                                       ///< (events and cold admissions)
-  std::uint64_t verify_failures = 0;  ///< re-checks that failed (must stay 0)
+  std::uint64_t verify_failures = 0;  ///< repairs the gate refused (must stay 0)
   std::uint64_t restored = 0;         ///< warm-start entries restored into the cache
   std::uint64_t degraded = 0;         ///< gauge: cache entries currently degraded
   std::uint64_t rebuilds = 0;         ///< degraded rebuilds on the alive sub-platform
@@ -109,6 +114,17 @@ struct DaemonStats {
 /// dag_fingerprint(request.dag).
 [[nodiscard]] CacheKey admission_key(std::uint64_t dag_fp, const AlgoVariant& variant,
                                      const FaultModel& model);
+
+/// The publish gate. Compiles a fresh oracle from `placement.schedule`
+/// into `placement` and derives from it every claim a response makes:
+/// survival of the live failure set `failed`, eps_have and degraded, a
+/// probabilistic placement's rel when no repair estimated it, and the
+/// sealed facts schedule_fp, stages and latency_bound. Returns false,
+/// deriving nothing further, when the placement does not survive `failed`.
+/// The snapshot loader calls it to hold an entry's claims to what it
+/// proves.
+[[nodiscard]] bool publish_gate(CachedPlacement& placement, const ProcSet& failed,
+                                BatchScratch& scratch);
 
 class PlacementDaemon {
  public:
@@ -136,8 +152,7 @@ class PlacementDaemon {
   /// placements (see the degradation ladder above). Recoveries keep
   /// full-guarantee entries copy-free (survival is monotone in the failure
   /// set: whatever survived the larger set survives the smaller one) and
-  /// re-certify degraded ones — plus schedule a re-heal scan for any that
-  /// stay degraded.
+  /// re-certify degraded ones — plus schedule a re-heal scan for them.
   std::uint64_t on_event(const ClusterEvent& event);
 
   /// Runs one full re-heal pass synchronously: while degraded entries
@@ -157,12 +172,12 @@ class PlacementDaemon {
   [[nodiscard]] std::vector<std::shared_ptr<const CachedPlacement>> snapshot_entries() const;
 
   /// Re-publishes one restored placement (warm start): keys it from the
-  /// placement's own dag/variant/model, stamps the current epoch and
-  /// inserts it at MRU. Returns false — without inserting — when the placement
-  /// does not survive the daemon's live failure set. The caller
-  /// (persistence load) is responsible for verification; the daemon only
-  /// re-checks liveness. Restored entries count in stats().restored and
-  /// serve as cache hits with `from_snapshot` provenance.
+  /// placement's own dag/variant/model, sends it through publish_gate()
+  /// against the live failure set, stamps the current epoch and inserts it
+  /// at MRU. Returns false — without inserting — when the gate refuses it:
+  /// the placement does not survive the live failure set. Restored entries
+  /// count in stats().restored and serve as cache hits with
+  /// `from_snapshot` provenance.
   bool restore(const std::shared_ptr<CachedPlacement>& placement);
 
   [[nodiscard]] const Platform& platform() const { return *platform_; }
@@ -178,13 +193,24 @@ class PlacementDaemon {
 
   /// Reschedules `stale`'s DAG on the alive sub-platform (ε capped at
   /// what the alive processors can carry), remaps the result onto the
-  /// full cluster, and returns it tolerance-certified through the batch
-  /// kernel — or nullptr when even the capped reschedule fails. Reads
-  /// only immutable daemon state (platform_), so it runs with or without
+  /// full cluster, and returns it through publish_gate() — or nullptr
+  /// when the capped reschedule fails or the gate refuses it. Reads only
+  /// immutable daemon state (platform_), so it runs with or without
   /// mutex_ held; the caller owns the scratch.
   std::shared_ptr<CachedPlacement> rebuild_degraded(const CachedPlacement& stale,
                                                     const ProcSet& failed,
                                                     BatchScratch& scratch) const;
+
+  /// Brings an unpublished placement current for the live failure set
+  /// `failed`: repairs it on its warm oracle (nothing to do when it
+  /// survives) and sends it through publish_gate(), or, when the repair or
+  /// the gate refuses it, rebuild_degraded()s it. Adds the live repairs
+  /// the gate re-checked (verifications, verify_failures, event_repairs)
+  /// and rebuilds to `counts`. Returns nullptr when even the rebuild
+  /// fails. Runs with or without mutex_ held, like rebuild_degraded().
+  std::shared_ptr<CachedPlacement> reconcile(std::shared_ptr<CachedPlacement> placement,
+                                             const ProcSet& failed, BatchScratch& scratch,
+                                             DaemonStats& counts) const;
 
   /// The hit half of admit() (mutex_ held): counts the admission and
   /// answers from the cached `hit` at the current epoch.

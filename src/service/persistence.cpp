@@ -17,7 +17,6 @@
 
 #include "core/fingerprint.hpp"
 #include "net/wire.hpp"
-#include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
 #include "service/daemon.hpp"
 #include "util/log.hpp"
@@ -144,8 +143,9 @@ SnapshotEntry parse_entry_line(const std::string& line) {
   return entry;
 }
 
-/// Rebuilds and re-verifies one entry against the daemon's platform.
-/// Returns nullptr (after logging) when verification fails.
+/// Rebuilds one entry against the daemon's platform and holds its claims
+/// to what the publish gate derives for it on the whole platform. Returns
+/// nullptr (after logging) when the entry claims more than that.
 std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
                                               const PlacementDaemon& daemon) {
   auto dag = std::make_shared<const Dag>(net::parse_dag_wire(entry.dag_wire));
@@ -161,54 +161,35 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
                         " eps_want=" + std::to_string(entry.eps_want));
   }
 
-  // Re-check the entry's reliability claim from scratch — a fresh oracle
-  // compiled from the rebuilt schedule, driven through the batch kernel.
-  // A degraded entry claims tolerance eps_have on the full platform (the
-  // achieved_tolerance certificate in schedule/fault_tolerance.hpp is what makes
-  // that a plain count-tolerance claim), so it is re-proved exhaustively
-  // at eps_have instead of the model's full guarantee.
-  if (entry.degraded) {
-    const FtCheckResult check = check_fault_tolerance(schedule, entry.eps_have);
-    if (!check.valid) {
-      log_warn() << "snapshot entry dropped: variant=" << entry.variant
-                 << " model=" << entry.model.to_string() << " claims degraded eps_have="
-                 << entry.eps_have << " but fails the exhaustive check";
-      return nullptr;
-    }
-  } else if (entry.model.is_count()) {
-    const FtCheckResult check = check_fault_tolerance(schedule, entry.model.eps());
-    if (!check.valid) {
-      log_warn() << "snapshot entry dropped: variant=" << entry.variant
-                 << " model=" << entry.model.to_string()
-                 << " fails the exhaustive eps-failure check";
-      return nullptr;
-    }
-  } else {
-    const ReliabilityEstimate estimate = schedule_reliability(schedule);
-    // The estimator is deterministic (fixed seed), so the recomputed value
-    // must reproduce the claim; the epsilon only absorbs reduction-order
-    // noise if the snapshot crossed toolchains.
-    if (estimate.reliability < entry.reliability - 1e-9) {
-      log_warn() << "snapshot entry dropped: variant=" << entry.variant
-                 << " model=" << entry.model.to_string() << " claims rel=" << entry.reliability
-                 << " but recomputes to " << estimate.reliability;
-      return nullptr;
-    }
-  }
-
   auto placement = std::make_shared<CachedPlacement>(std::move(dag), daemon.platform_ptr(),
                                                      std::move(schedule));
   placement->model = entry.model;
   placement->variant = entry.variant;
   placement->period_factor = entry.factor;
-  placement->reliability = entry.reliability;
   placement->repair.success = true;
   placement->repair.added_comms = entry.repair_comms;
-  placement->repair.reliability = entry.reliability;
   placement->event_repair_comms = entry.event_comms;
-  placement->degraded = entry.degraded;
-  placement->eps_have = entry.eps_have;
   placement->eps_want = entry.eps_want;
+
+  // With no live failures the gate's eps_have is the schedule's tolerance
+  // on the whole platform, which no live set can raise: a claimed
+  // eps_have above it (a full-guarantee claim included, as the flag check
+  // above ties it to eps_want) is unproven. A probabilistic entry's rel
+  // is estimated afresh (reliability is still −1) and must reproduce the
+  // claim; the estimator is deterministic, and the epsilon only absorbs
+  // reduction-order noise if the snapshot crossed toolchains.
+  BatchScratch scratch;
+  if (!publish_gate(*placement, ProcSet(daemon.platform().num_procs()), scratch) ||
+      entry.eps_have > placement->eps_have ||
+      entry.reliability > placement->reliability + 1e-9) {
+    log_warn() << "snapshot entry dropped: variant=" << entry.variant
+               << " model=" << entry.model.to_string() << " claims eps_have=" << entry.eps_have
+               << " rel=" << entry.reliability << " but proves eps_have=" << placement->eps_have
+               << " rel=" << placement->reliability;
+    return nullptr;
+  }
+  // The proven claim stands, so a restart serves the rel it saved.
+  placement->reliability = entry.reliability;
   return placement;
 }
 

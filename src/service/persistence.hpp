@@ -1,8 +1,8 @@
 // Warm-start persistence of the placement daemon's schedule cache.
 //
 // On shutdown the server saves every cached placement to a text snapshot;
-// on startup it loads the snapshot back, re-verifies every entry through
-// the batch survival kernel, and republishes the survivors — so a
+// on startup it loads the snapshot back, holds every entry's claims to what
+// the daemon's publish gate proves, and republishes the survivors — so a
 // restarted daemon serves the same placements bit-identically (asserted
 // via schedule_fingerprint) without ever hitting the cold scheduling path.
 //
@@ -21,25 +21,30 @@
 // reproduces the cache's recency ordering.
 //
 // Degradation survives restarts: v2 entries carry the degraded flag and
-// the eps_have/eps_want deficit verbatim, and load re-proves a degraded
-// entry's claim exhaustively at eps_have (sound per the achieved_tolerance
-// certificate in schedule/fault_tolerance.hpp) instead of the model's full
-// guarantee — a warm restart can therefore never launder a degraded
-// placement into a full-guarantee one. An entry whose degraded flag
-// contradicts its deficit (degraded=1 with eps_have == eps_want, or
-// degraded=0 with a deficit) rejects the whole file: that is format skew
-// or tampering, not bit rot, and so does an entry missing any of the
-// three fields.
+// the eps_have/eps_want deficit, and the publish gate re-derives them
+// (publish_gate in service/daemon.hpp), so a warm restart can never
+// launder a degraded placement into a full-guarantee one. An entry whose
+// degraded flag contradicts its deficit (degraded=1 with eps_have ==
+// eps_want, or degraded=0 with a deficit) rejects the whole file: that is
+// format skew or tampering, not bit rot, and so does an entry missing any
+// of the three fields.
 //
-// Trust model: the snapshot is a cache, never an oracle. Load rejects the
+// Trust model: the snapshot is a cache, never an oracle, and every claim
+// a restored entry serves comes from the publish gate. Load rejects the
 // whole file loudly (SnapshotError) when the header, platform
 // fingerprint, or checksum doesn't match — a snapshot taken against a
 // different cluster, or a truncated/corrupted file, must not seed the
-// cache. Entries that parse but fail re-verification — the count model's
-// exhaustive ε-failure check, or the probabilistic model's recomputed
-// reliability falling below the entry's claim — are dropped individually
-// (logged, counted in `verify_failed`), because one bad entry should not
-// cost the warm start of the rest.
+// cache. Each entry that parses goes through the gate on the whole
+// platform (no live failures), which compiles a fresh oracle and
+// re-estimates a probabilistic entry's rel. An entry claiming more than
+// the gate proves — an eps_have above the schedule's tolerance on the
+// whole platform, a full-guarantee claim included, or a rel above the
+// fresh estimate — is dropped individually (logged, counted in
+// `verify_failed`), because one bad entry should not cost the warm start
+// of the rest. PlacementDaemon::restore then sends the entry through the
+// gate again against the daemon's live failure set: it drops entries that
+// set kills (`stale`) and re-derives eps_have beyond the live failures.
+// A proven rel is kept as saved.
 //
 // Crash safety: snapshots are written atomically (`<path>.tmp`, fsync,
 // rename, fsync of the directory), so a crash mid-write leaves at worst
@@ -77,7 +82,7 @@ struct SnapshotSaveStats {
 struct SnapshotLoadStats {
   std::size_t entries = 0;        ///< entries parsed from the file
   std::size_t restored = 0;       ///< verified and republished into the cache
-  std::size_t verify_failed = 0;  ///< dropped: batch-kernel re-check failed
+  std::size_t verify_failed = 0;  ///< dropped: claims more than the publish gate proves
   std::size_t stale = 0;          ///< dropped: daemon's live failure set kills them
 };
 
@@ -88,10 +93,9 @@ struct SnapshotLoadStats {
 SnapshotSaveStats save_cache_snapshot(const PlacementDaemon& daemon, const std::string& path);
 
 /// Loads `path` into the daemon's cache. Every entry is re-verified from
-/// scratch — schedule rebuilt from the wire text, fresh survival oracle,
-/// count models re-checked exhaustively over all ε-failure sets,
-/// probabilistic models' reliability recomputed and compared against the
-/// entry's claim — before PlacementDaemon::restore republishes it. Throws
+/// scratch — schedule rebuilt from the wire text, claims derived by the
+/// publish gate on a fresh oracle and compared with the entry's (see the
+/// trust model above) — before PlacementDaemon::restore republishes it. Throws
 /// SnapshotError when the file as a whole is unusable (see class doc);
 /// individually bad entries are dropped and counted instead.
 SnapshotLoadStats load_cache_snapshot(PlacementDaemon& daemon, const std::string& path);

@@ -57,8 +57,10 @@ struct PlacementRequest {
 };
 
 /// One admitted placement, immutable once published by the daemon. The
-/// oracle is compiled from (and patched alongside) the schedule, so event
-/// repair and feasibility queries never recompile.
+/// daemon's publish gate (service/daemon.hpp) compiles the oracle afresh
+/// from the final schedule and derives the claims below from it; repairs
+/// patch an unpublished copy's oracle alongside its schedule, so event
+/// repair never recompiles before the gate.
 struct CachedPlacement {
   CachedPlacement(std::shared_ptr<const Dag> dag_in,
                   std::shared_ptr<const Platform> platform_in, Schedule schedule_in)
@@ -94,19 +96,24 @@ struct CachedPlacement {
   /// on the cold path). The degradation ladder never lowers this — it is
   /// what re-heal promotes back to.
   CopyId eps_want = 0;
-  /// Best residual tolerance the batch survival kernel certifies under
-  /// the live failure set (achieved_tolerance). Equal to eps_want on a
-  /// healthy cluster; the explicit deficit when degraded.
+  /// The tolerance the publish gate proves. At the full guarantee it
+  /// equals eps_want: a count placement then survives any eps_want
+  /// failures of the whole platform, and a probabilistic one, whose
+  /// contract is `reliability`, carries eps_want + 1 replicas. Short of
+  /// that, the placement is degraded and eps_have is its residual
+  /// tolerance beyond the live failure set (achieved_tolerance), the
+  /// explicit deficit — also on a healthy cluster, for a rebuild with
+  /// fewer replicas.
   CopyId eps_have = 0;
   /// True while eps_have < eps_want: the placement keeps serving, tagged
   /// with its reliability deficit, until background re-heal promotes a
   /// full-guarantee replacement.
   bool degraded = false;
 
-  /// Facts every response reports about `schedule`, computed once when
-  /// the daemon publishes the placement (schedule_fingerprint, num_stages,
-  /// latency_upper_bound) so cache hits do not recompute them. Derived
-  /// state: never persisted, refilled whenever the schedule changes.
+  /// Facts every response reports about `schedule`, computed once by the
+  /// publish gate (schedule_fingerprint, num_stages, latency_upper_bound)
+  /// so cache hits do not recompute them. Derived state: never persisted,
+  /// refilled at every publish.
   std::uint64_t schedule_fp = 0;
   std::uint32_t stages = 0;
   double latency_bound = 0.0;

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "schedule/schedule.hpp"
@@ -45,6 +47,35 @@ inline bool survives_failures(const Schedule& schedule, const std::vector<bool>&
   return std::all_of(computable.begin(), computable.end(), [](const std::vector<bool>& copies) {
     return std::find(copies.begin(), copies.end(), true) != copies.end();
   });
+}
+
+/// Residual tolerance beyond the live failure set F: the largest k <= want
+/// such that the schedule survives F ∪ G for every k-subset G of the
+/// processors F leaves alive, and 0 when F itself kills it. With F empty
+/// this is the schedule's count tolerance on the whole platform. Walks
+/// every subset of the alive processors, so keep m small.
+inline CopyId residual_tolerance(const Schedule& schedule, const std::vector<bool>& failed,
+                                 CopyId want) {
+  std::vector<ProcId> alive;
+  for (ProcId u = 0; u < failed.size(); ++u) {
+    if (!failed[u]) alive.push_back(u);
+  }
+  // every_subset_survives[k]: F ∪ G survives for every k-subset G.
+  std::vector<bool> every_subset_survives(alive.size() + 1, true);
+  for (std::uint32_t mask = 0; mask < (1u << alive.size()); ++mask) {
+    const auto k = static_cast<std::size_t>(std::popcount(mask));
+    if (k > want) continue;
+    std::vector<bool> set = failed;
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      if ((mask >> i) & 1) set[alive[i]] = true;
+    }
+    if (!survives_failures(schedule, set)) every_subset_survives[k] = false;
+  }
+  CopyId largest = 0;
+  for (CopyId k = 0; k <= want && k <= alive.size(); ++k) {
+    if (every_subset_survives[k]) largest = k;
+  }
+  return largest;
 }
 
 }  // namespace streamsched::test

@@ -1,7 +1,7 @@
 // Fixtures shared by the service-tier suites (test_service, test_server,
 // test_chaos): per-process file names, a cleanup guard that knows about
 // snapshot generations, a server running on its own thread, the check
-// that every served placement carries fresh response facts, and a gated
+// that every cached claim is re-provable from its schedule, and a gated
 // scheduler that parks a lane worker until the test (or a watchdog's
 // deadline) releases it.
 #pragma once
@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -23,7 +24,10 @@
 
 #include "core/fingerprint.hpp"
 #include "core/registry.hpp"
+#include "reference_survival.hpp"
+#include "schedule/fault_tolerance.hpp"
 #include "schedule/metrics.hpp"
+#include "schedule/survival.hpp"
 #include "service/daemon.hpp"
 #include "service/server.hpp"
 
@@ -99,15 +103,63 @@ struct ServerHandle {
   void join() { thread.join(); }
 };
 
-/// The daemon fills schedule_fp/stages/latency_bound when it publishes a
-/// placement; every cached entry must match a fresh computation, whichever
-/// path (cold admit, restore, event repair, rebuild, re-certify, re-heal)
-/// published it.
-inline void expect_sealed_entries(const PlacementDaemon& daemon) {
+/// Holds every cached entry to the claims it serves, re-proved from its
+/// schedule alone, whichever path (cold admit, restore, event repair,
+/// rebuild, re-certify, re-heal) published it. `failed` is the live
+/// failure set the test drove. The entry's oracle must match a fresh
+/// compile, its schedule must survive `failed` under the brute-force
+/// predicate (tests/reference_survival.hpp), and its tolerance claim must
+/// hold: a full-guarantee count entry survives any eps_want failures of
+/// the platform, a full-guarantee probabilistic entry carries eps_want + 1
+/// replicas, and a degraded entry's eps_have is its residual tolerance
+/// beyond `failed`. A probabilistic entry's rel must not exceed a fresh
+/// estimate, and the sealed facts (schedule_fp, stages, latency_bound)
+/// must match a fresh computation.
+inline void expect_reprovable_entries(const PlacementDaemon& daemon,
+                                      const std::vector<ProcId>& failed = {}) {
+  const std::size_t m = daemon.platform().num_procs();
+  std::vector<bool> live(m, false);
+  for (const ProcId u : failed) live[u] = true;
+  ProcSet live_set(m);
+  live_set.assign(failed);
   for (const auto& p : daemon.snapshot_entries()) {
     EXPECT_EQ(p->schedule_fp, schedule_fingerprint(p->schedule));
     EXPECT_EQ(p->stages, num_stages(p->schedule));
     EXPECT_EQ(p->latency_bound, latency_upper_bound(p->schedule));
+
+    const SurvivalOracle fresh(p->schedule);
+    ASSERT_EQ(p->oracle.copies(), fresh.copies());
+    ASSERT_EQ(p->oracle.mask_words(), fresh.mask_words());
+    EXPECT_EQ(p->oracle.topological_order(), fresh.topological_order());
+    for (TaskId t = 0; t < p->dag->num_tasks(); ++t) {
+      for (std::size_t slot = 0; slot < p->dag->in_edges(t).size(); ++slot) {
+        EXPECT_EQ(p->oracle.predecessor(t, slot), fresh.predecessor(t, slot));
+        for (CopyId c = 0; c < fresh.copies(); ++c) {
+          EXPECT_TRUE(std::equal(fresh.supplier_mask(t, slot, c),
+                                 fresh.supplier_mask(t, slot, c) + fresh.mask_words(),
+                                 p->oracle.supplier_mask(t, slot, c)))
+              << "task " << t << " slot " << slot << " copy " << c;
+        }
+      }
+    }
+    std::vector<std::uint64_t> cached_rows;
+    std::vector<std::uint64_t> fresh_rows;
+    p->oracle.computable(live_set, cached_rows);
+    fresh.computable(live_set, fresh_rows);
+    EXPECT_EQ(cached_rows, fresh_rows);
+
+    EXPECT_TRUE(survives_failures(p->schedule, live));
+    const bool full =
+        p->model.is_count()
+            ? residual_tolerance(p->schedule, std::vector<bool>(m, false), p->eps_want) ==
+                  p->eps_want
+            : p->schedule.eps() >= p->eps_want;
+    EXPECT_EQ(p->degraded, !full) << p->variant << " " << p->model.to_string();
+    EXPECT_EQ(p->eps_have, full ? p->eps_want : residual_tolerance(p->schedule, live, p->eps_want))
+        << p->variant << " " << p->model.to_string();
+    if (p->model.is_probabilistic()) {
+      EXPECT_LE(p->reliability, schedule_reliability(p->schedule).reliability + 1e-9);
+    }
   }
 }
 

@@ -51,7 +51,7 @@ PlacementRequest request_for(std::uint64_t seed, const FaultModel& model) {
   return request;
 }
 
-using test::expect_sealed_entries;
+using test::expect_reprovable_entries;
 using test::FileGuard;
 using test::gated_algo;
 using test::GateHold;
@@ -111,7 +111,7 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
     // The response facts are not persisted; the restore recomputes them.
     EXPECT_EQ(after[i]->schedule_fp, before[i]->schedule_fp);
   }
-  expect_sealed_entries(restored);
+  expect_reprovable_entries(restored);
 
   // Serving the original requests hits the restored entries — never the
   // cold path.
@@ -256,7 +256,7 @@ TEST(CachePersistence, DegradedEntriesRoundTripWithoutLaundering) {
   EXPECT_EQ(loaded.entries, 1u);
   EXPECT_EQ(loaded.restored, 1u);
   EXPECT_EQ(target.stats().degraded, 1u);
-  expect_sealed_entries(target);
+  expect_reprovable_entries(target);
 
   const PlacementResponse refused = target.admit(request_for(61, FaultModel::count(2)));
   EXPECT_FALSE(refused.ok);

@@ -30,7 +30,7 @@
 namespace streamsched {
 namespace {
 
-using test::expect_sealed_entries;
+using test::expect_reprovable_entries;
 
 Dag small_dag(std::uint64_t seed, std::size_t tasks = 14) {
   Rng rng(seed);
@@ -260,7 +260,7 @@ TEST(PlacementDaemon, ColdAdmissionThenAllocationFreeHit) {
   EXPECT_EQ(stats.admissions, 3u);
   EXPECT_EQ(stats.cold_schedules, 2u);
   EXPECT_EQ(daemon.cache_stats().hits, 1u);
-  expect_sealed_entries(daemon);  // cold publish
+  expect_reprovable_entries(daemon);  // cold publish
 }
 
 TEST(PlacementDaemon, AdmittedPlacementHoldsTheModelGuarantee) {
@@ -346,7 +346,7 @@ TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
   EXPECT_EQ(after.failed_procs, 2u);
   // The failure set was chosen repairable, so nothing may be dropped.
   EXPECT_EQ(after.cache_size, 3u);
-  expect_sealed_entries(daemon);  // event-repair copies
+  expect_reprovable_entries(daemon, {fa, fb});  // event-repair copies
 
   // Every cached placement survives the live failure set — on a FRESH
   // oracle, not the patched one (independent feasibility check).
@@ -411,6 +411,7 @@ TEST(PlacementDaemon, ColdAdmissionRepairedForLiveFailuresIsReverified) {
         EXPECT_EQ(stats.rebuilds, 0u);
         const SurvivalOracle fresh(resp.placement->schedule);
         EXPECT_TRUE(fresh.survives(pair, scratch));
+        expect_reprovable_entries(daemon, {a, b});
         return;
       }
     }
@@ -585,7 +586,7 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   EXPECT_EQ(daemon.stats().cache_size, 1u);  // kept serving, not dropped
   EXPECT_EQ(daemon.stats().degraded, 1u);
   EXPECT_GE(daemon.stats().rebuilds, 1u);
-  expect_sealed_entries(daemon);  // degraded rebuild
+  expect_reprovable_entries(daemon, {0, 1, 2});  // degraded rebuild
 
   // Without the brownout flag the deficit refuses; with it, it serves.
   const PlacementResponse refused = daemon.admit(request_for(61, 2));
@@ -613,17 +614,59 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   // Recovery restores capacity; an explicit re-heal pass must promote the
   // entry back to full-guarantee serving.
   daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, 0});
-  expect_sealed_entries(daemon);  // re-certified copy, schedule unchanged
+  expect_reprovable_entries(daemon, {1, 2});  // re-certified copy, schedule unchanged
   daemon.reheal_now();
   EXPECT_EQ(daemon.stats().degraded, 0u);
   EXPECT_GE(daemon.stats().reheals, 1u);
-  expect_sealed_entries(daemon);  // re-heal promotion
+  expect_reprovable_entries(daemon, {1, 2});  // re-heal promotion
   const PlacementResponse healed = daemon.admit(request_for(61, 2));
   ASSERT_TRUE(healed.ok) << healed.error;
   EXPECT_TRUE(healed.cache_hit);
   EXPECT_FALSE(healed.placement->degraded);
   EXPECT_EQ(healed.placement->eps_have, 2u);
   EXPECT_TRUE(check_fault_tolerance(healed.placement->schedule, 2).valid);
+}
+
+// A rebuild capped by the two alive processors keeps two replicas of each
+// task. Recovering every processor re-certifies it against an empty live
+// failure set, which must not promote it to the ε = 2 guarantee it cannot
+// carry: it stays degraded at its whole-platform tolerance of 1.
+TEST(PlacementDaemon, FullRecoveryKeepsAFewerReplicaRebuildDegraded) {
+  DaemonConfig config;
+  config.auto_reheal = false;
+  PlacementDaemon daemon(small_platform(5, 5), config);
+  ASSERT_TRUE(daemon.admit(request_for(61, 2)).ok);
+  for (ProcId p : {0u, 1u, 2u}) {
+    daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, p});
+  }
+  PlacementRequest brownout = request_for(61, 2);
+  brownout.degraded_ok = true;
+  const PlacementResponse rebuilt = daemon.admit(brownout);
+  ASSERT_TRUE(rebuilt.ok) << rebuilt.error;
+  ASSERT_TRUE(rebuilt.placement->degraded);
+  ASSERT_EQ(rebuilt.placement->schedule.eps(), 1u);
+  EXPECT_EQ(rebuilt.placement->eps_have, 1u);
+
+  std::vector<ProcId> down{0, 1, 2};
+  for (ProcId p : {0u, 1u, 2u}) {
+    daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, p});
+    down.erase(down.begin());
+    expect_reprovable_entries(daemon, down);
+    EXPECT_EQ(daemon.stats().degraded, 1u) << "after recovering " << p;
+  }
+  EXPECT_EQ(daemon.stats().reheals, 0u);
+
+  const PlacementResponse served = daemon.admit(brownout);
+  ASSERT_TRUE(served.ok) << served.error;
+  EXPECT_EQ(served.placement->schedule_fp, rebuilt.placement->schedule_fp);
+  EXPECT_TRUE(served.placement->degraded);
+  EXPECT_EQ(served.placement->eps_have, 1u);
+  EXPECT_FALSE(check_fault_tolerance(served.placement->schedule, 2).valid);
+
+  // Without the brownout opt-in the deficit still refuses.
+  const PlacementResponse plain = daemon.admit(request_for(61, 2));
+  EXPECT_FALSE(plain.ok);
+  EXPECT_TRUE(plain.degraded_refused);
 }
 
 TEST(PlacementDaemon, BackgroundRehealPromotesDegradedEntries) {
@@ -781,11 +824,19 @@ TEST(ChurnTrace, DaemonSurvivesAFullTraceAndHealsByTheEnd) {
   cfg.min_alive = 2;
   const ChurnTrace trace = generate_churn_trace(model, daemon.platform(), 42, cfg);
 
+  std::vector<bool> down(daemon.platform().num_procs(), false);
   for (const auto& step : trace.steps) {
-    for (const ClusterEvent& event : step) daemon.on_event(event);
-    expect_sealed_entries(daemon);
+    for (const ClusterEvent& event : step) {
+      daemon.on_event(event);
+      down[event.proc] = event.kind == ClusterEvent::Kind::kFailure;
+    }
+    std::vector<ProcId> failed;
+    for (ProcId u = 0; u < down.size(); ++u) {
+      if (down[u]) failed.push_back(u);
+    }
+    expect_reprovable_entries(daemon, failed);
     daemon.reheal_now();
-    expect_sealed_entries(daemon);
+    expect_reprovable_entries(daemon, failed);
     for (std::uint64_t seed : {61u, 62u}) {
       PlacementRequest probe = request_for(seed, 2);
       probe.degraded_ok = true;
