@@ -25,27 +25,31 @@ std::string degraded_error(const CachedPlacement& placement) {
 
 bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
   CachedPlacement& p = placement;
-  p.oracle = SurvivalOracle(p.schedule);
+  // A schedule the gate already proved (a copy no repair patched) keeps
+  // its oracle, verdict, rel and sealed facts: they depend on it alone.
+  const bool fresh = !p.full_guarantee.has_value();
+  if (fresh) p.oracle = SurvivalOracle(p.schedule);
   if ((p.oracle.survives_batch(failed.words(), 1, scratch) & 1ULL) == 0) return false;
-  // Full guarantee: a count placement survives any eps_want failures of
-  // the whole platform, whatever the live set; a probabilistic one, whose
-  // contract is its rel, carries the eps_want + 1 replicas its model asked
-  // for. Short of that, eps_have is the residual tolerance beyond the
-  // live failures.
-  const bool full =
-      p.model.is_count()
-          ? achieved_tolerance(p.oracle, ProcSet(failed.size()), p.eps_want, scratch) == p.eps_want
-          : p.schedule.eps() >= p.eps_want;
-  p.eps_have = full ? p.eps_want : achieved_tolerance(p.oracle, failed, p.eps_want, scratch);
-  p.degraded = p.eps_have < p.eps_want;
-  // A probabilistic placement keeps the rel its repair estimated; one no
-  // repair estimated is estimated here, once.
-  if (p.model.is_probabilistic() && p.reliability < 0.0) {
-    p.reliability = schedule_reliability(p.schedule).reliability;
+  if (fresh) {
+    // Full guarantee: a count placement survives any eps_want failures of
+    // the whole platform, whatever the live set; a probabilistic one,
+    // whose contract is its rel, carries the eps_want + 1 replicas its
+    // model asked for. A rel no repair estimated is estimated here, once.
+    p.full_guarantee = p.model.is_count() ? achieved_tolerance(p.oracle, ProcSet(failed.size()),
+                                                               p.eps_want, scratch) == p.eps_want
+                                          : p.schedule.eps() >= p.eps_want;
+    if (p.model.is_probabilistic() && p.reliability < 0.0) {
+      p.reliability = schedule_reliability(p.schedule).reliability;
+    }
+    p.schedule_fp = schedule_fingerprint(p.schedule);
+    p.stages = num_stages(p.schedule);
+    p.latency_bound = latency_upper_bound(p.schedule);
   }
-  p.schedule_fp = schedule_fingerprint(p.schedule);
-  p.stages = num_stages(p.schedule);
-  p.latency_bound = latency_upper_bound(p.schedule);
+  // Short of the full guarantee, eps_have is the residual tolerance
+  // beyond the live failures.
+  p.eps_have = *p.full_guarantee ? p.eps_want
+                                 : achieved_tolerance(p.oracle, failed, p.eps_want, scratch);
+  p.degraded = p.eps_have < p.eps_want;
   return true;
 }
 
@@ -228,7 +232,8 @@ std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
   // entry that survives the new set stays in place, copy-free; survival is
   // monotone in the failure set, so after a recovery every entry does.
   // Degraded entries re-certify their residual tolerance (a recovery may
-  // raise it, a failure shrink it). Entries the new set kills are repaired
+  // raise it, a failure shrink it); the gate skips what their unchanged
+  // schedule already proved. Entries the new set kills are repaired
   // on a copy, and holders of the old placement keep a consistent (stale)
   // view; beyond incremental repair they are rebuilt on the alive
   // sub-platform. Only a failed rebuild drops.
@@ -263,6 +268,7 @@ std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
           : repair_for_failure_set(placement->schedule, placement->oracle, failed);
   // The gate's fresh oracle is the independent re-check of a live repair.
   const bool repaired = live.success && live.rounds > 0;
+  if (repaired) placement->full_guarantee.reset();
   counts.verifications += repaired;
   if (live.success && publish_gate(*placement, failed, scratch)) {
     placement->event_repair_comms += live.added_comms;

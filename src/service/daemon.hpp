@@ -34,8 +34,9 @@
 //
 // Every publish path — cold, event repair, rebuild, re-heal,
 // re-certification, restore — sends its placement through publish_gate
-// (below) before the cache sees it, so every claim comes from a fresh
-// oracle and a repaired copy is re-verified against the live failure set.
+// (below) before the cache sees it, so every claim comes from an oracle
+// the gate compiled from that schedule and a repaired copy is re-verified
+// on a fresh one against the live failure set.
 //
 // The cache key holds no epoch: while mutex_ is free, every cached entry
 // is current for the live failure set, and each placement records the
@@ -121,8 +122,10 @@ struct DaemonStats {
 /// probabilistic placement's rel when no repair estimated it, and the
 /// sealed facts schedule_fp, stages and latency_bound. Returns false,
 /// deriving nothing further, when the placement does not survive `failed`.
-/// The snapshot loader calls it to hold an entry's claims to what it
-/// proves.
+/// A schedule it already proved (`full_guarantee` set) keeps its oracle,
+/// verdict, rel and sealed facts; only survival and eps_have are derived
+/// again. The snapshot loader calls it to hold an entry's claims to what
+/// it proves.
 [[nodiscard]] bool publish_gate(CachedPlacement& placement, const ProcSet& failed,
                                 BatchScratch& scratch);
 
@@ -204,10 +207,12 @@ class PlacementDaemon {
   /// Brings an unpublished placement current for the live failure set
   /// `failed`: repairs it on its warm oracle (nothing to do when it
   /// survives) and sends it through publish_gate(), or, when the repair or
-  /// the gate refuses it, rebuild_degraded()s it. Adds the live repairs
-  /// the gate re-checked (verifications, verify_failures, event_repairs)
-  /// and rebuilds to `counts`. Returns nullptr when even the rebuild
-  /// fails. Runs with or without mutex_ held, like rebuild_degraded().
+  /// the gate refuses it, rebuild_degraded()s it; a repair that wired
+  /// channels resets full_guarantee, so the gate re-proves the patched
+  /// schedule on a fresh oracle. Adds the live repairs the gate re-checked
+  /// (verifications, verify_failures, event_repairs) and rebuilds to
+  /// `counts`. Returns nullptr when even the rebuild fails. Runs with or
+  /// without mutex_ held, like rebuild_degraded().
   std::shared_ptr<CachedPlacement> reconcile(std::shared_ptr<CachedPlacement> placement,
                                              const ProcSet& failed, BatchScratch& scratch,
                                              DaemonStats& counts) const;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/fingerprint.hpp"
+#include "core/variant.hpp"
 #include "net/wire.hpp"
 #include "schedule/survival.hpp"
 #include "service/daemon.hpp"
@@ -68,7 +69,7 @@ constexpr char kMagic[] = "#streamsched-cache v2";
 
 /// One parsed (not yet verified) snapshot entry.
 struct SnapshotEntry {
-  std::string variant;
+  AlgoVariant variant;
   FaultModel model = FaultModel::count(0);
   double factor = 1.0;
   double reliability = -1.0;
@@ -99,7 +100,11 @@ SnapshotEntry parse_entry_line(const std::string& line) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "variant") {
-      entry.variant = value;
+      try {
+        entry.variant = AlgoVariant::parse(value);
+      } catch (const std::exception& e) {
+        throw SnapshotError(std::string("snapshot entry variant: ") + e.what());
+      }
       have_variant = true;
     } else if (key == "model") {
       try {
@@ -151,20 +156,28 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
   auto dag = std::make_shared<const Dag>(net::parse_dag_wire(entry.dag_wire));
   Schedule schedule = net::parse_schedule_wire(entry.sched_wire, *dag, daemon.platform());
 
-  // The flag and the deficit must agree — a snapshot claiming degraded=0
-  // with eps_have < eps_want (or vice versa) is internally inconsistent,
-  // which means format skew or tampering, not bit rot: reject the file.
-  if (entry.degraded != (entry.eps_have < entry.eps_want)) {
-    throw SnapshotError("snapshot entry degraded flag contradicts its deficit: degraded=" +
-                        std::string(entry.degraded ? "1" : "0") +
-                        " eps_have=" + std::to_string(entry.eps_have) +
-                        " eps_want=" + std::to_string(entry.eps_want));
+  // An entry must agree with itself: eps_want is the ε its variant and
+  // model resolve to on this platform and DAG (the one its admission
+  // scheduled at, so a lower one would hold the placement to less than
+  // its cache key asks for), and the degraded flag matches the deficit.
+  // Anything else is format skew or tampering, not bit rot: reject the file.
+  SchedulerOptions asked;
+  asked.fault_model = entry.model;
+  const CopyId eps_asked =
+      entry.variant.adjusted(asked).resolved(daemon.platform(), dag->num_tasks()).eps;
+  if (entry.eps_want != eps_asked || entry.degraded != (entry.eps_have < entry.eps_want)) {
+    throw SnapshotError("snapshot entry contradicts itself: variant=" + entry.variant.name() +
+                        " model=" + entry.model.to_string() + " asks eps=" +
+                        std::to_string(eps_asked) + " but claims degraded=" +
+                        (entry.degraded ? "1" : "0") + " eps_have=" +
+                        std::to_string(entry.eps_have) + " eps_want=" +
+                        std::to_string(entry.eps_want));
   }
 
   auto placement = std::make_shared<CachedPlacement>(std::move(dag), daemon.platform_ptr(),
                                                      std::move(schedule));
   placement->model = entry.model;
-  placement->variant = entry.variant;
+  placement->variant = entry.variant.name();
   placement->period_factor = entry.factor;
   placement->repair.success = true;
   placement->repair.added_comms = entry.repair_comms;
@@ -182,7 +195,7 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
   if (!publish_gate(*placement, ProcSet(daemon.platform().num_procs()), scratch) ||
       entry.eps_have > placement->eps_have ||
       entry.reliability > placement->reliability + 1e-9) {
-    log_warn() << "snapshot entry dropped: variant=" << entry.variant
+    log_warn() << "snapshot entry dropped: variant=" << entry.variant.name()
                << " model=" << entry.model.to_string() << " claims eps_have=" << entry.eps_have
                << " rel=" << entry.reliability << " but proves eps_have=" << placement->eps_have
                << " rel=" << placement->reliability;
@@ -363,7 +376,7 @@ SnapshotLoadStats load_cache_snapshot_text(PlacementDaemon& daemon, const std::s
       ++stats.restored;
     } else {
       ++stats.stale;
-      log_warn() << "snapshot entry dropped: variant=" << entry.variant
+      log_warn() << "snapshot entry dropped: variant=" << entry.variant.name()
                  << " model=" << entry.model.to_string()
                  << " does not survive the daemon's live failure set";
     }

@@ -3,8 +3,9 @@
 // On shutdown the server saves every cached placement to a text snapshot;
 // on startup it loads the snapshot back, holds every entry's claims to what
 // the daemon's publish gate proves, and republishes the survivors — so a
-// restarted daemon serves the same placements bit-identically (asserted
-// via schedule_fingerprint) without ever hitting the cold scheduling path.
+// restarted daemon serves the same schedules bit-identically (asserted
+// via schedule_fingerprint) without touching the cold path; a degraded
+// entry's eps_have is re-derived against the live failure set.
 //
 // Snapshot format (line-delimited text, like the wire protocol):
 //
@@ -26,8 +27,9 @@
 // launder a degraded placement into a full-guarantee one. An entry whose
 // degraded flag contradicts its deficit (degraded=1 with eps_have ==
 // eps_want, or degraded=0 with a deficit) rejects the whole file: that is
-// format skew or tampering, not bit rot, and so does an entry missing any
-// of the three fields.
+// format skew or tampering, not bit rot. So does an entry missing any of
+// the three fields, and one whose eps_want differs from the ε its own
+// variant and model resolve to on the platform and DAG.
 //
 // Trust model: the snapshot is a cache, never an oracle, and every claim
 // a restored entry serves comes from the publish gate. Load rejects the
@@ -37,14 +39,12 @@
 // cache. Each entry that parses goes through the gate on the whole
 // platform (no live failures), which compiles a fresh oracle and
 // re-estimates a probabilistic entry's rel. An entry claiming more than
-// the gate proves — an eps_have above the schedule's tolerance on the
-// whole platform, a full-guarantee claim included, or a rel above the
-// fresh estimate — is dropped individually (logged, counted in
-// `verify_failed`), because one bad entry should not cost the warm start
-// of the rest. PlacementDaemon::restore then sends the entry through the
-// gate again against the daemon's live failure set: it drops entries that
-// set kills (`stale`) and re-derives eps_have beyond the live failures.
-// A proven rel is kept as saved.
+// the gate proves — an eps_have above its tolerance on the whole
+// platform, a full-guarantee claim included, or a rel above the fresh
+// estimate — is dropped alone (logged, counted in `verify_failed`): one
+// bad entry should not cost the warm start of the rest. Restore then
+// gates the entry against the live failure set, dropping entries it
+// kills (`stale`) and re-deriving eps_have; a proven rel is kept as saved.
 //
 // Crash safety: snapshots are written atomically (`<path>.tmp`, fsync,
 // rename, fsync of the directory), so a crash mid-write leaves at worst
@@ -68,7 +68,7 @@ class PlacementDaemon;
 
 /// Thrown when a snapshot cannot be saved, or when load rejects the file
 /// wholesale (unreadable, bad header/version, platform-fingerprint
-/// mismatch, checksum mismatch, malformed entry framing).
+/// mismatch, checksum mismatch, malformed or self-contradicting entries).
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

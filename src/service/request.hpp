@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/variant.hpp"
@@ -57,10 +58,9 @@ struct PlacementRequest {
 };
 
 /// One admitted placement, immutable once published by the daemon. The
-/// daemon's publish gate (service/daemon.hpp) compiles the oracle afresh
-/// from the final schedule and derives the claims below from it; repairs
-/// patch an unpublished copy's oracle alongside its schedule, so event
-/// repair never recompiles before the gate.
+/// publish gate (service/daemon.hpp) compiles the oracle from every new or
+/// patched schedule and derives the claims below from it; event repair
+/// patches an unpublished copy's oracle alongside its schedule.
 struct CachedPlacement {
   CachedPlacement(std::shared_ptr<const Dag> dag_in,
                   std::shared_ptr<const Platform> platform_in, Schedule schedule_in)
@@ -96,14 +96,12 @@ struct CachedPlacement {
   /// on the cold path). The degradation ladder never lowers this — it is
   /// what re-heal promotes back to.
   CopyId eps_want = 0;
-  /// The tolerance the publish gate proves. At the full guarantee it
-  /// equals eps_want: a count placement then survives any eps_want
-  /// failures of the whole platform, and a probabilistic one, whose
-  /// contract is `reliability`, carries eps_want + 1 replicas. Short of
-  /// that, the placement is degraded and eps_have is its residual
-  /// tolerance beyond the live failure set (achieved_tolerance), the
-  /// explicit deficit — also on a healthy cluster, for a rebuild with
-  /// fewer replicas.
+  /// The tolerance the publish gate proves: eps_want at the full guarantee
+  /// (a count placement survives any eps_want failures of the whole
+  /// platform; a probabilistic one, whose contract is `reliability`,
+  /// carries eps_want + 1 replicas), else its residual tolerance beyond the
+  /// live failure set (achieved_tolerance), the explicit deficit — also on
+  /// a healthy cluster, for a rebuild with fewer replicas.
   CopyId eps_have = 0;
   /// True while eps_have < eps_want: the placement keeps serving, tagged
   /// with its reliability deficit, until background re-heal promotes a
@@ -113,10 +111,14 @@ struct CachedPlacement {
   /// Facts every response reports about `schedule`, computed once by the
   /// publish gate (schedule_fingerprint, num_stages, latency_upper_bound)
   /// so cache hits do not recompute them. Derived state: never persisted,
-  /// refilled at every publish.
+  /// refilled whenever the gate proves a new or patched schedule.
   std::uint64_t schedule_fp = 0;
   std::uint32_t stages = 0;
   double latency_bound = 0.0;
+  /// The publish gate's full-guarantee verdict on `schedule`, empty until
+  /// the gate proves it. Set, it vouches that `oracle` and the sealed facts
+  /// match `schedule` as it stands: whoever patches the schedule resets it.
+  std::optional<bool> full_guarantee;
 };
 
 struct PlacementResponse {

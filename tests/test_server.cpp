@@ -81,19 +81,29 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
   admitted.push_back(source.admit(request_for(101, FaultModel::count(1))));
   admitted.push_back(source.admit(request_for(102, FaultModel::count(2))));
   admitted.push_back(source.admit(request_for(103, FaultModel::parse("prob:R=0.9"))));
+  // The loader derives eps_want from the variant and model, and not every
+  // variant schedules at the model's ε: fault_free places no replicas, and
+  // a bound eps= pins a count model of its own.
+  for (const char* variant : {"fault_free", "rltf[eps=1]"}) {
+    PlacementRequest request = request_for(104, FaultModel::count(2));
+    request.variant = AlgoVariant(variant);
+    admitted.push_back(source.admit(std::move(request)));
+  }
   for (const PlacementResponse& resp : admitted) ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_EQ(admitted[3].placement->eps_want, 0u);
+  EXPECT_EQ(admitted[4].placement->eps_want, 1u);
 
   const SnapshotSaveStats saved = save_cache_snapshot(source, snap.path);
-  EXPECT_EQ(saved.entries, 3u);
+  EXPECT_EQ(saved.entries, 5u);
   EXPECT_GT(saved.bytes, 0u);
 
   PlacementDaemon restored(small_platform(), DaemonConfig{});
   const SnapshotLoadStats loaded = load_cache_snapshot(restored, snap.path);
-  EXPECT_EQ(loaded.entries, 3u);
-  EXPECT_EQ(loaded.restored, 3u);
+  EXPECT_EQ(loaded.entries, 5u);
+  EXPECT_EQ(loaded.restored, 5u);
   EXPECT_EQ(loaded.verify_failed, 0u);
   EXPECT_EQ(loaded.stale, 0u);
-  EXPECT_EQ(restored.stats().restored, 3u);
+  EXPECT_EQ(restored.stats().restored, 5u);
 
   // Recency ordering survives: the restored cache walks LRU→MRU in the
   // same order, and every schedule re-serializes byte for byte.
@@ -108,6 +118,8 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
     EXPECT_TRUE(after[i]->from_snapshot);
     EXPECT_EQ(after[i]->variant, before[i]->variant);
     EXPECT_EQ(after[i]->period_factor, before[i]->period_factor);
+    EXPECT_EQ(after[i]->eps_want, before[i]->eps_want);
+    EXPECT_EQ(after[i]->eps_have, before[i]->eps_have);
     // The response facts are not persisted; the restore recomputes them.
     EXPECT_EQ(after[i]->schedule_fp, before[i]->schedule_fp);
   }
@@ -282,20 +294,32 @@ TEST(CachePersistence, LaunderedDegradedFlagRejectsTheWholeSnapshot) {
   }
   ASSERT_EQ(source.stats().degraded, 1u);
   (void)save_cache_snapshot(source, snap.path);
+  const std::string original = read_file(snap.path);
 
-  // Clear the degraded flag while keeping eps_have < eps_want, then
-  // re-seal the checksum. The flag now contradicts the deficit — that is
-  // format skew or tampering, not bit rot, so the whole file must be
-  // rejected rather than the entry quietly dropped (or worse, promoted).
-  std::string content = read_file(snap.path);
-  const std::size_t flag_pos = content.find(" degraded=1");
-  ASSERT_NE(flag_pos, std::string::npos) << "expected a degraded entry in the snapshot";
-  content.replace(flag_pos, std::string(" degraded=1").size(), " degraded=0");
-  write_file(snap.path, reseal(content));
+  // Clear the rebuilt two-copy entry's degraded flag, then re-seal the
+  // checksum. Kept at eps_want=2, the flag contradicts the deficit. Lowered
+  // to eps_want=1, flag and deficit agree and the schedule does tolerate
+  // one failure, but the entry is filed under count:eps=2, so accepting it
+  // would serve plain eps=2 callers with no deficit. Either is format skew
+  // or tampering, not bit rot, so the whole file must be rejected rather
+  // than the entry quietly dropped (or worse, promoted).
+  const std::string claim = " degraded=1 eps_have=1 eps_want=2";
+  for (const char* laundered :
+       {" degraded=0 eps_have=1 eps_want=2", " degraded=0 eps_have=1 eps_want=1"}) {
+    std::string content = original;
+    const std::size_t claim_pos = content.find(claim);
+    ASSERT_NE(claim_pos, std::string::npos) << "expected the rebuilt entry's deficit";
+    content.replace(claim_pos, claim.size(), laundered);
+    write_file(snap.path, reseal(content));
 
-  PlacementDaemon target(small_platform(5, 5), dcfg);
-  EXPECT_THROW((void)load_cache_snapshot(target, snap.path), SnapshotError);
-  EXPECT_EQ(target.stats().cache_size, 0u);
+    PlacementDaemon target(small_platform(5, 5), dcfg);
+    EXPECT_THROW((void)load_cache_snapshot(target, snap.path), SnapshotError) << laundered;
+    EXPECT_EQ(target.stats().cache_size, 0u);
+    const PlacementResponse plain = target.admit(request_for(61, FaultModel::count(2)));
+    ASSERT_TRUE(plain.ok) << plain.error;
+    EXPECT_FALSE(plain.cache_hit) << laundered;
+    EXPECT_TRUE(check_fault_tolerance(plain.placement->schedule, 2).valid) << laundered;
+  }
 }
 
 // ------------------------------------------------------------- wire server --
