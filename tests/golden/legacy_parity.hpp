@@ -119,6 +119,34 @@ inline const test::RepairGolden kRepairTwoWordRows =
     {false, 2, 2, 0x83165e39c6af6920ULL,
      {0x1.fda8252e8d503p-1, 47972, 3, {2, 65}, 0x1.b8e6fc7a45e3fp-15}};
 
+// Repairs whose rounds are decided short of the target at different
+// levels of the failure-set tree, captured at commit fd92baa, before a
+// round stopped verifying once its outcome was decided, by running
+// `repair_to_reliability` on exactly the inputs the test builds. At
+// capture, each `achieved` estimate equalled a from-scratch
+// `schedule_reliability` of the repaired schedule.
+// Survival.RepairMatchesGoldenWhereRoundsStopEarly:
+//   [0], [1] the cold_prob shape (RepairMatchesGoldenOnColdProbShape) at
+//       targets 0.9 (one round) and 0.99999 (out of reach: eleven rounds);
+//   [2] the same schedule with p = 0.5 on processor 3 and 0.6 on
+//       processor 10 (odds >= 1, so a set can outweigh its parent; k_max
+//       11), target 0.99;
+//   [3], [4] two-word rows: R-LTF at eps 2 on 66 processors, 20 tasks,
+//       p in [0.005, 0.01], tail_tolerance 1e-2 (k_max 3), seeds 66001 at
+//       target 0.999 (out of reach) and 66006 at 0.998.
+inline const test::RepairGolden kRepairStopLevels[5] = {
+    {true, 83, 1, 0xefd054ef2274faa7ULL,
+     {0x1.ee2ca3fc02339p-1, 58651, 10, {8, 15}, 0x1.faf03088f81c7p-10}},
+    {false, 341, 11, 0x0e7072af328e2a12ULL,
+     {0x1.ffec4d94e3aadp-1, 58651, 10, {2, 9, 12, 15}, 0x1.fb3d3719bc2ap-18}},
+    {true, 308, 7, 0x705ef123b8306396ULL,
+     {0x1.fe9b2a31ebf5fp-1, 63019, 11, {2, 3, 10, 12}, 0x1.dcdf9398fecdp-12}},
+    {false, 89, 4, 0x3b20920b33908774ULL,
+     {0x1.ff41ace96c612p-1, 47972, 3, {3, 7, 11}, 0x1.e871a033b436p-22}},
+    {true, 75, 2, 0x4799a9384bb4099bULL,
+     {0x1.ff320c55c8d3cp-1, 47972, 3, {5, 7, 17}, 0x1.df86eafca1e98p-22}},
+};
+
 // Failure-set tree edge cases, captured at commit 1314bc7, before the
 // truncated enumeration became one memoised prefix tree per platform, by
 // running `schedule_reliability` and `repair_to_reliability` (target

@@ -397,6 +397,37 @@ TEST(Survival, RepairMatchesGoldenOnTwoWordRows) {
   expect_repair_golden(proto, 0.999, golden::kRepairTwoWordRows, options);
 }
 
+// Repair rounds short of the target, decided at different levels of the
+// failure-set tree: the cold_prob shape at a loose and an unreachable
+// target, failure odds of 1 and above (a set may weigh more than its
+// parent), and two-word rows with a three-level tree.
+TEST(Survival, RepairMatchesGoldenWhereRoundsStopEarly) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("cold_prob entry " + std::to_string(i));
+    Dag dag;
+    Platform platform;
+    const Schedule schedule = random_schedule(4, 16, 26, 3, dag, platform, 0.02, 0.08);
+    if (i == 2) {
+      platform.set_failure_prob(3, 0.5);
+      platform.set_failure_prob(10, 0.6);
+    }
+    const double targets[] = {0.9, 0.99999, 0.99};
+    expect_repair_golden(schedule, targets[i], golden::kRepairStopLevels[i]);
+  }
+  ReliabilityOptions options;
+  options.tail_tolerance = 1e-2;
+  const std::uint64_t seeds[] = {66001, 66006};
+  const double targets[] = {0.999, 0.998};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("two-word entry " + std::to_string(i));
+    Dag dag;
+    Platform platform;
+    const Schedule schedule =
+        random_schedule(seeds[i], 66, 20, 2, dag, platform, 0.005, 0.01);
+    expect_repair_golden(schedule, targets[i], golden::kRepairStopLevels[3 + i], options);
+  }
+}
+
 // The failure-set tree's edge cases, each pinned bit for bit: processors
 // that never fail stay out of the tree, a set whose positive probability
 // underflows to weight 0.0 stays in it without adding mass or being
@@ -463,6 +494,37 @@ TEST(Survival, RepairedEstimateEqualsFreshEstimateAcrossSeeds) {
       expect_same_estimate(achieved, schedule_reliability(schedule, options));
     }
   }
+}
+
+// A round that wires nothing ends the repair, and its estimate is the one
+// handed out, so it must be complete even though the round fell short.
+// Task t of a chain runs on processors t and t + 8, each replica fed by
+// both replicas of its predecessor: a set kills the schedule only when it
+// holds both hosts of some task, which no channel can repair.
+TEST(Survival, UnrepairableRoundHandsOutAFullEstimate) {
+  constexpr std::size_t kTasks = 8;
+  Dag dag = make_chain(kTasks, 1.0, 1.0);
+  Platform platform = Platform::uniform(2 * kTasks, 1.0, 0.5);
+  for (ProcId u = 0; u < 2 * kTasks; ++u) platform.set_failure_prob(u, 0.05);
+  Schedule schedule(dag, platform, 1, kInf);
+  for (TaskId t = 0; t < kTasks; ++t) {
+    for (CopyId c = 0; c < 2; ++c) {
+      test::place_at(schedule, {t, c}, static_cast<ProcId>(t + kTasks * c), 2.0 * t, t + 1);
+    }
+  }
+  for (TaskId t = 1; t < kTasks; ++t) {
+    for (CopyId from = 0; from < 2; ++from) {
+      for (CopyId to = 0; to < 2; ++to) test::wire(schedule, t - 1, from, t, to);
+    }
+  }
+  ReliabilityEstimate achieved;
+  const RepairStats stats = repair_to_reliability(schedule, 0.999, {}, &achieved);
+  EXPECT_FALSE(stats.success);
+  EXPECT_EQ(stats.rounds, 0u);
+  EXPECT_EQ(stats.added_comms, 0u);
+  ASSERT_TRUE(achieved.exact);
+  EXPECT_LT(achieved.reliability, 0.999);
+  expect_same_estimate(achieved, schedule_reliability(schedule));
 }
 
 // One estimate and one repair (target 0.999) of a schedule, for comparing
