@@ -11,18 +11,22 @@ BENCH_churn.json). The compared rows:
     `cold_prob` probabilistic-repair `repairs_per_sec`, the `cold_count`
     count-repair `rounds_per_sec`, and the `first_call` estimate and
     repair rates on platforms the process has not seen (which pay the
-    one-time failure-set tree build the memo-warm rows skip);
+    one-time failure-set tree build the memo-warm rows skip); and the
+    outcome of every repair row, which must equal the committed one
+    exactly: `rounds`, `added_comms` and `achieved` of the `low_p` and
+    `cold_prob` probabilistic repairs, `rounds` and `added_comms` of the
+    `cold_count` count repair;
   * sim_engine: the m = 16 `trials_per_sec` of the crash-trial loop;
   * churn: the outcome of the seeded churn replay, which must equal the
     committed one exactly: its digest and its degraded-probe, rebuild,
     re-heal, event-repair and verify-failure counts.
 
 Fails (exit 1) when any fresh throughput is below a quarter of the
-committed one, or any churn outcome field differs. A quarter sits below
+committed one, or any pinned outcome field differs. A quarter sits below
 the run-to-run spread of shared runners and still catches a slide back
 toward per-set or per-call speeds, which are one to two orders of
-magnitude slower. The churn replay is deterministic, so any difference
-is a changed outcome.
+magnitude slower. The repairs and the churn replay are deterministic, so
+any difference is a changed outcome.
 """
 import json
 import sys
@@ -45,6 +49,16 @@ ROWS = {
 
 # bench name -> exact rows: (label, fields a row must match, fields that must be equal)
 EXACT = {
+    "survival_kernel": [
+        ("low_p m=16 repair", {"m": 16, "mode": "repair", "shape": "low_p"},
+         ("rounds", "added_comms", "achieved")),
+        ("low_p m=32 repair", {"m": 32, "mode": "repair", "shape": "low_p"},
+         ("rounds", "added_comms", "achieved")),
+        ("cold_prob repair", {"mode": "repair", "shape": "cold_prob"},
+         ("rounds", "added_comms", "achieved")),
+        ("cold_count repair", {"mode": "repair", "shape": "cold_count"},
+         ("rounds", "added_comms")),
+    ],
     "churn": [
         ("replay", {}, ("digest", "degraded_probes", "rebuilds", "reheals", "event_repairs",
                         "verify_failures")),

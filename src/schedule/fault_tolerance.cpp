@@ -471,6 +471,10 @@ std::vector<std::uint64_t> binomial_row(std::size_t n, std::size_t k_max) {
 // level up, and the children blocks of one level's rows tile the next level
 // in row order, so row r's children are [child_begin[r], child_begin[r + 1])
 // — a running sum over the rows, complete because every subset is present.
+//
+// Per level, the tree also keeps what a repair round needs to decide early
+// that it falls short (see FrontierCheck::verify): how many rows have
+// positive weight, and the total weight of every deeper level.
 struct FailureTree {
   std::vector<double> p;        // key: the failure probabilities, bit for bit
   double tail_tolerance = 0.0;  // key
@@ -480,6 +484,8 @@ struct FailureTree {
   std::vector<std::uint64_t> rows;         // [r * words ..): ProcSet word layout
   std::vector<double> weight;              // per row
   std::vector<std::uint32_t> child_begin;  // per row, plus the end
+  std::vector<std::size_t> positive_rows;  // per level: rows of positive weight
+  std::vector<double> deeper_weight;       // per level: weight of the levels below it
 
   [[nodiscard]] std::size_t size() const { return weight.size(); }
 
@@ -524,6 +530,13 @@ FailureTree build_failure_tree(const FailureWeights& fw, double tail_tolerance) 
   tree.rows.assign(expected * tree.words, 0);  // row 0: the empty set
   tree.weight.assign(expected, fw.base);
   tree.child_begin.assign(expected + 1, 0);
+  tree.positive_rows.assign(tree.levels, 0);
+  std::vector<double> level_weight(tree.levels, 0.0);
+  const auto count_row = [&](std::size_t k, double weight) {
+    level_weight[k] += weight;
+    tree.positive_rows[k] += weight > 0.0 ? 1 : 0;
+  };
+  count_row(0, fw.base);
 
   std::size_t next = 1;  // the next row to fill
   std::size_t level_begin = 0;
@@ -546,6 +559,7 @@ FailureTree build_failure_tree(const FailureWeights& fw, double tail_tolerance) 
         std::copy_n(row, tree.words, child);
         child[u >> 6] |= 1ULL << (u & 63);
         tree.weight[next] = weight * fw.odds[u];
+        count_row(k + 1, tree.weight[next]);
       }
     }
     level_begin = level_end;
@@ -554,6 +568,10 @@ FailureTree build_failure_tree(const FailureWeights& fw, double tail_tolerance) 
   std::fill(tree.child_begin.begin() + static_cast<std::ptrdiff_t>(level_begin),
             tree.child_begin.end(), static_cast<std::uint32_t>(next));
   SS_CHECK(next == expected, "failure-set tree is not a complete prefix tree");
+  tree.deeper_weight.assign(tree.levels, 0.0);
+  for (std::size_t k = tree.levels - 1; k > 0; --k) {
+    tree.deeper_weight[k - 1] = tree.deeper_weight[k] + level_weight[k];
+  }
   return tree;
 }
 
@@ -601,100 +619,161 @@ std::shared_ptr<const FailureTree> shared_failure_tree(const FailureWeights& fw,
   return built;
 }
 
+// The absolute slack on the bound that decides a pass short of its target
+// (FrontierCheck::verify). The bound and the estimate sum the same
+// positive row weights, of total <= 1, in different orders, so each is
+// within n * 2^-53 of the exact sum for n rows: the slack covers both for
+// trees of up to 2^21 rows, eight times the default max_sets, and widens
+// with larger ones.
+constexpr double kShortSlack = 1e-9;
+
 // Exact verification over a shared failure-set tree, kept across repair
 // rounds. Survival is monotone in the failure set, so a row under a killed
 // parent is killed too; and repair only adds supply channels, while
 // survival is monotone in the channel set, so a row verified surviving
 // survives for good. A pass therefore checks only the frontier — killed
-// rows whose parent survives — level by level, 64 rows per kernel pass; a
-// row that turns surviving puts its children on the next level's frontier
-// in the same pass. Rows under a killed parent are never visited. The
-// first pass starts from the empty set, so it also serves as the one-shot
-// estimator, and every pass leaves exactly the rows that survive the
-// current schedule marked surviving.
+// rows whose parent survives, or rows no pass has reached yet — level by
+// level, 64 rows per kernel pass; a row that turns surviving puts its
+// children on the next level's frontier in the same pass. Rows under a
+// killed parent are never visited. The first pass starts from the empty
+// set, so it also serves as the one-shot estimator. After a pass through
+// level k, every row at a level <= k is marked surviving exactly when it
+// survives the current schedule.
 struct FrontierCheck {
   explicit FrontierCheck(std::shared_ptr<const FailureTree> shared)
       : tree(std::move(shared)),
-        killed(tree->size(), 1),
+        surviving((tree->size() + 63) / 64, 0),
         frontier(tree->levels),
+        surviving_weight(tree->levels, 0.0),
+        surviving_positive(tree->levels, 0),
         block(64 * tree->words) {
     frontier[0].push_back(0);  // the empty set has no parent
   }
 
-  void verify(const SurvivalOracle& oracle) {
+  // One pass against `oracle`, level by level from the root. A repair
+  // round passes its target and needs no more than its killing sets and
+  // the proof that it falls short, so the pass stops after the first level
+  // k at which both are settled: (a) at least kMaxKillingSets killed rows
+  // of positive weight lie at levels <= k, so they are the round's killing
+  // sets; (b) the surviving weight at levels <= k plus the weight of every
+  // deeper level, plus the slack, is below the target, so the estimate
+  // is too. Deeper frontier rows wait, unverified, for a later pass, or
+  // for finish(), which verifies them against the same oracle. The default
+  // target 0 is never short.
+  void verify(const SurvivalOracle& oracle, double target = 0.0) {
     const FailureTree& t = *tree;
-    const std::size_t first_new = survivors.size();
-    std::array<std::uint32_t, 64> lane_row{};
-    for (std::size_t k = 0; k < t.levels; ++k) {
-      std::vector<std::uint32_t>& level = frontier[k];
-      std::size_t kept = 0;
-      for (std::size_t begin = 0; begin < level.size(); begin += 64) {
-        const std::size_t lanes = std::min<std::size_t>(64, level.size() - begin);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          lane_row[lane] = level[begin + lane];
-          std::copy_n(t.rows.data() + std::size_t{lane_row[lane]} * t.words, t.words,
-                      block.data() + lane * t.words);
-        }
-        const std::uint64_t survived = oracle.survives_batch(block.data(), lanes, scratch);
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const std::uint32_t r = lane_row[lane];
-          if (((survived >> lane) & 1) == 0) {
-            level[kept++] = r;
-            continue;
-          }
-          killed[r] = 0;
-          survivors.push_back(r);
-          for (std::uint32_t c = t.child_begin[r]; c < t.child_begin[r + 1]; ++c) {
-            frontier[k + 1].push_back(c);
-          }
-        }
-      }
-      level.resize(kept);
+    const double slack = std::max(kShortSlack, static_cast<double>(t.size()) * 0x1p-51);
+    double mass = 0.0;       // surviving weight at levels <= k
+    std::size_t killed = 0;  // killed rows of positive weight at levels <= k
+    for (verified = 0; verified < t.levels;) {
+      const std::size_t k = verified++;
+      verify_level(oracle, k);
+      mass += surviving_weight[k];
+      killed += t.positive_rows[k] - surviving_positive[k];
+      if (killed >= kMaxKillingSets && mass + t.deeper_weight[k] + slack < target) return;
     }
-    const auto merged = survivors.begin() + static_cast<std::ptrdiff_t>(first_new);
-    std::sort(merged, survivors.end());
-    std::inplace_merge(survivors.begin(), merged, survivors.end());
   }
 
-  // The estimate of the last pass, except its worst failure: the mass of
-  // the surviving rows summed in ascending row order (the additions, in
-  // the same order, of a walk over every row that skips the killed ones),
-  // and the first kMaxKillingSets killed rows of positive weight.
+  void finish(const SurvivalOracle& oracle) {
+    while (!complete()) verify_level(oracle, verified++);
+  }
+
+  [[nodiscard]] bool complete() const { return verified == tree->levels; }
+
+  // The estimate of the last pass, except its worst failure: the first
+  // kMaxKillingSets killed rows of positive weight and, once the pass is
+  // complete, the mass of the surviving rows summed in ascending row order
+  // (the additions, in the same order, of a walk over every row that skips
+  // the killed ones). A pass decided short leaves the reliability at 0.
   void reduce(ReliabilityEstimate& est, std::vector<KillingSet>* kills) const {
     const FailureTree& t = *tree;
-    double reliable_mass = 0.0;
-    for (const std::uint32_t r : survivors) reliable_mass += t.weight[r];
-    est.reliability = reliable_mass;
+    if (complete()) {
+      double reliable_mass = 0.0;
+      for (std::size_t w = 0; w < surviving.size(); ++w) {
+        for (std::uint64_t bits = surviving[w]; bits != 0; bits &= bits - 1) {
+          reliable_mass += t.weight[64 * w + static_cast<std::size_t>(std::countr_zero(bits))];
+        }
+      }
+      est.reliability = reliable_mass;
+    }
     est.sets_checked = t.enumerated;
     est.exact = true;
     if (kills == nullptr) return;
-    for (std::size_t r = 0; r < t.size() && kills->size() < kMaxKillingSets; ++r) {
-      if (killed[r] != 0 && t.weight[r] > 0.0) {
-        kills->push_back(KillingSet{t.procs(r), t.weight[r]});
-      }
-    }
+    for_each_killed([&](std::size_t r) {
+      if (t.weight[r] > 0.0) kills->push_back(KillingSet{t.procs(r), t.weight[r]});
+      return kills->size() < kMaxKillingSets;
+    });
   }
 
-  // The most probable killed set; the strict `>` keeps the first one in
-  // enumeration order on a tie, as record_killing_set does.
+  // The most probable killed set of a complete pass; the strict `>` keeps
+  // the first one in enumeration order on a tie, as record_killing_set
+  // does.
   void find_worst_failure(ReliabilityEstimate& est) const {
     const FailureTree& t = *tree;
     std::size_t worst = t.size();
-    for (std::size_t r = 0; r < t.size(); ++r) {
-      if (killed[r] != 0 && t.weight[r] > est.worst_failure_prob) {
+    for_each_killed([&](std::size_t r) {
+      if (t.weight[r] > est.worst_failure_prob) {
         est.worst_failure_prob = t.weight[r];
         worst = r;
       }
-    }
+      return true;
+    });
     if (worst < t.size()) est.worst_failure = t.procs(worst);
   }
 
   std::shared_ptr<const FailureTree> tree;
-  std::vector<unsigned char> killed;                 // per row: the latest verdict
-  std::vector<std::vector<std::uint32_t>> frontier;  // per level: killed rows, parent surviving
-  std::vector<std::uint32_t> survivors;              // surviving rows, ascending
+  std::vector<std::uint64_t> surviving;              // bit per row: verified surviving
+  std::vector<std::vector<std::uint32_t>> frontier;  // per level: rows awaiting a verdict
+  std::vector<double> surviving_weight;              // per level
+  std::vector<std::size_t> surviving_positive;       // per level: rows of positive weight
+  std::size_t verified = 0;                          // levels the last pass verified
   std::vector<std::uint64_t> block;                  // rows of the next kernel pass
   BatchScratch scratch;
+
+ private:
+  // Resolves level k's frontier, keeping its killed rows and moving the
+  // children of its surviving rows onto level k + 1's.
+  void verify_level(const SurvivalOracle& oracle, std::size_t k) {
+    const FailureTree& t = *tree;
+    std::vector<std::uint32_t>& level = frontier[k];
+    std::array<std::uint32_t, 64> lane_row{};
+    std::size_t kept = 0;
+    for (std::size_t begin = 0; begin < level.size(); begin += 64) {
+      const std::size_t lanes = std::min<std::size_t>(64, level.size() - begin);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        lane_row[lane] = level[begin + lane];
+        std::copy_n(t.rows.data() + std::size_t{lane_row[lane]} * t.words, t.words,
+                    block.data() + lane * t.words);
+      }
+      const std::uint64_t survived = oracle.survives_batch(block.data(), lanes, scratch);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const std::uint32_t r = lane_row[lane];
+        if (((survived >> lane) & 1) == 0) {
+          level[kept++] = r;
+          continue;
+        }
+        surviving[r >> 6] |= 1ULL << (r & 63);
+        surviving_weight[k] += t.weight[r];
+        surviving_positive[k] += t.weight[r] > 0.0 ? 1 : 0;
+        for (std::uint32_t c = t.child_begin[r]; c < t.child_begin[r + 1]; ++c) {
+          frontier[k + 1].push_back(c);
+        }
+      }
+    }
+    level.resize(kept);
+  }
+
+  // Calls fn(r) for every row not marked surviving, in row order, until fn
+  // returns false.
+  template <typename Fn>
+  void for_each_killed(Fn&& fn) const {
+    for (std::size_t w = 0; w < surviving.size(); ++w) {
+      for (std::uint64_t bits = ~surviving[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t r = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        if (r >= tree->size() || !fn(r)) return;
+      }
+    }
+  }
 };
 
 // The estimator. Exact mode runs one frontier pass over the platform's
@@ -818,9 +897,10 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   // failure-set tree is shared and each round re-verifies only its
   // frontier (see FrontierCheck). A round after the first starts only when
   // the previous one wired a channel, so no pass re-verifies an unchanged
-  // schedule. Each round's estimate (reliability, sets_checked, killing
-  // sets) and the worst failure, found once when the estimate is handed
-  // out, are bit-identical to a from-scratch re-enumeration.
+  // schedule. A round stops verifying once it is decided short of the
+  // target and its killing sets are settled. Each round's decision and
+  // killing sets, and the estimate handed out with its worst failure, are
+  // bit-identical to a from-scratch re-enumeration.
   const FailureWeights fw = failure_weights(schedule, options);
   std::optional<FrontierCheck> exact;
   if (fw.total_sets <= static_cast<double>(options.max_sets)) {
@@ -830,7 +910,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
     std::vector<KillingSet> kills;
     if (exact) {
-      exact->verify(oracle);
+      exact->verify(oracle, target_reliability);
       est = ReliabilityEstimate{};
       est.k_max = fw.k_max;
       exact->reduce(est, &kills);
@@ -856,7 +936,15 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
 
   record_period_excess(schedule, stats);
   if (achieved != nullptr) {
-    if (est_current && exact) exact->find_worst_failure(est);
+    if (est_current && exact) {
+      // A last round decided short wired nothing: its unverified levels
+      // are finished against the same oracle.
+      if (!exact->complete()) {
+        exact->finish(oracle);
+        exact->reduce(est, nullptr);
+      }
+      exact->find_worst_failure(est);
+    }
     *achieved =
         est_current ? est : estimate_reliability(schedule, oracle, fresh_options(), nullptr);
   }

@@ -170,8 +170,13 @@ struct ReliabilityEstimate {
 /// keeps its verification over the shared failure-set tree across rounds:
 /// repair only adds channels, so a set verified surviving survives for
 /// good, and each round re-checks only the killed sets whose parent
-/// survives. Every round's estimate is bit-identical to a from-scratch
-/// one.
+/// survives. A round needs only its first 64 killing sets and whether it
+/// meets the target, so it verifies the tree level by level and stops
+/// once both are settled: the 64 sets lie at the levels verified, and
+/// their surviving weight plus the whole weight of the deeper levels is
+/// below the target. Each round's decision and killing sets, and the
+/// estimate handed out (completed first when the last round stopped
+/// early), are bit-identical to a from-scratch one.
 RepairStats repair_to_reliability(Schedule& schedule, double target_reliability,
                                   const ReliabilityOptions& options = {},
                                   ReliabilityEstimate* achieved = nullptr);

@@ -15,9 +15,10 @@
 //
 // The workload rarely asks about ONE failure set: exact mode checks the
 // frontier of a tree of up to 2^18 related sets (those whose parent, the
-// set minus its highest processor, survives), the Monte-Carlo estimator
-// tens of thousands of samples, the sweep precheck one set per crash
-// trial. `survives_batch`
+// set minus its highest processor, survives) — a probabilistic repair
+// round only down to the level where its outcome is decided — the
+// Monte-Carlo estimator tens of thousands of samples, the sweep precheck
+// one set per crash trial. `survives_batch`
 // transposes the kernel into bit-sliced form — up to 64 failure sets per
 // call, one machine word per (replica, lane) — and resolves all of them in
 // a single topological pass: per replica, the lanes where its processor is
@@ -128,6 +129,9 @@ struct BatchScratch {
 /// when every thread brings its own.
 class SurvivalOracle {
  public:
+  /// An empty oracle of no schedule, for a holder that compiles one later;
+  /// only a compiled oracle answers queries.
+  SurvivalOracle() = default;
   explicit SurvivalOracle(const Schedule& schedule);
 
   [[nodiscard]] std::size_t num_procs() const { return num_procs_; }

@@ -262,10 +262,15 @@ std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
 std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
     std::shared_ptr<CachedPlacement> placement, const ProcSet& failed, BatchScratch& scratch,
     DaemonStats& counts) const {
+  const bool live_failures = failed.count() > 0;
+  // A placement the gate has not proved yet (a cold one) has no oracle:
+  // the live repair needs one, and otherwise the gate compiles it.
+  if (live_failures && !placement->full_guarantee) {
+    placement->oracle = SurvivalOracle(placement->schedule);
+  }
   const RepairStats live =
-      failed.count() == 0
-          ? RepairStats{.success = true}
-          : repair_for_failure_set(placement->schedule, placement->oracle, failed);
+      live_failures ? repair_for_failure_set(placement->schedule, placement->oracle, failed)
+                    : RepairStats{.success = true};
   // The gate's fresh oracle is the independent re-check of a live repair.
   const bool repaired = live.success && live.rounds > 0;
   if (repaired) placement->full_guarantee.reset();

@@ -206,7 +206,9 @@ class PlacementDaemon {
 
   /// Brings an unpublished placement current for the live failure set
   /// `failed`: repairs it on its warm oracle (nothing to do when it
-  /// survives) and sends it through publish_gate(), or, when the repair or
+  /// survives; a cold placement's oracle is compiled for the repair only
+  /// when `failed` is not empty, else the gate compiles the one it keeps)
+  /// and sends it through publish_gate(), or, when the repair or
   /// the gate refuses it, rebuild_degraded()s it; a repair that wired
   /// channels resets full_guarantee, so the gate re-proves the patched
   /// schedule on a fresh oracle. Adds the live repairs the gate re-checked

@@ -60,14 +60,15 @@ struct PlacementRequest {
 /// One admitted placement, immutable once published by the daemon. The
 /// publish gate (service/daemon.hpp) compiles the oracle from every new or
 /// patched schedule and derives the claims below from it; event repair
-/// patches an unpublished copy's oracle alongside its schedule.
+/// patches an unpublished copy's oracle alongside its schedule. A new
+/// placement's oracle stays empty until the gate, or a live repair before
+/// it, compiles one.
 struct CachedPlacement {
   CachedPlacement(std::shared_ptr<const Dag> dag_in,
                   std::shared_ptr<const Platform> platform_in, Schedule schedule_in)
       : dag(std::move(dag_in)),
         platform(std::move(platform_in)),
-        schedule(std::move(schedule_in)),
-        oracle(schedule) {}
+        schedule(std::move(schedule_in)) {}
 
   std::shared_ptr<const Dag> dag;
   std::shared_ptr<const Platform> platform;

@@ -400,7 +400,7 @@ TEST(Survival, RepairMatchesGoldenOnTwoWordRows) {
 // Repair rounds short of the target, decided at different levels of the
 // failure-set tree: the cold_prob shape at a loose and an unreachable
 // target, failure odds of 1 and above (a set may weigh more than its
-// parent), and two-word rows with a three-level tree.
+// parent), and two-word rows truncated at k_max 3.
 TEST(Survival, RepairMatchesGoldenWhereRoundsStopEarly) {
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE("cold_prob entry " + std::to_string(i));
