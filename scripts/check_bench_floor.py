@@ -4,8 +4,8 @@
     scripts/check_bench_floor.py FRESH COMMITTED
 
 FRESH is the JSON a bench run just wrote; COMMITTED is the checked-in
-file of the same bench (BENCH_survival.json, BENCH_sim.json or
-BENCH_churn.json). The compared rows:
+file of the same bench (BENCH_survival.json, BENCH_sim.json,
+BENCH_schedulers.json or BENCH_churn.json). The compared rows:
 
   * survival_kernel: the m = 16 exact-mode `sets_per_sec`, the
     `cold_prob` probabilistic-repair `repairs_per_sec`, the `cold_count`
@@ -17,6 +17,10 @@ BENCH_churn.json). The compared rows:
     `cold_prob` probabilistic repairs, `rounds` and `added_comms` of the
     `cold_count` count repair;
   * sim_engine: the m = 16 `trials_per_sec` of the crash-trial loop;
+  * schedulers: the `schedules_per_sec` of LTF and of R-LTF on the cold
+    `count:eps=2` shape, and each row's `digest` of every schedule's
+    fingerprint and escalation factor, which must equal the committed one
+    exactly;
   * churn: the outcome of the seeded churn replay, which must equal the
     committed one exactly: its digest and its degraded-probe, rebuild,
     re-heal, event-repair and verify-failure counts.
@@ -25,8 +29,8 @@ Fails (exit 1) when any fresh throughput is below a quarter of the
 committed one, or any pinned outcome field differs. A quarter sits below
 the run-to-run spread of shared runners and still catches a slide back
 toward per-set or per-call speeds, which are one to two orders of
-magnitude slower. The repairs and the churn replay are deterministic, so
-any difference is a changed outcome.
+magnitude slower. The repairs, the schedules and the churn replay are
+deterministic, so any difference is a changed outcome.
 """
 import json
 import sys
@@ -45,6 +49,10 @@ ROWS = {
     "sim_engine": [
         ("m=16 trials", {"m": 16, "mode": "trials"}, "trials_per_sec"),
     ],
+    "schedulers": [
+        ("ltf cold_count", {"algo": "ltf", "shape": "cold_count"}, "schedules_per_sec"),
+        ("rltf cold_count", {"algo": "rltf", "shape": "cold_count"}, "schedules_per_sec"),
+    ],
 }
 
 # bench name -> exact rows: (label, fields a row must match, fields that must be equal)
@@ -58,6 +66,10 @@ EXACT = {
          ("rounds", "added_comms", "achieved")),
         ("cold_count repair", {"mode": "repair", "shape": "cold_count"},
          ("rounds", "added_comms")),
+    ],
+    "schedulers": [
+        ("ltf cold_count", {"algo": "ltf", "shape": "cold_count"}, ("digest",)),
+        ("rltf cold_count", {"algo": "rltf", "shape": "cold_count"}, ("digest",)),
     ],
     "churn": [
         ("replay", {}, ("digest", "degraded_probes", "rebuilds", "reheals", "event_repairs",

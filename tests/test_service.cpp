@@ -419,6 +419,30 @@ TEST(PlacementDaemon, ColdAdmissionRepairedForLiveFailuresIsReverified) {
   FAIL() << "no seed yields a cold placement that needs live repair";
 }
 
+// A cold admission made while a processor is down, whose count-repaired
+// schedule already survives that failure, needs no live repair: it is
+// served at full guarantee with no repair channels and no re-check, and
+// the oracle it is served with must be the one a fresh compile gives.
+TEST(PlacementDaemon, ColdAdmissionSurvivingLiveFailuresServesFullGuarantee) {
+  DaemonConfig config;
+  config.auto_reheal = false;
+  PlacementDaemon daemon(small_platform(), config);
+  (void)daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, 2});
+  for (std::uint64_t seed = 21; seed < 29; ++seed) {
+    const PlacementResponse resp = daemon.admit(request_for(seed));
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.cache_hit);
+    EXPECT_FALSE(resp.placement->degraded);
+    EXPECT_EQ(resp.placement->eps_have, resp.placement->eps_want);
+    EXPECT_EQ(resp.placement->event_repair_comms, 0u);
+  }
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.cold_schedules, 8u);
+  EXPECT_EQ(stats.verifications, 0u);
+  EXPECT_EQ(stats.rebuilds, 0u);
+  expect_reprovable_entries(daemon, {2});
+}
+
 TEST(PlacementDaemon, IncrementalRepairMatchesFreshRescheduleFeasibility) {
   // Daemon A: admit first, then fail processors (incremental repair).
   // Daemon B: fail the same processors first, then admit cold (fresh

@@ -255,6 +255,123 @@ TEST(Survival, BatchMatchesPerSetOnPatchedOracleAfterRepair) {
   }
 }
 
+// A copy of `full` that keeps only the replicas `keep(task, copy)` selects
+// and the comms between kept replicas: a schedule under construction, whose
+// unplaced copies (processor kInvalidProc) the oracle must read as dead.
+template <typename Keep>
+Schedule partial_copy(const Schedule& full, Keep&& keep) {
+  Schedule out(full.dag(), full.platform(), full.eps(), full.period());
+  for (TaskId t = 0; t < full.dag().num_tasks(); ++t) {
+    for (CopyId c = 0; c < full.copies(); ++c) {
+      if (!keep(t, c)) continue;
+      const PlacedReplica& p = full.placed({t, c});
+      out.place({t, c}, p.proc, p.start, p.finish, p.stage);
+    }
+  }
+  for (const CommRecord& comm : full.comms()) {
+    if (out.is_placed(comm.src) && out.is_placed(comm.dst)) out.add_comm(comm);
+  }
+  return out;
+}
+
+TEST(Survival, OracleParityOnPartialSchedules) {
+  for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
+    const std::size_t m = 6;
+    Dag dag;
+    Platform platform;
+    const Schedule full = random_schedule(seed, m, 14, seed % 2 == 0 ? 1 : 2, dag, platform);
+    // Drop about a third of the replicas, every copy of the last task
+    // included, so some tasks keep a strict subset of their copies and one
+    // keeps none.
+    const TaskId last = static_cast<TaskId>(dag.num_tasks() - 1);
+    const Schedule partial = partial_copy(full, [&](TaskId t, CopyId c) {
+      return t != last && (t * 5 + c * 3 + seed) % 3 != 0;
+    });
+    ASSERT_LT(partial.num_placed(), full.num_placed());
+    const SurvivalOracle oracle(partial);
+
+    std::vector<std::uint64_t> rows(64);
+    for (std::uint64_t mask = 0; mask < 64; ++mask) {
+      rows[mask] = mask;
+      std::vector<ProcId> set;
+      for (ProcId p = 0; p < m; ++p) {
+        if ((mask >> p) & 1) set.push_back(p);
+      }
+      expect_parity(partial, oracle, set);
+    }
+    BatchScratch batch;
+    std::vector<std::uint64_t> scratch;
+    const std::uint64_t lanes = oracle.survives_batch(rows.data(), 64, batch);
+    for (std::uint64_t mask = 0; mask < 64; ++mask) {
+      EXPECT_EQ(((lanes >> mask) & 1) != 0, oracle.survives_words(&rows[mask], scratch))
+          << "set mask " << mask;
+    }
+
+    // Copies 0 and 1 of every task on disjoint chains, copy 2 placed only
+    // on even tasks and fed by copy 0: many failure sets survive, and the
+    // unplaced copies must still read as dead, not as alive.
+    Schedule most(dag, platform, 2, kInf);
+    for (const TaskId t : dag.topological_order()) {
+      for (CopyId c = 0; c < 3; ++c) {
+        if (c == 2 && t % 2 != 0) continue;
+        test::place_at(most, {t, c}, static_cast<ProcId>((t + 2 * c) % m), 0.0);
+        for (const TaskId pred : dag.predecessors(t)) test::wire(most, pred, c == 2 ? 0 : c, t, c);
+      }
+    }
+    const SurvivalOracle most_oracle(most);
+    std::size_t survived = 0;
+    for (std::uint64_t mask = 0; mask < 64; ++mask) {
+      std::vector<ProcId> set;
+      for (ProcId p = 0; p < m; ++p) {
+        if ((mask >> p) & 1) set.push_back(p);
+      }
+      expect_parity(most, most_oracle, set);
+      survived += most_oracle.survives_words(&rows[mask], scratch);
+    }
+    EXPECT_GT(survived, 0u);
+  }
+
+  // Sampled sets on a 40-processor platform, and the two-word layout of
+  // 65 replicas per task, each with a share of unplaced copies.
+  {
+    const std::size_t m = 40;
+    Dag dag;
+    Platform platform;
+    const Schedule full = random_schedule(7, m, 60, 2, dag, platform, 0.02, 0.1);
+    const Schedule partial =
+        partial_copy(full, [](TaskId t, CopyId c) { return (t + 2 * c) % 4 != 1; });
+    const SurvivalOracle oracle(partial);
+    Rng rng(99);
+    for (int trial = 0; trial < 120; ++trial) {
+      const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, 6));
+      const auto sample = rng.sample_without_replacement(static_cast<std::uint32_t>(m), k);
+      expect_parity(partial, oracle, std::vector<ProcId>(sample.begin(), sample.end()));
+    }
+  }
+  {
+    const std::size_t m = 66;
+    Dag dag;
+    dag.add_task("a", 1.0);
+    dag.add_task("b", 1.0);
+    dag.add_edge(0, 1, 1.0);
+    const Platform platform = Platform::uniform(m, 1.0, 0.5);
+    Schedule s(dag, platform, 64, kInf);
+    for (CopyId c = 0; c < 65; ++c) {
+      if (c % 3 != 2) test::place_at(s, {0, c}, c, 0.0);
+      if (c % 5 != 4) test::place_at(s, {1, c}, c, 2.0, 2);
+      if (c % 3 != 2 && c % 5 != 4) test::wire(s, 0, c, 1, c);
+    }
+    const SurvivalOracle oracle(s);
+    ASSERT_EQ(oracle.mask_words(), 2u);
+    Rng rng(17);
+    for (int trial = 0; trial < 60; ++trial) {
+      const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, 4));
+      const auto sample = rng.sample_without_replacement(static_cast<std::uint32_t>(m), k);
+      expect_parity(s, oracle, std::vector<ProcId>(sample.begin(), sample.end()));
+    }
+  }
+}
+
 // The degraded-serving certificate against its definition
 // (test::residual_tolerance): under a live failure set F, the largest
 // k <= want such that the reference predicate holds on F ∪ G for every
