@@ -16,52 +16,48 @@ BuildState::BuildState(const Dag& dag, const Platform& platform, CopyId eps, dou
       recv_free_(platform.num_procs(), 0.0),
       added_cout_(platform.num_procs(), 0.0) {}
 
-double BuildState::arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const {
-  const PlacedReplica& p = schedule_.placed(src);
-  return p.finish + platform_->comm_time(dag_->edge(edge).volume, p.proc, dst);
-}
-
-void BuildState::evaluate(TaskId task, ProcId u,
-                          const std::vector<std::vector<ReplicaRef>>& suppliers, Candidate& out,
-                          bool plan_rejected) const {
-  const auto in = dag_->in_edges(task);
-  SS_REQUIRE(suppliers.size() == in.size(),
-             "need one supplier set per predecessor, in predecessor order");
-  out.proc = u;
-  out.suppliers.clear();
-
-  const double period = schedule_.period();
-  const double exec = platform_->exec_time(dag_->work(task), u);
-
+void BuildState::load_sources(TaskId task,
+                              const std::vector<std::vector<ReplicaRef>>& suppliers) const {
   // Copy every supplier's placement once, in the order the ports are
   // reserved: increasing source finish (FCFS by data-ready time),
   // deterministic tie-break by replica identity. A selection evaluates
   // the same task and supplier sets on every candidate processor, and a
   // committed placement never changes, so the copy of the previous call
   // is reused when it was made for the same task and supplier sets.
-  if (!same_sources(task, suppliers)) {
-    sources_task_ = kInvalidTask;  // until the copy is complete
-    source_keys_.clear();
-    source_ends_.clear();
-    sources_.clear();
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const TaskId pred = dag_->edge(in[i]).src;
-      SS_REQUIRE(!suppliers[i].empty(), "empty supplier set for a predecessor");
-      for (ReplicaRef src : suppliers[i]) {
-        SS_REQUIRE(src.task == pred, "supplier does not belong to the right predecessor");
-        const PlacedReplica& p = schedule_.placed(src);
-        source_keys_.push_back(src);
-        sources_.push_back(
-            Source{p.finish, src, p.proc, p.stage, static_cast<std::uint32_t>(i), in[i], 0.0});
-      }
-      source_ends_.push_back(source_keys_.size());
+  if (same_sources(task, suppliers)) return;
+  const auto in = dag_->in_edges(task);
+  SS_REQUIRE(suppliers.size() == in.size(),
+             "need one supplier set per predecessor, in predecessor order");
+  sources_task_ = kInvalidTask;  // until the copy is complete
+  source_keys_.clear();
+  source_ends_.clear();
+  sources_.clear();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const Dag::Edge& edge = dag_->edge(in[i]);
+    SS_REQUIRE(!suppliers[i].empty(), "empty supplier set for a predecessor");
+    for (ReplicaRef src : suppliers[i]) {
+      SS_REQUIRE(src.task == edge.src, "supplier does not belong to the right predecessor");
+      const PlacedReplica& p = schedule_.placed(src);
+      source_keys_.push_back(src);
+      sources_.push_back(Source{p.finish, src, p.proc, p.stage, static_cast<std::uint32_t>(i),
+                                in[i], edge.volume, 0.0});
     }
-    std::sort(sources_.begin(), sources_.end(), [](const Source& a, const Source& b) {
-      if (a.finish != b.finish) return a.finish < b.finish;
-      return a.src < b.src;
-    });
-    sources_task_ = task;
+    source_ends_.push_back(source_keys_.size());
   }
+  std::sort(sources_.begin(), sources_.end(), [](const Source& a, const Source& b) {
+    if (a.finish != b.finish) return a.finish < b.finish;
+    return a.src < b.src;
+  });
+  sources_task_ = task;
+}
+
+void BuildState::plan(ProcId u, Candidate& out, bool plan_rejected) const {
+  const TaskId task = sources_task_;
+  SS_REQUIRE(task != kInvalidTask, "no supplier sets loaded");
+  out.proc = u;
+
+  const double period = schedule_.period();
+  const double exec = platform_->exec_time(dag_->work(task), u);
 
   // Condition (1): the compute load, then the port loads of the remote
   // supplier communications, summed in reservation order. Their maximum is
@@ -71,7 +67,7 @@ void BuildState::evaluate(TaskId task, ProcId u,
   double added_cin = 0.0;
   for (Source& src : sources_) {
     if (src.proc == u) continue;
-    src.duration = platform_->comm_time(dag_->edge(src.edge).volume, src.proc, u);
+    src.duration = platform_->comm_time(src.volume, src.proc, u);
     added_cin += src.duration;
     added_cout_[src.proc] += src.duration;
   }
@@ -87,29 +83,32 @@ void BuildState::evaluate(TaskId task, ProcId u,
   if (!out.valid && !plan_rejected) return;
 
   // Plan every supplier communication under greedy FCFS port reservation,
-  // on scratch copies of the cursors (commit re-runs this plan).
+  // on scratch copies of the cursors.
   send_cursor_.assign(send_free_.begin(), send_free_.end());
   double recv_cursor = recv_free_[u];
-  earliest_.assign(in.size(), std::numeric_limits<double>::infinity());
+  earliest_.assign(source_ends_.size(), std::numeric_limits<double>::infinity());
   // Paper stage rule: max over communicating suppliers of stage + η.
   std::uint32_t stage = 1;
+  out.suppliers.resize(sources_.size());
+  SupplierUse* use = out.suppliers.data();
   for (const Source& src : sources_) {
-    SupplierUse use;
-    use.src = src.src;
-    use.edge = src.edge;
-    if (src.proc == u) {
-      use.comm_start = src.finish;
-      use.arrival = src.finish;
+    use->src = src.src;
+    use->edge = src.edge;
+    use->proc = src.proc;
+    use->pred_index = src.pred_index;
+    use->remote = src.proc != u;
+    if (use->remote) {
+      use->comm_start = std::max({src.finish, send_cursor_[src.proc], recv_cursor});
+      use->arrival = use->comm_start + src.duration;
+      send_cursor_[src.proc] = use->arrival;
+      recv_cursor = use->arrival;
     } else {
-      use.remote = true;
-      use.comm_start = std::max({src.finish, send_cursor_[src.proc], recv_cursor});
-      use.arrival = use.comm_start + src.duration;
-      send_cursor_[src.proc] = use.arrival;
-      recv_cursor = use.arrival;
+      use->comm_start = src.finish;
+      use->arrival = src.finish;
     }
-    earliest_[src.pred_index] = std::min(earliest_[src.pred_index], use.arrival);
-    stage = std::max(stage, src.stage + (use.remote ? 1u : 0u));
-    out.suppliers.push_back(use);
+    earliest_[src.pred_index] = std::min(earliest_[src.pred_index], use->arrival);
+    stage = std::max(stage, src.stage + (use->remote ? 1u : 0u));
+    ++use;
   }
 
   // Readiness: earliest arrival per predecessor (ANY-of), latest over
@@ -150,8 +149,7 @@ void BuildState::commit(TaskId task, CopyId copy, const Candidate& candidate) {
     comm.finish = use.arrival;
     schedule_.add_comm(comm);
     if (use.remote) {
-      const ProcId from = schedule_.placed(use.src).proc;
-      send_free_[from] = std::max(send_free_[from], use.arrival);
+      send_free_[use.proc] = std::max(send_free_[use.proc], use.arrival);
       recv_free_[u] = std::max(recv_free_[u], use.arrival);
     }
   }

@@ -13,6 +13,18 @@
 //   C^O_h + outgoing_h    <= Δ   for every supplier processor h != u
 // The lock-set part of condition (1) is enforced by the callers, who own
 // the per-task locked processor sets.
+//
+// The evaluation contract. A candidate is self-contained: a valid one
+// holds its processor, its start, finish and stage, and one SupplierUse
+// per listed supplier — the supplier's processor and predecessor slot, the
+// edge, and the planned communication start and arrival — so a caller may
+// evaluate several candidates (StagePack evaluates every copy of a task)
+// before committing any. `commit` applies exactly that plan: it places
+// the replica at the candidate's times, records the planned comms and
+// advances the cursors to the planned arrivals; it re-plans nothing, so a
+// candidate committed after other commits keeps the times it was
+// evaluated with. An invalid candidate (condition (1) fails) carries only
+// `valid`, `proc` and `needed`, and commit refuses it.
 #pragma once
 
 #include <utility>
@@ -33,9 +45,11 @@ class BuildState {
   struct SupplierUse {
     ReplicaRef src;
     EdgeId edge = kInvalidEdge;
+    ProcId proc = kInvalidProc;    ///< the supplier's processor
+    std::uint32_t pred_index = 0;  ///< its predecessor slot (in_edges order)
+    bool remote = false;
     double comm_start = 0.0;
     double arrival = 0.0;  ///< src.finish for colocated suppliers
-    bool remote = false;
   };
 
   /// A fully planned placement of one replica on one processor. An invalid
@@ -67,7 +81,8 @@ class BuildState {
   /// must not evaluate on two threads at once.
   void evaluate(TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers,
                 Candidate& out) const {
-    evaluate(task, u, suppliers, out, false);
+    load_sources(task, suppliers);
+    plan(u, out, false);
   }
 
   /// Like evaluate, but plans times, stage and suppliers even when
@@ -76,8 +91,20 @@ class BuildState {
   void plan_beyond_period(TaskId task, ProcId u,
                           const std::vector<std::vector<ReplicaRef>>& suppliers,
                           Candidate& out) const {
-    evaluate(task, u, suppliers, out, true);
+    load_sources(task, suppliers);
+    plan(u, out, true);
   }
+
+  /// Makes `suppliers` the loaded supplier sets of `task` (as evaluate
+  /// takes them): their placements are copied once, in port-reservation
+  /// order, and the copy is kept while later calls pass the same task and
+  /// sets. evaluate loads its sets itself; a caller that evaluates one
+  /// selection's sets on every processor loads them once and evaluates
+  /// with evaluate_loaded, which skips the comparison of the sets.
+  void load_sources(TaskId task, const std::vector<std::vector<ReplicaRef>>& suppliers) const;
+
+  /// evaluate(task, u, suppliers, out) for the task and sets loaded last.
+  void evaluate_loaded(ProcId u, Candidate& out) const { plan(u, out, false); }
 
   /// Convenience form of evaluate returning a fresh candidate.
   [[nodiscard]] Candidate evaluate(TaskId task, ProcId u,
@@ -112,11 +139,15 @@ class BuildState {
   /// Arrival-time estimate used to sort supplier replicas (the paper sorts
   /// B(t_i) by communication finish times on the links): source finish plus
   /// raw transfer time, ignoring port queueing.
-  [[nodiscard]] double arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const;
+  [[nodiscard]] double arrival_estimate(ReplicaRef src, EdgeId edge, ProcId dst) const {
+    const PlacedReplica& p = schedule_.placed(src);
+    return p.finish + platform_->comm_time(dag_->edge(edge).volume, p.proc, dst);
+  }
 
  private:
-  void evaluate(TaskId task, ProcId u, const std::vector<std::vector<ReplicaRef>>& suppliers,
-                Candidate& out, bool plan_rejected) const;
+  /// Plans the loaded sources' task on u into `out`; see evaluate and
+  /// plan_beyond_period.
+  void plan(ProcId u, Candidate& out, bool plan_rejected) const;
   /// True when sources_ was built for this task and these supplier sets.
   [[nodiscard]] bool same_sources(TaskId task,
                                   const std::vector<std::vector<ReplicaRef>>& suppliers) const;
@@ -130,6 +161,7 @@ class BuildState {
     std::uint32_t stage = 1;
     std::uint32_t pred_index = 0;
     EdgeId edge = kInvalidEdge;
+    double volume = 0.0;    ///< the edge's data volume
     double duration = 0.0;  ///< transfer time to the candidate processor
   };
 

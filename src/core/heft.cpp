@@ -38,11 +38,12 @@ ScheduleResult heft_schedule(const Dag& dag, const Platform& platform,
     for (std::size_t i = 0; i < preds.size(); ++i) {
       for (CopyId c = 0; c < copies; ++c) suppliers[i].push_back({preds[i], c});
     }
+    state.load_sources(t, suppliers);
     for (CopyId n = 0; n < copies; ++n) {
       best.valid = false;
       for (ProcId u = 0; u < platform.num_procs(); ++u) {
         if (state.hosts_copy_of(t, u)) continue;
-        state.evaluate(t, u, suppliers, cand);
+        state.evaluate_loaded(u, cand);
         BuildState::keep_earlier(best, cand);
       }
       if (!best.valid) {

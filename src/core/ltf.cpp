@@ -39,10 +39,11 @@ void best_feasible(const BuildState& state, TaskId task,
                    BuildState::Candidate& best, BuildState::Candidate& cand,
                    LoadRejections* rejected) {
   best.valid = false;
+  state.load_sources(task, suppliers);
   for (ProcId u = 0; u < state.num_procs(); ++u) {
     if (respect_locks && locked[u]) continue;
     if (state.hosts_copy_of(task, u)) continue;
-    state.evaluate(task, u, suppliers, cand);
+    state.evaluate_loaded(u, cand);
     if (rejected != nullptr) rejected->note(cand);
     BuildState::keep_earlier(best, cand);
   }
@@ -150,12 +151,17 @@ class LtfLadder {
   std::size_t next_ = 0;
   bool logging_ = false;
 
-  // Buffers reused by every selection of every rung.
+  // Buffers reused by every selection of every rung: the candidates and
+  // supplier sets, and per chunk its tasks, their one-to-one contexts and
+  // their locked processors.
   LoadRejections rejected_;
   OneToOneScratch one_to_one_;
   std::vector<std::vector<ReplicaRef>> suppliers_;
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
+  std::vector<TaskId> beta_;
+  std::vector<OneToOneContext> contexts_;
+  std::vector<std::vector<bool>> locked_;
 };
 
 ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
@@ -182,19 +188,24 @@ ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
     SS_CHECK(!ready.empty(), "ready list empty although tasks remain (cycle?)");
 
     // Select the chunk β of critical tasks.
-    std::vector<TaskId> beta;
+    std::vector<TaskId>& beta = beta_;
+    beta.clear();
     while (beta.size() < chunk_ && !ready.empty()) {
       beta.push_back(ready.top().task);
       ready.pop();
     }
 
-    std::vector<OneToOneContext> contexts(beta.size());
-    std::vector<std::vector<bool>> locked(beta.size(),
-                                          std::vector<bool>(platform_.num_procs(), false));
+    std::vector<OneToOneContext>& contexts = contexts_;
+    std::vector<std::vector<bool>>& locked = locked_;
+    if (contexts.size() < beta.size()) contexts.resize(beta.size());
+    if (locked.size() < beta.size()) locked.resize(beta.size());
     for (std::size_t k = 0; k < beta.size(); ++k) {
+      locked[k].assign(platform_.num_procs(), false);
       if (options_.use_one_to_one) {
-        contexts[k] = make_one_to_one_context(state, beta[k]);
-      }  // else θ stays 0: every replica takes the fallback path
+        make_one_to_one_context(state, beta[k], contexts[k]);
+      } else {
+        contexts[k] = OneToOneContext{};  // θ = 0: every replica takes the fallback path
+      }
     }
 
     // Replica-major (iso-level) placement.

@@ -24,22 +24,41 @@ struct ReadyEntry {
   }
 };
 
-// Per-task coverage bookkeeping: uncovered[i][c] is true while copy c of
-// the i-th (reversed-graph) predecessor — an original successor — has not
-// yet been wired to any replica of the current task.
+// Per-task coverage bookkeeping, flat: uncovered[i * copies + c] is set
+// while copy c of the i-th (reversed-graph) predecessor — an original
+// successor — has not yet been wired to any replica of the current task,
+// and left[i] counts the copies of predecessor i still uncovered.
 struct Coverage {
-  std::vector<std::vector<bool>> uncovered;
+  std::vector<std::uint8_t> uncovered;
+  std::vector<CopyId> left;
+  CopyId copies = 0;
+
+  /// Every copy of each of `preds` predecessors uncovered.
+  void reset(std::size_t preds, CopyId n) {
+    copies = n;
+    uncovered.assign(preds * n, 1);
+    left.assign(preds, n);
+  }
 
   [[nodiscard]] bool any_uncovered(std::size_t pred_index) const {
-    const auto& row = uncovered[pred_index];
-    return std::find(row.begin(), row.end(), true) != row.end();
+    return left[pred_index] != 0;
+  }
+
+  [[nodiscard]] bool is_uncovered(std::size_t pred_index, CopyId c) const {
+    return uncovered[pred_index * copies + c] != 0;
   }
 
   /// Copy c is in the candidate pool of predecessor i: the uncovered
   /// copies while any remain, otherwise every copy. `any` is
   /// any_uncovered(pred_index).
   [[nodiscard]] bool in_pool(std::size_t pred_index, CopyId c, bool any) const {
-    return !any || uncovered[pred_index][c];
+    return !any || is_uncovered(pred_index, c);
+  }
+
+  void cover(std::size_t pred_index, CopyId c) {
+    std::uint8_t& flag = uncovered[pred_index * copies + c];
+    left[pred_index] -= flag;
+    flag = 0;
   }
 };
 
@@ -68,22 +87,23 @@ class RltfPass {
     std::size_t scheduled = 0;
     while (scheduled < rdag_.num_tasks()) {
       SS_CHECK(!ready.empty(), "ready list empty although tasks remain");
-      std::vector<TaskId> beta;
+      std::vector<TaskId>& beta = beta_;
+      beta.clear();
       while (beta.size() < chunk && !ready.empty()) {
         beta.push_back(ready.top().task);
         ready.pop();
       }
 
-      std::vector<Coverage> coverage(beta.size());
-      std::vector<std::vector<bool>> locked(beta.size(), std::vector<bool>(m_, false));
+      if (coverage_.size() < beta.size()) coverage_.resize(beta.size());
+      if (locked_.size() < beta.size()) locked_.resize(beta.size());
       for (std::size_t k = 0; k < beta.size(); ++k) {
-        coverage[k].uncovered.assign(rdag_.in_degree(beta[k]),
-                                     std::vector<bool>(copies_, true));
+        coverage_[k].reset(rdag_.in_degree(beta[k]), copies_);
+        locked_[k].assign(m_, false);
       }
 
       for (CopyId n = 0; n < copies_; ++n) {
         for (std::size_t k = 0; k < beta.size(); ++k) {
-          const std::string err = place_copy(beta[k], n, coverage[k], locked[k]);
+          const std::string err = place_copy(beta[k], n, coverage_[k], locked_[k]);
           if (!err.empty()) return err;
         }
       }
@@ -102,65 +122,94 @@ class RltfPass {
   [[nodiscard]] Schedule take() && { return std::move(state_).take(); }
 
  private:
-  // Supplier selection for one replica of `task` targeting processor u,
-  // into suppliers_ (reused across candidates). Chained (Rule-2 style)
-  // selection: one supplier per predecessor, uncovered copies first; the
-  // last replica picks up all still-uncovered copies so every successor
-  // replica ends with a supplier. `stage_aware` minimizes the stage
-  // contribution first (used for Rule-1 attempts).
-  void choose_suppliers(TaskId task, ProcId u, bool last, const Coverage& coverage,
-                        bool stage_aware) {
+  // Supplier selection for one replica of `task`, into suppliers_ (reused
+  // across candidates). Chained (Rule-2 style) selection: one supplier per
+  // predecessor, uncovered copies first; the last replica picks up all
+  // still-uncovered copies so every successor replica ends with a
+  // supplier. The candidate processor u changes only which copy of a pool
+  // is chosen, so gather_suppliers fixes the rest once per replica and
+  // choose_suppliers picks the pools' copies per u.
+  //
+  // Gathers, per predecessor slot, either a fixed group in suppliers_ —
+  // every copy (all-to-all wiring), or the last replica's still-uncovered
+  // copies — or a pool, pool_[pool_end_[i - 1], pool_end_[i]): the
+  // uncovered copies if any remain, otherwise all, each with the parts of
+  // its placement choose_suppliers reads.
+  void gather_suppliers(TaskId task, bool last, const Coverage& coverage) {
     const auto in = rdag_.in_edges(task);
+    const Schedule& schedule = state_.schedule();
     suppliers_.resize(in.size());
+    pool_.clear();
+    pool_end_.clear();
+    pool_volume_.clear();
     for (std::size_t i = 0; i < in.size(); ++i) {
-      const TaskId pred = rdag_.edge(in[i]).src;
+      const Dag::Edge& edge = rdag_.edge(in[i]);
       std::vector<ReplicaRef>& group = suppliers_[i];
       group.clear();
-      if (!options_.use_one_to_one) {
-        for (CopyId c = 0; c < copies_; ++c) group.push_back({pred, c});
-        continue;
-      }
       const bool any = coverage.any_uncovered(i);
-      if (last && any) {
+      if (!options_.use_one_to_one || (last && any)) {
         for (CopyId c = 0; c < copies_; ++c) {
-          if (coverage.uncovered[i][c]) group.push_back({pred, c});
+          if (!options_.use_one_to_one || coverage.is_uncovered(i, c)) {
+            group.push_back({edge.src, c});
+          }
         }
-        continue;
+      } else {
+        for (CopyId c = 0; c < copies_; ++c) {
+          if (!coverage.in_pool(i, c, any)) continue;
+          const ReplicaRef ref{edge.src, c};
+          const PlacedReplica& p = schedule.placed(ref);
+          pool_.push_back(PoolCopy{ref, p.proc, p.stage, p.finish});
+        }
+        group.push_back(pool_[pool_end_.empty() ? 0 : pool_end_.back()].ref);
       }
-      // Candidate pool: uncovered copies if any remain, otherwise all; the
-      // first pool copy seeds the best.
-      ReplicaRef best{kInvalidTask, 0};
+      pool_end_.push_back(static_cast<std::uint32_t>(pool_.size()));
+      pool_volume_.push_back(edge.volume);
+    }
+  }
+
+  // Chooses each pool's copy for candidate processor u: the earliest
+  // arrival estimate at u (as BuildState::arrival_estimate), ties to the
+  // lower copy; `stage_aware` minimizes the stage contribution from u's
+  // view first (used for Rule-1 attempts). The first pool copy seeds the
+  // best. Returns whether any choice differs from suppliers_' previous one.
+  bool choose_suppliers(ProcId u, bool stage_aware) {
+    const Platform& platform = state_.platform();
+    bool changed = false;
+    std::uint32_t begin = 0;
+    for (std::size_t i = 0; i < pool_end_.size(); ++i) {
+      const std::uint32_t end = pool_end_[i];
+      if (begin == end) continue;  // a fixed group
+      const PoolCopy* best = nullptr;
       double best_arrival = 0.0;
       std::uint32_t best_contrib = 0;
-      for (CopyId c = 0; c < copies_; ++c) {
-        if (!coverage.in_pool(i, c, any)) continue;
-        const ReplicaRef cand{pred, c};
-        const double arrival = state_.arrival_estimate(cand, in[i], u);
-        const std::uint32_t contrib = contribution(cand, u);
+      for (std::uint32_t k = begin; k < end; ++k) {
+        const PoolCopy& cand = pool_[k];
+        const double arrival = cand.finish + platform.comm_time(pool_volume_[i], cand.proc, u);
+        const std::uint32_t contrib = cand.stage + (cand.proc == u ? 0u : 1u);
         bool better;
-        if (best.task == kInvalidTask) {
+        if (best == nullptr) {
           better = true;
         } else if (stage_aware) {
           better = contrib < best_contrib ||
                    (contrib == best_contrib && arrival < best_arrival) ||
-                   (contrib == best_contrib && arrival == best_arrival && cand < best);
+                   (contrib == best_contrib && arrival == best_arrival && cand.ref < best->ref);
         } else {
-          better = arrival < best_arrival || (arrival == best_arrival && cand < best);
+          better = arrival < best_arrival || (arrival == best_arrival && cand.ref < best->ref);
         }
         if (better) {
-          best = cand;
+          best = &cand;
           best_arrival = arrival;
           best_contrib = contrib;
         }
       }
-      group.push_back(best);
+      ReplicaRef& chosen = suppliers_[i].front();
+      if (!(chosen == best->ref)) {
+        chosen = best->ref;
+        changed = true;
+      }
+      begin = end;
     }
-  }
-
-  // Stage contribution of wiring supplier `src` from processor u's view.
-  [[nodiscard]] std::uint32_t contribution(ReplicaRef src, ProcId u) const {
-    const PlacedReplica& p = state_.schedule().placed(src);
-    return p.stage + (p.proc == u ? 0u : 1u);
+    return changed;
   }
 
   // Max stage over the chosen suppliers — Rule 1 accepts a candidate only
@@ -180,14 +229,14 @@ class RltfPass {
                    Coverage& coverage, std::vector<bool>& locked) {
     state_.commit(task, n, cand);
     locked[cand.proc] = true;
-    // Map supplier edges back to predecessor slots for coverage updates,
-    // and lock supplier processors (one-to-one locking discipline).
+    // Cover each supplier in its predecessor slot, and lock supplier
+    // processors (one-to-one locking discipline).
     const auto in = rdag_.in_edges(task);
     for (const BuildState::SupplierUse& use : cand.suppliers) {
-      locked[state_.schedule().placed(use.src).proc] = true;
-      const auto slot = std::find(in.begin(), in.end(), use.edge);
-      SS_CHECK(slot != in.end(), "supplier edge does not enter the task");
-      coverage.uncovered[static_cast<std::size_t>(slot - in.begin())][use.src.copy] = false;
+      locked[use.proc] = true;
+      SS_CHECK(use.pred_index < in.size() && in[use.pred_index] == use.edge,
+               "supplier edge does not enter the task");
+      coverage.cover(use.pred_index, use.src.copy);
     }
   }
 
@@ -195,6 +244,18 @@ class RltfPass {
                          std::vector<bool>& locked) {
     const bool last = (n + 1 == copies_);
     const auto in = rdag_.in_edges(task);
+
+    // Evaluates the replica on u with the suppliers chosen for u; the
+    // supplier sets are loaded again only when a choice changed.
+    gather_suppliers(task, last, coverage);
+    bool loaded = false;
+    const auto evaluate_on = [&](ProcId u, bool stage_aware) {
+      if (choose_suppliers(u, stage_aware) || !loaded) {
+        state_.load_sources(task, suppliers_);
+        loaded = true;
+      }
+      state_.evaluate_loaded(u, cand_);
+    };
 
     // ---- Rule 1: stage-preserving merge --------------------------------
     if (options_.use_rule1 && !in.empty()) {
@@ -208,8 +269,7 @@ class RltfPass {
           const ProcId u = state_.schedule().placed(ReplicaRef{pred, c}).proc;
           if (tried_[u] || locked[u] || state_.hosts_copy_of(task, u)) continue;
           tried_[u] = true;
-          choose_suppliers(task, u, last, coverage, true);
-          state_.evaluate(task, u, suppliers_, cand_);
+          evaluate_on(u, true);
           if (!cand_.valid) continue;
           if (cand_.stage > supplier_stage_max(suppliers_)) continue;  // stage grew
           BuildState::keep_earlier(best_, cand_);
@@ -227,8 +287,7 @@ class RltfPass {
       for (ProcId u = 0; u < m_; ++u) {
         if (respect_locks && locked[u]) continue;
         if (state_.hosts_copy_of(task, u)) continue;
-        choose_suppliers(task, u, last, coverage, false);
-        state_.evaluate(task, u, suppliers_, cand_);
+        evaluate_on(u, false);
         BuildState::keep_earlier(best_, cand_);
       }
       if (best_.valid) {
@@ -246,11 +305,28 @@ class RltfPass {
   std::size_t m_;
   BuildState state_;
 
-  // Per-candidate buffers, reused for every placement of the pass.
+  // One copy of a supplier pool, with the parts of its placement
+  // choose_suppliers reads.
+  struct PoolCopy {
+    ReplicaRef ref;
+    ProcId proc = kInvalidProc;
+    std::uint32_t stage = 1;
+    double finish = 0.0;
+  };
+
+  // Buffers reused for every placement of the pass: per replica its
+  // supplier pools (see gather_suppliers), per candidate its suppliers, and
+  // per chunk its tasks, their coverage and their locked processors.
+  std::vector<PoolCopy> pool_;
+  std::vector<std::uint32_t> pool_end_;
+  std::vector<double> pool_volume_;
   std::vector<std::vector<ReplicaRef>> suppliers_;
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
   std::vector<bool> tried_;
+  std::vector<TaskId> beta_;
+  std::vector<Coverage> coverage_;
+  std::vector<std::vector<bool>> locked_;
 };
 
 }  // namespace

@@ -7,10 +7,6 @@
 
 namespace streamsched {
 
-void Dag::check_task(TaskId t) const {
-  SS_REQUIRE(t < works_.size(), "task id out of range");
-}
-
 TaskId Dag::add_task(std::string name, double work) {
   SS_REQUIRE(work >= 0.0, "task work must be non-negative");
   const auto id = static_cast<TaskId>(works_.size());
@@ -66,11 +62,6 @@ EdgeId Dag::add_edge(TaskId src, TaskId dst, double volume) {
   return id;
 }
 
-double Dag::work(TaskId t) const {
-  check_task(t);
-  return works_[t];
-}
-
 void Dag::set_work(TaskId t, double work) {
   check_task(t);
   SS_REQUIRE(work >= 0.0, "task work must be non-negative");
@@ -82,25 +73,10 @@ const std::string& Dag::name(TaskId t) const {
   return names_[t];
 }
 
-const Dag::Edge& Dag::edge(EdgeId e) const {
-  SS_REQUIRE(e < edges_.size(), "edge id out of range");
-  return edges_[e];
-}
-
 void Dag::set_volume(EdgeId e, double volume) {
   SS_REQUIRE(e < edges_.size(), "edge id out of range");
   SS_REQUIRE(volume >= 0.0, "edge volume must be non-negative");
   edges_[e].volume = volume;
-}
-
-std::span<const EdgeId> Dag::out_edges(TaskId t) const {
-  check_task(t);
-  return out_[t];
-}
-
-std::span<const EdgeId> Dag::in_edges(TaskId t) const {
-  check_task(t);
-  return in_[t];
 }
 
 std::vector<TaskId> Dag::successors(TaskId t) const {

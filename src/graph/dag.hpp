@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace streamsched {
@@ -38,16 +39,30 @@ class Dag {
   [[nodiscard]] std::size_t num_tasks() const { return works_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
 
-  [[nodiscard]] double work(TaskId t) const;
+  // The checked accessors below sit on the schedulers' innermost loops;
+  // they are defined here so their checks inline rather than cost a call.
+  [[nodiscard]] double work(TaskId t) const {
+    check_task(t);
+    return works_[t];
+  }
   void set_work(TaskId t, double work);
   [[nodiscard]] const std::string& name(TaskId t) const;
 
-  [[nodiscard]] const Edge& edge(EdgeId e) const;
+  [[nodiscard]] const Edge& edge(EdgeId e) const {
+    SS_REQUIRE(e < edges_.size(), "edge id out of range");
+    return edges_[e];
+  }
   void set_volume(EdgeId e, double volume);
 
   /// Edge ids leaving / entering a task.
-  [[nodiscard]] std::span<const EdgeId> out_edges(TaskId t) const;
-  [[nodiscard]] std::span<const EdgeId> in_edges(TaskId t) const;
+  [[nodiscard]] std::span<const EdgeId> out_edges(TaskId t) const {
+    check_task(t);
+    return out_[t];
+  }
+  [[nodiscard]] std::span<const EdgeId> in_edges(TaskId t) const {
+    check_task(t);
+    return in_[t];
+  }
 
   [[nodiscard]] std::size_t out_degree(TaskId t) const { return out_edges(t).size(); }
   [[nodiscard]] std::size_t in_degree(TaskId t) const { return in_edges(t).size(); }
@@ -74,7 +89,7 @@ class Dag {
   [[nodiscard]] Dag reversed() const;
 
  private:
-  void check_task(TaskId t) const;
+  void check_task(TaskId t) const { SS_REQUIRE(t < works_.size(), "task id out of range"); }
 
   std::vector<double> works_;
   std::vector<std::string> names_;

@@ -42,19 +42,9 @@ Platform Platform::uniform(std::size_t m, double speed, double unit_delay) {
   return Platform(std::vector<double>(m, speed), unit_delay);
 }
 
-void Platform::check_proc(ProcId u) const {
-  SS_REQUIRE(u < speeds_.size(), "processor id out of range");
-}
-
 double Platform::speed(ProcId u) const {
   check_proc(u);
   return speeds_[u];
-}
-
-double Platform::unit_delay(ProcId a, ProcId b) const {
-  check_proc(a);
-  check_proc(b);
-  return delays_(a, b);
 }
 
 void Platform::set_unit_delay(ProcId a, ProcId b, double delay) {
@@ -64,18 +54,6 @@ void Platform::set_unit_delay(ProcId a, ProcId b, double delay) {
   SS_REQUIRE(delay >= 0.0, "unit delay must be non-negative");
   delays_(a, b) = delay;
   delays_(b, a) = delay;
-}
-
-double Platform::exec_time(double work, ProcId u) const {
-  check_proc(u);
-  return work / speeds_[u];
-}
-
-double Platform::comm_time(double volume, ProcId a, ProcId b) const {
-  check_proc(a);
-  check_proc(b);
-  if (a == b) return 0.0;
-  return volume * delays_(a, b);
 }
 
 double Platform::min_speed() const { return *std::min_element(speeds_.begin(), speeds_.end()); }

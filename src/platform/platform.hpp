@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/matrix.hpp"
 #include "util/types.hpp"
 
@@ -38,14 +39,28 @@ class Platform {
   [[nodiscard]] std::size_t num_procs() const { return speeds_.size(); }
 
   [[nodiscard]] double speed(ProcId u) const;
-  [[nodiscard]] double unit_delay(ProcId a, ProcId b) const;
+  // The checked accessors below sit on the schedulers' innermost loops;
+  // they are defined here so their checks inline rather than cost a call.
+  [[nodiscard]] double unit_delay(ProcId a, ProcId b) const {
+    check_proc(a);
+    check_proc(b);
+    return delays_(a, b);
+  }
   void set_unit_delay(ProcId a, ProcId b, double delay);
 
   /// Time to execute `work` units on processor u.
-  [[nodiscard]] double exec_time(double work, ProcId u) const;
+  [[nodiscard]] double exec_time(double work, ProcId u) const {
+    check_proc(u);
+    return work / speeds_[u];
+  }
 
   /// Time to transfer `volume` units from a to b (0 when a == b).
-  [[nodiscard]] double comm_time(double volume, ProcId a, ProcId b) const;
+  [[nodiscard]] double comm_time(double volume, ProcId a, ProcId b) const {
+    check_proc(a);
+    check_proc(b);
+    if (a == b) return 0.0;
+    return volume * delays_(a, b);
+  }
 
   [[nodiscard]] double min_speed() const;
   [[nodiscard]] double max_speed() const;
@@ -70,7 +85,9 @@ class Platform {
   [[nodiscard]] bool has_failure_probs() const;
 
  private:
-  void check_proc(ProcId u) const;
+  void check_proc(ProcId u) const {
+    SS_REQUIRE(u < speeds_.size(), "processor id out of range");
+  }
 
   std::vector<double> speeds_;
   Matrix<double> delays_;

@@ -14,7 +14,6 @@ Schedule::Schedule(const Dag& dag, const Platform& platform, CopyId eps, double 
   const std::size_t replicas = dag.num_tasks() * copies();
   placed_.assign(replicas, PlacedReplica{});
   in_.assign(replicas, {});
-  out_.assign(replicas, {});
   sigma_.assign(platform.num_procs(), 0.0);
   cin_.assign(platform.num_procs(), 0.0);
   cout_.assign(platform.num_procs(), 0.0);
@@ -46,7 +45,6 @@ std::uint32_t Schedule::add_comm(const CommRecord& comm) {
   SS_REQUIRE(!has_supplier(comm.dst, comm.src), "duplicate supply comm");
   const auto idx = static_cast<std::uint32_t>(comms_.size());
   comms_.push_back(comm);
-  out_[slot(comm.src)].push_back(idx);
   in_[slot(comm.dst)].push_back(idx);
   const ProcId from = placed_[slot(comm.src)].proc;
   const ProcId to = placed_[slot(comm.dst)].proc;

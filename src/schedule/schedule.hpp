@@ -73,18 +73,16 @@ class Schedule {
 
   void set_stage(ReplicaRef r, std::uint32_t stage);
 
-  /// Appends a communication record and indexes it; returns its index.
-  /// Both endpoints must already be placed.
+  /// Appends a communication record and indexes it under its consumer;
+  /// returns its index. Both endpoints must already be placed, and the
+  /// consumer must not record the same supplier twice.
   std::uint32_t add_comm(const CommRecord& comm);
 
   [[nodiscard]] const std::vector<CommRecord>& comms() const { return comms_; }
+  /// Indices into comms() of the comms that supply replica r.
   [[nodiscard]] std::span<const std::uint32_t> in_comms(ReplicaRef r) const {
     check_replica(r);
     return in_[slot(r)];
-  }
-  [[nodiscard]] std::span<const std::uint32_t> out_comms(ReplicaRef r) const {
-    check_replica(r);
-    return out_[slot(r)];
   }
 
   /// Replicas of `pred` recorded as suppliers of r (pred must be an
@@ -139,11 +137,10 @@ class Schedule {
   std::size_t num_placed_ = 0;
 
   // Per replica, indexed by slot(): the placement (proc == kInvalidProc
-  // while unplaced) and the indices of its inbound / outbound comms.
+  // while unplaced) and the indices of its inbound comms.
   std::vector<PlacedReplica> placed_;
   std::vector<CommRecord> comms_;
   std::vector<std::vector<std::uint32_t>> in_;
-  std::vector<std::vector<std::uint32_t>> out_;
   std::vector<double> sigma_, cin_, cout_;
 };
 

@@ -56,19 +56,27 @@ bool SurvivalOracle::compute_row(TaskId t, const std::uint64_t* failed_words,
   const std::uint32_t j1 = pred_offset_[t + 1];
   if (mask_words_ == 1) {
     // Narrow layout (copies <= 64): one word per row and per supplier mask.
-    std::uint64_t a = placed_mask_[t];
-    for (std::uint64_t bits = a; bits != 0; bits &= bits - 1) {
-      const int c = std::countr_zero(bits);
+    // Branch-free over the copies: copy c stays iff it is placed, its
+    // processor is up, and every predecessor slot feeds it. An unplaced
+    // copy's processor is kInvalidProc; it reads word 0 instead, and its
+    // clear placed bit keeps it down.
+    const std::uint64_t placed = placed_mask_[t];
+    std::uint64_t up = 0;
+    for (CopyId c = 0; c < copies_; ++c) {
+      const std::uint64_t is_placed = (placed >> c) & 1;
       const ProcId u = procs[c];
-      if ((failed_words[u >> 6] >> (u & 63)) & 1) a &= ~(1ULL << c);
+      const std::size_t word = (u >> 6) & (0 - static_cast<std::size_t>(is_placed));
+      up |= (is_placed & ~(failed_words[word] >> (u & 63))) << c;
     }
+    std::uint64_t a = up;
     for (std::uint32_t j = j0; a != 0 && j < j1; ++j) {
       const std::uint64_t pred_alive = alive[pred_task_[j]];
       const std::uint64_t* sup = sup_mask_.data() + static_cast<std::size_t>(j) * copies_;
-      for (std::uint64_t bits = a; bits != 0; bits &= bits - 1) {
-        const int c = std::countr_zero(bits);
-        if ((pred_alive & sup[c]) == 0) a &= ~(1ULL << c);
+      std::uint64_t fed = 0;
+      for (CopyId c = 0; c < copies_; ++c) {
+        fed |= static_cast<std::uint64_t>((pred_alive & sup[c]) != 0) << c;
       }
+      a &= fed;
     }
     alive[t] = a;  // dead tasks store 0; downstream masks then clear themselves
     return a != 0;

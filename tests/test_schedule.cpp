@@ -106,8 +106,6 @@ TEST_F(ScheduleFixture, InOutCommIndexing) {
   place_at(s, {2, 0}, 2, 6.0);
   const auto c1 = wire(s, 0, 0, 1, 0);
   const auto c2 = wire(s, 1, 0, 2, 0);
-  ASSERT_EQ(s.out_comms({0, 0}).size(), 1u);
-  EXPECT_EQ(s.out_comms({0, 0})[0], c1);
   ASSERT_EQ(s.in_comms({1, 0}).size(), 1u);
   EXPECT_EQ(s.in_comms({1, 0})[0], c1);
   ASSERT_EQ(s.in_comms({2, 0}).size(), 1u);
