@@ -25,7 +25,7 @@ void Schedule::place(ReplicaRef r, ProcId proc, double start, double finish,
   check_proc(proc);
   SS_REQUIRE(finish >= start, "finish before start");
   SS_REQUIRE(stage >= 1, "stages are 1-based");
-  placed_[slot(r)] = PlacedReplica{proc, start, finish, stage};
+  placed_[slot(r)] = PlacedReplica{proc, stage, start, finish};
   ++num_placed_;
   sigma_[proc] += platform_->exec_time(dag_->work(r.task), proc);
 }

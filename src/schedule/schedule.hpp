@@ -24,13 +24,16 @@
 
 namespace streamsched {
 
+// The narrow fields of both records come first, so they pack without
+// padding: every schedule keeps one record per replica and per comm.
+
 /// Placement of one replica.
 struct PlacedReplica {
   ProcId proc = kInvalidProc;
-  double start = 0.0;
-  double finish = 0.0;
   /// Pipeline stage (1-based). See metrics.hpp for the stage semantics.
   std::uint32_t stage = 1;
+  double start = 0.0;
+  double finish = 0.0;
 };
 
 /// One replicated communication along a DAG edge.
@@ -38,9 +41,9 @@ struct CommRecord {
   EdgeId edge = kInvalidEdge;
   ReplicaRef src;  ///< replica of dag.edge(edge).src
   ReplicaRef dst;  ///< replica of dag.edge(edge).dst
+  bool repair = false;  ///< added by the fault-tolerance repair pass
   double start = 0.0;   ///< builder timeline (0-duration when colocated)
   double finish = 0.0;
-  bool repair = false;  ///< added by the fault-tolerance repair pass
 };
 
 class Schedule {
