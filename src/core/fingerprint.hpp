@@ -18,7 +18,6 @@
 // full equality by the cache's hash map.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -34,18 +33,8 @@ class AlgoVariant;
 /// Streaming FNV-1a hasher over primitive fields.
 class Fnv64 {
  public:
-  /// The eight bytes of v, least significant first. A zero byte's step is
-  /// a bare multiply by the prime, so a byte and the run of zero bytes
-  /// after it take one multiply by a power of the prime: the same hash in
-  /// fewer steps, as most hashed fields are small integers.
   Fnv64& u64(std::uint64_t v) {
-    for (int i = 0; i < 8;) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      const std::uint64_t rest = i == 7 ? 0 : v >> (8 * (i + 1));
-      const int step = rest == 0 ? 8 - i : 1 + std::countr_zero(rest) / 8;
-      h_ *= kPrimePowers[static_cast<std::size_t>(step)];
-      i += step;
-    }
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
     return *this;
   }
   Fnv64& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
@@ -57,17 +46,9 @@ class Fnv64 {
   [[nodiscard]] std::uint64_t value() const { return h_; }
 
  private:
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-  /// kPrimePowers[k] = kPrime^k mod 2^64.
-  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
-    std::array<std::uint64_t, 9> powers{1};
-    for (std::size_t k = 1; k < powers.size(); ++k) powers[k] = powers[k - 1] * kPrime;
-    return powers;
-  }();
-
   void byte(unsigned char b) {
     h_ ^= b;
-    h_ *= kPrime;
+    h_ *= 1099511628211ULL;
   }
   std::uint64_t h_ = 1469598103934665603ULL;
 };

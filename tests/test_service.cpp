@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -57,33 +56,6 @@ std::shared_ptr<const CachedPlacement> make_placement(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------- hashes --
-
-// Fnv64::u64 merges the steps of zero bytes; it must equal FNV-1a fed the
-// eight bytes one at a time, for values with zero bytes anywhere.
-TEST(Fingerprint, WordStepsEqualByteSteps) {
-  std::vector<std::uint64_t> values = {0, 1, 0xff, 0x100, 0xff00ff00ff00ff00ULL,
-                                       0x00ff00ff00ff00ffULL, 0x8000000000000000ULL,
-                                       ~0ULL, std::bit_cast<std::uint64_t>(1.5),
-                                       std::bit_cast<std::uint64_t>(-0.0)};
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      if (rng.bernoulli(0.5)) v |= static_cast<std::uint64_t>(rng.uniform_int(1, 255)) << (8 * b);
-    }
-    values.push_back(v);
-  }
-  std::string bytes;
-  Fnv64 words;
-  for (const std::uint64_t v : values) {
-    words.u64(v);
-    for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<char>(v >> (8 * b)));
-    // str() feeds its characters one at a time, then the length.
-    Fnv64 reference;
-    reference.str(bytes);
-    EXPECT_EQ(Fnv64(words).u64(bytes.size()).value(), reference.value()) << std::hex << v;
-  }
-}
 
 TEST(Fingerprint, DagSemanticContentOnly) {
   const Dag a = small_dag(3);
