@@ -55,11 +55,9 @@ bool SurvivalOracle::compute_row(TaskId t, const std::uint64_t* failed_words,
   const std::uint32_t j0 = pred_offset_[t];
   const std::uint32_t j1 = pred_offset_[t + 1];
   if (mask_words_ == 1) {
-    // Narrow layout (copies <= 64): one word per row and per supplier mask.
-    // Branch-free over the copies: copy c stays iff it is placed, its
-    // processor is up, and every predecessor slot feeds it. An unplaced
-    // copy's processor is kInvalidProc; it reads word 0 instead, and its
-    // clear placed bit keeps it down.
+    // Narrow layout (copies <= 64): one word per row and per supplier mask,
+    // branch-free over the copies. An unplaced copy's kInvalidProc reads
+    // word 0 instead, and its clear placed bit keeps it down.
     const std::uint64_t placed = placed_mask_[t];
     std::uint64_t up = 0;
     for (CopyId c = 0; c < copies_; ++c) {

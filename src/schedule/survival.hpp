@@ -182,8 +182,13 @@ class SurvivalOracle {
   /// `failed_words` from its predecessors' rows, which must already hold
   /// their values under the same set. Returns whether t keeps a computable
   /// replica. `survives_words` and `computable` are loops over it in
-  /// topological order; repair calls it directly so that it can wire a dead
-  /// task and recompute that task's row before going on.
+  /// topological order; the count, probabilistic and event repairs call it
+  /// directly so that they can wire a dead task and recompute that task's
+  /// row before going on, and achieved_tolerance's k = 0 check runs on it.
+  /// In the narrow layout (copies <= 64) it runs over the copies without
+  /// branches: a copy stays iff it is placed, its processor is up and every
+  /// predecessor slot feeds it; an unplaced copy reads as down without
+  /// indexing `failed_words` with its kInvalidProc.
   bool compute_row(TaskId t, const std::uint64_t* failed_words, std::uint64_t* alive) const;
 
   /// Task t's `slot`-th predecessor (Dag::predecessors order).
