@@ -20,9 +20,8 @@
 // fresh rates against a quarter of the committed ones, and the digests
 // exactly, with scripts/check_bench_floor.py.
 //
-// Flags: --dags N (DAGs in the set, default 16), --reps N (timing
-// repetitions, best-of; default 3), --seed S (first DAG seed, default
-// 1001), --json PATH.
+// Flags: --reps N (timing repetitions, best-of; default 3), --json PATH.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -62,12 +61,13 @@ double seconds_of(Fn&& fn) {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto dags = static_cast<std::size_t>(cli.get_int("dags", 16, ""));
-  const std::int64_t reps = cli.get_int("reps", 3, "STREAMSCHED_REPS");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1001, "STREAMSCHED_SEED"));
+  const std::int64_t reps = cli.get_int("reps", 3, "");
   const std::string json_path = cli.get_string("json", "BENCH_schedulers.json", "");
   cli.finish();
 
+  // The DAG set: seeds kSeed .. kSeed + kDags - 1.
+  constexpr std::size_t kDags = 16;
+  constexpr std::uint64_t kSeed = 1001;
   constexpr std::size_t kProcs = 16;
   constexpr std::size_t kTasks = 52;
   constexpr double kHeadroom = 4.0;
@@ -78,18 +78,18 @@ int main(int argc, char** argv) {
   const Platform platform = make_reliability_heterogeneous(platform_rng, kProcs, 0.02, 0.08);
   const CopyId eps = model.derive_eps(platform, kTasks);
 
-  std::vector<Request> requests(dags);
-  for (std::size_t i = 0; i < dags; ++i) {
-    Rng rng(seed + i);
+  std::vector<Request> requests(kDags);
+  for (std::size_t i = 0; i < kDags; ++i) {
+    Rng rng(kSeed + i);
     requests[i].dag = make_random_layered(rng, kTasks, 4, 0.4, WeightRanges{});
     requests[i].period = calibrate_period(requests[i].dag, platform, eps, kHeadroom, 1.0);
   }
 
   bench::BenchJson doc("schedulers");
   doc.meta()
-      .add("dags", static_cast<std::uint64_t>(dags))
+      .add("dags", static_cast<std::uint64_t>(kDags))
       .add("reps", reps)
-      .add("seed", seed)
+      .add("seed", kSeed)
       .add("m", static_cast<std::uint64_t>(kProcs))
       .add("tasks", static_cast<std::uint64_t>(kTasks))
       .add("model", model.to_string())
@@ -123,12 +123,12 @@ int main(int argc, char** argv) {
     for (std::int64_t rep = 0; rep < reps; ++rep) {
       best = std::min(best, seconds_of([&] {
                               for (std::size_t b = 0; b < batch; ++b) pass();
-                            }) / static_cast<double>(batch * dags));
+                            }) / static_cast<double>(batch * kDags));
     }
     const double rate = 1.0 / best;
     char hex[19];
     std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(digest));
-    std::cout << algo << "  dags=" << dags << "  failed=" << failed << "  batch=" << batch
+    std::cout << algo << "  dags=" << kDags << "  failed=" << failed << "  batch=" << batch
               << "  " << best * 1e3 << " ms/schedule  " << rate << " schedules/s  digest=" << hex
               << '\n';
     doc.add_result()
