@@ -151,17 +151,12 @@ class LtfLadder {
   std::size_t next_ = 0;
   bool logging_ = false;
 
-  // Buffers reused by every selection of every rung: the candidates and
-  // supplier sets, and per chunk its tasks, their one-to-one contexts and
-  // their locked processors.
+  // Buffers reused by every selection of every rung.
   LoadRejections rejected_;
   OneToOneScratch one_to_one_;
   std::vector<std::vector<ReplicaRef>> suppliers_;
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
-  std::vector<TaskId> beta_;
-  std::vector<OneToOneContext> contexts_;
-  std::vector<std::vector<bool>> locked_;
 };
 
 ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
@@ -188,24 +183,19 @@ ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
     SS_CHECK(!ready.empty(), "ready list empty although tasks remain (cycle?)");
 
     // Select the chunk β of critical tasks.
-    std::vector<TaskId>& beta = beta_;
-    beta.clear();
+    std::vector<TaskId> beta;
     while (beta.size() < chunk_ && !ready.empty()) {
       beta.push_back(ready.top().task);
       ready.pop();
     }
 
-    std::vector<OneToOneContext>& contexts = contexts_;
-    std::vector<std::vector<bool>>& locked = locked_;
-    if (contexts.size() < beta.size()) contexts.resize(beta.size());
-    if (locked.size() < beta.size()) locked.resize(beta.size());
+    std::vector<OneToOneContext> contexts(beta.size());
+    std::vector<std::vector<bool>> locked(beta.size(),
+                                          std::vector<bool>(platform_.num_procs(), false));
     for (std::size_t k = 0; k < beta.size(); ++k) {
-      locked[k].assign(platform_.num_procs(), false);
       if (options_.use_one_to_one) {
-        make_one_to_one_context(state, beta[k], contexts[k]);
-      } else {
-        contexts[k] = OneToOneContext{};  // θ = 0: every replica takes the fallback path
-      }
+        contexts[k] = make_one_to_one_context(state, beta[k]);
+      }  // else θ stays 0: every replica takes the fallback path
     }
 
     // Replica-major (iso-level) placement.

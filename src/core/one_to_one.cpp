@@ -7,43 +7,42 @@
 
 namespace streamsched {
 
-void make_one_to_one_context(const BuildState& state, TaskId task, OneToOneContext& ctx) {
+OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task) {
   const Dag& dag = state.dag();
   const Schedule& schedule = state.schedule();
-  const auto in = dag.in_edges(task);
+  const auto preds = dag.predecessors(task);
 
-  ctx.used = 0;
-  ctx.remaining.resize(in.size());
-  if (in.empty()) {
+  OneToOneContext ctx;
+  if (preds.empty()) {
     // Entry task: no communications to pair up; every replica can be
     // "one-to-one" placed (distinct processors enforced via locking).
     ctx.theta = schedule.copies();
-    return;
+    return ctx;
   }
 
   // Count predecessor replicas per processor to find singletons.
-  ctx.replicas_on_proc.assign(state.num_procs(), 0);
-  for (const EdgeId e : in) {
-    const TaskId pred = dag.edge(e).src;
+  std::vector<std::uint32_t> replicas_on_proc(state.num_procs(), 0);
+  for (TaskId pred : preds) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
       const ReplicaRef r{pred, c};
       SS_CHECK(schedule.is_placed(r), "predecessor replica not placed yet");
-      ++ctx.replicas_on_proc[schedule.placed(r).proc];
+      ++replicas_on_proc[schedule.placed(r).proc];
     }
   }
 
+  ctx.remaining.resize(preds.size());
   std::uint32_t theta = std::numeric_limits<std::uint32_t>::max();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const TaskId pred = dag.edge(in[i]).src;
-    std::vector<ReplicaRef>& list = ctx.remaining[i];
-    list.clear();
+  for (std::size_t i = 0; i < preds.size(); ++i) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
-      const ReplicaRef r{pred, c};
-      if (ctx.replicas_on_proc[schedule.placed(r).proc] == 1) list.push_back(r);
+      const ReplicaRef r{preds[i], c};
+      if (replicas_on_proc[schedule.placed(r).proc] == 1) {
+        ctx.remaining[i].push_back(r);
+      }
     }
-    theta = std::min(theta, static_cast<std::uint32_t>(list.size()));
+    theta = std::min(theta, static_cast<std::uint32_t>(ctx.remaining[i].size()));
   }
   ctx.theta = theta;
+  return ctx;
 }
 
 void one_to_one_heads(const BuildState& state, TaskId task, const OneToOneContext& context,

@@ -22,17 +22,14 @@ struct OneToOneContext {
   std::vector<std::vector<ReplicaRef>> remaining;
   std::uint32_t theta = 0;  ///< how many replicas can be mapped one-to-one
   std::uint32_t used = 0;   ///< Z: how many have been so far
-  /// make_one_to_one_context's scratch: predecessor replicas per processor.
-  std::vector<std::uint32_t> replicas_on_proc;
 
   [[nodiscard]] bool available() const { return used < theta; }
 };
 
-/// Builds the context for `task` into `ctx`, reusing its buffers:
-/// identifies singleton processors over the replicas of all predecessors
-/// and sets θ = min_i |B(t_i)| (θ = ε+1 for entry tasks, where one-to-one
-/// degenerates to plain spread placement) and Z = 0.
-void make_one_to_one_context(const BuildState& state, TaskId task, OneToOneContext& ctx);
+/// Builds the context for `task`: identifies singleton processors over the
+/// replicas of all predecessors and sets θ = min_i |B(t_i)| (θ = ε+1 for
+/// entry tasks, where one-to-one degenerates to plain spread placement).
+[[nodiscard]] OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task);
 
 struct OneToOneChoice {
   BuildState::Candidate candidate;

@@ -87,23 +87,21 @@ class RltfPass {
     std::size_t scheduled = 0;
     while (scheduled < rdag_.num_tasks()) {
       SS_CHECK(!ready.empty(), "ready list empty although tasks remain");
-      std::vector<TaskId>& beta = beta_;
-      beta.clear();
+      std::vector<TaskId> beta;
       while (beta.size() < chunk && !ready.empty()) {
         beta.push_back(ready.top().task);
         ready.pop();
       }
 
-      if (coverage_.size() < beta.size()) coverage_.resize(beta.size());
-      if (locked_.size() < beta.size()) locked_.resize(beta.size());
+      std::vector<Coverage> coverage(beta.size());
+      std::vector<std::vector<bool>> locked(beta.size(), std::vector<bool>(m_, false));
       for (std::size_t k = 0; k < beta.size(); ++k) {
-        coverage_[k].reset(rdag_.in_degree(beta[k]), copies_);
-        locked_[k].assign(m_, false);
+        coverage[k].reset(rdag_.in_degree(beta[k]), copies_);
       }
 
       for (CopyId n = 0; n < copies_; ++n) {
         for (std::size_t k = 0; k < beta.size(); ++k) {
-          const std::string err = place_copy(beta[k], n, coverage_[k], locked_[k]);
+          const std::string err = place_copy(beta[k], n, coverage[k], locked[k]);
           if (!err.empty()) return err;
         }
       }
@@ -171,10 +169,9 @@ class RltfPass {
   // arrival estimate at u (as BuildState::arrival_estimate), ties to the
   // lower copy; `stage_aware` minimizes the stage contribution from u's
   // view first (used for Rule-1 attempts). The first pool copy seeds the
-  // best. Returns whether any choice differs from suppliers_' previous one.
-  bool choose_suppliers(ProcId u, bool stage_aware) {
+  // best.
+  void choose_suppliers(ProcId u, bool stage_aware) {
     const Platform& platform = state_.platform();
-    bool changed = false;
     std::uint32_t begin = 0;
     for (std::size_t i = 0; i < pool_end_.size(); ++i) {
       const std::uint32_t end = pool_end_[i];
@@ -202,14 +199,9 @@ class RltfPass {
           best_contrib = contrib;
         }
       }
-      ReplicaRef& chosen = suppliers_[i].front();
-      if (!(chosen == best->ref)) {
-        chosen = best->ref;
-        changed = true;
-      }
+      suppliers_[i].front() = best->ref;
       begin = end;
     }
-    return changed;
   }
 
   // Max stage over the chosen suppliers — Rule 1 accepts a candidate only
@@ -245,17 +237,7 @@ class RltfPass {
     const bool last = (n + 1 == copies_);
     const auto in = rdag_.in_edges(task);
 
-    // Evaluates the replica on u with the suppliers chosen for u; the
-    // supplier sets are loaded again only when a choice changed.
     gather_suppliers(task, last, coverage);
-    bool loaded = false;
-    const auto evaluate_on = [&](ProcId u, bool stage_aware) {
-      if (choose_suppliers(u, stage_aware) || !loaded) {
-        state_.load_sources(task, suppliers_);
-        loaded = true;
-      }
-      state_.evaluate_loaded(u, cand_);
-    };
 
     // ---- Rule 1: stage-preserving merge --------------------------------
     if (options_.use_rule1 && !in.empty()) {
@@ -269,7 +251,8 @@ class RltfPass {
           const ProcId u = state_.schedule().placed(ReplicaRef{pred, c}).proc;
           if (tried_[u] || locked[u] || state_.hosts_copy_of(task, u)) continue;
           tried_[u] = true;
-          evaluate_on(u, true);
+          choose_suppliers(u, true);
+          state_.evaluate(task, u, suppliers_, cand_);
           if (!cand_.valid) continue;
           if (cand_.stage > supplier_stage_max(suppliers_)) continue;  // stage grew
           BuildState::keep_earlier(best_, cand_);
@@ -287,7 +270,8 @@ class RltfPass {
       for (ProcId u = 0; u < m_; ++u) {
         if (respect_locks && locked[u]) continue;
         if (state_.hosts_copy_of(task, u)) continue;
-        evaluate_on(u, false);
+        choose_suppliers(u, false);
+        state_.evaluate(task, u, suppliers_, cand_);
         BuildState::keep_earlier(best_, cand_);
       }
       if (best_.valid) {
@@ -315,8 +299,7 @@ class RltfPass {
   };
 
   // Buffers reused for every placement of the pass: per replica its
-  // supplier pools (see gather_suppliers), per candidate its suppliers, and
-  // per chunk its tasks, their coverage and their locked processors.
+  // supplier pools (see gather_suppliers), per candidate its suppliers.
   std::vector<PoolCopy> pool_;
   std::vector<std::uint32_t> pool_end_;
   std::vector<double> pool_volume_;
@@ -324,9 +307,6 @@ class RltfPass {
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
   std::vector<bool> tried_;
-  std::vector<TaskId> beta_;
-  std::vector<Coverage> coverage_;
-  std::vector<std::vector<bool>> locked_;
 };
 
 }  // namespace

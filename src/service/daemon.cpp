@@ -23,13 +23,12 @@ std::string degraded_error(const CachedPlacement& placement) {
 
 }  // namespace
 
-bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch,
-                  bool oracle_compiled) {
+bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
   CachedPlacement& p = placement;
   // A schedule the gate already proved (a copy no repair patched) keeps
   // its oracle, verdict, rel and sealed facts: they depend on it alone.
   const bool fresh = !p.full_guarantee.has_value();
-  if (fresh && !oracle_compiled) p.oracle = SurvivalOracle(p.schedule);
+  if (fresh) p.oracle = SurvivalOracle(p.schedule);
   if ((p.oracle.survives_batch(failed.words(), 1, scratch) & 1ULL) == 0) return false;
   if (fresh) {
     // Full guarantee: a count placement survives any eps_want failures of
@@ -266,18 +265,17 @@ std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
   const bool live_failures = failed.count() > 0;
   // A placement the gate has not proved yet (a cold one) has no oracle:
   // the live repair needs one, and otherwise the gate compiles it.
-  const bool compiled = live_failures && !placement->full_guarantee;
-  if (compiled) placement->oracle = SurvivalOracle(placement->schedule);
+  if (live_failures && !placement->full_guarantee) {
+    placement->oracle = SurvivalOracle(placement->schedule);
+  }
   const RepairStats live =
       live_failures ? repair_for_failure_set(placement->schedule, placement->oracle, failed)
                     : RepairStats{.success = true};
-  // The gate's fresh oracle is the independent re-check of a live repair;
-  // after a repair that wired nothing, the oracle compiled here still
-  // matches the schedule and the gate proves it on that one.
+  // The gate's fresh oracle is the independent re-check of a live repair.
   const bool repaired = live.success && live.rounds > 0;
   if (repaired) placement->full_guarantee.reset();
   counts.verifications += repaired;
-  if (live.success && publish_gate(*placement, failed, scratch, compiled && !repaired)) {
+  if (live.success && publish_gate(*placement, failed, scratch)) {
     placement->event_repair_comms += live.added_comms;
     counts.event_repairs += repaired;
     return placement;

@@ -125,12 +125,9 @@ struct DaemonStats {
 /// A schedule it already proved (`full_guarantee` set) keeps its oracle,
 /// verdict, rel and sealed facts; only survival and eps_have are derived
 /// again. The snapshot loader calls it to hold an entry's claims to what
-/// it proves. `oracle_compiled` says the caller compiled `placement.oracle`
-/// from the schedule as it stands, so a schedule not yet proved is proved
-/// on that oracle instead of a second compile: reconcile passes it for a
-/// cold placement whose live repair wired nothing.
+/// it proves.
 [[nodiscard]] bool publish_gate(CachedPlacement& placement, const ProcSet& failed,
-                                BatchScratch& scratch, bool oracle_compiled = false);
+                                BatchScratch& scratch);
 
 class PlacementDaemon {
  public:

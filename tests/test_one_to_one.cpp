@@ -14,8 +14,7 @@ TEST(OneToOne, EntryTaskContext) {
   Dag d = make_chain(2, 1.0, 1.0);
   const Platform p = Platform::uniform(4, 1.0, 1.0);
   BuildState state(d, p, 1, 100.0);
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 0, ctx);
+  const auto ctx = make_one_to_one_context(state, 0);
   EXPECT_EQ(ctx.theta, 2u);  // ε + 1
   EXPECT_TRUE(ctx.remaining.empty());
   EXPECT_TRUE(ctx.available());
@@ -27,8 +26,7 @@ TEST(OneToOne, SingletonDetection) {
   BuildState state(d, p, 1, 100.0);
   state.commit(0, 0, state.evaluate(0, 0, {}));
   state.commit(0, 1, state.evaluate(0, 1, {}));
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 1, ctx);
+  const auto ctx = make_one_to_one_context(state, 1);
   EXPECT_EQ(ctx.theta, 2u);
   ASSERT_EQ(ctx.remaining.size(), 1u);
   EXPECT_EQ(ctx.remaining[0].size(), 2u);
@@ -51,8 +49,7 @@ TEST(OneToOne, ColocatedPredecessorsAreNotSingleton) {
   state.commit(0, 1, state.evaluate(0, 1, {}));
   state.commit(1, 0, state.evaluate(1, 0, {}));
   state.commit(1, 1, state.evaluate(1, 2, {}));
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 2, ctx);
+  const auto ctx = make_one_to_one_context(state, 2);
   // Only the copies on P1 / P2 are singleton: one per predecessor.
   EXPECT_EQ(ctx.theta, 1u);
   EXPECT_EQ(ctx.remaining[0].size(), 1u);
@@ -66,8 +63,7 @@ TEST(OneToOne, PlanPrefersEarliestFinish) {
   Platform p({1.0, 1.0, 2.0}, 0.5);  // P2 twice as fast
   BuildState state(d, p, 0, 100.0);
   state.commit(0, 0, state.evaluate(0, 0, {}));
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 1, ctx);
+  const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(3, false);
   OneToOneScratch scratch;
   const OneToOneChoice* choice = plan_one_to_one(state, 1, ctx, locked, scratch);
@@ -85,8 +81,7 @@ TEST(OneToOne, LockedProcessorsAreSkipped) {
   const Platform p = Platform::uniform(3, 1.0, 0.5);
   BuildState state(d, p, 0, 100.0);
   state.commit(0, 0, state.evaluate(0, 0, {}));
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 1, ctx);
+  const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(3, false);
   locked[0] = true;  // forbid colocation
   OneToOneScratch scratch;
@@ -101,8 +96,7 @@ TEST(OneToOne, ReturnsNulloptWhenNothingFeasible) {
   const Platform p = Platform::uniform(2, 1.0, 0.5);
   BuildState state(d, p, 0, 12.0);
   state.commit(0, 0, state.evaluate(0, 0, {}));
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 1, ctx);
+  const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(2, false);
   locked[1] = true;  // P0 would exceed the period (20 > 12), P1 locked
   OneToOneScratch scratch;
@@ -116,8 +110,7 @@ TEST(OneToOne, ConsumeHeadsRemovesAndCounts) {
   BuildState state(d, p, 1, 100.0);
   state.commit(0, 0, state.evaluate(0, 0, {}));
   state.commit(0, 1, state.evaluate(0, 1, {}));
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 1, ctx);
+  auto ctx = make_one_to_one_context(state, 1);
   EXPECT_EQ(ctx.theta, 2u);
   consume_heads(ctx, {{0, 0}});
   EXPECT_EQ(ctx.used, 1u);
@@ -137,8 +130,7 @@ TEST(OneToOne, HeadChoiceMinimizesArrival) {
   BuildState state(d, p, 1, 100.0);
   state.commit(0, 0, state.evaluate(0, 0, {}));  // finish 1
   state.commit(0, 1, state.evaluate(0, 1, {}));  // finish 4
-  OneToOneContext ctx;
-  make_one_to_one_context(state, 1, ctx);
+  const auto ctx = make_one_to_one_context(state, 1);
   std::vector<bool> locked(4, false);
   locked[0] = locked[1] = true;  // force a remote placement
   OneToOneScratch scratch;
