@@ -57,6 +57,7 @@ TEST(FaultModel, ParseRoundTrip) {
   EXPECT_THROW((void)FaultModel::parse("prob:R=0.99abc"), std::invalid_argument);
   EXPECT_THROW((void)FaultModel::parse("prob:eps=1"), std::invalid_argument);  // wrong key
   EXPECT_THROW((void)FaultModel::parse("weibull:k=2"), std::invalid_argument);
+  EXPECT_THROW((void)FaultModel::parse("churn:R=0.99"), std::invalid_argument);
 }
 
 TEST(FaultModel, DeriveEpsCountIgnoresPlatform) {

@@ -447,6 +447,14 @@ TEST(WireServer, SubmitEventRepairAndDrainOverUnixSocket) {
   const net::Response bad = client.roundtrip("FROBNICATE now=please");
   EXPECT_FALSE(bad.ok);
   EXPECT_EQ(bad.code, net::WireCode::kBadRequest);
+  // `churn:` names a trace shape, not a fault model: admitted, it would
+  // place exactly like `prob:R=0.99` under a second cache key.
+  std::string churn_line = net::format_submit(frame_for(201, "churn"));
+  const std::string count_spec = "model=count:eps=2";
+  churn_line.replace(churn_line.find(count_spec), count_spec.size(), "model=churn:R=0.99");
+  const net::Response churn = client.roundtrip(churn_line);
+  EXPECT_FALSE(churn.ok);
+  EXPECT_EQ(churn.code, net::WireCode::kBadRequest);
   net::EventFrame out_of_range;
   out_of_range.proc = static_cast<ProcId>(m + 10);
   const net::Response bad_event = client.event(out_of_range);
