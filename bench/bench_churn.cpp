@@ -28,8 +28,7 @@
 // Results go to --json (default BENCH_churn.json). Flags: --dags D
 // (default 6), --tasks N (default 18), --procs M (default 5), --eps E
 // (default 2), --steps S (default 48), --quiet-tail Q (default 8),
-// --min-alive A (default 2), --seed S (default 42), --model SPEC
-// (default churn:R=0.985,amp=10,period=8,recover=0.2), --json PATH.
+// --min-alive A (default 2), --seed S (default 42), --json PATH.
 // The default cluster is deliberately small: degradation needs storms
 // that push the alive count below eps+1, which a 16-proc cluster with a
 // min_alive floor essentially never reaches.
@@ -64,7 +63,6 @@ struct ChurnBenchConfig {
   std::uint64_t quiet_tail = 8;
   std::size_t min_alive = 2;
   std::uint64_t seed = 42;
-  std::string model_spec;
 };
 
 /// Everything one replay produces; two replays at the same seed must agree
@@ -90,12 +88,11 @@ ReplayOutcome replay(const ChurnBenchConfig& cfg) {
 
   Rng prng(cfg.seed);
   Platform platform = make_reliability_heterogeneous(prng, cfg.procs, 0.02, 0.08);
-  const FaultModel churn_model = FaultModel::parse(cfg.model_spec);
   ChurnTraceConfig trace_cfg;
   trace_cfg.steps = cfg.steps;
   trace_cfg.quiet_tail = cfg.quiet_tail;
   trace_cfg.min_alive = cfg.min_alive;
-  const ChurnTrace trace = generate_churn_trace(churn_model, platform, cfg.seed, trace_cfg);
+  const ChurnTrace trace = generate_churn_trace(platform, cfg.seed, trace_cfg);
 
   DaemonConfig dcfg;
   dcfg.auto_reheal = false;  // reheal_now() below keeps the replay deterministic
@@ -225,8 +222,6 @@ int main(int argc, char** argv) {
   cfg.quiet_tail = static_cast<std::uint64_t>(cli.get_int("quiet-tail", 8, ""));
   cfg.min_alive = static_cast<std::size_t>(cli.get_int("min-alive", 2, ""));
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, "STREAMSCHED_SEED"));
-  cfg.model_spec =
-      cli.get_string("model", "churn:R=0.985,amp=10,period=8,recover=0.2", "");
   const bool require_degraded = cli.get_bool("require-degraded", true, "");
   const std::string json_path = cli.get_string("json", "BENCH_churn.json", "");
   cli.finish();
@@ -240,8 +235,7 @@ int main(int argc, char** argv) {
       .add("steps", cfg.steps)
       .add("quiet_tail", cfg.quiet_tail)
       .add("min_alive", static_cast<std::uint64_t>(cfg.min_alive))
-      .add("seed", cfg.seed)
-      .add("model", cfg.model_spec);
+      .add("seed", cfg.seed);
 
   const ReplayOutcome first = replay(cfg);
   if (!first.ok) return 1;
@@ -279,7 +273,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (require_degraded && first.degraded_probes == 0) {
-    std::cerr << "gate: the trace never degraded a placement — raise amp/steps or "
+    std::cerr << "gate: the trace never degraded a placement — raise steps or "
                  "lower procs so the bench exercises the ladder\n";
     return 1;
   }

@@ -1,22 +1,14 @@
-// Bench of the placement daemon (service/daemon.hpp) — the
-// scheduler-as-a-service tentpole. Two measured phases:
-//
-//   admission  D distinct DAGs admitted against a fresh daemon (every
-//              request schedules cold: calibration + period-escalation
-//              ladder + model repair + oracle compile), then the same
-//              requests replayed against the warm cache. Reports
-//              admissions/sec for both and the cached-over-cold speedup.
-//
-//   churn      A failure/recovery trace against the warm daemon. Each
-//              failure event lands with one other processor already down,
-//              so the ε = 1 placements genuinely need repair. The daemon
-//              handles the event incrementally (warm-oracle
-//              repair_for_failure_set + fresh-oracle batch verification);
-//              the baseline handles the SAME trace by rescheduling every
-//              affected placement from scratch (schedule + recompile +
-//              reconcile), the only alternative a cache without
-//              incremental repair has. Reports per-event latency
-//              percentiles for both strategies.
+// Bench of the placement daemon (service/daemon.hpp): incremental event
+// repair against rescheduling from scratch. D distinct DAGs are admitted
+// cold against a fresh daemon, then a failure/recovery trace runs against
+// it. Each failure event lands with one other processor already down, so
+// the ε = 1 placements genuinely need repair. The daemon handles the
+// event incrementally (warm-oracle repair_for_failure_set + fresh-oracle
+// batch verification); the baseline handles the SAME trace by
+// rescheduling every affected placement from scratch (schedule +
+// recompile + reconcile), the only alternative a cache without
+// incremental repair has. Reports per-event latency percentiles for both
+// strategies.
 //
 // Every failure pair is chosen so no task of any placement loses all its
 // replicas (such sets are beyond repair for BOTH strategies — replica
@@ -27,8 +19,6 @@
 // counters must be clean.
 //
 // Gates (exit 1 on violation):
-//   --gate-cache X   cached admissions/sec must be >= X * cold (default
-//                    10; 0 disables)
 //   --gate-p99 X     cold-reschedule p99 event latency must be >= X *
 //                    incremental p99 (default 1 — incremental must win;
 //                    0 disables)
@@ -38,14 +28,12 @@
 // via bench/emit_bench_json.hpp so CI can archive the perf trajectory.
 //
 // Flags: --dags D (default 12), --tasks N (default 26), --procs M
-// (default 16), --hits N (cached admissions to time, default 20000),
-// --events E (timed failure events, default 120), --reps R (cold-phase
-// best-of, default 3), --seed S, --json PATH.
+// (default 16), --events E (timed failure events, default 120), --seed S,
+// --json PATH.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -130,12 +118,9 @@ int main(int argc, char** argv) {
   const auto dags = static_cast<std::size_t>(cli.get_int("dags", 12, "STREAMSCHED_DAGS"));
   const auto tasks = static_cast<std::size_t>(cli.get_int("tasks", 26, ""));
   const auto procs = static_cast<std::size_t>(cli.get_int("procs", 16, ""));
-  const auto hits = static_cast<std::size_t>(cli.get_int("hits", 20000, "STREAMSCHED_HITS"));
   const auto events =
       static_cast<std::size_t>(cli.get_int("events", 120, "STREAMSCHED_EVENTS"));
-  const std::int64_t reps = cli.get_int("reps", 3, "STREAMSCHED_REPS");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, "STREAMSCHED_SEED"));
-  const double gate_cache = cli.get_double("gate-cache", 10.0, "");
   const double gate_p99 = cli.get_double("gate-p99", 1.0, "");
   const std::string json_path = cli.get_string("json", "BENCH_service.json", "");
   cli.finish();
@@ -149,11 +134,8 @@ int main(int argc, char** argv) {
       .add("dags", static_cast<std::uint64_t>(dags))
       .add("tasks", static_cast<std::uint64_t>(tasks))
       .add("procs", static_cast<std::uint64_t>(procs))
-      .add("hits", static_cast<std::uint64_t>(hits))
       .add("events", static_cast<std::uint64_t>(events))
-      .add("reps", static_cast<std::int64_t>(reps))
       .add("seed", seed)
-      .add("gate_cache", gate_cache)
       .add("gate_p99", gate_p99);
 
   Rng platform_rng(seed);
@@ -176,69 +158,12 @@ int main(int argc, char** argv) {
     return request;
   };
 
-  bool ok = true;
-
-  // --- admission throughput: cold vs cached ------------------------------
-  // Cold: best-of-`reps` over fresh daemons (every admission schedules).
-  double cold_seconds = std::numeric_limits<double>::infinity();
-  for (std::int64_t rep = 0; rep < reps; ++rep) {
-    PlacementDaemon fresh(platform, DaemonConfig{});
-    const auto t0 = Clock::now();
-    for (std::size_t d = 0; d < dags; ++d) {
-      const PlacementResponse resp = fresh.admit(request_for(d));
-      if (!resp.ok || resp.cache_hit) {
-        std::cerr << "cold admission " << d << " failed: " << resp.error << '\n';
-        return 1;
-      }
-    }
-    cold_seconds = std::min(cold_seconds, seconds_since(t0));
-  }
-
-  // Cached: replay the same requests against a warm daemon. Every response
-  // must be a hit serving the shared placement.
-  PlacementDaemon daemon(platform, DaemonConfig{});
-  for (std::size_t d = 0; d < dags; ++d) {
-    const PlacementResponse resp = daemon.admit(request_for(d));
-    if (!resp.ok) {
-      std::cerr << "warm-up admission " << d << " failed: " << resp.error << '\n';
-      return 1;
-    }
-  }
-  const auto hits_t0 = Clock::now();
-  for (std::size_t i = 0; i < hits; ++i) {
-    const PlacementResponse resp = daemon.admit(request_for(i % dags));
-    if (!resp.ok || !resp.cache_hit) {
-      std::cerr << "expected a cache hit on admission " << i << '\n';
-      return 1;
-    }
-  }
-  const double cached_seconds = seconds_since(hits_t0);
-
-  const double cold_rate = static_cast<double>(dags) / cold_seconds;
-  const double cached_rate = static_cast<double>(hits) / cached_seconds;
-  const double cache_speedup = cached_rate / cold_rate;
-  std::cout << "admission  cold=" << cold_rate << "/s (" << dags << " dags, best of " << reps
-            << ")  cached=" << cached_rate << "/s (" << hits << " hits)  speedup="
-            << cache_speedup << "x\n";
-  doc.add_result()
-      .add("phase", "admission")
-      .add("mode", "cold")
-      .add("admissions", static_cast<std::uint64_t>(dags))
-      .add("seconds", cold_seconds)
-      .add("admissions_per_sec", cold_rate);
-  doc.add_result()
-      .add("phase", "admission")
-      .add("mode", "cached")
-      .add("admissions", static_cast<std::uint64_t>(hits))
-      .add("seconds", cached_seconds)
-      .add("admissions_per_sec", cached_rate)
-      .add("speedup_vs_cold", cache_speedup);
-
   // --- failure churn: incremental event repair vs cold reschedule --------
   // Both strategies start from identical placements (a copy of the
-  // daemon's). The baseline pays the full cold pipeline per affected
-  // placement; detection (a warm-oracle survival check) is identical on
-  // both sides.
+  // daemon's cold admissions). The baseline pays the full cold pipeline
+  // per affected placement; detection (a warm-oracle survival check) is
+  // identical on both sides.
+  PlacementDaemon daemon(platform, DaemonConfig{});
   std::vector<ColdEntry> baseline;
   baseline.reserve(dags);
   SchedulerOptions cold_options;
@@ -246,8 +171,8 @@ int main(int argc, char** argv) {
   cold_options.repair = true;
   for (std::size_t d = 0; d < dags; ++d) {
     const PlacementResponse resp = daemon.admit(request_for(d));
-    if (!resp.ok || !resp.cache_hit) {
-      std::cerr << "placement " << d << " missing from the warm cache\n";
+    if (!resp.ok) {
+      std::cerr << "cold admission " << d << " failed: " << resp.error << '\n';
       return 1;
     }
     const double period = calibrate_period(
@@ -377,6 +302,7 @@ int main(int argc, char** argv) {
   // Every placement on BOTH sides must survive the live failure set, and
   // the daemon's placements must still hold the admission-time ε-guarantee
   // (event repair only adds channels; the guarantee is monotone).
+  bool ok = true;
   std::size_t verified = 0;
   for (std::size_t d = 0; d < dags; ++d) {
     const PlacementResponse resp = daemon.admit(request_for(d));
@@ -423,19 +349,13 @@ int main(int argc, char** argv) {
     std::cerr << "feasibility verification failed — see above\n";
     return 1;
   }
-  if (gate_cache > 0.0 && cache_speedup < gate_cache) {
-    std::cerr << "gate: cached admission " << cache_speedup
-              << "x over cold, below the required " << gate_cache << "x\n";
-    return 1;
-  }
   if (gate_p99 > 0.0 && p99_speedup < gate_p99) {
     std::cerr << "gate: incremental repair p99 speedup " << p99_speedup
               << "x over cold reschedule, below the required " << gate_p99 << "x\n";
     return 1;
   }
-  if (gate_cache > 0.0 || gate_p99 > 0.0) {
-    std::cout << "gates: cached " << cache_speedup << "x cold (>= " << gate_cache
-              << "x), incremental p99 " << p99_speedup << "x cold reschedule (>= " << gate_p99
+  if (gate_p99 > 0.0) {
+    std::cout << "gate: incremental p99 " << p99_speedup << "x cold reschedule (>= " << gate_p99
               << "x)\n";
   }
   return 0;

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Throughput floors and pinned outcomes for the committed bench JSONs.
+"""Throughput floors, latency ceilings and pinned outcomes for the
+committed bench JSONs.
 
     scripts/check_bench_floor.py FRESH COMMITTED
 
 FRESH is the JSON a bench run just wrote; COMMITTED is the checked-in
 file of the same bench (BENCH_survival.json, BENCH_sim.json,
-BENCH_schedulers.json or BENCH_churn.json). The compared rows:
+BENCH_schedulers.json, BENCH_churn.json or BENCH_perfbench.json). The
+compared rows:
 
   * survival_kernel: the m = 16 exact-mode `sets_per_sec`, the
     `cold_prob` probabilistic-repair `repairs_per_sec`, the `cold_count`
@@ -23,11 +25,14 @@ BENCH_schedulers.json or BENCH_churn.json). The compared rows:
     exactly;
   * churn: the outcome of the seeded churn replay, which must equal the
     committed one exactly: its digest and its degraded-probe, rebuild,
-    re-heal, event-repair and verify-failure counts.
+    re-heal, event-repair and verify-failure counts;
+  * perfbench: the `latency_p50_us` of every service workload, one row
+    per workload holding the metrics of its perfbench result line.
 
 Fails (exit 1) when any fresh throughput is below a quarter of the
-committed one, or any pinned outcome field differs. A quarter sits below
-the run-to-run spread of shared runners and still catches a slide back
+committed one, any fresh latency is above four times the committed one,
+or any pinned outcome field differs. A factor of four sits beyond the
+run-to-run spread of shared runners and still catches a slide back
 toward per-set or per-call speeds, which are one to two orders of
 magnitude slower. The repairs, the schedules and the churn replay are
 deterministic, so any difference is a changed outcome.
@@ -36,6 +41,7 @@ import json
 import sys
 
 FLOOR = 0.25
+CEILING = 4.0
 
 # bench name -> compared rows: (label, fields a row must match, compared field)
 ROWS = {
@@ -53,6 +59,13 @@ ROWS = {
         ("ltf cold_count", {"algo": "ltf", "shape": "cold_count"}, "schedules_per_sec"),
         ("rltf cold_count", {"algo": "rltf", "shape": "cold_count"}, "schedules_per_sec"),
     ],
+}
+
+# bench name -> compared rows whose fresh value may not exceed CEILING x the
+# committed one: (label, fields a row must match, compared field)
+CEILINGS = {
+    "perfbench": [(f"{w} p50", {"workload": w}, "latency_p50_us")
+                  for w in ("hit_small", "hit_large", "cold_count", "cold_prob")],
 }
 
 # bench name -> exact rows: (label, fields a row must match, fields that must be equal)
@@ -79,12 +92,12 @@ EXACT = {
 
 
 def compared_values(path):
-    """Returns (bench, floored, exact): [(label, field, value), ...] for the
-    rows ROWS and EXACT name."""
+    """Returns (bench, floored, ceiled, exact): [(label, field, value), ...]
+    for the rows ROWS, CEILINGS and EXACT name."""
     with open(path) as f:
         doc = json.load(f)
     bench = doc.get("bench")
-    if bench not in ROWS and bench not in EXACT:
+    if bench not in ROWS and bench not in CEILINGS and bench not in EXACT:
         sys.exit(f"{path}: unknown bench {bench!r}")
 
     def row(label, match):
@@ -94,12 +107,15 @@ def compared_values(path):
             sys.exit(f"{path}: expected one {label} row")
         return rows[0]
 
-    floored = []
-    for label, match, field in ROWS.get(bench, []):
-        value = row(label, match).get(field)
-        if not isinstance(value, (int, float)):
-            sys.exit(f"{path}: expected one {label} row with a numeric {field}")
-        floored.append((label, field, float(value)))
+    def numbers(table):
+        values = []
+        for label, match, field in table.get(bench, []):
+            value = row(label, match).get(field)
+            if not isinstance(value, (int, float)):
+                sys.exit(f"{path}: expected one {label} row with a numeric {field}")
+            values.append((label, field, float(value)))
+        return values
+
     exact = []
     for label, match, fields in EXACT.get(bench, []):
         r = row(label, match)
@@ -107,14 +123,15 @@ def compared_values(path):
             if field not in r:
                 sys.exit(f"{path}: expected a {field} field in the {label} row")
             exact.append((label, field, r[field]))
-    return bench, floored, exact
+    return bench, numbers(ROWS), numbers(CEILINGS), exact
 
 
 def main(argv):
     if len(argv) != 3:
         sys.exit("usage: scripts/check_bench_floor.py FRESH COMMITTED")
-    fresh_bench, fresh_values, fresh_exact = compared_values(argv[1])
-    committed_bench, committed_values, committed_exact = compared_values(argv[2])
+    fresh_bench, fresh_values, fresh_ceiled, fresh_exact = compared_values(argv[1])
+    committed_bench, committed_values, committed_ceiled, committed_exact = \
+        compared_values(argv[2])
     if fresh_bench != committed_bench:
         sys.exit(f"bench mismatch: {fresh_bench} vs {committed_bench}")
     ok = True
@@ -124,6 +141,12 @@ def main(argv):
         ok = ok and fresh >= floor
         print(f"{fresh_bench} {label} {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
               f"floor {floor:.6g} ({FLOOR:g}x) -> {verdict}")
+    for (label, field, fresh), (_, _, committed) in zip(fresh_ceiled, committed_ceiled):
+        ceiling = CEILING * committed
+        verdict = "ok" if fresh <= ceiling else "ABOVE CEILING"
+        ok = ok and fresh <= ceiling
+        print(f"{fresh_bench} {label} {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
+              f"ceiling {ceiling:.6g} ({CEILING:g}x) -> {verdict}")
     for (label, field, fresh), (_, _, committed) in zip(fresh_exact, committed_exact):
         verdict = "ok" if fresh == committed else "CHANGED"
         ok = ok and fresh == committed

@@ -27,22 +27,6 @@ FaultModel FaultModel::probabilistic(double target_reliability) {
   return model;
 }
 
-FaultModel FaultModel::churn(double target_reliability, double amplitude,
-                             std::uint32_t period, double recover) {
-  SS_REQUIRE(target_reliability > 0.0 && target_reliability < 1.0,
-             "target reliability must lie in (0, 1)");
-  SS_REQUIRE(amplitude >= 1.0, "churn amplitude must be >= 1");
-  SS_REQUIRE(period >= 2, "churn period must span at least 2 epochs");
-  SS_REQUIRE(recover > 0.0 && recover <= 1.0, "churn recover must lie in (0, 1]");
-  FaultModel model;
-  model.kind_ = FaultModelKind::kChurn;
-  model.target_ = target_reliability;
-  model.amp_ = amplitude;
-  model.period_steps_ = period;
-  model.recover_ = recover;
-  return model;
-}
-
 CopyId FaultModel::eps() const {
   SS_REQUIRE(is_count(), "eps() is only defined for count fault models");
   return eps_;
@@ -52,31 +36,6 @@ double FaultModel::target_reliability() const {
   SS_REQUIRE(is_probabilistic(),
              "target_reliability() is only defined for probabilistic fault models");
   return target_;
-}
-
-double FaultModel::churn_amplitude() const {
-  SS_REQUIRE(is_churn(), "churn_amplitude() is only defined for churn fault models");
-  return amp_;
-}
-
-std::uint32_t FaultModel::churn_period() const {
-  SS_REQUIRE(is_churn(), "churn_period() is only defined for churn fault models");
-  return period_steps_;
-}
-
-double FaultModel::churn_recover() const {
-  SS_REQUIRE(is_churn(), "churn_recover() is only defined for churn fault models");
-  return recover_;
-}
-
-double FaultModel::rate_multiplier(std::uint64_t step) const {
-  SS_REQUIRE(is_churn(), "rate_multiplier() is only defined for churn fault models");
-  return (step % period_steps_) < period_steps_ / 2 ? 1.0 : amp_;
-}
-
-double FaultModel::failure_prob_at(const Platform& platform, ProcId u,
-                                   std::uint64_t step) const {
-  return std::min(0.95, platform.failure_prob(u) * rate_multiplier(step));
 }
 
 CopyId FaultModel::derive_eps(const Platform& platform, std::size_t num_tasks) const {
@@ -137,11 +96,6 @@ std::string FaultModel::to_string() const {
   std::ostringstream os;
   if (is_count()) {
     os << "count:eps=" << eps_;
-  } else if (is_churn()) {
-    // Always emit every parameter so distinct churn shapes never share a
-    // canonical spec (the spec feeds cache-key fingerprints).
-    os << "churn:R=" << shortest_round_trip(target_) << ",amp=" << shortest_round_trip(amp_)
-       << ",period=" << period_steps_ << ",recover=" << shortest_round_trip(recover_);
   } else {
     os << "prob:R=" << shortest_round_trip(target_);
   }
@@ -152,8 +106,7 @@ namespace {
 
 [[noreturn]] void bad_spec(const std::string& spec) {
   throw std::invalid_argument("bad fault-model spec '" + spec +
-                              "'; expected count:eps=<n>, prob:R=<r>, or "
-                              "churn:R=<r>[,amp=<a>][,period=<n>][,recover=<r>]");
+                              "'; expected count:eps=<n> or prob:R=<r>");
 }
 
 // "eps=2" with key "eps" -> "2"; a bare "2" passes through; any other key
@@ -189,45 +142,6 @@ FaultModel FaultModel::parse(const std::string& spec) {
       const double target = std::stod(value, &consumed);
       if (consumed != value.size()) bad_spec(spec);
       return FaultModel::probabilistic(target);
-    }
-    if (head == "churn") {
-      // Comma-separated key=value list; R is mandatory, the shape
-      // parameters default to a mild storm (amp=4, period=16, recover=0.5).
-      bool have_target = false;
-      double target = 0.0;
-      double amp = 4.0;
-      unsigned long long period = 16;
-      double recover = 0.5;
-      std::size_t pos = 0;
-      while (pos <= rest.size()) {
-        const auto comma = rest.find(',', pos);
-        const std::string part =
-            rest.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        const auto eq = part.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= part.size()) bad_spec(spec);
-        const std::string key = part.substr(0, eq);
-        const std::string value = part.substr(eq + 1);
-        if (key == "R") {
-          target = std::stod(value, &consumed);
-          have_target = true;
-        } else if (key == "amp") {
-          amp = std::stod(value, &consumed);
-        } else if (key == "period") {
-          period = std::stoull(value, &consumed);
-          if (value.front() == '-' || period > std::numeric_limits<std::uint32_t>::max()) {
-            bad_spec(spec);
-          }
-        } else if (key == "recover") {
-          recover = std::stod(value, &consumed);
-        } else {
-          bad_spec(spec);
-        }
-        if (consumed != value.size()) bad_spec(spec);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      if (!have_target) bad_spec(spec);
-      return FaultModel::churn(target, amp, static_cast<std::uint32_t>(period), recover);
     }
   } catch (const std::invalid_argument&) {
     bad_spec(spec);

@@ -16,22 +16,8 @@
 //   - how should the finished schedule be checked/repaired (dispatched by
 //     `repair_for_model` in fault_tolerance.hpp).
 //
-// `ChurnModel` (kind kChurn) layers a *time-varying rate schedule* and
-// first-class recovery on top of the probabilistic model: the platform's
-// per-processor failure probabilities are the baseline, a square-wave
-// multiplier (`rate_multiplier`) alternates calm and storm half-periods of
-// `churn_period` epochs, and failed processors come back with per-step
-// probability `churn_recover`. Everywhere a target reliability R is asked
-// for, a churn model answers like a probabilistic one (same derive_eps,
-// same repair target) — the churn parameters only matter to consumers that
-// evaluate rates *at a step* (`failure_prob_at`), chiefly the deterministic
-// churn-trace generator in service/churn.hpp that replays failure/recovery
-// event sequences from a seed.
-//
 // CLI syntax (benches, parsed by `parse`): `count:eps=2` or `count:2`;
-// `prob:R=0.999` or `prob:0.999`;
-// `churn:R=0.99,amp=4,period=16,recover=0.5` (R required, the rest
-// defaulted).
+// `prob:R=0.999` or `prob:0.999`.
 #pragma once
 
 #include <string>
@@ -43,7 +29,7 @@
 
 namespace streamsched {
 
-enum class FaultModelKind { kCount, kProbabilistic, kChurn };
+enum class FaultModelKind { kCount, kProbabilistic };
 
 class FaultModel {
  public:
@@ -58,47 +44,15 @@ class FaultModel {
   /// `target_reliability` in (0, 1).
   [[nodiscard]] static FaultModel probabilistic(double target_reliability);
 
-  /// Time-varying churn: probabilistic target R plus a square-wave rate
-  /// schedule (calm half-period at the platform's baseline rates, storm
-  /// half-period at `amplitude` times them, cycle length `period` epochs)
-  /// and per-step recovery probability `recover` for failed processors.
-  [[nodiscard]] static FaultModel churn(double target_reliability, double amplitude,
-                                        std::uint32_t period, double recover);
-
   [[nodiscard]] FaultModelKind kind() const { return kind_; }
   [[nodiscard]] bool is_count() const { return kind_ == FaultModelKind::kCount; }
-  /// True for every model that targets a reliability R instead of a fixed
-  /// failure count — probabilistic AND churn. Churn models deliberately
-  /// take every probabilistic dispatch path (derive_eps, reliability
-  /// repair, sweep decoration); only step-indexed consumers distinguish
-  /// them via is_churn().
-  [[nodiscard]] bool is_probabilistic() const { return kind_ != FaultModelKind::kCount; }
-  [[nodiscard]] bool is_churn() const { return kind_ == FaultModelKind::kChurn; }
+  [[nodiscard]] bool is_probabilistic() const { return kind_ == FaultModelKind::kProbabilistic; }
 
   /// Count models only: the tolerated failure count ε.
   [[nodiscard]] CopyId eps() const;
 
-  /// Probabilistic/churn models only: the target schedule reliability R.
+  /// Probabilistic models only: the target schedule reliability R.
   [[nodiscard]] double target_reliability() const;
-
-  /// Churn models only: the storm-half rate multiplier (>= 1).
-  [[nodiscard]] double churn_amplitude() const;
-  /// Churn models only: the rate-schedule cycle length in epochs (>= 2).
-  [[nodiscard]] std::uint32_t churn_period() const;
-  /// Churn models only: per-step recovery probability of a failed
-  /// processor, in (0, 1].
-  [[nodiscard]] double churn_recover() const;
-
-  /// Churn models only: the rate multiplier in effect at `step` — 1 in the
-  /// calm first half of each cycle, `churn_amplitude()` in the storm half.
-  /// Pure integer arithmetic, so traces replay identically cross-machine.
-  [[nodiscard]] double rate_multiplier(std::uint64_t step) const;
-
-  /// Churn models only: processor u's failure probability at `step` — the
-  /// platform baseline scaled by rate_multiplier(step), clamped to 0.95 so
-  /// a large amplitude never makes failure certain.
-  [[nodiscard]] double failure_prob_at(const Platform& platform, ProcId u,
-                                       std::uint64_t step) const;
 
   /// Replication degree ε the schedulers must build for on this platform.
   /// Count: ε itself. Probabilistic: the smallest ε such that even if a
@@ -129,10 +83,6 @@ class FaultModel {
   FaultModelKind kind_ = FaultModelKind::kCount;
   CopyId eps_ = 0;
   double target_ = 0.0;
-  // Churn-only parameters; the non-churn defaults keep operator== exact.
-  double amp_ = 1.0;
-  std::uint32_t period_steps_ = 0;
-  double recover_ = 0.0;
 };
 
 class Cli;

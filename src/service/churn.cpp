@@ -6,6 +6,13 @@
 #include "util/rng.hpp"
 
 namespace streamsched {
+namespace {
+
+constexpr double kStormAmplitude = 10.0;
+constexpr std::uint64_t kCycleSteps = 8;
+constexpr double kRecoverProb = 0.2;
+
+}  // namespace
 
 std::vector<ProcId> ChurnTrace::failed_after(std::size_t upto) const {
   std::vector<ProcId> failed;
@@ -22,9 +29,13 @@ std::vector<ProcId> ChurnTrace::failed_after(std::size_t upto) const {
   return failed;
 }
 
-ChurnTrace generate_churn_trace(const FaultModel& model, const Platform& platform,
-                                std::uint64_t seed, const ChurnTraceConfig& config) {
-  SS_REQUIRE(model.is_churn(), "generate_churn_trace requires a churn fault model");
+double churn_failure_prob(const Platform& platform, ProcId u, std::uint64_t step) {
+  const bool storm = step % kCycleSteps >= kCycleSteps / 2;
+  return std::min(0.95, platform.failure_prob(u) * (storm ? kStormAmplitude : 1.0));
+}
+
+ChurnTrace generate_churn_trace(const Platform& platform, std::uint64_t seed,
+                                const ChurnTraceConfig& config) {
   SS_REQUIRE(config.steps > 0, "churn trace needs at least one step");
   SS_REQUIRE(config.quiet_tail < config.steps, "quiet tail must leave room for churn");
   const std::size_t m = platform.num_procs();
@@ -46,7 +57,7 @@ ChurnTrace generate_churn_trace(const FaultModel& model, const Platform& platfor
     // floor) so the random stream consumed per step is position-stable.
     for (ProcId u = 0; u < m; ++u) {
       if (down[u]) continue;
-      const bool fails = rng.bernoulli(model.failure_prob_at(platform, u, step));
+      const bool fails = rng.bernoulli(churn_failure_prob(platform, u, step));
       if (fails && !quiet && alive > config.min_alive) {
         down[u] = true;
         --alive;
@@ -57,7 +68,7 @@ ChurnTrace generate_churn_trace(const FaultModel& model, const Platform& platfor
     // trace always ends with a fully healed cluster.
     for (ProcId u = 0; u < m; ++u) {
       if (!down[u]) continue;
-      const bool recovers = rng.bernoulli(model.churn_recover());
+      const bool recovers = rng.bernoulli(kRecoverProb);
       if (recovers || last) {
         down[u] = false;
         ++alive;

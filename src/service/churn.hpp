@@ -1,15 +1,17 @@
 // Deterministic churn-trace generation for the placement service.
 //
-// A ChurnTrace turns a churn FaultModel (time-varying per-processor
-// failure rates + first-class recovery, see schedule/fault_model.hpp)
-// into a concrete, replayable sequence of ClusterEvents
-// (service/request.hpp) for PlacementDaemon::on_event: step by step,
-// alive processors fail with `failure_prob_at(platform, u, step)` and
-// failed processors recover with `churn_recover()`. Everything is drawn
-// from one seeded Rng in a fixed order (processors ascending, failures
-// before recoveries within a step), so the same (model, platform, seed,
-// config) always yields the same trace — the determinism bench_churn and
-// the golden churn tests rely on.
+// A ChurnTrace is a concrete, replayable sequence of ClusterEvents
+// (service/request.hpp) for PlacementDaemon::on_event. Step by step,
+// alive processors fail with `churn_failure_prob(platform, u, step)` and
+// failed processors recover with a fixed per-step probability of 0.2.
+// The failure rates follow a square wave over the platform's own
+// per-processor failure probabilities: each 8-step cycle runs 4 calm
+// steps at the baseline rates, then 4 storm steps at 10 times them. The
+// shape is fixed: bench_churn pins the outcome of the trace it draws.
+// Everything is drawn from one seeded Rng in a fixed order (processors
+// ascending, failures before recoveries within a step), so the same
+// (platform, seed, config) always yields the same trace — the determinism
+// bench_churn and the golden churn tests rely on.
 //
 // Two liveness guards shape the trace toward the serving layer's needs:
 //   - `min_alive` suppresses failures that would drop the alive count
@@ -23,7 +25,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "schedule/fault_model.hpp"
+#include "platform/platform.hpp"
 #include "service/request.hpp"
 
 namespace streamsched {
@@ -47,9 +49,15 @@ struct ChurnTrace {
   [[nodiscard]] std::vector<ProcId> failed_after(std::size_t upto) const;
 };
 
-/// Generates the deterministic failure/recovery trace for `model` (must be
-/// a churn model) on `platform` from `seed`.
-[[nodiscard]] ChurnTrace generate_churn_trace(const FaultModel& model, const Platform& platform,
-                                              std::uint64_t seed, const ChurnTraceConfig& config);
+/// Processor u's failure probability at trace step `step`: the platform's
+/// baseline in the calm half of each cycle, 10 times it in the storm half,
+/// clamped to 0.95 so a storm never makes failure certain. Pure integer
+/// step arithmetic, so traces replay identically across machines.
+[[nodiscard]] double churn_failure_prob(const Platform& platform, ProcId u, std::uint64_t step);
+
+/// Generates the deterministic failure/recovery trace on `platform` from
+/// `seed`.
+[[nodiscard]] ChurnTrace generate_churn_trace(const Platform& platform, std::uint64_t seed,
+                                              const ChurnTraceConfig& config);
 
 }  // namespace streamsched

@@ -11,8 +11,8 @@
 // MRU→LRU list plus a hash index over it. A hit is allocation-free — one
 // hash lookup, four pointer-sized link updates to bump the node to MRU,
 // and a shared_ptr refcount increment — which is what lets the daemon
-// serve cached admissions at memcpy-like rates (bench_service measures
-// the ratio against cold scheduling). Misses beyond capacity evict the
+// serve cached admissions at memcpy-like rates (perfbench's `hit_*`
+// workloads measure them over the socket). Misses beyond capacity evict the
 // LRU tail; evicted placements stay alive for response holders via shared
 // ownership.
 //

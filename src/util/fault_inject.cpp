@@ -32,15 +32,6 @@ std::uint64_t parse_u64_value(const std::string& value, const std::string& key) 
 
 }  // namespace
 
-const char* fault_site_name(FaultSite site) {
-  switch (site) {
-    case FaultSite::kConnect: return "connect";
-    case FaultSite::kRead: return "read";
-    case FaultSite::kWrite: return "write";
-  }
-  return "?";
-}
-
 FaultSpec FaultSpec::parse(const std::string& text) {
   FaultSpec spec;
   std::size_t start = 0;

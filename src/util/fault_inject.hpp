@@ -33,8 +33,6 @@ namespace streamsched {
 enum class FaultSite : std::uint8_t { kConnect = 0, kRead = 1, kWrite = 2 };
 inline constexpr std::size_t kNumFaultSites = 3;
 
-[[nodiscard]] const char* fault_site_name(FaultSite site);
-
 /// One decision: what to inject before the next real syscall.
 struct FaultAction {
   enum class Kind : std::uint8_t {

@@ -3,18 +3,25 @@
 // cross-cutting invariants between the bound and the simulator.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/streamsched.hpp"
 #include "sched_helpers.hpp"
 
 namespace streamsched {
 namespace {
 
+// gtest names each case by the bytes of its parameter, so the struct
+// leaves no padding: padding bytes are not copied reliably, and their
+// garbage made the names differ from one build type to another.
 struct EndToEndCase {
   std::uint64_t seed;
   CopyId eps;
   std::uint32_t crashes;
   bool heterogeneous_speeds;
+  std::uint8_t unused[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<EndToEndCase>);
 
 class EndToEndTest : public ::testing::TestWithParam<EndToEndCase> {};
 

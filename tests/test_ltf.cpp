@@ -4,6 +4,8 @@
 // failure behaviour and determinism.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/ltf.hpp"
 #include "exp/workload.hpp"
 #include "sched_helpers.hpp"
@@ -156,10 +158,13 @@ TEST(Ltf, RepairGuaranteesFaultTolerance) {
 
 // ---- parameterized structural properties over random instances ----------
 
+// No padding: gtest names each case by the bytes of its parameter.
 struct LtfPropertyCase {
   std::uint64_t seed;
   CopyId eps;
+  std::uint32_t unused = 0;
 };
+static_assert(std::has_unique_object_representations_v<LtfPropertyCase>);
 
 class LtfPropertyTest : public ::testing::TestWithParam<LtfPropertyCase> {};
 

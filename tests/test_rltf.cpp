@@ -3,6 +3,8 @@
 // the fault-free reference.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/ltf.hpp"
 #include "core/rltf.hpp"
 #include "exp/workload.hpp"
@@ -153,10 +155,13 @@ TEST(Rltf, DeterministicAcrossRuns) {
   }
 }
 
+// No padding: gtest names each case by the bytes of its parameter.
 struct RltfPropertyCase {
   std::uint64_t seed;
   CopyId eps;
+  std::uint32_t unused = 0;
 };
+static_assert(std::has_unique_object_representations_v<RltfPropertyCase>);
 
 class RltfPropertyTest : public ::testing::TestWithParam<RltfPropertyCase> {};
 

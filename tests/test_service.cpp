@@ -723,57 +723,32 @@ TEST(PlacementDaemon, BackgroundRehealPromotesDegradedEntries) {
 
 // ------------------------------------------------------------------ churn --
 
-TEST(ChurnModel, ParsesRoundTripsAndShapesTheSquareWave) {
-  const FaultModel model = FaultModel::parse("churn:R=0.99,amp=4,period=16,recover=0.5");
-  EXPECT_TRUE(model.is_churn());
-  EXPECT_TRUE(model.is_probabilistic());  // R-dispatch paths treat churn like prob
-  EXPECT_FALSE(model.is_count());
-  EXPECT_DOUBLE_EQ(model.target_reliability(), 0.99);
-  EXPECT_DOUBLE_EQ(model.churn_amplitude(), 4.0);
-  EXPECT_EQ(model.churn_period(), 16u);
-  EXPECT_DOUBLE_EQ(model.churn_recover(), 0.5);
-  EXPECT_TRUE(FaultModel::parse(model.to_string()) == model);
-
-  // Omitted parameters take the documented defaults.
-  const FaultModel defaults = FaultModel::parse("churn:R=0.9");
-  EXPECT_DOUBLE_EQ(defaults.churn_amplitude(), 4.0);
-  EXPECT_EQ(defaults.churn_period(), 16u);
-  EXPECT_DOUBLE_EQ(defaults.churn_recover(), 0.5);
-  EXPECT_TRUE(FaultModel::parse(defaults.to_string()) == defaults);
-
-  // Square wave: calm first half-period, storm second half, repeating.
-  for (std::uint64_t step = 0; step < 8; ++step) {
-    EXPECT_DOUBLE_EQ(model.rate_multiplier(step), 1.0) << step;
-    EXPECT_DOUBLE_EQ(model.rate_multiplier(16 + step), 1.0) << step;
-  }
-  for (std::uint64_t step = 8; step < 16; ++step) {
-    EXPECT_DOUBLE_EQ(model.rate_multiplier(step), 4.0) << step;
-  }
-
-  // Storm steps amplify the platform's per-processor rate, clamped.
-  const Platform platform = small_platform();
+TEST(ChurnTrace, FailureRatesFollowTheSquareWave) {
+  // Each 8-step cycle: 4 calm steps at the platform's own rates, then 4
+  // storm steps at 10 times them, clamped to 0.95.
+  Platform platform = small_platform();
+  platform.set_failure_prob(0, 0.5);  // a storm would make its failure certain
   for (ProcId u = 0; u < platform.num_procs(); ++u) {
-    EXPECT_DOUBLE_EQ(model.failure_prob_at(platform, u, 0), platform.failure_prob(u));
-    EXPECT_DOUBLE_EQ(model.failure_prob_at(platform, u, 8),
-                     std::min(0.95, platform.failure_prob(u) * 4.0));
+    const double base = platform.failure_prob(u);
+    for (std::uint64_t step = 0; step < 4; ++step) {
+      EXPECT_DOUBLE_EQ(churn_failure_prob(platform, u, step), base) << step;
+      EXPECT_DOUBLE_EQ(churn_failure_prob(platform, u, 4 + step), std::min(0.95, base * 10.0))
+          << step;
+      EXPECT_DOUBLE_EQ(churn_failure_prob(platform, u, 8 + step), base) << step;
+    }
   }
-
-  EXPECT_THROW((void)FaultModel::parse("churn:amp=4"), std::exception);       // no R
-  EXPECT_THROW((void)FaultModel::parse("churn:R=0.9,bogus=1"), std::exception);
-  EXPECT_THROW((void)FaultModel::parse("churn:R=0.9,period=1"), std::exception);
-  EXPECT_THROW((void)FaultModel::parse("churn:R=0.9,recover=0"), std::exception);
+  EXPECT_DOUBLE_EQ(churn_failure_prob(platform, 0, 4), 0.95);
 }
 
 TEST(ChurnTrace, SeededReplayIsDeterministicAndGuarded) {
   const Platform platform = small_platform(5, 6);
-  const FaultModel model = FaultModel::parse("churn:R=0.985,amp=10,period=8,recover=0.2");
   ChurnTraceConfig cfg;
   cfg.steps = 32;
   cfg.quiet_tail = 6;
   cfg.min_alive = 2;
 
-  const ChurnTrace a = generate_churn_trace(model, platform, 7, cfg);
-  const ChurnTrace b = generate_churn_trace(model, platform, 7, cfg);
+  const ChurnTrace a = generate_churn_trace(platform, 7, cfg);
+  const ChurnTrace b = generate_churn_trace(platform, 7, cfg);
   ASSERT_EQ(a.steps.size(), 32u);
   ASSERT_EQ(b.steps.size(), a.steps.size());
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
@@ -817,7 +792,7 @@ TEST(ChurnTrace, SeededReplayIsDeterministicAndGuarded) {
   EXPECT_EQ(alive, platform.num_procs());
 
   // A different seed diverges (position-stable streams, different draws).
-  const ChurnTrace c = generate_churn_trace(model, platform, 8, cfg);
+  const ChurnTrace c = generate_churn_trace(platform, 8, cfg);
   bool identical = c.steps.size() == a.steps.size();
   for (std::size_t i = 0; identical && i < a.steps.size(); ++i) {
     identical = c.steps[i].size() == a.steps[i].size();
@@ -841,12 +816,11 @@ TEST(ChurnTrace, DaemonSurvivesAFullTraceAndHealsByTheEnd) {
     ASSERT_TRUE(daemon.admit(request_for(seed, 2)).ok);
   }
 
-  const FaultModel model = FaultModel::parse("churn:R=0.985,amp=10,period=8,recover=0.2");
   ChurnTraceConfig cfg;
   cfg.steps = 24;
   cfg.quiet_tail = 6;
   cfg.min_alive = 2;
-  const ChurnTrace trace = generate_churn_trace(model, daemon.platform(), 42, cfg);
+  const ChurnTrace trace = generate_churn_trace(daemon.platform(), 42, cfg);
 
   std::vector<bool> down(daemon.platform().num_procs(), false);
   for (const auto& step : trace.steps) {

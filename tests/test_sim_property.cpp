@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "core/rltf.hpp"
 #include "exp/workload.hpp"
@@ -22,11 +23,13 @@
 namespace streamsched {
 namespace {
 
+// No padding: gtest names each case by the bytes of its parameter.
 struct SimPropertyCase {
   std::uint64_t seed;
   CopyId eps;
   SimDiscipline discipline;
 };
+static_assert(std::has_unique_object_representations_v<SimPropertyCase>);
 
 class SimPropertyTest : public ::testing::TestWithParam<SimPropertyCase> {
  protected:
