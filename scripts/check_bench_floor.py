@@ -64,7 +64,7 @@ ROWS = {
 # bench name -> compared rows whose fresh value may not exceed CEILING x the
 # committed one: (label, fields a row must match, compared field)
 CEILINGS = {
-    "perfbench": [(f"{w} p50", {"workload": w}, "latency_p50_us")
+    "perfbench": [(w, {"workload": w}, "latency_p50_us")
                   for w in ("hit_small", "hit_large", "cold_count", "cold_prob")],
 }
 

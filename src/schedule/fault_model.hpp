@@ -44,7 +44,6 @@ class FaultModel {
   /// `target_reliability` in (0, 1).
   [[nodiscard]] static FaultModel probabilistic(double target_reliability);
 
-  [[nodiscard]] FaultModelKind kind() const { return kind_; }
   [[nodiscard]] bool is_count() const { return kind_ == FaultModelKind::kCount; }
   [[nodiscard]] bool is_probabilistic() const { return kind_ == FaultModelKind::kProbabilistic; }
 

@@ -15,11 +15,12 @@
 // The LTF/R-LTF heuristics do not by themselves guarantee ε: the
 // one-to-one mapping does not keep replica chains processor-disjoint.
 // On 200 DAGs of the service's cold count shape (52 tasks, ε = 2, 16
-// processors, repair off), R-LTF's schedule survived even one failure on
-// 0 of them and LTF's on 158. `repair_fault_tolerance` enforces the
-// paper's stated guarantee by adding supply channels until every failure
-// set is survivable; experiments run with repair enabled and report how
-// much repair was needed.
+// processors, repair off), R-LTF's schedule survived a single failure on
+// 0 of them; LTF's survived every single failure on 193 and every pair
+// on 35. `repair_fault_tolerance` enforces the paper's stated guarantee
+// by adding supply channels until every failure set is survivable;
+// experiments run with repair enabled and report how much repair was
+// needed.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,11 @@
 //
 // A ChurnTrace is a concrete, replayable sequence of ClusterEvents
 // (service/request.hpp) for PlacementDaemon::on_event. Step by step,
-// alive processors fail with `churn_failure_prob(platform, u, step)` and
-// failed processors recover with a fixed per-step probability of 0.2.
-// The failure rates follow a square wave over the platform's own
-// per-processor failure probabilities: each 8-step cycle runs 4 calm
-// steps at the baseline rates, then 4 storm steps at 10 times them. The
-// shape is fixed: bench_churn pins the outcome of the trace it draws.
+// alive processors fail with `churn_failure_prob(platform, u, step)`, a
+// square wave over the platform's own failure probabilities (4 calm
+// steps, then 4 storm steps at 10 times them), and failed processors
+// recover with probability 0.2. The shape is fixed: it is the one every
+// caller used, and bench_churn pins the outcome of the trace it draws.
 // Everything is drawn from one seeded Rng in a fixed order (processors
 // ascending, failures before recoveries within a step), so the same
 // (platform, seed, config) always yields the same trace — the determinism
