@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -81,6 +83,19 @@ struct FileGuard {
     for (const fs::path& p : doomed) fs::remove(p, ec);
   }
 };
+
+/// Blocking byte-at-a-time line read on a raw fd (no fault plan assumed).
+inline bool read_line_raw(int fd, std::string& line) {
+  line.clear();
+  char ch = 0;
+  for (;;) {
+    const ssize_t n = ::recv(fd, &ch, 1, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    if (ch == '\n') return true;
+    line += ch;
+  }
+}
 
 /// A running server on its own thread; the destructor drains and joins.
 struct ServerHandle {

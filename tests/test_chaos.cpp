@@ -45,6 +45,7 @@ Platform small_platform(std::uint64_t seed = 5, std::size_t m = 8) {
 
 using test::FileGuard;
 using test::read_file;
+using test::read_line_raw;
 using test::ServerHandle;
 using test::unique_path;
 using test::write_file;
@@ -57,19 +58,6 @@ net::SubmitFrame frame_for(std::uint64_t seed, const std::string& tag,
   frame.model = FaultModel::count(2);
   frame.dag = small_dag(seed, tasks);
   return frame;
-}
-
-/// Blocking byte-at-a-time line read on a raw fd (no fault plan assumed).
-bool read_line_raw(int fd, std::string& line) {
-  line.clear();
-  char ch = 0;
-  for (;;) {
-    const ssize_t n = ::recv(fd, &ch, 1, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    if (ch == '\n') return true;
-    line += ch;
-  }
 }
 
 // ------------------------------------------------------------ fault plans --

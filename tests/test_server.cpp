@@ -21,8 +21,10 @@
 #include "core/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "net/client.hpp"
+#include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "platform/generators.hpp"
+#include "schedule/metrics.hpp"
 #include "schedule/survival.hpp"
 #include "service/daemon.hpp"
 #include "service/persistence.hpp"
@@ -813,6 +815,272 @@ TEST(WireServer, DegradedProvenanceBrownoutOptInAndWarmRestart) {
   ASSERT_TRUE(health.ok);
   EXPECT_EQ(health.field_u64("failed"), 0u);  // live failure set resets...
   EXPECT_EQ(health.field_u64("degraded"), 1u);  // ...the deficit does not
+}
+
+// ------------------------------------------------------------ served lines --
+
+/// `%.17g`: the wire's round-trip spelling of a double.
+std::string g17(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+/// The OK line a SUBMIT served from `p` must get, rendered here field by
+/// field from the placement and its schedule, not by the server's code.
+std::string expected_ok_line(const CachedPlacement& p, const std::string& tag,
+                             const std::string& src, std::uint64_t epoch) {
+  char fp[17];
+  std::snprintf(fp, sizeof fp, "%016llx",
+                static_cast<unsigned long long>(schedule_fingerprint(p.schedule)));
+  std::string line = "OK";
+  if (!tag.empty()) line += " tag=" + tag;
+  line += " src=" + src + " epoch=" + std::to_string(epoch) + " fp=" + fp +
+          " eps=" + std::to_string(p.schedule.eps()) +
+          " stages=" + std::to_string(num_stages(p.schedule)) +
+          " period=" + g17(p.schedule.period()) +
+          " latency=" + g17(latency_upper_bound(p.schedule)) + " rel=" + g17(p.reliability) +
+          " factor=" + g17(p.period_factor) +
+          " repair_comms=" + std::to_string(p.repair.added_comms + p.event_repair_comms);
+  if (p.degraded) {
+    line += " degraded=1 eps_have=" + std::to_string(p.eps_have) +
+            " eps_want=" + std::to_string(p.eps_want);
+  }
+  return line;
+}
+
+/// The part of an OK line that belongs to the placement: from `fp=` on.
+std::string placement_part(const std::string& line) {
+  const std::size_t at = line.find(" fp=");
+  EXPECT_NE(at, std::string::npos) << line;
+  return at == std::string::npos ? std::string() : line.substr(at);
+}
+
+/// The cached placement a SUBMIT of `frame` is served from, or null.
+std::shared_ptr<const CachedPlacement> cached_for(const net::Server& server,
+                                                  const net::SubmitFrame& frame) {
+  const std::uint64_t dag_fp = dag_fingerprint(frame.dag);
+  for (auto& p : server.daemon().snapshot_entries()) {
+    if (dag_fingerprint(*p->dag) == dag_fp && p->model == frame.model) return p;
+  }
+  return nullptr;
+}
+
+/// A raw connection whose responses come back byte for byte, so a served
+/// line can be compared exactly.
+class RawConnection {
+ public:
+  explicit RawConnection(const std::string& path) : fd_(net::connect_unix(path)) {}
+
+  std::string roundtrip(const std::string& line) {
+    const std::string framed = line + "\n";
+    net::send_all(fd_.get(), framed.data(), framed.size());
+    std::string response;
+    EXPECT_TRUE(test::read_line_raw(fd_.get(), response)) << "no response to " << line;
+    return response;
+  }
+
+  /// SUBMITs `frame` and expects exactly the line its cached placement
+  /// renders to; returns the line.
+  std::string expect_served(const net::Server& server, const net::SubmitFrame& frame,
+                            const std::string& src, std::uint64_t epoch) {
+    const std::string line = roundtrip(net::format_submit(frame));
+    const auto p = cached_for(server, frame);
+    EXPECT_NE(p, nullptr) << "nothing cached for tag " << frame.tag;
+    if (p != nullptr) {
+      EXPECT_EQ(line, expected_ok_line(*p, frame.tag, src, epoch));
+    }
+    return line;
+  }
+
+ private:
+  net::Fd fd_;
+};
+
+// Cold lines and the hit lines that follow them render the cached
+// placement, under a count and a probabilistic model, with and without a
+// tag; a hit repeats the cold line from fp= on.
+TEST(WireServer, ColdAndHitLinesRenderTheCachedPlacement) {
+  const FileGuard sock(unique_path("srv_lines", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  ServerHandle handle(small_platform(), config);
+  RawConnection conn(sock.path);
+
+  std::vector<net::SubmitFrame> frames;
+  frames.push_back(frame_for(311, "count"));
+  frames.push_back(frame_for(312, "prob"));
+  frames.back().model = FaultModel::probabilistic(0.99);
+  frames.push_back(frame_for(313, ""));
+  for (net::SubmitFrame& frame : frames) {
+    const std::string cold = conn.expect_served(handle.server, frame, "cold", 0);
+    frame.tag = frame.tag.empty() ? "" : frame.tag + "_again";
+    const std::string hit = conn.expect_served(handle.server, frame, "hit", 0);
+    EXPECT_EQ(placement_part(hit), placement_part(cold));
+  }
+  const auto prob = cached_for(handle.server, frames[1]);
+  ASSERT_NE(prob, nullptr);
+  EXPECT_GE(prob->reliability, 0.99);  // an estimated rel=, not the count's -1
+}
+
+// Failure events repair cached entries by wiring supply channels, and a cold
+// admission made while the processors are down is repaired the same way:
+// each line's repair_comms= counts the channels its event repair wired.
+TEST(WireServer, EventRepairedLinesRenderTheRepairedPlacement) {
+  const FileGuard sock(unique_path("srv_repaired", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  ServerHandle handle(small_platform(), config);
+  RawConnection conn(sock.path);
+
+  std::vector<net::SubmitFrame> frames;
+  for (std::uint64_t seed : {321u, 322u, 323u, 324u}) {
+    frames.push_back(frame_for(seed, "s" + std::to_string(seed)));
+    frames.back().model = FaultModel::count(1);
+    (void)conn.expect_served(handle.server, frames.back(), "cold", 0);
+  }
+
+  // A two-processor failure set that leaves every task of every entry an
+  // alive replica (so each repairs) and that some entry does not survive.
+  const std::size_t m = handle.server.daemon().platform().num_procs();
+  const auto entries = handle.server.daemon().snapshot_entries();
+  std::vector<std::uint64_t> scratch;
+  std::vector<ProcId> down;
+  for (ProcId a = 0; a < m && down.empty(); ++a) {
+    for (ProcId b = a + 1; b < m && down.empty(); ++b) {
+      ProcSet pair(m);
+      pair.assign(std::vector<ProcId>{a, b});
+      bool repairable = true;
+      bool breaking = false;
+      for (const auto& p : entries) {
+        for (TaskId t = 0; t < p->dag->num_tasks() && repairable; ++t) {
+          bool all_down = true;
+          for (CopyId c = 0; c < p->schedule.copies(); ++c) {
+            const ProcId u = p->schedule.placed(ReplicaRef{t, c}).proc;
+            all_down = all_down && (u == a || u == b);
+          }
+          repairable = !all_down;
+        }
+        breaking = breaking || !p->oracle.survives(pair, scratch);
+      }
+      if (repairable && breaking) down = {a, b};
+    }
+  }
+  ASSERT_EQ(down.size(), 2u) << "no repairable breaking failure pair for these seeds";
+  net::EventFrame fail;
+  fail.failure = true;
+  for (const ProcId u : down) {
+    fail.proc = u;
+    ASSERT_EQ(conn.roundtrip(net::format_event(fail)).substr(0, 2), "OK");
+  }
+
+  for (net::SubmitFrame& frame : frames) {
+    frame.tag += "_repaired";
+    (void)conn.expect_served(handle.server, frame, "hit", 2);
+  }
+  std::size_t repaired = 0;
+  for (const auto& p : handle.server.daemon().snapshot_entries()) {
+    repaired += p->event_repair_comms > 0;
+  }
+  EXPECT_GT(repaired, 0u);
+
+  // Cold admissions under the live failure set: the first one whose
+  // placement needed channels pins the cold path's repair_comms=.
+  bool cold_repaired = false;
+  for (std::uint64_t seed = 331; seed < 341 && !cold_repaired; ++seed) {
+    net::SubmitFrame frame = frame_for(seed, "live" + std::to_string(seed));
+    frame.model = FaultModel::count(1);
+    (void)conn.expect_served(handle.server, frame, "cold", 2);
+    const auto p = cached_for(handle.server, frame);
+    ASSERT_NE(p, nullptr);
+    cold_repaired = p->event_repair_comms > 0;
+  }
+  EXPECT_TRUE(cold_repaired);
+}
+
+// A degraded rebuild serves its deficit (degraded= eps_have= eps_want=),
+// and the re-heal that promotes it after recovery serves a plain hit.
+TEST(WireServer, DegradedRebuildAndReHealLinesRenderTheServedPlacement) {
+  const FileGuard sock(unique_path("srv_reheal", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  // Five processors: failing three is beyond an eps = 2 repair, so the
+  // entry is rebuilt degraded; background re-heal stays on, and cannot
+  // improve the rebuild while the three stay down.
+  ServerHandle handle(small_platform(5, 5), config);
+  RawConnection conn(sock.path);
+  net::Client client = net::Client::connect_unix_path(sock.path);
+
+  net::SubmitFrame frame = frame_for(61, "churny");
+  const std::string cold = conn.expect_served(handle.server, frame, "cold", 0);
+  net::EventFrame event;
+  event.failure = true;
+  for (ProcId u : {0u, 1u, 2u}) {
+    event.proc = u;
+    ASSERT_TRUE(client.event(event).ok);
+  }
+  frame.tag = "brownout";
+  frame.degraded_ok = true;
+  const std::string degraded = conn.expect_served(handle.server, frame, "degraded", 3);
+  EXPECT_NE(degraded.find(" degraded=1 eps_have="), std::string::npos) << degraded;
+
+  event.failure = false;
+  for (ProcId u : {2u, 1u, 0u}) {
+    event.proc = u;
+    ASSERT_TRUE(client.event(event).ok);
+  }
+  // The recoveries queue re-heal passes on the global pool; wait for the
+  // promotion they must reach.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  net::Response stats = client.stats();
+  while ((stats.field_u64("degraded") != 0 || stats.field_u64("reheals") == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stats = client.stats();
+  }
+  ASSERT_EQ(stats.field_u64("degraded"), 0u);
+  ASSERT_GE(stats.field_u64("reheals"), 1u);
+  frame.tag = "healed";
+  frame.degraded_ok = false;
+  const std::string healed = conn.expect_served(handle.server, frame, "hit", 6);
+  EXPECT_EQ(healed.find(" degraded="), std::string::npos) << healed;
+}
+
+// Restored entries serve src=warm lines that repeat their cold lines from
+// fp= on, including a probabilistic entry's restored rel=.
+TEST(WireServer, WarmRestoredLinesRenderTheRestoredPlacement) {
+  const FileGuard sock1(unique_path("srv_warmlines1", ".sock"));
+  const FileGuard sock2(unique_path("srv_warmlines2", ".sock"));
+  const FileGuard snap(unique_path("srv_warmlines", ".snapshot"));
+
+  std::vector<net::SubmitFrame> frames;
+  frames.push_back(frame_for(341, "count"));
+  frames.push_back(frame_for(342, "prob"));
+  frames.back().model = FaultModel::probabilistic(0.99);
+  std::vector<std::string> cold_lines;
+  {
+    net::ServerConfig config;
+    config.unix_path = sock1.path;
+    config.snapshot_path = snap.path;
+    ServerHandle first(small_platform(), config);
+    RawConnection conn(sock1.path);
+    for (const net::SubmitFrame& frame : frames) {
+      cold_lines.push_back(conn.expect_served(first.server, frame, "cold", 0));
+    }
+    ASSERT_EQ(conn.roundtrip(net::format_shutdown()).substr(0, 2), "OK");
+    first.join();  // run() saves the snapshot on the way out
+  }
+
+  net::ServerConfig config;
+  config.unix_path = sock2.path;
+  config.snapshot_path = snap.path;
+  ServerHandle second(small_platform(), config);
+  RawConnection conn(sock2.path);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i].tag += "_warm";
+    const std::string warm = conn.expect_served(second.server, frames[i], "warm", 0);
+    EXPECT_EQ(placement_part(warm), placement_part(cold_lines[i]));
+  }
 }
 
 TEST(WireServer, RejectedSnapshotStartsColdInsteadOfDying) {
