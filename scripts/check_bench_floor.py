@@ -26,12 +26,13 @@ compared rows:
   * churn: the outcome of the seeded churn replay, which must equal the
     committed one exactly: its digest and its degraded-probe, rebuild,
     re-heal, event-repair and verify-failure counts;
-  * perfbench: the `latency_p50_us` of every service workload, one row
-    per workload holding the metrics of its perfbench result line.
+  * perfbench: the `latency_p50_us` of every service workload, and the
+    `server_cpu_us_per_op` of the two hit workloads, one row per workload
+    holding the metrics of its perfbench result line.
 
 Fails (exit 1) when any fresh throughput is below a quarter of the
-committed one, any fresh latency is above four times the committed one,
-or any pinned outcome field differs. A factor of four sits beyond the
+committed one, any fresh latency or per-request server CPU is above four
+times the committed one, or any pinned outcome field differs. A factor of four sits beyond the
 run-to-run spread of shared runners and still catches a slide back
 toward per-set or per-call speeds, which are one to two orders of
 magnitude slower. The repairs, the schedules and the churn replay are
@@ -65,7 +66,9 @@ ROWS = {
 # committed one: (label, fields a row must match, compared field)
 CEILINGS = {
     "perfbench": [(w, {"workload": w}, "latency_p50_us")
-                  for w in ("hit_small", "hit_large", "cold_count", "cold_prob")],
+                  for w in ("hit_small", "hit_large", "cold_count", "cold_prob")]
+                 + [(w, {"workload": w}, "server_cpu_us_per_op")
+                    for w in ("hit_small", "hit_large")],
 }
 
 # bench name -> exact rows: (label, fields a row must match, fields that must be equal)

@@ -1,9 +1,12 @@
 #include "net/wire.hpp"
 
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
+#include "core/fingerprint.hpp"
 #include "util/assert.hpp"
 
 namespace streamsched::net {
@@ -199,16 +202,49 @@ Dag parse_dag_wire(std::string_view wire) {
   return dag;
 }
 
-std::optional<std::uint64_t> DagMemo::find(std::string_view wire) const {
-  const auto it = fps_.find(wire);
-  if (it == fps_.end()) return std::nullopt;
-  return it->second;
+namespace {
+
+/// One multiply-xor step of a text_hash lane: for a fixed lane it is
+/// injective in the word, for a fixed word a bijection of the lane.
+std::uint64_t hash_step(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl((lane ^ word) * 0x9E3779B97F4A7C15ULL, 31);
 }
 
-void DagMemo::insert(std::string_view wire, std::uint64_t dag_fp) {
-  if (capacity_ == 0) return;
-  if (fps_.size() >= capacity_ && fps_.find(wire) == fps_.end()) fps_.erase(fps_.begin());
-  fps_.insert_or_assign(std::string(wire), dag_fp);
+std::uint64_t load_word(const char* bytes) {
+  std::uint64_t word;
+  std::memcpy(&word, bytes, sizeof word);
+  return word;
+}
+
+}  // namespace
+
+std::uint64_t text_hash(std::string_view text) noexcept {
+  std::uint64_t a = text.size() ^ 0x243F6A8885A308D3ULL;
+  std::uint64_t b = text.size() ^ 0x13198A2E03707344ULL;
+  std::uint64_t c = text.size() ^ 0xA4093822299F31D0ULL;
+  std::uint64_t d = text.size() ^ 0x082EFA98EC4E6C89ULL;
+  const auto block = [&](const char* bytes) {
+    a = hash_step(a, load_word(bytes));
+    b = hash_step(b, load_word(bytes + 8));
+    c = hash_step(c, load_word(bytes + 16));
+    d = hash_step(d, load_word(bytes + 24));
+  };
+  const char* p = text.data();
+  std::size_t n = text.size();
+  for (; n >= 32; p += 32, n -= 32) block(p);
+  if (n > 0) {
+    char tail[32] = {};  // the last partial block, zero-padded
+    std::memcpy(tail, p, n);
+    block(tail);
+  }
+  std::uint64_t h = hash_step(hash_step(hash_step(a, b), c), d);
+  // murmur3's 64-bit finalizer, so every bit of h reaches the low bits a
+  // bucket index reads.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  return h ^ (h >> 33);
 }
 
 // ------------------------------------------------------------ ScheduleWire --
@@ -335,7 +371,38 @@ QosClass parse_qos_class(std::string_view name) {
 
 namespace {
 
-Request parse_request_with(std::string_view line, const DagMemo* memo) {
+/// Sets `f`'s variant or model, and its fingerprint, from an `algo=` or
+/// `model=` token through `specs`: a token the memo lacks is parsed, and
+/// added once it has parsed.
+void apply_spec(SpecMemo& specs, std::string_view token, SubmitFrame& f) {
+  std::optional<ParsedSpec> spec = specs.find(token);
+  const bool algo = token.starts_with("algo=");
+  if (!spec) {
+    const std::string value(split_field(token).second);
+    spec.emplace();
+    try {
+      if (algo) {
+        spec->variant = AlgoVariant::parse(value);
+        spec->fp = variant_fingerprint(spec->variant);
+      } else {
+        spec->model = FaultModel::parse(value);
+        spec->fp = fault_model_fingerprint(spec->model);
+      }
+    } catch (const std::exception& e) {
+      bad(std::string(algo ? "bad algo: " : "bad model: ") + e.what());
+    }
+    specs.insert(token, *spec);
+  }
+  if (algo) {
+    f.variant = std::move(spec->variant);
+    f.variant_fp = spec->fp;
+  } else {
+    f.model = spec->model;
+    f.model_fp = spec->fp;
+  }
+}
+
+Request parse_request_with(std::string_view line, const DagMemo* dags, SpecMemo& specs) {
   Items tokens(line, ' ');
   std::string_view verb;
   (void)tokens.next(verb);  // a line always has a first item
@@ -352,6 +419,8 @@ Request parse_request_with(std::string_view line, const DagMemo* memo) {
     request.verb = Verb::kSubmit;
     SubmitFrame& f = request.submit;
     bool have_dag = false;
+    bool have_algo = false;
+    bool have_model = false;
     for (std::string_view token; tokens.next(token);) {
       if (token.empty()) continue;  // tolerate doubled spaces
       const auto [key, value] = split_field(token);
@@ -361,17 +430,11 @@ Request parse_request_with(std::string_view line, const DagMemo* memo) {
         f.tag = value;
       } else if (key == "algo") {
         f.variant_spec = value;
-        try {
-          (void)AlgoVariant::parse(f.variant_spec);  // validate against the registry
-        } catch (const std::exception& e) {
-          bad(std::string("bad algo: ") + e.what());
-        }
+        apply_spec(specs, token, f);
+        have_algo = true;
       } else if (key == "model") {
-        try {
-          f.model = FaultModel::parse(std::string(value));
-        } catch (const std::exception& e) {
-          bad(std::string("bad model: ") + e.what());
-        }
+        apply_spec(specs, token, f);
+        have_model = true;
       } else if (key == "period") {
         f.period = parse_number<double>(value, "period");
       } else if (key == "headroom") {
@@ -389,9 +452,9 @@ Request parse_request_with(std::string_view line, const DagMemo* memo) {
       } else if (key == "dag") {
         // A later dag= replaces an earlier one, memoised or not.
         f.dag_fp.reset();
-        if (memo != nullptr) {
+        if (dags != nullptr) {
           f.dag_wire = value;
-          f.dag_fp = memo->find(value);
+          f.dag_fp = dags->find(value);
         }
         f.dag = f.dag_fp ? Dag() : parse_dag_wire(value);
         have_dag = true;
@@ -400,6 +463,9 @@ Request parse_request_with(std::string_view line, const DagMemo* memo) {
       }
     }
     if (!have_dag) bad("SUBMIT needs a dag= field");
+    // An absent algo= or model= keys like its default spelled out.
+    if (!have_algo) apply_spec(specs, "algo=" + f.variant_spec, f);
+    if (!have_model) apply_spec(specs, "model=" + f.model.to_string(), f);
     return request;
   }
   if (verb == "EVENT") {
@@ -436,10 +502,13 @@ Request parse_request_with(std::string_view line, const DagMemo* memo) {
 
 }  // namespace
 
-Request parse_request(std::string_view line) { return parse_request_with(line, nullptr); }
+Request parse_request(std::string_view line) {
+  SpecMemo none;  // holds nothing: every spec is parsed
+  return parse_request_with(line, nullptr, none);
+}
 
-Request parse_request(std::string_view line, const DagMemo& memo) {
-  return parse_request_with(line, &memo);
+Request parse_request(std::string_view line, const DagMemo& dags, SpecMemo& specs) {
+  return parse_request_with(line, &dags, specs);
 }
 
 std::string format_submit(const SubmitFrame& frame) {

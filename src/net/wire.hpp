@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -106,31 +105,67 @@ class WireError : public std::runtime_error {
 /// and therefore the DAG fingerprint — are preserved. Throws WireError.
 [[nodiscard]] Dag parse_dag_wire(std::string_view wire);
 
-/// Exact DagWire bytes → the dag_fingerprint of the DAG they parse to, so
-/// that parse_request(line, memo) can key a resent body without building
-/// its Dag. Keys compare byte for byte, so a hash collision never maps one
-/// body to another body's fingerprint. Holds at most `capacity` bodies
-/// (0 holds none): inserting into a full memo first drops an arbitrary
-/// entry. Not synchronized.
-class DagMemo {
- public:
-  explicit DagMemo(std::size_t capacity = 0) : capacity_(capacity) {}
+/// Hashes every byte of `text` a word at a time: four independent
+/// multiply-xor lanes over the 8-byte words of each 32-byte block (the
+/// last partial block zero-padded, the length folded into every lane's
+/// seed), then one finalizer. Each step is a bijection of its lane, so
+/// texts of one length that differ in a single word never collide. Not
+/// for persisting: the value depends on the host's byte order.
+[[nodiscard]] std::uint64_t text_hash(std::string_view text) noexcept;
 
-  [[nodiscard]] std::optional<std::uint64_t> find(std::string_view wire) const;
-  void insert(std::string_view wire, std::uint64_t dag_fp);
-  [[nodiscard]] std::size_t size() const { return fps_.size(); }
+/// Exact text → a value derived from it, for texts a server sees again and
+/// again. Entries are keyed by text_hash and compare byte for byte, so a
+/// hash collision never maps one text to another text's value: inserting a
+/// text whose hash another holds replaces that entry. Holds at most
+/// `capacity` texts (0 holds none): inserting into a full memo first drops
+/// an arbitrary entry. Not synchronized.
+template <typename Value>
+class TextMemo {
+ public:
+  explicit TextMemo(std::size_t capacity = 0) : capacity_(capacity) {}
+
+  [[nodiscard]] std::optional<Value> find(std::string_view text) const {
+    const auto it = entries_.find(text_hash(text));
+    if (it == entries_.end() || it->second.text != text) return std::nullopt;
+    return it->second.value;
+  }
+
+  void insert(std::string_view text, Value value) {
+    if (capacity_ == 0) return;
+    const std::uint64_t hash = text_hash(text);
+    if (entries_.size() >= capacity_ && !entries_.contains(hash)) entries_.erase(entries_.begin());
+    entries_.insert_or_assign(hash, Entry{std::string(text), std::move(value)});
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
+  struct Entry {
+    std::string text;
+    Value value;
   };
 
   std::size_t capacity_;
-  std::unordered_map<std::string, std::uint64_t, Hash, std::equal_to<>> fps_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
 };
+
+/// Exact DagWire bytes → the dag_fingerprint of the DAG they parse to, so
+/// that parse_request(line, dags, specs) can key a resent body without
+/// building its Dag.
+using DagMemo = TextMemo<std::uint64_t>;
+
+/// What parse_request made of one `algo=` or `model=` token: the variant
+/// (algo=) or the model (model=) it parses to, and the fingerprint the
+/// cache key takes of that (variant_fingerprint, fault_model_fingerprint).
+struct ParsedSpec {
+  AlgoVariant variant;
+  FaultModel model;
+  std::uint64_t fp = 0;
+};
+
+/// Whole `algo=`/`model=` tokens → what they parse to. A token enters it
+/// only once it has parsed, so a bad spec is rejected on every request.
+using SpecMemo = TextMemo<ParsedSpec>;
 
 // ------------------------------------------------------------ ScheduleWire --
 
@@ -174,13 +209,19 @@ struct SubmitFrame {
   /// eps_have/eps_want deficit) instead of an `ERR DEGRADED` refusal.
   bool degraded_ok = false;
   Dag dag;
-  /// Set only by parse_request(line, memo): the dag= bytes, a view into
-  /// `line` that is valid only as long as the line is.
+  /// Set only by parse_request(line, dags, specs): the dag= bytes, a view
+  /// into `line` that is valid only as long as the line is.
   std::string_view dag_wire;
-  /// Set only by parse_request(line, memo) when `dag_wire` was in the
-  /// memo: the dag_fingerprint of the DAG those bytes parse to. `dag` is
+  /// Set only by parse_request(line, dags, specs) when `dag_wire` was in
+  /// `dags`: the dag_fingerprint of the DAG those bytes parse to. `dag` is
   /// then left empty; parse it from `dag_wire` when it is needed.
   std::optional<std::uint64_t> dag_fp;
+  /// Set by parse_request: the variant `variant_spec` names, and the
+  /// fingerprints the cache key takes of it and of `model`
+  /// (variant_fingerprint, fault_model_fingerprint).
+  AlgoVariant variant;
+  std::uint64_t variant_fp = 0;
+  std::uint64_t model_fp = 0;
 };
 
 struct EventFrame {
@@ -196,16 +237,19 @@ struct Request {
 };
 
 /// Parses one request line (without the trailing '\n'). The variant spec
-/// is validated against the registry, the model against the fault-model
+/// is parsed against the registry, the model against the fault-model
 /// grammar, the DAG against DagWire. Unknown verbs and fields throw
 /// WireError (kBadRequest) so client typos fail loudly.
 [[nodiscard]] Request parse_request(std::string_view line);
 
-/// parse_request() that also records the SUBMIT's dag= bytes and, when the
-/// memo holds them, their fingerprint instead of parsing them (see
-/// SubmitFrame::dag_wire and dag_fp). Every other field is parsed and
-/// validated exactly as without a memo, so each rejection is the same.
-[[nodiscard]] Request parse_request(std::string_view line, const DagMemo& memo);
+/// parse_request() that also records the SUBMIT's dag= bytes and, when
+/// `dags` holds them, their fingerprint instead of parsing them (see
+/// SubmitFrame::dag_wire and dag_fp), and that takes its algo= and model=
+/// tokens, spelled out or defaulted, from `specs`, parsing and adding a
+/// token only on a miss. Every field is validated exactly as without the
+/// memos, so each rejection is the same.
+[[nodiscard]] Request parse_request(std::string_view line, const DagMemo& dags,
+                                    SpecMemo& specs);
 
 /// Client-side formatters (no trailing '\n').
 [[nodiscard]] std::string format_submit(const SubmitFrame& frame);
@@ -235,9 +279,13 @@ struct Response {
 };
 
 /// Builder for `OK` lines: ordered key=value fields, values must be
-/// space-free (asserted).
+/// space-free (asserted). Built from an empty head, it renders fields to
+/// append to a line begun elsewhere (" k=v k=v").
 class OkBuilder {
  public:
+  OkBuilder() = default;
+  explicit OkBuilder(std::string head) : line_(std::move(head)) {}
+
   OkBuilder& add(const std::string& key, const std::string& value);
   OkBuilder& add(const std::string& key, const char* value);
   OkBuilder& add(const std::string& key, double value);

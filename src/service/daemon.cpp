@@ -1,10 +1,13 @@
 #include "service/daemon.hpp"
 
+#include <cinttypes>
+#include <cstdio>
 #include <utility>
 
 #include "core/fingerprint.hpp"
 #include "exp/sweep.hpp"
 #include "exp/workload.hpp"
+#include "net/wire.hpp"
 #include "schedule/metrics.hpp"
 #include "schedule/survival.hpp"
 #include "util/assert.hpp"
@@ -19,6 +22,28 @@ std::string degraded_error(const CachedPlacement& placement) {
   return "placement degraded: eps_have=" + std::to_string(placement.eps_have) +
          " eps_want=" + std::to_string(placement.eps_want) +
          " (opt in with degraded_ok, or retry after re-heal)";
+}
+
+/// CachedPlacement::response_fields of `p`.
+std::string render_response_fields(const CachedPlacement& p) {
+  char fp[17];
+  std::snprintf(fp, sizeof fp, "%016" PRIx64, p.schedule_fp);
+  net::OkBuilder fields("");
+  fields.add("fp", fp)
+      .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
+      .add("stages", static_cast<std::uint64_t>(p.stages))
+      .add("period", p.schedule.period())
+      .add("latency", p.latency_bound)
+      .add("rel", p.reliability)
+      .add("factor", p.period_factor)
+      .add("repair_comms",
+           static_cast<std::uint64_t>(p.repair.added_comms + p.event_repair_comms));
+  if (p.degraded) {
+    fields.add("degraded", std::uint64_t{1})
+        .add("eps_have", static_cast<std::uint64_t>(p.eps_have))
+        .add("eps_want", static_cast<std::uint64_t>(p.eps_want));
+  }
+  return fields.str();
 }
 
 }  // namespace
@@ -50,6 +75,7 @@ bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratc
   p.eps_have = *p.full_guarantee ? p.eps_want
                                  : achieved_tolerance(p.oracle, failed, p.eps_want, scratch);
   p.degraded = p.eps_have < p.eps_want;
+  p.response_fields = render_response_fields(p);
   return true;
 }
 
@@ -275,10 +301,13 @@ std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
   const bool repaired = live.success && live.rounds > 0;
   if (repaired) placement->full_guarantee.reset();
   counts.verifications += repaired;
-  if (live.success && publish_gate(*placement, failed, scratch)) {
+  if (live.success) {
+    // Counted before the gate, which renders the served repair_comms=.
     placement->event_repair_comms += live.added_comms;
-    counts.event_repairs += repaired;
-    return placement;
+    if (publish_gate(*placement, failed, scratch)) {
+      counts.event_repairs += repaired;
+      return placement;
+    }
   }
   counts.verify_failures += repaired;
   auto rebuilt = rebuild_degraded(*placement, failed, scratch);

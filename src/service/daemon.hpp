@@ -120,12 +120,13 @@ struct DaemonStats {
 /// into `placement` and derives from it every claim a response makes:
 /// survival of the live failure set `failed`, eps_have and degraded, a
 /// probabilistic placement's rel when no repair estimated it, and the
-/// sealed facts schedule_fp, stages and latency_bound. Returns false,
-/// deriving nothing further, when the placement does not survive `failed`.
-/// A schedule it already proved (`full_guarantee` set) keeps its oracle,
-/// verdict, rel and sealed facts; only survival and eps_have are derived
-/// again. The snapshot loader calls it to hold an entry's claims to what
-/// it proves.
+/// sealed facts schedule_fp, stages and latency_bound; last it renders
+/// response_fields from them all. Returns false, deriving nothing further,
+/// when the placement does not survive `failed`. A schedule it already
+/// proved (`full_guarantee` set) keeps its oracle, verdict, rel and sealed
+/// facts; only survival, eps_have and response_fields are derived again.
+/// The snapshot loader calls it to hold an entry's claims to what it
+/// proves.
 [[nodiscard]] bool publish_gate(CachedPlacement& placement, const ProcSet& failed,
                                 BatchScratch& scratch);
 

@@ -201,7 +201,8 @@ std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
                << " rel=" << placement->reliability;
     return nullptr;
   }
-  // The proven claim stands, so a restart serves the rel it saved.
+  // The proven claim stands, so a restart serves the rel it saved;
+  // restore() renders it when it sends the entry through the gate again.
   placement->reliability = entry.reliability;
   return placement;
 }

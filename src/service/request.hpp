@@ -120,6 +120,14 @@ struct CachedPlacement {
   /// the gate proves it. Set, it vouches that `oracle` and the sealed facts
   /// match `schedule` as it stands: whoever patches the schedule resets it.
   std::optional<bool> full_guarantee;
+  /// The fields of an `OK` answer that depend on this placement alone:
+  /// ` fp=` through ` repair_comms=`, then ` degraded=1 eps_have= eps_want=`
+  /// when degraded. The publish gate renders them from the fields above
+  /// each time it passes the placement, so a served answer is its
+  /// provenance (tag=, src=, epoch=) and this text. Derived state: never
+  /// persisted, and whoever changes a served field after the gate must
+  /// send the placement through the gate again before publishing it.
+  std::string response_fields;
 };
 
 struct PlacementResponse {

@@ -6,13 +6,13 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
 #include <climits>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <system_error>
 #include <thread>
@@ -32,22 +32,21 @@ namespace streamsched::net {
 
 namespace {
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return std::string(buf);
-}
-
-/// The response line of one admission, whether a lane worker ran it or the
-/// poll thread answered it from the cache.
-std::string format_admission(const PlacementResponse& resp, const std::string& tag) {
+/// Appends the response line of one admission, '\n' included, whether a
+/// lane worker ran it or the poll thread answered it from the cache. An OK
+/// line is its provenance (tag=, src=, epoch=) followed by the fields the
+/// publish gate rendered for the placement.
+void append_admission(std::string& out, const PlacementResponse& resp, const std::string& tag) {
   if (!resp.ok) {
     if (resp.degraded_refused) {
-      return format_error(WireCode::kDegraded,
+      out += format_error(WireCode::kDegraded,
                           resp.error.empty() ? "placement degraded" : resp.error, tag);
+    } else {
+      out += format_error(WireCode::kInfeasible,
+                          resp.error.empty() ? "no feasible placement" : resp.error, tag);
     }
-    return format_error(WireCode::kInfeasible,
-                        resp.error.empty() ? "no feasible placement" : resp.error, tag);
+    out += '\n';
+    return;
   }
   const CachedPlacement& p = *resp.placement;
   // Degraded provenance overrides cold/hit/warm: a caller that opted into
@@ -56,25 +55,13 @@ std::string format_admission(const PlacementResponse& resp, const std::string& t
                     : !resp.cache_hit ? "cold"
                     : p.from_snapshot ? "warm"
                                       : "hit";
-  OkBuilder ok;
-  if (!tag.empty()) ok.add("tag", tag);
-  ok.add("src", src)
-      .add("epoch", resp.epoch)
-      .add("fp", hex16(p.schedule_fp))
-      .add("eps", static_cast<std::uint64_t>(p.schedule.eps()))
-      .add("stages", static_cast<std::uint64_t>(p.stages))
-      .add("period", p.schedule.period())
-      .add("latency", p.latency_bound)
-      .add("rel", p.reliability)
-      .add("factor", p.period_factor)
-      .add("repair_comms",
-           static_cast<std::uint64_t>(p.repair.added_comms + p.event_repair_comms));
-  if (p.degraded) {
-    ok.add("degraded", std::uint64_t{1})
-        .add("eps_have", static_cast<std::uint64_t>(p.eps_have))
-        .add("eps_want", static_cast<std::uint64_t>(p.eps_want));
-  }
-  return ok.str();
+  char epoch[20];  // the digits of any uint64
+  const char* epoch_end = std::to_chars(epoch, epoch + sizeof epoch, resp.epoch).ptr;
+  out += "OK";
+  if (!tag.empty()) out.append(" tag=").append(tag);
+  out.append(" src=").append(src).append(" epoch=").append(epoch, epoch_end - epoch);
+  out += p.response_fields;
+  out += '\n';
 }
 
 }  // namespace
@@ -126,15 +113,27 @@ struct Server::Impl {
 
   std::array<Lane, kNumQosClasses> lanes;
 
+  /// Finished responses, '\n' included, by connection id.
   std::mutex completion_mutex;
   std::deque<std::pair<std::uint64_t, std::string>> completions;
+  /// The poll thread's side of the completion swap: it keeps the deque's
+  /// storage from one pass to the next.
+  std::deque<std::pair<std::uint64_t, std::string>> drained;
 
   std::atomic<bool> draining{false};
   bool workers_stopped = false;
 
-  /// DagWire bodies that hit the cache (poll thread only; bounded by the
-  /// cache capacity, set in the constructor).
-  DagMemo memo;
+  /// DagWire bodies that hit the cache, and the algo=/model= tokens that
+  /// parsed (poll thread only; each bounded by the cache capacity, set in
+  /// the constructor).
+  DagMemo dags;
+  SpecMemo specs;
+
+  /// Reused receive buffer (poll thread only): one recv takes a whole
+  /// request line of up to this many bytes. Left uninitialized, so only
+  /// the pages reads reach become resident.
+  static constexpr std::size_t kReadChunk = 64 << 10;
+  std::unique_ptr<char[]> read_buf = std::make_unique_for_overwrite<char[]>(kReadChunk);
 
   /// Poll-thread fault plan (ServerConfig::fault_spec); null = none.
   std::unique_ptr<FaultPlan> fault_plan_obj;
@@ -203,11 +202,13 @@ struct Server::Impl {
   /// Runs one cache-missing admission and formats its response line
   /// (worker threads).
   std::string serve_submit(Job& job) {
+    std::string line;
     try {
-      return format_admission(server->daemon_->admit(std::move(job.request), job.key), job.tag);
+      append_admission(line, server->daemon_->admit(std::move(job.request), job.key), job.tag);
     } catch (const std::exception& e) {
-      return format_error(WireCode::kInternal, e.what(), job.tag);
+      line = format_error(WireCode::kInternal, e.what(), job.tag) + '\n';
     }
+    return line;
   }
 
   /// Handles one request line on the poll thread; appends any synchronous
@@ -217,7 +218,7 @@ struct Server::Impl {
     if (line.empty()) return;  // blank lines are keep-alive no-ops
     Request request;
     try {
-      request = parse_request(line, memo);
+      request = parse_request(line, dags, specs);
     } catch (const WireError& e) {
       conn.out += format_error(e.code(), e.what());
       conn.out += '\n';
@@ -276,35 +277,39 @@ struct Server::Impl {
       }
     }
     // Only this thread adds to in_flight, so the lane keeps its room.
-    AlgoVariant variant;
+    const auto answered_here = [&ln] {
+      const std::lock_guard<std::mutex> lock(ln.mutex);
+      ++ln.stats.accepted;
+      ++ln.stats.completed;
+    };
     CacheKey key;
-    std::string answer;  // set when the SUBMIT is answered here
+    std::optional<PlacementResponse> hit;
     try {
-      variant = AlgoVariant::parse(frame.variant_spec);
       const std::uint64_t dag_fp = frame.dag_fp ? *frame.dag_fp : dag_fingerprint(frame.dag);
-      key = admission_key(dag_fp, variant, frame.model);
-      if (const auto hit = server->daemon_->admit_hit(key, frame.degraded_ok)) {
-        if (!frame.dag_fp) memo.insert(frame.dag_wire, dag_fp);
-        answer = format_admission(*hit, frame.tag);
-      } else if (frame.dag_fp) {
+      // admission_key(), from the spec fingerprints parse_request memoised.
+      key = CacheKey{dag_fp, frame.variant_fp, frame.model_fp};
+      hit = server->daemon_->admit_hit(key, frame.degraded_ok);
+      if (hit && !frame.dag_fp) {
+        dags.insert(frame.dag_wire, dag_fp);
+      } else if (!hit && frame.dag_fp) {
         // The memoised body's placement was evicted: the cold path needs
         // its Dag after all.
         frame.dag = parse_dag_wire(frame.dag_wire);
       }
     } catch (const std::exception& e) {
-      answer = format_error(WireCode::kInternal, e.what(), frame.tag);
-    }
-    if (!answer.empty()) {
-      conn.out += answer;
+      conn.out += format_error(WireCode::kInternal, e.what(), frame.tag);
       conn.out += '\n';
-      const std::lock_guard<std::mutex> lock(ln.mutex);
-      ++ln.stats.accepted;
-      ++ln.stats.completed;
+      answered_here();
+      return;
+    }
+    if (hit) {
+      append_admission(conn.out, *hit, frame.tag);
+      answered_here();
       return;
     }
     Job job{conn_id, frame.tag,
             PlacementRequest{.dag = std::move(frame.dag),
-                             .variant = std::move(variant),
+                             .variant = std::move(frame.variant),
                              .model = frame.model,
                              .period = frame.period,
                              .headroom = frame.headroom,
@@ -429,19 +434,20 @@ struct Server::Impl {
     conn.close_after_flush = true;
   }
 
-  /// Reads everything available; false when the peer closed or errored.
-  /// EINTR is absorbed by recv_some; injected resets surface as errors
-  /// exactly like real ones. Complete frames that arrived in the same
-  /// wakeup as the peer's FIN are still processed (a fire-and-forget
-  /// EVENT followed by close must apply) — only their responses are
-  /// undeliverable and get dropped.
+  /// Reads what the socket holds, kReadChunk bytes per recv, until a short
+  /// read: poll is level-triggered, so bytes that arrive later wake the
+  /// loop again. False when the peer closed or errored. EINTR is absorbed
+  /// by recv_some; injected resets surface as errors exactly like real
+  /// ones. Complete frames read before the peer's FIN are processed (a
+  /// fire-and-forget EVENT followed by close must apply); only their
+  /// responses are undeliverable and get dropped.
   bool read_from(std::uint64_t conn_id, Connection& conn) {
-    char buf[4096];
     bool open = true;
     for (;;) {
-      const ssize_t n = recv_some(conn.fd.get(), buf, sizeof buf);
+      const ssize_t n = recv_some(conn.fd.get(), read_buf.get(), kReadChunk);
       if (n > 0) {
-        conn.in.append(buf, static_cast<std::size_t>(n));
+        conn.in.append(read_buf.get(), static_cast<std::size_t>(n));
+        if (static_cast<std::size_t>(n) < kReadChunk) break;
         continue;
       }
       if (n == 0) {
@@ -495,17 +501,16 @@ struct Server::Impl {
   }
 
   void drain_completions() {
-    std::deque<std::pair<std::uint64_t, std::string>> done;
     {
       const std::lock_guard<std::mutex> lock(completion_mutex);
-      done.swap(completions);
+      drained.swap(completions);
     }
-    for (auto& [conn_id, line] : done) {
+    for (const auto& [conn_id, line] : drained) {
       const auto it = conns.find(conn_id);
       if (it == conns.end()) continue;  // client went away; drop the response
       it->second.out += line;
-      it->second.out += '\n';
     }
+    drained.clear();
   }
 
   [[nodiscard]] bool fully_drained() {
@@ -676,7 +681,8 @@ Server::Server(Platform platform, ServerConfig config)
       impl_(std::make_unique<Impl>()) {
   impl_->server = this;
   impl_->config = std::move(config);
-  impl_->memo = DagMemo(impl_->config.daemon.cache_capacity);
+  impl_->dags = DagMemo(impl_->config.daemon.cache_capacity);
+  impl_->specs = SpecMemo(impl_->config.daemon.cache_capacity);
   for (std::size_t qi = 0; qi < kNumQosClasses; ++qi) {
     SS_REQUIRE(impl_->config.lanes[qi].workers > 0, "QoS lane needs at least one worker");
     SS_REQUIRE(impl_->config.lanes[qi].bound > 0, "QoS lane needs a bound >= 1");

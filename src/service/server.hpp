@@ -28,10 +28,20 @@
 //                              admissions (bench_server's shed phase
 //                              measures both properties).
 //
-// A resent SUBMIT never builds its Dag: the poll thread keeps a DagMemo
-// (net/wire.hpp) from the exact dag= bytes of bodies that hit the cache
-// to their DAG fingerprint, bounded by the cache capacity, and parses
-// through it. Only the poll thread touches it.
+// How a hit is answered. The poll thread reads a connection with recv
+// calls of up to 64 KiB into one reused buffer and stops after a short
+// read (poll is level-triggered, so bytes that arrive later wake it
+// again): a request line of up to 64 KiB costs one call. It parses each
+// line through two memos (net/wire.hpp) that only it touches, each
+// bounded by the cache capacity: a DagMemo from the exact dag= bytes of
+// bodies that hit the cache to their DAG fingerprint, so a resent body
+// never builds its Dag, and a SpecMemo from every algo= and model= token
+// that parsed to what it parsed to and its fingerprint, so a spec is
+// parsed and rendered once. The cache key then comes from three
+// fingerprints without further work, admit_hit takes the daemon lock
+// once, and the answer is `OK tag= src= epoch=` followed by the
+// placement's response_fields, which the publish gate rendered when it
+// published the placement (service/request.hpp). One send writes it.
 //
 // Workers push finished responses onto a completion queue and wake the
 // poll loop through a self-pipe; the poll thread owns all connection

@@ -4,11 +4,13 @@
 // fault-model grammars, so this harness covers the full request surface
 // the server feeds from untrusted sockets.
 //
-// The server parses through a DagMemo, so every input is also parsed
-// through one: with and without the memo, the outcome must be the same
-// (fields, or error code and message). After each accepted SUBMIT its
-// dag= bytes join the harness memo and the input is parsed again, now
-// memoised, which must yield the fingerprint of the unmemoised DAG.
+// The server parses through a DagMemo and a SpecMemo, so every input is
+// also parsed through them: with and without the memos, the outcome must
+// be the same (fields, or error code and message), the variant and key
+// fingerprints included, and those must be the fingerprints of the parsed
+// specs. After each accepted SUBMIT its dag= bytes join the harness memo
+// and the input is parsed again, now memoised, which must yield the
+// fingerprint of the unmemoised DAG.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -21,7 +23,10 @@
 namespace {
 
 using streamsched::dag_fingerprint;
+using streamsched::fault_model_fingerprint;
+using streamsched::variant_fingerprint;
 using streamsched::net::DagMemo;
+using streamsched::net::SpecMemo;
 using streamsched::net::Request;
 using streamsched::net::SubmitFrame;
 using streamsched::net::Verb;
@@ -80,20 +85,27 @@ void expect_same(const Outcome& a, const Outcome& b) {
       f.degraded_ok != g.degraded_ok || fingerprint_of(f) != fingerprint_of(g)) {
     std::abort();
   }
+  if (!(f.variant == g.variant) || f.variant_fp != g.variant_fp || f.model_fp != g.model_fp ||
+      f.variant_fp != variant_fingerprint(f.variant) ||
+      f.model_fp != fault_model_fingerprint(f.model)) {
+    std::abort();
+  }
 }
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  static DagMemo memo(64);
+  static DagMemo dags(64);
+  static SpecMemo specs(64);
   const std::string line(reinterpret_cast<const char*>(data), size);
   const Outcome plain = run([&] { return streamsched::net::parse_request(line); });
-  const Outcome memoised = run([&] { return streamsched::net::parse_request(line, memo); });
+  const Outcome memoised =
+      run([&] { return streamsched::net::parse_request(line, dags, specs); });
   expect_same(plain, memoised);
   if (!plain.request || plain.request->verb != Verb::kSubmit) return 0;
   const SubmitFrame& parsed = memoised.request->submit;
-  memo.insert(parsed.dag_wire, dag_fingerprint(plain.request->submit.dag));
-  const Outcome again = run([&] { return streamsched::net::parse_request(line, memo); });
+  dags.insert(parsed.dag_wire, dag_fingerprint(plain.request->submit.dag));
+  const Outcome again = run([&] { return streamsched::net::parse_request(line, dags, specs); });
   if (!again.request || !again.request->submit.dag_fp) std::abort();
   expect_same(plain, again);
   return 0;

@@ -246,6 +246,98 @@ TEST(TornIo, ServerParsesFramesSplitAtEveryBoundary) {
   }
 }
 
+TEST(TornIo, ServerJoinsARequestWrittenInThreePausedPieces) {
+  const FileGuard sock(unique_path("torn_pieces", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  ServerHandle handle(small_platform(), config);
+
+  const net::Fd fd = net::connect_unix(sock.path);
+  const std::string line = net::format_submit(frame_for(404, "pieces")) + "\n";
+  const std::size_t cuts[] = {0, line.size() / 3, 2 * line.size() / 3, line.size()};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    net::send_all(fd.get(), line.data() + cuts[i], cuts[i + 1] - cuts[i]);
+  }
+  std::string response;
+  ASSERT_TRUE(read_line_raw(fd.get(), response));
+  const net::Response resp = net::parse_response(response);
+  ASSERT_TRUE(resp.ok) << resp.message;
+  EXPECT_EQ(resp.field("tag"), "pieces");
+  EXPECT_EQ(resp.field("src"), "cold");
+}
+
+TEST(TornIo, ServerAnswersTwoRequestsFromOneWrite) {
+  const FileGuard sock(unique_path("torn_pair", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  ServerHandle handle(small_platform(), config);
+
+  const net::Fd fd = net::connect_unix(sock.path);
+  const std::string submit = net::format_submit(frame_for(405, "first")) + "\n";
+  net::send_all(fd.get(), submit.data(), submit.size());
+  std::string response;
+  ASSERT_TRUE(read_line_raw(fd.get(), response));
+  ASSERT_TRUE(net::parse_response(response).ok) << response;
+
+  // A cache hit and a STATS in one write: both are answered on the poll
+  // thread, in order.
+  const std::string pair =
+      net::format_submit(frame_for(405, "second")) + "\n" + net::format_stats() + "\n";
+  net::send_all(fd.get(), pair.data(), pair.size());
+  ASSERT_TRUE(read_line_raw(fd.get(), response));
+  const net::Response hit = net::parse_response(response);
+  ASSERT_TRUE(hit.ok) << hit.message;
+  EXPECT_EQ(hit.field("tag"), "second");
+  EXPECT_EQ(hit.field("src"), "hit");
+  ASSERT_TRUE(read_line_raw(fd.get(), response));
+  const net::Response stats = net::parse_response(response);
+  ASSERT_TRUE(stats.ok) << stats.message;
+  EXPECT_EQ(stats.field_u64("hits"), 1u);
+}
+
+TEST(TornIo, ServerReadsALineLongerThanOneReceiveChunk) {
+  const FileGuard sock(unique_path("torn_long", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  ServerHandle handle(small_platform(), config);
+
+  // Doubled spaces are tolerated, so padding makes a valid SUBMIT line
+  // several times the server's 64 KiB receive chunk.
+  std::string line = net::format_submit(frame_for(406, "long"));
+  line.insert(line.find(" dag="), std::size_t{200} << 10, ' ');
+  line += '\n';
+  const net::Fd fd = net::connect_unix(sock.path);
+  net::send_all(fd.get(), line.data(), line.size());
+  std::string response;
+  ASSERT_TRUE(read_line_raw(fd.get(), response));
+  const net::Response resp = net::parse_response(response);
+  ASSERT_TRUE(resp.ok) << resp.message;
+  EXPECT_EQ(resp.field("tag"), "long");
+}
+
+TEST(TornIo, EventFollowedAtOnceByCloseStillApplies) {
+  const FileGuard sock(unique_path("torn_fin", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  ServerHandle handle(small_platform(), config);
+  {
+    const net::Fd fd = net::connect_unix(sock.path);
+    net::EventFrame fail;
+    fail.proc = 3;
+    const std::string line = net::format_event(fail) + "\n";
+    net::send_all(fd.get(), line.data(), line.size());
+  }  // closed at once: the frame and the FIN arrive together
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (handle.server.daemon().stats().epoch == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const DaemonStats stats = handle.server.daemon().stats();
+  EXPECT_EQ(stats.epoch, 1u);
+  EXPECT_EQ(stats.failed_procs, 1u);
+}
+
 TEST(TornIo, ClientReassemblesDribbledResponses) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

@@ -6,8 +6,10 @@
 // admission, with STATS counters that always agree), failure events
 // driving incremental repair, QoS shedding (before any cache lookup)
 // under a saturated batch lane while interactive admissions keep landing,
-// drain-on-shutdown semantics, and a warm restart that serves every
-// placement bit-identically without touching the cold path.
+// drain-on-shutdown semantics, a warm restart that serves every
+// placement bit-identically without touching the cold path, and served
+// lines held byte for byte to a test-local rendering of the placement
+// each publication path cached.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -1044,6 +1046,41 @@ TEST(WireServer, DegradedRebuildAndReHealLinesRenderTheServedPlacement) {
   frame.degraded_ok = false;
   const std::string healed = conn.expect_served(handle.server, frame, "hit", 6);
   EXPECT_EQ(healed.find(" degraded="), std::string::npos) << healed;
+}
+
+// A degraded entry re-certified by later events keeps its schedule but not
+// its deficit: each line carries the eps_have of the latest event.
+TEST(WireServer, RecertifiedDegradedLinesRenderTheCurrentDeficit) {
+  const FileGuard sock(unique_path("srv_recertify", ".sock"));
+  net::ServerConfig config;
+  config.unix_path = sock.path;
+  config.daemon.auto_reheal = false;  // only the events change the entry
+  ServerHandle handle(small_platform(5, 5), config);
+  RawConnection conn(sock.path);
+
+  net::SubmitFrame frame = frame_for(61, "d");
+  (void)conn.expect_served(handle.server, frame, "cold", 0);
+  frame.degraded_ok = true;
+  net::EventFrame event;
+  std::uint64_t epoch = 0;
+  std::vector<CopyId> deficits;
+  // Three failures degrade the entry; the fourth and its recovery move the
+  // residual tolerance of the rebuild down and back up.
+  for (const auto& [failure, proc] : {std::pair<bool, ProcId>{true, 0},
+                                      {true, 1},
+                                      {true, 2},
+                                      {true, 3},
+                                      {false, 3}}) {
+    event.failure = failure;
+    event.proc = proc;
+    ASSERT_EQ(conn.roundtrip(net::format_event(event)).substr(0, 2), "OK");
+    if (++epoch < 3) continue;
+    frame.tag = "e" + std::to_string(epoch);
+    (void)conn.expect_served(handle.server, frame, "degraded", epoch);
+    deficits.push_back(cached_for(handle.server, frame)->eps_have);
+  }
+  EXPECT_EQ(deficits.size(), 3u);
+  EXPECT_NE(deficits[1], deficits[2]) << "the recovery should raise eps_have";
 }
 
 // Restored entries serve src=warm lines that repeat their cold lines from

@@ -1,7 +1,8 @@
 // Wire-protocol suite (net/wire.hpp): exact double round trips, DagWire /
 // ScheduleWire serialization that preserves fingerprints bit-identically,
 // strict request parsing (unknown verbs/fields/values fail loudly) that
-// gives the same result through a DagMemo as without one, and response
+// gives the same result through the DagMemo and SpecMemo as without them,
+// the memos' word-at-a-time hash and bounds, and response
 // formatting/parsing including the tag echo on errors.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/fingerprint.hpp"
 #include "core/rltf.hpp"
@@ -265,7 +268,8 @@ TEST(RequestWire, MemoParsesLikeNoMemo) {
   const std::string good =
       "SUBMIT tag=t7 qos=batch algo=ltf model=count:eps=2 period=7.5 degraded_ok=1 dag=" + dag;
   DagMemo memo(4);
-  const Request primed = parse_request(good, memo);
+  SpecMemo specs(8);
+  const Request primed = parse_request(good, memo, specs);
   ASSERT_FALSE(primed.submit.dag_fp.has_value());
   ASSERT_EQ(primed.submit.dag_wire, dag);
   memo.insert(primed.submit.dag_wire, dag_fingerprint(primed.submit.dag));
@@ -278,6 +282,9 @@ TEST(RequestWire, MemoParsesLikeNoMemo) {
                         Case{"SUBMIT dag=" + dag + " model=count:eps=x", false},
                         Case{"SUBMIT dag=n2;w1 model=count:eps=x", false},
                         Case{"SUBMIT dag=" + dag + " colour=red", false},
+                        Case{"SUBMIT dag=" + dag + " algo=nope", false},
+                        Case{"SUBMIT algo=rltf[chunk=4] model=prob:R=0.99 dag=" + dag, true},
+                        Case{"SUBMIT dag=" + dag, true},  // default algo= and model=
                         Case{"SUBMIT tag=t8 dag=" + dag + " dag=" + other, false}}) {
     SCOPED_TRACE(c.line.substr(0, 48));
     std::optional<Request> plain;
@@ -293,7 +300,7 @@ TEST(RequestWire, MemoParsesLikeNoMemo) {
       plain_error = e.what();
     }
     try {
-      memoised = parse_request(c.line, memo);
+      memoised = parse_request(c.line, memo, specs);
     } catch (const WireError& e) {
       memo_code = e.code();
       memo_error = e.what();
@@ -320,7 +327,52 @@ TEST(RequestWire, MemoParsesLikeNoMemo) {
     if (c.memoised) {
       EXPECT_EQ(b.dag.num_tasks(), 0u);  // never built
     }
+    // Both carry what the server keys the request by.
+    const AlgoVariant variant = AlgoVariant::parse(a.variant_spec);
+    EXPECT_EQ(a.variant, variant);
+    EXPECT_EQ(b.variant, variant);
+    EXPECT_EQ(a.variant_fp, variant_fingerprint(variant));
+    EXPECT_EQ(b.variant_fp, a.variant_fp);
+    EXPECT_EQ(a.model_fp, fault_model_fingerprint(a.model));
+    EXPECT_EQ(b.model_fp, a.model_fp);
   }
+  // Every token that parsed was kept, spelled out or defaulted: algo=ltf,
+  // count:eps=2, rltf[chunk=4], prob:R=0.99, rltf and count:eps=1.
+  EXPECT_EQ(specs.size(), 6u);
+}
+
+TEST(RequestWire, SpecMemoKeepsOnlyTokensThatParse) {
+  const std::string dag = format_dag_wire(layered_dag(5, 6));
+  DagMemo dags(2);
+  SpecMemo specs(2);
+  // A bad spec is rejected on every request that carries it, never kept.
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string bad :
+         {"algo=nope", "algo=rltf[bogus=1]", "model=count:eps=-1", "model=prob:R=2"}) {
+      try {
+        (void)parse_request("SUBMIT " + bad + " dag=" + dag, dags, specs);
+        ADD_FAILURE() << bad << " was accepted";
+      } catch (const WireError& e) {
+        EXPECT_EQ(e.code(), WireCode::kBadRequest) << bad;
+      }
+    }
+  }
+  EXPECT_EQ(specs.size(), 0u);
+  // Good tokens are kept up to the memo's capacity, and a memoised token
+  // parses like a fresh one.
+  for (const char* algo : {"ltf", "rltf", "heft", "rltf"}) {
+    const Request r = parse_request(std::string("SUBMIT algo=") + algo +
+                                        " model=count:eps=1 dag=" + dag,
+                                    dags, specs);
+    EXPECT_EQ(r.submit.variant, AlgoVariant::parse(algo));
+    EXPECT_EQ(r.submit.variant_fp, variant_fingerprint(AlgoVariant::parse(algo)));
+    EXPECT_EQ(r.submit.model_fp, fault_model_fingerprint(FaultModel::count(1)));
+    EXPECT_LE(specs.size(), 2u);
+  }
+  SpecMemo roomy(4);
+  (void)parse_request("SUBMIT algo=rltf dag=" + dag, dags, roomy);
+  EXPECT_TRUE(roomy.find("algo=rltf").has_value());
+  EXPECT_FALSE(roomy.find("rltf").has_value());  // whole tokens only
 }
 
 TEST(DagWire, MemoHoldsAtMostItsCapacity) {
@@ -338,6 +390,57 @@ TEST(DagWire, MemoHoldsAtMostItsCapacity) {
   DagMemo none;  // capacity 0 keeps nothing
   none.insert("n1;w1;e", 11);
   EXPECT_EQ(none.size(), 0u);
+}
+
+// The memo hashes whole 8-byte words: a body that differs from another in
+// one byte, at the head, in the middle or in the last partial word, must
+// find its own entry.
+TEST(DagWire, MemoFindsBodiesThatDifferInOneByte) {
+  const std::string body = format_dag_wire(layered_dag(6, 24));
+  ASSERT_GT(body.size() % 8, 0u) << "the body should end in a partial word";
+  std::vector<std::string> bodies{body};
+  for (const std::size_t at : {std::size_t{0}, body.size() / 2, body.size() - 1}) {
+    std::string variant = body;
+    variant[at] = static_cast<char>(variant[at] ^ 0x01);
+    bodies.push_back(variant);
+  }
+  DagMemo memo(bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) memo.insert(bodies[i], 100 + i);
+  EXPECT_EQ(memo.size(), bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    EXPECT_EQ(memo.find(bodies[i]), std::optional<std::uint64_t>(100 + i)) << i;
+  }
+  EXPECT_FALSE(memo.find(body.substr(0, body.size() - 1)));
+  EXPECT_FALSE(memo.find(body + "0"));
+}
+
+// Lengths 0 to 40 cover every tail: the empty text, a zero-padded partial
+// block of every length, one whole 32-byte block, and a whole block
+// followed by a partial one.
+TEST(DagWire, MemoHashCoversEveryTailLength) {
+  const std::string text = "n5;w1,2.5,3,4.25,5;e0-1:2,1-2:3,2-3:4,3-4:5";
+  ASSERT_GE(text.size(), 41u);
+  DagMemo memo(64);
+  std::vector<std::uint64_t> hashes;
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const std::string_view prefix(text.data(), len);
+    memo.insert(prefix, len);
+    hashes.push_back(text_hash(prefix));
+    // Zero-padding the last word must not make a shorter text equal a
+    // longer one that ends in zero bytes.
+    EXPECT_NE(text_hash(std::string(prefix) + '\0'), text_hash(prefix)) << len;
+  }
+  EXPECT_EQ(memo.size(), 41u);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    EXPECT_EQ(memo.find(std::string_view(text.data(), len)), std::optional<std::uint64_t>(len));
+    for (std::size_t other = 0; other < len; ++other) EXPECT_NE(hashes[other], hashes[len]);
+  }
+  // Every byte counts, in every position of a word and of every lane.
+  for (std::size_t at = 0; at < 40; ++at) {
+    std::string flipped = text.substr(0, 40);
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x80);
+    EXPECT_NE(text_hash(flipped), hashes[40]) << at;
+  }
 }
 
 // --------------------------------------------------------------- responses --
