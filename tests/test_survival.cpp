@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/heft.hpp"
 #include "core/rltf.hpp"
 #include "golden/legacy_parity.hpp"
 #include "graph/generators.hpp"
@@ -370,6 +371,226 @@ TEST(Survival, OracleParityOnPartialSchedules) {
       expect_parity(s, oracle, std::vector<ProcId>(sample.begin(), sample.end()));
     }
   }
+}
+
+// `count` random failure sets over m processors in the ProcSet word layout,
+// of sizes 0..max_size, drawn from `seed`.
+std::vector<std::uint64_t> random_set_rows(std::size_t m, std::size_t count,
+                                           std::uint32_t max_size, std::uint64_t seed) {
+  Rng rng(seed);
+  ProcSet set(m);
+  std::vector<std::uint64_t> rows;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, max_size));
+    set.assign(rng.sample_without_replacement(static_cast<std::uint32_t>(m), k));
+    rows.insert(rows.end(), set.words(), set.words() + set.num_words());
+  }
+  return rows;
+}
+
+// The verdicts of `count` rows, resolved 64 rows per survives_batch pass.
+std::vector<bool> verdicts_in_64_lane_passes(const SurvivalOracle& oracle,
+                                             const std::uint64_t* rows, std::size_t count,
+                                             BatchScratch& scratch) {
+  const std::size_t words = (oracle.num_procs() + 63) / 64;
+  std::vector<bool> verdicts(count);
+  for (std::size_t begin = 0; begin < count; begin += 64) {
+    const std::size_t n = std::min<std::size_t>(64, count - begin);
+    const std::uint64_t lanes = oracle.survives_batch(rows + begin * words, n, scratch);
+    EXPECT_EQ(lanes & ~batch_lane_mask(n), 0u) << "stale lanes beyond the tail";
+    for (std::size_t lane = 0; lane < n; ++lane) verdicts[begin + lane] = ((lanes >> lane) & 1) != 0;
+  }
+  return verdicts;
+}
+
+// Batch sizes on either side of every 64-lane word boundary of a 256-lane
+// batch.
+constexpr std::size_t kWideCounts[] = {1, 63, 64, 65, 127, 128, 129, 255, 256};
+
+// Resolves 256 random failure sets of `schedule` in batches of every size
+// in kWideCounts, each after a full batch on the same scratch, so lanes
+// left over from a larger batch would show. Every lane must equal the
+// per-set kernel on its row. Returns the number of surviving rows.
+std::size_t expect_batches_agree(const Schedule& schedule, std::uint32_t max_size,
+                                 std::uint64_t seed) {
+  const SurvivalOracle oracle(schedule);
+  const std::size_t words = (oracle.num_procs() + 63) / 64;
+  const auto rows = random_set_rows(oracle.num_procs(), 256, max_size, seed);
+  std::vector<std::uint64_t> set_scratch;
+  std::vector<bool> per_set(256);
+  std::size_t survived = 0;
+  for (std::size_t i = 0; i < 256; ++i) {
+    per_set[i] = oracle.survives_words(rows.data() + i * words, set_scratch);
+    survived += per_set[i] ? 1 : 0;
+  }
+  BatchScratch scratch;
+  for (const std::size_t count : kWideCounts) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    (void)verdicts_in_64_lane_passes(oracle, rows.data(), 256, scratch);
+    const std::vector<bool> narrow = verdicts_in_64_lane_passes(oracle, rows.data(), count, scratch);
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      EXPECT_EQ(narrow[lane], per_set[lane]) << "lane " << lane;
+    }
+  }
+  return survived;
+}
+
+// The batch kernel against the per-set kernel at every batch size around a
+// 64-lane word boundary: random R-LTF and HEFT schedules at m = 6, 16 and
+// 64, partial schedules with unplaced copies, two-word failure-set rows
+// (m = 65) and two-word replica masks (65 copies).
+TEST(Survival, BatchPassesMatchPerSetAtEveryWordBoundary) {
+  std::size_t survived = 0;
+  std::size_t rows = 0;
+  const auto check = [&](const Schedule& schedule, std::uint32_t max_size, std::uint64_t seed) {
+    survived += expect_batches_agree(schedule, max_size, seed);
+    rows += 256;
+  };
+  const std::size_t sizes[][2] = {{6, 14}, {16, 26}, {64, 80}};
+  for (const auto& [m, tasks] : sizes) {
+    for (const CopyId eps : {CopyId{1}, CopyId{2}}) {
+      SCOPED_TRACE("m " + std::to_string(m) + " eps " + std::to_string(eps));
+      Dag dag;
+      Platform platform;
+      const Schedule rltf = random_schedule(100 * m + eps, m, tasks, eps, dag, platform);
+      const auto max_size = static_cast<std::uint32_t>(std::min<std::size_t>(m, 8));
+      check(rltf, max_size, m + eps);
+      check(partial_copy(rltf, [](TaskId t, CopyId c) { return (t + 2 * c) % 4 != 1; }),
+            max_size, 2 * m + eps);
+      SchedulerOptions options;
+      options.eps = eps;
+      options.period = kInf;
+      const ScheduleResult heft = heft_schedule(dag, platform, options);
+      ASSERT_TRUE(heft.ok()) << heft.error;
+      check(*heft.schedule, max_size, 3 * m + eps);
+    }
+  }
+  {
+    SCOPED_TRACE("m 65");
+    Dag dag;
+    Platform platform;
+    const Schedule schedule = random_schedule(65, 65, 70, 2, dag, platform, 0.02, 0.1);
+    check(schedule, 8, 65);
+  }
+  {
+    // 65 copies per task on 66 processors: copy c of task a on processor c,
+    // copy c of task b on processor c + 1, fed by copy c of a for c < 4 only
+    // (copies 0 and 1 of b left unplaced), so a set kills the schedule when
+    // it breaks chains 2 and 3 and every unfed copy of a.
+    SCOPED_TRACE("65 copies");
+    const std::size_t m = 66;
+    Dag dag;
+    dag.add_task("a", 1.0);
+    dag.add_task("b", 1.0);
+    dag.add_edge(0, 1, 1.0);
+    const Platform platform = Platform::uniform(m, 1.0, 0.5);
+    Schedule s(dag, platform, 64, kInf);
+    for (CopyId c = 0; c < 65; ++c) test::place_at(s, {0, c}, c, 0.0);
+    for (CopyId c = 2; c < 65; ++c) test::place_at(s, {1, c}, c + 1, 2.0, 2);
+    for (CopyId c = 2; c < 4; ++c) test::wire(s, 0, c, 1, c);
+    ASSERT_EQ(SurvivalOracle(s).mask_words(), 2u);
+    check(s, 6, 66);
+  }
+  EXPECT_GT(survived, 0u);
+  EXPECT_LT(survived, rows);
+}
+
+// The most probable killed set by brute force: every failure set of size
+// <= k_max in enumeration order (by size, lexicographic within a size),
+// weighed as the estimator weighs it (base = prod (1 - p_u), times
+// odds_u = p_u / (1 - p_u) in ascending processor order); the first killed
+// set of the largest positive weight. `ties` counts the killed sets of that
+// weight.
+struct WorstFailure {
+  std::vector<ProcId> set;
+  double prob = 0.0;
+  std::size_t ties = 0;
+};
+
+WorstFailure brute_force_worst_failure(const Schedule& schedule, std::size_t k_max) {
+  const Platform& platform = schedule.platform();
+  const std::size_t m = platform.num_procs();
+  double base = 1.0;
+  std::vector<double> odds(m);
+  for (ProcId u = 0; u < m; ++u) {
+    const double p = platform.failure_prob(u);
+    base *= 1.0 - p;
+    odds[u] = p / (1.0 - p);
+  }
+  WorstFailure worst;
+  for (std::size_t k = 0; k <= std::min(k_max, m); ++k) {
+    std::vector<ProcId> set(k);
+    for (std::size_t i = 0; i < k; ++i) set[i] = static_cast<ProcId>(i);
+    for (bool more = true; more;) {
+      std::vector<bool> failed(m, false);
+      double weight = base;
+      for (const ProcId u : set) {
+        failed[u] = true;
+        weight *= odds[u];
+      }
+      if (!test::survives_failures(schedule, failed)) {
+        if (weight > worst.prob) {
+          worst = WorstFailure{set, weight, 1};
+        } else if (weight == worst.prob && weight > 0.0) {
+          ++worst.ties;
+        }
+      }
+      // The next size-k combination in lexicographic order.
+      std::size_t i = k;
+      while (i > 0 && set[i - 1] == m - k + i - 1) --i;
+      more = i > 0;
+      if (more) {
+        ++set[i - 1];
+        for (std::size_t j = i; j < k; ++j) set[j] = set[j - 1] + 1;
+      }
+    }
+  }
+  return worst;
+}
+
+// The exact estimate's worst failure, before and after a repair, is the
+// brute-force argmax over every set of size <= k_max with ties going to
+// the first in enumeration order: on equal probabilities (many ties), with
+// a processor that never fails, and with processors at p = 0.5 and 0.6,
+// where a set can weigh more than its subsets.
+TEST(Survival, WorstFailureIsTheBruteForceArgmax) {
+  std::size_t tied = 0;
+  for (std::size_t variant = 0; variant < 3; ++variant) {
+    for (const CopyId eps : {CopyId{1}, CopyId{2}}) {
+      SCOPED_TRACE("variant " + std::to_string(variant) + " eps " + std::to_string(eps));
+      const std::size_t m = 8 + variant;
+      Dag dag;
+      Platform platform;
+      Schedule schedule = random_schedule(500 + 10 * variant + eps, m, 16, eps, dag, platform);
+      if (variant == 0) {
+        for (ProcId u = 0; u < m; ++u) platform.set_failure_prob(u, 0.1);
+      } else if (variant == 1) {
+        platform.set_failure_prob(2, 0.0);
+      } else {
+        platform.set_failure_prob(3, 0.5);
+        platform.set_failure_prob(7, 0.6);
+      }
+      const ReliabilityEstimate est = schedule_reliability(schedule);
+      ASSERT_TRUE(est.exact);
+      const WorstFailure fresh = brute_force_worst_failure(schedule, est.k_max);
+      ASSERT_GT(fresh.prob, 0.0) << "no set of positive weight kills the schedule";
+      EXPECT_EQ(est.worst_failure, fresh.set);
+      EXPECT_EQ(est.worst_failure_prob, fresh.prob);
+      tied += fresh.ties > 1 ? 1 : 0;
+
+      ReliabilityEstimate achieved;
+      (void)repair_to_reliability(schedule, 0.999, {}, &achieved);
+      ASSERT_TRUE(achieved.exact);
+      const WorstFailure repaired = brute_force_worst_failure(schedule, achieved.k_max);
+      EXPECT_EQ(achieved.worst_failure, repaired.set);
+      EXPECT_EQ(achieved.worst_failure_prob, repaired.prob);
+      tied += repaired.ties > 1 ? 1 : 0;
+      if (variant == 1) {
+        EXPECT_EQ(std::count(est.worst_failure.begin(), est.worst_failure.end(), ProcId{2}), 0);
+      }
+    }
+  }
+  EXPECT_GT(tied, 0u) << "no case had a tie to break";
 }
 
 // The degraded-serving certificate against its definition
