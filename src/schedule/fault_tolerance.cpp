@@ -346,12 +346,9 @@ RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
 
 namespace {
 
-// A failure set observed to kill the schedule, with its exact probability.
-struct KillingSet {
-  std::vector<ProcId> procs;
-  double prob = 0.0;
-};
-
+// The killing sets of a repair round: up to kMaxKillingSets failure sets
+// observed to kill the schedule, as consecutive rows in the ProcSet word
+// layout.
 constexpr std::size_t kMaxKillingSets = 64;
 
 // Distribution of the number of failed processors (Poisson binomial),
@@ -376,17 +373,15 @@ double binomial_count(std::size_t m, std::size_t k) {
   return c;
 }
 
-void record_killing_set(std::vector<KillingSet>* kills, ReliabilityEstimate& est,
-                        const std::vector<ProcId>& set, double prob) {
-  if (prob > est.worst_failure_prob) {
-    est.worst_failure_prob = prob;
-    est.worst_failure = set;
+// Appends `row` (`words` words) to the killing sets unless it is listed
+// already or the list is full.
+void add_killing_set(std::vector<std::uint64_t>& kills, const std::uint64_t* row,
+                     std::size_t words) {
+  if (kills.size() >= kMaxKillingSets * words) return;
+  for (std::size_t at = 0; at < kills.size(); at += words) {
+    if (std::equal(row, row + words, kills.data() + at)) return;
   }
-  if (kills == nullptr || kills->size() >= kMaxKillingSets) return;
-  for (const KillingSet& k : *kills) {
-    if (k.procs == set) return;
-  }
-  kills->push_back(KillingSet{set, prob});
+  kills.insert(kills.end(), row, row + words);
 }
 
 // Per-processor failure weights: base = prod (1-p_u) and
@@ -429,18 +424,20 @@ FailureWeights failure_weights(const Schedule& schedule, const ReliabilityOption
 }
 
 // Survival verdicts for a flat array of failure-set word rows (the
-// Monte-Carlo samples): blocks of 64 rows feed one bit-sliced
-// `survives_batch` pass each, and the bytes land in row order, so the
-// reduction below sums in sample order.
+// Monte-Carlo samples): blocks of 256 rows (64 when a row spans several
+// words) feed one bit-sliced pass each, and the bytes land in row order, so
+// the reduction below sums in sample order.
 void batch_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set_words,
                           std::size_t n, std::size_t words, std::vector<unsigned char>& killed) {
   killed.assign(n, 0);
   BatchScratch scratch;
-  for (std::size_t begin = 0; begin < n; begin += 64) {
-    const std::size_t count = std::min<std::size_t>(64, n - begin);
-    const std::uint64_t survived = oracle.survives_batch(set_words + begin * words, count, scratch);
+  const std::size_t per_pass = words == 1 ? 64 * kLaneWords : 64;
+  for (std::size_t begin = 0; begin < n; begin += per_pass) {
+    const std::size_t count = std::min(per_pass, n - begin);
+    const LaneWords<kLaneWords> survived =
+        oracle.survives_lanes<kLaneWords>(set_words + begin * words, count, scratch);
     for (std::size_t lane = 0; lane < count; ++lane) {
-      killed[begin + lane] = ((survived >> lane) & 1) != 0 ? 0 : 1;
+      killed[begin + lane] = ((survived[lane >> 6] >> (lane & 63)) & 1) != 0 ? 0 : 1;
     }
   }
 }
@@ -474,7 +471,10 @@ std::vector<std::uint64_t> binomial_row(std::size_t n, std::size_t k_max) {
 //
 // Per level, the tree also keeps what a repair round needs to decide early
 // that it falls short (see FrontierCheck::verify): how many rows have
-// positive weight, and the total weight of every deeper level.
+// positive weight, and the total weight of every deeper level. And per row,
+// when some processor's odds exceed 1 (p > 0.5), the heaviest row of its
+// subtree, which FrontierCheck::find_worst_failure reads; otherwise no row
+// outweighs its parent, and every row is the heaviest of its subtree.
 struct FailureTree {
   std::vector<double> p;        // key: the failure probabilities, bit for bit
   double tail_tolerance = 0.0;  // key
@@ -486,8 +486,15 @@ struct FailureTree {
   std::vector<std::uint32_t> child_begin;  // per row, plus the end
   std::vector<std::size_t> positive_rows;  // per level: rows of positive weight
   std::vector<double> deeper_weight;       // per level: weight of the levels below it
+  std::vector<std::uint32_t> heaviest_below;  // per row, or empty when no odds exceed 1
 
   [[nodiscard]] std::size_t size() const { return weight.size(); }
+
+  // The heaviest row among r and its descendants, ties to the lowest row
+  // id.
+  [[nodiscard]] std::size_t heaviest(std::size_t r) const {
+    return heaviest_below.empty() ? r : heaviest_below[r];
+  }
 
   [[nodiscard]] std::vector<ProcId> procs(std::size_t r) const {
     std::vector<ProcId> set;
@@ -572,6 +579,22 @@ FailureTree build_failure_tree(const FailureWeights& fw, double tail_tolerance) 
   for (std::size_t k = tree.levels - 1; k > 0; --k) {
     tree.deeper_weight[k - 1] = tree.deeper_weight[k] + level_weight[k];
   }
+  // A child weighs its parent times an odds; with every odds <= 1 no row
+  // outweighs its parent, and a tie goes to the parent's lower id.
+  if (std::any_of(fw.odds.begin(), fw.odds.end(), [](double odds) { return odds > 1.0; })) {
+    tree.heaviest_below.resize(expected);
+    for (std::size_t r = expected; r-- > 0;) {
+      auto best = static_cast<std::uint32_t>(r);
+      for (std::uint32_t c = tree.child_begin[r]; c < tree.child_begin[r + 1]; ++c) {
+        const std::uint32_t h = tree.heaviest_below[c];
+        if (tree.weight[h] > tree.weight[best] ||
+            (tree.weight[h] == tree.weight[best] && h < best)) {
+          best = h;
+        }
+      }
+      tree.heaviest_below[r] = best;
+    }
+  }
   return tree;
 }
 
@@ -633,21 +656,42 @@ constexpr double kShortSlack = 1e-9;
 // survival is monotone in the channel set, so a row verified surviving
 // survives for good. A pass therefore checks only the frontier — killed
 // rows whose parent survives, or rows no pass has reached yet — level by
-// level, 64 rows per kernel pass; a row that turns surviving puts its
-// children on the next level's frontier in the same pass. Rows under a
-// killed parent are never visited. The first pass starts from the empty
-// set, so it also serves as the one-shot estimator. After a pass through
-// level k, every row at a level <= k is marked surviving exactly when it
-// survives the current schedule.
+// level, 256 rows per kernel pass (a batch of at most 64 rows takes the
+// one-word pass). A row that turns surviving queues its children, the
+// contiguous range [child_begin[r], child_begin[r + 1]), on the next
+// level's frontier as one range; the killed rows stay as ids. Every
+// verification of a level consumes all of its rows, so a level's frontier
+// is always its killed ids followed by the ranges queued since, and is
+// resolved in that order. The verdict words are walked bit by bit in lane
+// order, so each level's surviving weights are summed, its killed rows
+// kept and its children queued in frontier order, as one row at a time
+// would. Rows under a killed parent are never visited. The first pass
+// starts from the empty set, so it also serves as the one-shot estimator.
+// After a pass through level k, every row at a level <= k is marked
+// surviving exactly when it survives the current schedule.
 struct FrontierCheck {
+  static constexpr std::size_t kLanes = 64 * kLaneWords;
+
+  // A run of consecutive tree rows [begin, end).
+  struct RowRange {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+  // One level's rows awaiting a verdict, in verification order.
+  struct LevelFrontier {
+    std::vector<std::uint32_t> killed;  // killed at the level's last verification
+    std::vector<RowRange> queued;       // children of rows resolved surviving since
+  };
+
   explicit FrontierCheck(std::shared_ptr<const FailureTree> shared)
       : tree(std::move(shared)),
         surviving((tree->size() + 63) / 64, 0),
-        frontier(tree->levels),
+        frontier(tree->levels + 1),  // the last level's rows queue no children
         surviving_weight(tree->levels, 0.0),
         surviving_positive(tree->levels, 0),
-        block(64 * tree->words) {
-    frontier[0].push_back(0);  // the empty set has no parent
+        block(kLanes * tree->words) {
+    frontier[0].queued.push_back(RowRange{0, 1});  // the empty set has no parent
   }
 
   // One pass against `oracle`, level by level from the root. A repair
@@ -680,12 +724,13 @@ struct FrontierCheck {
 
   [[nodiscard]] bool complete() const { return verified == tree->levels; }
 
-  // The estimate of the last pass, except its worst failure: the first
-  // kMaxKillingSets killed rows of positive weight and, once the pass is
-  // complete, the mass of the surviving rows summed in ascending row order
-  // (the additions, in the same order, of a walk over every row that skips
-  // the killed ones). A pass decided short leaves the reliability at 0.
-  void reduce(ReliabilityEstimate& est, std::vector<KillingSet>* kills) const {
+  // The estimate of the last pass, except its worst failure: once the pass
+  // is complete, the mass of the surviving rows summed in ascending row
+  // order (the additions, in the same order, of a walk over every row that
+  // skips the killed ones), and into `kills` (when given) the first
+  // kMaxKillingSets killed rows of positive weight. A pass decided short
+  // leaves the reliability at 0.
+  void reduce(ReliabilityEstimate& est, std::vector<std::uint64_t>* kills) const {
     const FailureTree& t = *tree;
     if (complete()) {
       double reliable_mass = 0.0;
@@ -699,91 +744,129 @@ struct FrontierCheck {
     est.sets_checked = t.enumerated;
     est.exact = true;
     if (kills == nullptr) return;
-    for_each_killed([&](std::size_t r) {
-      if (t.weight[r] > 0.0) kills->push_back(KillingSet{t.procs(r), t.weight[r]});
-      return kills->size() < kMaxKillingSets;
-    });
+    for (std::size_t w = 0; w < surviving.size(); ++w) {
+      for (std::uint64_t bits = ~surviving[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t r = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        if (r >= t.size()) return;
+        if (t.weight[r] <= 0.0) continue;
+        kills->insert(kills->end(), t.rows.data() + r * t.words, t.rows.data() + (r + 1) * t.words);
+        if (kills->size() >= kMaxKillingSets * t.words) return;
+      }
+    }
   }
 
-  // The most probable killed set of a complete pass; the strict `>` keeps
-  // the first one in enumeration order on a tie, as record_killing_set
-  // does.
+  // The most probable killed set of a complete pass, the first in
+  // enumeration order on a tie, as a walk over every killed row with a
+  // strict `>` would pick. Every killed row is a frontier row or lies
+  // under one (its ancestors are the frontier row's, which survive), so it
+  // is the heaviest of the frontier rows' subtrees, ties to the lowest row
+  // id.
   void find_worst_failure(ReliabilityEstimate& est) const {
+    SS_CHECK(complete(), "the worst failure needs a complete pass");
     const FailureTree& t = *tree;
     std::size_t worst = t.size();
-    for_each_killed([&](std::size_t r) {
-      if (t.weight[r] > est.worst_failure_prob) {
-        est.worst_failure_prob = t.weight[r];
-        worst = r;
+    for (const LevelFrontier& level : frontier) {
+      for (const std::uint32_t r : level.killed) {
+        const std::size_t h = t.heaviest(r);
+        if (t.weight[h] > est.worst_failure_prob ||
+            (worst < t.size() && t.weight[h] == est.worst_failure_prob && h < worst)) {
+          est.worst_failure_prob = t.weight[h];
+          worst = h;
+        }
       }
-      return true;
-    });
+    }
     if (worst < t.size()) est.worst_failure = t.procs(worst);
   }
 
   std::shared_ptr<const FailureTree> tree;
-  std::vector<std::uint64_t> surviving;              // bit per row: verified surviving
-  std::vector<std::vector<std::uint32_t>> frontier;  // per level: rows awaiting a verdict
-  std::vector<double> surviving_weight;              // per level
-  std::vector<std::size_t> surviving_positive;       // per level: rows of positive weight
-  std::size_t verified = 0;                          // levels the last pass verified
-  std::vector<std::uint64_t> block;                  // rows of the next kernel pass
+  std::vector<std::uint64_t> surviving;          // bit per row: verified surviving
+  std::vector<LevelFrontier> frontier;           // per level: rows awaiting a verdict
+  std::vector<double> surviving_weight;          // per level
+  std::vector<std::size_t> surviving_positive;   // per level: rows of positive weight
+  std::size_t verified = 0;                      // levels the last pass verified
+  std::vector<std::uint64_t> block;              // rows of the next kernel pass
+  std::array<std::uint32_t, kLanes> lane_row{};  // block lane -> tree row
+  std::vector<std::uint32_t> kept;               // the killed rows of the level in hand
   BatchScratch scratch;
 
  private:
-  // Resolves level k's frontier, keeping its killed rows and moving the
-  // children of its surviving rows onto level k + 1's.
+  // Resolves level k's frontier, keeping its killed rows and queueing the
+  // children of its surviving rows on level k + 1's. The level's sums run
+  // in locals and the verdicts go through raw pointers into room made per
+  // batch, so no row's bookkeeping waits on the previous row's stores.
   void verify_level(const SurvivalOracle& oracle, std::size_t k) {
     const FailureTree& t = *tree;
-    std::vector<std::uint32_t>& level = frontier[k];
-    std::array<std::uint32_t, 64> lane_row{};
-    std::size_t kept = 0;
-    for (std::size_t begin = 0; begin < level.size(); begin += 64) {
-      const std::size_t lanes = std::min<std::size_t>(64, level.size() - begin);
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        lane_row[lane] = level[begin + lane];
-        std::copy_n(t.rows.data() + std::size_t{lane_row[lane]} * t.words, t.words,
-                    block.data() + lane * t.words);
+    LevelFrontier& level = frontier[k];
+    std::vector<RowRange>& next = frontier[k + 1].queued;
+    double weight_sum = surviving_weight[k];
+    std::size_t positive = surviving_positive[k];
+    kept.clear();
+    std::size_t id = 0;     // the next killed id to resolve
+    std::size_t range = 0;  // the next queued range, from row `row`
+    std::uint32_t row = level.queued.empty() ? 0 : level.queued[0].begin;
+    while (id < level.killed.size() || range < level.queued.size()) {
+      std::size_t lanes = std::min(kLanes, level.killed.size() - id);
+      std::copy_n(level.killed.data() + id, lanes, lane_row.data());
+      id += lanes;
+      while (lanes < kLanes && range < level.queued.size()) {
+        const RowRange& q = level.queued[range];
+        const auto n = static_cast<std::uint32_t>(std::min<std::size_t>(q.end - row, kLanes - lanes));
+        for (std::uint32_t i = 0; i < n; ++i) lane_row[lanes + i] = row + i;
+        lanes += n;
+        row += n;
+        if (row == q.end && ++range < level.queued.size()) row = level.queued[range].begin;
       }
-      const std::uint64_t survived = oracle.survives_batch(block.data(), lanes, scratch);
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const std::uint32_t r = lane_row[lane];
-        if (((survived >> lane) & 1) == 0) {
-          level[kept++] = r;
-          continue;
-        }
-        surviving[r >> 6] |= 1ULL << (r & 63);
-        surviving_weight[k] += t.weight[r];
-        surviving_positive[k] += t.weight[r] > 0.0 ? 1 : 0;
-        for (std::uint32_t c = t.child_begin[r]; c < t.child_begin[r + 1]; ++c) {
-          frontier[k + 1].push_back(c);
+      if (t.words == 1) {
+        for (std::size_t lane = 0; lane < lanes; ++lane) block[lane] = t.rows[lane_row[lane]];
+      } else {
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          std::copy_n(t.rows.data() + std::size_t{lane_row[lane]} * t.words, t.words,
+                      block.data() + lane * t.words);
         }
       }
-    }
-    level.resize(kept);
-  }
+      const LaneWords<kLaneWords> survived =
+          oracle.survives_lanes<kLaneWords>(block.data(), lanes, scratch);
 
-  // Calls fn(r) for every row not marked surviving, in row order, until fn
-  // returns false.
-  template <typename Fn>
-  void for_each_killed(Fn&& fn) const {
-    for (std::size_t w = 0; w < surviving.size(); ++w) {
-      for (std::uint64_t bits = ~surviving[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t r = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-        if (r >= tree->size() || !fn(r)) return;
+      const std::size_t kept_size = kept.size();
+      const std::size_t next_size = next.size();
+      kept.resize(kept_size + lanes);
+      next.resize(next_size + lanes);
+      std::uint32_t* kept_end = kept.data() + kept_size;
+      RowRange* next_end = next.data() + next_size;
+      for (std::size_t w = 0; 64 * w < lanes; ++w) {
+        const std::uint32_t* rows = lane_row.data() + 64 * w;
+        for (std::uint64_t bits = ~survived[w] & batch_lane_mask(lanes - 64 * w); bits != 0;
+             bits &= bits - 1) {
+          *kept_end++ = rows[std::countr_zero(bits)];
+        }
+        for (std::uint64_t bits = survived[w]; bits != 0; bits &= bits - 1) {
+          const std::uint32_t r = rows[std::countr_zero(bits)];
+          surviving[r >> 6] |= 1ULL << (r & 63);
+          weight_sum += t.weight[r];
+          positive += t.weight[r] > 0.0 ? 1 : 0;
+          *next_end = RowRange{t.child_begin[r], t.child_begin[r + 1]};
+          next_end += next_end->begin != next_end->end ? 1 : 0;  // a childless row queues none
+        }
       }
+      kept.resize(static_cast<std::size_t>(kept_end - kept.data()));
+      next.resize(static_cast<std::size_t>(next_end - next.data()));
     }
+    surviving_weight[k] = weight_sum;
+    surviving_positive[k] = positive;
+    level.killed.swap(kept);
+    level.queued.clear();
   }
 };
 
 // The estimator. Exact mode runs one frontier pass over the platform's
 // shared failure-set tree. Monte-Carlo mode pre-draws every sample from
 // the options.seed stream (per sample, one Bernoulli draw per processor in
-// id order), resolves the stored bitsets 64 per kernel pass and reduces in
-// sample order.
+// id order), resolves the stored bitsets 256 per kernel pass and reduces in
+// sample order: the most probable killed sample, the first on a tie, and
+// the first kMaxKillingSets distinct killed samples into `kills`.
 ReliabilityEstimate estimate_reliability(const Schedule& schedule, const SurvivalOracle& oracle,
                                          const ReliabilityOptions& options,
-                                         std::vector<KillingSet>* kills) {
+                                         std::vector<std::uint64_t>* kills) {
   const std::size_t m = schedule.platform().num_procs();
   const FailureWeights fw = failure_weights(schedule, options);
   ReliabilityEstimate est;
@@ -839,7 +922,11 @@ ReliabilityEstimate estimate_reliability(const Schedule& schedule, const Surviva
     }
     double prob = fw.base;
     for (ProcId u : set) prob *= fw.odds[u];
-    record_killing_set(kills, est, set, prob);
+    if (prob > est.worst_failure_prob) {
+      est.worst_failure_prob = prob;
+      est.worst_failure = set;
+    }
+    if (kills != nullptr) add_killing_set(*kills, w, words);
   }
   est.reliability =
       std::clamp(1.0 - failure_mass / static_cast<double>(options.mc_samples), 0.0, 1.0);
@@ -888,10 +975,12 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   };
 
   // The repair loop's survival checks run on the oracle, patched as
-  // channels are wired. The failure set and computability buffers are
-  // hoisted and reused across every killing set and round.
+  // channels are wired. The killing-set rows, the failure set and the
+  // computability buffers are hoisted and reused across every killing set
+  // and round.
   ProcSet failed(m);
   std::vector<std::uint64_t> alive;
+  std::vector<std::uint64_t> kills;
 
   // Incremental killing-set verification (exact mode): the platform's
   // failure-set tree is shared and each round re-verifies only its
@@ -908,7 +997,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   }
 
   for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
-    std::vector<KillingSet> kills;
+    kills.clear();
     if (exact) {
       exact->verify(oracle, target_reliability);
       est = ReliabilityEstimate{};
@@ -923,8 +1012,8 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
       break;
     }
     const std::uint32_t before = stats.added_comms;
-    for (const KillingSet& kill : kills) {
-      failed.assign(kill.procs);
+    for (std::size_t at = 0; at < kills.size(); at += failed.num_words()) {
+      failed.assign_words(kills.data() + at);
       // Wire until this set survives or turns out to be beyond repair
       // (e.g. every replica of some task sits on the failed processors).
       std::uint32_t steps = 0;

@@ -1,6 +1,9 @@
 #include "schedule/survival.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <type_traits>
 
 namespace streamsched {
 
@@ -123,129 +126,166 @@ bool SurvivalOracle::survives_words(const std::uint64_t* failed_words,
 
 namespace {
 
-// In-place 64x64 bit-matrix transpose (recursive block swap, LSB-first
-// columns): afterwards word u bit L equals the old word L bit u. At block
-// size j, the HIGH j bits of the low rows swap with the LOW j bits of the
-// high rows — the off-diagonal blocks under a bit-0-is-column-0 layout.
-void transpose64(std::uint64_t* a) {
-  std::uint64_t mask = 0x00000000FFFFFFFFULL;
-  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & mask;
-      a[k] ^= t << j;
-      a[k + j] ^= t;
+// Transposes one block of up to 64 one-word failure-set rows, whose bits
+// lie below `width` (a power of two, at least the processor count), into
+// per-processor lane words: afterwards lanes[u * S] bit L equals bit u of
+// row L, for u < width; rows at or beyond `count` read as zero. This is the
+// recursive block-swap 64x64 transpose (LSB-first columns), except that
+// its stages of block size j >= width only move zeros into place: with
+// every row bit below width, they leave word k < width holding row
+// k + i * width in bits [i * width, (i + 1) * width) and the other words
+// zero, so they reduce to that packing. Each remaining stage j swaps, in
+// word pairs (k, k + j), the bits with index bit j set of the low word with
+// the bits with index bit j clear of the high word.
+template <std::size_t S>
+void transpose_block(const std::uint64_t* rows, std::size_t count, std::size_t width,
+                     std::uint64_t* lanes) {
+  std::array<std::uint64_t, 64> padded{};
+  std::copy_n(rows, count, padded.begin());
+  for (std::size_t k = 0; k < width; ++k) {
+    std::uint64_t packed = 0;
+    for (std::size_t i = 0; i < 64; i += width) packed |= padded[k + i] << i;
+    lanes[k * S] = packed;
+  }
+  for (std::size_t j = width / 2; j != 0; j >>= 1) {
+    const std::uint64_t mask = ~0ULL / ((1ULL << j) + 1);  // the bits with index bit j clear
+    for (std::size_t k = 0; k < width; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((lanes[k * S] >> j) ^ lanes[(k + j) * S]) & mask;
+      lanes[k * S] ^= t << j;
+      lanes[(k + j) * S] ^= t;
     }
   }
+}
+
+template <std::size_t W>
+bool any_lane(const LaneWords<W>& lanes) {
+  std::uint64_t any = 0;
+  for (const std::uint64_t w : lanes) any |= w;
+  return any != 0;
+}
+
+// True when some lane of `a` is not in `fed` yet.
+template <std::size_t W>
+bool any_unfed(const LaneWords<W>& a, const LaneWords<W>& fed) {
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < W; ++w) any |= a[w] & ~fed[w];
+  return any != 0;
 }
 
 }  // namespace
 
-std::uint64_t SurvivalOracle::survives_batch(const std::uint64_t* set_words, std::size_t count,
-                                             BatchScratch& scratch) const {
-  SS_REQUIRE(count >= 1 && count <= 64, "batch holds 1..64 failure sets");
+template <std::size_t W>
+LaneWords<W> SurvivalOracle::survives_lanes(const std::uint64_t* set_words, std::size_t count,
+                                            BatchScratch& scratch) const {
+  SS_REQUIRE(count >= 1 && count <= 64 * W, "batch holds 1..64*W failure sets");
+  if constexpr (W > 1) {
+    if (count <= 64) {
+      LaneWords<W> one{};
+      one[0] = survives_lanes<1>(set_words, count, scratch)[0];
+      return one;
+    }
+  }
   const std::size_t proc_words = (num_procs_ + 63) / 64;
 
   // Transpose the failure-set rows into per-processor lane words: bit L of
-  // proc_lanes[u] says processor u is down in set L. Single-word platforms
-  // (m <= 64) use the dense 64x64 transpose: lane L's row lands in word L,
-  // and after the transpose word u IS processor u's lane word (rows only
-  // carry bits below num_procs, so the extra words stay zero).
+  // proc_lanes[u*W + w] says processor u is down in set 64w + L.
+  // Single-word platforms (m <= 64) transpose each block of 64 rows into
+  // the words u*W + w (transpose_block, over the smallest power of two of
+  // at least m processors).
   if (proc_words == 1) {
-    scratch.proc_lanes.resize(64);
+    const std::size_t width = std::bit_ceil(std::max<std::size_t>(num_procs_, 1));
+    scratch.proc_lanes.resize(width * W);
     std::uint64_t* lanes = scratch.proc_lanes.data();
-    std::copy(set_words, set_words + count, lanes);
-    std::fill(lanes + count, lanes + 64, 0);
-    transpose64(lanes);
+    for (std::size_t w = 0; w < W; ++w) {
+      const std::size_t begin = 64 * w;
+      const std::size_t n = count > begin ? std::min<std::size_t>(64, count - begin) : 0;
+      transpose_block<W>(set_words + begin, n, width, lanes + w);
+    }
   } else {
-    scratch.proc_lanes.assign(num_procs_, 0);
+    scratch.proc_lanes.assign(num_procs_ * W, 0);
     for (std::size_t lane = 0; lane < count; ++lane) {
       const std::uint64_t* row = set_words + lane * proc_words;
-      const std::uint64_t bit = 1ULL << lane;
+      const std::uint64_t bit = 1ULL << (lane & 63);
       for (std::size_t w = 0; w < proc_words; ++w) {
         for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
-          scratch.proc_lanes[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] |= bit;
+          const auto u = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          scratch.proc_lanes[u * W + lane / 64] |= bit;
         }
       }
     }
   }
 
-  // One topological pass over all lanes at once. `alive[t*copies + c]` bit
-  // L says replica (t, c) is computable in set L: start with the lanes
-  // where the replica's processor is up, then intersect per predecessor
-  // with the union of its suppliers' lane words. `live` accumulates the
-  // lanes in which every task so far kept a computable replica; a lane
-  // that dies stays dead (the same monotone fixpoint as the per-set pass,
-  // evaluated 64 sets at a time).
-  scratch.alive_lanes.resize(num_tasks_ * copies_);
+  // One topological pass over all lanes at once. The W words at
+  // `alive[(t*copies + c)*W]` say in which sets replica (t, c) is
+  // computable: start with the lanes where the replica's processor is up,
+  // then intersect per predecessor with the union of its suppliers' lane
+  // words. `live` accumulates the lanes in which every task so far kept a
+  // computable replica; a lane that dies stays dead (the same monotone
+  // fixpoint as the per-set pass, evaluated 64 * W sets at a time). In the
+  // narrow layout (copies <= 64) placed and supplier masks are one word, so
+  // every per-mask-word loop collapses.
+  scratch.alive_lanes.resize(num_tasks_ * copies_ * W);
   std::uint64_t* alive = scratch.alive_lanes.data();
-  std::uint64_t live = batch_lane_mask(count);
   const std::uint64_t* lanes = scratch.proc_lanes.data();
-  if (mask_words_ == 1) {
-    // Narrow fast path (copies <= 64): placed and supplier masks are one
-    // word, so every per-word inner loop collapses.
+  LaneWords<W> live;
+  for (std::size_t w = 0; w < W; ++w) live[w] = count > 64 * w ? batch_lane_mask(count - 64 * w) : 0;
+  const auto pass = [&](auto narrow) {
+    const std::size_t mask_words = decltype(narrow)::value ? 1 : mask_words_;
     for (const TaskId t : topo_) {
-      std::uint64_t task_alive = 0;
+      LaneWords<W> task_alive{};
       const ProcId* procs = proc_.data() + static_cast<std::size_t>(t) * copies_;
-      std::uint64_t* row = alive + static_cast<std::size_t>(t) * copies_;
-      std::fill(row, row + copies_, 0);
+      const std::uint64_t* placed = placed_mask_.data() + static_cast<std::size_t>(t) * mask_words;
+      std::uint64_t* row = alive + static_cast<std::size_t>(t) * copies_ * W;
+      // Unplaced copies are never computable; zero their (possibly stale)
+      // lane words before any successor ORs them in.
+      std::fill(row, row + copies_ * W, 0);
       const std::uint32_t j0 = pred_offset_[t];
       const std::uint32_t j1 = pred_offset_[t + 1];
-      for (std::uint64_t bits = placed_mask_[t]; bits != 0; bits &= bits - 1) {
-        const auto c = static_cast<std::size_t>(std::countr_zero(bits));
-        std::uint64_t a = ~lanes[procs[c]] & live;
-        for (std::uint32_t j = j0; a != 0 && j < j1; ++j) {
-          const std::uint64_t* pred_lanes =
-              alive + static_cast<std::size_t>(pred_task_[j]) * copies_;
-          std::uint64_t fed = 0;
-          for (std::uint64_t sbits = sup_mask_[static_cast<std::size_t>(j) * copies_ + c];
-               sbits != 0 && (a & ~fed) != 0; sbits &= sbits - 1) {
-            fed |= pred_lanes[static_cast<std::size_t>(std::countr_zero(sbits))];
-          }
-          a &= fed;
-        }
-        row[c] = a;
-        task_alive |= a;
-      }
-      live &= task_alive;
-      if (live == 0) return 0;
-    }
-    return live;
-  }
-  for (const TaskId t : topo_) {
-    std::uint64_t task_alive = 0;
-    const ProcId* procs = proc_.data() + static_cast<std::size_t>(t) * copies_;
-    const std::uint64_t* placed = placed_mask_.data() + static_cast<std::size_t>(t) * mask_words_;
-    std::uint64_t* row = alive + static_cast<std::size_t>(t) * copies_;
-    // Unplaced copies are never computable; zero their (possibly stale)
-    // lane words before any successor ORs them in.
-    std::fill(row, row + copies_, 0);
-    for (std::size_t w = 0; w < mask_words_; ++w) {
-      for (std::uint64_t bits = placed[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t c = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        std::uint64_t a = ~scratch.proc_lanes[procs[c]] & live;
-        for (std::uint32_t j = pred_offset_[t]; a != 0 && j < pred_offset_[t + 1]; ++j) {
-          const std::uint64_t* pred_lanes =
-              alive + static_cast<std::size_t>(pred_task_[j]) * copies_;
-          const std::uint64_t* sup =
-              sup_mask_.data() + (static_cast<std::size_t>(j) * copies_ + c) * mask_words_;
-          std::uint64_t fed = 0;
-          for (std::size_t sw = 0; sw < mask_words_ && (a & ~fed) != 0; ++sw) {
-            for (std::uint64_t sbits = sup[sw]; sbits != 0 && (a & ~fed) != 0;
-                 sbits &= sbits - 1) {
-              fed |= pred_lanes[sw * 64 + static_cast<std::size_t>(std::countr_zero(sbits))];
+      for (std::size_t mw = 0; mw < mask_words; ++mw) {
+        for (std::uint64_t bits = placed[mw]; bits != 0; bits &= bits - 1) {
+          const std::size_t c = mw * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          const std::uint64_t* down = lanes + static_cast<std::size_t>(procs[c]) * W;
+          LaneWords<W> a;
+          for (std::size_t w = 0; w < W; ++w) a[w] = ~down[w] & live[w];
+          for (std::uint32_t j = j0; j < j1 && any_lane(a); ++j) {
+            const std::uint64_t* pred_lanes =
+                alive + static_cast<std::size_t>(pred_task_[j]) * copies_ * W;
+            const std::uint64_t* sup =
+                sup_mask_.data() + (static_cast<std::size_t>(j) * copies_ + c) * mask_words;
+            // The one-word pass stops ORing once every lane of `a` is fed;
+            // on W words that test costs more than the ORs it saves.
+            LaneWords<W> fed{};
+            const auto unfed = [&] { return W > 1 || any_unfed(a, fed); };
+            for (std::size_t sw = 0; sw < mask_words && unfed(); ++sw) {
+              for (std::uint64_t sbits = sup[sw]; sbits != 0 && unfed(); sbits &= sbits - 1) {
+                const std::uint64_t* supplier =
+                    pred_lanes + (sw * 64 + static_cast<std::size_t>(std::countr_zero(sbits))) * W;
+                for (std::size_t w = 0; w < W; ++w) fed[w] |= supplier[w];
+              }
             }
+            for (std::size_t w = 0; w < W; ++w) a[w] &= fed[w];
           }
-          a &= fed;
+          std::copy(a.begin(), a.end(), row + c * W);
+          for (std::size_t w = 0; w < W; ++w) task_alive[w] |= a[w];
         }
-        alive[static_cast<std::size_t>(t) * copies_ + c] = a;
-        task_alive |= a;
       }
+      for (std::size_t w = 0; w < W; ++w) live[w] &= task_alive[w];
+      if (!any_lane(live)) return;
     }
-    live &= task_alive;
-    if (live == 0) return 0;
+  };
+  if (mask_words_ == 1) {
+    pass(std::true_type{});
+  } else {
+    pass(std::false_type{});
   }
   return live;
 }
+
+template LaneWords<1> SurvivalOracle::survives_lanes<1>(const std::uint64_t*, std::size_t,
+                                                        BatchScratch&) const;
+template LaneWords<kLaneWords> SurvivalOracle::survives_lanes<kLaneWords>(const std::uint64_t*,
+                                                                          std::size_t,
+                                                                          BatchScratch&) const;
 
 void SurvivalOracle::computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const {
   SS_REQUIRE(failed.size() == num_procs_, "failure set size != processor count");

@@ -18,14 +18,19 @@
 // set minus its highest processor, survives) — a probabilistic repair
 // round only down to the level where its outcome is decided — the
 // Monte-Carlo estimator tens of thousands of samples, the sweep precheck
-// one set per crash trial. `survives_batch`
-// transposes the kernel into bit-sliced form — up to 64 failure sets per
-// call, one machine word per (replica, lane) — and resolves all of them in
-// a single topological pass: per replica, the lanes where its processor is
-// alive, intersected per predecessor with the OR of its suppliers' lane
-// words (the supplier-copy masks broadcast across lanes). Each lane's
-// boolean equals the per-set oracle's (both are the same monotone
-// fixpoint), so batch consumers keep bit-identical reductions.
+// one set per crash trial. `survives_lanes<W>` transposes the kernel into
+// bit-sliced form — up to 64 * W failure sets per call, W machine words per
+// replica, one bit per set — and resolves all of them in a single
+// topological pass: per replica, the lanes where its processor is alive,
+// intersected per predecessor with the OR of its suppliers' lane words (the
+// supplier-copy masks broadcast across lanes). The width is a compile-time
+// parameter of that one body: `survives_batch` is its one-word case (64
+// sets), which the count checks, the publish gate and the simulator
+// precheck use; the exact frontier and the Monte-Carlo estimator resolve
+// 256 sets per pass (kLaneWords = 4), and a wide call of at most 64 sets
+// runs the one-word pass. Each lane's boolean equals the per-set oracle's
+// (both are the same monotone fixpoint), so batch consumers keep
+// bit-identical reductions.
 //
 // The oracle is a pure function of the schedule's placements and comms; it
 // must be re-created (or patched via `add_comm`) when the repair pass adds
@@ -39,6 +44,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <type_traits>
@@ -103,13 +109,22 @@ class ProcSet {
   std::vector<std::uint64_t> words_;
 };
 
-/// Reusable buffers for `SurvivalOracle::survives_batch`: the transposed
-/// per-processor failure lanes and the per-replica alive-lane words. One
-/// per worker; resized on first use, then reused allocation-free.
+/// Reusable buffers for `SurvivalOracle::survives_lanes`: the transposed
+/// per-processor failure lanes and the per-replica alive-lane words, W
+/// words each. One per worker; resized on first use, then reused
+/// allocation-free.
 struct BatchScratch {
-  std::vector<std::uint64_t> proc_lanes;   // [proc]: bit L = proc failed in set L
-  std::vector<std::uint64_t> alive_lanes;  // [task*copies + c]: bit L = computable in set L
+  std::vector<std::uint64_t> proc_lanes;   // [proc*W + w]: bit L = proc failed in set 64w + L
+  std::vector<std::uint64_t> alive_lanes;  // [(task*copies + c)*W + w]: bit L = computable
 };
+
+/// The verdict words of one batch of up to 64 * W failure sets: bit L of
+/// word w is set 64w + L.
+template <std::size_t W>
+using LaneWords = std::array<std::uint64_t, W>;
+
+/// Words per replica of the wide batch pass: 256 failure sets per pass.
+inline constexpr std::size_t kLaneWords = 4;
 
 /// Lane mask selecting the first `count` of up to 64 batch lanes.
 [[nodiscard]] constexpr std::uint64_t batch_lane_mask(std::size_t count) {
@@ -162,15 +177,24 @@ class SurvivalOracle {
   [[nodiscard]] bool survives_words(const std::uint64_t* failed_words,
                                     std::vector<std::uint64_t>& scratch) const;
 
-  /// Bit-sliced batch query: resolves `count` (1..64) failure sets in ONE
-  /// topological pass. `set_words` holds `count` consecutive rows of
-  /// ceil(num_procs/64) words each (the ProcSet word layout). Returns a
-  /// word whose bit L (L < count) is set iff set L survives; lanes beyond
-  /// `count` are zero. Each lane's boolean is identical to
+  /// Bit-sliced batch query: resolves `count` (1..64 * W) failure sets in
+  /// ONE topological pass, W words per replica. `set_words` holds `count`
+  /// consecutive rows of ceil(num_procs/64) words each (the ProcSet word
+  /// layout). Bit L of word w of the result is set iff set 64w + L
+  /// survives; lanes beyond `count` are zero. A call of at most 64 sets
+  /// runs the one-word pass. Each lane's boolean is identical to
   /// `survives_words` on that row — batch consumers that reduce in row
-  /// order therefore stay bit-identical to the per-set kernel.
+  /// order therefore stay bit-identical to the per-set kernel. Instantiated
+  /// for W = 1 and W = kLaneWords.
+  template <std::size_t W>
+  [[nodiscard]] LaneWords<W> survives_lanes(const std::uint64_t* set_words, std::size_t count,
+                                            BatchScratch& scratch) const;
+
+  /// The one-word case: up to 64 sets, set L's verdict in bit L.
   [[nodiscard]] std::uint64_t survives_batch(const std::uint64_t* set_words, std::size_t count,
-                                             BatchScratch& scratch) const;
+                                             BatchScratch& scratch) const {
+    return survives_lanes<1>(set_words, count, scratch)[0];
+  }
 
   /// Full computability masks under `failed`: row t (mask_words() words at
   /// alive[t * mask_words()]) has bit c set iff replica (t, c) is

@@ -409,8 +409,9 @@ constexpr std::size_t kWideCounts[] = {1, 63, 64, 65, 127, 128, 129, 255, 256};
 
 // Resolves 256 random failure sets of `schedule` in batches of every size
 // in kWideCounts, each after a full batch on the same scratch, so lanes
-// left over from a larger batch would show. Every lane must equal the
-// per-set kernel on its row. Returns the number of surviving rows.
+// left over from a larger batch would show: in one 256-lane pass and in
+// 64-lane passes. Every lane of both must equal the per-set kernel on its
+// row. Returns the number of surviving rows.
 std::size_t expect_batches_agree(const Schedule& schedule, std::uint32_t max_size,
                                  std::uint64_t seed) {
   const SurvivalOracle oracle(schedule);
@@ -428,18 +429,28 @@ std::size_t expect_batches_agree(const Schedule& schedule, std::uint32_t max_siz
     SCOPED_TRACE("count " + std::to_string(count));
     (void)verdicts_in_64_lane_passes(oracle, rows.data(), 256, scratch);
     const std::vector<bool> narrow = verdicts_in_64_lane_passes(oracle, rows.data(), count, scratch);
-    for (std::size_t lane = 0; lane < count; ++lane) {
+    (void)oracle.survives_lanes<kLaneWords>(rows.data(), 256, scratch);
+    const LaneWords<kLaneWords> wide =
+        oracle.survives_lanes<kLaneWords>(rows.data(), count, scratch);
+    for (std::size_t lane = 0; lane < 256; ++lane) {
+      const bool survives = ((wide[lane / 64] >> (lane % 64)) & 1) != 0;
+      if (lane >= count) {
+        EXPECT_FALSE(survives) << "stale lane " << lane << " beyond the batch";
+        continue;
+      }
+      EXPECT_EQ(survives, narrow[lane]) << "lane " << lane;
       EXPECT_EQ(narrow[lane], per_set[lane]) << "lane " << lane;
     }
   }
   return survived;
 }
 
-// The batch kernel against the per-set kernel at every batch size around a
-// 64-lane word boundary: random R-LTF and HEFT schedules at m = 6, 16 and
+// The 256-lane pass against four 64-lane passes, lane for lane, and both
+// against the per-set kernel, at every batch size around a 64-lane word
+// boundary: random R-LTF and HEFT schedules at m = 6, 16 and
 // 64, partial schedules with unplaced copies, two-word failure-set rows
 // (m = 65) and two-word replica masks (65 copies).
-TEST(Survival, BatchPassesMatchPerSetAtEveryWordBoundary) {
+TEST(Survival, WidePassEqualsFourSixtyFourLanePasses) {
   std::size_t survived = 0;
   std::size_t rows = 0;
   const auto check = [&](const Schedule& schedule, std::uint32_t max_size, std::uint64_t seed) {
