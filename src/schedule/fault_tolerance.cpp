@@ -785,7 +785,7 @@ struct FrontierCheck {
   std::vector<std::size_t> surviving_positive;   // per level: rows of positive weight
   std::size_t verified = 0;                      // levels the last pass verified
   std::vector<std::uint64_t> block;              // rows of the next kernel pass
-  std::array<std::uint32_t, kLanes> lane_row{};  // block lane -> tree row
+  std::array<std::uint32_t, kLanes + 8> lane_row{};  // block lane -> tree row
   std::vector<std::uint32_t> kept;               // the killed rows of the level in hand
   BatchScratch scratch;
 
@@ -811,7 +811,11 @@ struct FrontierCheck {
       while (lanes < kLanes && range < level.queued.size()) {
         const RowRange& q = level.queued[range];
         const auto n = static_cast<std::uint32_t>(std::min<std::size_t>(q.end - row, kLanes - lanes));
-        for (std::uint32_t i = 0; i < n; ++i) lane_row[lanes + i] = row + i;
+        // Eight ids per step, into the slack past kLanes: most ranges take
+        // one step.
+        for (std::uint32_t i = 0; i < n; i += 8) {
+          for (std::uint32_t j = i; j < i + 8; ++j) lane_row[lanes + j] = row + j;
+        }
         lanes += n;
         row += n;
         if (row == q.end && ++range < level.queued.size()) row = level.queued[range].begin;

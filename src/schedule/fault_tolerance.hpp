@@ -155,11 +155,16 @@ struct ReliabilityEstimate {
 /// keys, so every estimate and repair on one platform shares it. Survival
 /// is monotone in the failure set, so only the frontier is checked: a set
 /// is resolved only once its parent survives, and a set under a killed
-/// parent is killed without a kernel pass. Monte-Carlo mode draws its
-/// samples from `seed`. Either way the sets go 64 at a time through
-/// `SurvivalOracle::survives_batch` and are reduced in enumeration (or
-/// sample) order, so the result is a deterministic function of the
-/// schedule and the options; the parity goldens in tests/golden/ pin it.
+/// parent is killed without a kernel pass. A surviving set queues its
+/// children, which are consecutive in the tree, as one row range. The
+/// worst failure is read off the frontier's killed sets: every killed set
+/// is one of them or lies under one. Monte-Carlo mode draws its samples
+/// from `seed`. Either way the sets go 256 at a time through
+/// `SurvivalOracle::survives_lanes` (a batch of at most 64 takes the
+/// one-word pass; Monte Carlo resolves 64 per pass above 64 processors)
+/// and are reduced in enumeration (or sample) order, so the result is a
+/// deterministic function of the schedule and the options; the parity
+/// goldens in tests/golden/ pin it.
 /// Safe to call concurrently: calls share only the immutable trees.
 /// Throws std::invalid_argument when Monte Carlo is needed and
 /// `mc_samples` is 0.

@@ -164,14 +164,6 @@ bool any_lane(const LaneWords<W>& lanes) {
   return any != 0;
 }
 
-// True when some lane of `a` is not in `fed` yet.
-template <std::size_t W>
-bool any_unfed(const LaneWords<W>& a, const LaneWords<W>& fed) {
-  std::uint64_t any = 0;
-  for (std::size_t w = 0; w < W; ++w) any |= a[w] & ~fed[w];
-  return any != 0;
-}
-
 }  // namespace
 
 template <std::size_t W>
@@ -255,7 +247,7 @@ LaneWords<W> SurvivalOracle::survives_lanes(const std::uint64_t* set_words, std:
             // The one-word pass stops ORing once every lane of `a` is fed;
             // on W words that test costs more than the ORs it saves.
             LaneWords<W> fed{};
-            const auto unfed = [&] { return W > 1 || any_unfed(a, fed); };
+            const auto unfed = [&] { return W > 1 || (a[0] & ~fed[0]) != 0; };
             for (std::size_t sw = 0; sw < mask_words && unfed(); ++sw) {
               for (std::uint64_t sbits = sup[sw]; sbits != 0 && unfed(); sbits &= sbits - 1) {
                 const std::uint64_t* supplier =
