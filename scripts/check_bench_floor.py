@@ -9,11 +9,13 @@ file of the same bench (BENCH_survival.json, BENCH_sim.json,
 BENCH_schedulers.json, BENCH_churn.json or BENCH_perfbench.json). The
 compared rows:
 
-  * survival_kernel: the m = 16 exact-mode `sets_per_sec`, the
-    `cold_prob` probabilistic-repair `repairs_per_sec`, the `cold_count`
-    count-repair `rounds_per_sec`, and the `first_call` estimate and
-    repair rates on platforms the process has not seen (which pay the
-    one-time failure-set tree build the memo-warm rows skip); and the
+  * survival_kernel: the m = 16 and m = 8 exact-mode `sets_per_sec` (the
+    m = 8 tree's levels hold at most 70 rows, so its passes are mostly
+    batches of at most 64, which take the one-word pass), the `cold_prob` and `low_p` m = 32 probabilistic-repair
+    `repairs_per_sec`, the `cold_count` count-repair `rounds_per_sec`, and
+    the `first_call` estimate and repair rates on platforms the process
+    has not seen (which pay the one-time failure-set tree build the
+    memo-warm rows skip); and the
     outcome of every repair row, which must equal the committed one
     exactly: `rounds`, `added_comms` and `achieved` of the `low_p` and
     `cold_prob` probabilistic repairs, `rounds` and `added_comms` of the
@@ -48,7 +50,9 @@ CEILING = 4.0
 ROWS = {
     "survival_kernel": [
         ("m=16 exact", {"m": 16, "mode": "exact"}, "sets_per_sec"),
+        ("m=8 exact", {"m": 8, "mode": "exact"}, "sets_per_sec"),
         ("cold_prob repair", {"mode": "repair", "shape": "cold_prob"}, "repairs_per_sec"),
+        ("low_p m=32 repair", {"m": 32, "mode": "repair", "shape": "low_p"}, "repairs_per_sec"),
         ("cold_count repair", {"mode": "repair", "shape": "cold_count"}, "rounds_per_sec"),
         ("first_call estimate", {"mode": "first_call"}, "estimates_per_sec"),
         ("first_call repair", {"mode": "first_call"}, "repairs_per_sec"),
