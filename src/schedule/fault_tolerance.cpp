@@ -424,14 +424,13 @@ FailureWeights failure_weights(const Schedule& schedule, const ReliabilityOption
 }
 
 // Survival verdicts for a flat array of failure-set word rows (the
-// Monte-Carlo samples): blocks of 256 rows (64 when a row spans several
-// words) feed one bit-sliced pass each, and the bytes land in row order, so
-// the reduction below sums in sample order.
+// Monte-Carlo samples): blocks of 256 rows feed one bit-sliced pass each, and
+// the bytes land in row order, so the reduction below sums in sample order.
 void batch_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set_words,
                           std::size_t n, std::size_t words, std::vector<unsigned char>& killed) {
   killed.assign(n, 0);
   BatchScratch scratch;
-  const std::size_t per_pass = words == 1 ? 64 * kLaneWords : 64;
+  const std::size_t per_pass = 64 * kLaneWords;
   for (std::size_t begin = 0; begin < n; begin += per_pass) {
     const std::size_t count = std::min(per_pass, n - begin);
     const LaneWords<kLaneWords> survived =
@@ -785,7 +784,7 @@ struct FrontierCheck {
   std::vector<std::size_t> surviving_positive;   // per level: rows of positive weight
   std::size_t verified = 0;                      // levels the last pass verified
   std::vector<std::uint64_t> block;              // rows of the next kernel pass
-  std::array<std::uint32_t, kLanes + 8> lane_row{};  // block lane -> tree row
+  std::array<std::uint32_t, kLanes + 8> lane_row{};  // block lane -> tree row, plus fill slack
   std::vector<std::uint32_t> kept;               // the killed rows of the level in hand
   BatchScratch scratch;
 
@@ -812,7 +811,7 @@ struct FrontierCheck {
         const RowRange& q = level.queued[range];
         const auto n = static_cast<std::uint32_t>(std::min<std::size_t>(q.end - row, kLanes - lanes));
         // Eight ids per step, into the slack past kLanes: most ranges take
-        // one step.
+        // one step (std::iota here cost ~10% of a cold_prob repair).
         for (std::uint32_t i = 0; i < n; i += 8) {
           for (std::uint32_t j = i; j < i + 8; ++j) lane_row[lanes + j] = row + j;
         }
@@ -820,6 +819,8 @@ struct FrontierCheck {
         row += n;
         if (row == q.end && ++range < level.queued.size()) row = level.queued[range].begin;
       }
+      // One-word rows by plain loads: a copy_n of a run-time length per
+      // lane cost ~8% of a cold_prob repair.
       if (t.words == 1) {
         for (std::size_t lane = 0; lane < lanes; ++lane) block[lane] = t.rows[lane_row[lane]];
       } else {

@@ -161,10 +161,9 @@ struct ReliabilityEstimate {
 /// is one of them or lies under one. Monte-Carlo mode draws its samples
 /// from `seed`. Either way the sets go 256 at a time through
 /// `SurvivalOracle::survives_lanes` (a batch of at most 64 takes the
-/// one-word pass; Monte Carlo resolves 64 per pass above 64 processors)
-/// and are reduced in enumeration (or sample) order, so the result is a
-/// deterministic function of the schedule and the options; the parity
-/// goldens in tests/golden/ pin it.
+/// one-word pass) and are reduced in enumeration (or sample) order, so
+/// the result is a deterministic function of the schedule and the
+/// options; the parity goldens in tests/golden/ pin it.
 /// Safe to call concurrently: calls share only the immutable trees.
 /// Throws std::invalid_argument when Monte Carlo is needed and
 /// `mc_samples` is 0.
