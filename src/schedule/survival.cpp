@@ -246,8 +246,8 @@ LaneWords<W> SurvivalOracle::survives_lanes(const std::uint64_t* set_words, std:
                 sup_mask_.data() + (static_cast<std::size_t>(j) * copies_ + c) * mask_words;
             // The one-word pass stops ORing once every lane of `a` is fed,
             // testing before each supplier (a test per mask word as well
-            // cost it ~15%); on W words that test costs more than the ORs
-            // it saves.
+            // made it about a third slower); on W words that test costs
+            // more than the ORs it saves.
             LaneWords<W> fed{};
             const auto unfed = [&] { return W > 1 || (a[0] & ~fed[0]) != 0; };
             for (std::size_t sw = 0; sw < mask_words; ++sw) {
