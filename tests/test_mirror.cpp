@@ -2,12 +2,17 @@
 // reflected, communications flipped, stages recomputed forward.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "core/ltf.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "platform/generators.hpp"
 #include "schedule/metrics.hpp"
 #include "schedule/mirror.hpp"
 #include "schedule/validate.hpp"
+#include "util/rng.hpp"
 
 namespace streamsched {
 namespace {
@@ -98,6 +103,98 @@ TEST(Mirror, RepairFlagsSurvive) {
 
   const Schedule fwd = mirror_schedule(rev, dag);
   EXPECT_EQ(num_repair_comms(fwd), 1u);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The mirror equals rebuilding the reversed schedule through the public
+// API: every replica placed in (task, copy) order at its reflected times,
+// every comm flipped and added in comm order, then the stages recomputed.
+// Loads are compared bit for bit, on a platform whose speeds and link
+// delays differ per processor and per pair (Platform keeps delays
+// symmetric), with repair channels among the comms.
+TEST(Mirror, EqualsARebuildFieldForField) {
+  const std::size_t m = 6;
+  Rng rng(5);
+  const Dag dag = make_random_layered(rng, 20, 4, 0.5, WeightRanges{});
+  const Dag rdag = dag.reversed();
+  std::vector<double> speeds(m);
+  Matrix<double> delays(m, m, 0.0);
+  for (std::size_t u = 0; u < m; ++u) {
+    speeds[u] = 1.0 + 0.25 * static_cast<double>(u);
+    for (std::size_t v = 0; v < m; ++v) {
+      const auto a = static_cast<double>(u);
+      const auto b = static_cast<double>(v);
+      if (u != v) delays(u, v) = 0.3 + 0.17 * (a + b) + 0.05 * a * b;
+    }
+  }
+  const Platform platform(std::move(speeds), std::move(delays));
+  SchedulerOptions options;
+  options.eps = 2;
+  options.repair = true;  // the reversed schedule carries repair channels too
+  const ScheduleResult reversed = ltf_schedule(rdag, platform, options);
+  ASSERT_TRUE(reversed.ok()) << reversed.error;
+  const Schedule& rev = *reversed.schedule;
+  ASSERT_GT(num_repair_comms(rev), 0u);
+
+  const Schedule fwd = mirror_schedule(rev, dag);
+
+  const double horizon = rev.makespan();
+  Schedule rebuilt(dag, platform, rev.eps(), rev.period());
+  for (TaskId t = 0; t < dag.num_tasks(); ++t) {
+    for (CopyId c = 0; c < rev.copies(); ++c) {
+      const PlacedReplica& p = rev.placed({t, c});
+      rebuilt.place({t, c}, p.proc, horizon - p.finish, horizon - p.start, 1);
+    }
+  }
+  for (const CommRecord& comm : rev.comms()) {
+    CommRecord flipped = comm;
+    flipped.src = comm.dst;
+    flipped.dst = comm.src;
+    flipped.start = horizon - comm.finish;
+    flipped.finish = horizon - comm.start;
+    rebuilt.add_comm(flipped);
+  }
+  recompute_stages(rebuilt);
+
+  EXPECT_EQ(&fwd.dag(), &dag);
+  EXPECT_EQ(fwd.eps(), rebuilt.eps());
+  EXPECT_EQ(bits(fwd.period()), bits(rebuilt.period()));
+  EXPECT_EQ(fwd.num_placed(), rebuilt.num_placed());
+  for (TaskId t = 0; t < dag.num_tasks(); ++t) {
+    for (CopyId c = 0; c < rev.copies(); ++c) {
+      const PlacedReplica& a = fwd.placed({t, c});
+      const PlacedReplica& b = rebuilt.placed({t, c});
+      EXPECT_EQ(a.proc, b.proc) << t << "#" << c;
+      EXPECT_EQ(a.stage, b.stage) << t << "#" << c;
+      EXPECT_EQ(bits(a.start), bits(b.start)) << t << "#" << c;
+      EXPECT_EQ(bits(a.finish), bits(b.finish)) << t << "#" << c;
+      // Supplier queries read the mirrored direction.
+      for (TaskId pred : dag.predecessors(t)) {
+        EXPECT_EQ(fwd.suppliers({t, c}, pred).size(), rebuilt.suppliers({t, c}, pred).size());
+      }
+    }
+  }
+  ASSERT_EQ(fwd.comms().size(), rebuilt.comms().size());
+  for (std::size_t i = 0; i < fwd.comms().size(); ++i) {
+    const CommRecord& a = fwd.comms()[i];
+    const CommRecord& b = rebuilt.comms()[i];
+    EXPECT_EQ(a.edge, b.edge) << i;
+    EXPECT_EQ(a.src, b.src) << i;
+    EXPECT_EQ(a.dst, b.dst) << i;
+    EXPECT_EQ(a.repair, b.repair) << i;
+    EXPECT_EQ(bits(a.start), bits(b.start)) << i;
+    EXPECT_EQ(bits(a.finish), bits(b.finish)) << i;
+    EXPECT_TRUE(fwd.has_supplier(a.dst, a.src)) << i;
+  }
+  for (ProcId u = 0; u < m; ++u) {
+    EXPECT_EQ(bits(fwd.sigma(u)), bits(rebuilt.sigma(u))) << "P" << u;
+    EXPECT_EQ(bits(fwd.cin(u)), bits(rebuilt.cin(u))) << "P" << u;
+    EXPECT_EQ(bits(fwd.cout(u)), bits(rebuilt.cout(u))) << "P" << u;
+  }
+  // A flipped comm is a duplicate of itself in the mirror.
+  Schedule again = fwd;
+  EXPECT_THROW(again.add_comm(fwd.comms().front()), std::invalid_argument);
 }
 
 TEST(Mirror, RequiresCompleteSchedule) {
