@@ -14,7 +14,14 @@ BuildState::BuildState(const Dag& dag, const Platform& platform, CopyId eps, dou
       proc_free_(platform.num_procs(), 0.0),
       send_free_(platform.num_procs(), 0.0),
       recv_free_(platform.num_procs(), 0.0),
-      added_cout_(platform.num_procs(), 0.0) {}
+      added_cout_(platform.num_procs(), 0.0) {
+  // Room for every comm a build can record without the one-to-one mapping,
+  // e(ε+1)² (paper §4), so the comm array is allocated once; capped, since
+  // (ε+1)² grows fast (4,225 records per edge at 65 copies). The publish
+  // gate trims what a placement does not use.
+  const std::size_t copies = schedule_.copies();
+  schedule_.reserve_comms(std::min(dag.num_edges() * copies * copies, kMaxReservedComms));
+}
 
 void BuildState::load_sources(TaskId task,
                               const std::vector<std::vector<ReplicaRef>>& suppliers) const {

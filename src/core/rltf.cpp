@@ -323,8 +323,7 @@ ScheduleResult rltf_schedule(const Dag& dag, const Platform& platform,
   const std::string err = pass.run();
   if (!err.empty()) return ScheduleResult::failure(err);
 
-  Schedule reversed = std::move(pass).take();
-  Schedule schedule = mirror_schedule(reversed, dag);
+  Schedule schedule = mirror_schedule(std::move(pass).take(), dag);
 
   ScheduleResult result;
   if (options.repair) {

@@ -9,41 +9,43 @@
 
 namespace streamsched {
 
-std::vector<std::vector<std::uint32_t>> stages_from_structure(const Schedule& schedule) {
+std::vector<std::uint32_t> stages_from_structure(const Schedule& schedule) {
   const Dag& dag = schedule.dag();
-  std::vector<std::vector<std::uint32_t>> stage(
-      dag.num_tasks(), std::vector<std::uint32_t>(schedule.copies(), 0));
+  const CopyId copies = schedule.copies();
+  const ConsumerIndex inbound(schedule);
+  std::vector<std::uint32_t> stage(dag.num_tasks() * copies, 0);
   for (TaskId t : dag.topological_order()) {
-    for (CopyId c = 0; c < schedule.copies(); ++c) {
+    for (CopyId c = 0; c < copies; ++c) {
       const ReplicaRef r{t, c};
       if (!schedule.is_placed(r)) continue;
       std::uint32_t s = 1;
       const ProcId here = schedule.placed(r).proc;
-      for (std::uint32_t idx : schedule.in_comms(r)) {
+      for (std::uint32_t idx : inbound.in_comms(r)) {
         const CommRecord& comm = schedule.comms()[idx];
         // Repair channels are failure-case backups, not part of the
         // steady-state data path; they do not define stages.
         if (comm.repair) continue;
-        const std::uint32_t sup_stage = stage[comm.src.task][comm.src.copy];
+        const std::uint32_t sup_stage = stage[comm.src.task * copies + comm.src.copy];
         SS_CHECK(sup_stage >= 1, "supplier replica has no stage (not topologically placed?)");
         const std::uint32_t eta = (schedule.placed(comm.src).proc == here) ? 0 : 1;
         s = std::max(s, sup_stage + eta);
       }
-      stage[t][c] = s;
+      stage[t * copies + c] = s;
     }
   }
   return stage;
 }
 
 std::uint32_t recompute_stages(Schedule& schedule) {
-  const auto derived = stages_from_structure(schedule);
+  const std::vector<std::uint32_t> derived = stages_from_structure(schedule);
   std::uint32_t max_stage = 0;
   for (TaskId t = 0; t < schedule.dag().num_tasks(); ++t) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
       const ReplicaRef r{t, c};
       if (!schedule.is_placed(r)) continue;
-      schedule.set_stage(r, derived[t][c]);
-      max_stage = std::max(max_stage, derived[t][c]);
+      const std::uint32_t stage = derived[t * schedule.copies() + c];
+      schedule.set_stage(r, stage);
+      max_stage = std::max(max_stage, stage);
     }
   }
   return max_stage;

@@ -15,10 +15,9 @@
 
 namespace streamsched {
 
-/// Minimal stage labeling derived from the recorded communications,
-/// indexed like [task][copy]. Unplaced replicas get stage 0.
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> stages_from_structure(
-    const Schedule& schedule);
+/// Minimal stage labeling derived from the recorded communications, one
+/// flat array indexed task * copies() + copy. Unplaced replicas get stage 0.
+[[nodiscard]] std::vector<std::uint32_t> stages_from_structure(const Schedule& schedule);
 
 /// Overwrites every placed replica's stage with the minimal derived
 /// labeling; returns the resulting stage count S.

@@ -1,11 +1,14 @@
 #include "schedule/mirror.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "schedule/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace streamsched {
 
-Schedule mirror_schedule(const Schedule& reversed, const Dag& original) {
+Schedule mirror_schedule(Schedule reversed, const Dag& original) {
   const Dag& rdag = reversed.dag();
   SS_REQUIRE(rdag.num_tasks() == original.num_tasks() &&
                  rdag.num_edges() == original.num_edges(),
@@ -19,28 +22,42 @@ Schedule mirror_schedule(const Schedule& reversed, const Dag& original) {
              "edge ids are not mirror-consistent");
   }
 
-  const double horizon = reversed.makespan();
-  Schedule out(original, reversed.platform(), reversed.eps(), reversed.period());
-
+  // Flip in place. The loads are summed again in the order a rebuild would
+  // add them (replicas in (task, copy) order, comms in comm order), so they
+  // are bit-identical to placing and wiring the mirrored records afresh.
+  Schedule& s = reversed;
+  const Platform& platform = s.platform();
+  const double horizon = s.makespan();
+  s.dag_ = &original;
+  std::fill(s.sigma_.begin(), s.sigma_.end(), 0.0);
+  std::fill(s.cin_.begin(), s.cin_.end(), 0.0);
+  std::fill(s.cout_.begin(), s.cout_.end(), 0.0);
+  std::fill(s.supplied_.begin(), s.supplied_.end(), 0);
   for (TaskId t = 0; t < original.num_tasks(); ++t) {
-    for (CopyId c = 0; c < reversed.copies(); ++c) {
-      const ReplicaRef r{t, c};
-      const PlacedReplica& p = reversed.placed(r);
-      out.place(r, p.proc, horizon - p.finish, horizon - p.start, /*stage=*/1);
+    for (CopyId c = 0; c < s.copies(); ++c) {
+      PlacedReplica& p = s.placed_[s.slot({t, c})];
+      const double start = horizon - p.finish;
+      p.finish = horizon - p.start;
+      p.start = start;
+      s.sigma_[p.proc] += platform.exec_time(original.work(t), p.proc);
     }
   }
-  for (const CommRecord& comm : reversed.comms()) {
-    CommRecord flipped;
-    flipped.edge = comm.edge;
-    flipped.src = comm.dst;
-    flipped.dst = comm.src;
-    flipped.start = horizon - comm.finish;
-    flipped.finish = horizon - comm.start;
-    flipped.repair = comm.repair;
-    out.add_comm(flipped);
+  for (CommRecord& comm : s.comms_) {
+    std::swap(comm.src, comm.dst);
+    const double start = horizon - comm.finish;
+    comm.finish = horizon - comm.start;
+    comm.start = start;
+    s.set_supply(s.supply_bit(comm.edge, comm.dst.copy, comm.src.copy));
+    const ProcId from = s.placed_[s.slot(comm.src)].proc;
+    const ProcId to = s.placed_[s.slot(comm.dst)].proc;
+    if (from != to) {
+      const double duration = platform.comm_time(original.edge(comm.edge).volume, from, to);
+      s.cout_[from] += duration;
+      s.cin_[to] += duration;
+    }
   }
-  recompute_stages(out);
-  return out;
+  recompute_stages(s);
+  return reversed;
 }
 
 }  // namespace streamsched

@@ -16,7 +16,8 @@
 namespace streamsched {
 
 /// `reversed` must be a complete schedule over `original.reversed()`.
-/// Returns the equivalent schedule over `original`.
-[[nodiscard]] Schedule mirror_schedule(const Schedule& reversed, const Dag& original);
+/// Returns the equivalent schedule over `original`, flipped in place in
+/// `reversed`'s storage.
+[[nodiscard]] Schedule mirror_schedule(Schedule reversed, const Dag& original);
 
 }  // namespace streamsched

@@ -1,6 +1,7 @@
 #include "schedule/schedule.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -13,7 +14,7 @@ Schedule::Schedule(const Dag& dag, const Platform& platform, CopyId eps, double 
              "cannot tolerate eps failures with <= eps processors");
   const std::size_t replicas = dag.num_tasks() * copies();
   placed_.assign(replicas, PlacedReplica{});
-  in_.assign(replicas, {});
+  supplied_.assign((supply_bit(static_cast<EdgeId>(dag.num_edges()), 0, 0) + 63) / 64, 0);
   sigma_.assign(platform.num_procs(), 0.0);
   cin_.assign(platform.num_procs(), 0.0);
   cout_.assign(platform.num_procs(), 0.0);
@@ -42,10 +43,11 @@ std::uint32_t Schedule::add_comm(const CommRecord& comm) {
   SS_REQUIRE(comm.src.task == edge.src && comm.dst.task == edge.dst,
              "comm endpoints do not match its edge");
   SS_REQUIRE(is_placed(comm.src) && is_placed(comm.dst), "comm endpoints must be placed");
-  SS_REQUIRE(!has_supplier(comm.dst, comm.src), "duplicate supply comm");
+  const std::size_t bit = supply_bit(comm.edge, comm.dst.copy, comm.src.copy);
+  SS_REQUIRE(!test_supply(bit), "duplicate supply comm");
   const auto idx = static_cast<std::uint32_t>(comms_.size());
   comms_.push_back(comm);
-  in_[slot(comm.dst)].push_back(idx);
+  set_supply(bit);
   const ProcId from = placed_[slot(comm.src)].proc;
   const ProcId to = placed_[slot(comm.dst)].proc;
   if (from != to) {
@@ -57,18 +59,21 @@ std::uint32_t Schedule::add_comm(const CommRecord& comm) {
 }
 
 std::vector<ReplicaRef> Schedule::suppliers(ReplicaRef r, TaskId pred) const {
+  check_replica(r);
   std::vector<ReplicaRef> result;
-  for (std::uint32_t idx : in_comms(r)) {
-    if (comms_[idx].src.task == pred) result.push_back(comms_[idx].src);
+  const EdgeId e = dag_->find_edge(pred, r.task);
+  if (e == kInvalidEdge) return result;
+  for (CopyId c = 0; c < copies(); ++c) {
+    if (test_supply(supply_bit(e, r.copy, c))) result.push_back({pred, c});
   }
   return result;
 }
 
 bool Schedule::has_supplier(ReplicaRef r, ReplicaRef src) const {
-  for (std::uint32_t idx : in_comms(r)) {
-    if (comms_[idx].src == src) return true;
-  }
-  return false;
+  check_replica(r);
+  check_replica(src);
+  const EdgeId e = dag_->find_edge(src.task, r.task);
+  return e != kInvalidEdge && test_supply(supply_bit(e, r.copy, src.copy));
 }
 
 std::vector<ReplicaRef> Schedule::replicas_on(ProcId u) const {
@@ -92,6 +97,23 @@ double Schedule::makespan() const {
 
 bool Schedule::complete() const {
   return num_placed_ == dag_->num_tasks() * copies();
+}
+
+ConsumerIndex::ConsumerIndex(const Schedule& schedule) : copies_(schedule.copies()) {
+  // Counting sort of the comm ids by consumer slot: count into slot + 1,
+  // prefix-sum, place each id at its slot's cursor (offsets_[slot] then
+  // ends at the next slot's start), and shift the offsets back by one.
+  const std::vector<CommRecord>& comms = schedule.comms();
+  const auto slot = [this](ReplicaRef r) {
+    return static_cast<std::size_t>(r.task) * copies_ + r.copy;
+  };
+  offsets_.assign(schedule.dag().num_tasks() * copies_ + 1, 0);
+  for (const CommRecord& comm : comms) ++offsets_[slot(comm.dst) + 1];
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  ids_.resize(comms.size());
+  for (std::uint32_t i = 0; i < comms.size(); ++i) ids_[offsets_[slot(comms[i].dst)]++] = i;
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
 }
 
 }  // namespace streamsched

@@ -12,8 +12,18 @@
 // greedy schedulers; reported performance comes from the stage-count bound
 // (metrics.hpp) and the discrete-event simulator (sim/), never from these
 // timestamps.
+//
+// Storage is per schedule, not per replica: one placement array, one comm
+// array and one bit array with a bit per (edge, consumer copy, supplier
+// copy), which makes add_comm's duplicate-supplier precondition an O(1)
+// test-and-set. There is no per-replica comm list: the few readers that
+// walk a replica's inbound comms build a ConsumerIndex (below) once per
+// call. The comm array grows by doubling while a schedule is built and
+// repaired; `shrink_to_fit` drops the spare capacity, and the placement
+// service's publish gate calls it, so a cached placement is exact-size.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -76,20 +86,19 @@ class Schedule {
 
   void set_stage(ReplicaRef r, std::uint32_t stage);
 
-  /// Appends a communication record and indexes it under its consumer;
-  /// returns its index. Both endpoints must already be placed, and the
-  /// consumer must not record the same supplier twice.
+  /// Appends a communication record and returns its index. Both endpoints
+  /// must already be placed, and the consumer must not record the same
+  /// supplier twice.
   std::uint32_t add_comm(const CommRecord& comm);
 
   [[nodiscard]] const std::vector<CommRecord>& comms() const { return comms_; }
-  /// Indices into comms() of the comms that supply replica r.
-  [[nodiscard]] std::span<const std::uint32_t> in_comms(ReplicaRef r) const {
-    check_replica(r);
-    return in_[slot(r)];
-  }
+  /// Room for `n` comm records without reallocation.
+  void reserve_comms(std::size_t n) { comms_.reserve(n); }
+  /// Drops the comm array's spare capacity.
+  void shrink_to_fit() { comms_.shrink_to_fit(); }
 
-  /// Replicas of `pred` recorded as suppliers of r (pred must be an
-  /// immediate predecessor task of r.task).
+  /// Replicas of `pred` recorded as suppliers of r, in copy order (empty
+  /// when pred is not an immediate predecessor task of r.task).
   [[nodiscard]] std::vector<ReplicaRef> suppliers(ReplicaRef r, TaskId pred) const;
 
   /// True when r already records a supply comm from `src`.
@@ -121,6 +130,9 @@ class Schedule {
   [[nodiscard]] bool complete() const;
 
  private:
+  /// Flips a schedule of the reversed DAG in place (mirror.hpp).
+  friend Schedule mirror_schedule(Schedule reversed, const Dag& original);
+
   void check_replica(ReplicaRef r) const {
     SS_REQUIRE(r.task < dag_->num_tasks(), "replica task id out of range");
     SS_REQUIRE(r.copy < copies(), "replica copy index out of range");
@@ -132,6 +144,15 @@ class Schedule {
   [[nodiscard]] std::size_t slot(ReplicaRef r) const {
     return static_cast<std::size_t>(r.task) * copies() + r.copy;
   }
+  /// Index in supplied_ of the bit "consumer copy `to` of edge e records
+  /// supplier copy `from`".
+  [[nodiscard]] std::size_t supply_bit(EdgeId e, CopyId to, CopyId from) const {
+    return (static_cast<std::size_t>(e) * copies() + to) * copies() + from;
+  }
+  [[nodiscard]] bool test_supply(std::size_t bit) const {
+    return (supplied_[bit / 64] >> (bit % 64)) & 1;
+  }
+  void set_supply(std::size_t bit) { supplied_[bit / 64] |= std::uint64_t{1} << (bit % 64); }
 
   const Dag* dag_;
   const Platform* platform_;
@@ -140,11 +161,33 @@ class Schedule {
   std::size_t num_placed_ = 0;
 
   // Per replica, indexed by slot(): the placement (proc == kInvalidProc
-  // while unplaced) and the indices of its inbound comms.
+  // while unplaced).
   std::vector<PlacedReplica> placed_;
   std::vector<CommRecord> comms_;
-  std::vector<std::vector<std::uint32_t>> in_;
+  // One bit per (edge, consumer copy, supplier copy), set by add_comm.
+  std::vector<std::uint64_t> supplied_;
   std::vector<double> sigma_, cin_, cout_;
+};
+
+/// The comms that supply each replica, as one flat index (offsets plus comm
+/// ids, CSR) built from a schedule's comms() by the reader that walks them.
+/// A snapshot: comms added to the schedule afterwards are not in it.
+class ConsumerIndex {
+ public:
+  explicit ConsumerIndex(const Schedule& schedule);
+
+  /// Indices into comms() of the comms that supply replica r, in insertion
+  /// order.
+  [[nodiscard]] std::span<const std::uint32_t> in_comms(ReplicaRef r) const {
+    const std::size_t s = static_cast<std::size_t>(r.task) * copies_ + r.copy;
+    SS_REQUIRE(r.copy < copies_ && s + 1 < offsets_.size(), "replica out of range");
+    return {ids_.data() + offsets_[s], ids_.data() + offsets_[s + 1]};
+  }
+
+ private:
+  CopyId copies_;
+  std::vector<std::uint32_t> offsets_;  // per replica slot, then the total
+  std::vector<std::uint32_t> ids_;
 };
 
 }  // namespace streamsched

@@ -151,14 +151,15 @@ class Validator {
   }
 
   void check_stages() {
-    const auto derived = stages_from_structure(s_);
+    const std::vector<std::uint32_t> derived = stages_from_structure(s_);
     for (TaskId t = 0; t < s_.dag().num_tasks(); ++t) {
       for (CopyId c = 0; c < s_.copies(); ++c) {
         const ReplicaRef r{t, c};
-        if (s_.placed(r).stage != derived[t][c]) {
+        const std::uint32_t stage = derived[t * s_.copies() + c];
+        if (s_.placed(r).stage != stage) {
           add(ViolationCode::kStageInconsistent,
               rname(r) + ": stored stage " + std::to_string(s_.placed(r).stage) +
-                  " != derived " + std::to_string(derived[t][c]));
+                  " != derived " + std::to_string(stage));
         }
       }
     }
@@ -230,12 +231,13 @@ class Validator {
 
     // A replica may not start before, for every predecessor, at least one
     // supplier's data has arrived (repair channels excluded).
+    const ConsumerIndex inbound(s_);
     for (TaskId t = 0; t < dag.num_tasks(); ++t) {
       for (CopyId c = 0; c < s_.copies(); ++c) {
         const ReplicaRef r{t, c};
         const PlacedReplica& p = s_.placed(r);
         std::vector<double> earliest(dag.num_tasks(), -1.0);
-        for (std::uint32_t idx : s_.in_comms(r)) {
+        for (std::uint32_t idx : inbound.in_comms(r)) {
           const CommRecord& comm = s_.comms()[idx];
           if (comm.repair) continue;
           const double arrival = comm.finish;

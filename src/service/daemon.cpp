@@ -50,6 +50,9 @@ std::string render_response_fields(const CachedPlacement& p) {
 
 bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
   CachedPlacement& p = placement;
+  // What the gate publishes is cached: keep no spare comm capacity (a
+  // build reserves room, event repair doubles a copy's array).
+  p.schedule.shrink_to_fit();
   // A schedule the gate already proved (a copy no repair patched) keeps
   // its oracle, verdict, rel and sealed facts: they depend on it alone.
   const bool fresh = !p.full_guarantee.has_value();
@@ -144,8 +147,9 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
     failed = failed_;
   }
 
-  // Cold path, outside the lock: other admissions and events proceed.
-  const auto dag = std::make_shared<const Dag>(std::move(request.dag));
+  // Cold path, outside the lock: other admissions and events proceed. The
+  // cached DAG is a copy, which holds no spare capacity.
+  const auto dag = std::make_shared<const Dag>(request.dag);
   SchedulerOptions options;
   options.fault_model = request.model;
   options.repair = true;

@@ -116,8 +116,9 @@ struct DaemonStats {
 [[nodiscard]] CacheKey admission_key(std::uint64_t dag_fp, const AlgoVariant& variant,
                                      const FaultModel& model);
 
-/// The publish gate. Compiles a fresh oracle from `placement.schedule`
-/// into `placement` and derives from it every claim a response makes:
+/// The publish gate. Trims `placement.schedule`'s comm array to its size,
+/// so every published schedule is exact-size, compiles a fresh oracle from
+/// it into `placement` and derives from it every claim a response makes:
 /// survival of the live failure set `failed`, eps_have and degraded, a
 /// probabilistic placement's rel when no repair estimated it, and the
 /// sealed facts schedule_fp, stages and latency_bound; last it renders

@@ -22,6 +22,7 @@ inline std::vector<std::vector<bool>> computable_replicas(const Schedule& schedu
   const Dag& dag = schedule.dag();
   std::vector<std::vector<bool>> computable(dag.num_tasks(),
                                             std::vector<bool>(schedule.copies(), false));
+  const ConsumerIndex inbound(schedule);
   for (TaskId t : dag.topological_order()) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
       const ReplicaRef r{t, c};
@@ -29,7 +30,7 @@ inline std::vector<std::vector<bool>> computable_replicas(const Schedule& schedu
       bool ok = true;
       for (TaskId pred : dag.predecessors(t)) {
         bool fed = false;
-        for (std::uint32_t idx : schedule.in_comms(r)) {
+        for (std::uint32_t idx : inbound.in_comms(r)) {
           const CommRecord& comm = schedule.comms()[idx];
           fed = fed || (comm.src.task == pred && computable[pred][comm.src.copy]);
         }

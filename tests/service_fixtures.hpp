@@ -128,8 +128,9 @@ struct ServerHandle {
 /// the platform, a full-guarantee probabilistic entry carries eps_want + 1
 /// replicas, and a degraded entry's eps_have is its residual tolerance
 /// beyond `failed`. A probabilistic entry's rel must not exceed a fresh
-/// estimate, and the sealed facts (schedule_fp, stages, latency_bound)
-/// must match a fresh computation.
+/// estimate, the sealed facts (schedule_fp, stages, latency_bound) must
+/// match a fresh computation, and the schedule keeps no spare comm
+/// capacity.
 inline void expect_reprovable_entries(const PlacementDaemon& daemon,
                                       const std::vector<ProcId>& failed = {}) {
   const std::size_t m = daemon.platform().num_procs();
@@ -139,6 +140,7 @@ inline void expect_reprovable_entries(const PlacementDaemon& daemon,
   live_set.assign(failed);
   for (const auto& p : daemon.snapshot_entries()) {
     EXPECT_EQ(p->schedule_fp, schedule_fingerprint(p->schedule));
+    EXPECT_EQ(p->schedule.comms().capacity(), p->schedule.comms().size());
     EXPECT_EQ(p->stages, num_stages(p->schedule));
     EXPECT_EQ(p->latency_bound, latency_upper_bound(p->schedule));
 

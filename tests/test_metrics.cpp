@@ -66,10 +66,10 @@ TEST(Metrics, StageIsMaxOverSuppliers) {
   wire(s, 1, 0, 3, 0);
   wire(s, 2, 0, 3, 0);
   const auto stages = stages_from_structure(s);
-  EXPECT_EQ(stages[0][0], 1u);
-  EXPECT_EQ(stages[1][0], 2u);
-  EXPECT_EQ(stages[2][0], 1u);
-  EXPECT_EQ(stages[3][0], 2u);
+  EXPECT_EQ(stages[0], 1u);  // one copy: indexed by task
+  EXPECT_EQ(stages[1], 2u);
+  EXPECT_EQ(stages[2], 1u);
+  EXPECT_EQ(stages[3], 2u);
 }
 
 TEST(Metrics, RepairCommsDoNotDefineStages) {

@@ -1,5 +1,5 @@
 // Tests for the Schedule container: placement bookkeeping, communication
-// indexing, supplier queries and load accounting.
+// indexing (ConsumerIndex), supplier queries and load accounting.
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
@@ -106,10 +106,12 @@ TEST_F(ScheduleFixture, InOutCommIndexing) {
   place_at(s, {2, 0}, 2, 6.0);
   const auto c1 = wire(s, 0, 0, 1, 0);
   const auto c2 = wire(s, 1, 0, 2, 0);
-  ASSERT_EQ(s.in_comms({1, 0}).size(), 1u);
-  EXPECT_EQ(s.in_comms({1, 0})[0], c1);
-  ASSERT_EQ(s.in_comms({2, 0}).size(), 1u);
-  EXPECT_EQ(s.in_comms({2, 0})[0], c2);
+  const ConsumerIndex inbound(s);
+  EXPECT_TRUE(inbound.in_comms({0, 0}).empty());
+  ASSERT_EQ(inbound.in_comms({1, 0}).size(), 1u);
+  EXPECT_EQ(inbound.in_comms({1, 0})[0], c1);
+  ASSERT_EQ(inbound.in_comms({2, 0}).size(), 1u);
+  EXPECT_EQ(inbound.in_comms({2, 0})[0], c2);
 }
 
 TEST_F(ScheduleFixture, ReplicasOnProcessor) {

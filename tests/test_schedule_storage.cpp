@@ -26,10 +26,11 @@ namespace {
 using test::place_at;
 using test::wire;
 
-// Each replica's inbound comm ids through the schedule's index equal a
-// scan of comms() by consumer, in insertion order.
+// Each replica's inbound comm ids through a ConsumerIndex equal a scan of
+// comms() by consumer, in insertion order.
 void expect_inbound_is_scan(const Schedule& s, const std::string& what) {
   const Dag& dag = s.dag();
+  const ConsumerIndex inbound(s);
   std::size_t indexed = 0;
   for (TaskId t = 0; t < dag.num_tasks(); ++t) {
     for (CopyId c = 0; c < s.copies(); ++c) {
@@ -38,7 +39,7 @@ void expect_inbound_is_scan(const Schedule& s, const std::string& what) {
       for (std::uint32_t i = 0; i < s.comms().size(); ++i) {
         if (s.comms()[i].dst == r) scan.push_back(i);
       }
-      const auto in = s.in_comms(r);
+      const auto in = inbound.in_comms(r);
       EXPECT_EQ(std::vector<std::uint32_t>(in.begin(), in.end()), scan)
           << what << ": replica " << t << "#" << c;
       indexed += in.size();

@@ -22,6 +22,7 @@
 #include "schedule/survival.hpp"
 #include "service/churn.hpp"
 #include "service/daemon.hpp"
+#include "service/persistence.hpp"
 #include "service/schedule_cache.hpp"
 #include "service_fixtures.hpp"
 #include "util/rng.hpp"
@@ -649,6 +650,50 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   EXPECT_FALSE(healed.placement->degraded);
   EXPECT_EQ(healed.placement->eps_have, 2u);
   EXPECT_TRUE(check_fault_tolerance(healed.placement->schedule, 2).valid);
+}
+
+// Every publish path caches an exact-size schedule: the gate drops the spare
+// capacity a build reserves and that an event repair's growth leaves. One
+// daemon takes each path in turn: cold admissions, event repairs that wire
+// channels, a degraded rebuild, a re-heal promotion and a warm restore.
+TEST(PlacementDaemon, EveryPublishPathCachesExactSizeSchedules) {
+  const auto expect_exact = [](const PlacementDaemon& daemon, const char* path) {
+    const auto entries = daemon.snapshot_entries();
+    EXPECT_FALSE(entries.empty()) << path;
+    for (const auto& p : entries) {
+      EXPECT_EQ(p->schedule.comms().capacity(), p->schedule.comms().size()) << path;
+    }
+  };
+  DaemonConfig config;
+  config.auto_reheal = false;
+  PlacementDaemon daemon(small_platform(5, 5), config);
+  ASSERT_TRUE(daemon.admit(request_for(61, 2)).ok);
+  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    ASSERT_TRUE(daemon.admit(request_for(seed)).ok);
+  }
+  expect_exact(daemon, "cold admission");
+
+  daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, 0});
+  daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, 1});
+  EXPECT_GT(daemon.stats().event_repairs, 0u);
+  expect_exact(daemon, "event repair");
+
+  daemon.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, 2});
+  EXPECT_GT(daemon.stats().rebuilds, 0u);
+  expect_exact(daemon, "degraded rebuild");
+
+  for (const ProcId u : {0u, 1u, 2u}) {
+    daemon.on_event(ClusterEvent{ClusterEvent::Kind::kRecovery, u});
+  }
+  daemon.reheal_now();
+  EXPECT_GT(daemon.stats().reheals, 0u);
+  expect_exact(daemon, "re-heal promotion");
+
+  const test::FileGuard snap(test::unique_path("snap_exact_size", ".snapshot"));
+  ASSERT_GT(save_cache_snapshot(daemon, snap.path).entries, 0u);
+  PlacementDaemon restored(small_platform(5, 5), config);
+  EXPECT_GT(load_cache_snapshot(restored, snap.path).restored, 0u);
+  expect_exact(restored, "warm restore");
 }
 
 // A rebuild capped by the two alive processors keeps two replicas of each
