@@ -13,7 +13,9 @@
 // schedule. Every row also carries `digest`, an FNV-1a hash of each
 // DAG's served schedule fingerprint and escalation factor in DAG order:
 // the schedules are deterministic, so a change that alters any placement,
-// comm or factor changes it.
+// comm or factor changes it. `allocs_per_schedule` is the number of
+// `operator new` calls per schedule, counted by this binary's global
+// `operator new` over one more pass that is not timed.
 //
 // Results are printed and written to `--json` (default
 // BENCH_schedulers.json) via bench/emit_bench_json.hpp. CI compares the
@@ -25,7 +27,9 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,21 @@
 #include "platform/generators.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+
+namespace {
+
+/// operator new calls so far (the bench is single-threaded).
+std::uint64_t g_allocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -125,12 +144,16 @@ int main(int argc, char** argv) {
                               for (std::size_t b = 0; b < batch; ++b) pass();
                             }) / static_cast<double>(batch * kDags));
     }
+    const std::uint64_t allocations_before = g_allocations;
+    pass();
+    const double allocs =
+        static_cast<double>(g_allocations - allocations_before) / static_cast<double>(kDags);
     const double rate = 1.0 / best;
     char hex[19];
     std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(digest));
     std::cout << algo << "  dags=" << kDags << "  failed=" << failed << "  batch=" << batch
-              << "  " << best * 1e3 << " ms/schedule  " << rate << " schedules/s  digest=" << hex
-              << '\n';
+              << "  " << best * 1e3 << " ms/schedule  " << rate << " schedules/s  " << allocs
+              << " allocs/schedule  digest=" << hex << '\n';
     doc.add_result()
         .add("algo", algo)
         .add("shape", "cold_count")
@@ -138,6 +161,7 @@ int main(int argc, char** argv) {
         .add("batch", static_cast<std::uint64_t>(batch))
         .add("seconds", best)
         .add("schedules_per_sec", rate)
+        .add("allocs_per_schedule", allocs)
         .add("digest", std::string(hex));
   }
 
