@@ -28,16 +28,21 @@ compared rows:
   * churn: the outcome of the seeded churn replay, which must equal the
     committed one exactly: its digest and its degraded-probe, rebuild,
     re-heal, event-repair and verify-failure counts;
-  * perfbench: the `latency_p50_us` of every service workload, and the
-    `server_cpu_us_per_op` of the two hit workloads, one row per workload
-    holding the metrics of its perfbench result line.
+  * perfbench: the `latency_p50_us` of every service workload, the
+    `server_cpu_us_per_op` of the two hit workloads and the
+    `server_rss_mb` of every workload, one row per workload holding the
+    metrics of its perfbench result line.
 
 Fails (exit 1) when any fresh throughput is below a quarter of the
 committed one, any fresh latency or per-request server CPU is above four
-times the committed one, or any pinned outcome field differs. A factor of four sits beyond the
+times the committed one, any fresh server RSS is above 1.1 times the
+committed one, or any pinned outcome field differs. A factor of four sits beyond the
 run-to-run spread of shared runners and still catches a slide back
 toward per-set or per-call speeds, which are one to two orders of
-magnitude slower. The repairs, the schedules and the churn replay are
+magnitude slower. Server RSS is set by what the server caches, not by
+the runner's speed: three runs of one build spread by under 2%, so its
+factor is tight enough to catch a placement that holds a fifth more
+memory. The repairs, the schedules and the churn replay are
 deterministic, so any difference is a changed outcome.
 """
 import json
@@ -45,6 +50,7 @@ import sys
 
 FLOOR = 0.25
 CEILING = 4.0
+RSS_CEILING = 1.1
 
 # bench name -> compared rows: (label, fields a row must match, compared field)
 ROWS = {
@@ -66,13 +72,15 @@ ROWS = {
     ],
 }
 
-# bench name -> compared rows whose fresh value may not exceed CEILING x the
-# committed one: (label, fields a row must match, compared field)
+# bench name -> compared rows whose fresh value may not exceed factor x the
+# committed one: (label, fields a row must match, compared field, factor)
+PERFBENCH_WORKLOADS = ("hit_small", "hit_large", "cold_count", "cold_prob")
 CEILINGS = {
-    "perfbench": [(w, {"workload": w}, "latency_p50_us")
-                  for w in ("hit_small", "hit_large", "cold_count", "cold_prob")]
-                 + [(w, {"workload": w}, "server_cpu_us_per_op")
-                    for w in ("hit_small", "hit_large")],
+    "perfbench": [(w, {"workload": w}, "latency_p50_us", CEILING) for w in PERFBENCH_WORKLOADS]
+                 + [(w, {"workload": w}, "server_cpu_us_per_op", CEILING)
+                    for w in ("hit_small", "hit_large")]
+                 + [(w, {"workload": w}, "server_rss_mb", RSS_CEILING)
+                    for w in PERFBENCH_WORKLOADS],
 }
 
 # bench name -> exact rows: (label, fields a row must match, fields that must be equal)
@@ -116,11 +124,11 @@ def compared_values(path):
 
     def numbers(table):
         values = []
-        for label, match, field in table.get(bench, []):
+        for label, match, field, *factor in table.get(bench, []):
             value = row(label, match).get(field)
             if not isinstance(value, (int, float)):
                 sys.exit(f"{path}: expected one {label} row with a numeric {field}")
-            values.append((label, field, float(value)))
+            values.append((label, field, float(value), *factor))
         return values
 
     exact = []
@@ -148,12 +156,13 @@ def main(argv):
         ok = ok and fresh >= floor
         print(f"{fresh_bench} {label} {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
               f"floor {floor:.6g} ({FLOOR:g}x) -> {verdict}")
-    for (label, field, fresh), (_, _, committed) in zip(fresh_ceiled, committed_ceiled):
-        ceiling = CEILING * committed
+    for (label, field, fresh, factor), (_, _, committed, _) in zip(fresh_ceiled,
+                                                                   committed_ceiled):
+        ceiling = factor * committed
         verdict = "ok" if fresh <= ceiling else "ABOVE CEILING"
         ok = ok and fresh <= ceiling
         print(f"{fresh_bench} {label} {field}: fresh {fresh:.6g}, committed {committed:.6g}, "
-              f"ceiling {ceiling:.6g} ({CEILING:g}x) -> {verdict}")
+              f"ceiling {ceiling:.6g} ({factor:g}x) -> {verdict}")
     for (label, field, fresh), (_, _, committed) in zip(fresh_exact, committed_exact):
         verdict = "ok" if fresh == committed else "CHANGED"
         ok = ok and fresh == committed
