@@ -22,16 +22,16 @@ Schedule mirror_schedule(Schedule reversed, const Dag& original) {
              "edge ids are not mirror-consistent");
   }
 
-  // Flip in place. The loads are summed again in the order a rebuild would
-  // add them (replicas in (task, copy) order, comms in comm order), so they
-  // are bit-identical to placing and wiring the mirrored records afresh.
+  // Flip in place, bit-identical to placing and wiring the mirrored records
+  // afresh. The compute loads are summed again in the order a rebuild adds
+  // them, (task, copy). Unit delays are symmetric (Platform), so every
+  // flipped comm costs what it did and, taken in the same comm order, the
+  // port loads are the reversed schedule's with input and output swapped.
   Schedule& s = reversed;
-  const Platform& platform = s.platform();
   const double horizon = s.makespan();
   s.dag_ = &original;
   std::fill(s.sigma_.begin(), s.sigma_.end(), 0.0);
-  std::fill(s.cin_.begin(), s.cin_.end(), 0.0);
-  std::fill(s.cout_.begin(), s.cout_.end(), 0.0);
+  std::swap(s.cin_, s.cout_);
   std::fill(s.supplied_.begin(), s.supplied_.end(), 0);
   for (TaskId t = 0; t < original.num_tasks(); ++t) {
     for (CopyId c = 0; c < s.copies(); ++c) {
@@ -39,7 +39,7 @@ Schedule mirror_schedule(Schedule reversed, const Dag& original) {
       const double start = horizon - p.finish;
       p.finish = horizon - p.start;
       p.start = start;
-      s.sigma_[p.proc] += platform.exec_time(original.work(t), p.proc);
+      s.sigma_[p.proc] += s.platform().exec_time(original.work(t), p.proc);
     }
   }
   for (CommRecord& comm : s.comms_) {
@@ -48,13 +48,6 @@ Schedule mirror_schedule(Schedule reversed, const Dag& original) {
     comm.finish = horizon - comm.start;
     comm.start = start;
     s.set_supply(s.supply_bit(comm.edge, comm.dst.copy, comm.src.copy));
-    const ProcId from = s.placed_[s.slot(comm.src)].proc;
-    const ProcId to = s.placed_[s.slot(comm.dst)].proc;
-    if (from != to) {
-      const double duration = platform.comm_time(original.edge(comm.edge).volume, from, to);
-      s.cout_[from] += duration;
-      s.cin_[to] += duration;
-    }
   }
   recompute_stages(s);
   return reversed;
