@@ -7,6 +7,11 @@
 
 namespace streamsched {
 
+namespace {
+/// Most comm records a build reserves room for.
+constexpr std::size_t kMaxReservedComms = 4096;
+}  // namespace
+
 BuildState::BuildState(const Dag& dag, const Platform& platform, CopyId eps, double period)
     : dag_(&dag),
       platform_(&platform),

@@ -145,9 +145,6 @@ class BuildState {
   }
 
  private:
-  /// Most comm records the constructor reserves room for.
-  static constexpr std::size_t kMaxReservedComms = 4096;
-
   /// Plans the loaded sources' task on u into `out`; see evaluate and
   /// plan_beyond_period.
   void plan(ProcId u, Candidate& out, bool plan_rejected) const;
