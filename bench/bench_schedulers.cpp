@@ -26,8 +26,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 #include <new>
 #include <string>

@@ -1,7 +1,7 @@
 // Pins of the Schedule's per-schedule storage, read through its public
-// accessors only: every replica's inbound comms are exactly the comms()
-// records it consumes, in insertion order, on real schedules of every
-// registered heuristic after count, probabilistic and event repair; and the
+// API only: every replica's inbound comms are exactly the comms() records
+// it consumes, in insertion order, on LTF, R-LTF, HEFT and StagePack
+// schedules after count, probabilistic and event repair; and the
 // duplicate-supplier precondition of add_comm is keyed by (edge, consumer
 // copy, supplier copy), at a few copies and at 65.
 #include <gtest/gtest.h>
