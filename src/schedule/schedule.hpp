@@ -18,9 +18,9 @@
 // copy), which makes add_comm's duplicate-supplier precondition an O(1)
 // test-and-set. There is no per-replica comm list: the few readers that
 // walk a replica's inbound comms build a ConsumerIndex (below) once per
-// call. The comm array grows by doubling while a schedule is built and
-// repaired; `shrink_to_fit` drops the spare capacity, and the placement
-// service's publish gate calls it, so a cached placement is exact-size.
+// call. A build reserves room in the comm array and repair may grow it;
+// `shrink_to_fit` drops the spare capacity, and the placement service's
+// publish gate calls it, so a cached placement is exact-size.
 #pragma once
 
 #include <cstdint>
@@ -140,7 +140,7 @@ class Schedule {
   void check_proc(ProcId u) const {
     SS_REQUIRE(u < platform_->num_procs(), "processor id out of range");
   }
-  /// Index of a (checked) replica in the per-replica arrays.
+  /// Index of a (checked) replica in placed_.
   [[nodiscard]] std::size_t slot(ReplicaRef r) const {
     return static_cast<std::size_t>(r.task) * copies() + r.copy;
   }
