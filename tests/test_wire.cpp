@@ -186,6 +186,28 @@ TEST(ScheduleWire, StrictRejects) {
   // Repair flag must be 0/1.
   EXPECT_THROW(
       (void)parse_schedule_wire("eps1;p1;r;c0:0:0:1:0:0:1:2", dag, platform), WireError);
+
+  // Comms between placed replicas: only the comm itself can be at fault.
+  const std::string placed = "eps1;p10;r0:0:0:0:1:1,0:1:1:0:1:1,1:0:0:1:3:1,1:1:1:1:3:1;c";
+  EXPECT_NO_THROW((void)parse_schedule_wire(placed + "0:0:0:1:0:1:1:0", dag, platform));
+  // Task ids that are not edge 0's ends (0 -> 1): swapped, or one end off.
+  EXPECT_THROW((void)parse_schedule_wire(placed + "0:1:0:0:0:1:1:0", dag, platform), WireError);
+  EXPECT_THROW((void)parse_schedule_wire(placed + "0:0:0:0:0:1:1:0", dag, platform), WireError);
+  EXPECT_THROW((void)parse_schedule_wire(placed + "0:1:0:1:0:1:1:0", dag, platform), WireError);
+  // A copy index beyond eps, at either end.
+  EXPECT_THROW((void)parse_schedule_wire(placed + "0:0:2:1:0:1:1:0", dag, platform), WireError);
+  EXPECT_THROW((void)parse_schedule_wire(placed + "0:0:0:1:2:1:1:0", dag, platform), WireError);
+  // Copy indices that a narrow copy field would wrap onto copy 0 or 1 are
+  // rejected, not replayed as that copy.
+  for (const char* copy : {"32768", "32769", "65536", "65537", "4294967296"}) {
+    const std::string c = copy;
+    EXPECT_THROW((void)parse_schedule_wire(placed + "0:0:" + c + ":1:0:1:1:0", dag, platform),
+                 WireError)
+        << "src copy " << c;
+    EXPECT_THROW((void)parse_schedule_wire(placed + "0:0:0:1:" + c + ":1:1:0", dag, platform),
+                 WireError)
+        << "dst copy " << c;
+  }
 }
 
 // ---------------------------------------------------------------- requests --
