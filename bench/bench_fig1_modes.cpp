@@ -23,31 +23,10 @@ void task_parallelism(Table& out) {
   s.place({1, 0}, 0, 10.0, 20.0, 1);
   s.place({2, 0}, 2, 12.0, 22.0, 2);
   s.place({3, 0}, 0, 29.0, 39.0, 2);
-  CommRecord c;
-  c.edge = dag.find_edge(0, 1);
-  c.src = {0, 0};
-  c.dst = {1, 0};
-  c.start = 10.0;
-  c.finish = 10.0;
-  s.add_comm(c);
-  c.edge = dag.find_edge(0, 2);
-  c.src = {0, 0};
-  c.dst = {2, 0};
-  c.start = 10.0;
-  c.finish = 12.0;
-  s.add_comm(c);
-  c.edge = dag.find_edge(1, 3);
-  c.src = {1, 0};
-  c.dst = {3, 0};
-  c.start = 20.0;
-  c.finish = 20.0;
-  s.add_comm(c);
-  c.edge = dag.find_edge(2, 3);
-  c.src = {2, 0};
-  c.dst = {3, 0};
-  c.start = 22.0;
-  c.finish = 24.0;
-  s.add_comm(c);
+  s.add_comm(CommRecord(dag.find_edge(0, 1), 0, 0, 10.0, 10.0));
+  s.add_comm(CommRecord(dag.find_edge(0, 2), 0, 0, 10.0, 12.0));
+  s.add_comm(CommRecord(dag.find_edge(1, 3), 0, 0, 20.0, 20.0));
+  s.add_comm(CommRecord(dag.find_edge(2, 3), 0, 0, 22.0, 24.0));
   recompute_stages(s);
 
   SimOptions o;
@@ -89,31 +68,10 @@ void pipelined(Table& out) {
   s.place({2, 0}, 0, 10.0, 20.0, 1);
   s.place({1, 0}, 1, 12.0, 27.0, 2);
   s.place({3, 0}, 1, 29.0, 44.0, 2);
-  CommRecord c;
-  c.edge = dag.find_edge(0, 1);
-  c.src = {0, 0};
-  c.dst = {1, 0};
-  c.start = 10.0;
-  c.finish = 12.0;
-  s.add_comm(c);
-  c.edge = dag.find_edge(0, 2);
-  c.src = {0, 0};
-  c.dst = {2, 0};
-  c.start = 10.0;
-  c.finish = 10.0;
-  s.add_comm(c);
-  c.edge = dag.find_edge(1, 3);
-  c.src = {1, 0};
-  c.dst = {3, 0};
-  c.start = 27.0;
-  c.finish = 27.0;
-  s.add_comm(c);
-  c.edge = dag.find_edge(2, 3);
-  c.src = {2, 0};
-  c.dst = {3, 0};
-  c.start = 27.0;
-  c.finish = 29.0;
-  s.add_comm(c);
+  s.add_comm(CommRecord(dag.find_edge(0, 1), 0, 0, 10.0, 12.0));
+  s.add_comm(CommRecord(dag.find_edge(0, 2), 0, 0, 10.0, 10.0));
+  s.add_comm(CommRecord(dag.find_edge(1, 3), 0, 0, 27.0, 27.0));
+  s.add_comm(CommRecord(dag.find_edge(2, 3), 0, 0, 27.0, 29.0));
   recompute_stages(s);
 
   const double ub = latency_upper_bound(s);

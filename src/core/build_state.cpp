@@ -153,13 +153,7 @@ void BuildState::commit(TaskId task, CopyId copy, const Candidate& candidate) {
                   candidate.stage);
   proc_free_[u] = std::max(proc_free_[u], candidate.finish);
   for (const SupplierUse& use : candidate.suppliers) {
-    CommRecord comm;
-    comm.edge = use.edge;
-    comm.src = use.src;
-    comm.dst = ReplicaRef{task, copy};
-    comm.start = use.comm_start;
-    comm.finish = use.arrival;
-    schedule_.add_comm(comm);
+    schedule_.add_comm(CommRecord(use.edge, use.src.copy, copy, use.comm_start, use.arrival));
     if (use.remote) {
       send_free_[use.proc] = std::max(send_free_[use.proc], use.arrival);
       recv_free_[u] = std::max(recv_free_[u], use.arrival);

@@ -53,11 +53,13 @@ std::uint64_t schedule_fingerprint(const Schedule& schedule) {
   }
   h.u64(schedule.comms().size());
   for (const CommRecord& comm : schedule.comms()) {
+    const ReplicaRef src = schedule.comm_src(comm);
+    const ReplicaRef dst = schedule.comm_dst(comm);
     h.u64(comm.edge)
-        .u64(comm.src.task)
-        .u64(comm.src.copy)
-        .u64(comm.dst.task)
-        .u64(comm.dst.copy)
+        .u64(src.task)
+        .u64(src.copy)
+        .u64(dst.task)
+        .u64(dst.copy)
         .f64(comm.start)
         .f64(comm.finish)
         .u64(comm.repair ? 1 : 0);

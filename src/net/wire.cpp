@@ -268,10 +268,12 @@ std::string format_schedule_wire(const Schedule& schedule) {
   out += ";c";
   for (std::size_t i = 0; i < schedule.comms().size(); ++i) {
     const CommRecord& comm = schedule.comms()[i];
+    const ReplicaRef src = schedule.comm_src(comm);
+    const ReplicaRef dst = schedule.comm_dst(comm);
     if (i > 0) out += ',';
-    out += std::to_string(comm.edge) + ":" + std::to_string(comm.src.task) + ":" +
-           std::to_string(comm.src.copy) + ":" + std::to_string(comm.dst.task) + ":" +
-           std::to_string(comm.dst.copy) + ":" + wire_double(comm.start) + ":" +
+    out += std::to_string(comm.edge) + ":" + std::to_string(src.task) + ":" +
+           std::to_string(src.copy) + ":" + std::to_string(dst.task) + ":" +
+           std::to_string(dst.copy) + ":" + wire_double(comm.start) + ":" +
            wire_double(comm.finish) + ":" + (comm.repair ? "1" : "0");
   }
   return out;
@@ -294,6 +296,7 @@ Schedule parse_schedule_wire(std::string_view wire, const Dag& dag, const Platfo
     bad("ScheduleWire eps" + std::to_string(eps) + " needs more than " +
         std::to_string(platform.num_procs()) + " processors");
   }
+  if (eps >= CommRecord::kMaxCopies) bad("ScheduleWire eps beyond the copies a comm indexes");
   if (!(period > 0.0)) bad("ScheduleWire period must be positive");
   Schedule schedule(dag, platform, static_cast<CopyId>(eps), period);
   const std::string_view replicas = sections[2].substr(1);
@@ -331,22 +334,30 @@ Schedule parse_schedule_wire(std::string_view wire, const Dag& dag, const Platfo
       if (!split_exact(item, ':', f)) {
         bad("ScheduleWire comm needs 8 fields, got '" + std::string(item) + "'");
       }
-      CommRecord comm;
       const auto edge = parse_number<std::uint64_t>(f[0], "comm edge");
       if (edge >= dag.num_edges()) {
         bad("ScheduleWire comm edge out of range: '" + std::string(item) + "'");
       }
-      comm.edge = static_cast<EdgeId>(edge);
-      comm.src = ReplicaRef{parse_number<TaskId>(f[1], "comm src task"),
-                            parse_number<CopyId>(f[2], "comm src copy")};
-      comm.dst = ReplicaRef{parse_number<TaskId>(f[3], "comm dst task"),
-                            parse_number<CopyId>(f[4], "comm dst copy")};
-      comm.start = parse_number<double>(f[5], "comm start");
-      comm.finish = parse_number<double>(f[6], "comm finish");
+      const auto src_task = parse_number<std::uint64_t>(f[1], "comm src task");
+      const auto src_copy = parse_number<std::uint64_t>(f[2], "comm src copy");
+      const auto dst_task = parse_number<std::uint64_t>(f[3], "comm dst task");
+      const auto dst_copy = parse_number<std::uint64_t>(f[4], "comm dst copy");
+      // A record stores neither task id and narrows its copies, so both are
+      // checked here, before narrowing: a large index must not wrap onto a
+      // valid copy.
+      const Dag::Edge& ends = dag.edge(static_cast<EdgeId>(edge));
+      if (src_task != ends.src || dst_task != ends.dst) {
+        bad("ScheduleWire comm task ids are not its edge's ends: '" + std::string(item) + "'");
+      }
+      if (src_copy > eps || dst_copy > eps) {
+        bad("ScheduleWire comm copy out of range: '" + std::string(item) + "'");
+      }
+      const auto start = parse_number<double>(f[5], "comm start");
+      const auto finish = parse_number<double>(f[6], "comm finish");
       if (f[7] != "0" && f[7] != "1") bad("ScheduleWire comm repair flag must be 0/1");
-      comm.repair = f[7] == "1";
       try {
-        schedule.add_comm(comm);
+        schedule.add_comm(CommRecord(static_cast<EdgeId>(edge), static_cast<CopyId>(src_copy),
+                                     static_cast<CopyId>(dst_copy), start, finish, f[7] == "1"));
       } catch (const std::exception& e) {
         bad(std::string("ScheduleWire comm rejected: ") + e.what());
       }

@@ -207,13 +207,8 @@ bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
     if (fed(target.copy, slot)) continue;
     const ReplicaRef sup = pick_repair_supplier(schedule, oracle, target, slot, pred_alive(slot));
     if (sup.task == kInvalidTask) return false;
-    CommRecord comm;
-    comm.edge = in[slot];
-    comm.src = sup;
-    comm.dst = target;
-    comm.start = comm.finish = schedule.placed(sup).finish;
-    comm.repair = true;
-    schedule.add_comm(comm);
+    const double ready = schedule.placed(sup).finish;
+    schedule.add_comm(CommRecord(in[slot], sup.copy, target.copy, ready, ready, true));
     ++stats.added_comms;
   }
   return true;
@@ -251,7 +246,8 @@ SetRepair repair_until_survives(Schedule& schedule, SurvivalOracle& oracle,
     std::size_t wired = schedule.comms().size();
     const bool repaired = wire_dead_task(schedule, oracle, t, failed, alive.data(), stats);
     for (; wired < schedule.comms().size(); ++wired) {
-      oracle.add_comm(schedule.comms()[wired]);
+      const CommRecord& comm = schedule.comms()[wired];
+      oracle.add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
     }
     if (!repaired) return SetRepair::kBeyondRepair;
     ++steps;

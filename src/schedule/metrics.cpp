@@ -25,9 +25,10 @@ std::vector<std::uint32_t> stages_from_structure(const Schedule& schedule) {
         // Repair channels are failure-case backups, not part of the
         // steady-state data path; they do not define stages.
         if (comm.repair) continue;
-        const std::uint32_t sup_stage = stage[comm.src.task * copies + comm.src.copy];
+        const ReplicaRef src = schedule.comm_src(comm);
+        const std::uint32_t sup_stage = stage[src.task * copies + src.copy];
         SS_CHECK(sup_stage >= 1, "supplier replica has no stage (not topologically placed?)");
-        const std::uint32_t eta = (schedule.placed(comm.src).proc == here) ? 0 : 1;
+        const std::uint32_t eta = (schedule.placed(src).proc == here) ? 0 : 1;
         s = std::max(s, sup_stage + eta);
       }
       stage[t * copies + c] = s;
@@ -85,7 +86,10 @@ double throughput_bound(const Schedule& schedule) {
 std::size_t num_remote_comms(const Schedule& schedule) {
   std::size_t count = 0;
   for (const CommRecord& comm : schedule.comms()) {
-    if (schedule.placed(comm.src).proc != schedule.placed(comm.dst).proc) ++count;
+    if (schedule.placed(schedule.comm_src(comm)).proc !=
+        schedule.placed(schedule.comm_dst(comm)).proc) {
+      ++count;
+    }
   }
   return count;
 }

@@ -42,12 +42,16 @@ Schedule mirror_schedule(Schedule reversed, const Dag& original) {
       s.sigma_[p.proc] += s.platform().exec_time(original.work(t), p.proc);
     }
   }
+  // A comm keeps its edge id, whose ends the original has reversed, and
+  // swaps its copies.
   for (CommRecord& comm : s.comms_) {
-    std::swap(comm.src, comm.dst);
+    const std::uint32_t from = comm.dst_copy;
+    comm.dst_copy = comm.src_copy;
+    comm.src_copy = from;
     const double start = horizon - comm.finish;
     comm.finish = horizon - comm.start;
     comm.start = start;
-    s.set_supply(s.supply_bit(comm.edge, comm.dst.copy, comm.src.copy));
+    s.set_supply(s.supply_bit(comm.edge, comm.dst_copy, comm.src_copy));
   }
   recompute_stages(s);
   return reversed;

@@ -10,6 +10,7 @@ namespace streamsched {
 Schedule::Schedule(const Dag& dag, const Platform& platform, CopyId eps, double period)
     : dag_(&dag), platform_(&platform), eps_(eps), period_(period) {
   SS_REQUIRE(period > 0.0, "period must be positive (or infinity)");
+  SS_REQUIRE(eps < CommRecord::kMaxCopies, "more copies per task than a comm record indexes");
   SS_REQUIRE(eps < platform.num_procs(),
              "cannot tolerate eps failures with <= eps processors");
   const std::size_t replicas = dag.num_tasks() * copies();
@@ -40,16 +41,16 @@ void Schedule::set_stage(ReplicaRef r, std::uint32_t stage) {
 std::uint32_t Schedule::add_comm(const CommRecord& comm) {
   SS_REQUIRE(comm.edge < dag_->num_edges(), "comm edge id out of range");
   const auto& edge = dag_->edge(comm.edge);
-  SS_REQUIRE(comm.src.task == edge.src && comm.dst.task == edge.dst,
-             "comm endpoints do not match its edge");
-  SS_REQUIRE(is_placed(comm.src) && is_placed(comm.dst), "comm endpoints must be placed");
-  const std::size_t bit = supply_bit(comm.edge, comm.dst.copy, comm.src.copy);
+  const ReplicaRef src{edge.src, comm.src_copy};
+  const ReplicaRef dst{edge.dst, comm.dst_copy};
+  SS_REQUIRE(is_placed(src) && is_placed(dst), "comm endpoints must be placed");
+  const std::size_t bit = supply_bit(comm.edge, dst.copy, src.copy);
   SS_REQUIRE(!test_supply(bit), "duplicate supply comm");
   const auto idx = static_cast<std::uint32_t>(comms_.size());
   comms_.push_back(comm);
   set_supply(bit);
-  const ProcId from = placed_[slot(comm.src)].proc;
-  const ProcId to = placed_[slot(comm.dst)].proc;
+  const ProcId from = placed_[slot(src)].proc;
+  const ProcId to = placed_[slot(dst)].proc;
   if (from != to) {
     const double duration = platform_->comm_time(edge.volume, from, to);
     cout_[from] += duration;
@@ -104,14 +105,15 @@ ConsumerIndex::ConsumerIndex(const Schedule& schedule) : copies_(schedule.copies
   // prefix-sum, place each id at its slot's cursor (offsets_[slot] then
   // ends at the next slot's start), and shift the offsets back by one.
   const std::vector<CommRecord>& comms = schedule.comms();
-  const auto slot = [this](ReplicaRef r) {
-    return static_cast<std::size_t>(r.task) * copies_ + r.copy;
+  const auto slot = [this, &schedule](const CommRecord& comm) {
+    const ReplicaRef dst = schedule.comm_dst(comm);
+    return static_cast<std::size_t>(dst.task) * copies_ + dst.copy;
   };
   offsets_.assign(schedule.dag().num_tasks() * copies_ + 1, 0);
-  for (const CommRecord& comm : comms) ++offsets_[slot(comm.dst) + 1];
+  for (const CommRecord& comm : comms) ++offsets_[slot(comm) + 1];
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
   ids_.resize(comms.size());
-  for (std::uint32_t i = 0; i < comms.size(); ++i) ids_[offsets_[slot(comms[i].dst)]++] = i;
+  for (std::uint32_t i = 0; i < comms.size(); ++i) ids_[offsets_[slot(comms[i])]++] = i;
   std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
   offsets_[0] = 0;
 }

@@ -21,6 +21,16 @@
 // call. A build reserves room in the comm array and repair may grow it;
 // `shrink_to_fit` drops the spare capacity, and the placement service's
 // publish gate calls it, so a cached placement is exact-size.
+//
+// Comm records are most of a cached placement, so a record keeps only what
+// its edge does not: 24 bytes, the edge id, the two copy indices and the
+// repair flag in one 8-byte word beside the two times. The task ids of
+// its ends are dag.edge(edge).src and .dst; comm_src/comm_dst derive the
+// replicas. A copy field holds 15 bits, so a schedule has at most
+// CommRecord::kMaxCopies (32,768) copies per task, which the constructor
+// checks. The bound is not reached in practice: a schedule needs more
+// processors than copies, and a platform of 32,769 processors would need
+// a 2^30-entry delay matrix.
 #pragma once
 
 #include <cstdint>
@@ -46,21 +56,37 @@ struct PlacedReplica {
   double finish = 0.0;
 };
 
-/// One replicated communication along a DAG edge.
+/// One replicated communication along a DAG edge: copy `src_copy` of the
+/// edge's source task supplies copy `dst_copy` of its destination task.
 struct CommRecord {
+  /// Copies per task that the 15-bit copy fields can index.
+  static constexpr CopyId kMaxCopies = CopyId{1} << 15;
+
+  CommRecord() = default;
+  CommRecord(EdgeId e, CopyId from, CopyId to, double start_time, double finish_time,
+             bool repair_comm = false)
+      : edge(e), start(start_time), finish(finish_time) {
+    SS_REQUIRE(from < kMaxCopies && to < kMaxCopies, "comm copy index beyond kMaxCopies");
+    src_copy = from;
+    dst_copy = to;
+    repair = repair_comm;
+  }
+
   EdgeId edge = kInvalidEdge;
-  ReplicaRef src;  ///< replica of dag.edge(edge).src
-  ReplicaRef dst;  ///< replica of dag.edge(edge).dst
-  bool repair = false;  ///< added by the fault-tolerance repair pass
-  double start = 0.0;   ///< builder timeline (0-duration when colocated)
+  std::uint32_t src_copy : 15 = 0;  ///< copy of dag.edge(edge).src
+  std::uint32_t dst_copy : 15 = 0;  ///< copy of dag.edge(edge).dst
+  std::uint32_t repair : 1 = 0;     ///< added by the fault-tolerance repair pass
+  double start = 0.0;               ///< builder timeline (0-duration when colocated)
   double finish = 0.0;
 };
+static_assert(sizeof(CommRecord) == 24, "a comm record is 24 bytes");
 
 class Schedule {
  public:
-  /// eps = ε (number of tolerated failures); every task gets ε+1 replicas.
-  /// period = Δ (use std::numeric_limits<double>::infinity() when the
-  /// throughput constraint is absent).
+  /// eps = ε (number of tolerated failures); every task gets ε+1 replicas,
+  /// at most CommRecord::kMaxCopies. period = Δ (use
+  /// std::numeric_limits<double>::infinity() when the throughput constraint
+  /// is absent).
   Schedule(const Dag& dag, const Platform& platform, CopyId eps, double period);
 
   [[nodiscard]] const Dag& dag() const { return *dag_; }
@@ -86,12 +112,20 @@ class Schedule {
 
   void set_stage(ReplicaRef r, std::uint32_t stage);
 
-  /// Appends a communication record and returns its index. Both endpoints
-  /// must already be placed, and the consumer must not record the same
-  /// supplier twice.
+  /// Appends a communication record and returns its index. Its edge and
+  /// copies must be in range, both ends must already be placed, and the
+  /// consumer must not record the same supplier twice.
   std::uint32_t add_comm(const CommRecord& comm);
 
   [[nodiscard]] const std::vector<CommRecord>& comms() const { return comms_; }
+  /// The supplier and consumer replicas of a comm: its copies of its edge's
+  /// source and destination tasks.
+  [[nodiscard]] ReplicaRef comm_src(const CommRecord& comm) const {
+    return {dag_->edge(comm.edge).src, comm.src_copy};
+  }
+  [[nodiscard]] ReplicaRef comm_dst(const CommRecord& comm) const {
+    return {dag_->edge(comm.edge).dst, comm.dst_copy};
+  }
   /// Room for `n` comm records without reallocation.
   void reserve_comms(std::size_t n) { comms_.reserve(n); }
   /// Drops the comm array's spare capacity.

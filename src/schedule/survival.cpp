@@ -37,15 +37,17 @@ SurvivalOracle::SurvivalOracle(const Schedule& schedule)
       proc_[t * copies_ + c] = schedule.placed(r).proc;
     }
   }
-  for (const CommRecord& comm : schedule.comms()) add_comm(comm);
+  for (const CommRecord& comm : schedule.comms()) {
+    add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
+  }
 }
 
-void SurvivalOracle::add_comm(const CommRecord& comm) {
-  const TaskId t = comm.dst.task;
+void SurvivalOracle::add_comm(ReplicaRef src, ReplicaRef dst) {
+  const TaskId t = dst.task;
   for (std::uint32_t j = pred_offset_[t]; j < pred_offset_[t + 1]; ++j) {
-    if (pred_task_[j] == comm.src.task) {
-      sup_mask_[(static_cast<std::size_t>(j) * copies_ + comm.dst.copy) * mask_words_ +
-                (comm.src.copy >> 6)] |= 1ULL << (comm.src.copy & 63);
+    if (pred_task_[j] == src.task) {
+      sup_mask_[(static_cast<std::size_t>(j) * copies_ + dst.copy) * mask_words_ +
+                (src.copy >> 6)] |= 1ULL << (src.copy & 63);
       return;
     }
   }

@@ -160,9 +160,10 @@ class SurvivalOracle {
   /// (Dag::topological_order).
   [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
 
-  /// Incorporates a supply comm added after compilation (the repair pass
-  /// patches the oracle instead of recompiling per added channel).
-  void add_comm(const CommRecord& comm);
+  /// Incorporates a supply comm src -> dst added after compilation (the
+  /// repair pass patches the oracle instead of recompiling per added
+  /// channel).
+  void add_comm(ReplicaRef src, ReplicaRef dst);
 
   /// True when every task keeps at least one computable replica under
   /// `failed`. `scratch` is resized on first use, then reused

@@ -109,8 +109,8 @@ class Validator {
     std::vector<double> cin(m, 0.0), cout(m, 0.0);
     for (const CommRecord& comm : s_.comms()) {
       if (comm.repair) continue;
-      const ProcId from = s_.placed(comm.src).proc;
-      const ProcId to = s_.placed(comm.dst).proc;
+      const ProcId from = s_.placed(s_.comm_src(comm)).proc;
+      const ProcId to = s_.placed(s_.comm_dst(comm)).proc;
       if (from == to) continue;
       const double duration = s_.platform().comm_time(s_.dag().edge(comm.edge).volume,
                                                       from, to);
@@ -210,9 +210,11 @@ class Validator {
 
     for (const CommRecord& comm : s_.comms()) {
       if (comm.repair) continue;  // repair comms carry no meaningful timeline
-      const PlacedReplica& src = s_.placed(comm.src);
-      const PlacedReplica& dst = s_.placed(comm.dst);
-      const std::string what = rname(comm.src) + "->" + rname(comm.dst);
+      const ReplicaRef from = s_.comm_src(comm);
+      const ReplicaRef to = s_.comm_dst(comm);
+      const PlacedReplica& src = s_.placed(from);
+      const PlacedReplica& dst = s_.placed(to);
+      const std::string what = rname(from) + "->" + rname(to);
       const double expected = pf.comm_time(dag.edge(comm.edge).volume, src.proc, dst.proc);
       if (std::abs((comm.finish - comm.start) - expected) > tol_abs()) {
         add(ViolationCode::kBadCommDuration,
@@ -241,7 +243,7 @@ class Validator {
           const CommRecord& comm = s_.comms()[idx];
           if (comm.repair) continue;
           const double arrival = comm.finish;
-          double& slot = earliest[comm.src.task];
+          double& slot = earliest[dag.edge(comm.edge).src];
           slot = (slot < 0.0) ? arrival : std::min(slot, arrival);
         }
         for (TaskId pred : dag.predecessors(t)) {

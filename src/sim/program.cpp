@@ -91,7 +91,8 @@ SimProgram::SimProgram(const Schedule& schedule, const SimOptions& options)
   // endpoints are skipped per trial at run time.
   delivery_offset_.assign(num_replicas_ + 1, 0);
   for (const CommRecord& comm : schedule.comms()) {
-    ++delivery_offset_[comm.src.task * copies_ + comm.src.copy + 1];
+    const ReplicaRef from = schedule.comm_src(comm);
+    ++delivery_offset_[from.task * copies_ + from.copy + 1];
   }
   for (std::uint32_t rid = 0; rid < num_replicas_; ++rid) {
     delivery_offset_[rid + 1] += delivery_offset_[rid];
@@ -99,11 +100,13 @@ SimProgram::SimProgram(const Schedule& schedule, const SimOptions& options)
   deliveries_.resize(schedule.comms().size());
   std::vector<std::uint32_t> fill(delivery_offset_.begin(), delivery_offset_.end() - 1);
   for (const CommRecord& comm : schedule.comms()) {
-    const std::uint32_t src = comm.src.task * copies_ + comm.src.copy;
-    const std::uint32_t dst = comm.dst.task * copies_ + comm.dst.copy;
-    const auto& preds = preds_of[comm.dst.task];
+    const ReplicaRef from = schedule.comm_src(comm);
+    const ReplicaRef to = schedule.comm_dst(comm);
+    const std::uint32_t src = from.task * copies_ + from.copy;
+    const std::uint32_t dst = to.task * copies_ + to.copy;
+    const auto& preds = preds_of[to.task];
     std::uint32_t slot = 0;
-    while (slot < preds.size() && preds[slot] != comm.src.task) ++slot;
+    while (slot < preds.size() && preds[slot] != from.task) ++slot;
     SS_CHECK(slot < preds.size(), "comm source is not a predecessor of its destination");
     Delivery& d = deliveries_[fill[src]++];
     d.dst_rid = dst;

@@ -20,15 +20,12 @@ inline void place_at(Schedule& s, ReplicaRef r, ProcId proc, double start,
 inline std::uint32_t wire(Schedule& s, TaskId src_task, CopyId src_copy, TaskId dst_task,
                           CopyId dst_copy, double start_offset = 0.0) {
   const EdgeId e = s.dag().find_edge(src_task, dst_task);
-  CommRecord comm;
-  comm.edge = e;
-  comm.src = ReplicaRef{src_task, src_copy};
-  comm.dst = ReplicaRef{dst_task, dst_copy};
-  const auto& sp = s.placed(comm.src);
-  const auto& dp = s.placed(comm.dst);
-  comm.start = sp.finish + start_offset;
-  comm.finish = comm.start + s.platform().comm_time(s.dag().edge(e).volume, sp.proc, dp.proc);
-  return s.add_comm(comm);
+  const auto& sp = s.placed({src_task, src_copy});
+  const auto& dp = s.placed({dst_task, dst_copy});
+  const double start = sp.finish + start_offset;
+  const double finish =
+      start + s.platform().comm_time(s.dag().edge(e).volume, sp.proc, dp.proc);
+  return s.add_comm(CommRecord(e, src_copy, dst_copy, start, finish));
 }
 
 }  // namespace streamsched::test

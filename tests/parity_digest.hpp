@@ -45,7 +45,9 @@ inline std::uint64_t comms_digest(const Schedule& s, std::size_t first) {
   h.u64(s.comms().size() - first);
   for (std::size_t i = first; i < s.comms().size(); ++i) {
     const CommRecord& c = s.comms()[i];
-    h.u64(c.edge).u64(c.src.task).u64(c.src.copy).u64(c.dst.task).u64(c.dst.copy);
+    const ReplicaRef src = s.comm_src(c);
+    const ReplicaRef dst = s.comm_dst(c);
+    h.u64(c.edge).u64(src.task).u64(src.copy).u64(dst.task).u64(dst.copy);
     h.f64(c.start).f64(c.finish).u64(c.repair ? 1 : 0);
   }
   return h.value();

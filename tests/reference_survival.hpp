@@ -31,8 +31,8 @@ inline std::vector<std::vector<bool>> computable_replicas(const Schedule& schedu
       for (TaskId pred : dag.predecessors(t)) {
         bool fed = false;
         for (std::uint32_t idx : inbound.in_comms(r)) {
-          const CommRecord& comm = schedule.comms()[idx];
-          fed = fed || (comm.src.task == pred && computable[pred][comm.src.copy]);
+          const ReplicaRef src = schedule.comm_src(schedule.comms()[idx]);
+          fed = fed || (src.task == pred && computable[pred][src.copy]);
         }
         ok = ok && fed;
       }

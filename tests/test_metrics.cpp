@@ -83,12 +83,7 @@ TEST(Metrics, RepairCommsDoNotDefineStages) {
   wire(s, 0, 0, 1, 0);  // colocated chain copy 0
   wire(s, 0, 1, 1, 1);  // colocated chain copy 1
   // A remote backup channel marked as repair must not create stage 2.
-  CommRecord backup;
-  backup.edge = d.find_edge(0, 1);
-  backup.src = {0, 1};
-  backup.dst = {1, 0};
-  backup.repair = true;
-  s.add_comm(backup);
+  s.add_comm(CommRecord(d.find_edge(0, 1), 1, 0, 0.0, 0.0, true));
   EXPECT_EQ(recompute_stages(s), 1u);
   EXPECT_EQ(num_repair_comms(s), 1u);
 }

@@ -49,7 +49,7 @@ TEST(Mirror, ChainScheduleRoundTrips) {
   // Communications point forward now.
   ASSERT_EQ(fwd.comms().size(), 2u);
   for (const CommRecord& comm : fwd.comms()) {
-    EXPECT_TRUE(dag.has_edge(comm.src.task, comm.dst.task));
+    EXPECT_TRUE(dag.has_edge(fwd.comm_src(comm).task, fwd.comm_dst(comm).task));
   }
 
   // Stages: a,b colocated stage 1; c remote stage 2.
@@ -94,12 +94,7 @@ TEST(Mirror, RepairFlagsSurvive) {
   rev.place({0, 1}, 1, 1.0, 2.0, 1);
   wire(rev, 1, 0, 0, 0);
   wire(rev, 1, 1, 0, 1);
-  CommRecord backup;
-  backup.edge = rdag.find_edge(1, 0);
-  backup.src = {1, 0};
-  backup.dst = {0, 1};
-  backup.repair = true;
-  rev.add_comm(backup);
+  rev.add_comm(CommRecord(rdag.find_edge(1, 0), 0, 1, 0.0, 0.0, true));
 
   const Schedule fwd = mirror_schedule(rev, dag);
   EXPECT_EQ(num_repair_comms(fwd), 1u);
@@ -148,12 +143,8 @@ TEST(Mirror, EqualsARebuildFieldForField) {
     }
   }
   for (const CommRecord& comm : rev.comms()) {
-    CommRecord flipped = comm;
-    flipped.src = comm.dst;
-    flipped.dst = comm.src;
-    flipped.start = horizon - comm.finish;
-    flipped.finish = horizon - comm.start;
-    rebuilt.add_comm(flipped);
+    rebuilt.add_comm(CommRecord(comm.edge, comm.dst_copy, comm.src_copy, horizon - comm.finish,
+                                horizon - comm.start, comm.repair));
   }
   recompute_stages(rebuilt);
 
@@ -180,12 +171,12 @@ TEST(Mirror, EqualsARebuildFieldForField) {
     const CommRecord& a = fwd.comms()[i];
     const CommRecord& b = rebuilt.comms()[i];
     EXPECT_EQ(a.edge, b.edge) << i;
-    EXPECT_EQ(a.src, b.src) << i;
-    EXPECT_EQ(a.dst, b.dst) << i;
+    EXPECT_EQ(fwd.comm_src(a), rebuilt.comm_src(b)) << i;
+    EXPECT_EQ(fwd.comm_dst(a), rebuilt.comm_dst(b)) << i;
     EXPECT_EQ(a.repair, b.repair) << i;
     EXPECT_EQ(bits(a.start), bits(b.start)) << i;
     EXPECT_EQ(bits(a.finish), bits(b.finish)) << i;
-    EXPECT_TRUE(fwd.has_supplier(a.dst, a.src)) << i;
+    EXPECT_TRUE(fwd.has_supplier(fwd.comm_dst(a), fwd.comm_src(a))) << i;
   }
   for (ProcId u = 0; u < m; ++u) {
     EXPECT_EQ(bits(fwd.sigma(u)), bits(rebuilt.sigma(u))) << "P" << u;

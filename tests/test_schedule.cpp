@@ -2,6 +2,9 @@
 // indexing (ConsumerIndex), supplier queries and load accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "platform/generators.hpp"
@@ -89,14 +92,52 @@ TEST_F(ScheduleFixture, DuplicateCommRejected) {
 }
 
 TEST_F(ScheduleFixture, CommEndpointValidation) {
-  Schedule s(dag, platform, 0, 100.0);
+  // A record names its edge and two copies; the replicas it connects are
+  // the edge's ends, so it cannot name the wrong tasks.
+  Schedule s(dag, platform, 1, 100.0);
   place_at(s, {0, 0}, 0, 0.0);
   place_at(s, {1, 0}, 1, 3.0);
-  CommRecord bad;
-  bad.edge = dag.find_edge(0, 1);
-  bad.src = {1, 0};  // swapped endpoints
-  bad.dst = {0, 0};
-  EXPECT_THROW(s.add_comm(bad), std::invalid_argument);
+  const EdgeId ab = dag.find_edge(0, 1);
+  const EdgeId bc = dag.find_edge(1, 2);
+  const CommRecord ok(ab, 0, 0, 2.0, 3.0);
+  EXPECT_EQ(s.comm_src(ok), (ReplicaRef{0, 0}));
+  EXPECT_EQ(s.comm_dst(ok), (ReplicaRef{1, 0}));
+  // A copy beyond eps, at either end.
+  EXPECT_THROW(s.add_comm(CommRecord(ab, 2, 0, 2.0, 3.0)), std::invalid_argument);
+  EXPECT_THROW(s.add_comm(CommRecord(ab, 0, 2, 2.0, 3.0)), std::invalid_argument);
+  // An unplaced end: copy 1 of a, or any copy of c.
+  EXPECT_THROW(s.add_comm(CommRecord(ab, 1, 0, 2.0, 3.0)), std::invalid_argument);
+  EXPECT_THROW(s.add_comm(CommRecord(bc, 0, 0, 4.0, 5.0)), std::invalid_argument);
+  // An edge the DAG does not have.
+  EXPECT_THROW(s.add_comm(CommRecord(7, 0, 0, 2.0, 3.0)), std::invalid_argument);
+  EXPECT_TRUE(s.comms().empty());
+  EXPECT_EQ(s.add_comm(ok), 0u);
+}
+
+TEST_F(ScheduleFixture, RejectsMoreCopiesThanACommRecordIndexes) {
+  // The copy fields hold every copy index below kMaxCopies...
+  const CopyId last = CommRecord::kMaxCopies - 1;
+  const CommRecord widest(0, last, last, 0.0, 0.0, true);
+  EXPECT_EQ(widest.src_copy, last);
+  EXPECT_EQ(widest.dst_copy, last);
+  EXPECT_TRUE(widest.repair);
+  // ...and refuse the first one they cannot hold, rather than wrap it.
+  EXPECT_THROW(CommRecord(0, CommRecord::kMaxCopies, 0, 0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(CommRecord(0, 0, CommRecord::kMaxCopies, 0.0, 0.0), std::invalid_argument);
+  // The constructor refuses a schedule with more copies than that, before
+  // it counts processors.
+  const auto reason = [&](CopyId eps) -> std::string {
+    try {
+      Schedule(dag, platform, eps, 10.0);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(reason(CommRecord::kMaxCopies).find("comm record"), std::string::npos);
+  EXPECT_NE(reason(std::numeric_limits<CopyId>::max()).find("comm record"), std::string::npos);
+  EXPECT_EQ(reason(last).find("comm record"), std::string::npos);  // m = 3 refuses it
+  EXPECT_NE(reason(last), "");
 }
 
 TEST_F(ScheduleFixture, InOutCommIndexing) {

@@ -37,7 +37,7 @@ void expect_inbound_is_scan(const Schedule& s, const std::string& what) {
       const ReplicaRef r{t, c};
       std::vector<std::uint32_t> scan;
       for (std::uint32_t i = 0; i < s.comms().size(); ++i) {
-        if (s.comms()[i].dst == r) scan.push_back(i);
+        if (s.comm_dst(s.comms()[i]) == r) scan.push_back(i);
       }
       const auto in = inbound.in_comms(r);
       EXPECT_EQ(std::vector<std::uint32_t>(in.begin(), in.end()), scan)

@@ -164,7 +164,8 @@ TEST(Survival, OracleMatchesLegacyOnRandomSchedulesAndAfterRepair) {
     const std::size_t before = schedule.comms().size();
     (void)repair_to_reliability(schedule, 0.999);
     for (std::size_t i = before; i < schedule.comms().size(); ++i) {
-      oracle.add_comm(schedule.comms()[i]);
+      const CommRecord& comm = schedule.comms()[i];
+      oracle.add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
     }
     const SurvivalOracle fresh(schedule);
     ProcSet failed(m);
@@ -241,7 +242,8 @@ TEST(Survival, BatchMatchesPerSetOnPatchedOracleAfterRepair) {
     const std::size_t before = schedule.comms().size();
     (void)repair_to_reliability(schedule, 0.999);
     for (std::size_t i = before; i < schedule.comms().size(); ++i) {
-      oracle.add_comm(schedule.comms()[i]);
+      const CommRecord& comm = schedule.comms()[i];
+      oracle.add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
     }
 
     std::vector<std::uint64_t> rows(64);
@@ -270,7 +272,9 @@ Schedule partial_copy(const Schedule& full, Keep&& keep) {
     }
   }
   for (const CommRecord& comm : full.comms()) {
-    if (out.is_placed(comm.src) && out.is_placed(comm.dst)) out.add_comm(comm);
+    if (out.is_placed(full.comm_src(comm)) && out.is_placed(full.comm_dst(comm))) {
+      out.add_comm(comm);
+    }
   }
   return out;
 }

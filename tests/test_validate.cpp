@@ -131,13 +131,9 @@ TEST_F(ValidateFixture, DetectsCommBeforeData) {
   place_at(s, {0, 1}, 1, 0.0);
   s.place({1, 0}, 2, 5.0, 9.0, 2);
   s.place({1, 1}, 3, 5.0, 9.0, 2);
-  CommRecord early;
-  early.edge = dag.find_edge(0, 1);
-  early.src = {0, 0};
-  early.dst = {1, 0};
-  early.start = 1.0;   // source finishes at 4
-  early.finish = 2.5;  // duration 1.5 != volume * delay = 1.0
-  s.add_comm(early);
+  // Starts at 1, before the source finishes at 4; lasts 1.5, not
+  // volume * delay = 1.0.
+  s.add_comm(CommRecord(dag.find_edge(0, 1), 0, 0, 1.0, 2.5));
   wire(s, 0, 1, 1, 1);
   const auto report = validate_schedule(s);
   EXPECT_EQ(report.count(ViolationCode::kCommBeforeData), 1u);
