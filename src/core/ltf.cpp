@@ -155,6 +155,7 @@ class LtfLadder {
   LoadRejections rejected_;
   OneToOneScratch one_to_one_;
   std::vector<std::vector<ReplicaRef>> suppliers_;
+  std::vector<std::vector<ReplicaRef>> spare_lists_;  // suppliers_'s parked lists
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
 };
@@ -244,9 +245,17 @@ ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
         }
 
         if (!placed) {
-          // Fallback: receive from all replicas of every predecessor.
+          // Fallback: receive from all replicas of every predecessor. The
+          // lists keep their buffers from task to task: a task with fewer
+          // predecessors parks the lists it does not use in spare_lists_.
           const auto in = dag_.in_edges(t);
-          suppliers_.resize(in.size());
+          for (; suppliers_.size() > in.size(); suppliers_.pop_back()) {
+            spare_lists_.push_back(std::move(suppliers_.back()));
+          }
+          for (; suppliers_.size() < in.size(); spare_lists_.pop_back()) {
+            if (spare_lists_.empty()) spare_lists_.emplace_back().reserve(copies_);
+            suppliers_.push_back(std::move(spare_lists_.back()));
+          }
           for (std::size_t i = 0; i < in.size(); ++i) {
             suppliers_[i].clear();
             for (CopyId c = 0; c < copies_; ++c) suppliers_[i].push_back({dag_.edge(in[i]).src, c});
