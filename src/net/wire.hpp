@@ -177,7 +177,9 @@ using SpecMemo = TextMemo<ParsedSpec>;
 
 /// Rebuilds the schedule against `dag`/`platform` (which must outlive it,
 /// as with every Schedule). Bit-identical round trip: every place() and
-/// add_comm() replays the serialized values exactly. Throws WireError.
+/// add_comm() replays the serialized values exactly. Throws WireError, also
+/// for a comm whose <stask>/<dtask> are not its edge's ends or whose copy
+/// exceeds eps.
 [[nodiscard]] Schedule parse_schedule_wire(std::string_view wire, const Dag& dag,
                                            const Platform& platform);
 

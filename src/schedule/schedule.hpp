@@ -62,22 +62,23 @@ struct CommRecord {
   /// Copies per task that the 15-bit copy fields can index.
   static constexpr CopyId kMaxCopies = CopyId{1} << 15;
 
-  CommRecord() = default;
   CommRecord(EdgeId e, CopyId from, CopyId to, double start_time, double finish_time,
              bool repair_comm = false)
-      : edge(e), start(start_time), finish(finish_time) {
+      : edge(e),
+        src_copy(from),
+        dst_copy(to),
+        repair(repair_comm),
+        start(start_time),
+        finish(finish_time) {
     SS_REQUIRE(from < kMaxCopies && to < kMaxCopies, "comm copy index beyond kMaxCopies");
-    src_copy = from;
-    dst_copy = to;
-    repair = repair_comm;
   }
 
-  EdgeId edge = kInvalidEdge;
-  std::uint32_t src_copy : 15 = 0;  ///< copy of dag.edge(edge).src
-  std::uint32_t dst_copy : 15 = 0;  ///< copy of dag.edge(edge).dst
-  std::uint32_t repair : 1 = 0;     ///< added by the fault-tolerance repair pass
-  double start = 0.0;               ///< builder timeline (0-duration when colocated)
-  double finish = 0.0;
+  EdgeId edge;
+  std::uint32_t src_copy : 15;  ///< copy of dag.edge(edge).src
+  std::uint32_t dst_copy : 15;  ///< copy of dag.edge(edge).dst
+  std::uint32_t repair : 1;     ///< added by the fault-tolerance repair pass
+  double start;                 ///< builder timeline (0-duration when colocated)
+  double finish;
 };
 static_assert(sizeof(CommRecord) == 24, "a comm record is 24 bytes");
 
