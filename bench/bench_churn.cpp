@@ -145,12 +145,12 @@ ReplayOutcome replay(const ChurnBenchConfig& cfg) {
       }
       const CachedPlacement& p = *resp.placement;
       SurvivalOracle fresh(p.schedule);
-      if (!fresh.survives(failed, survive_scratch)) {
+      if (!fresh.survives(p.schedule, failed, survive_scratch)) {
         std::cerr << "gate: step " << step << " dag " << d
                   << " served a placement that dies under the live failure set\n";
         return out;
       }
-      const CopyId residual = achieved_tolerance(fresh, failed, p.eps_want, scratch);
+      const CopyId residual = achieved_tolerance(p.schedule, fresh, failed, p.eps_want, scratch);
       if (p.degraded) {
         ++out.degraded_probes;
         if (p.eps_have >= p.eps_want || residual != p.eps_have) {

@@ -3,11 +3,11 @@
 // cold against a fresh daemon, then a failure/recovery trace runs against
 // it. Each failure event lands with one other processor already down, so
 // the ε = 1 placements genuinely need repair. The daemon handles the
-// event incrementally (warm-oracle repair_for_failure_set + fresh-oracle
-// batch verification); the baseline handles the SAME trace by
-// rescheduling every affected placement from scratch (schedule +
-// recompile + reconcile), the only alternative a cache without
-// incremental repair has. Reports per-event latency percentiles for both
+// event incrementally (repair_for_failure_set on a copy of the cached
+// schedule + the publish gate's batch verification); the baseline handles
+// the SAME trace by rescheduling every affected placement from scratch
+// (schedule + oracle compile + reconcile), the only alternative a cache
+// without incremental repair has. Reports per-event latency percentiles for both
 // strategies.
 //
 // Every failure pair is chosen so no task of any placement loses all its
@@ -94,7 +94,7 @@ bool kills_a_task(const Schedule& s, ProcId a, ProcId b) {
 bool batch_verifies(const Schedule& schedule, const ProcSet& failed) {
   const SurvivalOracle fresh(schedule);
   BatchScratch scratch;
-  return (fresh.survives_batch(failed.words(), 1, scratch) & 1ULL) != 0;
+  return (fresh.survives_batch(schedule, failed.words(), 1, scratch) & 1ULL) != 0;
 }
 
 /// The cold-reschedule baseline's state for one admitted DAG.
@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
   // --- failure churn: incremental event repair vs cold reschedule --------
   // Both strategies start from identical placements (a copy of the
   // daemon's cold admissions). The baseline pays the full cold pipeline
-  // per affected placement; detection (a warm-oracle survival check) is
-  // identical on both sides.
+  // per affected placement; detection (a survival check on the cached
+  // placement's oracle) is identical on both sides.
   PlacementDaemon daemon(platform, DaemonConfig{});
   std::vector<ColdEntry> baseline;
   baseline.reserve(dags);
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
     // Cold baseline: reschedule every placement the failure broke.
     const auto cold_t0 = Clock::now();
     for (ColdEntry& entry : baseline) {
-      if (entry.oracle.survives(live_failed, survive_scratch)) continue;
+      if (entry.oracle.survives(entry.schedule, live_failed, survive_scratch)) continue;
       auto [result, factor] = schedule_with_period_escalation(
           variant, *entry.dag, platform, entry.period, cold_options);
       (void)factor;

@@ -7,21 +7,34 @@
 
 namespace streamsched {
 
+namespace {
+
+std::string default_name(TaskId t) { return "t" + std::to_string(t); }
+
+}  // namespace
+
 TaskId Dag::add_task(std::string name, double work) {
   SS_REQUIRE(work >= 0.0, "task work must be non-negative");
   const auto id = static_cast<TaskId>(works_.size());
-  works_.push_back(work);
+  if (names_.empty()) {
+    if (name == default_name(id)) return append_task(work);
+    // The first name that is not a default one: spell out the others.
+    names_.reserve(id + 1);
+    for (TaskId t = 0; t < id; ++t) names_.push_back(default_name(t));
+  }
   names_.push_back(std::move(name));
+  return append_task(work);
+}
+
+TaskId Dag::append_task(double work) {
+  const auto id = static_cast<TaskId>(works_.size());
+  works_.push_back(work);
   out_.emplace_back();
   in_.emplace_back();
   return id;
 }
 
-TaskId Dag::add_task(double work) {
-  std::string name = "t";
-  name += std::to_string(works_.size());
-  return add_task(std::move(name), work);
-}
+TaskId Dag::add_task(double work) { return add_task(default_name(num_tasks()), work); }
 
 namespace {
 // True when `to` is reachable from `from` (DFS over out-edges).
@@ -68,9 +81,9 @@ void Dag::set_work(TaskId t, double work) {
   works_[t] = work;
 }
 
-const std::string& Dag::name(TaskId t) const {
+std::string Dag::name(TaskId t) const {
   check_task(t);
-  return names_[t];
+  return names_.empty() ? default_name(t) : names_[t];
 }
 
 void Dag::set_volume(EdgeId e, double volume) {
@@ -159,7 +172,10 @@ double Dag::total_volume() const {
 
 Dag Dag::reversed() const {
   Dag rev;
-  for (TaskId t = 0; t < num_tasks(); ++t) rev.add_task(names_[t], works_[t]);
+  rev.works_ = works_;
+  rev.names_ = names_;
+  rev.out_.resize(num_tasks());
+  rev.in_.resize(num_tasks());
   // Preserve edge ids: edge e of the reverse graph corresponds to edge e of
   // the original with endpoints swapped (schedule mirroring relies on this).
   for (const Edge& e : edges_) {

@@ -29,7 +29,7 @@ class Dag {
   /// for schedulers; 0 is allowed for structural experiments).
   TaskId add_task(std::string name, double work);
 
-  /// Adds a task with an auto-generated name "t<i>".
+  /// Adds a task with the default name "t<i>".
   TaskId add_task(double work);
 
   /// Adds a directed edge src -> dst. Rejects self loops, duplicate edges
@@ -46,7 +46,8 @@ class Dag {
     return works_[t];
   }
   void set_work(TaskId t, double work);
-  [[nodiscard]] const std::string& name(TaskId t) const;
+  /// The task's name: "t<i>" unless add_task gave it another.
+  [[nodiscard]] std::string name(TaskId t) const;
 
   [[nodiscard]] const Edge& edge(EdgeId e) const {
     SS_REQUIRE(e < edges_.size(), "edge id out of range");
@@ -90,8 +91,12 @@ class Dag {
 
  private:
   void check_task(TaskId t) const { SS_REQUIRE(t < works_.size(), "task id out of range"); }
+  /// Appends a task's work and empty adjacency; the name is the caller's.
+  TaskId append_task(double work);
 
   std::vector<double> works_;
+  // Every task's name, or empty while every task has its default name:
+  // most DAGs (generated ones, those read off the wire) name no task.
   std::vector<std::string> names_;
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_;

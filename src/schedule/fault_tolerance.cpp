@@ -41,13 +41,14 @@ bool next_combination(std::vector<std::size_t>& subset, std::size_t n) {
 // sets enumerated up to the stop, or all of them.
 //
 // A batch's verdicts are taken once, before its killed lanes are handed out.
-// A handler may patch `oracle` between lanes (count repair does): repair only
-// adds channels and survival is monotone in the channel set, so a lane that
-// survived at the batch's start survives every later schedule. The handler
+// A handler may add channels to `schedule` between lanes (count repair
+// does): survival is monotone in the channel set, so a lane that survived
+// at the batch's start survives every later schedule. The handler
 // therefore sees every set still killed when its turn comes, in order, plus
 // sets an earlier repair has fixed meanwhile, which it must re-check.
 template <typename OnKilled>
-std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, const ProcSet& base,
+std::uint64_t for_each_killed_set(const Schedule& schedule, const SurvivalOracle& oracle,
+                                  const ProcSet& base,
                                   const std::vector<ProcId>& candidates, std::uint32_t k,
                                   BatchScratch& scratch, OnKilled&& on_killed) {
   SS_REQUIRE(k < candidates.size(), "cannot fail all processors");
@@ -69,7 +70,7 @@ std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, const ProcSet& b
       exhausted = !next_combination(subset, candidates.size());
     }
     const std::uint64_t killed =
-        ~oracle.survives_batch(rows.data(), lanes, scratch) & batch_lane_mask(lanes);
+        ~oracle.survives_batch(schedule, rows.data(), lanes, scratch) & batch_lane_mask(lanes);
     for (std::uint64_t bits = killed; bits != 0; bits &= bits - 1) {
       const auto lane = static_cast<std::size_t>(std::countr_zero(bits));
       if (!on_killed(rows.data() + lane * words, enumerated + lane + 1)) {
@@ -85,13 +86,14 @@ std::uint64_t for_each_killed_set(const SurvivalOracle& oracle, const ProcSet& b
 
 FtCheckResult check_fault_tolerance(const Schedule& schedule, std::uint32_t max_failures) {
   const SurvivalOracle oracle(schedule);
-  const std::size_t m = oracle.num_procs();
+  const std::size_t m = schedule.platform().num_procs();
   std::vector<ProcId> all(m);
   std::iota(all.begin(), all.end(), ProcId{0});
   BatchScratch scratch;
   FtCheckResult result;
   result.sets_checked = for_each_killed_set(
-      oracle, ProcSet(m), all, max_failures, scratch, [&](const std::uint64_t* row, std::uint64_t) {
+      schedule, oracle, ProcSet(m), all, max_failures, scratch,
+      [&](const std::uint64_t* row, std::uint64_t) {
         result.valid = false;
         for (std::size_t u = 0; u < m; ++u) {
           if ((row[u >> 6] >> (u & 63)) & 1) result.counterexample.push_back(static_cast<ProcId>(u));
@@ -101,9 +103,9 @@ FtCheckResult check_fault_tolerance(const Schedule& schedule, std::uint32_t max_
   return result;
 }
 
-CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, CopyId want,
-                          BatchScratch& scratch) {
-  const std::size_t m = oracle.num_procs();
+CopyId achieved_tolerance(const Schedule& schedule, const SurvivalOracle& oracle,
+                          const ProcSet& failed, CopyId want, BatchScratch& scratch) {
+  const std::size_t m = schedule.platform().num_procs();
   SS_REQUIRE(failed.size() == m, "failure set size != processor count");
   std::vector<ProcId> alive;
   for (ProcId u = 0; u < m; ++u) {
@@ -111,13 +113,13 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
   }
   // k = 0: does the schedule survive the live failures at all?
   std::vector<std::uint64_t> set_scratch;
-  if (!oracle.survives_words(failed.words(), set_scratch)) return 0;
+  if (!oracle.survives_words(schedule, failed.words(), set_scratch)) return 0;
 
   const CopyId cap =
       std::min<CopyId>(want, static_cast<CopyId>(alive.empty() ? 0 : alive.size() - 1));
   for (CopyId k = 1; k <= cap; ++k) {
     bool killed = false;
-    (void)for_each_killed_set(oracle, failed, alive, k, scratch,
+    (void)for_each_killed_set(schedule, oracle, failed, alive, k, scratch,
                               [&](const std::uint64_t*, std::uint64_t) {
                                 killed = true;
                                 return false;
@@ -129,20 +131,19 @@ CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed, C
 
 namespace {
 
-// Picks the cheapest computable supplier replica to feed `r` over its
-// `slot`-th in-edge: colocated first, then minimal added port load.
-// `pred_alive` is the edge source's row of computability masks.
-ReplicaRef pick_repair_supplier(const Schedule& schedule, const SurvivalOracle& oracle,
-                                ReplicaRef r, std::size_t slot, const std::uint64_t* pred_alive) {
-  const Dag::Edge& e = schedule.dag().edge(schedule.dag().in_edges(r.task)[slot]);
-  const std::uint64_t* wired = oracle.supplier_mask(r.task, slot, r.copy);
+// Picks the cheapest computable supplier replica to feed `r` over in-edge
+// `edge`: colocated first, then minimal added port load. `pred_alive` is
+// the edge source's row of computability masks.
+ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId edge,
+                                const std::uint64_t* pred_alive) {
+  const Dag::Edge& e = schedule.dag().edge(edge);
   const ProcId here = schedule.placed(r).proc;
   ReplicaRef best{kInvalidTask, 0};
   double best_cost = std::numeric_limits<double>::infinity();
   for (CopyId c = 0; c < schedule.copies(); ++c) {
     const ReplicaRef cand{e.src, c};
     if (!replica_mask_test(pred_alive, c)) continue;
-    if (replica_mask_test(wired, c)) continue;  // already wired, didn't help
+    if (schedule.supplies(edge, r.copy, c)) continue;  // already wired, didn't help
     const ProcId from = schedule.placed(cand).proc;
     double cost;
     if (from == here) {
@@ -167,23 +168,21 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, const SurvivalOracle& 
 // alive replica of t, or a starving predecessor with no computable replica
 // to wire (channels wired before that stay).
 //
-// Whether a replica is fed along an edge is read off the oracle's supplier
-// masks, which must be current for t. They stay current through the call
-// without patching: Dag::add_edge rejects duplicate edges, so in-edge i is
-// predecessor slot i, and the channels of one call go to distinct edges.
-bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
-                    const ProcSet& failed, const std::uint64_t* alive, RepairStats& stats) {
+// Whether a replica is fed along an edge is read off the schedule's supply
+// masks, so the channels wired to one in-edge are seen at the next.
+bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
+                    const std::uint64_t* alive, RepairStats& stats) {
   const Dag& dag = schedule.dag();
   const auto in = dag.in_edges(t);
-  const std::size_t words = oracle.mask_words();
+  const std::size_t words = replica_mask_words(schedule.copies());
   const auto pred_alive = [&](std::size_t slot) {
-    return alive + static_cast<std::size_t>(oracle.predecessor(t, slot)) * words;
+    return alive + static_cast<std::size_t>(dag.edge(in[slot]).src) * words;
   };
   const auto fed = [&](CopyId c, std::size_t slot) {
-    const std::uint64_t* sup = oracle.supplier_mask(t, slot, c);
+    const std::uint8_t* sup = schedule.supply_mask(in[slot], c);
     const std::uint64_t* pred = pred_alive(slot);
     for (std::size_t w = 0; w < words; ++w) {
-      if ((sup[w] & pred[w]) != 0) return true;
+      if ((supply_word(sup, w) & pred[w]) != 0) return true;
     }
     return false;
   };
@@ -205,7 +204,7 @@ bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
 
   for (std::size_t slot = 0; slot < in.size(); ++slot) {
     if (fed(target.copy, slot)) continue;
-    const ReplicaRef sup = pick_repair_supplier(schedule, oracle, target, slot, pred_alive(slot));
+    const ReplicaRef sup = pick_repair_supplier(schedule, target, in[slot], pred_alive(slot));
     if (sup.task == kInvalidTask) return false;
     const double ready = schedule.placed(sup).finish;
     schedule.add_comm(CommRecord(in[slot], sup.copy, target.copy, ready, ready, true));
@@ -221,9 +220,10 @@ enum class SetRepair { kSurvives, kBeyondRepair, kCapped };
 // forward sweep over the oracle's topological order. The sweep computes
 // each task's row of `alive` from its predecessors' rows
 // (SurvivalOracle::compute_row). At a task without a computable replica it
-// wires that task (wire_dead_task), patches the oracle with the new
-// channels, recomputes the task's row — the wired replica is now computable
-// — and goes on. Reaching the end means the schedule survives `failed`.
+// wires that task (wire_dead_task), recomputes the task's row, which reads
+// the new channels from the schedule — the wired replica is now
+// computable — and goes on. Reaching the end means the schedule survives
+// `failed`.
 //
 // Round accounting: a round is one wired task, counted in `steps`.
 // Channels wired into task t change only the rows of t and its
@@ -235,23 +235,19 @@ enum class SetRepair { kSurvives, kBeyondRepair, kCapped };
 // `max_steps` stays as a guard but cannot be reached: every round adds at
 // least one of the at most copies² · edges distinct channels, and
 // max_repair_rounds exceeds that.
-SetRepair repair_until_survives(Schedule& schedule, SurvivalOracle& oracle,
+SetRepair repair_until_survives(Schedule& schedule, const SurvivalOracle& oracle,
                                 const ProcSet& failed, std::uint32_t max_steps,
                                 std::uint32_t& steps, std::vector<std::uint64_t>& alive,
                                 RepairStats& stats) {
-  alive.resize(oracle.num_tasks() * oracle.mask_words());
+  alive.resize(oracle.num_tasks() * replica_mask_words(schedule.copies()));
   for (const TaskId t : oracle.topological_order()) {
-    if (oracle.compute_row(t, failed.words(), alive.data())) continue;
+    if (oracle.compute_row(schedule, t, failed.words(), alive.data())) continue;
     if (steps >= max_steps) return SetRepair::kCapped;
-    std::size_t wired = schedule.comms().size();
-    const bool repaired = wire_dead_task(schedule, oracle, t, failed, alive.data(), stats);
-    for (; wired < schedule.comms().size(); ++wired) {
-      const CommRecord& comm = schedule.comms()[wired];
-      oracle.add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
+    if (!wire_dead_task(schedule, t, failed, alive.data(), stats)) {
+      return SetRepair::kBeyondRepair;
     }
-    if (!repaired) return SetRepair::kBeyondRepair;
     ++steps;
-    const bool revived = oracle.compute_row(t, failed.words(), alive.data());
+    const bool revived = oracle.compute_row(schedule, t, failed.words(), alive.data());
     SS_CHECK(revived, "a wired task must keep a computable replica");
   }
   return SetRepair::kSurvives;
@@ -278,17 +274,9 @@ void record_period_excess(const Schedule& schedule, RepairStats& stats) {
 }  // namespace
 
 RepairStats repair_fault_tolerance(Schedule& schedule, std::uint32_t max_failures) {
-  SurvivalOracle oracle(schedule);
-  return repair_fault_tolerance(schedule, oracle, max_failures);
-}
-
-RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
-                                   std::uint32_t max_failures) {
   SS_REQUIRE(max_failures <= schedule.eps(),
              "cannot repair for more failures than the replication degree");
-  SS_REQUIRE(oracle.num_tasks() == schedule.dag().num_tasks() &&
-                 oracle.num_procs() == schedule.platform().num_procs(),
-             "oracle was not compiled from this schedule");
+  const SurvivalOracle oracle(schedule);
   RepairStats stats;
   const std::uint32_t max_rounds = max_repair_rounds(schedule);
 
@@ -306,7 +294,8 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
   std::vector<std::uint64_t> alive;
   bool capped = false;
   (void)for_each_killed_set(
-      oracle, ProcSet(m), all, max_failures, scratch, [&](const std::uint64_t* row, std::uint64_t) {
+      schedule, oracle, ProcSet(m), all, max_failures, scratch,
+      [&](const std::uint64_t* row, std::uint64_t) {
         failed.assign_words(row);
         const SetRepair outcome = repair_until_survives(schedule, oracle, failed, max_rounds,
                                                         stats.rounds, alive, stats);
@@ -322,11 +311,8 @@ RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
   return stats;
 }
 
-RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
+RepairStats repair_for_failure_set(Schedule& schedule, const SurvivalOracle& oracle,
                                    const ProcSet& failed) {
-  SS_REQUIRE(oracle.num_tasks() == schedule.dag().num_tasks() &&
-                 oracle.num_procs() == schedule.platform().num_procs(),
-             "oracle was not compiled from this schedule");
   SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
              "failure set size != processor count");
   RepairStats stats;
@@ -422,15 +408,16 @@ FailureWeights failure_weights(const Schedule& schedule, const ReliabilityOption
 // Survival verdicts for a flat array of failure-set word rows (the
 // Monte-Carlo samples): blocks of 256 rows feed one bit-sliced pass each, and
 // the bytes land in row order, so the reduction below sums in sample order.
-void batch_survival_check(const SurvivalOracle& oracle, const std::uint64_t* set_words,
-                          std::size_t n, std::size_t words, std::vector<unsigned char>& killed) {
+void batch_survival_check(const Schedule& schedule, const SurvivalOracle& oracle,
+                          const std::uint64_t* set_words, std::size_t n, std::size_t words,
+                          std::vector<unsigned char>& killed) {
   killed.assign(n, 0);
   BatchScratch scratch;
   const std::size_t per_pass = 64 * kLaneWords;
   for (std::size_t begin = 0; begin < n; begin += per_pass) {
     const std::size_t count = std::min(per_pass, n - begin);
     const LaneWords<kLaneWords> survived =
-        oracle.survives_lanes<kLaneWords>(set_words + begin * words, count, scratch);
+        oracle.survives_lanes<kLaneWords>(schedule, set_words + begin * words, count, scratch);
     for (std::size_t lane = 0; lane < count; ++lane) {
       killed[begin + lane] = ((survived[lane >> 6] >> (lane & 63)) & 1) != 0 ? 0 : 1;
     }
@@ -689,7 +676,7 @@ struct FrontierCheck {
     frontier[0].queued.push_back(RowRange{0, 1});  // the empty set has no parent
   }
 
-  // One pass against `oracle`, level by level from the root. A repair
+  // One pass against `schedule`, level by level from the root. A repair
   // round passes its target and needs no more than its killing sets and
   // the proof that it falls short, so the pass stops after the first level
   // k at which both are settled: (a) at least kMaxKillingSets killed rows
@@ -697,24 +684,24 @@ struct FrontierCheck {
   // sets; (b) the surviving weight at levels <= k plus the weight of every
   // deeper level, plus the slack, is below the target, so the estimate
   // is too. Deeper frontier rows wait, unverified, for a later pass, or
-  // for finish(), which verifies them against the same oracle. The default
-  // target 0 is never short.
-  void verify(const SurvivalOracle& oracle, double target = 0.0) {
+  // for finish(), which verifies them against the same schedule. The
+  // default target 0 is never short.
+  void verify(const Schedule& schedule, const SurvivalOracle& oracle, double target = 0.0) {
     const FailureTree& t = *tree;
     const double slack = std::max(kShortSlack, static_cast<double>(t.size()) * 0x1p-51);
     double mass = 0.0;       // surviving weight at levels <= k
     std::size_t killed = 0;  // killed rows of positive weight at levels <= k
     for (verified = 0; verified < t.levels;) {
       const std::size_t k = verified++;
-      verify_level(oracle, k);
+      verify_level(schedule, oracle, k);
       mass += surviving_weight[k];
       killed += t.positive_rows[k] - surviving_positive[k];
       if (killed >= kMaxKillingSets && mass + t.deeper_weight[k] + slack < target) return;
     }
   }
 
-  void finish(const SurvivalOracle& oracle) {
-    while (!complete()) verify_level(oracle, verified++);
+  void finish(const Schedule& schedule, const SurvivalOracle& oracle) {
+    while (!complete()) verify_level(schedule, oracle, verified++);
   }
 
   [[nodiscard]] bool complete() const { return verified == tree->levels; }
@@ -789,7 +776,7 @@ struct FrontierCheck {
   // children of its surviving rows on level k + 1's. The level's sums run
   // in locals and the verdicts go through raw pointers into room made per
   // batch, so no row's bookkeeping waits on the previous row's stores.
-  void verify_level(const SurvivalOracle& oracle, std::size_t k) {
+  void verify_level(const Schedule& schedule, const SurvivalOracle& oracle, std::size_t k) {
     const FailureTree& t = *tree;
     LevelFrontier& level = frontier[k];
     std::vector<RowRange>& next = frontier[k + 1].queued;
@@ -826,7 +813,7 @@ struct FrontierCheck {
         }
       }
       const LaneWords<kLaneWords> survived =
-          oracle.survives_lanes<kLaneWords>(block.data(), lanes, scratch);
+          oracle.survives_lanes<kLaneWords>(schedule, block.data(), lanes, scratch);
 
       const std::size_t kept_size = kept.size();
       const std::size_t next_size = next.size();
@@ -875,7 +862,7 @@ ReliabilityEstimate estimate_reliability(const Schedule& schedule, const Surviva
 
   if (fw.total_sets <= static_cast<double>(options.max_sets)) {
     FrontierCheck check(shared_failure_tree(fw, options.tail_tolerance));
-    check.verify(oracle);
+    check.verify(schedule, oracle);
     check.reduce(est, kills);
     check.find_worst_failure(est);
     return est;
@@ -907,7 +894,7 @@ ReliabilityEstimate estimate_reliability(const Schedule& schedule, const Surviva
     sample_weight[i] = weight;
   }
   std::vector<unsigned char> killed;
-  batch_survival_check(oracle, sample_words.data(), n, words, killed);
+  batch_survival_check(schedule, oracle, sample_words.data(), n, words, killed);
 
   // Reduction in sample order.
   double failure_mass = 0.0;
@@ -946,19 +933,9 @@ ReliabilityEstimate schedule_reliability(const Schedule& schedule,
 RepairStats repair_to_reliability(Schedule& schedule, double target_reliability,
                                   const ReliabilityOptions& options,
                                   ReliabilityEstimate* achieved) {
-  SurvivalOracle oracle(schedule);
-  return repair_to_reliability(schedule, oracle, target_reliability, options, achieved);
-}
-
-RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
-                                  double target_reliability,
-                                  const ReliabilityOptions& options,
-                                  ReliabilityEstimate* achieved) {
   SS_REQUIRE(target_reliability > 0.0 && target_reliability < 1.0,
              "target reliability must lie in (0, 1)");
-  SS_REQUIRE(oracle.num_tasks() == schedule.dag().num_tasks() &&
-                 oracle.num_procs() == schedule.platform().num_procs(),
-             "oracle was not compiled from this schedule");
+  const SurvivalOracle oracle(schedule);
   RepairStats stats;
   const std::uint32_t max_rounds = max_repair_rounds(schedule);
   const std::size_t m = schedule.platform().num_procs();
@@ -975,10 +952,9 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
     return o;
   };
 
-  // The repair loop's survival checks run on the oracle, patched as
-  // channels are wired. The killing-set rows, the failure set and the
-  // computability buffers are hoisted and reused across every killing set
-  // and round.
+  // The repair loop's survival checks read the schedule as channels are
+  // wired. The killing-set rows, the failure set and the computability
+  // buffers are hoisted and reused across every killing set and round.
   ProcSet failed(m);
   std::vector<std::uint64_t> alive;
   std::vector<std::uint64_t> kills;
@@ -1000,7 +976,7 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   for (stats.rounds = 0; stats.rounds < max_rounds; ++stats.rounds) {
     kills.clear();
     if (exact) {
-      exact->verify(oracle, target_reliability);
+      exact->verify(schedule, oracle, target_reliability);
       est = ReliabilityEstimate{};
       est.k_max = fw.k_max;
       exact->reduce(est, &kills);
@@ -1028,9 +1004,9 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
   if (achieved != nullptr) {
     if (est_current && exact) {
       // A last round decided short wired nothing: its unverified levels
-      // are finished against the same oracle.
+      // are finished against the same schedule.
       if (!exact->complete()) {
-        exact->finish(oracle);
+        exact->finish(schedule, oracle);
         exact->reduce(est, nullptr);
       }
       exact->find_worst_failure(est);
@@ -1042,18 +1018,12 @@ RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
 }
 
 RepairStats repair_for_model(Schedule& schedule, const FaultModel& model) {
-  SurvivalOracle oracle(schedule);
-  return repair_for_model(schedule, oracle, model);
-}
-
-RepairStats repair_for_model(Schedule& schedule, SurvivalOracle& oracle,
-                             const FaultModel& model) {
   if (model.is_count()) {
-    return repair_fault_tolerance(schedule, oracle, model.eps());
+    return repair_fault_tolerance(schedule, model.eps());
   }
   ReliabilityEstimate achieved;
   RepairStats stats =
-      repair_to_reliability(schedule, oracle, model.target_reliability(), {}, &achieved);
+      repair_to_reliability(schedule, model.target_reliability(), {}, &achieved);
   stats.reliability = achieved.reliability;
   return stats;
 }

@@ -58,9 +58,10 @@ struct FtCheckResult {
 /// with `failed` empty the walk is exactly that whole-platform check. Returns
 /// 0 when the schedule does not even survive `failed` itself — callers
 /// distinguish "alive but fragile" from "dead" with a prior
-/// `survives(failed)` check.
-[[nodiscard]] CopyId achieved_tolerance(const SurvivalOracle& oracle, const ProcSet& failed,
-                                        CopyId want, BatchScratch& scratch);
+/// `survives(failed)` check. `oracle` is that of the schedule's DAG.
+[[nodiscard]] CopyId achieved_tolerance(const Schedule& schedule, const SurvivalOracle& oracle,
+                                        const ProcSet& failed, CopyId want,
+                                        BatchScratch& scratch);
 
 struct RepairStats {
   bool success = false;
@@ -84,22 +85,16 @@ struct RepairStats {
 /// their port cost, keeping measured latencies honest.
 RepairStats repair_fault_tolerance(Schedule& schedule, std::uint32_t max_failures);
 
-/// Warm-oracle variant: `oracle` must be compiled from `schedule` (it is
-/// patched in place as channels are wired, staying current afterwards).
-/// Resident services keep one oracle per cached schedule, so repair after
-/// a live failure event never recompiles the placement.
-RepairStats repair_fault_tolerance(Schedule& schedule, SurvivalOracle& oracle,
-                                   std::uint32_t max_failures);
-
 /// Adds supply channels until the schedule survives the ONE concrete
 /// failure set `failed` (the placement daemon's event-repair primitive:
 /// live processors just died, make every cached consumer of the cluster
-/// survive exactly that state). `oracle` must be compiled from `schedule`
-/// and is patched in place. `success` is false when the set is beyond
-/// repair (e.g. every replica of some task sits on failed processors);
-/// `rounds` counts the repair steps taken (0 when the schedule already
-/// survives).
-RepairStats repair_for_failure_set(Schedule& schedule, SurvivalOracle& oracle,
+/// survive exactly that state). `oracle` is that of the schedule's DAG:
+/// resident services keep one per cached placement, so an event never
+/// rebuilds the evaluation order. `success` is false when the set is
+/// beyond repair (e.g. every replica of some task sits on failed
+/// processors); `rounds` counts the repair steps taken (0 when the
+/// schedule already survives).
+RepairStats repair_for_failure_set(Schedule& schedule, const SurvivalOracle& oracle,
                                    const ProcSet& failed);
 
 // ---------------------------------------------------------------------------
@@ -188,21 +183,9 @@ RepairStats repair_to_reliability(Schedule& schedule, double target_reliability,
                                   const ReliabilityOptions& options = {},
                                   ReliabilityEstimate* achieved = nullptr);
 
-/// Warm-oracle variant (see repair_fault_tolerance above): `oracle` must
-/// be compiled from `schedule` and is patched in place as repair wires
-/// channels.
-RepairStats repair_to_reliability(Schedule& schedule, SurvivalOracle& oracle,
-                                  double target_reliability,
-                                  const ReliabilityOptions& options = {},
-                                  ReliabilityEstimate* achieved = nullptr);
-
 /// Model dispatch used by the schedulers' repair pass: count models run
 /// the exhaustive ε-failure repair, probabilistic models repair until the
 /// target reliability is met.
 RepairStats repair_for_model(Schedule& schedule, const FaultModel& model);
-
-/// Warm-oracle model dispatch.
-RepairStats repair_for_model(Schedule& schedule, SurvivalOracle& oracle,
-                             const FaultModel& model);
 
 }  // namespace streamsched

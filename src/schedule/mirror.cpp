@@ -32,7 +32,7 @@ Schedule mirror_schedule(Schedule reversed, const Dag& original) {
   s.dag_ = &original;
   std::fill(s.sigma_.begin(), s.sigma_.end(), 0.0);
   std::swap(s.cin_, s.cout_);
-  std::fill(s.supplied_.begin(), s.supplied_.end(), 0);
+  std::fill(s.supply_.begin(), s.supply_.end(), 0);
   for (TaskId t = 0; t < original.num_tasks(); ++t) {
     for (CopyId c = 0; c < s.copies(); ++c) {
       PlacedReplica& p = s.placed_[s.slot({t, c})];
@@ -51,7 +51,7 @@ Schedule mirror_schedule(Schedule reversed, const Dag& original) {
     const double start = horizon - comm.finish;
     comm.finish = horizon - comm.start;
     comm.start = start;
-    s.set_supply(s.supply_bit(comm.edge, comm.dst_copy, comm.src_copy));
+    s.set_supply(comm.edge, comm.dst_copy, comm.src_copy);
   }
   recompute_stages(s);
   return reversed;

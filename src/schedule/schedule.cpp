@@ -7,15 +7,28 @@
 
 namespace streamsched {
 
+namespace {
+
+// Bytes per supply mask at `copies` copies: the narrowest of 1, 2, 4 and 8
+// bytes that holds them, whole 64-bit words above 64.
+std::uint32_t supply_mask_bytes_for(std::uint32_t copies) {
+  return copies <= 64 ? std::bit_ceil((copies + 7) / 8) : 8 * ((copies + 63) / 64);
+}
+
+}  // namespace
+
 Schedule::Schedule(const Dag& dag, const Platform& platform, CopyId eps, double period)
     : dag_(&dag), platform_(&platform), eps_(eps), period_(period) {
   SS_REQUIRE(period > 0.0, "period must be positive (or infinity)");
   SS_REQUIRE(eps < CommRecord::kMaxCopies, "more copies per task than a comm record indexes");
   SS_REQUIRE(eps < platform.num_procs(),
              "cannot tolerate eps failures with <= eps processors");
+  mask_bytes_ = supply_mask_bytes_for(copies());
   const std::size_t replicas = dag.num_tasks() * copies();
   placed_.assign(replicas, PlacedReplica{});
-  supplied_.assign((supply_bit(static_cast<EdgeId>(dag.num_edges()), 0, 0) + 63) / 64, 0);
+  // The padding lets supply_word read the last mask as a whole word.
+  supply_.assign(mask_offset(static_cast<EdgeId>(dag.num_edges()), 0) + sizeof(std::uint64_t) - 1,
+                 0);
   sigma_.assign(platform.num_procs(), 0.0);
   cin_.assign(platform.num_procs(), 0.0);
   cout_.assign(platform.num_procs(), 0.0);
@@ -44,11 +57,10 @@ std::uint32_t Schedule::add_comm(const CommRecord& comm) {
   const ReplicaRef src{edge.src, comm.src_copy};
   const ReplicaRef dst{edge.dst, comm.dst_copy};
   SS_REQUIRE(is_placed(src) && is_placed(dst), "comm endpoints must be placed");
-  const std::size_t bit = supply_bit(comm.edge, dst.copy, src.copy);
-  SS_REQUIRE(!test_supply(bit), "duplicate supply comm");
+  SS_REQUIRE(!supplies(comm.edge, dst.copy, src.copy), "duplicate supply comm");
   const auto idx = static_cast<std::uint32_t>(comms_.size());
   comms_.push_back(comm);
-  set_supply(bit);
+  set_supply(comm.edge, dst.copy, src.copy);
   const ProcId from = placed_[slot(src)].proc;
   const ProcId to = placed_[slot(dst)].proc;
   if (from != to) {
@@ -65,7 +77,7 @@ std::vector<ReplicaRef> Schedule::suppliers(ReplicaRef r, TaskId pred) const {
   const EdgeId e = dag_->find_edge(pred, r.task);
   if (e == kInvalidEdge) return result;
   for (CopyId c = 0; c < copies(); ++c) {
-    if (test_supply(supply_bit(e, r.copy, c))) result.push_back({pred, c});
+    if (supplies(e, r.copy, c)) result.push_back({pred, c});
   }
   return result;
 }
@@ -74,7 +86,7 @@ bool Schedule::has_supplier(ReplicaRef r, ReplicaRef src) const {
   check_replica(r);
   check_replica(src);
   const EdgeId e = dag_->find_edge(src.task, r.task);
-  return e != kInvalidEdge && test_supply(supply_bit(e, r.copy, src.copy));
+  return e != kInvalidEdge && supplies(e, r.copy, src.copy);
 }
 
 std::vector<ReplicaRef> Schedule::replicas_on(ProcId u) const {

@@ -14,13 +14,25 @@
 // timestamps.
 //
 // Storage is per schedule, not per replica: one placement array, one comm
-// array and one bit array with a bit per (edge, consumer copy, supplier
-// copy), which makes add_comm's duplicate-supplier precondition an O(1)
-// test-and-set. There is no per-replica comm list: the few readers that
-// walk a replica's inbound comms build a ConsumerIndex (below) once per
-// call. A build reserves room in the comm array and repair may grow it;
-// `shrink_to_fit` drops the spare capacity, and the placement service's
-// publish gate calls it, so a cached placement is exact-size.
+// array and one supply mask per (edge, consumer copy), which makes
+// add_comm's duplicate-supplier precondition an O(1) test-and-set. There
+// is no per-replica comm list: the few readers that walk a replica's
+// inbound comms build a ConsumerIndex (below) once per call. A build
+// reserves room in the comm array and repair may grow it; `shrink_to_fit`
+// drops the spare capacity, and the placement service's publish gate
+// calls it, so a cached placement is exact-size.
+//
+// The supply masks are also what the survival kernels
+// (schedule/survival.hpp) read, so a query sees every comm as soon as
+// add_comm records it. Bit s of the mask of (edge e, consumer copy c) says
+// copy s of e's source task supplies copy c of its destination. A mask is
+// as narrow as the copy count allows: 1, 2, 4 or 8 bytes up to 8, 16, 32
+// and 64 copies, whole 64-bit words above. The masks of an edge lie
+// consecutively in consumer-copy order, and the edges in id order, behind
+// which 7 zero bytes of padding let a kernel read any mask as one 8-byte
+// little-endian word (supply_word): its low copies() bits are the mask,
+// the bits above belong to the masks after it. At 3 copies a mask is one
+// byte, so a 52-task, 200-edge schedule keeps 607 bytes of them.
 //
 // Comm records are most of a cached placement, so a record keeps only what
 // its edge does not: 24 bytes, the edge id, the two copy indices and the
@@ -33,7 +45,9 @@
 // a 2^30-entry delay matrix.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -139,6 +153,24 @@ class Schedule {
   /// True when r already records a supply comm from `src`.
   [[nodiscard]] bool has_supplier(ReplicaRef r, ReplicaRef src) const;
 
+  /// Every replica's placement, copies() per task in task order; an
+  /// unplaced replica has proc == kInvalidProc. The survival kernels' view.
+  [[nodiscard]] const PlacedReplica* placements() const { return placed_.data(); }
+
+  /// Bytes per supply mask (see the file comment).
+  [[nodiscard]] std::size_t supply_mask_bytes() const { return mask_bytes_; }
+  /// The supply mask of consumer copy `to` of edge e; the masks of e's
+  /// further copies follow supply_mask_bytes() apart. Unchecked: the
+  /// survival kernels call it per predecessor slot.
+  [[nodiscard]] const std::uint8_t* supply_mask(EdgeId e, CopyId to) const {
+    return supply_.data() + mask_offset(e, to);
+  }
+  /// True when copy `from` of edge e's source supplies its consumer copy
+  /// `to` (edge and copies unchecked, as in supply_mask).
+  [[nodiscard]] bool supplies(EdgeId e, CopyId to, CopyId from) const {
+    return (supply_[mask_offset(e, to) + from / 8] >> (from % 8)) & 1;
+  }
+
   /// Per-processor loads per data item: compute load Σ_u, input port load
   /// C^I_u and output port load C^O_u (remote communications only).
   [[nodiscard]] double sigma(ProcId u) const {
@@ -179,19 +211,18 @@ class Schedule {
   [[nodiscard]] std::size_t slot(ReplicaRef r) const {
     return static_cast<std::size_t>(r.task) * copies() + r.copy;
   }
-  /// Index in supplied_ of the bit "consumer copy `to` of edge e records
-  /// supplier copy `from`".
-  [[nodiscard]] std::size_t supply_bit(EdgeId e, CopyId to, CopyId from) const {
-    return (static_cast<std::size_t>(e) * copies() + to) * copies() + from;
+  /// Offset in supply_ of the mask of consumer copy `to` of edge e.
+  [[nodiscard]] std::size_t mask_offset(EdgeId e, CopyId to) const {
+    return (static_cast<std::size_t>(e) * copies() + to) * mask_bytes_;
   }
-  [[nodiscard]] bool test_supply(std::size_t bit) const {
-    return (supplied_[bit / 64] >> (bit % 64)) & 1;
+  void set_supply(EdgeId e, CopyId to, CopyId from) {
+    supply_[mask_offset(e, to) + from / 8] |= static_cast<std::uint8_t>(1u << (from % 8));
   }
-  void set_supply(std::size_t bit) { supplied_[bit / 64] |= std::uint64_t{1} << (bit % 64); }
 
   const Dag* dag_;
   const Platform* platform_;
   CopyId eps_;
+  std::uint32_t mask_bytes_;
   double period_;
   std::size_t num_placed_ = 0;
 
@@ -199,10 +230,22 @@ class Schedule {
   // while unplaced).
   std::vector<PlacedReplica> placed_;
   std::vector<CommRecord> comms_;
-  // One bit per (edge, consumer copy, supplier copy), set by add_comm.
-  std::vector<std::uint64_t> supplied_;
+  // The supply masks, set by add_comm, then the padding.
+  std::vector<std::uint8_t> supply_;
   std::vector<double> sigma_, cin_, cout_;
 };
+
+/// Word w of a supply mask (bits 64w to 64w + 63) as the survival kernels
+/// read it. A mask of fewer than 8 bytes has only word 0, whose bits at and
+/// above copies() belong to the masks after it: AND it with a replica row,
+/// which has no such bits, or mask them off.
+[[nodiscard]] inline std::uint64_t supply_word(const std::uint8_t* mask, std::size_t w = 0) {
+  static_assert(std::endian::native == std::endian::little,
+                "supply masks are read as little-endian words");
+  std::uint64_t word;
+  std::memcpy(&word, mask + 8 * w, sizeof word);
+  return word;
+}
 
 /// The comms that supply each replica, as one flat index (offsets plus comm
 /// ids, CSR) built from a schedule's comms() by the reader that walks them.

@@ -1,17 +1,23 @@
-// Compiled survival kernel for fault-tolerance analysis.
+// Survival kernel for fault-tolerance analysis.
 //
 // `schedule_reliability()` and the repair passes evaluate the same question
 // — "does the schedule survive failure set F?" — for up to 2^18 sets of a
 // memoised failure-set tree plus tens of thousands of Monte-Carlo samples
-// per call. Rather than
-// re-walking every CommRecord per set, `SurvivalOracle` compiles the
-// schedule ONCE into flat arrays — per-replica processor ids, per-task
-// placed-replica masks, and per-(replica, predecessor) supplier-copy
-// masks, each ceil(copies/64) words wide so arbitrary replication degrees
-// compile — after which one failure set costs a single allocation-free
-// topological pass over bitmasks: alive[t] starts as the placed copies on
-// alive processors and each predecessor slot clears the copies whose
-// supplier mask misses alive[pred].
+// per call. `SurvivalOracle` compiles what the schedule's DAG fixes, once:
+// the evaluation order (Dag::topological_order) and each task's
+// predecessor slots, (predecessor, in-edge) pairs in Dag::predecessors
+// order, stored densely. Everything else it reads from the schedule each
+// query names: the replicas' processors (Schedule::placements) and the
+// supply masks, one per (edge, consumer copy), that add_comm sets
+// (Schedule::supply_mask). One failure set then costs a single
+// allocation-free topological pass over bitmasks: alive[t] starts as the
+// placed copies on alive processors and each predecessor slot clears the
+// copies whose supply mask misses alive[pred]. Replica rows are
+// ceil(copies/64) words wide, so any replication degree is evaluated.
+//
+// Nothing of the schedule is copied, so nothing is patched: a comm added to
+// the schedule is in the next query, and one oracle serves every schedule
+// of its DAG — a placement and the copy that event repair works on alike.
 //
 // The workload rarely asks about ONE failure set: exact mode checks the
 // frontier of a tree of up to 2^18 related sets (those whose parent, the
@@ -23,7 +29,7 @@
 // replica, one bit per set — and resolves all of them in a single
 // topological pass: per replica, the lanes where its processor is alive,
 // intersected per predecessor with the OR of its suppliers' lane words (the
-// supplier-copy masks broadcast across lanes). The width is a compile-time
+// supply masks broadcast across lanes). The width is a compile-time
 // parameter of that one body: `survives_batch` is its one-word case (64
 // sets), which the count checks, the publish gate and the simulator
 // precheck use; the exact frontier and the Monte-Carlo estimator resolve
@@ -32,11 +38,9 @@
 // (both are the same monotone fixpoint), so batch consumers keep
 // bit-identical reductions.
 //
-// The oracle is a pure function of the schedule's placements and comms; it
-// must be re-created (or patched via `add_comm`) when the repair pass adds
-// supply channels. Its booleans are checked against an independent
-// brute-force computability predicate (tests/reference_survival.hpp) on
-// every subset of small platforms and on sampled sets of large ones.
+// Its booleans are checked against an independent brute-force
+// computability predicate (tests/reference_survival.hpp) on every subset
+// of small platforms and on sampled sets of large ones.
 //
 // `ProcSet` is the reusable dynamic bitset of failed processors shared by
 // the Monte-Carlo sampler, the fault-tolerance checkers and the repair
@@ -47,6 +51,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -131,51 +136,62 @@ inline constexpr std::size_t kLaneWords = 4;
   return count >= 64 ? ~0ULL : (1ULL << count) - 1;
 }
 
+/// Words per replica-mask row at `copies` copies: ceil(copies/64). Rows of
+/// the `computable` output and of `compute_row` are this wide.
+[[nodiscard]] constexpr std::size_t replica_mask_words(CopyId copies) {
+  return (static_cast<std::size_t>(copies) + 63) / 64;
+}
+
 /// Tests replica bit `c` of one row in a multi-word replica mask array
-/// (row layout: ceil(copies/64) words, as produced by
+/// (row layout: replica_mask_words(copies) words, as produced by
 /// `SurvivalOracle::computable`).
 [[nodiscard]] inline bool replica_mask_test(const std::uint64_t* row, CopyId c) {
   return ((row[c >> 6] >> (c & 63)) & 1) != 0;
 }
 
-/// A schedule compiled for fast survival queries: flat arrays that only
-/// add_comm() changes. Queries are const and take the caller's scratch
-/// (allocation-free once it is sized), so concurrent queries are safe
-/// when every thread brings its own.
+/// The DAG-derived part of the survival kernels: evaluation order and
+/// dense predecessor slots. Every query takes the schedule it is about,
+/// which must be built on a DAG of the same shape as the one compiled
+/// (checked by task and edge count); queries are const and take the
+/// caller's scratch (allocation-free once it is sized), so concurrent
+/// queries are safe when every thread brings its own.
 class SurvivalOracle {
  public:
-  /// An empty oracle of no schedule, for a holder that compiles one later;
-  /// only a compiled oracle answers queries.
+  /// One predecessor slot of a task: the predecessor and the in-edge from
+  /// it, whose supply masks the kernels read.
+  struct Slot {
+    TaskId pred;
+    EdgeId edge;
+  };
+
+  /// An empty oracle of no DAG, for a holder that compiles one later; only
+  /// a compiled oracle answers queries.
   SurvivalOracle() = default;
-  explicit SurvivalOracle(const Schedule& schedule);
+  explicit SurvivalOracle(const Dag& dag);
+  /// The oracle of `schedule`'s DAG.
+  explicit SurvivalOracle(const Schedule& schedule) : SurvivalOracle(schedule.dag()) {}
 
-  [[nodiscard]] std::size_t num_procs() const { return num_procs_; }
-  [[nodiscard]] std::size_t num_tasks() const { return num_tasks_; }
-  [[nodiscard]] CopyId copies() const { return copies_; }
-  /// Words per replica-mask row: ceil(copies/64). Rows of the
-  /// `computable` output (and the internal placed/supplier masks) are this
-  /// wide, so any replication degree compiles.
-  [[nodiscard]] std::size_t mask_words() const { return mask_words_; }
-  /// The task evaluation order compiled from the schedule's DAG
-  /// (Dag::topological_order).
+  [[nodiscard]] std::size_t num_tasks() const { return topo_.size(); }
+  /// The task evaluation order (Dag::topological_order).
   [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
+  /// Task t's predecessor slots, in Dag::predecessors (= in_edges) order.
+  [[nodiscard]] std::span<const Slot> slots(TaskId t) const {
+    return {slots_.data() + slot_offset_[t], slots_.data() + slot_offset_[t + 1]};
+  }
 
-  /// Incorporates a supply comm src -> dst added after compilation (the
-  /// repair pass patches the oracle instead of recompiling per added
-  /// channel).
-  void add_comm(ReplicaRef src, ReplicaRef dst);
-
-  /// True when every task keeps at least one computable replica under
-  /// `failed`. `scratch` is resized on first use, then reused
-  /// allocation-free.
-  [[nodiscard]] bool survives(const ProcSet& failed, std::vector<std::uint64_t>& scratch) const {
-    SS_REQUIRE(failed.size() == num_procs_, "failure set size != processor count");
-    return survives_words(failed.words(), scratch);
+  /// True when every task of `schedule` keeps at least one computable
+  /// replica under `failed`. `scratch` is resized on first use, then
+  /// reused allocation-free.
+  [[nodiscard]] bool survives(const Schedule& schedule, const ProcSet& failed,
+                              std::vector<std::uint64_t>& scratch) const {
+    SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
+               "failure set size != processor count");
+    return survives_words(schedule, failed.words(), scratch);
   }
 
   /// Raw-word variant for batch evaluators that store many failure sets in
   /// one flat array; `failed_words` must hold ceil(num_procs/64) words.
-  [[nodiscard]] bool survives_words(const std::uint64_t* failed_words,
+  [[nodiscard]] bool survives_words(const Schedule& schedule, const std::uint64_t* failed_words,
                                     std::vector<std::uint64_t>& scratch) const;
 
   /// Bit-sliced batch query: resolves `count` (1..64 * W) failure sets in
@@ -188,59 +204,53 @@ class SurvivalOracle {
   /// order therefore stay bit-identical to the per-set kernel. Instantiated
   /// for W = 1 and W = kLaneWords.
   template <std::size_t W>
-  [[nodiscard]] LaneWords<W> survives_lanes(const std::uint64_t* set_words, std::size_t count,
+  [[nodiscard]] LaneWords<W> survives_lanes(const Schedule& schedule,
+                                            const std::uint64_t* set_words, std::size_t count,
                                             BatchScratch& scratch) const;
 
   /// The one-word case: up to 64 sets, set L's verdict in bit L.
-  [[nodiscard]] std::uint64_t survives_batch(const std::uint64_t* set_words, std::size_t count,
+  [[nodiscard]] std::uint64_t survives_batch(const Schedule& schedule,
+                                             const std::uint64_t* set_words, std::size_t count,
                                              BatchScratch& scratch) const {
-    return survives_lanes<1>(set_words, count, scratch)[0];
+    return survives_lanes<1>(schedule, set_words, count, scratch)[0];
   }
 
-  /// Full computability masks under `failed`: row t (mask_words() words at
-  /// alive[t * mask_words()]) has bit c set iff replica (t, c) is
-  /// computable. No early exit (dead tasks store 0).
-  void computable(const ProcSet& failed, std::vector<std::uint64_t>& alive) const;
+  /// Full computability masks under `failed`: row t
+  /// (replica_mask_words(copies) words from alive[t * that]) has bit c set
+  /// iff replica (t, c) is computable. No early exit (dead tasks store 0).
+  void computable(const Schedule& schedule, const ProcSet& failed,
+                  std::vector<std::uint64_t>& alive) const;
 
   /// The per-set kernel, one task at a time: computes task t's row of
-  /// `alive` (mask_words() words at alive[t * mask_words()]) under
-  /// `failed_words` from its predecessors' rows, which must already hold
-  /// their values under the same set. Returns whether t keeps a computable
-  /// replica. `survives_words` and `computable` are loops over it in
-  /// topological order; the count, probabilistic and event repairs call it
-  /// directly so that they can wire a dead task and recompute that task's
-  /// row before going on, and achieved_tolerance's k = 0 check runs on it.
-  /// In the narrow layout (copies <= 64) it runs over the copies without
+  /// `alive` (replica_mask_words(copies) words) under `failed_words` from
+  /// its predecessors' rows, which must already hold their values under the
+  /// same set. Returns whether t keeps a computable replica.
+  /// `survives_words` and `computable` are loops over it in topological
+  /// order; the count, probabilistic and event repairs call it directly so
+  /// that they can wire a dead task and recompute that task's row before
+  /// going on, and achieved_tolerance's k = 0 check runs on it. In the
+  /// narrow layout (copies <= 64) it runs over the copies without
   /// branches: a copy stays iff it is placed, its processor is up and every
   /// predecessor slot feeds it; an unplaced copy reads as down without
   /// indexing `failed_words` with its kInvalidProc.
-  bool compute_row(TaskId t, const std::uint64_t* failed_words, std::uint64_t* alive) const;
-
-  /// Task t's `slot`-th predecessor (Dag::predecessors order).
-  [[nodiscard]] TaskId predecessor(TaskId t, std::size_t slot) const {
-    return pred_task_[pred_offset_[t] + slot];
-  }
-
-  /// The mask_words() words whose bit s says copy s of task t's `slot`-th
-  /// predecessor (Dag::predecessors order, which is in_edges order)
-  /// supplies replica (t, c).
-  [[nodiscard]] const std::uint64_t* supplier_mask(TaskId t, std::size_t slot, CopyId c) const {
-    return sup_mask_.data() +
-           ((static_cast<std::size_t>(pred_offset_[t]) + slot) * copies_ + c) * mask_words_;
-  }
+  bool compute_row(const Schedule& schedule, TaskId t, const std::uint64_t* failed_words,
+                   std::uint64_t* alive) const;
 
  private:
-  std::size_t num_procs_ = 0;
-  std::size_t num_tasks_ = 0;
-  CopyId copies_ = 0;
-  std::size_t mask_words_ = 1;            // ceil(copies/64): replica-mask row width
-  std::vector<TaskId> topo_;              // task evaluation order
-  std::vector<std::uint64_t> placed_mask_;  // [task * mask_words + w]: bit c = placed
-  std::vector<ProcId> proc_;              // [task * copies + c]
-  std::vector<std::uint32_t> pred_offset_;  // [task] -> range in pred_task_
-  std::vector<TaskId> pred_task_;         // flattened predecessor lists
-  std::vector<std::uint64_t> sup_mask_;   // [(pred slot * copies + c) * mask_words + w]:
-                                          // bits of pred copies supplying (task, c)
+  /// compute_row without its checks, for the loops that made them.
+  bool row(const Schedule& schedule, TaskId t, const std::uint64_t* failed_words,
+           std::uint64_t* alive) const;
+
+  /// Refuses a schedule whose DAG is not shaped like the compiled one.
+  void check(const Schedule& schedule) const {
+    SS_REQUIRE(schedule.dag().num_tasks() == topo_.size() &&
+                   schedule.dag().num_edges() == slots_.size(),
+               "oracle was not compiled from this schedule's DAG");
+  }
+
+  std::vector<TaskId> topo_;                // task evaluation order
+  std::vector<std::uint32_t> slot_offset_;  // [task] -> range in slots_
+  std::vector<Slot> slots_;                 // flattened predecessor slots
 };
 
 }  // namespace streamsched

@@ -54,18 +54,21 @@ bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratc
   // build reserves room, event repair doubles a copy's array).
   p.schedule.shrink_to_fit();
   // A schedule the gate already proved (a copy no repair patched) keeps
-  // its oracle, verdict, rel and sealed facts: they depend on it alone.
+  // its verdict, rel and sealed facts: they depend on it alone. Every
+  // claim below is read off the schedule itself.
   const bool fresh = !p.full_guarantee.has_value();
-  if (fresh) p.oracle = SurvivalOracle(p.schedule);
-  if ((p.oracle.survives_batch(failed.words(), 1, scratch) & 1ULL) == 0) return false;
+  if ((p.oracle.survives_batch(p.schedule, failed.words(), 1, scratch) & 1ULL) == 0) {
+    return false;
+  }
   if (fresh) {
     // Full guarantee: a count placement survives any eps_want failures of
     // the whole platform, whatever the live set; a probabilistic one,
     // whose contract is its rel, carries the eps_want + 1 replicas its
     // model asked for. A rel no repair estimated is estimated here, once.
-    p.full_guarantee = p.model.is_count() ? achieved_tolerance(p.oracle, ProcSet(failed.size()),
-                                                               p.eps_want, scratch) == p.eps_want
-                                          : p.schedule.eps() >= p.eps_want;
+    p.full_guarantee = p.model.is_count()
+                           ? achieved_tolerance(p.schedule, p.oracle, ProcSet(failed.size()),
+                                                p.eps_want, scratch) == p.eps_want
+                           : p.schedule.eps() >= p.eps_want;
     if (p.model.is_probabilistic() && p.reliability < 0.0) {
       p.reliability = schedule_reliability(p.schedule).reliability;
     }
@@ -75,8 +78,9 @@ bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratc
   }
   // Short of the full guarantee, eps_have is the residual tolerance
   // beyond the live failures.
-  p.eps_have = *p.full_guarantee ? p.eps_want
-                                 : achieved_tolerance(p.oracle, failed, p.eps_want, scratch);
+  p.eps_have = *p.full_guarantee
+                   ? p.eps_want
+                   : achieved_tolerance(p.schedule, p.oracle, failed, p.eps_want, scratch);
   p.degraded = p.eps_have < p.eps_want;
   p.response_fields = render_response_fields(p);
   return true;
@@ -269,7 +273,9 @@ std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
   // sub-platform. Only a failed rebuild drops.
   cache_.update_all([this, recovery](const std::shared_ptr<const CachedPlacement>& p)
                         -> std::shared_ptr<const CachedPlacement> {
-    if (!p->degraded && (recovery || p->oracle.survives(failed_, survive_scratch_))) return p;
+    if (!p->degraded && (recovery || p->oracle.survives(p->schedule, failed_, survive_scratch_))) {
+      return p;
+    }
     auto current =
         reconcile(std::make_shared<CachedPlacement>(*p), failed_, batch_scratch_, stats_);
     if (current == nullptr) {
@@ -292,16 +298,12 @@ std::uint64_t PlacementDaemon::on_event(const ClusterEvent& event) {
 std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
     std::shared_ptr<CachedPlacement> placement, const ProcSet& failed, BatchScratch& scratch,
     DaemonStats& counts) const {
-  const bool live_failures = failed.count() > 0;
-  // A placement the gate has not proved yet (a cold one) has no oracle:
-  // the live repair needs one, and otherwise the gate compiles it.
-  if (live_failures && !placement->full_guarantee) {
-    placement->oracle = SurvivalOracle(placement->schedule);
-  }
-  const RepairStats live =
-      live_failures ? repair_for_failure_set(placement->schedule, placement->oracle, failed)
-                    : RepairStats{.success = true};
-  // The gate's fresh oracle is the independent re-check of a live repair.
+  const RepairStats live = failed.count() > 0
+                               ? repair_for_failure_set(placement->schedule, placement->oracle,
+                                                        failed)
+                               : RepairStats{.success = true};
+  // The gate's proof on the repaired schedule is the re-check of a live
+  // repair.
   const bool repaired = live.success && live.rounds > 0;
   if (repaired) placement->full_guarantee.reset();
   counts.verifications += repaired;

@@ -9,8 +9,8 @@
 //              placement. A miss runs the cold path — calibrate the
 //              period if the request didn't fix one, schedule with the
 //              period-escalation ladder and model repair, compile the
-//              survival oracle, reconcile with the live failure set —
-//              then publishes the placement into the cache.
+//              survival oracle of the DAG, reconcile with the live
+//              failure set — then publishes the placement into the cache.
 //
 //   admit_hit()
 //              The hit half of admit() on its own, for a caller that
@@ -27,16 +27,18 @@
 //              failure set stay in place copy-free; placements that
 //              don't are *incrementally repaired* — a copy's schedule
 //              gets supply channels via repair_for_failure_set, which
-//              patches the warm SurvivalOracle through add_comm instead
-//              of recompiling — and the repaired copy replaces the entry
-//              under the same key. Concurrent calls serialize on the
-//              daemon mutex, which gives the events one total order.
+//              reads each one from the schedule as it wires it, through
+//              the placement's SurvivalOracle (the DAG's evaluation
+//              order, never rebuilt) — and the repaired copy replaces the
+//              entry under the same key. Concurrent calls serialize on
+//              the daemon mutex, which gives the events one total order.
 //
 // Every publish path — cold, event repair, rebuild, re-heal,
 // re-certification, restore — sends its placement through publish_gate
-// (below) before the cache sees it, so every claim comes from an oracle
-// the gate compiled from that schedule and a repaired copy is re-verified
-// on a fresh one against the live failure set.
+// (below) before the cache sees it, so every claim is proved on the
+// schedule itself and a repaired copy is re-verified against the live
+// failure set. No placement caches a compiled copy of its schedule, so
+// none can drift from it.
 //
 // The cache key holds no epoch: while mutex_ is free, every cached entry
 // is current for the live failure set, and each placement records the
@@ -117,14 +119,14 @@ struct DaemonStats {
                                      const FaultModel& model);
 
 /// The publish gate. Trims `placement.schedule`'s comm array to its size,
-/// so every published schedule is exact-size, compiles a fresh oracle from
-/// it into `placement` and derives from it every claim a response makes:
-/// survival of the live failure set `failed`, eps_have and degraded, a
-/// probabilistic placement's rel when no repair estimated it, and the
-/// sealed facts schedule_fp, stages and latency_bound; last it renders
-/// response_fields from them all. Returns false, deriving nothing further,
-/// when the placement does not survive `failed`. A schedule it already
-/// proved (`full_guarantee` set) keeps its oracle, verdict, rel and sealed
+/// so every published schedule is exact-size, and derives from the
+/// schedule, through the placement's oracle, every claim a response
+/// makes: survival of the live failure set `failed`, eps_have and
+/// degraded, a probabilistic placement's rel when no repair estimated it,
+/// and the sealed facts schedule_fp, stages and latency_bound; last it
+/// renders response_fields from them all. Returns false, deriving nothing
+/// further, when the placement does not survive `failed`. A schedule it
+/// already proved (`full_guarantee` set) keeps its verdict, rel and sealed
 /// facts; only survival, eps_have and response_fields are derived again.
 /// The snapshot loader calls it to hold an entry's claims to what it
 /// proves.
@@ -207,13 +209,11 @@ class PlacementDaemon {
                                                     BatchScratch& scratch) const;
 
   /// Brings an unpublished placement current for the live failure set
-  /// `failed`: repairs it on its warm oracle (nothing to do when it
-  /// survives; a cold placement's oracle is compiled for the repair only
-  /// when `failed` is not empty, else the gate compiles the one it keeps)
-  /// and sends it through publish_gate(), or, when the repair or
-  /// the gate refuses it, rebuild_degraded()s it; a repair that wired
-  /// channels resets full_guarantee, so the gate re-proves the patched
-  /// schedule on a fresh oracle. Adds the live repairs the gate re-checked
+  /// `failed`: repairs its schedule (nothing to do when it survives) and
+  /// sends it through publish_gate(), or, when the repair or the gate
+  /// refuses it, rebuild_degraded()s it; a repair that wired channels
+  /// resets full_guarantee, so the gate re-proves the patched schedule.
+  /// Adds the live repairs the gate re-checked
   /// (verifications, verify_failures, event_repairs) and rebuilds to
   /// `counts`. Returns nullptr when even the rebuild fails. Runs with or
   /// without mutex_ held, like rebuild_degraded().

@@ -9,9 +9,10 @@
 // cluster: which algorithm variant to place with, which fault model to
 // guarantee, and the throughput constraint (or 0 to calibrate one from the
 // workload, the experiment pipeline's convention). The daemon answers with
-// a shared, immutable CachedPlacement: the schedule, its compiled survival
-// oracle (kept warm so live failure events repair incrementally instead of
-// rescheduling), and the admission/repair provenance. Responses stay valid
+// a shared, immutable CachedPlacement: the schedule, the survival oracle of
+// its DAG (kept so that live failure events check and repair the schedule
+// incrementally without rebuilding the evaluation order), and the
+// admission/repair provenance. Responses stay valid
 // for the lifetime of the placement they point to — entries the daemon
 // evicts or repairs stay alive for holders of the shared_ptr; the daemon
 // itself publishes repaired *copies*, never mutates a published placement.
@@ -58,22 +59,25 @@ struct PlacementRequest {
 };
 
 /// One admitted placement, immutable once published by the daemon. The
-/// publish gate (service/daemon.hpp) compiles the oracle from every new or
-/// patched schedule and derives the claims below from it; event repair
-/// patches an unpublished copy's oracle alongside its schedule. A new
-/// placement's oracle stays empty until the gate, or a live repair before
-/// it, compiles one.
+/// publish gate (service/daemon.hpp) derives the claims below from every
+/// new or patched schedule, reading the schedule itself through `oracle`.
+/// The oracle holds only what the DAG fixes (evaluation order and
+/// predecessor slots, about 2 KB at 52 tasks and 200 edges), compiled once
+/// when the placement is made; it holds no copy of the schedule, so event
+/// repair patches the copy's schedule alone and a copied placement's
+/// oracle stays valid.
 struct CachedPlacement {
   CachedPlacement(std::shared_ptr<const Dag> dag_in,
                   std::shared_ptr<const Platform> platform_in, Schedule schedule_in)
       : dag(std::move(dag_in)),
         platform(std::move(platform_in)),
-        schedule(std::move(schedule_in)) {}
+        schedule(std::move(schedule_in)),
+        oracle(*dag) {}
 
   std::shared_ptr<const Dag> dag;
   std::shared_ptr<const Platform> platform;
   Schedule schedule;
-  SurvivalOracle oracle;
+  const SurvivalOracle oracle;
 
   FaultModel model = FaultModel::count(0);
   std::string variant;         ///< canonical variant spec
@@ -117,8 +121,9 @@ struct CachedPlacement {
   std::uint32_t stages = 0;
   double latency_bound = 0.0;
   /// The publish gate's full-guarantee verdict on `schedule`, empty until
-  /// the gate proves it. Set, it vouches that `oracle` and the sealed facts
-  /// match `schedule` as it stands: whoever patches the schedule resets it.
+  /// the gate proves it. Set, it vouches that the verdict and the sealed
+  /// facts match `schedule` as it stands: whoever patches the schedule
+  /// resets it.
   std::optional<bool> full_guarantee;
   /// The fields of an `OK` answer that depend on this placement alone:
   /// ` fp=` through ` repair_comms=`, then ` degraded=1 eps_have= eps_want=`

@@ -43,7 +43,7 @@ SimResult simulate_with_sampled_failures(const Schedule& schedule, const FaultMo
     ProcSet failed(m);
     failed.assign(options.failed);
     std::vector<std::uint64_t> scratch;
-    if (!precheck->survives(failed, scratch)) {
+    if (!precheck->survives(schedule, failed, scratch)) {
       return killed_trial_result(m, options);
     }
   }
@@ -81,7 +81,7 @@ std::vector<SimResult> simulate_crash_trials(const SimProgram& program, const Fa
     for (std::size_t begin = 0; begin < trials; begin += 64) {
       const std::size_t count = std::min<std::size_t>(64, trials - begin);
       const std::uint64_t survived =
-          precheck->survives_batch(rows.data() + begin * words, count, scratch);
+          precheck->survives_batch(schedule, rows.data() + begin * words, count, scratch);
       for (std::size_t lane = 0; lane < count; ++lane) {
         killed[begin + lane] = ((survived >> lane) & 1) != 0 ? 0 : 1;
       }

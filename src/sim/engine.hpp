@@ -123,7 +123,7 @@ class SimProgram;
 /// the platform's failure probabilities) and simulates under it.
 /// `options.failed` is overwritten with the sampled set.
 ///
-/// `precheck` (optional, compiled from the same schedule) short-circuits
+/// `precheck` (optional, the oracle of the schedule's DAG) short-circuits
 /// trials whose sampled set kills the schedule: a task without a
 /// computable replica starves every downstream exit for every item, so the
 /// run's outcome — complete = false, every measured item starved, no

@@ -121,8 +121,9 @@ struct ServerHandle {
 /// Holds every cached entry to the claims it serves, re-proved from its
 /// schedule alone, whichever path (cold admit, restore, event repair,
 /// rebuild, re-certify, re-heal) published it. `failed` is the live
-/// failure set the test drove. The entry's oracle must match a fresh
-/// compile, its schedule must survive `failed` under the brute-force
+/// failure set the test drove. The entry's oracle must hold its DAG's
+/// evaluation order and predecessor slots and compute the rows a fresh
+/// one does, its schedule must survive `failed` under the brute-force
 /// predicate (tests/reference_survival.hpp), and its tolerance claim must
 /// hold: a full-guarantee count entry survives any eps_want failures of
 /// the platform, a full-guarantee probabilistic entry carries eps_want + 1
@@ -144,25 +145,20 @@ inline void expect_reprovable_entries(const PlacementDaemon& daemon,
     EXPECT_EQ(p->stages, num_stages(p->schedule));
     EXPECT_EQ(p->latency_bound, latency_upper_bound(p->schedule));
 
-    const SurvivalOracle fresh(p->schedule);
-    ASSERT_EQ(p->oracle.copies(), fresh.copies());
-    ASSERT_EQ(p->oracle.mask_words(), fresh.mask_words());
+    const SurvivalOracle fresh(*p->dag);
     EXPECT_EQ(p->oracle.topological_order(), fresh.topological_order());
     for (TaskId t = 0; t < p->dag->num_tasks(); ++t) {
+      ASSERT_EQ(p->oracle.slots(t).size(), p->dag->in_edges(t).size());
       for (std::size_t slot = 0; slot < p->dag->in_edges(t).size(); ++slot) {
-        EXPECT_EQ(p->oracle.predecessor(t, slot), fresh.predecessor(t, slot));
-        for (CopyId c = 0; c < fresh.copies(); ++c) {
-          EXPECT_TRUE(std::equal(fresh.supplier_mask(t, slot, c),
-                                 fresh.supplier_mask(t, slot, c) + fresh.mask_words(),
-                                 p->oracle.supplier_mask(t, slot, c)))
-              << "task " << t << " slot " << slot << " copy " << c;
-        }
+        const EdgeId e = p->dag->in_edges(t)[slot];
+        EXPECT_EQ(p->oracle.slots(t)[slot].edge, e);
+        EXPECT_EQ(p->oracle.slots(t)[slot].pred, p->dag->edge(e).src);
       }
     }
     std::vector<std::uint64_t> cached_rows;
     std::vector<std::uint64_t> fresh_rows;
-    p->oracle.computable(live_set, cached_rows);
-    fresh.computable(live_set, fresh_rows);
+    p->oracle.computable(p->schedule, live_set, cached_rows);
+    fresh.computable(p->schedule, live_set, fresh_rows);
     EXPECT_EQ(cached_rows, fresh_rows);
 
     EXPECT_TRUE(survives_failures(p->schedule, live));

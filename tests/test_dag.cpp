@@ -40,6 +40,39 @@ TEST(Dag, AddTaskAssignsSequentialIds) {
   EXPECT_EQ(d.work(0), 1.0);
 }
 
+// Names are "t<i>" unless given otherwise, whichever task gets the first
+// other name and in whatever order default and other names come; a
+// reversal keeps them, and a refused task leaves the names as they were.
+TEST(Dag, NamesDefaultToTheTaskIdUntilGivenOthers) {
+  Dag plain;
+  plain.add_task(1.0);
+  plain.add_task("t1", 1.0);
+  EXPECT_EQ(plain.name(0), "t0");
+  EXPECT_EQ(plain.name(1), "t1");
+
+  for (const std::size_t first_named : {0u, 2u}) {
+    Dag d;
+    for (std::size_t t = 0; t < 5; ++t) {
+      if (t == first_named) {
+        d.add_task("x", 1.0);
+      } else if (t == 3) {
+        d.add_task("t3", 1.0);
+      } else {
+        d.add_task(1.0);
+      }
+    }
+    EXPECT_THROW(d.add_task("y", -1.0), std::invalid_argument);
+    d.add_edge(0, 4, 1.0);
+    const Dag r = d.reversed();
+    for (TaskId t = 0; t < 5; ++t) {
+      const std::string expected = t == first_named ? "x" : "t" + std::to_string(t);
+      EXPECT_EQ(d.name(t), expected) << "first named " << first_named;
+      EXPECT_EQ(r.name(t), expected) << "first named " << first_named;
+    }
+    EXPECT_THROW((void)d.name(5), std::invalid_argument);
+  }
+}
+
 TEST(Dag, RejectsNegativeWork) {
   Dag d;
   EXPECT_THROW(d.add_task("x", -1.0), std::invalid_argument);

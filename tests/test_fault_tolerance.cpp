@@ -49,8 +49,8 @@ bool computable(const Schedule& s, const std::vector<ProcId>& failed, TaskId t, 
   ProcSet set(s.platform().num_procs());
   set.assign(failed);
   std::vector<std::uint64_t> alive;
-  oracle.computable(set, alive);
-  return replica_mask_test(alive.data() + t * oracle.mask_words(), c);
+  oracle.computable(s, set, alive);
+  return replica_mask_test(alive.data() + t * replica_mask_words(s.copies()), c);
 }
 
 bool survives(const Schedule& s, const std::vector<ProcId>& failed) {
@@ -58,7 +58,7 @@ bool survives(const Schedule& s, const std::vector<ProcId>& failed) {
   ProcSet set(s.platform().num_procs());
   set.assign(failed);
   std::vector<std::uint64_t> scratch;
-  return oracle.survives(set, scratch);
+  return oracle.survives(s, set, scratch);
 }
 
 struct FtFixture : ::testing::Test {

@@ -51,11 +51,11 @@ RepairOutcome outcome_of(const RepairStats& stats, const Schedule& schedule) {
 std::pair<std::size_t, bool> dead_tasks(const Schedule& schedule, const ProcSet& failed) {
   const SurvivalOracle oracle(schedule);
   std::vector<std::uint64_t> alive;
-  oracle.computable(failed, alive);
+  oracle.computable(schedule, failed, alive);
   std::size_t dead = 0;
   bool wirable = true;
   for (TaskId t = 0; t < schedule.dag().num_tasks(); ++t) {
-    if (alive[t * oracle.mask_words()] == 0) ++dead;
+    if (alive[t * replica_mask_words(schedule.copies())] == 0) ++dead;
     bool hosted = false;
     for (CopyId c = 0; c < schedule.copies(); ++c) {
       hosted = hosted || !failed.test(schedule.placed({t, c}).proc);
@@ -225,7 +225,7 @@ TEST(RepairGolden, TwoWordLayoutMatchesGolden) {
   dag.add_edge(2, 3, 1.0);
   const Platform platform = Platform::uniform(66, 1.0, 0.5);
   const Schedule unrepaired = sixty_five_copy_schedule(dag, platform);
-  ASSERT_EQ(SurvivalOracle(unrepaired).mask_words(), 2u);
+  ASSERT_EQ(replica_mask_words(unrepaired.copies()), 2u);
 
   const FtCheckResult check = check_fault_tolerance(unrepaired, 1);
   EXPECT_EQ(check.valid, golden::kTwoWord.valid);

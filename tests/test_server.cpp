@@ -383,7 +383,7 @@ TEST(WireServer, SubmitEventRepairAndDrainOverUnixSocket) {
       ProcSet pair(m);
       pair.assign(std::vector<ProcId>{a, b});
       for (const auto& placement : placements) {
-        if (!placement->oracle.survives(pair, scratch)) {
+        if (!placement->oracle.survives(placement->schedule, pair, scratch)) {
           fa = a;
           fb = b;
           found_breaking = true;
@@ -416,12 +416,12 @@ TEST(WireServer, SubmitEventRepairAndDrainOverUnixSocket) {
     EXPECT_EQ(resp.field_u64("epoch"), 2u);
   }
   // Every repaired placement survives the live failure set on a freshly
-  // compiled oracle (independent of the patched one the daemon serves).
+  // compiled oracle (independent of the one the daemon serves).
   ProcSet failed(m);
   failed.assign(std::vector<ProcId>{fa, fb});
   for (const auto& placement : handle.server.daemon().snapshot_entries()) {
     const SurvivalOracle fresh(placement->schedule);
-    EXPECT_TRUE(fresh.survives(failed, scratch));
+    EXPECT_TRUE(fresh.survives(placement->schedule, failed, scratch));
   }
 
   net::Response stats = client.stats();
@@ -963,7 +963,7 @@ TEST(WireServer, EventRepairedLinesRenderTheRepairedPlacement) {
           }
           repairable = !all_down;
         }
-        breaking = breaking || !p->oracle.survives(pair, scratch);
+        breaking = breaking || !p->oracle.survives(p->schedule, pair, scratch);
       }
       if (repairable && breaking) down = {a, b};
     }

@@ -270,10 +270,10 @@ TEST(PlacementDaemon, AdmittedPlacementHoldsTheModelGuarantee) {
   ASSERT_TRUE(resp.ok) << resp.error;
   // Scheduled with repair: the count-model guarantee must hold exhaustively.
   EXPECT_TRUE(check_fault_tolerance(resp.placement->schedule, 1).valid);
-  // The cached oracle agrees with a fresh compile on the empty failure set.
+  // The cached oracle sees the schedule survive the empty failure set.
   ProcSet none(daemon.platform().num_procs());
   std::vector<std::uint64_t> scratch;
-  EXPECT_TRUE(resp.placement->oracle.survives(none, scratch));
+  EXPECT_TRUE(resp.placement->oracle.survives(resp.placement->schedule, none, scratch));
 }
 
 // True when failing {a, b} kills every replica of some task of `s` — such
@@ -327,7 +327,9 @@ TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
         ProcSet pair(m);
         pair.assign(std::vector<ProcId>{a, b});
         std::vector<std::uint64_t> scratch;
-        if (!resp.placement->oracle.survives(pair, scratch)) breaking = true;
+        if (!resp.placement->oracle.survives(resp.placement->schedule, pair, scratch)) {
+          breaking = true;
+        }
       }
       if (!safe) continue;
       if (!found_safe || breaking) {
@@ -360,7 +362,7 @@ TEST(PlacementDaemon, FailureEventBumpsEpochAndRepairsInPlace) {
     ASSERT_TRUE(resp.ok) << resp.error;
     if (resp.cache_hit) ++still_cached;
     const SurvivalOracle fresh(resp.placement->schedule);
-    EXPECT_TRUE(fresh.survives(failed, scratch));
+    EXPECT_TRUE(fresh.survives(resp.placement->schedule, failed, scratch));
     // Event repair only ever ADDS channels: the original ε-guarantee is
     // monotone in the channel set and must still hold.
     EXPECT_TRUE(check_fault_tolerance(resp.placement->schedule, 1).valid);
@@ -394,7 +396,8 @@ TEST(PlacementDaemon, ColdAdmissionRepairedForLiveFailuresIsReverified) {
         ProcSet pair(m);
         pair.assign(std::vector<ProcId>{a, b});
         std::vector<std::uint64_t> scratch;
-        if (kills_a_task(schedule, a, b) || planned.placement->oracle.survives(pair, scratch)) {
+        if (kills_a_task(schedule, a, b) ||
+            planned.placement->oracle.survives(schedule, pair, scratch)) {
           continue;
         }
         DaemonConfig config;
@@ -411,7 +414,7 @@ TEST(PlacementDaemon, ColdAdmissionRepairedForLiveFailuresIsReverified) {
         EXPECT_EQ(stats.verify_failures, 0u);
         EXPECT_EQ(stats.rebuilds, 0u);
         const SurvivalOracle fresh(resp.placement->schedule);
-        EXPECT_TRUE(fresh.survives(pair, scratch));
+        EXPECT_TRUE(fresh.survives(resp.placement->schedule, pair, scratch));
         expect_reprovable_entries(daemon, {a, b});
         return;
       }
@@ -472,7 +475,7 @@ TEST(PlacementDaemon, IncrementalRepairMatchesFreshRescheduleFeasibility) {
   for (const PlacementResponse* resp : {&warm_resp, &cold_resp}) {
     if (!resp->ok) continue;  // both paths may legitimately fail identically
     const SurvivalOracle fresh(resp->placement->schedule);
-    EXPECT_TRUE(fresh.survives(failed, scratch));
+    EXPECT_TRUE(fresh.survives(resp->placement->schedule, failed, scratch));
     EXPECT_TRUE(check_fault_tolerance(resp->placement->schedule, 1).valid);
   }
   // The two paths agree on feasibility of the request itself.
@@ -634,7 +637,8 @@ TEST(PlacementDaemon, BeyondRepairDegradesInsteadOfDropping) {
   ProcSet failed(daemon.platform().num_procs());
   failed.assign(std::vector<ProcId>{0, 1, 2});
   BatchScratch scratch;
-  EXPECT_EQ(achieved_tolerance(fresh, failed, 2, scratch), served.placement->eps_have);
+  EXPECT_EQ(achieved_tolerance(served.placement->schedule, fresh, failed, 2, scratch),
+            served.placement->eps_have);
 
   // Recovery restores capacity; an explicit re-heal pass must promote the
   // entry back to full-guarantee serving.

@@ -1,7 +1,7 @@
-// Parity suite for the compiled survival kernel (schedule/survival.hpp):
-// the oracle — per-set AND bit-sliced batch, in full and ragged blocks, on
-// single- and multi-word replica masks, before and after repair patches —
-// must agree boolean-for-boolean with the brute-force reference predicate
+// Parity suite for the survival kernel (schedule/survival.hpp): the
+// oracle — per-set AND bit-sliced batch, in full and ragged blocks, on
+// single- and multi-word replica masks, before and after repair adds
+// channels — must agree boolean-for-boolean with the brute-force reference predicate
 // (tests/reference_survival.hpp; all failure sets for small m, sampled
 // sets for large m), a killed failure set must stay killed under every
 // superset (the rule exact repair prunes with), and exact and Monte-Carlo
@@ -68,14 +68,14 @@ void expect_parity(const Schedule& schedule, const SurvivalOracle& oracle,
 
   const bool ref_survives = test::survives_failures(schedule, failed_ref);
   std::vector<std::uint64_t> scratch;
-  EXPECT_EQ(oracle.survives(failed, scratch), ref_survives);
+  EXPECT_EQ(oracle.survives(schedule, failed, scratch), ref_survives);
   BatchScratch batch;
-  EXPECT_EQ(oracle.survives_batch(failed.words(), 1, batch), ref_survives ? 1u : 0u);
+  EXPECT_EQ(oracle.survives_batch(schedule, failed.words(), 1, batch), ref_survives ? 1u : 0u);
 
   const auto ref = test::computable_replicas(schedule, failed_ref);
   std::vector<std::uint64_t> alive;
-  oracle.computable(failed, alive);
-  const std::size_t words = oracle.mask_words();
+  oracle.computable(schedule, failed, alive);
+  const std::size_t words = replica_mask_words(schedule.copies());
   for (TaskId t = 0; t < schedule.dag().num_tasks(); ++t) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
       EXPECT_EQ(replica_mask_test(alive.data() + t * words, c), ref[t][c])
@@ -158,22 +158,18 @@ TEST(Survival, OracleMatchesLegacyOnRandomSchedulesAndAfterRepair) {
     }
     for (const auto& set : subsets) expect_parity(schedule, oracle, set);
 
-    // Repair rewires supply channels; the patched oracle (add_comm per new
-    // channel) must keep parity with the reference predicate AND with an
-    // oracle recompiled from scratch.
-    const std::size_t before = schedule.comms().size();
+    // Repair adds supply channels; the oracle compiled before it reads
+    // them from the schedule and must keep parity with the reference
+    // predicate AND with an oracle compiled afterwards.
     (void)repair_to_reliability(schedule, 0.999);
-    for (std::size_t i = before; i < schedule.comms().size(); ++i) {
-      const CommRecord& comm = schedule.comms()[i];
-      oracle.add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
-    }
     const SurvivalOracle fresh(schedule);
     ProcSet failed(m);
     std::vector<std::uint64_t> scratch;
     for (const auto& set : subsets) {
       expect_parity(schedule, oracle, set);
       failed.assign(set);
-      EXPECT_EQ(oracle.survives(failed, scratch), fresh.survives(failed, scratch));
+      EXPECT_EQ(oracle.survives(schedule, failed, scratch),
+                fresh.survives(schedule, failed, scratch));
     }
   }
 }
@@ -207,11 +203,11 @@ TEST(Survival, BatchMatchesPerSetInBlocksAndRaggedTails) {
     std::vector<std::uint64_t> scratch;
     for (std::uint64_t mask = 0; mask < 64; ++mask) {
       rows[mask] = mask;
-      expected[mask] = oracle.survives_words(&rows[mask], scratch);
+      expected[mask] = oracle.survives_words(schedule, &rows[mask], scratch);
     }
 
     BatchScratch batch;
-    const std::uint64_t full = oracle.survives_batch(rows.data(), 64, batch);
+    const std::uint64_t full = oracle.survives_batch(schedule, rows.data(), 64, batch);
     for (std::size_t lane = 0; lane < 64; ++lane) {
       EXPECT_EQ(((full >> lane) & 1) != 0, expected[lane]) << "lane " << lane;
     }
@@ -221,7 +217,8 @@ TEST(Survival, BatchMatchesPerSetInBlocksAndRaggedTails) {
     for (const std::size_t block : {1u, 5u, 23u, 63u}) {
       for (std::size_t begin = 0; begin < 64; begin += block) {
         const std::size_t count = std::min<std::size_t>(block, 64 - begin);
-        const std::uint64_t lanes = oracle.survives_batch(rows.data() + begin, count, batch);
+        const std::uint64_t lanes =
+            oracle.survives_batch(schedule, rows.data() + begin, count, batch);
         EXPECT_EQ(lanes & ~batch_lane_mask(count), 0u) << "stale lanes beyond the tail";
         for (std::size_t lane = 0; lane < count; ++lane) {
           EXPECT_EQ(((lanes >> lane) & 1) != 0, expected[begin + lane])
@@ -232,27 +229,23 @@ TEST(Survival, BatchMatchesPerSetInBlocksAndRaggedTails) {
   }
 }
 
-TEST(Survival, BatchMatchesPerSetOnPatchedOracleAfterRepair) {
+TEST(Survival, BatchMatchesPerSetOnOracleCompiledBeforeRepair) {
   for (std::uint64_t seed : {21u, 42u}) {
     const std::size_t m = 6;
     Dag dag;
     Platform platform;
     Schedule schedule = random_schedule(seed, m, 14, 1, dag, platform);
-    SurvivalOracle oracle(schedule);
-    const std::size_t before = schedule.comms().size();
+    const SurvivalOracle oracle(schedule);
     (void)repair_to_reliability(schedule, 0.999);
-    for (std::size_t i = before; i < schedule.comms().size(); ++i) {
-      const CommRecord& comm = schedule.comms()[i];
-      oracle.add_comm(schedule.comm_src(comm), schedule.comm_dst(comm));
-    }
 
     std::vector<std::uint64_t> rows(64);
     std::vector<std::uint64_t> scratch;
     BatchScratch batch;
     for (std::uint64_t mask = 0; mask < 64; ++mask) rows[mask] = mask;
-    const std::uint64_t lanes = oracle.survives_batch(rows.data(), 64, batch);
+    const std::uint64_t lanes = oracle.survives_batch(schedule, rows.data(), 64, batch);
     for (std::uint64_t mask = 0; mask < 64; ++mask) {
-      EXPECT_EQ(((lanes >> mask) & 1) != 0, oracle.survives_words(&rows[mask], scratch))
+      EXPECT_EQ(((lanes >> mask) & 1) != 0,
+                oracle.survives_words(schedule, &rows[mask], scratch))
           << "set mask " << mask;
     }
   }
@@ -306,9 +299,10 @@ TEST(Survival, OracleParityOnPartialSchedules) {
     }
     BatchScratch batch;
     std::vector<std::uint64_t> scratch;
-    const std::uint64_t lanes = oracle.survives_batch(rows.data(), 64, batch);
+    const std::uint64_t lanes = oracle.survives_batch(partial, rows.data(), 64, batch);
     for (std::uint64_t mask = 0; mask < 64; ++mask) {
-      EXPECT_EQ(((lanes >> mask) & 1) != 0, oracle.survives_words(&rows[mask], scratch))
+      EXPECT_EQ(((lanes >> mask) & 1) != 0,
+                oracle.survives_words(partial, &rows[mask], scratch))
           << "set mask " << mask;
     }
 
@@ -331,7 +325,7 @@ TEST(Survival, OracleParityOnPartialSchedules) {
         if ((mask >> p) & 1) set.push_back(p);
       }
       expect_parity(most, most_oracle, set);
-      survived += most_oracle.survives_words(&rows[mask], scratch);
+      survived += most_oracle.survives_words(most, &rows[mask], scratch);
     }
     EXPECT_GT(survived, 0u);
   }
@@ -367,7 +361,7 @@ TEST(Survival, OracleParityOnPartialSchedules) {
       if (c % 3 != 2 && c % 5 != 4) test::wire(s, 0, c, 1, c);
     }
     const SurvivalOracle oracle(s);
-    ASSERT_EQ(oracle.mask_words(), 2u);
+    ASSERT_EQ(replica_mask_words(s.copies()), 2u);
     Rng rng(17);
     for (int trial = 0; trial < 60; ++trial) {
       const auto k = static_cast<std::uint32_t>(rng.uniform_int(0, 4));
@@ -393,14 +387,15 @@ std::vector<std::uint64_t> random_set_rows(std::size_t m, std::size_t count,
 }
 
 // The verdicts of `count` rows, resolved 64 rows per survives_batch pass.
-std::vector<bool> verdicts_in_64_lane_passes(const SurvivalOracle& oracle,
+std::vector<bool> verdicts_in_64_lane_passes(const Schedule& schedule,
+                                             const SurvivalOracle& oracle,
                                              const std::uint64_t* rows, std::size_t count,
                                              BatchScratch& scratch) {
-  const std::size_t words = (oracle.num_procs() + 63) / 64;
+  const std::size_t words = (schedule.platform().num_procs() + 63) / 64;
   std::vector<bool> verdicts(count);
   for (std::size_t begin = 0; begin < count; begin += 64) {
     const std::size_t n = std::min<std::size_t>(64, count - begin);
-    const std::uint64_t lanes = oracle.survives_batch(rows + begin * words, n, scratch);
+    const std::uint64_t lanes = oracle.survives_batch(schedule, rows + begin * words, n, scratch);
     EXPECT_EQ(lanes & ~batch_lane_mask(n), 0u) << "stale lanes beyond the tail";
     for (std::size_t lane = 0; lane < n; ++lane) verdicts[begin + lane] = ((lanes >> lane) & 1) != 0;
   }
@@ -419,23 +414,25 @@ constexpr std::size_t kWideCounts[] = {1, 63, 64, 65, 127, 128, 129, 255, 256};
 std::size_t expect_batches_agree(const Schedule& schedule, std::uint32_t max_size,
                                  std::uint64_t seed) {
   const SurvivalOracle oracle(schedule);
-  const std::size_t words = (oracle.num_procs() + 63) / 64;
-  const auto rows = random_set_rows(oracle.num_procs(), 256, max_size, seed);
+  const std::size_t m = schedule.platform().num_procs();
+  const std::size_t words = (m + 63) / 64;
+  const auto rows = random_set_rows(m, 256, max_size, seed);
   std::vector<std::uint64_t> set_scratch;
   std::vector<bool> per_set(256);
   std::size_t survived = 0;
   for (std::size_t i = 0; i < 256; ++i) {
-    per_set[i] = oracle.survives_words(rows.data() + i * words, set_scratch);
+    per_set[i] = oracle.survives_words(schedule, rows.data() + i * words, set_scratch);
     survived += per_set[i] ? 1 : 0;
   }
   BatchScratch scratch;
   for (const std::size_t count : kWideCounts) {
     SCOPED_TRACE("count " + std::to_string(count));
-    (void)verdicts_in_64_lane_passes(oracle, rows.data(), 256, scratch);
-    const std::vector<bool> narrow = verdicts_in_64_lane_passes(oracle, rows.data(), count, scratch);
-    (void)oracle.survives_lanes<kLaneWords>(rows.data(), 256, scratch);
+    (void)verdicts_in_64_lane_passes(schedule, oracle, rows.data(), 256, scratch);
+    const std::vector<bool> narrow =
+        verdicts_in_64_lane_passes(schedule, oracle, rows.data(), count, scratch);
+    (void)oracle.survives_lanes<kLaneWords>(schedule, rows.data(), 256, scratch);
     const LaneWords<kLaneWords> wide =
-        oracle.survives_lanes<kLaneWords>(rows.data(), count, scratch);
+        oracle.survives_lanes<kLaneWords>(schedule, rows.data(), count, scratch);
     for (std::size_t lane = 0; lane < 256; ++lane) {
       const bool survives = ((wide[lane / 64] >> (lane % 64)) & 1) != 0;
       if (lane >= count) {
@@ -503,7 +500,7 @@ TEST(Survival, WidePassEqualsFourSixtyFourLanePasses) {
     for (CopyId c = 0; c < 65; ++c) test::place_at(s, {0, c}, c, 0.0);
     for (CopyId c = 2; c < 65; ++c) test::place_at(s, {1, c}, c + 1, 2.0, 2);
     for (CopyId c = 2; c < 4; ++c) test::wire(s, 0, c, 1, c);
-    ASSERT_EQ(SurvivalOracle(s).mask_words(), 2u);
+    ASSERT_EQ(replica_mask_words(s.copies()), 2u);
     check(s, 6, 66);
   }
   EXPECT_GT(survived, 0u);
@@ -642,7 +639,7 @@ TEST(Survival, AchievedToleranceMatchesBruteForce) {
           ++killed_by_live_set;
         }
         if (want == eps && size > 0 && expected > 0) ++tolerant;
-        EXPECT_EQ(achieved_tolerance(oracle, failed, want, scratch), expected)
+        EXPECT_EQ(achieved_tolerance(schedule, oracle, failed, want, scratch), expected)
             << "seed " << seed << " m " << m << " eps " << eps << " want " << want << " |F| "
             << size;
       }
@@ -979,8 +976,8 @@ TEST(Survival, ConcurrentRepairsShareMemoisedTrees) {
 // The rule exact repair prunes with: survival is monotone in the failure
 // set, so when F kills the schedule, so does every F ∪ {u}. Checked over
 // all 256 failure sets of m = 8 on the batch kernel, against the
-// reference predicate, on a fresh oracle and again on an oracle that the
-// warm-oracle repair patched in place.
+// reference predicate, before and after a repair adds channels, on the
+// oracle compiled before it.
 TEST(Survival, KilledSetsStayKilledUnderSupersets) {
   constexpr std::size_t m = 8;
   constexpr std::size_t kSets = std::size_t{1} << m;
@@ -991,7 +988,8 @@ TEST(Survival, KilledSetsStayKilledUnderSupersets) {
     BatchScratch batch;
     std::vector<bool> killed(kSets);
     for (std::size_t begin = 0; begin < kSets; begin += 64) {
-      const std::uint64_t survived = oracle.survives_batch(rows.data() + begin, 64, batch);
+      const std::uint64_t survived =
+          oracle.survives_batch(schedule, rows.data() + begin, 64, batch);
       for (std::size_t lane = 0; lane < 64; ++lane) {
         killed[begin + lane] = ((survived >> lane) & 1) == 0;
       }
@@ -1014,10 +1012,10 @@ TEST(Survival, KilledSetsStayKilledUnderSupersets) {
     Dag dag;
     Platform platform;
     Schedule schedule = random_schedule(seed, m, 18, seed % 2 == 0 ? 1 : 2, dag, platform);
-    SurvivalOracle oracle(schedule);
+    const SurvivalOracle oracle(schedule);
     const std::size_t kills_before = check(schedule, oracle);
     EXPECT_GT(kills_before, 0u) << "seed " << seed;
-    const RepairStats stats = repair_to_reliability(schedule, oracle, 0.999);
+    const RepairStats stats = repair_to_reliability(schedule, 0.999);
     EXPECT_GT(stats.added_comms, 0u) << "seed " << seed;
     EXPECT_LT(check(schedule, oracle), kills_before) << "seed " << seed;
   }
@@ -1043,7 +1041,7 @@ TEST(Survival, MultiWordMasksAboveSixtyFourCopies) {
   }
 
   SurvivalOracle oracle(s);
-  EXPECT_EQ(oracle.mask_words(), 2u);
+  EXPECT_EQ(replica_mask_words(s.copies()), 2u);
   const FtCheckResult check = check_fault_tolerance(s, 1);
   EXPECT_TRUE(check.valid);
   EXPECT_EQ(check.sets_checked, m);

@@ -92,7 +92,8 @@ CopyId reference_residual(const Schedule& s, const std::vector<ProcId>& live, Co
   for (ProcId u = 0; u < m; ++u) {
     if (!base[u]) alive.push_back(u);
   }
-  const CopyId cap = std::min<CopyId>(want, static_cast<CopyId>(alive.empty() ? 0 : alive.size() - 1));
+  const CopyId cap =
+      std::min<CopyId>(want, static_cast<CopyId>(alive.empty() ? 0 : alive.size() - 1));
   for (CopyId k = 1; k <= cap; ++k) {
     for (const auto& pick : small_sets(alive.size(), k)) {
       if (pick.size() != k) continue;
@@ -121,12 +122,13 @@ void expect_queries_match(const Schedule& s, const SurvivalOracle& oracle,
     expected[i] = test::survives_failures(s, flags);
     failed.assign(sets[i]);
     std::copy_n(failed.words(), words, rows.data() + i * words);
-    EXPECT_EQ(oracle.survives(failed, scratch), expected[i]) << what << " set " << i;
-    EXPECT_EQ(oracle.survives_words(failed.words(), scratch), expected[i]) << what << " set " << i;
+    EXPECT_EQ(oracle.survives(s, failed, scratch), expected[i]) << what << " set " << i;
+    EXPECT_EQ(oracle.survives_words(s, failed.words(), scratch), expected[i])
+        << what << " set " << i;
 
     const auto ref = test::computable_replicas(s, flags);
-    oracle.computable(failed, alive);
-    const std::size_t mask_words = oracle.mask_words();
+    oracle.computable(s, failed, alive);
+    const std::size_t mask_words = replica_mask_words(s.copies());
     for (TaskId t = 0; t < s.dag().num_tasks(); ++t) {
       for (CopyId c = 0; c < s.copies(); ++c) {
         ASSERT_EQ(replica_mask_test(alive.data() + t * mask_words, c), ref[t][c])
@@ -138,7 +140,8 @@ void expect_queries_match(const Schedule& s, const SurvivalOracle& oracle,
   BatchScratch batch;
   for (std::size_t begin = 0; begin < sets.size(); begin += 64) {
     const std::size_t count = std::min<std::size_t>(64, sets.size() - begin);
-    const std::uint64_t lanes = oracle.survives_batch(rows.data() + begin * words, count, batch);
+    const std::uint64_t lanes =
+        oracle.survives_batch(s, rows.data() + begin * words, count, batch);
     EXPECT_EQ(lanes & ~batch_lane_mask(count), 0u) << what;
     for (std::size_t lane = 0; lane < count; ++lane) {
       EXPECT_EQ(((lanes >> lane) & 1) != 0, expected[begin + lane])
@@ -150,7 +153,7 @@ void expect_queries_match(const Schedule& s, const SurvivalOracle& oracle,
     for (std::size_t begin = 0; begin < sets.size(); begin += block) {
       const std::size_t count = std::min(block, sets.size() - begin);
       const LaneWords<kLaneWords> lanes =
-          oracle.survives_lanes<kLaneWords>(rows.data() + begin * words, count, batch);
+          oracle.survives_lanes<kLaneWords>(s, rows.data() + begin * words, count, batch);
       for (std::size_t lane = 0; lane < 64 * kLaneWords; ++lane) {
         const bool bit = ((lanes[lane / 64] >> (lane % 64)) & 1) != 0;
         EXPECT_EQ(bit, lane < count && expected[begin + lane])
@@ -191,7 +194,8 @@ void expect_tolerance_matches(const Schedule& s, const SurvivalOracle& oracle,
   ProcSet failed(m);
   for (const auto& live : live_sets) {
     failed.assign(live);
-    EXPECT_EQ(achieved_tolerance(oracle, failed, want, scratch), reference_residual(s, live, want))
+    EXPECT_EQ(achieved_tolerance(s, oracle, failed, want, scratch),
+              reference_residual(s, live, want))
         << what << " live set of " << live.size();
   }
 }
@@ -240,7 +244,7 @@ void check_shape(const Shape& shape) {
     std::vector<std::uint64_t> scratch;
     for (const auto& set : small_sets(shape.m, std::min<std::size_t>(shape.eps, 2))) {
       live.assign(set);
-      if (!event_oracle.survives(live, scratch)) break;
+      if (!event_oracle.survives(evented, live, scratch)) break;
     }
     const RepairStats event = repair_for_failure_set(evented, event_oracle, live);
     EXPECT_TRUE(event.success) << tag;
@@ -304,7 +308,7 @@ TEST(SurvivalSchedules, EveryEntryPointMatchesReferenceOnTwoWordLayout) {
   sets.push_back({1, 2, 65});
 
   SurvivalOracle oracle(s);
-  EXPECT_EQ(oracle.mask_words(), 2u);
+  EXPECT_EQ(replica_mask_words(s.copies()), 2u);
   expect_queries_match(s, oracle, sets, "two words");
   expect_check_matches(s, 2, "two words");
   expect_tolerance_matches(s, oracle, {{}, {5}, {64}}, 2, "two words");
@@ -312,13 +316,87 @@ TEST(SurvivalSchedules, EveryEntryPointMatchesReferenceOnTwoWordLayout) {
   ProcSet live(m);
   live.assign(std::vector<ProcId>{0});
   std::vector<std::uint64_t> scratch;
-  ASSERT_FALSE(oracle.survives(live, scratch));
+  ASSERT_FALSE(oracle.survives(s, live, scratch));
   const RepairStats event = repair_for_failure_set(s, oracle, live);
   EXPECT_TRUE(event.success);
   EXPECT_GT(event.added_comms, 0u);
   expect_queries_match(s, oracle, sets, "two words event");
   expect_check_matches(s, 2, "two words event");
   expect_tolerance_matches(s, oracle, {{}, {0}, {0, 64}}, 2, "two words event");
+}
+
+// An oracle compiled before a comm is added sees it, whether the comm
+// comes from Schedule::add_comm itself or from the count, probabilistic or
+// event repair: the oracle reads every supply mask from the schedule it is
+// asked about, so nothing has to be patched.
+TEST(SurvivalSchedules, OracleCompiledBeforeAddCommSeesTheNewChannel) {
+  // a -> b, two copies each on P0/P1 and P2/P3, both copies of b fed by
+  // copy 0 of a: losing P0 kills b until a's copy 1 feeds one of them.
+  {
+    Dag dag = make_chain(2, 4.0, 2.0);
+    const Platform platform = Platform::uniform(4, 1.0, 0.5);
+    Schedule s(dag, platform, 1, kInf);
+    test::place_at(s, {0, 0}, 0, 0.0);
+    test::place_at(s, {0, 1}, 1, 0.0);
+    test::place_at(s, {1, 0}, 2, 8.0, 2);
+    test::place_at(s, {1, 1}, 3, 8.0, 2);
+    test::wire(s, 0, 0, 1, 0);
+    test::wire(s, 0, 0, 1, 1);
+    const SurvivalOracle oracle(s);
+    ProcSet p0(4);
+    p0.set(0);
+    std::vector<std::uint64_t> scratch;
+    BatchScratch batch;
+    ASSERT_FALSE(oracle.survives(s, p0, scratch));
+    test::wire(s, 0, 1, 1, 1);
+    EXPECT_TRUE(oracle.survives(s, p0, scratch));
+    EXPECT_EQ(oracle.survives_batch(s, p0.words(), 1, batch), 1u);
+    std::vector<std::uint64_t> alive;
+    oracle.computable(s, p0, alive);
+    EXPECT_EQ(alive[1], 0b10u);  // copy 1 of b, not copy 0
+  }
+
+  Rng rng(404);
+  const Platform platform = make_reliability_heterogeneous(rng, 7, 0.02, 0.12);
+  const Dag dag = make_random_layered(rng, 18, 4, 0.4, WeightRanges{});
+  SchedulerOptions options;
+  options.eps = 2;
+  options.period = kInf;
+  ScheduleResult built = rltf_schedule(dag, platform, options);
+  ASSERT_TRUE(built.ok()) << built.error;
+  const Schedule plain = std::move(*built.schedule);
+  const std::vector<std::vector<ProcId>> sets = small_sets(7, 3);
+
+  Schedule counted = plain;
+  const SurvivalOracle count_oracle(counted);
+  ASSERT_FALSE(check_fault_tolerance(counted, 2).valid) << "nothing for the count repair to add";
+  ASSERT_GT(repair_fault_tolerance(counted, 2).added_comms, 0u);
+  expect_queries_match(counted, count_oracle, sets, "count");
+  expect_tolerance_matches(counted, count_oracle, small_sets(7, 1), 2, "count");
+  BatchScratch batch;
+  EXPECT_EQ(achieved_tolerance(counted, count_oracle, ProcSet(7), 2, batch), 2u);
+
+  Schedule probable = plain;
+  const SurvivalOracle prob_oracle(probable);
+  ASSERT_GT(repair_to_reliability(probable, 0.9999).added_comms, 0u);
+  expect_queries_match(probable, prob_oracle, sets, "prob");
+
+  Schedule evented = plain;
+  const SurvivalOracle before(evented);
+  ProcSet live(7);
+  std::vector<std::uint64_t> scratch;
+  for (const auto& set : small_sets(7, 2)) {
+    live.assign(set);
+    if (!before.survives(evented, live, scratch)) break;
+  }
+  ASSERT_FALSE(before.survives(evented, live, scratch));
+  // Repaired through another oracle of the same DAG: `before` never sees
+  // the repair, only the schedule it changed.
+  const RepairStats event = repair_for_failure_set(evented, SurvivalOracle(dag), live);
+  ASSERT_TRUE(event.success);
+  ASSERT_GT(event.added_comms, 0u);
+  EXPECT_TRUE(before.survives(evented, live, scratch));
+  expect_queries_match(evented, before, sets, "event");
 }
 
 }  // namespace
