@@ -196,4 +196,26 @@ struct LoadRejections {
   }
 };
 
+/// A scheduler's per-predecessor supplier lists, kept from task to task:
+/// resize() parks the lists a task with fewer predecessors does not use
+/// and takes them back before making new ones (each reserved for `copies`
+/// suppliers), so the lists keep their buffers.
+class SupplierLists {
+ public:
+  /// Makes `n` lists; their contents are unspecified.
+  std::vector<std::vector<ReplicaRef>>& resize(std::size_t n, CopyId copies) {
+    for (; lists_.size() > n; lists_.pop_back()) spare_.push_back(std::move(lists_.back()));
+    for (; lists_.size() < n; spare_.pop_back()) {
+      if (spare_.empty()) spare_.emplace_back().reserve(copies);
+      lists_.push_back(std::move(spare_.back()));
+    }
+    return lists_;
+  }
+  [[nodiscard]] std::vector<std::vector<ReplicaRef>>& lists() { return lists_; }
+
+ private:
+  std::vector<std::vector<ReplicaRef>> lists_;
+  std::vector<std::vector<ReplicaRef>> spare_;
+};
+
 }  // namespace streamsched

@@ -154,8 +154,7 @@ class LtfLadder {
   // Buffers reused by every selection of every rung.
   LoadRejections rejected_;
   OneToOneScratch one_to_one_;
-  std::vector<std::vector<ReplicaRef>> suppliers_;
-  std::vector<std::vector<ReplicaRef>> spare_lists_;  // suppliers_'s parked lists
+  SupplierLists suppliers_;
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
 };
@@ -245,20 +244,12 @@ ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
         }
 
         if (!placed) {
-          // Fallback: receive from all replicas of every predecessor. The
-          // lists keep their buffers from task to task: a task with fewer
-          // predecessors parks the lists it does not use in spare_lists_.
+          // Fallback: receive from all replicas of every predecessor.
           const auto in = dag_.in_edges(t);
-          for (; suppliers_.size() > in.size(); suppliers_.pop_back()) {
-            spare_lists_.push_back(std::move(suppliers_.back()));
-          }
-          for (; suppliers_.size() < in.size(); spare_lists_.pop_back()) {
-            if (spare_lists_.empty()) spare_lists_.emplace_back().reserve(copies_);
-            suppliers_.push_back(std::move(spare_lists_.back()));
-          }
+          std::vector<std::vector<ReplicaRef>>& suppliers = suppliers_.resize(in.size(), copies_);
           for (std::size_t i = 0; i < in.size(); ++i) {
-            suppliers_[i].clear();
-            for (CopyId c = 0; c < copies_; ++c) suppliers_[i].push_back({dag_.edge(in[i]).src, c});
+            suppliers[i].clear();
+            for (CopyId c = 0; c < copies_; ++c) suppliers[i].push_back({dag_.edge(in[i]).src, c});
           }
           // The locked selection, then — when it keeps none — the relaxed
           // one ("use other processors"); the throughput constraint is
@@ -267,15 +258,15 @@ ScheduleResult LtfLadder::run(double period, std::optional<double> top) {
           for (const bool respect_locks : {true, false}) {
             if (const Decision* logged = replayed()) {
               if (logged->proc != kInvalidProc) {
-                state.evaluate(t, logged->proc, suppliers_, cand_);
+                state.evaluate(t, logged->proc, suppliers, cand_);
                 kept = &cand_;
               }
             } else {
-              best_feasible(state, t, suppliers_, locked[k], respect_locks, best_, cand_,
+              best_feasible(state, t, suppliers, locked[k], respect_locks, best_, cand_,
                             rejections());
               kept = best_.valid ? &best_ : nullptr;
               record(kept, nullptr, [&](ProcId u, BuildState::Candidate& cand) {
-                state.plan_beyond_period(t, u, suppliers_, cand);
+                state.plan_beyond_period(t, u, suppliers, cand);
               });
             }
             if (kept != nullptr) break;

@@ -136,13 +136,13 @@ class RltfPass {
   void gather_suppliers(TaskId task, bool last, const Coverage& coverage) {
     const auto in = rdag_.in_edges(task);
     const Schedule& schedule = state_.schedule();
-    suppliers_.resize(in.size());
+    std::vector<std::vector<ReplicaRef>>& suppliers = suppliers_.resize(in.size(), copies_);
     pool_.clear();
     pool_end_.clear();
     pool_volume_.clear();
     for (std::size_t i = 0; i < in.size(); ++i) {
       const Dag::Edge& edge = rdag_.edge(in[i]);
-      std::vector<ReplicaRef>& group = suppliers_[i];
+      std::vector<ReplicaRef>& group = suppliers[i];
       group.clear();
       const bool any = coverage.any_uncovered(i);
       if (!options_.use_one_to_one || (last && any)) {
@@ -199,7 +199,7 @@ class RltfPass {
           best_contrib = contrib;
         }
       }
-      suppliers_[i].front() = best->ref;
+      suppliers_.lists()[i].front() = best->ref;
       begin = end;
     }
   }
@@ -252,9 +252,9 @@ class RltfPass {
           if (tried_[u] || locked[u] || state_.hosts_copy_of(task, u)) continue;
           tried_[u] = true;
           choose_suppliers(u, true);
-          state_.evaluate(task, u, suppliers_, cand_);
+          state_.evaluate(task, u, suppliers_.lists(), cand_);
           if (!cand_.valid) continue;
-          if (cand_.stage > supplier_stage_max(suppliers_)) continue;  // stage grew
+          if (cand_.stage > supplier_stage_max(suppliers_.lists())) continue;  // stage grew
           BuildState::keep_earlier(best_, cand_);
         }
       }
@@ -271,7 +271,7 @@ class RltfPass {
         if (respect_locks && locked[u]) continue;
         if (state_.hosts_copy_of(task, u)) continue;
         choose_suppliers(u, false);
-        state_.evaluate(task, u, suppliers_, cand_);
+        state_.evaluate(task, u, suppliers_.lists(), cand_);
         BuildState::keep_earlier(best_, cand_);
       }
       if (best_.valid) {
@@ -303,7 +303,7 @@ class RltfPass {
   std::vector<PoolCopy> pool_;
   std::vector<std::uint32_t> pool_end_;
   std::vector<double> pool_volume_;
-  std::vector<std::vector<ReplicaRef>> suppliers_;
+  SupplierLists suppliers_;
   BuildState::Candidate best_;
   BuildState::Candidate cand_;
   std::vector<bool> tried_;
