@@ -170,16 +170,15 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId e
 //
 // Whether a replica is fed along an edge is read off the schedule's supply
 // masks, so the channels wired to one in-edge are seen at the next.
-bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
-                    const std::uint64_t* alive, RepairStats& stats) {
-  const Dag& dag = schedule.dag();
-  const auto in = dag.in_edges(t);
+bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
+                    const ProcSet& failed, const std::uint64_t* alive, RepairStats& stats) {
+  const auto slots = oracle.slots(t);
   const std::size_t words = replica_mask_words(schedule.copies());
   const auto pred_alive = [&](std::size_t slot) {
-    return alive + static_cast<std::size_t>(dag.edge(in[slot]).src) * words;
+    return alive + static_cast<std::size_t>(slots[slot].pred) * words;
   };
   const auto fed = [&](CopyId c, std::size_t slot) {
-    const std::uint8_t* sup = schedule.supply_mask(in[slot], c);
+    const std::uint8_t* sup = schedule.supply_mask(slots[slot].edge, c);
     const std::uint64_t* pred = pred_alive(slot);
     for (std::size_t w = 0; w < words; ++w) {
       if ((supply_word(sup, w) & pred[w]) != 0) return true;
@@ -192,7 +191,7 @@ bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
   for (CopyId c = 0; c < schedule.copies(); ++c) {
     if (failed.test(schedule.placed({t, c}).proc)) continue;
     std::size_t missing = 0;
-    for (std::size_t slot = 0; slot < in.size(); ++slot) {
+    for (std::size_t slot = 0; slot < slots.size(); ++slot) {
       if (!fed(c, slot)) ++missing;
     }
     if (missing < best_missing) {
@@ -202,12 +201,13 @@ bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
   }
   if (target.task == kInvalidTask) return false;
 
-  for (std::size_t slot = 0; slot < in.size(); ++slot) {
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
     if (fed(target.copy, slot)) continue;
-    const ReplicaRef sup = pick_repair_supplier(schedule, target, in[slot], pred_alive(slot));
+    const EdgeId edge = slots[slot].edge;
+    const ReplicaRef sup = pick_repair_supplier(schedule, target, edge, pred_alive(slot));
     if (sup.task == kInvalidTask) return false;
     const double ready = schedule.placed(sup).finish;
-    schedule.add_comm(CommRecord(in[slot], sup.copy, target.copy, ready, ready, true));
+    schedule.add_comm(CommRecord(edge, sup.copy, target.copy, ready, ready, true));
     ++stats.added_comms;
   }
   return true;
@@ -243,7 +243,7 @@ SetRepair repair_until_survives(Schedule& schedule, const SurvivalOracle& oracle
   for (const TaskId t : oracle.topological_order()) {
     if (oracle.compute_row(schedule, t, failed.words(), alive.data())) continue;
     if (steps >= max_steps) return SetRepair::kCapped;
-    if (!wire_dead_task(schedule, t, failed, alive.data(), stats)) {
+    if (!wire_dead_task(schedule, oracle, t, failed, alive.data(), stats)) {
       return SetRepair::kBeyondRepair;
     }
     ++steps;
@@ -313,6 +313,7 @@ RepairStats repair_fault_tolerance(Schedule& schedule, std::uint32_t max_failure
 
 RepairStats repair_for_failure_set(Schedule& schedule, const SurvivalOracle& oracle,
                                    const ProcSet& failed) {
+  SS_REQUIRE(oracle.fits(schedule), "oracle was not compiled from this schedule's DAG");
   SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
              "failure set size != processor count");
   RepairStats stats;

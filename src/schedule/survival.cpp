@@ -20,13 +20,6 @@ SurvivalOracle::SurvivalOracle(const Dag& dag) : topo_(dag.topological_order()) 
 
 bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
                                  const std::uint64_t* failed_words, std::uint64_t* alive) const {
-  check(schedule);
-  SS_REQUIRE(t < topo_.size(), "task id out of range");
-  return row(schedule, t, failed_words, alive);
-}
-
-bool SurvivalOracle::row(const Schedule& schedule, TaskId t, const std::uint64_t* failed_words,
-                         std::uint64_t* alive) const {
   const CopyId copies = schedule.copies();
   const PlacedReplica* placed = schedule.placements() + static_cast<std::size_t>(t) * copies;
   const std::size_t mask_bytes = schedule.supply_mask_bytes();
@@ -34,9 +27,9 @@ bool SurvivalOracle::row(const Schedule& schedule, TaskId t, const std::uint64_t
   const Slot* const last = slots_.data() + slot_offset_[t + 1];
   if (copies <= 64) {
     // Narrow layout: one word per row, branch-free over the copies. An
-    // unplaced copy's kInvalidProc reads word 0 instead, and its clear
-    // placed bit keeps it down. A supply word's bits beyond the mask meet
-    // none of the predecessor row's, which stop at `copies`.
+    // unplaced copy (kInvalidProc) reads word 0 instead and stays down. A
+    // supply word's bits beyond the mask meet none of the predecessor
+    // row's, which stop at `copies`.
     std::uint64_t up = 0;
     for (CopyId c = 0; c < copies; ++c) {
       const ProcId u = placed[c].proc;
@@ -92,7 +85,7 @@ bool SurvivalOracle::survives_words(const Schedule& schedule, const std::uint64_
   check(schedule);
   scratch.resize(topo_.size() * replica_mask_words(schedule.copies()));
   for (const TaskId t : topo_) {
-    if (!row(schedule, t, failed_words, scratch.data())) return false;
+    if (!compute_row(schedule, t, failed_words, scratch.data())) return false;
   }
   return true;
 }
@@ -266,7 +259,7 @@ void SurvivalOracle::computable(const Schedule& schedule, const ProcSet& failed,
   SS_REQUIRE(failed.size() == schedule.platform().num_procs(),
              "failure set size != processor count");
   alive.resize(topo_.size() * replica_mask_words(schedule.copies()));
-  for (const TaskId t : topo_) (void)row(schedule, t, failed.words(), alive.data());
+  for (const TaskId t : topo_) (void)compute_row(schedule, t, failed.words(), alive.data());
 }
 
 }  // namespace streamsched

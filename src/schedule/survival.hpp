@@ -151,10 +151,10 @@ inline constexpr std::size_t kLaneWords = 4;
 
 /// The DAG-derived part of the survival kernels: evaluation order and
 /// dense predecessor slots. Every query takes the schedule it is about,
-/// which must be built on a DAG of the same shape as the one compiled
-/// (checked by task and edge count); queries are const and take the
-/// caller's scratch (allocation-free once it is sized), so concurrent
-/// queries are safe when every thread brings its own.
+/// which must be built on the DAG compiled (checked by task and edge
+/// count, see fits()); queries are const and take the caller's scratch
+/// (allocation-free once it is sized), so concurrent queries are safe
+/// when every thread brings its own.
 class SurvivalOracle {
  public:
   /// One predecessor slot of a task: the predecessor and the in-edge from
@@ -172,6 +172,12 @@ class SurvivalOracle {
   explicit SurvivalOracle(const Schedule& schedule) : SurvivalOracle(schedule.dag()) {}
 
   [[nodiscard]] std::size_t num_tasks() const { return topo_.size(); }
+  /// True when `schedule`'s DAG has the compiled one's task and edge
+  /// counts. Every query but compute_row refuses a schedule that does not.
+  [[nodiscard]] bool fits(const Schedule& schedule) const {
+    return schedule.dag().num_tasks() == topo_.size() &&
+           schedule.dag().num_edges() == slots_.size();
+  }
   /// The task evaluation order (Dag::topological_order).
   [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
   /// Task t's predecessor slots, in Dag::predecessors (= in_edges) order.
@@ -232,20 +238,15 @@ class SurvivalOracle {
   /// narrow layout (copies <= 64) it runs over the copies without
   /// branches: a copy stays iff it is placed, its processor is up and every
   /// predecessor slot feeds it; an unplaced copy reads as down without
-  /// indexing `failed_words` with its kInvalidProc.
+  /// indexing `failed_words` with its kInvalidProc. Unchecked, as the
+  /// innermost call of the repairs: `t` must be a task and the oracle must
+  /// fit `schedule`.
   bool compute_row(const Schedule& schedule, TaskId t, const std::uint64_t* failed_words,
                    std::uint64_t* alive) const;
 
  private:
-  /// compute_row without its checks, for the loops that made them.
-  bool row(const Schedule& schedule, TaskId t, const std::uint64_t* failed_words,
-           std::uint64_t* alive) const;
-
-  /// Refuses a schedule whose DAG is not shaped like the compiled one.
   void check(const Schedule& schedule) const {
-    SS_REQUIRE(schedule.dag().num_tasks() == topo_.size() &&
-                   schedule.dag().num_edges() == slots_.size(),
-               "oracle was not compiled from this schedule's DAG");
+    SS_REQUIRE(fits(schedule), "oracle was not compiled from this schedule's DAG");
   }
 
   std::vector<TaskId> topo_;                // task evaluation order
