@@ -169,7 +169,7 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId e
 // to wire (channels wired before that stay).
 //
 // Whether a replica is fed along an edge is read off the schedule's supply
-// masks, so the channels wired to one in-edge are seen at the next.
+// masks.
 bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
                     const ProcSet& failed, const std::uint64_t* alive, RepairStats& stats) {
   const auto slots = oracle.slots(t);

@@ -164,9 +164,6 @@ class SurvivalOracle {
     EdgeId edge;
   };
 
-  /// An empty oracle of no DAG, for a holder that compiles one later; only
-  /// a compiled oracle answers queries.
-  SurvivalOracle() = default;
   explicit SurvivalOracle(const Dag& dag);
   /// The oracle of `schedule`'s DAG.
   explicit SurvivalOracle(const Schedule& schedule) : SurvivalOracle(schedule.dag()) {}
@@ -182,6 +179,7 @@ class SurvivalOracle {
   [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
   /// Task t's predecessor slots, in Dag::predecessors (= in_edges) order.
   [[nodiscard]] std::span<const Slot> slots(TaskId t) const {
+    SS_REQUIRE(t < topo_.size(), "task id out of range");
     return {slots_.data() + slot_offset_[t], slots_.data() + slot_offset_[t + 1]};
   }
 
