@@ -178,12 +178,16 @@ bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
     return alive + static_cast<std::size_t>(slots[slot].pred) * words;
   };
   const auto fed = [&](CopyId c, std::size_t slot) {
-    const std::uint8_t* sup = schedule.supply_mask(slots[slot].edge, c);
     const std::uint64_t* pred = pred_alive(slot);
-    for (std::size_t w = 0; w < words; ++w) {
-      if ((supply_word(sup, w) & pred[w]) != 0) return true;
-    }
-    return false;
+    const std::size_t mask =
+        (static_cast<std::size_t>(slots[slot].edge) * schedule.copies() + c) * words;
+    return visit_supply_word(schedule.supply_mask_bytes(), [&](auto width) {
+      const std::uint8_t* at = schedule.supply_masks() + mask * sizeof(width);
+      for (std::size_t w = 0; w < words; ++w, at += sizeof(width)) {
+        if ((load_supply_word<decltype(width)>(at) & pred[w]) != 0) return true;
+      }
+      return false;
+    });
   };
 
   ReplicaRef target{kInvalidTask, 0};

@@ -26,7 +26,7 @@ Schedule::Schedule(const Dag& dag, const Platform& platform, CopyId eps, double 
   mask_bytes_ = supply_mask_bytes_for(copies());
   const std::size_t replicas = dag.num_tasks() * copies();
   placed_.assign(replicas, PlacedReplica{});
-  // The padding lets supply_word read the last mask as a whole word.
+  // The padding lets compute_row read an edge's 1-byte masks as one word.
   supply_.assign(mask_offset(static_cast<EdgeId>(dag.num_edges()), 0) + sizeof(std::uint64_t) - 1,
                  0);
   sigma_.assign(platform.num_procs(), 0.0);

@@ -28,11 +28,12 @@
 // copy s of e's source task supplies copy c of its destination. A mask is
 // as narrow as the copy count allows: 1, 2, 4 or 8 bytes up to 8, 16, 32
 // and 64 copies, whole 64-bit words above. The masks of an edge lie
-// consecutively in consumer-copy order, and the edges in id order, behind
-// which 7 zero bytes of padding let a kernel read any mask as one 8-byte
-// little-endian word (supply_word): its low copies() bits are the mask,
-// the bits above belong to the masks after it. At 3 copies a mask is one
-// byte, so a 52-task, 200-edge schedule keeps 607 bytes of them.
+// consecutively in consumer-copy order, and the edges in id order, so each
+// mask sits at a multiple of its own width and a kernel reads it in one
+// load of that width (visit_supply_word picks the width once per call,
+// load_supply_word reads). Behind them, 7 zero bytes let a kernel read the
+// 1-byte masks of all of an edge's copies as one 8-byte word. At 3 copies
+// a mask is one byte, so a 52-task, 200-edge schedule keeps 607 bytes.
 //
 // Comm records are most of a cached placement, so a record keeps only what
 // its edge does not: 24 bytes, the edge id, the two copy indices and the
@@ -159,14 +160,10 @@ class Schedule {
 
   /// Bytes per supply mask (see the file comment).
   [[nodiscard]] std::size_t supply_mask_bytes() const { return mask_bytes_; }
-  /// The supply mask of consumer copy `to` of edge e; the masks of e's
-  /// further copies follow supply_mask_bytes() apart. Unchecked: the
-  /// survival kernels call it per predecessor slot.
-  [[nodiscard]] const std::uint8_t* supply_mask(EdgeId e, CopyId to) const {
-    return supply_.data() + mask_offset(e, to);
-  }
+  /// The supply masks and their padding, read through load_supply_word.
+  [[nodiscard]] const std::uint8_t* supply_masks() const { return supply_.data(); }
   /// True when copy `from` of edge e's source supplies its consumer copy
-  /// `to` (edge and copies unchecked, as in supply_mask).
+  /// `to`. Unchecked: the repairs call it per candidate supplier.
   [[nodiscard]] bool supplies(EdgeId e, CopyId to, CopyId from) const {
     return (supply_[mask_offset(e, to) + from / 8] >> (from % 8)) & 1;
   }
@@ -235,15 +232,34 @@ class Schedule {
   std::vector<double> sigma_, cin_, cout_;
 };
 
-/// Word w of a supply mask (bits 64w to 64w + 63) as the survival kernels
-/// read it. A mask of fewer than 8 bytes has only word 0, whose bits at and
-/// above copies() belong to the masks after it: AND it with a replica row,
-/// which has no such bits, or mask them off.
-[[nodiscard]] inline std::uint64_t supply_word(const std::uint8_t* mask, std::size_t w = 0) {
+/// Calls f(Word{}) with the unsigned type of one supply-mask word at
+/// `mask_bytes` bytes per mask (Schedule::supply_mask_bytes): std::uint8_t,
+/// std::uint16_t or std::uint32_t for masks of 1, 2 or 4 bytes,
+/// std::uint64_t for masks of one or more whole words.
+template <typename F>
+decltype(auto) visit_supply_word(std::size_t mask_bytes, F&& f) {
+  switch (mask_bytes) {
+    case 1:
+      return f(std::uint8_t{});
+    case 2:
+      return f(std::uint16_t{});
+    case 4:
+      return f(std::uint32_t{});
+    default:
+      return f(std::uint64_t{});
+  }
+}
+
+/// The `Word` (a type visit_supply_word names) at `at` in the supply
+/// masks, in one load. Up to 64 copies the mask of (edge e, consumer copy
+/// c) is the Word at supply_masks() + (e * copies + c) * sizeof(Word);
+/// above, it is the W = ceil(copies / 64) words from (e * copies + c) * W.
+template <typename Word>
+[[nodiscard]] Word load_supply_word(const std::uint8_t* at) {
   static_assert(std::endian::native == std::endian::little,
-                "supply masks are read as little-endian words");
-  std::uint64_t word;
-  std::memcpy(&word, mask + 8 * w, sizeof word);
+                "add_comm sets supply bits byte by byte, the kernels read them as words");
+  Word word;
+  std::memcpy(&word, at, sizeof word);
   return word;
 }
 

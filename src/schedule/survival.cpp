@@ -7,6 +7,25 @@
 
 namespace streamsched {
 
+namespace {
+
+// The copies of a task fed along one predecessor slot at up to 8 copies,
+// whose supply masks are single bytes: `masks` holds the slot's masks in
+// its low bytes, copy c's in byte c (the bytes above belong to the next
+// edges; the bits they set lie at or above the copy count, where the
+// caller's row has none). Byte c of masks & (pred_alive in every byte) is
+// nonzero iff copy c is fed: adding 0x7f to each byte's low 7 bits carries
+// into its top bit iff they are nonzero, and the multiply gathers the 8
+// top bits into bits 0-7.
+std::uint64_t fed_by_bytes(std::uint64_t masks, std::uint64_t pred_alive) {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  const std::uint64_t hit = masks & (pred_alive * 0x0101010101010101ULL);
+  const std::uint64_t top = (((hit & kLow7) + kLow7) | hit) & ~kLow7;
+  return ((top >> 7) * 0x0102040810204080ULL) >> 56;
+}
+
+}  // namespace
+
 SurvivalOracle::SurvivalOracle(const Dag& dag) : topo_(dag.topological_order()) {
   const std::size_t n = dag.num_tasks();
   slot_offset_.resize(n + 1);
@@ -22,14 +41,13 @@ bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
                                  const std::uint64_t* failed_words, std::uint64_t* alive) const {
   const CopyId copies = schedule.copies();
   const PlacedReplica* placed = schedule.placements() + static_cast<std::size_t>(t) * copies;
-  const std::size_t mask_bytes = schedule.supply_mask_bytes();
+  const std::uint8_t* masks = schedule.supply_masks();
   const Slot* const first = slots_.data() + slot_offset_[t];
   const Slot* const last = slots_.data() + slot_offset_[t + 1];
   if (copies <= 64) {
-    // Narrow layout: one word per row, branch-free over the copies. An
-    // unplaced copy (kInvalidProc) reads word 0 instead and stays down. A
-    // supply word's bits beyond the mask meet none of the predecessor
-    // row's, which stop at `copies`.
+    // Narrow layout: one word per row and one load per supply mask,
+    // branch-free over the copies. An unplaced copy (kInvalidProc) reads
+    // word 0 instead and stays down.
     std::uint64_t up = 0;
     for (CopyId c = 0; c < copies; ++c) {
       const ProcId u = placed[c].proc;
@@ -38,15 +56,23 @@ bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
       up |= (is_placed & ~(failed_words[word] >> (u & 63))) << c;
     }
     std::uint64_t a = up;
-    for (const Slot* slot = first; a != 0 && slot != last; ++slot) {
-      const std::uint64_t pred_alive = alive[slot->pred];
-      const std::uint8_t* sup = schedule.supply_mask(slot->edge, 0);
-      std::uint64_t fed = 0;
-      for (CopyId c = 0; c < copies; ++c, sup += mask_bytes) {
-        fed |= static_cast<std::uint64_t>((pred_alive & supply_word(sup)) != 0) << c;
+    visit_supply_word(schedule.supply_mask_bytes(), [&](auto width) {
+      using Word = decltype(width);
+      for (const Slot* slot = first; a != 0 && slot != last; ++slot) {
+        const std::uint64_t pred_alive = alive[slot->pred];
+        const std::size_t mask = static_cast<std::size_t>(slot->edge) * copies;
+        if constexpr (sizeof(Word) == 1) {
+          a &= fed_by_bytes(load_supply_word<std::uint64_t>(masks + mask), pred_alive);
+        } else {
+          std::uint64_t fed = 0;
+          for (CopyId c = 0; c < copies; ++c) {
+            const Word sup = load_supply_word<Word>(masks + (mask + c) * sizeof(Word));
+            fed |= static_cast<std::uint64_t>((pred_alive & sup) != 0) << c;
+          }
+          a &= fed;
+        }
       }
-      a &= fed;
-    }
+    });
     alive[t] = a;  // dead tasks store 0; downstream masks then clear themselves
     return a != 0;
   }
@@ -67,10 +93,12 @@ bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
     for (std::size_t w = 0; w < W; ++w) {
       for (std::uint64_t bits = a[w]; bits != 0; bits &= bits - 1) {
         const int b = std::countr_zero(bits);
-        const std::uint8_t* sup = schedule.supply_mask(slot->edge, static_cast<CopyId>(w * 64 + b));
+        const std::size_t mask = (static_cast<std::size_t>(slot->edge) * copies + w * 64 +
+                                  static_cast<std::size_t>(b)) *
+                                 W;
         bool fed = false;
         for (std::size_t sw = 0; sw < W && !fed; ++sw) {
-          fed = (pred_alive[sw] & supply_word(sup, sw)) != 0;
+          fed = (pred_alive[sw] & load_supply_word<std::uint64_t>(masks + (mask + sw) * 8)) != 0;
         }
         if (!fed) a[w] &= ~(1ULL << b);
       }
@@ -184,19 +212,21 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
   // then intersect per predecessor with the union of its suppliers' lane
   // words. `live` accumulates the lanes in which every task so far kept a
   // computable replica; a lane that dies stays dead (the same monotone
-  // fixpoint as the per-set pass, evaluated 64 * W sets at a time). In the
-  // narrow layout (copies <= 64) a supply mask is one word, whose bits
-  // beyond the copies `own` masks off, so every per-mask-word loop
-  // collapses.
+  // fixpoint as the per-set pass, evaluated 64 * W sets at a time). Each
+  // supply mask is one load of `Word`, its own width (visit_supply_word),
+  // up to 64 copies, so below 33 copies every per-mask-word loop collapses.
   scratch.alive_lanes.resize(num_tasks * copies * W);
   std::uint64_t* alive = scratch.alive_lanes.data();
   const std::uint64_t* lanes = scratch.proc_lanes.data();
   const PlacedReplica* placements = schedule.placements();
-  LaneWords<W> live;
-  for (std::size_t w = 0; w < W; ++w) live[w] = count > 64 * w ? batch_lane_mask(count - 64 * w) : 0;
-  const auto pass = [&](auto narrow) {
-    const std::size_t mask_words = decltype(narrow)::value ? 1 : replica_mask_words(copies);
-    const std::uint64_t own = decltype(narrow)::value ? batch_lane_mask(copies) : ~0ULL;
+  const std::uint8_t* masks = schedule.supply_masks();
+  const auto pass = [&](auto width) {
+    using Word = decltype(width);
+    const std::size_t mask_words = sizeof(Word) < 8 ? 1 : replica_mask_words(copies);
+    LaneWords<W> live;
+    for (std::size_t w = 0; w < W; ++w) {
+      live[w] = count > 64 * w ? batch_lane_mask(count - 64 * w) : 0;
+    }
     for (const TaskId t : topo_) {
       LaneWords<W> task_alive{};
       const PlacedReplica* placed = placements + static_cast<std::size_t>(t) * copies;
@@ -214,7 +244,7 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
         for (const Slot* slot = first; slot != last && any_lane(a); ++slot) {
           const std::uint64_t* pred_lanes =
               alive + static_cast<std::size_t>(slot->pred) * copies * W;
-          const std::uint8_t* sup = schedule.supply_mask(slot->edge, c);
+          const std::size_t mask = (static_cast<std::size_t>(slot->edge) * copies + c) * mask_words;
           // The one-word pass stops ORing once every lane of `a` is fed,
           // testing before each supplier (a test per mask word as well
           // made it about a third slower); on W words that test costs
@@ -222,8 +252,8 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
           LaneWords<W> fed{};
           const auto unfed = [&] { return W > 1 || (a[0] & ~fed[0]) != 0; };
           for (std::size_t sw = 0; sw < mask_words; ++sw) {
-            for (std::uint64_t sbits = supply_word(sup, sw) & own; sbits != 0 && unfed();
-                 sbits &= sbits - 1) {
+            for (std::uint64_t sbits = load_supply_word<Word>(masks + (mask + sw) * sizeof(Word));
+                 sbits != 0 && unfed(); sbits &= sbits - 1) {
               const std::uint64_t* supplier =
                   pred_lanes + (sw * 64 + static_cast<std::size_t>(std::countr_zero(sbits))) * W;
               for (std::size_t w = 0; w < W; ++w) fed[w] |= supplier[w];
@@ -235,15 +265,11 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
         for (std::size_t w = 0; w < W; ++w) task_alive[w] |= a[w];
       }
       for (std::size_t w = 0; w < W; ++w) live[w] &= task_alive[w];
-      if (!any_lane(live)) return;
+      if (!any_lane(live)) break;
     }
+    return live;
   };
-  if (copies <= 64) {
-    pass(std::true_type{});
-  } else {
-    pass(std::false_type{});
-  }
-  return live;
+  return visit_supply_word(schedule.supply_mask_bytes(), pass);
 }
 
 template LaneWords<1> SurvivalOracle::survives_lanes<1>(const Schedule&, const std::uint64_t*,

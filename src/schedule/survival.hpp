@@ -9,7 +9,7 @@
 // order, stored densely. Everything else it reads from the schedule each
 // query names: the replicas' processors (Schedule::placements) and the
 // supply masks, one per (edge, consumer copy), that add_comm sets
-// (Schedule::supply_mask). One failure set then costs a single
+// (Schedule::supply_masks). One failure set then costs a single
 // allocation-free topological pass over bitmasks: alive[t] starts as the
 // placed copies on alive processors and each predecessor slot clears the
 // copies whose supply mask misses alive[pred]. Replica rows are
