@@ -4,10 +4,10 @@
 // (tests/reference_survival.hpp) on the schedules the library produces:
 // LTF, R-LTF, HEFT and StagePack, each count-repaired,
 // probability-repaired and event-repaired under a live failure set, and on
-// the 65-copy layout whose replica masks take two words. Small platforms
-// check every failure set of up to eps + 1 processors; m = 16 checks
-// sampled sets. The event-repaired schedules are checked on the oracle the
-// repair ran on.
+// a three-task layout at every supply-mask width, from 8 copies to the 65
+// whose replica masks take two words. Small platforms check every failure
+// set of up to eps + 1 processors; m = 16 checks sampled sets. The
+// event-repaired schedules are checked on the oracle the repair ran on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -274,55 +274,65 @@ TEST(SurvivalSchedules, EveryEntryPointMatchesReferenceOnSampledSetsAtSixteenPro
   check_shape({16, 30, 2, 303, false});
 }
 
-// 65 copies per task: replica and supply masks take two words. Copy i of
-// a, b and c sits on processor i; every copy of b reads copy 0 of a, so
-// losing processor 0 starves b until event repair rewires it; copy i of c
-// reads copy i of a and b, and copy 0 of c also copy 64 of a.
-TEST(SurvivalSchedules, EveryEntryPointMatchesReferenceOnTwoWordLayout) {
-  const std::size_t m = 66;
-  Dag dag;
-  dag.add_task(1.0);
-  dag.add_task(1.0);
-  dag.add_task(1.0);
-  dag.add_edge(0, 1, 1.0);
-  dag.add_edge(1, 2, 1.0);
-  dag.add_edge(0, 2, 1.0);
-  Platform platform = Platform::uniform(m, 1.0, 0.5);
-  Schedule s(dag, platform, 64, kInf);
-  for (CopyId c = 0; c < 65; ++c) {
-    test::place_at(s, {0, c}, c, 0.0);
-    test::place_at(s, {1, c}, c, 2.0, 2);
-    test::place_at(s, {2, c}, c, 4.0, 3);
+// K copies per task on K + 1 processors, at each supply-mask width: 8
+// copies (1-byte masks, read a slot at a time), 9, 17 and 33 (2-, 4- and
+// 8-byte masks) and 65 (two words, as are the replica masks). Copy i of a,
+// b and c sits on processor i; every copy of b reads copies 0 and K - 1 of
+// a, the low and the top bit of its mask, so b starves only when
+// processors 0 and K - 1 both fail, until event repair rewires it; copy i
+// of c reads copy i of a and b.
+TEST(SurvivalSchedules, EveryEntryPointMatchesReferenceAtEveryMaskWidth) {
+  for (const CopyId k : {8u, 9u, 17u, 33u, 65u}) {
+    const std::string what = std::to_string(k) + " copies";
+    const std::size_t m = k + 1;
+    Dag dag;
+    dag.add_task(1.0);
+    dag.add_task(1.0);
+    dag.add_task(1.0);
+    dag.add_edge(0, 1, 1.0);
+    dag.add_edge(1, 2, 1.0);
+    dag.add_edge(0, 2, 1.0);
+    Platform platform = Platform::uniform(m, 1.0, 0.5);
+    Schedule s(dag, platform, k - 1, kInf);
+    for (CopyId c = 0; c < k; ++c) {
+      test::place_at(s, {0, c}, c, 0.0);
+      test::place_at(s, {1, c}, c, 2.0, 2);
+      test::place_at(s, {2, c}, c, 4.0, 3);
+    }
+    for (CopyId c = 0; c < k; ++c) {
+      test::wire(s, 0, 0, 1, c);
+      test::wire(s, 0, k - 1, 1, c);
+      test::wire(s, 1, c, 2, c);
+      test::wire(s, 0, c, 2, c);
+    }
+    EXPECT_EQ(s.supply_mask_bytes(), k <= 8 ? 1u : k <= 16 ? 2u : k <= 32 ? 4u : k <= 64 ? 8u : 16u)
+        << what;
+
+    std::vector<std::vector<ProcId>> sets = sampled_sets(m, 3, 120, k);
+    sets.push_back({0});
+    sets.push_back({0, k - 1});
+    sets.push_back({k - 2, k - 1});
+    sets.push_back({1, 2, k});
+
+    SurvivalOracle oracle(s);
+    expect_queries_match(s, oracle, sets, what);
+    expect_check_matches(s, 2, what);
+    expect_tolerance_matches(s, oracle, {{}, {5}, {k - 1}}, 2, what);
+
+    ProcSet live(m);
+    std::vector<std::uint64_t> scratch;
+    live.assign(std::vector<ProcId>{0});
+    ASSERT_TRUE(oracle.survives(s, live, scratch)) << what;
+    live.assign(std::vector<ProcId>{0, k - 1});
+    ASSERT_FALSE(oracle.survives(s, live, scratch)) << what;
+    const RepairStats event = repair_for_failure_set(s, oracle, live);
+    EXPECT_TRUE(event.success) << what;
+    EXPECT_GT(event.added_comms, 0u) << what;
+    expect_queries_match(s, oracle, sets, what + " event");
+    expect_check_matches(s, 2, what + " event");
+    expect_tolerance_matches(s, oracle, {{}, {0}, {0, k - 1}}, 2, what + " event");
+    EXPECT_TRUE(oracle.survives(s, live, scratch)) << what;
   }
-  for (CopyId c = 0; c < 65; ++c) {
-    test::wire(s, 0, 0, 1, c);
-    test::wire(s, 1, c, 2, c);
-    test::wire(s, 0, c, 2, c);
-  }
-  test::wire(s, 0, 64, 2, 0);  // a supplier in the second word
-
-  std::vector<std::vector<ProcId>> sets = sampled_sets(m, 3, 120, 65);
-  sets.push_back({0});
-  sets.push_back({0, 64});
-  sets.push_back({63, 64});
-  sets.push_back({1, 2, 65});
-
-  SurvivalOracle oracle(s);
-  EXPECT_EQ(replica_mask_words(s.copies()), 2u);
-  expect_queries_match(s, oracle, sets, "two words");
-  expect_check_matches(s, 2, "two words");
-  expect_tolerance_matches(s, oracle, {{}, {5}, {64}}, 2, "two words");
-
-  ProcSet live(m);
-  live.assign(std::vector<ProcId>{0});
-  std::vector<std::uint64_t> scratch;
-  ASSERT_FALSE(oracle.survives(s, live, scratch));
-  const RepairStats event = repair_for_failure_set(s, oracle, live);
-  EXPECT_TRUE(event.success);
-  EXPECT_GT(event.added_comms, 0u);
-  expect_queries_match(s, oracle, sets, "two words event");
-  expect_check_matches(s, 2, "two words event");
-  expect_tolerance_matches(s, oracle, {{}, {0}, {0, 64}}, 2, "two words event");
 }
 
 // An oracle compiled before a comm is added sees it, whether the comm
