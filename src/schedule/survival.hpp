@@ -9,11 +9,14 @@
 // order, stored densely. Everything else it reads from the schedule each
 // query names: the replicas' processors (Schedule::placements) and the
 // supply masks, one per (edge, consumer copy), that add_comm sets
-// (Schedule::supply_masks). One failure set then costs a single
-// allocation-free topological pass over bitmasks: alive[t] starts as the
-// placed copies on alive processors and each predecessor slot clears the
-// copies whose supply mask misses alive[pred]. Replica rows are
-// ceil(copies/64) words wide, so any replication degree is evaluated.
+// (Schedule::supply_masks), each read in one load of its own width. One
+// failure set then costs a single allocation-free topological pass over
+// bitmasks: alive[t] starts as the placed copies on alive processors and
+// each predecessor slot clears the copies whose supply mask misses
+// alive[pred]; at up to 8 copies one word holds a slot's masks of every
+// copy, and a byte-wise carry finds the fed copies without a loop.
+// Replica rows are ceil(copies/64) words wide, so any replication degree
+// is evaluated.
 //
 // Nothing of the schedule is copied, so nothing is patched: a comm added to
 // the schedule is in the next query, and one oracle serves every schedule
