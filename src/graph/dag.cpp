@@ -9,7 +9,13 @@ namespace streamsched {
 
 namespace {
 
-std::string default_name(TaskId t) { return "t" + std::to_string(t); }
+// Appended rather than `"t" + std::to_string(t)`, which GCC 12's
+// -Wrestrict misreads in optimised builds.
+std::string default_name(TaskId t) {
+  std::string name = "t";
+  name += std::to_string(t);
+  return name;
+}
 
 }  // namespace
 

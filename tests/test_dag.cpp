@@ -64,8 +64,9 @@ TEST(Dag, NamesDefaultToTheTaskIdUntilGivenOthers) {
     EXPECT_THROW(d.add_task("y", -1.0), std::invalid_argument);
     d.add_edge(0, 4, 1.0);
     const Dag r = d.reversed();
+    const char* const defaults[] = {"t0", "t1", "t2", "t3", "t4"};
     for (TaskId t = 0; t < 5; ++t) {
-      const std::string expected = t == first_named ? "x" : "t" + std::to_string(t);
+      const std::string expected = t == first_named ? "x" : defaults[t];
       EXPECT_EQ(d.name(t), expected) << "first named " << first_named;
       EXPECT_EQ(r.name(t), expected) << "first named " << first_named;
     }
