@@ -170,17 +170,16 @@ ReplicaRef pick_repair_supplier(const Schedule& schedule, ReplicaRef r, EdgeId e
 //
 // Whether a replica is fed along an edge is read off the schedule's supply
 // masks.
-bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
-                    const ProcSet& failed, const std::uint64_t* alive, RepairStats& stats) {
-  const auto slots = oracle.slots(t);
+bool wire_dead_task(Schedule& schedule, TaskId t, const ProcSet& failed,
+                    const std::uint64_t* alive, RepairStats& stats) {
+  const auto in = schedule.dag().in_edges(t);
   const std::size_t words = replica_mask_words(schedule.copies());
   const auto pred_alive = [&](std::size_t slot) {
-    return alive + static_cast<std::size_t>(slots[slot].pred) * words;
+    return alive + static_cast<std::size_t>(schedule.dag().edge(in[slot]).src) * words;
   };
   const auto fed = [&](CopyId c, std::size_t slot) {
     const std::uint64_t* pred = pred_alive(slot);
-    const std::size_t mask =
-        (static_cast<std::size_t>(slots[slot].edge) * schedule.copies() + c) * words;
+    const std::size_t mask = (static_cast<std::size_t>(in[slot]) * schedule.copies() + c) * words;
     return visit_supply_word(schedule.supply_mask_bytes(), [&](auto width) {
       const std::uint8_t* at = schedule.supply_masks() + mask * sizeof(width);
       for (std::size_t w = 0; w < words; ++w, at += sizeof(width)) {
@@ -195,7 +194,7 @@ bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
   for (CopyId c = 0; c < schedule.copies(); ++c) {
     if (failed.test(schedule.placed({t, c}).proc)) continue;
     std::size_t missing = 0;
-    for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    for (std::size_t slot = 0; slot < in.size(); ++slot) {
       if (!fed(c, slot)) ++missing;
     }
     if (missing < best_missing) {
@@ -205,9 +204,9 @@ bool wire_dead_task(Schedule& schedule, const SurvivalOracle& oracle, TaskId t,
   }
   if (target.task == kInvalidTask) return false;
 
-  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+  for (std::size_t slot = 0; slot < in.size(); ++slot) {
     if (fed(target.copy, slot)) continue;
-    const EdgeId edge = slots[slot].edge;
+    const EdgeId edge = in[slot];
     const ReplicaRef sup = pick_repair_supplier(schedule, target, edge, pred_alive(slot));
     if (sup.task == kInvalidTask) return false;
     const double ready = schedule.placed(sup).finish;
@@ -247,7 +246,7 @@ SetRepair repair_until_survives(Schedule& schedule, const SurvivalOracle& oracle
   for (const TaskId t : oracle.topological_order()) {
     if (oracle.compute_row(schedule, t, failed.words(), alive.data())) continue;
     if (steps >= max_steps) return SetRepair::kCapped;
-    if (!wire_dead_task(schedule, oracle, t, failed, alive.data(), stats)) {
+    if (!wire_dead_task(schedule, t, failed, alive.data(), stats)) {
       return SetRepair::kBeyondRepair;
     }
     ++steps;

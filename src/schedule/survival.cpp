@@ -9,11 +9,11 @@ namespace streamsched {
 
 namespace {
 
-// The copies of a task fed along one predecessor slot at up to 8 copies,
-// whose supply masks are single bytes: `masks` holds the slot's masks in
-// its low bytes, copy c's in byte c (the bytes above belong to the next
-// edges; the bits they set lie at or above the copy count, where the
-// caller's row has none). Byte c of masks & (pred_alive in every byte) is
+// The copies of a task fed along one in-edge at up to 8 copies, whose
+// supply masks are single bytes: `masks` holds the edge's masks in its low
+// bytes, copy c's in byte c (the bytes above belong to the next edges; the
+// bits they set lie at or above the copy count, where the caller's row has
+// none). Byte c of masks & (pred_alive in every byte) is
 // nonzero iff copy c is fed: adding 0x7f to each byte's low 7 bits carries
 // into its top bit iff they are nonzero, and the multiply gathers the 8
 // top bits into bits 0-7.
@@ -26,24 +26,16 @@ std::uint64_t fed_by_bytes(std::uint64_t masks, std::uint64_t pred_alive) {
 
 }  // namespace
 
-SurvivalOracle::SurvivalOracle(const Dag& dag) : topo_(dag.topological_order()) {
-  const std::size_t n = dag.num_tasks();
-  slot_offset_.resize(n + 1);
-  slots_.reserve(dag.num_edges());
-  for (TaskId t = 0; t < n; ++t) {
-    slot_offset_[t] = static_cast<std::uint32_t>(slots_.size());
-    for (const EdgeId e : dag.in_edges(t)) slots_.push_back(Slot{dag.edge(e).src, e});
-  }
-  slot_offset_[n] = static_cast<std::uint32_t>(slots_.size());
-}
+SurvivalOracle::SurvivalOracle(const Dag& dag)
+    : topo_(dag.topological_order()), num_edges_(dag.num_edges()) {}
 
 bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
                                  const std::uint64_t* failed_words, std::uint64_t* alive) const {
   const CopyId copies = schedule.copies();
   const PlacedReplica* placed = schedule.placements() + static_cast<std::size_t>(t) * copies;
   const std::uint8_t* masks = schedule.supply_masks();
-  const Slot* const first = slots_.data() + slot_offset_[t];
-  const Slot* const last = slots_.data() + slot_offset_[t + 1];
+  const Dag& dag = schedule.dag();
+  const std::span<const EdgeId> in = dag.in_edges(t);
   if (copies <= 64) {
     // Narrow layout: one word per row and one load per supply mask,
     // branch-free over the copies. An unplaced copy (kInvalidProc) reads
@@ -58,9 +50,9 @@ bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
     std::uint64_t a = up;
     visit_supply_word(schedule.supply_mask_bytes(), [&](auto width) {
       using Word = decltype(width);
-      for (const Slot* slot = first; a != 0 && slot != last; ++slot) {
-        const std::uint64_t pred_alive = alive[slot->pred];
-        const std::size_t mask = static_cast<std::size_t>(slot->edge) * copies;
+      for (auto e = in.begin(); a != 0 && e != in.end(); ++e) {
+        const std::uint64_t pred_alive = alive[dag.edge(*e).src];
+        const std::size_t mask = static_cast<std::size_t>(*e) * copies;
         if constexpr (sizeof(Word) == 1) {
           a &= fed_by_bytes(load_supply_word<std::uint64_t>(masks + mask), pred_alive);
         } else {
@@ -87,15 +79,14 @@ bool SurvivalOracle::compute_row(const Schedule& schedule, TaskId t,
       any = 1;
     }
   }
-  for (const Slot* slot = first; any != 0 && slot != last; ++slot) {
-    const std::uint64_t* pred_alive = alive + static_cast<std::size_t>(slot->pred) * W;
+  for (auto e = in.begin(); any != 0 && e != in.end(); ++e) {
+    const std::uint64_t* pred_alive = alive + static_cast<std::size_t>(dag.edge(*e).src) * W;
     any = 0;
     for (std::size_t w = 0; w < W; ++w) {
       for (std::uint64_t bits = a[w]; bits != 0; bits &= bits - 1) {
         const int b = std::countr_zero(bits);
-        const std::size_t mask = (static_cast<std::size_t>(slot->edge) * copies + w * 64 +
-                                  static_cast<std::size_t>(b)) *
-                                 W;
+        const std::size_t mask =
+            (static_cast<std::size_t>(*e) * copies + w * 64 + static_cast<std::size_t>(b)) * W;
         bool fed = false;
         for (std::size_t sw = 0; sw < W && !fed; ++sw) {
           fed = (pred_alive[sw] & load_supply_word<std::uint64_t>(masks + (mask + sw) * 8)) != 0;
@@ -220,6 +211,7 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
   const std::uint64_t* lanes = scratch.proc_lanes.data();
   const PlacedReplica* placements = schedule.placements();
   const std::uint8_t* masks = schedule.supply_masks();
+  const Dag& dag = schedule.dag();
   const auto pass = [&](auto width) {
     using Word = decltype(width);
     const std::size_t mask_words = sizeof(Word) < 8 ? 1 : replica_mask_words(copies);
@@ -231,8 +223,7 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
       LaneWords<W> task_alive{};
       const PlacedReplica* placed = placements + static_cast<std::size_t>(t) * copies;
       std::uint64_t* row = alive + static_cast<std::size_t>(t) * copies * W;
-      const Slot* const first = slots_.data() + slot_offset_[t];
-      const Slot* const last = slots_.data() + slot_offset_[t + 1];
+      const std::span<const EdgeId> in = dag.in_edges(t);
       for (CopyId c = 0; c < copies; ++c) {
         // An unplaced copy is never computable: zero its (possibly stale)
         // lane words before any successor ORs them in.
@@ -241,10 +232,10 @@ LaneWords<W> SurvivalOracle::survives_lanes(const Schedule& schedule,
           const std::uint64_t* down = lanes + static_cast<std::size_t>(placed[c].proc) * W;
           for (std::size_t w = 0; w < W; ++w) a[w] = ~down[w] & live[w];
         }
-        for (const Slot* slot = first; slot != last && any_lane(a); ++slot) {
+        for (auto e = in.begin(); e != in.end() && any_lane(a); ++e) {
           const std::uint64_t* pred_lanes =
-              alive + static_cast<std::size_t>(slot->pred) * copies * W;
-          const std::size_t mask = (static_cast<std::size_t>(slot->edge) * copies + c) * mask_words;
+              alive + static_cast<std::size_t>(dag.edge(*e).src) * copies * W;
+          const std::size_t mask = (static_cast<std::size_t>(*e) * copies + c) * mask_words;
           // The one-word pass stops ORing once every lane of `a` is fed,
           // testing before each supplier (a test per mask word as well
           // made it about a third slower); on W words that test costs

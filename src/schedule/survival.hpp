@@ -4,19 +4,18 @@
 // — "does the schedule survive failure set F?" — for up to 2^18 sets of a
 // memoised failure-set tree plus tens of thousands of Monte-Carlo samples
 // per call. `SurvivalOracle` compiles what the schedule's DAG fixes, once:
-// the evaluation order (Dag::topological_order) and each task's
-// predecessor slots, (predecessor, in-edge) pairs in Dag::predecessors
-// order, stored densely. Everything else it reads from the schedule each
-// query names: the replicas' processors (Schedule::placements) and the
-// supply masks, one per (edge, consumer copy), that add_comm sets
-// (Schedule::supply_masks), each read in one load of its own width. One
-// failure set then costs a single allocation-free topological pass over
-// bitmasks: alive[t] starts as the placed copies on alive processors and
-// each predecessor slot clears the copies whose supply mask misses
-// alive[pred]; at up to 8 copies one word holds a slot's masks of every
-// copy, and a byte-wise carry finds the fed copies without a loop.
-// Replica rows are ceil(copies/64) words wide, so any replication degree
-// is evaluated.
+// the evaluation order (Dag::topological_order). Everything else it reads
+// from the schedule each query names: each task's in-edges and their
+// sources (Dag::in_edges, Dag::edge), the replicas' processors
+// (Schedule::placements) and the supply masks, one per (edge, consumer
+// copy), that add_comm sets (Schedule::supply_masks), each read in one
+// load of its own width. One failure set then costs a single
+// allocation-free topological pass over bitmasks: alive[t] starts as the
+// placed copies on alive processors and each in-edge clears the copies
+// whose supply mask misses alive[source]; at up to 8 copies one word holds
+// an edge's masks of every copy, and a byte-wise carry finds the fed
+// copies without a loop. Replica rows are ceil(copies/64) words wide, so
+// any replication degree is evaluated.
 //
 // Nothing of the schedule is copied, so nothing is patched: a comm added to
 // the schedule is in the next query, and one oracle serves every schedule
@@ -152,21 +151,14 @@ inline constexpr std::size_t kLaneWords = 4;
   return ((row[c >> 6] >> (c & 63)) & 1) != 0;
 }
 
-/// The DAG-derived part of the survival kernels: evaluation order and
-/// dense predecessor slots. Every query takes the schedule it is about,
-/// which must be built on the DAG compiled (checked by task and edge
-/// count, see fits()); queries are const and take the caller's scratch
-/// (allocation-free once it is sized), so concurrent queries are safe
-/// when every thread brings its own.
+/// The DAG-derived part of the survival kernels: the evaluation order.
+/// Every query takes the schedule it is about, which must be built on the
+/// DAG compiled (checked by task and edge count, see fits()); queries are
+/// const and take the caller's scratch (allocation-free once it is
+/// sized), so concurrent queries are safe when every thread brings its
+/// own.
 class SurvivalOracle {
  public:
-  /// One predecessor slot of a task: the predecessor and the in-edge from
-  /// it, whose supply masks the kernels read.
-  struct Slot {
-    TaskId pred;
-    EdgeId edge;
-  };
-
   explicit SurvivalOracle(const Dag& dag);
   /// The oracle of `schedule`'s DAG.
   explicit SurvivalOracle(const Schedule& schedule) : SurvivalOracle(schedule.dag()) {}
@@ -175,16 +167,10 @@ class SurvivalOracle {
   /// True when `schedule`'s DAG has the compiled one's task and edge
   /// counts. Every query but compute_row refuses a schedule that does not.
   [[nodiscard]] bool fits(const Schedule& schedule) const {
-    return schedule.dag().num_tasks() == topo_.size() &&
-           schedule.dag().num_edges() == slots_.size();
+    return schedule.dag().num_tasks() == topo_.size() && schedule.dag().num_edges() == num_edges_;
   }
   /// The task evaluation order (Dag::topological_order).
   [[nodiscard]] const std::vector<TaskId>& topological_order() const { return topo_; }
-  /// Task t's predecessor slots, in Dag::predecessors (= in_edges) order.
-  [[nodiscard]] std::span<const Slot> slots(TaskId t) const {
-    SS_REQUIRE(t < topo_.size(), "task id out of range");
-    return {slots_.data() + slot_offset_[t], slots_.data() + slot_offset_[t + 1]};
-  }
 
   /// True when every task of `schedule` keeps at least one computable
   /// replica under `failed`. `scratch` is resized on first use, then
@@ -238,10 +224,9 @@ class SurvivalOracle {
   /// going on, and achieved_tolerance's k = 0 check runs on it. In the
   /// narrow layout (copies <= 64) it runs over the copies without
   /// branches: a copy stays iff it is placed, its processor is up and every
-  /// predecessor slot feeds it; an unplaced copy reads as down without
-  /// indexing `failed_words` with its kInvalidProc. Unchecked, as the
-  /// innermost call of the repairs: `t` must be a task and the oracle must
-  /// fit `schedule`.
+  /// in-edge feeds it; an unplaced copy reads as down without indexing
+  /// `failed_words` with its kInvalidProc. The oracle is not checked, as
+  /// this is the innermost call of the repairs: it must fit `schedule`.
   bool compute_row(const Schedule& schedule, TaskId t, const std::uint64_t* failed_words,
                    std::uint64_t* alive) const;
 
@@ -250,9 +235,8 @@ class SurvivalOracle {
     SS_REQUIRE(fits(schedule), "oracle was not compiled from this schedule's DAG");
   }
 
-  std::vector<TaskId> topo_;                // task evaluation order
-  std::vector<std::uint32_t> slot_offset_;  // [task] -> range in slots_
-  std::vector<Slot> slots_;                 // flattened predecessor slots
+  std::vector<TaskId> topo_;  // task evaluation order
+  std::size_t num_edges_;     // the DAG's, checked by fits()
 };
 
 }  // namespace streamsched

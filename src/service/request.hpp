@@ -61,11 +61,10 @@ struct PlacementRequest {
 /// One admitted placement, immutable once published by the daemon. The
 /// publish gate (service/daemon.hpp) derives the claims below from every
 /// new or patched schedule, reading the schedule itself through `oracle`.
-/// The oracle holds only what the DAG fixes (evaluation order and
-/// predecessor slots, about 2 KB at 52 tasks and 200 edges), compiled once
-/// when the placement is made; it holds no copy of the schedule, so event
-/// repair patches the copy's schedule alone and a copied placement's
-/// oracle stays valid.
+/// The oracle holds only what the DAG fixes (its evaluation order, about
+/// 0.2 KB at 52 tasks), compiled once when the placement is made; it holds
+/// no copy of the schedule, so event repair patches the copy's schedule
+/// alone and a copied placement's oracle stays valid.
 struct CachedPlacement {
   CachedPlacement(std::shared_ptr<const Dag> dag_in,
                   std::shared_ptr<const Platform> platform_in, Schedule schedule_in)
