@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <span>
 #include <type_traits>
 
 namespace streamsched {

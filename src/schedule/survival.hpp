@@ -53,7 +53,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <type_traits>
 #include <vector>
 
