@@ -234,8 +234,8 @@ class SurvivalOracle {
     SS_REQUIRE(fits(schedule), "oracle was not compiled from this schedule's DAG");
   }
 
-  std::vector<TaskId> topo_;  // task evaluation order
-  std::size_t num_edges_;     // the DAG's, checked by fits()
+  std::vector<TaskId> topo_;    // task evaluation order
+  std::size_t num_edges_ = 0;  // the DAG's, checked by fits()
 };
 
 }  // namespace streamsched
