@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "dag_checks.hpp"
 #include "graph/dag.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -190,6 +191,33 @@ TEST(Dag, DoubleReversalIsIdentity) {
   for (EdgeId e = 0; e < d.num_edges(); ++e) {
     EXPECT_EQ(rr.edge(e).src, d.edge(e).src);
     EXPECT_EQ(rr.edge(e).dst, d.edge(e).dst);
+  }
+}
+
+TEST(Dag, GeneratedAdjacencyListsHoldTheirEdgeIdsInIncreasingOrder) {
+  for (const auto& [what, d] : test::generator_dags()) {
+    test::expect_adjacency_in_id_order(d, what);
+  }
+  // Edges added out of task order: each list still reads in id order.
+  Dag d;
+  for (int t = 0; t < 5; ++t) d.add_task(1.0);
+  const std::pair<TaskId, TaskId> edges[] = {{3, 4}, {0, 4}, {1, 2}, {0, 1}, {2, 4}, {0, 3}};
+  for (const auto& [src, dst] : edges) d.add_edge(src, dst, 1.0);
+  test::expect_adjacency_in_id_order(d, "hand-built");
+}
+
+// reversed() is the DAG add_task/add_edge build from the same tasks and
+// the flipped edges in id order, field for field.
+TEST(Dag, ReversalEqualsARebuildFieldForField) {
+  auto dags = test::generator_dags();
+  dags.emplace_back("named diamond", small_diamond());
+  for (const auto& [what, d] : dags) {
+    Dag rebuilt;
+    for (TaskId t = 0; t < d.num_tasks(); ++t) rebuilt.add_task(d.name(t), d.work(t));
+    for (EdgeId e = 0; e < d.num_edges(); ++e) {
+      rebuilt.add_edge(d.edge(e).dst, d.edge(e).src, d.edge(e).volume);
+    }
+    test::expect_same_dag(d.reversed(), rebuilt, what);
   }
 }
 

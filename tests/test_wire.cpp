@@ -16,6 +16,7 @@
 
 #include "core/fingerprint.hpp"
 #include "core/rltf.hpp"
+#include "dag_checks.hpp"
 #include "graph/generators.hpp"
 #include "net/wire.hpp"
 #include "platform/generators.hpp"
@@ -130,6 +131,47 @@ TEST(DagWire, StrictRejects) {
   EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0-1:1,0-1:1"), WireError);  // duplicate edge
   EXPECT_THROW((void)parse_dag_wire("n2;w1,2;e0-1:1,1-0:1"), WireError);  // cycle
   EXPECT_THROW((void)parse_dag_wire("n1;w1;e0-0:1"), WireError);    // self loop
+}
+
+TEST(DagWire, ParseReproducesEveryAdjacencyList) {
+  for (const auto& [what, d] : test::generator_dags()) {
+    const Dag back = parse_dag_wire(format_dag_wire(d));
+    test::expect_adjacency_in_id_order(back, what);
+    // Names are not carried; everything else is.
+    for (TaskId t = 0; t < d.num_tasks(); ++t) {
+      EXPECT_EQ(test::edge_list(back.out_edges(t)), test::edge_list(d.out_edges(t))) << what;
+      EXPECT_EQ(test::edge_list(back.in_edges(t)), test::edge_list(d.in_edges(t))) << what;
+      EXPECT_EQ(back.work(t), d.work(t)) << what;
+    }
+    ASSERT_EQ(back.num_edges(), d.num_edges()) << what;
+    for (EdgeId e = 0; e < d.num_edges(); ++e) {
+      EXPECT_EQ(back.edge(e).src, d.edge(e).src) << what;
+      EXPECT_EQ(back.edge(e).dst, d.edge(e).dst) << what;
+      EXPECT_EQ(back.edge(e).volume, d.edge(e).volume) << what;
+    }
+  }
+}
+
+// Each structural fault the DAG refuses, one per line, is a WireError.
+TEST(DagWire, RejectionTable) {
+  const struct {
+    const char* wire;
+    const char* fault;
+  } cases[] = {
+      {"n2;w1,2;e0-1:1,0-1:1", "duplicate edge"},
+      {"n3;w1,1,1;e0-1:1,1-2:1,2-0:1", "3-task cycle"},
+      {"n3;w1,1,1;e1-2:1,2-0:1,0-1:1", "3-task cycle closed by the last edge"},
+      {"n2;w1,1;e1-1:1", "self loop"},
+      {"n2;w1,2;e0-2:1", "endpoint out of range"},
+      {"n2;w1,2;e2-0:1", "source out of range"},
+      {"n2;w1,2;e0-1:-0.5", "negative volume"},
+      {"n2;w1,-2;e0-1:1", "negative work"},
+      {"n3;w1,2;e0-1:1", "fewer works than tasks"},
+      {"n1;w1,2;e", "more works than tasks"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_THROW((void)parse_dag_wire(c.wire), WireError) << c.fault << ": " << c.wire;
+  }
 }
 
 TEST(DagWire, EdgesIntoSinksStillCloseCyclesElsewhere) {
