@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <charconv>
@@ -157,8 +158,13 @@ Dag parse_dag_wire(std::string_view wire) {
     bad("DagWire needs 'n<tasks>;w...;e...' sections, got '" + std::string(wire) + "'");
   }
   const auto tasks = parse_number<std::uint64_t>(sections[0].substr(1), "DagWire task count");
-  Dag dag;
   const std::string_view works = sections[1].substr(1);
+  const std::string_view edges = sections[2].substr(1);
+  // Sized from the items listed, not from the n<tasks> claim.
+  const auto items_in = [](std::string_view list) -> std::size_t {
+    return list.empty() ? 0 : 1 + std::count(list.begin(), list.end(), ',');
+  };
+  Dag::Builder dag(items_in(works), items_in(edges));
   std::uint64_t listed = 0;
   if (!works.empty()) {
     Items items(works, ',');
@@ -175,7 +181,6 @@ Dag parse_dag_wire(std::string_view wire) {
   if (listed != tasks) {
     bad("DagWire lists " + std::to_string(listed) + " works for n" + std::to_string(tasks));
   }
-  const std::string_view edges = sections[2].substr(1);
   if (!edges.empty()) {
     Items items(edges, ',');
     for (std::string_view item; items.next(item);) {
@@ -199,7 +204,12 @@ Dag parse_dag_wire(std::string_view wire) {
       }
     }
   }
-  return dag;
+  // Duplicate edges and cycles are found once every edge is in.
+  try {
+    return std::move(dag).finish();
+  } catch (const std::exception& e) {
+    bad(std::string("DagWire edge rejected: ") + e.what());
+  }
 }
 
 namespace {

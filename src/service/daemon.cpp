@@ -152,8 +152,11 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
   }
 
   // Cold path, outside the lock: other admissions and events proceed. The
-  // cached DAG is a copy, which holds no spare capacity.
-  const auto dag = std::make_shared<const Dag>(request.dag);
+  // cached DAG is the request's own, moved, not copied: a parsed DAG keeps
+  // the exact-size blocks its parse allocated, and one built edge by edge
+  // drops its spare capacity first.
+  request.dag.shrink_to_fit();
+  const auto dag = std::make_shared<const Dag>(std::move(request.dag));
   SchedulerOptions options;
   options.fault_model = request.model;
   options.repair = true;

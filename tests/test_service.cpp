@@ -17,6 +17,7 @@
 #include "core/rltf.hpp"
 #include "core/variant.hpp"
 #include "graph/generators.hpp"
+#include "net/wire.hpp"
 #include "platform/generators.hpp"
 #include "schedule/fault_tolerance.hpp"
 #include "schedule/survival.hpp"
@@ -262,6 +263,28 @@ TEST(PlacementDaemon, ColdAdmissionThenAllocationFreeHit) {
   EXPECT_EQ(stats.cold_schedules, 2u);
   EXPECT_EQ(daemon.cache_stats().hits, 1u);
   expect_reprovable_entries(daemon);  // cold publish
+}
+
+// The cached DAG is the request's own, moved: a placement admitted from a
+// parsed request keeps the arrays the parse allocated, and no copy is made.
+TEST(PlacementDaemon, ColdAdmissionCachesTheParsedDagItself) {
+  PlacementDaemon daemon(small_platform(), DaemonConfig{});
+  PlacementRequest request = request_for(17);
+  request.dag = net::parse_dag_wire(net::format_dag_wire(request.dag));
+  const TaskId last = static_cast<TaskId>(request.dag.num_tasks() - 1);
+  ASSERT_GT(request.dag.in_degree(last), 0u);
+  const Dag::Edge* edges = &request.dag.edge(0);
+  const EdgeId* out_ids = request.dag.out_edges(0).data();
+  const EdgeId* in_ids = request.dag.in_edges(last).data();
+  const double work = request.dag.work(last);
+
+  const PlacementResponse resp = daemon.admit(std::move(request));
+  ASSERT_TRUE(resp.ok) << resp.error;
+  const Dag& cached = *resp.placement->dag;
+  EXPECT_EQ(&cached.edge(0), edges);
+  EXPECT_EQ(cached.out_edges(0).data(), out_ids);
+  EXPECT_EQ(cached.in_edges(last).data(), in_ids);
+  EXPECT_EQ(cached.work(last), work);
 }
 
 TEST(PlacementDaemon, AdmittedPlacementHoldsTheModelGuarantee) {
