@@ -10,10 +10,11 @@ namespace streamsched {
 OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task) {
   const Dag& dag = state.dag();
   const Schedule& schedule = state.schedule();
-  const auto preds = dag.predecessors(task);
+  // One entry per in-edge, in in_edges order, as one_to_one_heads reads them.
+  const auto in = dag.in_edges(task);
 
   OneToOneContext ctx;
-  if (preds.empty()) {
+  if (in.empty()) {
     // Entry task: no communications to pair up; every replica can be
     // "one-to-one" placed (distinct processors enforced via locking).
     ctx.theta = schedule.copies();
@@ -22,19 +23,19 @@ OneToOneContext make_one_to_one_context(const BuildState& state, TaskId task) {
 
   // Count predecessor replicas per processor to find singletons.
   std::vector<std::uint32_t> replicas_on_proc(state.num_procs(), 0);
-  for (TaskId pred : preds) {
+  for (EdgeId e : in) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
-      const ReplicaRef r{pred, c};
+      const ReplicaRef r{dag.edge(e).src, c};
       SS_CHECK(schedule.is_placed(r), "predecessor replica not placed yet");
       ++replicas_on_proc[schedule.placed(r).proc];
     }
   }
 
-  ctx.remaining.resize(preds.size());
+  ctx.remaining.resize(in.size());
   std::uint32_t theta = std::numeric_limits<std::uint32_t>::max();
-  for (std::size_t i = 0; i < preds.size(); ++i) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
     for (CopyId c = 0; c < schedule.copies(); ++c) {
-      const ReplicaRef r{preds[i], c};
+      const ReplicaRef r{dag.edge(in[i]).src, c};
       if (replicas_on_proc[schedule.placed(r).proc] == 1) {
         ctx.remaining[i].push_back(r);
       }
