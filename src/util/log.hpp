@@ -5,6 +5,7 @@
 // stderr.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -33,27 +34,29 @@ void write_log_line(LogLevel level, const std::string& message);
 
 namespace detail {
 /// Streams into a buffer and emits on destruction — but only when the
-/// level passes the filter at construction time; disabled lines skip the
-/// formatting entirely, so log_debug() in a hot path costs one level load.
+/// level passes the filter at construction time; a disabled line builds
+/// no stream and skips the formatting entirely, so log_debug() in a hot
+/// path costs one level load.
 class LogLine {
  public:
-  explicit LogLine(LogLevel level) : level_(level), enabled_(log_enabled(level)) {}
+  explicit LogLine(LogLevel level) : level_(level) {
+    if (log_enabled(level)) os_.emplace();
+  }
   ~LogLine() {
-    if (enabled_) log_message(level_, os_.str());
+    if (os_) log_message(level_, os_->str());
   }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
 
   template <typename T>
   LogLine& operator<<(const T& value) {
-    if (enabled_) os_ << value;
+    if (os_) *os_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  bool enabled_;
-  std::ostringstream os_;
+  std::optional<std::ostringstream> os_;  // engaged for enabled lines only
 };
 }  // namespace detail
 

@@ -66,6 +66,23 @@ TEST(AsyncLog, InstalledSinkReceivesFilteredLogCalls) {
   EXPECT_EQ(logger.dropped(), 0u);
 }
 
+// Without a sink, an enabled line reaches stderr with everything streamed
+// into it, and a line below the level writes nothing.
+TEST(AsyncLog, SynchronousLinesCarryWhatWasStreamedWhenEnabled) {
+  const LogLevel previous = log_level();
+  set_log_level(LogLevel::kInfo);
+  testing::internal::CaptureStderr();
+  log_info() << "cold admission: variant=" << std::string("rltf") << " factor=" << 1.5
+             << " repair_comms=" << 7u;
+  log_debug() << "filtered " << 3;
+  log_warn() << "kept";
+  const std::string written = testing::internal::GetCapturedStderr();
+  set_log_level(previous);
+  EXPECT_EQ(written,
+            "[streamsched INFO] cold admission: variant=rltf factor=1.5 repair_comms=7\n"
+            "[streamsched WARN] kept\n");
+}
+
 TEST(AsyncLog, DestructorDrainsTheRing) {
   std::uint64_t written = 0;
   {
