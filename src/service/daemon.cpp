@@ -152,9 +152,9 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
   }
 
   // Cold path, outside the lock: other admissions and events proceed. The
-  // cached DAG is the request's own, moved, not copied: a parsed DAG keeps
-  // the exact-size blocks its parse allocated, and one built edge by edge
-  // drops its spare capacity first.
+  // cached DAG is the request's own: a parsed DAG keeps the exact-size
+  // blocks its parse allocated, in the parsing thread's malloc arena, and
+  // one built edge by edge drops its spare capacity first.
   request.dag.shrink_to_fit();
   const auto dag = std::make_shared<const Dag>(std::move(request.dag));
   SchedulerOptions options;
