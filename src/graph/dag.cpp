@@ -243,16 +243,14 @@ Dag::Builder::Builder(std::size_t tasks, std::size_t edges) {
   dag_.edges_.reserve(edges);
 }
 
-TaskId Dag::Builder::add_task(double work) {
+void Dag::Builder::add_task(double work) {
   SS_REQUIRE(work >= 0.0, "task work must be non-negative");
   dag_.works_.push_back(work);
-  return static_cast<TaskId>(dag_.works_.size() - 1);
 }
 
-EdgeId Dag::Builder::add_edge(TaskId src, TaskId dst, double volume) {
+void Dag::Builder::add_edge(TaskId src, TaskId dst, double volume) {
   check_edge(dag_.num_tasks(), src, dst, volume);
   dag_.edges_.push_back(Edge{src, dst, volume});
-  return static_cast<EdgeId>(dag_.edges_.size() - 1);
 }
 
 Dag Dag::Builder::finish() && {

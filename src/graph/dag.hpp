@@ -162,10 +162,10 @@ class Dag::Builder {
  public:
   Builder(std::size_t tasks, std::size_t edges);
 
-  /// Adds a task named "t<i>".
-  TaskId add_task(double work);
-  /// Adds edge src -> dst between tasks already added.
-  EdgeId add_edge(TaskId src, TaskId dst, double volume);
+  /// Adds the next task, named "t<i>".
+  void add_task(double work);
+  /// Adds the next edge, src -> dst, between tasks already added.
+  void add_edge(TaskId src, TaskId dst, double volume);
   /// The DAG; throws std::invalid_argument on a duplicate edge or a cycle.
   [[nodiscard]] Dag finish() &&;
 
