@@ -130,8 +130,9 @@ struct ServerHandle {
 /// replicas, and a degraded entry's eps_have is its residual tolerance
 /// beyond `failed`. A probabilistic entry's rel must not exceed a fresh
 /// estimate, the sealed facts (schedule_fp, stages, latency_bound) must
-/// match a fresh computation, and the schedule keeps no spare comm
-/// capacity.
+/// match a fresh computation, the schedule keeps no spare comm capacity,
+/// and the served repair_comms= counts exactly the schedule's
+/// repair-flagged channels.
 inline void expect_reprovable_entries(const PlacementDaemon& daemon,
                                       const std::vector<ProcId>& failed = {}) {
   const std::size_t m = daemon.platform().num_procs();
@@ -144,6 +145,8 @@ inline void expect_reprovable_entries(const PlacementDaemon& daemon,
     EXPECT_EQ(p->schedule.comms().capacity(), p->schedule.comms().size());
     EXPECT_EQ(p->stages, num_stages(p->schedule));
     EXPECT_EQ(p->latency_bound, latency_upper_bound(p->schedule));
+    EXPECT_EQ(p->repair.added_comms + p->event_repair_comms, num_repair_comms(p->schedule))
+        << p->variant << " " << p->model.to_string();
 
     const SurvivalOracle fresh(*p->dag);
     ASSERT_TRUE(p->oracle.fits(p->schedule));

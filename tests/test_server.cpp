@@ -93,24 +93,46 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
     request.variant = AlgoVariant(variant);
     admitted.push_back(source.admit(std::move(request)));
   }
+  // An entry whose event repair a probabilistic model's live failures need.
+  admitted.push_back(source.admit(request_for(117, FaultModel::parse("prob:R=0.999"))));
   for (const PlacementResponse& resp : admitted) ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_EQ(admitted[3].placement->eps_want, 0u);
   EXPECT_EQ(admitted[4].placement->eps_want, 1u);
 
+  // Five failures: event repair wires channels into a count entry and the
+  // probabilistic one, and rebuilds others on the three alive processors.
+  // The restarted daemon sees the same failure set.
+  const std::vector<ProcId> down{0, 1, 2, 3, 4};
+  PlacementDaemon restored(small_platform(), DaemonConfig{});
+  for (const ProcId u : down) {
+    source.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, u});
+    restored.on_event(ClusterEvent{ClusterEvent::Kind::kFailure, u});
+  }
+  bool count_repaired = false;
+  bool prob_repaired = false;
+  for (const auto& p : source.snapshot_entries()) {
+    count_repaired = count_repaired || (p->model.is_count() && p->event_repair_comms > 0);
+    prob_repaired = prob_repaired || (p->model.is_probabilistic() && p->event_repair_comms > 0);
+  }
+  ASSERT_TRUE(count_repaired);
+  ASSERT_TRUE(prob_repaired);
+  ASSERT_GT(source.stats().rebuilds, 0u);
+  ASSERT_EQ(source.stats().repair_failures, 0u);
+
   const SnapshotSaveStats saved = save_cache_snapshot(source, snap.path);
-  EXPECT_EQ(saved.entries, 5u);
+  EXPECT_EQ(saved.entries, 6u);
   EXPECT_GT(saved.bytes, 0u);
 
-  PlacementDaemon restored(small_platform(), DaemonConfig{});
   const SnapshotLoadStats loaded = load_cache_snapshot(restored, snap.path);
-  EXPECT_EQ(loaded.entries, 5u);
-  EXPECT_EQ(loaded.restored, 5u);
+  EXPECT_EQ(loaded.entries, 6u);
+  EXPECT_EQ(loaded.restored, 6u);
   EXPECT_EQ(loaded.verify_failed, 0u);
   EXPECT_EQ(loaded.stale, 0u);
-  EXPECT_EQ(restored.stats().restored, 5u);
+  EXPECT_EQ(restored.stats().restored, 6u);
 
   // Recency ordering survives: the restored cache walks LRU→MRU in the
-  // same order, and every schedule re-serializes byte for byte.
+  // same order, every schedule re-serializes byte for byte, and every
+  // entry serves the fields its source served.
   const auto before = source.snapshot_entries();
   const auto after = restored.snapshot_entries();
   ASSERT_EQ(after.size(), before.size());
@@ -126,8 +148,10 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
     EXPECT_EQ(after[i]->eps_have, before[i]->eps_have);
     // The response facts are not persisted; the restore recomputes them.
     EXPECT_EQ(after[i]->schedule_fp, before[i]->schedule_fp);
+    EXPECT_EQ(after[i]->response_fields, before[i]->response_fields);
   }
-  expect_reprovable_entries(restored);
+  expect_reprovable_entries(source, down);
+  expect_reprovable_entries(restored, down);
 
   // Serving the original requests hits the restored entries — never the
   // cold path.
