@@ -46,9 +46,19 @@ std::string render_response_fields(const CachedPlacement& p) {
   return fields.str();
 }
 
-}  // namespace
-
-bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratch& scratch) {
+/// The publish gate. Trims `placement.schedule`'s comm array to its size,
+/// so every published schedule is exact-size, and derives from the
+/// schedule, through the placement's oracle, every claim a response
+/// makes: survival of the live failure set `failed`, eps_have and
+/// degraded, a probabilistic placement's rel unless the cold path handed
+/// in its model repair's final estimate, and the sealed facts
+/// schedule_fp, stages and latency_bound; last it renders response_fields
+/// from them all. Returns false, deriving nothing further, when the
+/// placement does not survive `failed`. A schedule it already proved
+/// (`full_guarantee` set) keeps its verdict, rel and sealed facts; only
+/// survival, eps_have and response_fields are derived again.
+[[nodiscard]] bool publish_gate(CachedPlacement& placement, const ProcSet& failed,
+                                BatchScratch& scratch) {
   CachedPlacement& p = placement;
   // What the gate publishes is cached: keep no spare comm capacity (a
   // build reserves room, event repair doubles a copy's array).
@@ -64,7 +74,7 @@ bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratc
     // Full guarantee: a count placement survives any eps_want failures of
     // the whole platform, whatever the live set; a probabilistic one,
     // whose contract is its rel, carries the eps_want + 1 replicas its
-    // model asked for. A rel no repair estimated is estimated here, once.
+    // model asked for. A rel not handed in is estimated here, once.
     p.full_guarantee = p.model.is_count()
                            ? achieved_tolerance(p.schedule, p.oracle, ProcSet(failed.size()),
                                                 p.eps_want, scratch) == p.eps_want
@@ -85,6 +95,8 @@ bool publish_gate(CachedPlacement& placement, const ProcSet& failed, BatchScratc
   p.response_fields = render_response_fields(p);
   return true;
 }
+
+}  // namespace
 
 PlacementDaemon::PlacementDaemon(Platform platform, DaemonConfig config)
     : platform_(std::make_shared<const Platform>(std::move(platform))),
@@ -182,9 +194,11 @@ PlacementResponse PlacementDaemon::admit(PlacementRequest request, const CacheKe
   placement->repair = result.repair;
   placement->reliability = result.repair.reliability;
   placement->eps_want = placement->schedule.eps();
-  log_info() << "cold admission: variant=" << placement->variant
-             << " model=" << request.model.to_string() << " period=" << period
-             << " factor=" << factor << " repair_comms=" << result.repair.added_comms;
+  if (log_enabled(LogLevel::kInfo)) {
+    log_info() << "cold admission: variant=" << placement->variant
+               << " model=" << request.model.to_string() << " period=" << period
+               << " factor=" << factor << " repair_comms=" << result.repair.added_comms;
+  }
 
   // Reconcile with the live failure set and publish, retrying when an
   // event moves the epoch between the two. A live set beyond incremental
@@ -306,9 +320,12 @@ std::shared_ptr<CachedPlacement> PlacementDaemon::reconcile(
                                                         failed)
                                : RepairStats{.success = true};
   // The gate's proof on the repaired schedule is the re-check of a live
-  // repair.
+  // repair; it also estimates the repaired schedule's rel afresh.
   const bool repaired = live.success && live.rounds > 0;
-  if (repaired) placement->full_guarantee.reset();
+  if (repaired) {
+    placement->full_guarantee.reset();
+    placement->reliability = -1.0;
+  }
   counts.verifications += repaired;
   if (live.success) {
     // Counted before the gate, which renders the served repair_comms=.

@@ -34,11 +34,11 @@
 //              the daemon mutex, which gives the events one total order.
 //
 // Every publish path — cold, event repair, rebuild, re-heal,
-// re-certification, restore — sends its placement through publish_gate
-// (below) before the cache sees it, so every claim is proved on the
-// schedule itself and a repaired copy is re-verified against the live
-// failure set. No placement caches a compiled copy of its schedule, so
-// none can drift from it.
+// re-certification, restore — sends its placement through the publish
+// gate (publish_gate in daemon.cpp) before the cache sees it, so every
+// claim is proved on the schedule itself and a repaired copy is
+// re-verified against the live failure set. No placement caches a
+// compiled copy of its schedule, so none can drift from it.
 //
 // The cache key holds no epoch: while mutex_ is free, every cached entry
 // is current for the live failure set, and each placement records the
@@ -117,21 +117,6 @@ struct DaemonStats {
 /// dag_fingerprint(request.dag).
 [[nodiscard]] CacheKey admission_key(std::uint64_t dag_fp, const AlgoVariant& variant,
                                      const FaultModel& model);
-
-/// The publish gate. Trims `placement.schedule`'s comm array to its size,
-/// so every published schedule is exact-size, and derives from the
-/// schedule, through the placement's oracle, every claim a response
-/// makes: survival of the live failure set `failed`, eps_have and
-/// degraded, a probabilistic placement's rel when no repair estimated it,
-/// and the sealed facts schedule_fp, stages and latency_bound; last it
-/// renders response_fields from them all. Returns false, deriving nothing
-/// further, when the placement does not survive `failed`. A schedule it
-/// already proved (`full_guarantee` set) keeps its verdict, rel and sealed
-/// facts; only survival, eps_have and response_fields are derived again.
-/// The snapshot loader calls it to hold an entry's claims to what it
-/// proves.
-[[nodiscard]] bool publish_gate(CachedPlacement& placement, const ProcSet& failed,
-                                BatchScratch& scratch);
 
 class PlacementDaemon {
  public:
@@ -212,7 +197,8 @@ class PlacementDaemon {
   /// `failed`: repairs its schedule (nothing to do when it survives) and
   /// sends it through publish_gate(), or, when the repair or the gate
   /// refuses it, rebuild_degraded()s it; a repair that wired channels
-  /// resets full_guarantee, so the gate re-proves the patched schedule.
+  /// resets full_guarantee and rel, so the gate re-proves the patched
+  /// schedule and estimates its rel afresh.
   /// Adds the live repairs the gate re-checked
   /// (verifications, verify_failures, event_repairs) and rebuilds to
   /// `counts`. Returns nullptr when even the rebuild fails. Runs with or

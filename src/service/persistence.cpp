@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -18,7 +19,7 @@
 #include "core/fingerprint.hpp"
 #include "core/variant.hpp"
 #include "net/wire.hpp"
-#include "schedule/survival.hpp"
+#include "schedule/metrics.hpp"
 #include "service/daemon.hpp"
 #include "util/log.hpp"
 
@@ -49,47 +50,23 @@ bool parse_hex16(const std::string& token, std::uint64_t& out) {
   return true;
 }
 
-std::uint32_t parse_u32_field(const std::string& value, const std::string& key) {
-  std::size_t pos = 0;
-  unsigned long parsed = 0;
-  try {
-    parsed = std::stoul(value, &pos);
-  } catch (const std::exception&) {
-    throw SnapshotError("snapshot entry field " + key + " is not a number: " + value);
-  }
-  if (pos != value.size() || parsed > 0xffffffffUL) {
-    throw SnapshotError("snapshot entry field " + key + " is not a u32: " + value);
-  }
-  return static_cast<std::uint32_t>(parsed);
-}
+// v3 entry lines carry only what the publish gate cannot derive from the
+// schedule: the variant and model the entry is cached under, and the
+// escalation factor its admission settled on.
+constexpr char kMagic[] = "#streamsched-cache v3";
 
-// v2 entry lines carry degraded=/eps_have=/eps_want= so a warm restart
-// never launders a degraded placement into a full-guarantee one.
-constexpr char kMagic[] = "#streamsched-cache v2";
-
-/// One parsed (not yet verified) snapshot entry.
-struct SnapshotEntry {
-  AlgoVariant variant;
-  FaultModel model = FaultModel::count(0);
-  double factor = 1.0;
-  double reliability = -1.0;
-  std::uint32_t repair_comms = 0;
-  std::uint32_t event_comms = 0;
-  bool degraded = false;
-  std::uint32_t eps_have = 0;
-  std::uint32_t eps_want = 0;
-  std::string dag_wire;
-  std::string sched_wire;
-};
-
-SnapshotEntry parse_entry_line(const std::string& line) {
-  SnapshotEntry entry;
-  bool have_variant = false;
-  bool have_model = false;
-  bool have_degraded = false;
-  bool have_eps_have = false;
-  bool have_eps_want = false;
-  std::istringstream tokens(line);
+/// Rebuilds one entry from its three lines against the daemon's platform,
+/// leaving every claim it serves to the publish gate. Throws SnapshotError
+/// on a malformed entry line, net::WireError on a malformed dag or sched
+/// line.
+std::shared_ptr<CachedPlacement> parse_entry(const std::string& entry_line,
+                                             const std::string& dag_wire,
+                                             const std::string& sched_wire,
+                                             const PlacementDaemon& daemon) {
+  std::optional<AlgoVariant> variant;
+  std::optional<FaultModel> model;
+  std::optional<double> factor;
+  std::istringstream tokens(entry_line);
   std::string token;
   tokens >> token;  // consume "entry"
   while (tokens >> token) {
@@ -99,111 +76,44 @@ SnapshotEntry parse_entry_line(const std::string& line) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    if (key == "variant") {
-      try {
-        entry.variant = AlgoVariant::parse(value);
-      } catch (const std::exception& e) {
-        throw SnapshotError(std::string("snapshot entry variant: ") + e.what());
-      }
-      have_variant = true;
-    } else if (key == "model") {
-      try {
-        entry.model = FaultModel::parse(value);
-      } catch (const std::exception& e) {
-        throw SnapshotError(std::string("snapshot entry model: ") + e.what());
-      }
-      have_model = true;
-    } else if (key == "factor") {
-      entry.factor = net::parse_wire_double(value);
-    } else if (key == "rel") {
-      entry.reliability = net::parse_wire_double(value);
-    } else if (key == "repair_comms") {
-      entry.repair_comms = parse_u32_field(value, key);
-    } else if (key == "event_comms") {
-      entry.event_comms = parse_u32_field(value, key);
-    } else if (key == "degraded") {
-      if (value != "0" && value != "1") {
-        throw SnapshotError("snapshot entry field degraded must be 0 or 1: " + value);
-      }
-      entry.degraded = value == "1";
-      have_degraded = true;
-    } else if (key == "eps_have") {
-      entry.eps_have = parse_u32_field(value, key);
-      have_eps_have = true;
-    } else if (key == "eps_want") {
-      entry.eps_want = parse_u32_field(value, key);
-      have_eps_want = true;
-    } else {
+    if (key != "variant" && key != "model" && key != "factor") {
       throw SnapshotError("snapshot entry has unknown field: " + key);
     }
+    try {
+      if (key == "variant") {
+        variant = AlgoVariant::parse(value);
+      } else if (key == "model") {
+        model = FaultModel::parse(value);
+      } else {
+        factor = net::parse_wire_double(value);
+      }
+    } catch (const std::exception& e) {
+      throw SnapshotError("snapshot entry " + key + ": " + e.what());
+    }
   }
-  if (!have_variant || !have_model) {
-    throw SnapshotError("snapshot entry missing variant= or model=");
+  if (!variant || !model || !factor) {
+    throw SnapshotError("snapshot entry missing variant=, model= or factor=");
   }
-  // Without the deficit fields a degraded entry would restore at the full
-  // guarantee, so a missing one rejects the file like a contradiction.
-  if (!have_degraded || !have_eps_have || !have_eps_want) {
-    throw SnapshotError("snapshot entry missing degraded=, eps_have= or eps_want=");
-  }
-  return entry;
-}
 
-/// Rebuilds one entry against the daemon's platform and holds its claims
-/// to what the publish gate derives for it on the whole platform. Returns
-/// nullptr (after logging) when the entry claims more than that.
-std::shared_ptr<CachedPlacement> verify_entry(const SnapshotEntry& entry,
-                                              const PlacementDaemon& daemon) {
-  auto dag = std::make_shared<const Dag>(net::parse_dag_wire(entry.dag_wire));
-  Schedule schedule = net::parse_schedule_wire(entry.sched_wire, *dag, daemon.platform());
-
-  // An entry must agree with itself: eps_want is the ε its variant and
-  // model resolve to on this platform and DAG (the one its admission
-  // scheduled at, so a lower one would hold the placement to less than
-  // its cache key asks for), and the degraded flag matches the deficit.
-  // Anything else is format skew or tampering, not bit rot: reject the file.
+  auto dag = std::make_shared<const Dag>(net::parse_dag_wire(dag_wire));
+  Schedule schedule = net::parse_schedule_wire(sched_wire, *dag, daemon.platform());
+  // eps_want is the ε its admission scheduled at: what its variant and
+  // model resolve to on this platform and DAG.
   SchedulerOptions asked;
-  asked.fault_model = entry.model;
-  const CopyId eps_asked =
-      entry.variant.adjusted(asked).resolved(daemon.platform(), dag->num_tasks()).eps;
-  if (entry.eps_want != eps_asked || entry.degraded != (entry.eps_have < entry.eps_want)) {
-    throw SnapshotError("snapshot entry contradicts itself: variant=" + entry.variant.name() +
-                        " model=" + entry.model.to_string() + " asks eps=" +
-                        std::to_string(eps_asked) + " but claims degraded=" +
-                        (entry.degraded ? "1" : "0") + " eps_have=" +
-                        std::to_string(entry.eps_have) + " eps_want=" +
-                        std::to_string(entry.eps_want));
-  }
+  asked.fault_model = *model;
+  const CopyId eps_want =
+      variant->adjusted(asked).resolved(daemon.platform(), dag->num_tasks()).eps;
 
   auto placement = std::make_shared<CachedPlacement>(std::move(dag), daemon.platform_ptr(),
                                                      std::move(schedule));
-  placement->model = entry.model;
-  placement->variant = entry.variant.name();
-  placement->period_factor = entry.factor;
+  placement->model = *model;
+  placement->variant = variant->name();
+  placement->period_factor = *factor;
   placement->repair.success = true;
-  placement->repair.added_comms = entry.repair_comms;
-  placement->event_repair_comms = entry.event_comms;
-  placement->eps_want = entry.eps_want;
-
-  // With no live failures the gate's eps_have is the schedule's tolerance
-  // on the whole platform, which no live set can raise: a claimed
-  // eps_have above it (a full-guarantee claim included, as the flag check
-  // above ties it to eps_want) is unproven. A probabilistic entry's rel
-  // is estimated afresh (reliability is still −1) and must reproduce the
-  // claim; the estimator is deterministic, and the epsilon only absorbs
-  // reduction-order noise if the snapshot crossed toolchains.
-  BatchScratch scratch;
-  if (!publish_gate(*placement, ProcSet(daemon.platform().num_procs()), scratch) ||
-      entry.eps_have > placement->eps_have ||
-      entry.reliability > placement->reliability + 1e-9) {
-    log_warn() << "snapshot entry dropped: variant=" << entry.variant.name()
-               << " model=" << entry.model.to_string() << " claims eps_have=" << entry.eps_have
-               << " rel=" << entry.reliability << " but proves eps_have=" << placement->eps_have
-               << " rel=" << placement->reliability;
-    return nullptr;
-  }
-  // The proven claim stands, so a restart serves the rel it saved;
-  // restore() renders it when it sends the entry through the gate again.
-  placement->reliability = entry.reliability;
+  // The served repair_comms= counts every repair channel of the schedule:
+  // its admission's and its event repairs' alike.
+  placement->repair.added_comms = static_cast<std::uint32_t>(num_repair_comms(placement->schedule));
+  placement->eps_want = eps_want;
   return placement;
 }
 
@@ -273,13 +183,7 @@ SnapshotSaveStats save_cache_snapshot(const PlacementDaemon& daemon, const std::
   SnapshotSaveStats stats;
   for (const auto& placement : daemon.snapshot_entries()) {
     body += "entry variant=" + placement->variant + " model=" + placement->model.to_string() +
-            " factor=" + net::wire_double(placement->period_factor) +
-            " rel=" + net::wire_double(placement->reliability) +
-            " repair_comms=" + std::to_string(placement->repair.added_comms) +
-            " event_comms=" + std::to_string(placement->event_repair_comms) +
-            " degraded=" + (placement->degraded ? "1" : "0") +
-            " eps_have=" + std::to_string(placement->eps_have) +
-            " eps_want=" + std::to_string(placement->eps_want) + '\n';
+            " factor=" + net::wire_double(placement->period_factor) + '\n';
     body += "dag " + net::format_dag_wire(*placement->dag) + '\n';
     body += "sched " + net::format_schedule_wire(placement->schedule) + '\n';
     ++stats.entries;
@@ -355,37 +259,29 @@ SnapshotLoadStats load_cache_snapshot_text(PlacementDaemon& daemon, const std::s
         lines[i + 2].second.rfind("sched ", 0) != 0) {
       throw SnapshotError("cache snapshot entry is missing its dag/sched lines");
     }
-    SnapshotEntry entry = parse_entry_line(lines[i].second);
-    entry.dag_wire = lines[i + 1].second.substr(4);
-    entry.sched_wire = lines[i + 2].second.substr(6);
-    i += 3;
-    ++stats.entries;
-
     std::shared_ptr<CachedPlacement> placement;
     try {
-      placement = verify_entry(entry, daemon);
+      placement = parse_entry(lines[i].second, lines[i + 1].second.substr(4),
+                              lines[i + 2].second.substr(6), daemon);
     } catch (const net::WireError& e) {
       // Framing is intact (checksum passed) but the payload doesn't parse:
       // a format-version skew, not bit rot. Reject the file, not the entry.
       throw SnapshotError(std::string("cache snapshot entry does not parse: ") + e.what());
     }
-    if (placement == nullptr) {
-      ++stats.verify_failed;
-      continue;
-    }
+    i += 3;
+    ++stats.entries;
     if (daemon.restore(placement)) {
       ++stats.restored;
     } else {
       ++stats.stale;
-      log_warn() << "snapshot entry dropped: variant=" << entry.variant.name()
-                 << " model=" << entry.model.to_string()
+      log_warn() << "snapshot entry dropped: variant=" << placement->variant
+                 << " model=" << placement->model.to_string()
                  << " does not survive the daemon's live failure set";
     }
   }
 
   log_info() << "cache snapshot loaded: " << path << " entries=" << stats.entries
-             << " restored=" << stats.restored << " verify_failed=" << stats.verify_failed
-             << " stale=" << stats.stale;
+             << " restored=" << stats.restored << " stale=" << stats.stale;
   return stats;
 }
 

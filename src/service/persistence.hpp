@@ -1,18 +1,16 @@
 // Warm-start persistence of the placement daemon's schedule cache.
 //
 // On shutdown the server saves every cached placement to a text snapshot;
-// on startup it loads the snapshot back, holds every entry's claims to what
-// the daemon's publish gate proves, and republishes the survivors — so a
-// restarted daemon serves the same schedules bit-identically (asserted
-// via schedule_fingerprint) without touching the cold path; a degraded
-// entry's eps_have is re-derived against the live failure set.
+// on startup it loads the snapshot back and republishes every entry
+// through the daemon's publish gate, so a restarted daemon serves the
+// same schedules bit-identically (asserted via schedule_fingerprint)
+// without touching the cold path.
 //
 // Snapshot format (line-delimited text, like the wire protocol):
 //
-//   #streamsched-cache v2
+//   #streamsched-cache v3
 //   platform <hex16 platform fingerprint>
-//   entry variant=<spec> model=<spec> factor=<f> rel=<r> repair_comms=<n> event_comms=<n>
-//         degraded=<0|1> eps_have=<n> eps_want=<n>        (one line)
+//   entry variant=<spec> model=<spec> factor=<f>
 //   dag <DagWire>
 //   sched <ScheduleWire>
 //   ...                                     (entry/dag/sched repeated)
@@ -21,30 +19,21 @@
 // Entries are written LRU→MRU, so re-inserting them in file order
 // reproduces the cache's recency ordering.
 //
-// Degradation survives restarts: v2 entries carry the degraded flag and
-// the eps_have/eps_want deficit, and the publish gate re-derives them
-// (publish_gate in service/daemon.hpp), so a warm restart can never
-// launder a degraded placement into a full-guarantee one. An entry whose
-// degraded flag contradicts its deficit (degraded=1 with eps_have ==
-// eps_want, or degraded=0 with a deficit) rejects the whole file: that is
-// format skew or tampering, not bit rot. So does an entry missing any of
-// the three fields, and one whose eps_want differs from the ε its own
-// variant and model resolve to on the platform and DAG.
-//
-// Trust model: the snapshot is a cache, never an oracle, and every claim
-// a restored entry serves comes from the publish gate. Load rejects the
-// whole file loudly (SnapshotError) when the header, platform
-// fingerprint, or checksum doesn't match — a snapshot taken against a
-// different cluster, or a truncated/corrupted file, must not seed the
-// cache. Each entry that parses goes through the gate on the whole
-// platform (no live failures), which compiles a fresh oracle and
-// re-estimates a probabilistic entry's rel. An entry claiming more than
-// the gate proves — an eps_have above its tolerance on the whole
-// platform, a full-guarantee claim included, or a rel above the fresh
-// estimate — is dropped alone (logged, counted in `verify_failed`): one
-// bad entry should not cost the warm start of the rest. Restore then
-// gates the entry against the live failure set, dropping entries it
-// kills (`stale`) and re-deriving eps_have; a proven rel is kept as saved.
+// Trust model: the snapshot is a cache, never an oracle. It stores no
+// claim, only what the publish gate cannot derive from the schedule: the
+// variant and model an entry is cached under and its escalation factor.
+// The loader derives eps_want from the variant and model (the ε its
+// admission scheduled at) and repair_comms from the schedule's
+// repair-flagged channels; PlacementDaemon::restore's one gate pass,
+// against the live failure set, derives the rest — eps_have, degraded,
+// rel, fp, stages and latency. An edited file can therefore launder
+// nothing: it states nothing the gate does not re-derive, and an entry
+// filed under a weaker model is held to that model's key alone. Load
+// rejects the whole file loudly (SnapshotError) when the header (any
+// version but v3), platform fingerprint, checksum or an entry's fields
+// don't parse — a snapshot taken against a different cluster, or a
+// truncated/corrupted file, must not seed the cache. An entry the live
+// failure set kills is dropped alone (logged, counted in `stale`).
 //
 // Crash safety: snapshots are written atomically (`<path>.tmp`, fsync,
 // rename, fsync of the directory), so a crash mid-write leaves at worst
@@ -68,7 +57,7 @@ class PlacementDaemon;
 
 /// Thrown when a snapshot cannot be saved, or when load rejects the file
 /// wholesale (unreadable, bad header/version, platform-fingerprint
-/// mismatch, checksum mismatch, malformed or self-contradicting entries).
+/// mismatch, checksum mismatch, malformed entries).
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -80,10 +69,9 @@ struct SnapshotSaveStats {
 };
 
 struct SnapshotLoadStats {
-  std::size_t entries = 0;        ///< entries parsed from the file
-  std::size_t restored = 0;       ///< verified and republished into the cache
-  std::size_t verify_failed = 0;  ///< dropped: claims more than the publish gate proves
-  std::size_t stale = 0;          ///< dropped: daemon's live failure set kills them
+  std::size_t entries = 0;   ///< entries parsed from the file
+  std::size_t restored = 0;  ///< passed the publish gate and republished into the cache
+  std::size_t stale = 0;     ///< dropped: daemon's live failure set kills them
 };
 
 /// Writes the daemon's cached placements to `path` atomically: the bytes
@@ -92,12 +80,11 @@ struct SnapshotLoadStats {
 /// a torn file under `path`. Throws SnapshotError on I/O failure.
 SnapshotSaveStats save_cache_snapshot(const PlacementDaemon& daemon, const std::string& path);
 
-/// Loads `path` into the daemon's cache. Every entry is re-verified from
-/// scratch — schedule rebuilt from the wire text, claims derived by the
-/// publish gate on a fresh oracle and compared with the entry's (see the
-/// trust model above) — before PlacementDaemon::restore republishes it. Throws
+/// Loads `path` into the daemon's cache: every entry's schedule is rebuilt
+/// from the wire text and PlacementDaemon::restore republishes it, its
+/// claims derived by the publish gate (see the trust model above). Throws
 /// SnapshotError when the file as a whole is unusable (see class doc);
-/// individually bad entries are dropped and counted instead.
+/// entries the live failure set kills are dropped and counted instead.
 SnapshotLoadStats load_cache_snapshot(PlacementDaemon& daemon, const std::string& path);
 
 /// load_cache_snapshot on in-memory bytes (`label` names the source in

@@ -91,7 +91,8 @@ struct CachedPlacement {
   /// daemon process; wire responses report such hits as `src=warm`.
   bool from_snapshot = false;
   /// Supply channels wired by live failure-event repairs (on top of
-  /// `repair.added_comms`).
+  /// `repair.added_comms`; a restored placement counts every repair
+  /// channel of its schedule in `repair.added_comms`).
   std::uint32_t event_repair_comms = 0;
   /// Platform epoch this placement is current for (survives the daemon's
   /// live failure set as of that epoch).

@@ -128,11 +128,11 @@ struct ServerHandle {
 /// full-guarantee count entry survives any eps_want failures of the
 /// platform, a full-guarantee probabilistic entry carries eps_want + 1
 /// replicas, and a degraded entry's eps_have is its residual tolerance
-/// beyond `failed`. A probabilistic entry's rel must not exceed a fresh
-/// estimate, the sealed facts (schedule_fp, stages, latency_bound) must
-/// match a fresh computation, the schedule keeps no spare comm capacity,
-/// and the served repair_comms= counts exactly the schedule's
-/// repair-flagged channels.
+/// beyond `failed`. A probabilistic entry's rel must equal a fresh
+/// estimate of its schedule, the sealed facts (schedule_fp, stages,
+/// latency_bound) must match a fresh computation, the schedule keeps no
+/// spare comm capacity, and the served repair_comms= counts exactly the
+/// schedule's repair-flagged channels.
 inline void expect_reprovable_entries(const PlacementDaemon& daemon,
                                       const std::vector<ProcId>& failed = {}) {
   const std::size_t m = daemon.platform().num_procs();
@@ -167,7 +167,8 @@ inline void expect_reprovable_entries(const PlacementDaemon& daemon,
     EXPECT_EQ(p->eps_have, full ? p->eps_want : residual_tolerance(p->schedule, live, p->eps_want))
         << p->variant << " " << p->model.to_string();
     if (p->model.is_probabilistic()) {
-      EXPECT_LE(p->reliability, schedule_reliability(p->schedule).reliability + 1e-9);
+      EXPECT_EQ(p->reliability, schedule_reliability(p->schedule).reliability)
+          << p->variant << " " << p->model.to_string();
     }
   }
 }

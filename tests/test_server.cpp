@@ -1,6 +1,7 @@
 // Service front-end suite: warm-start cache persistence (bit-identical
-// round trip, loud rejection of corrupted / truncated / foreign-platform
-// snapshots, per-entry drops for tampered claims and stale placements) and
+// round trip, loud rejection of corrupted / truncated / foreign-platform /
+// malformed snapshots, per-entry drops of stale placements, an edited
+// model held to its own cache key, the fuzz seed in the current format) and
 // the wire server end to end over a unix-domain socket — cold admission,
 // cache hits (answered on the poll thread, ahead of a parked cold
 // admission, with STATS counters that always agree), failure events
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <utility>
@@ -63,6 +65,13 @@ using test::read_file;
 using test::ServerHandle;
 using test::unique_path;
 using test::write_file;
+
+/// A seed file of the fuzz_snapshot harness, whose daemon runs on
+/// small_platform().
+std::string snapshot_seed(const std::string& name) {
+  return read_file(
+      (std::filesystem::path(__FILE__).parent_path() / "fuzz/corpus/snapshot" / name).string());
+}
 
 /// Replaces the checksum line of an edited snapshot with a valid one, so
 /// only the edit itself can make the load fail.
@@ -126,7 +135,6 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
   const SnapshotLoadStats loaded = load_cache_snapshot(restored, snap.path);
   EXPECT_EQ(loaded.entries, 6u);
   EXPECT_EQ(loaded.restored, 6u);
-  EXPECT_EQ(loaded.verify_failed, 0u);
   EXPECT_EQ(loaded.stale, 0u);
   EXPECT_EQ(restored.stats().restored, 6u);
 
@@ -190,18 +198,18 @@ TEST(CachePersistence, RejectsCorruptedTruncatedAndForeignSnapshots) {
   write_file(mangled.path, "#some-other-format v9\n" + original);
   EXPECT_THROW((void)load_cache_snapshot(target, mangled.path), SnapshotError);
 
-  // Only v2 loads: the v1 magic is rejected even under a valid checksum.
-  const std::string v2_magic = "#streamsched-cache v2";
-  ASSERT_EQ(original.rfind(v2_magic, 0), 0u);
-  write_file(mangled.path, reseal("#streamsched-cache v1" + original.substr(v2_magic.size())));
+  // Only v3 loads: the v2 magic is rejected even under a valid checksum.
+  const std::string v3_magic = "#streamsched-cache v3";
+  ASSERT_EQ(original.rfind(v3_magic, 0), 0u);
+  write_file(mangled.path, reseal("#streamsched-cache v2" + original.substr(v3_magic.size())));
   EXPECT_THROW((void)load_cache_snapshot(target, mangled.path), SnapshotError);
 
-  // An entry without eps_have= cannot state its deficit: the file goes.
-  std::string no_have = original;
-  const std::size_t have_pos = no_have.find(" eps_have=");
-  ASSERT_NE(have_pos, std::string::npos);
-  no_have.erase(have_pos, no_have.find(' ', have_pos + 1) - have_pos);
-  write_file(mangled.path, reseal(no_have));
+  // v3 stores no claims: an entry line carrying one is not v3.
+  std::string with_rel = original;
+  const std::size_t factor_pos = with_rel.find(" factor=");
+  ASSERT_NE(factor_pos, std::string::npos);
+  with_rel.insert(factor_pos, " rel=0.5");
+  write_file(mangled.path, reseal(with_rel));
   EXPECT_THROW((void)load_cache_snapshot(target, mangled.path), SnapshotError);
 
   // A snapshot taken against a different cluster must not seed the cache.
@@ -214,33 +222,6 @@ TEST(CachePersistence, RejectsCorruptedTruncatedAndForeignSnapshots) {
 
   // The pristine file still loads after all that.
   EXPECT_EQ(load_cache_snapshot(target, snap.path).restored, 1u);
-}
-
-TEST(CachePersistence, TamperedReliabilityClaimDropsTheEntryOnly) {
-  const FileGuard snap(unique_path("snap_tamper", ".snapshot"));
-  PlacementDaemon source(small_platform(), DaemonConfig{});
-  const PlacementResponse honest = source.admit(request_for(121, FaultModel::parse("prob:R=0.9")));
-  ASSERT_TRUE(honest.ok) << honest.error;
-  ASSERT_TRUE(source.admit(request_for(122, FaultModel::count(1))).ok);
-  (void)save_cache_snapshot(source, snap.path);
-
-  // Inflate the probabilistic entry's reliability claim past anything the
-  // re-verification can reproduce, then re-seal the checksum — the framing
-  // is valid, only the claim lies.
-  std::string content = read_file(snap.path);
-  const std::size_t rel_pos = content.find(" rel=0.9");
-  ASSERT_NE(rel_pos, std::string::npos) << "expected a prob entry with rel<1 in the snapshot";
-  const std::size_t value_end = content.find(' ', rel_pos + 1);
-  ASSERT_NE(value_end, std::string::npos);
-  content.replace(rel_pos, value_end - rel_pos, " rel=0.99999999999");
-  write_file(snap.path, reseal(content));
-
-  PlacementDaemon target(small_platform(), DaemonConfig{});
-  const SnapshotLoadStats loaded = load_cache_snapshot(target, snap.path);
-  EXPECT_EQ(loaded.entries, 2u);
-  EXPECT_EQ(loaded.verify_failed, 1u);  // the liar is dropped...
-  EXPECT_EQ(loaded.restored, 1u);       // ...the honest entry warm-starts
-  EXPECT_EQ(target.stats().cache_size, 1u);
 }
 
 TEST(CachePersistence, EntriesKilledByTheLiveFailureSetAreStale) {
@@ -311,7 +292,7 @@ TEST(CachePersistence, DegradedEntriesRoundTripWithoutLaundering) {
             net::format_schedule_wire(served.placement->schedule));
 }
 
-TEST(CachePersistence, LaunderedDegradedFlagRejectsTheWholeSnapshot) {
+TEST(CachePersistence, ResealedWeakerModelServesOnlyItsOwnKey) {
   const FileGuard snap(unique_path("snap_launder", ".snapshot"));
   DaemonConfig dcfg;
   dcfg.auto_reheal = false;
@@ -322,32 +303,76 @@ TEST(CachePersistence, LaunderedDegradedFlagRejectsTheWholeSnapshot) {
   }
   ASSERT_EQ(source.stats().degraded, 1u);
   (void)save_cache_snapshot(source, snap.path);
-  const std::string original = read_file(snap.path);
 
-  // Clear the rebuilt two-copy entry's degraded flag, then re-seal the
-  // checksum. Kept at eps_want=2, the flag contradicts the deficit. Lowered
-  // to eps_want=1, flag and deficit agree and the schedule does tolerate
-  // one failure, but the entry is filed under count:eps=2, so accepting it
-  // would serve plain eps=2 callers with no deficit. Either is format skew
-  // or tampering, not bit rot, so the whole file must be rejected rather
-  // than the entry quietly dropped (or worse, promoted).
-  const std::string claim = " degraded=1 eps_have=1 eps_want=2";
-  for (const char* laundered :
-       {" degraded=0 eps_have=1 eps_want=2", " degraded=0 eps_have=1 eps_want=1"}) {
-    std::string content = original;
-    const std::size_t claim_pos = content.find(claim);
-    ASSERT_NE(claim_pos, std::string::npos) << "expected the rebuilt entry's deficit";
-    content.replace(claim_pos, claim.size(), laundered);
-    write_file(snap.path, reseal(content));
+  // File the rebuilt two-copy entry under count:eps=1, then re-seal the
+  // checksum. The file states no claim, so the edit cannot launder one:
+  // the gate derives eps_want=1 from the edited model and proves the
+  // schedule against it, and the entry serves count:eps=1 callers only.
+  std::string content = read_file(snap.path);
+  const std::string model = " model=count:eps=2 ";
+  const std::size_t model_pos = content.find(model);
+  ASSERT_NE(model_pos, std::string::npos) << "expected the rebuilt entry's model";
+  content.replace(model_pos, model.size(), " model=count:eps=1 ");
+  write_file(snap.path, reseal(content));
 
-    PlacementDaemon target(small_platform(5, 5), dcfg);
-    EXPECT_THROW((void)load_cache_snapshot(target, snap.path), SnapshotError) << laundered;
-    EXPECT_EQ(target.stats().cache_size, 0u);
-    const PlacementResponse plain = target.admit(request_for(61, FaultModel::count(2)));
-    ASSERT_TRUE(plain.ok) << plain.error;
-    EXPECT_FALSE(plain.cache_hit) << laundered;
-    EXPECT_TRUE(check_fault_tolerance(plain.placement->schedule, 2).valid) << laundered;
-  }
+  PlacementDaemon target(small_platform(5, 5), dcfg);
+  const SnapshotLoadStats loaded = load_cache_snapshot(target, snap.path);
+  EXPECT_EQ(loaded.restored, 1u);
+  EXPECT_EQ(target.stats().degraded, 0u);
+  expect_reprovable_entries(target);
+
+  const PlacementResponse weaker = target.admit(request_for(61, FaultModel::count(1)));
+  ASSERT_TRUE(weaker.ok) << weaker.error;
+  EXPECT_TRUE(weaker.cache_hit);
+  EXPECT_EQ(weaker.placement->eps_want, 1u);
+  EXPECT_EQ(weaker.placement->eps_have, 1u);
+  EXPECT_TRUE(check_fault_tolerance(weaker.placement->schedule, 1).valid);
+
+  const PlacementResponse plain = target.admit(request_for(61, FaultModel::count(2)));
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_FALSE(plain.cache_hit);
+  EXPECT_TRUE(check_fault_tolerance(plain.placement->schedule, 2).valid);
+}
+
+TEST(CachePersistence, MalformedEntryNumberRejectsTheFileAndTheWalkSkipsIt) {
+  const FileGuard base(unique_path("snap_factor", ".snapshot"));
+  PlacementDaemon source(small_platform(), DaemonConfig{});
+  ASSERT_TRUE(source.admit(request_for(141, FaultModel::count(1))).ok);
+  (void)save_cache_generation(source, base.path);  // g1: intact
+  const std::string intact = read_file(base.path + ".g1");
+
+  // g2: framing and checksum intact, but factor= is not a number.
+  std::string bad = intact;
+  const std::size_t factor_pos = bad.find(" factor=");
+  ASSERT_NE(factor_pos, std::string::npos);
+  bad.replace(factor_pos, bad.find('\n', factor_pos) - factor_pos, " factor=abc");
+  bad = reseal(bad);
+  write_file(base.path + ".g2", bad);
+
+  PlacementDaemon target(small_platform(), DaemonConfig{});
+  EXPECT_THROW((void)load_cache_snapshot_text(target, bad, "factor"), SnapshotError);
+  const GenerationLoadResult loaded = load_newest_cache_generation(target, base.path);
+  ASSERT_TRUE(loaded.loaded);
+  EXPECT_EQ(loaded.path, base.path + ".g1");
+  EXPECT_EQ(loaded.rejected, 1u);
+  EXPECT_EQ(loaded.stats.restored, 1u);
+}
+
+// The fuzz harness's seed snapshot (tests/fuzz/corpus/snapshot/valid.snap)
+// is in the current format: the harness's daemon restores every entry and
+// saves the file back byte for byte. A format change that leaves it behind
+// would turn fuzz_snapshot_smoke into a test of rejections alone.
+TEST(CachePersistence, FuzzSeedSnapshotRestoresEveryEntry) {
+  const std::string seed = snapshot_seed("valid.snap");
+  ASSERT_FALSE(seed.empty());
+  PlacementDaemon target(small_platform(), DaemonConfig{});
+  const SnapshotLoadStats loaded = load_cache_snapshot_text(target, seed, "valid.snap");
+  EXPECT_GT(loaded.entries, 0u);
+  EXPECT_EQ(loaded.restored, loaded.entries);
+
+  const FileGuard resaved(unique_path("snap_fuzz_seed", ".snapshot"));
+  (void)save_cache_snapshot(target, resaved.path);
+  EXPECT_EQ(read_file(resaved.path), seed);
 }
 
 // ------------------------------------------------------------- wire server --
@@ -1146,7 +1171,15 @@ TEST(WireServer, WarmRestoredLinesRenderTheRestoredPlacement) {
 
 TEST(WireServer, RejectedSnapshotStartsColdInsteadOfDying) {
   const FileGuard snap(unique_path("srv_badsnap", ".snapshot"));
-  write_file(snap.path, "this is not a cache snapshot\n");
+  // Every generation is rejected: one is not a snapshot, the newer one an
+  // intact snapshot of this platform in the older v2 format.
+  write_file(snap.path + ".g1", "this is not a cache snapshot\n");
+  write_file(snap.path + ".g2", snapshot_seed("v2_rejected.snap"));
+  PlacementDaemon walked(small_platform(), DaemonConfig{});
+  const GenerationLoadResult walk = load_newest_cache_generation(walked, snap.path);
+  EXPECT_FALSE(walk.loaded);
+  EXPECT_EQ(walk.rejected, 2u);
+
   net::ServerConfig config;
   config.snapshot_path = snap.path;
   // No listener configured: construction alone exercises the load path.
