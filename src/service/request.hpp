@@ -59,7 +59,7 @@ struct PlacementRequest {
 };
 
 /// One admitted placement, immutable once published by the daemon. The
-/// publish gate (service/daemon.hpp) derives the claims below from every
+/// publish gate (service/daemon.cpp) derives the claims below from every
 /// new or patched schedule, reading the schedule itself through `oracle`.
 /// The oracle holds only what the DAG fixes (its evaluation order, about
 /// 0.2 KB at 52 tasks), compiled once when the placement is made; it holds

@@ -36,7 +36,8 @@ namespace detail {
 /// Streams into a buffer and emits on destruction — but only when the
 /// level passes the filter at construction time; a disabled line builds
 /// no stream and skips the formatting entirely, so log_debug() in a hot
-/// path costs one level load.
+/// path costs one level load. Its arguments are still evaluated: guard
+/// one that costs more (a to_string(), say) with log_enabled().
 class LogLine {
  public:
   explicit LogLine(LogLevel level) : level_(level) {

@@ -102,7 +102,7 @@ TEST(CachePersistence, RoundTripIsBitIdentical) {
     request.variant = AlgoVariant(variant);
     admitted.push_back(source.admit(std::move(request)));
   }
-  // An entry whose event repair a probabilistic model's live failures need.
+  // A probabilistic entry that the failures below repair by wiring channels.
   admitted.push_back(source.admit(request_for(117, FaultModel::parse("prob:R=0.999"))));
   for (const PlacementResponse& resp : admitted) ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_EQ(admitted[3].placement->eps_want, 0u);
